@@ -1,10 +1,13 @@
-# Standard checks for this repository. `make check` is what CI should run.
+# Convenience targets. The check suite (gofmt, vet, build, test, the -race
+# package list, benchmark smokes, e2e drills) is spelled once, in
+# scripts/check.sh; `make check` and CI both run that file.
 
 GO ?= go
 
-.PHONY: check build test vet fmt race benchsmoke bench e2e
+.PHONY: check build test vet fmt bench e2e
 
-check: fmt vet build test race benchsmoke e2e
+check:
+	./scripts/check.sh
 
 build:
 	$(GO) build ./...
@@ -20,20 +23,6 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Short race pass over the packages with real concurrency: the distributed
-# build cluster, the dataflow engine, the live ingestion engine, the
-# snapshot-serving inventory, the observability middleware and the stream
-# monitor.
-race:
-	$(GO) test -race -count=1 -timeout 20m ./internal/cluster/ ./internal/dataflow/ ./internal/ingest/ ./internal/inventory/ ./internal/obs/ ./internal/replica/ ./internal/segment/ ./internal/stream/
-
-# One-iteration smokes: the snapshot-publish benchmark and the columnar
-# segment write/open/lookup round trip — they catch serving-path
-# regressions that compile but break at run time, without benchmark noise.
-benchsmoke:
-	$(GO) test -run='^$$' -bench=Publish -benchtime=1x ./internal/inventory/
-	$(GO) test -run='^$$' -bench=Segment -benchtime=1x ./internal/segment/
-
 # End-to-end smokes: the loopback cluster (coordinator + two workers, one
 # killed mid-task), the durability chaos drill (crash mid-checkpoint
 # rename, permanently failing journal disk, recovery convergence), the
@@ -47,7 +36,7 @@ e2e:
 	./scripts/replica_e2e.sh
 	./scripts/failover_e2e.sh
 
-# Full benchmark suite: regenerates BENCH_PR10.json and prints the headline
-# publish/shuffle/distributed benchmarks (see scripts/bench.sh).
+# The repository's benchmark (BENCHMARK.json, bench/README.md): all five
+# workloads, untraced and traced, on seed 1.
 bench:
-	./scripts/bench.sh
+	bash bench/run.sh -seed 1

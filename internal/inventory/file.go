@@ -9,7 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"github.com/patternsoflife/pol/internal/fault"
 )
@@ -187,15 +187,12 @@ func writeTo(inv *Inventory, w io.Writer) (int64, error) {
 	}
 	entries := make([]entry, 0, inv.Len())
 	inv.Each(func(k GroupKey, s *CellSummary) bool {
-		var e entry
-		copy(e.keyEnc[:], appendKey(nil, k))
-		e.summary = s
+		e := entry{summary: s}
+		appendKey(e.keyEnc[:0], k)
 		entries = append(entries, e)
 		return true
 	})
-	sort.Slice(entries, func(i, j int) bool {
-		return bytes.Compare(entries[i].keyEnc[:], entries[j].keyEnc[:]) < 0
-	})
+	slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.keyEnc[:], b.keyEnc[:]) })
 
 	type idxEntry struct {
 		keyEnc [keyBytes]byte
@@ -205,11 +202,12 @@ func writeTo(inv *Inventory, w io.Writer) (int64, error) {
 	var buf []byte
 	for _, e := range entries {
 		index = append(index, idxEntry{keyEnc: e.keyEnc, offset: uint64(written)})
-		buf = buf[:0]
-		buf = append(buf, e.keyEnc[:]...)
-		body := e.summary.AppendBinary(nil)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-		buf = append(buf, body...)
+		// key | summaryLen | summary, the length patched in once the
+		// summary has been encoded in place.
+		buf = append(buf[:0], e.keyEnc[:]...)
+		buf = append(buf, 0, 0, 0, 0)
+		buf = e.summary.AppendBinary(buf)
+		binary.LittleEndian.PutUint32(buf[keyBytes:], uint32(len(buf)-keyBytes-4))
 		if err := emit(buf); err != nil {
 			return written, err
 		}

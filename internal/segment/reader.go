@@ -300,6 +300,44 @@ func (p *pinnedShard) summary(i int) (*inventory.CellSummary, error) {
 	return s, nil
 }
 
+// inflater is a reusable flate decompressor: its window and Huffman tables
+// (~40 KB) are the bulk of what a shard miss used to allocate besides the
+// block itself.
+type inflater struct {
+	src   bytes.Reader
+	fr    io.ReadCloser // a flate reader over src; also a flate.Resetter
+	probe [1]byte
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.fr = flate.NewReader(&in.src)
+	return in
+}}
+
+// inflate fills dst with the first len(dst) decompressed bytes of comp.
+// With exact set, a stream that holds more than that is an error too.
+func inflate(dst, comp []byte, exact bool) error {
+	in := inflaters.Get().(*inflater)
+	defer func() {
+		in.src.Reset(nil) // do not pin the caller's bytes from the pool
+		inflaters.Put(in)
+	}()
+	in.src.Reset(comp)
+	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return err
+	}
+	if _, err := io.ReadFull(in.fr, dst); err != nil {
+		return err
+	}
+	if exact {
+		if n, _ := in.fr.Read(in.probe[:]); n != 0 {
+			return fmt.Errorf("stream continues past %d bytes", len(dst))
+		}
+	}
+	return nil
+}
+
 // loadRaw decompresses and parses one block without touching the cache.
 func (r *Reader) loadRaw(bi *BlockInfo) (*pinnedShard, error) {
 	comp, err := r.compressedBlock(bi)
@@ -307,15 +345,10 @@ func (r *Reader) loadRaw(bi *BlockInfo) (*pinnedShard, error) {
 		return nil, err
 	}
 	raw := make([]byte, int(bi.RawLen))
-	fr := flate.NewReader(bytes.NewReader(comp))
-	if _, err := io.ReadFull(fr, raw); err != nil {
+	// Any trailing decompressed bytes mean RawLen lies.
+	if err := inflate(raw, comp, true); err != nil {
 		return nil, fmt.Errorf("segment: shard %d inflate: %v: %w", bi.Shard, err, ErrCorrupt)
 	}
-	// Any trailing decompressed bytes mean RawLen lies.
-	if n, _ := fr.Read(make([]byte, 1)); n != 0 {
-		return nil, fmt.Errorf("segment: shard %d inflates past %d bytes: %w", bi.Shard, bi.RawLen, ErrCorrupt)
-	}
-	fr.Close()
 	return parseBlock(bi, raw)
 }
 
@@ -465,12 +498,10 @@ func (r *Reader) directory() (*keyDir, error) {
 			// Stream only up to the end of the key column.
 			keyEnd := 4 + int(bi.NGroups)*inventory.EncodedKeyLen
 			raw := make([]byte, keyEnd)
-			fr := flate.NewReader(bytes.NewReader(comp))
-			if _, err := io.ReadFull(fr, raw); err != nil {
+			if err := inflate(raw, comp, false); err != nil {
 				r.dirErr = fmt.Errorf("segment: shard %d inflate: %v: %w", bi.Shard, err, ErrCorrupt)
 				return
 			}
-			fr.Close()
 			if int(binary.LittleEndian.Uint32(raw)) != int(bi.NGroups) {
 				r.dirErr = fmt.Errorf("segment: shard %d group count: %w", bi.Shard, ErrCorrupt)
 				return

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
 
 	"github.com/patternsoflife/pol/internal/fault"
 	"github.com/patternsoflife/pol/internal/inventory"
@@ -71,27 +73,107 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeTo streams the encoded segment.
+// entry is one group on its way into a block: the encoded key (whose
+// first byte is the grouping set) and the summary it indexes.
+type entry struct {
+	keyEnc  [inventory.EncodedKeyLen]byte
+	summary *inventory.CellSummary
+}
+
+// encodeWindowPerWorker bounds how far block encoding runs ahead of the
+// file: at most this many finished-or-in-flight blocks per worker are held
+// in memory. Two lets a worker start its next shard while its last block
+// waits for the emitter; more only buys memory.
+const encodeWindowPerWorker = 2
+
+// blockSlot carries one encoded block from a worker to the emitter. A slot
+// belongs to block seq from dispatch until the emitter has written it, then
+// to block seq+window, so its buffer is reused for the whole write.
+type blockSlot struct {
+	comp bytes.Buffer
+	info BlockInfo  // Off is the emitter's to fill
+	done chan error // the encode's result; capacity 1, so the worker never waits
+}
+
+// blockEncoder is one worker's reused state: compressing a shard allocates
+// nothing once raw has grown to the largest shard seen.
+type blockEncoder struct {
+	fw  *flate.Writer
+	raw []byte
+}
+
+// encode sorts one shard's entries and writes its compressed column block
+// into slot.
+func (e *blockEncoder) encode(shard int, es []entry, slot *blockSlot) error {
+	// Sorted by encoded key so the key column is binary-searchable.
+	slices.SortFunc(es, func(a, b entry) int { return bytes.Compare(a.keyEnc[:], b.keyEnc[:]) })
+
+	// Columns: keys | records | offsets | blob.
+	raw := binary.LittleEndian.AppendUint32(e.raw[:0], uint32(len(es)))
+	for i := range es {
+		raw = append(raw, es[i].keyEnc[:]...)
+	}
+	for i := range es {
+		raw = binary.LittleEndian.AppendUint64(raw, es[i].summary.Records)
+	}
+	// The offset column's size is known up front, so each summary is
+	// encoded once, straight into the blob, and its offset patched in.
+	offs := len(raw)
+	raw = append(raw, make([]byte, 4*(len(es)+1))...)
+	blob := len(raw)
+	for i := range es {
+		binary.LittleEndian.PutUint32(raw[offs+4*i:], uint32(len(raw)-blob))
+		raw = es[i].summary.AppendBinary(raw)
+	}
+	binary.LittleEndian.PutUint32(raw[offs+4*len(es):], uint32(len(raw)-blob))
+	e.raw = raw
+
+	slot.comp.Reset()
+	e.fw.Reset(&slot.comp)
+	if _, err := e.fw.Write(raw); err != nil {
+		return fmt.Errorf("segment: compress shard %d: %w", shard, err)
+	}
+	if err := e.fw.Close(); err != nil {
+		return fmt.Errorf("segment: compress shard %d: %w", shard, err)
+	}
+	slot.info = BlockInfo{
+		Shard:   shard,
+		CompLen: uint32(slot.comp.Len()),
+		RawLen:  uint32(len(raw)),
+		CRC:     CRC(slot.comp.Bytes()),
+		NGroups: uint32(len(es)),
+	}
+	for i := range es {
+		slot.info.NSet[inventory.GroupSet(es[i].keyEnc[0])-inventory.GSCell]++
+	}
+	return nil
+}
+
+// writeTo streams the encoded segment. Shard blocks are independent, so
+// they are sorted, columnised and compressed by up to GOMAXPROCS workers
+// while this goroutine — the only one that touches w — emits them in
+// ascending shard id. Each block's bytes are a function of its shard's
+// groups alone (flate carries no state across Reset), so the file does not
+// depend on the worker count.
 func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 	var st WriteStats
 
-	// Bucket the groups into their shards; sort each shard by encoded key
-	// so the key column is binary-searchable.
-	type entry struct {
-		keyEnc  [inventory.EncodedKeyLen]byte
-		set     inventory.GroupSet
-		summary *inventory.CellSummary
-	}
+	// Bucket the groups into their shards.
 	var shards [inventory.ShardCount][]entry
 	v.Each(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
-		var e entry
-		copy(e.keyEnc[:], inventory.AppendKey(nil, k))
-		e.set = k.Set
-		e.summary = s
-		shards[inventory.ShardOf(k)] = append(shards[inventory.ShardOf(k)], e)
+		e := entry{summary: s}
+		inventory.AppendKey(e.keyEnc[:0], k)
+		si := inventory.ShardOf(k)
+		shards[si] = append(shards[si], e)
 		st.Groups++
 		return true
 	})
+	var ids []int // non-empty shards, ascending: block seq → shard id
+	for si := range shards {
+		if len(shards[si]) > 0 {
+			ids = append(ids, si)
+		}
+	}
 
 	info := v.Info()
 	var head []byte
@@ -108,74 +190,60 @@ func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 		return st, fmt.Errorf("segment: header: %w", err)
 	}
 
-	var (
-		blocks []BlockInfo
-		raw    []byte
-		comp   bytes.Buffer
-	)
-	for si := range shards {
-		es := shards[si]
-		if len(es) == 0 {
-			continue
+	encs := make([]blockEncoder, min(runtime.GOMAXPROCS(0), len(ids)))
+	for i := range encs {
+		fw, err := flate.NewWriter(nil, flate.DefaultCompression)
+		if err != nil {
+			return st, fmt.Errorf("segment: flate: %w", err)
+		}
+		encs[i].fw = fw
+	}
+	slots := make([]blockSlot, len(encs)*encodeWindowPerWorker)
+	for i := range slots {
+		slots[i].done = make(chan error, 1)
+	}
+	// Block seq is in flight from its send on jobs until the emitter has
+	// written it, and the emitter keeps at most len(slots) in flight: so
+	// neither that send nor a worker's send on its slot can block, and
+	// stopping early is close, wait (for at most the blocks in flight).
+	jobs := make(chan int, len(slots))
+	var wg sync.WaitGroup
+	for i := range encs {
+		wg.Add(1)
+		go func(enc *blockEncoder) {
+			defer wg.Done()
+			for seq := range jobs {
+				slot := &slots[seq%len(slots)]
+				slot.done <- enc.encode(ids[seq], shards[ids[seq]], slot)
+			}
+		}(&encs[i])
+	}
+	defer func() {
+		close(jobs)
+		wg.Wait()
+	}()
+
+	blocks := make([]BlockInfo, 0, len(ids))
+	dispatched := 0
+	for seq, si := range ids {
+		for ; dispatched < len(ids) && dispatched < seq+len(slots); dispatched++ {
+			jobs <- dispatched
 		}
 		if err := fault.Hit(FPWriteBlock); err != nil {
 			return st, fmt.Errorf("segment: block %d: %w", si, err)
 		}
-		sort.Slice(es, func(i, j int) bool {
-			return bytes.Compare(es[i].keyEnc[:], es[j].keyEnc[:]) < 0
-		})
-
-		// Columns: keys | records | offsets | blob.
-		raw = raw[:0]
-		raw = binary.LittleEndian.AppendUint32(raw, uint32(len(es)))
-		for i := range es {
-			raw = append(raw, es[i].keyEnc[:]...)
+		slot := &slots[seq%len(slots)]
+		if err := <-slot.done; err != nil {
+			return st, err
 		}
-		for i := range es {
-			raw = binary.LittleEndian.AppendUint64(raw, es[i].summary.Records)
-		}
-		// Encode summaries once into the blob, tracking offsets.
-		offs := make([]uint32, 0, len(es)+1)
-		var blob []byte
-		for i := range es {
-			offs = append(offs, uint32(len(blob)))
-			blob = es[i].summary.AppendBinary(blob)
-		}
-		offs = append(offs, uint32(len(blob)))
-		for _, o := range offs {
-			raw = binary.LittleEndian.AppendUint32(raw, o)
-		}
-		raw = append(raw, blob...)
-
-		comp.Reset()
-		fw, err := flate.NewWriter(&comp, flate.DefaultCompression)
-		if err != nil {
-			return st, fmt.Errorf("segment: flate: %w", err)
-		}
-		if _, err := fw.Write(raw); err != nil {
-			return st, fmt.Errorf("segment: compress shard %d: %w", si, err)
-		}
-		if err := fw.Close(); err != nil {
-			return st, fmt.Errorf("segment: compress shard %d: %w", si, err)
-		}
-
-		bi := BlockInfo{
-			Shard:   si,
-			Off:     w.n,
-			CompLen: uint32(comp.Len()),
-			RawLen:  uint32(len(raw)),
-			CRC:     CRC(comp.Bytes()),
-			NGroups: uint32(len(es)),
-		}
-		for i := range es {
-			bi.NSet[es[i].set-inventory.GSCell]++
-		}
-		if _, err := w.Write(comp.Bytes()); err != nil {
+		bi := slot.info
+		bi.Off = w.n
+		if _, err := w.Write(slot.comp.Bytes()); err != nil {
 			return st, fmt.Errorf("segment: shard %d: %w", si, err)
 		}
 		blocks = append(blocks, bi)
 		st.Blocks++
-		st.RawBytes += int64(len(raw))
+		st.RawBytes += int64(bi.RawLen)
 	}
 
 	if err := fault.Hit(FPWriteIndex); err != nil {

@@ -177,18 +177,6 @@ func (h *HyperLogLog) Occupied() int {
 	return n
 }
 
-// register returns one register value regardless of representation.
-func (h *HyperLogLog) register(idx uint32) uint8 {
-	if h.registers != nil {
-		return h.registers[idx]
-	}
-	i := sort.Search(len(h.sparse), func(i int) bool { return h.sparse[i]>>8 >= idx })
-	if i < len(h.sparse) && h.sparse[i]>>8 == idx {
-		return uint8(h.sparse[i])
-	}
-	return 0
-}
-
 // Encoding modes.
 const (
 	hllModeRLE uint8 = 0 // (zero-run u32, value u8) pairs — cheap when sparse
@@ -197,33 +185,48 @@ const (
 
 // AppendBinary appends the sketch's binary encoding to buf, choosing
 // whichever of the run-length and raw layouts is smaller for the current
-// occupancy.
+// occupancy. It only reads the sketch: encoding a summary that other
+// goroutines are querying is safe, and its cost follows the occupied
+// registers, not 2^p, while the sketch is sparse.
 func (h *HyperLogLog) AppendBinary(buf []byte) []byte {
 	buf = append(buf, h.p)
-	n := uint32(h.numRegisters())
+	n := h.numRegisters()
 	// RLE costs 5 bytes per occupied register (plus a terminator); raw
 	// costs one byte per register.
-	if occupied := h.Occupied(); occupied*5+5 >= int(n) {
+	if h.Occupied()*5+5 >= n {
 		buf = append(buf, hllModeRaw)
-		h.densify()
-		return append(buf, h.registers...)
+		if h.registers != nil {
+			return append(buf, h.registers...)
+		}
+		start := len(buf)
+		buf = append(buf, make([]byte, n)...)
+		for _, packed := range h.sparse {
+			buf[start+int(packed>>8)] = uint8(packed)
+		}
+		return buf
 	}
 	buf = append(buf, hllModeRLE)
-	i := uint32(0)
-	for i < n {
-		run := uint32(0)
-		for i < n && h.register(i) == 0 {
-			i++
-			run++
+	// next is the first register no pair has covered yet; both
+	// representations yield their occupied registers in ascending order
+	// (sparse ranks are never zero: AddHash ranks start at 1 and decode
+	// skips zeros).
+	next := uint32(0)
+	if h.registers != nil {
+		for i, r := range h.registers {
+			if r != 0 {
+				buf = append(appendU32(buf, uint32(i)-next), r)
+				next = uint32(i) + 1
+			}
 		}
-		if i >= n {
-			buf = appendU32(buf, run)
-			buf = append(buf, 0)
-			break
+	} else {
+		for _, packed := range h.sparse {
+			buf = append(appendU32(buf, packed>>8-next), uint8(packed))
+			next = packed>>8 + 1
 		}
-		buf = appendU32(buf, run)
-		buf = append(buf, h.register(i))
-		i++
+	}
+	if next < uint32(n) {
+		// Trailing zero run, closed by a zero value.
+		buf = append(appendU32(buf, uint32(n)-next), 0)
 	}
 	return buf
 }

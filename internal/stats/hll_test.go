@@ -1,10 +1,59 @@
 package stats
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 )
+
+// register returns one register value regardless of representation.
+func (h *HyperLogLog) register(idx uint32) uint8 {
+	if h.registers != nil {
+		return h.registers[idx]
+	}
+	i := sort.Search(len(h.sparse), func(i int) bool { return h.sparse[i]>>8 >= idx })
+	if i < len(h.sparse) && h.sparse[i]>>8 == idx {
+		return uint8(h.sparse[i])
+	}
+	return 0
+}
+
+// appendBinaryByRegisterWalk is the encoder AppendBinary replaced, kept as
+// the reference: it visits all 2^p registers through register() and knows
+// nothing about the representation.
+func (h *HyperLogLog) appendBinaryByRegisterWalk(buf []byte) []byte {
+	buf = append(buf, h.p)
+	n := uint32(h.numRegisters())
+	if h.Occupied()*5+5 >= int(n) {
+		buf = append(buf, hllModeRaw)
+		for i := uint32(0); i < n; i++ {
+			buf = append(buf, h.register(i))
+		}
+		return buf
+	}
+	buf = append(buf, hllModeRLE)
+	i := uint32(0)
+	for i < n {
+		run := uint32(0)
+		for i < n && h.register(i) == 0 {
+			i++
+			run++
+		}
+		if i >= n {
+			buf = appendU32(buf, run)
+			buf = append(buf, 0)
+			break
+		}
+		buf = appendU32(buf, run)
+		buf = append(buf, h.register(i))
+		i++
+	}
+	return buf
+}
 
 func TestHLLEmpty(t *testing.T) {
 	h := NewHyperLogLog(HLLPrecision)
@@ -313,5 +362,97 @@ func BenchmarkHLLMerge(b *testing.B) {
 		z := NewHyperLogLog(HLLPrecision)
 		z.Merge(x)
 		z.Merge(y)
+	}
+}
+
+// TestHLLEncodingMatchesRegisterWalk: for random sketches on both sides of
+// the sparse→dense promotion and of the RLE→raw size crossover, at several
+// precisions, the encoder's bytes equal the reference register walk's, the
+// two representations of one register file encode alike, and decode∘encode
+// is the identity on the bytes.
+func TestHLLEncodingMatchesRegisterWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, p := range []uint8{4, 8, HLLPrecision, 14} {
+		m := 1 << p
+		counts := []int{0, 1, 2, m / 5, sparseLimit - 1, sparseLimit, sparseLimit + 1, 3 * sparseLimit, m, 8 * m}
+		for i := 0; i < 40; i++ {
+			counts = append(counts, rng.Intn(4*sparseLimit))
+		}
+		for _, n := range counts {
+			h, dense := NewHyperLogLog(p), NewHyperLogLog(p)
+			dense.densify()
+			for i := 0; i < n; i++ {
+				v := rng.Uint64()
+				h.AddHash(v)
+				dense.AddHash(v)
+			}
+			if i := rng.Intn(m); n > 0 && rng.Intn(2) == 0 {
+				// Pin the last register too: the run list then ends without
+				// a terminator.
+				h.setRegister(uint32(m-1), uint8(1+i%7))
+				dense.setRegister(uint32(m-1), uint8(1+i%7))
+			}
+			got, want := h.AppendBinary(nil), h.appendBinaryByRegisterWalk(nil)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("p=%d n=%d (dense=%v): encoder and register walk disagree\n got %x\nwant %x", p, n, h.registers != nil, got, want)
+			}
+			if d := dense.AppendBinary(nil); !bytes.Equal(d, want) {
+				t.Fatalf("p=%d n=%d: dense representation encodes differently", p, n)
+			}
+			back, rest, err := DecodeHyperLogLog(got)
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("p=%d n=%d: decode: %v (%d trailing)", p, n, err, len(rest))
+			}
+			if again := back.AppendBinary(nil); !bytes.Equal(again, got) {
+				t.Fatalf("p=%d n=%d: decode∘encode changed the bytes", p, n)
+			}
+		}
+	}
+}
+
+// TestHLLEncodeDoesNotMutate: a checkpoint encodes summaries that API
+// readers are querying, so AppendBinary must leave the receiver alone —
+// including a sparse sketch small enough (low precision) to take the raw
+// layout, which used to densify it. Run with -race.
+func TestHLLEncodeDoesNotMutate(t *testing.T) {
+	for _, p := range []uint8{4, HLLPrecision} {
+		h := NewHyperLogLog(p)
+		for i := uint64(0); i < 9; i++ {
+			h.AddUint64(i)
+		}
+		if h.registers != nil {
+			t.Fatalf("p=%d: fixture must be sparse", p)
+		}
+		want, estimate, occupied := h.AppendBinary(nil), h.Estimate(), h.Occupied()
+		if p == 4 && want[1] != hllModeRaw {
+			t.Fatal("p=4 fixture must take the raw layout")
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					if !bytes.Equal(h.AppendBinary(nil), want) {
+						t.Error("concurrent encodes disagree")
+						return
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if h.Estimate() != estimate || h.Occupied() != occupied {
+					t.Error("reader saw the sketch change under an encode")
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		if h.registers != nil {
+			t.Fatalf("p=%d: encoding converted the sketch to dense", p)
+		}
 	}
 }

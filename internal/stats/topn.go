@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // TopN tracks the approximately most frequent uint64 keys in a stream using
 // the Space-Saving algorithm (Metwally et al.). With capacity k, any key
@@ -28,14 +31,17 @@ type TopEntry struct {
 }
 
 // NewTopN returns an empty sketch tracking up to capacity keys. Capacities
-// below 1 are raised to 1.
+// below 1 are raised to 1. The table grows with the keys actually seen:
+// most cells know one or two origins, and an inventory holds three
+// sketches per group, so a table sized for capacity up front is mostly
+// empty slots on the live heap.
 func NewTopN(capacity int) *TopN {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &TopN{
 		capacity: capacity,
-		counters: make(map[uint64]*ssCounter, capacity),
+		counters: make(map[uint64]*ssCounter),
 	}
 }
 
@@ -99,17 +105,21 @@ func (t *TopN) Len() int { return len(t.counters) }
 // Entries returns all tracked keys sorted by descending estimated count,
 // ties broken by ascending key for determinism.
 func (t *TopN) Entries() []TopEntry {
-	out := make([]TopEntry, 0, len(t.counters))
+	return t.appendEntries(make([]TopEntry, 0, len(t.counters)))
+}
+
+// appendEntries appends the ranked entries to dst (which must be empty).
+func (t *TopN) appendEntries(dst []TopEntry) []TopEntry {
 	for k, c := range t.counters {
-		out = append(out, TopEntry{Key: k, Count: c.count, Error: c.err})
+		dst = append(dst, TopEntry{Key: k, Count: c.count, Error: c.err})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(dst, func(a, b TopEntry) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return out[i].Key < out[j].Key
+		return cmp.Compare(a.Key, b.Key)
 	})
-	return out
+	return dst
 }
 
 // Top returns the n highest-count entries (fewer if fewer keys are
@@ -134,7 +144,10 @@ func (t *TopN) Count(key uint64) uint64 {
 func (t *TopN) AppendBinary(buf []byte) []byte {
 	buf = appendU32(buf, uint32(t.capacity))
 	buf = appendU32(buf, uint32(len(t.counters)))
-	for _, e := range t.Entries() { // sorted for deterministic bytes
+	// Ranked in a stack array at the inventory's capacity; a larger sketch
+	// spills to the heap.
+	var ranked [16]TopEntry
+	for _, e := range t.appendEntries(ranked[:0]) { // sorted for deterministic bytes
 		buf = appendU64(buf, e.Key)
 		buf = appendU64(buf, e.Count)
 		buf = appendU64(buf, e.Error)
@@ -159,7 +172,7 @@ func DecodeTopN(data []byte) (*TopN, []byte, error) {
 	if n > capacity || uint64(n)*24 > uint64(len(data)) {
 		return nil, nil, ErrCorrupt
 	}
-	t := NewTopN(int(capacity))
+	t := &TopN{capacity: int(capacity), counters: make(map[uint64]*ssCounter, n)}
 	for i := uint32(0); i < n; i++ {
 		var key, count, errBound uint64
 		if key, data, err = readU64(data); err != nil {

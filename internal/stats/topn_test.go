@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -187,6 +188,56 @@ func TestTopNBinaryRoundTrip(t *testing.T) {
 	}
 	if _, _, err := DecodeTopN(nil); err == nil {
 		t.Error("empty input must fail")
+	}
+}
+
+// TestTopNDecodedBehavesLikeBuilt: a decoded sketch (table sized to its
+// entries) and the built one it came from (table grown key by key) encode,
+// merge and keep admitting keys alike — at the inventory's capacity and at
+// one past AppendBinary's stack array.
+func TestTopNDecodedBehavesLikeBuilt(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, capacity := range []int{16, 40} {
+		for _, keys := range []int{0, 1, 3, capacity, 5 * capacity} {
+			build := func(n int) *TopN {
+				s := NewTopN(capacity)
+				for i := 0; i < n; i++ {
+					s.AddWeighted(uint64(rng.Intn(keys+1)), uint64(1+rng.Intn(3)))
+				}
+				return s
+			}
+			x, y := build(20*keys), build(7*keys)
+			enc := x.AppendBinary(nil)
+			dec, rest, err := DecodeTopN(enc)
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("cap %d keys %d: decode: %v (%d trailing)", capacity, keys, err, len(rest))
+			}
+			if !bytes.Equal(dec.AppendBinary(nil), enc) {
+				t.Fatalf("cap %d keys %d: decode∘encode changed the bytes", capacity, keys)
+			}
+			x.Merge(y)
+			dec.Merge(y)
+			for k := uint64(1000); k < 1000+uint64(capacity); k++ {
+				x.Add(k)
+				dec.Add(k)
+			}
+			if x.Len() != capacity || !bytes.Equal(dec.AppendBinary(nil), x.AppendBinary(nil)) {
+				t.Fatalf("cap %d keys %d: decoded and built sketches diverge after merge+add", capacity, keys)
+			}
+		}
+	}
+}
+
+// TestTopNAppendBinaryDoesNotAllocate: a segment write encodes three
+// sketches per group into a reused buffer.
+func TestTopNAppendBinaryDoesNotAllocate(t *testing.T) {
+	s := NewTopN(16)
+	for k := uint64(0); k < 40; k++ {
+		s.AddWeighted(k%23, k)
+	}
+	buf := make([]byte, 0, 1024)
+	if n := testing.AllocsPerRun(100, func() { buf = s.AppendBinary(buf[:0]) }); n != 0 {
+		t.Errorf("AppendBinary allocates %.0f times per call", n)
 	}
 }
 

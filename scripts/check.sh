@@ -1,6 +1,6 @@
 #!/bin/sh
-# Repository check suite — the same steps as `make check`, for environments
-# without make. Run from the repository root.
+# Repository check suite — the one spelling of it: `make check` and CI both
+# run this file. Run from the repository root.
 set -e
 
 echo "== gofmt =="
@@ -21,7 +21,10 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (concurrent packages) =="
-go test -race -count=1 -timeout 20m ./internal/cluster/ ./internal/dataflow/ ./internal/ingest/ ./internal/inventory/ ./internal/obs/ ./internal/obs/trace/ ./internal/replica/ ./internal/segment/ ./internal/stream/
+go test -race -count=1 -timeout 20m ./internal/cluster/ ./internal/dataflow/ ./internal/ingest/ ./internal/inventory/ ./internal/obs/ ./internal/obs/trace/ ./internal/replica/ ./internal/segment/ ./internal/stats/ ./internal/stream/
+
+echo "== benchmark harness tests (bench/ is its own module) =="
+(cd bench && go test ./...)
 
 echo "== benchmark smoke (snapshot publish) =="
 go test -run='^$' -bench=Publish -benchtime=1x ./internal/inventory/
