@@ -23,18 +23,10 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# End-to-end smokes: the loopback cluster (coordinator + two workers, one
-# killed mid-task), the durability chaos drill (crash mid-checkpoint
-# rename, permanently failing journal disk, recovery convergence), the
-# replicated-serving drill (primary + two read replicas, one killed and
-# re-bootstrapped mid-feed, bit-exact convergence), and the failover drill
-# (primary killed mid-feed, replica promoted with epoch fencing, stale
-# primary fenced on restart).
+# The end-to-end drills alone (cluster, chaos, replica, failover); the list
+# lives in scripts/check.sh.
 e2e:
-	./scripts/cluster_e2e.sh
-	./scripts/chaos_e2e.sh
-	./scripts/replica_e2e.sh
-	./scripts/failover_e2e.sh
+	./scripts/check.sh e2e
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): all five
 # workloads, untraced and traced, on seed 1.

@@ -9,7 +9,9 @@
 //	polbench -exp all -vessels 150 -days 30 -out out/
 //	polbench -exp table4
 //	polbench -exp fig6 -width 2400
-//	polbench -json BENCH_PR3.json -vessels 30 -days 15
+//
+// Performance is measured by the repository's benchmark (bench/,
+// BENCHMARK.json), not here.
 package main
 
 import (
@@ -31,7 +33,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "determinism seed")
 		outDir  = flag.String("out", "out", "output directory for figures")
 		width   = flag.Int("width", 1600, "figure width in pixels")
-		jsonOut = flag.String("json", "", "run the micro-benchmark suite instead of -exp and write JSON results to this file")
 	)
 	flag.Parse()
 
@@ -39,13 +40,6 @@ func main() {
 		log.Fatal(err)
 	}
 	l := newLab(*vessels, *days, *seed, *outDir, *width)
-
-	if *jsonOut != "" {
-		if err := l.runBenchJSON(*jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	experiments := []struct {
 		id  string

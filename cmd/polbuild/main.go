@@ -1,5 +1,7 @@
 // Command polbuild runs the Patterns-of-Life pipeline over an AIS archive
-// and writes the global inventory file (the paper's methodology, Figure 3).
+// and writes the global inventory as a POLSEG1 segment (the paper's
+// methodology, Figure 3) — the one file format polserve, polquery,
+// polrender, checkpoints and replicas all read.
 //
 // Usage:
 //
@@ -13,12 +15,9 @@
 //	polbuild -synthetic -vessels 500 -coordinator :7700 -workers 4 -out synth.polinv
 //	polbuild -in fleet.nmea -coordinator :7700 -workers 2 -out fleet.polinv
 //
-// Distributed archive builds shuffle worker-to-worker by default: the
-// coordinator assigns each reduce bucket an owning worker and the workers
-// stream map output directly to the owner (-shuffle peer). Pass
-// -shuffle coordinator to relay every shuffle byte through this process
-// instead (the pre-PR9 fabric, kept for comparison), and -reduce-tasks to
-// size the bucket count.
+// Distributed archive builds shuffle worker-to-worker: the coordinator
+// assigns each reduce bucket an owning worker and the workers stream map
+// output directly to the owner; -reduce-tasks sizes the bucket count.
 package main
 
 import (
@@ -37,6 +36,7 @@ import (
 	"github.com/patternsoflife/pol/internal/obs/trace"
 	"github.com/patternsoflife/pol/internal/pipeline"
 	"github.com/patternsoflife/pol/internal/ports"
+	"github.com/patternsoflife/pol/internal/segment"
 	"github.com/patternsoflife/pol/internal/sim"
 )
 
@@ -51,13 +51,12 @@ func main() {
 		days        = flag.Int("days", 30, "synthetic days")
 		seed        = flag.Int64("seed", 1, "synthetic seed")
 		res         = flag.Int("res", 6, "hexgrid resolution of the inventory (paper: 6 or 7)")
-		out         = flag.String("out", "inventory.polinv", "output inventory file")
+		out         = flag.String("out", "inventory.polinv", "output inventory file (POLSEG1 segment)")
 		par         = flag.Int("parallelism", runtime.GOMAXPROCS(0), "worker pool width")
 		coordinator = flag.String("coordinator", "", "distribute the build: listen on this address for polworker processes")
 		workers     = flag.Int("workers", 1, "distributed mode: wait for this many workers before dispatching")
 		mapTasks    = flag.Int("map-tasks", 0, "distributed mode: map task count (default 4 per worker)")
 		reduceTasks = flag.Int("reduce-tasks", 0, "distributed mode: shuffle bucket count (default 2 per worker)")
-		shuffle     = flag.String("shuffle", cluster.ShufflePeer, "distributed archive shuffle fabric: peer (workers stream buckets directly) or coordinator (legacy relay)")
 		verbose     = flag.Bool("v", false, "print stage metrics (local) or scheduling progress (distributed)")
 	)
 	flag.Parse()
@@ -65,7 +64,7 @@ func main() {
 	if *coordinator != "" {
 		runDistributed(distOpts{
 			addr: *coordinator, workers: *workers,
-			mapTasks: *mapTasks, reduceTasks: *reduceTasks, shuffle: *shuffle,
+			mapTasks: *mapTasks, reduceTasks: *reduceTasks,
 			in: *in, synthetic: *synthetic,
 			vessels: *vessels, days: *days, seed: *seed,
 			res: *res, out: *out, verbose: *verbose,
@@ -134,7 +133,6 @@ type distOpts struct {
 	workers     int
 	mapTasks    int
 	reduceTasks int
-	shuffle     string
 	in          string
 	synthetic   bool
 	vessels     int
@@ -156,10 +154,7 @@ func runDistributed(o distOpts) {
 		job.Description = fmt.Sprintf("synthetic (distributed): %d vessels, %d days, seed %d",
 			o.vessels, o.days, o.seed)
 	case o.in != "":
-		job.Archive = &cluster.ArchiveJob{
-			Path: o.in, MapTasks: o.mapTasks,
-			ReduceTasks: o.reduceTasks, Shuffle: o.shuffle,
-		}
+		job.Archive = &cluster.ArchiveJob{Path: o.in, MapTasks: o.mapTasks, ReduceTasks: o.reduceTasks}
 		job.Description = "archive (distributed): " + o.in
 	default:
 		log.Fatal("need -in FILE or -synthetic (see -h)")
@@ -197,8 +192,8 @@ func runDistributed(o distOpts) {
 	report(result.Inventory, o.out)
 }
 
-// report prints the inventory summary and writes the POLINV file — shared
-// by the local and distributed paths so both modes produce identical output.
+// report prints the inventory summary and writes the segment — shared by
+// the local and distributed paths so both modes produce identical output.
 func report(inv *inventory.Inventory, out string) {
 	for _, gs := range inventory.AllGroupSets {
 		log.Printf("groups %v: %d (compression %.4f%%)",
@@ -206,9 +201,9 @@ func report(inv *inventory.Inventory, out string) {
 	}
 	log.Printf("cells: %d (global H3 utilization %.6f%%)",
 		len(inv.Cells(inventory.GSCell)), inv.Utilization()*100)
-	if err := inventory.WriteFile(inv, out); err != nil {
+	st, err := segment.WriteFileSum(inv, out)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fi, _ := os.Stat(out)
-	log.Printf("wrote %s (%d groups, %.1f MiB)", out, inv.Len(), float64(fi.Size())/(1<<20))
+	log.Printf("wrote %s (%d groups, %.1f MiB)", out, inv.Len(), float64(st.Size)/(1<<20))
 }

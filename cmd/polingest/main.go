@@ -3,8 +3,10 @@
 // mobility inventory (cleaning, trip extraction, grid statistics — the
 // full paper pipeline in online form), and serves the query API plus
 // ingestion counters over HTTP. A write-ahead journal makes the state
-// survive restarts; periodic checkpoints give read-only consumers a
-// loadable inventory file.
+// survive restarts; periodic checkpoint generations (a POLSEG1 segment
+// plus an engine-state file) bound the replay, feed replicas, and keep the
+// newest segment at the -checkpoint path itself for read-only consumers
+// (polserve -inv/-seg, polquery).
 //
 // Usage:
 //
@@ -31,7 +33,8 @@
 //	GET /debug/pprof/       profiling handlers (behind -pprof)
 //	GET /v1/info, /v1/cell, /v1/eta, ...
 //	GET /v1/repl/...        read-only replication surface (checkpoint
-//	                        manifest + files, WAL long-poll, snapshot)
+//	                        manifest, one Range-capable route for the
+//	                        generation files, WAL long-poll, snapshot)
 //	                        consumed by polserve -replica; see
 //	                        internal/ingest's ReplHandler
 //

@@ -2,19 +2,19 @@
 // patterns: per-location statistical summaries, most frequent destinations,
 // and OD-key transition cells.
 //
-// Both on-disk formats are accepted anywhere a file is expected — the
-// loader sniffs the 8-byte magic, so a .polinv heap inventory and a
-// .polseg columnar segment are interchangeable, including under -equal
-// (which compares bit-exact across formats).
+// An inventory file is a POLSEG1 segment whatever its name — polbuild
+// output, a checkpoint's stable artifact, a generation's .seg, a disk
+// replica's mirror, a saved /v1/repl/snapshot body — opened O(index) and
+// queried straight off disk; -equal compares two of them bit-exactly.
 //
 // Usage:
 //
 //	polquery -inv fleet.polinv -at 51.9,3.2
 //	polquery -inv fleet.polinv -at 51.9,3.2 -type container
-//	polquery -inv fleet.polseg -cell 0c4000000012345
+//	polquery -inv fleet.polinv -cell 0c4000000012345
 //	polquery -inv fleet.polinv -od-cells 1:63:container
 //	polquery -inv fleet.polinv -info
-//	polquery -inv primary.polinv -equal replica.polseg
+//	polquery -inv primary.polinv -equal replica.polinv
 //
 // With -server the query goes to a running polserve/polingest daemon over
 // HTTP instead of reading a file, and -trace additionally fetches and
@@ -51,29 +51,14 @@ import (
 	"github.com/patternsoflife/pol/internal/segment"
 )
 
-// loadView opens an inventory in either on-disk format, sniffed by the
-// 8-byte magic: a POLSEG1 columnar segment opens O(index) and answers
-// queries straight off disk; anything else loads as a heap inventory.
+// loadView opens an inventory segment; a damaged file — or one in the
+// retired POLINV1 format — is fatal with segment.Open's one-line reason.
 func loadView(path string) inventory.View {
-	f, err := os.Open(path)
+	r, err := segment.Open(path, segment.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	var magic [8]byte
-	n, _ := io.ReadFull(f, magic[:])
-	f.Close()
-	if segment.IsSegment(magic[:n]) {
-		r, err := segment.Open(path, segment.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r
-	}
-	inv, err := inventory.LoadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return inv
+	return r
 }
 
 func main() {

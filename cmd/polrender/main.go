@@ -1,5 +1,5 @@
 // Command polrender regenerates the paper's figures from an inventory
-// file.
+// file (a POLSEG1 segment, as written by polbuild or a checkpoint).
 //
 // Usage:
 //
@@ -13,10 +13,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/ports"
 	"github.com/patternsoflife/pol/internal/render"
+	"github.com/patternsoflife/pol/internal/segment"
 )
 
 func main() {
@@ -31,7 +31,7 @@ func main() {
 	)
 	flag.Parse()
 
-	inv, err := inventory.LoadFile(*invPath)
+	inv, err := segment.Load(*invPath)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,9 +2,12 @@
 // the "online querying" deployment the paper describes for stakeholders.
 // See internal/api for the endpoint documentation.
 //
-// Batch mode serves a prebuilt inventory file: -inv loads a heap
-// inventory, -seg opens a columnar segment in O(index) and answers
-// queries straight off disk without materializing the groups. Live mode
+// Batch mode serves a prebuilt inventory file — a POLSEG1 segment, as
+// written by polbuild or a checkpoint. -inv and -seg take the same file
+// and differ only in residency: -inv materializes it into a heap
+// inventory (fastest queries, memory proportional to the inventory),
+// -seg opens it in O(index) and answers queries straight off the mapped
+// file without materializing the groups. Live mode
 // (-live) embeds the ingestion engine: it accepts timestamped NMEA feeds
 // on -listen and serves the continuously updated inventory, so queries
 // reflect traffic seen moments ago. Replica mode (-replica <primary-url>)
@@ -46,7 +49,7 @@
 // Usage:
 //
 //	polserve -inv fleet.polinv -addr :8080
-//	polserve -seg fleet.polseg -addr :8080
+//	polserve -seg fleet.polinv -addr :8080
 //	polserve -live -listen :10110 -addr :8080 -journal live.wal -pprof
 //	polserve -replica http://primary:8080 -addr :8081 -max-lag 10s
 //	polserve -replica http://primary:8080 -segdir /var/lib/pol/segs -addr :8081
@@ -72,7 +75,6 @@ import (
 	"github.com/patternsoflife/pol/internal/api"
 	"github.com/patternsoflife/pol/internal/fault"
 	"github.com/patternsoflife/pol/internal/ingest"
-	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/obs"
 	"github.com/patternsoflife/pol/internal/obs/trace"
 	"github.com/patternsoflife/pol/internal/ports"
@@ -82,8 +84,8 @@ import (
 
 func main() {
 	var (
-		invPath = flag.String("inv", "inventory.polinv", "inventory file (batch mode)")
-		segPath = flag.String("seg", "", "columnar segment file to serve instead of -inv (batch mode, O(index) open)")
+		invPath = flag.String("inv", "inventory.polinv", "inventory segment to load into the heap and serve (batch mode)")
+		segPath = flag.String("seg", "", "inventory segment to serve mapped from disk instead of -inv (batch mode, O(index) open)")
 		addr    = flag.String("addr", ":8080", "HTTP listen address")
 
 		live      = flag.Bool("live", false, "serve from a live ingestion engine instead of a file")
@@ -225,9 +227,9 @@ func main() {
 
 		mux.Handle("/", api.NewLiveServer(rep, gaz).WithMetrics(reg).WithTracing(tr).Handler())
 		mux.Handle("GET /v1/replica/status", rep.StatusHandler())
-		mux.Handle("GET /v1/repl/snapshot", rep.SnapshotHandler())
 		// The full primary surface, live from the start: before promotion
-		// the repl handlers answer for an engine with no generations; after
+		// the repl handlers answer for an engine with no generations (the
+		// snapshot route already serves the replica's inventory); after
 		// promotion siblings re-bootstrap from here.
 		mux.Handle("GET /v1/repl/", rep.Engine().ReplHandler())
 		mux.Handle("GET /v1/ingest/stats", rep.Engine().StatsHandler())
@@ -313,7 +315,7 @@ func main() {
 			}
 		}
 	} else {
-		inv, err := inventory.LoadFile(*invPath)
+		inv, err := segment.Load(*invPath)
 		if err != nil {
 			fatal(logger, "inventory load", err)
 		}

@@ -13,6 +13,7 @@ import (
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/pipeline"
 	"github.com/patternsoflife/pol/internal/ports"
+	"github.com/patternsoflife/pol/internal/segment"
 	"github.com/patternsoflife/pol/internal/sim"
 )
 
@@ -106,17 +107,17 @@ func TestEndToEndWireFormat(t *testing.T) {
 		t.Errorf("wire-built trip records %v differ from direct %v by > 2%%", wireRecs, directRecs)
 	}
 
-	// 4. Inventory → file → random-access reader (the polserve step).
+	// 4. Inventory → segment file → heap (the polserve -inv step).
 	path := filepath.Join(t.TempDir(), "wire.polinv")
-	if err := inventory.WriteFile(result.Inventory, path); err != nil {
+	if err := segment.WriteFile(result.Inventory, path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := inventory.LoadFile(path)
+	loaded, err := segment.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != result.Inventory.Len() {
-		t.Fatalf("file round trip lost groups: %d vs %d", loaded.Len(), result.Inventory.Len())
+	if !inventory.Equal(loaded, result.Inventory) {
+		t.Fatalf("file round trip changed the inventory: %d vs %d groups", loaded.Len(), result.Inventory.Len())
 	}
 
 	// 5. A use-case query over the loaded inventory: some mid-ocean record
@@ -133,9 +134,9 @@ func TestEndToEndWireFormat(t *testing.T) {
 		t.Error("no location in the dataset produced an ETA estimate")
 	}
 
-	// 6. Disk random access agrees with the in-memory map for a sample of
-	// keys.
-	reader, err := inventory.Open(path)
+	// 6. Disk random access (the polserve -seg step) agrees with the
+	// in-memory map for a sample of keys.
+	reader, err := segment.Open(path, segment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

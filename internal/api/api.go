@@ -18,8 +18,10 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -157,12 +159,31 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON encodes v before it commits to a status: a value that cannot
+// be encoded answers 500 with an error body, never the promised status
+// over an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = enc.Encode(map[string]string{"error": "encode response: " + err.Error()}) // a string map always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
+}
+
+// finite boxes a statistic for JSON: a pointer encodes as the number, nil
+// as null. An empty accumulator (a cell with records but no heading, ATA
+// or ETO sample) reports NaN, which JSON cannot carry.
+func finite(f float64) *float64 {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil
+	}
+	return &f
 }
 
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -267,7 +288,9 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// Summary is the JSON shape of a cell's statistical summary.
+// Summary is the JSON shape of a cell's statistical summary. Every
+// statistic is nullable: null means the cell holds no sample for it. (The
+// center is geometry derived from the cell id, always finite.)
 type Summary struct {
 	Cell        string      `json:"cell"`
 	CenterLat   float64     `json:"centerLat"`
@@ -275,16 +298,16 @@ type Summary struct {
 	Records     uint64      `json:"records"`
 	Ships       uint64      `json:"ships"`
 	Trips       uint64      `json:"trips"`
-	SpeedMean   float64     `json:"speedMeanKn"`
-	SpeedStd    float64     `json:"speedStdKn"`
-	SpeedP10    float64     `json:"speedP10Kn"`
-	SpeedP50    float64     `json:"speedP50Kn"`
-	SpeedP90    float64     `json:"speedP90Kn"`
-	CourseMean  float64     `json:"courseMeanDeg"`
+	SpeedMean   *float64    `json:"speedMeanKn"`
+	SpeedStd    *float64    `json:"speedStdKn"`
+	SpeedP10    *float64    `json:"speedP10Kn"`
+	SpeedP50    *float64    `json:"speedP50Kn"`
+	SpeedP90    *float64    `json:"speedP90Kn"`
+	CourseMean  *float64    `json:"courseMeanDeg"`
 	CourseBins  []uint64    `json:"courseBins30Deg"`
-	HeadingMean float64     `json:"headingMeanDeg"`
-	ATAMeanSec  float64     `json:"ataMeanSeconds"`
-	ETOMeanSec  float64     `json:"etoMeanSeconds"`
+	HeadingMean *float64    `json:"headingMeanDeg"`
+	ATAMeanSec  *float64    `json:"ataMeanSeconds"`
+	ETOMeanSec  *float64    `json:"etoMeanSeconds"`
 	TopOrigins  []PortCount `json:"topOrigins"`
 	TopDests    []PortCount `json:"topDestinations"`
 	Transitions []CellCount `json:"topTransitions"`
@@ -308,11 +331,11 @@ func (s *Server) summary(cell hexgrid.Cell, cs *inventory.CellSummary) Summary {
 	out := Summary{
 		Cell: cell.String(), CenterLat: p.Lat, CenterLng: p.Lng,
 		Records: cs.Records, Ships: cs.Ships.Estimate(), Trips: cs.Trips.Estimate(),
-		SpeedMean: cs.Speed.Mean(), SpeedStd: cs.Speed.Std(),
-		SpeedP10: p10, SpeedP50: p50, SpeedP90: p90,
-		CourseMean: cs.Course.Mean(), CourseBins: cs.CourseBins.Bins(),
-		HeadingMean: cs.Heading.Mean(),
-		ATAMeanSec:  cs.ATA.Mean(), ETOMeanSec: cs.ETO.Mean(),
+		SpeedMean: finite(cs.Speed.Mean()), SpeedStd: finite(cs.Speed.Std()),
+		SpeedP10: finite(p10), SpeedP50: finite(p50), SpeedP90: finite(p90),
+		CourseMean: finite(cs.Course.Mean()), CourseBins: cs.CourseBins.Bins(),
+		HeadingMean: finite(cs.Heading.Mean()),
+		ATAMeanSec:  finite(cs.ATA.Mean()), ETOMeanSec: finite(cs.ETO.Mean()),
 	}
 	for _, e := range cs.Origins.Top(5) {
 		out.TopOrigins = append(out.TopOrigins, PortCount{s.portName(model.PortID(e.Key)), e.Count})
@@ -419,11 +442,11 @@ func (s *Server) handleETA(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"meanSeconds": est.Mean.Seconds(),
-		"stdSeconds":  est.Std.Seconds(),
-		"p10Seconds":  est.P10.Seconds(),
-		"p50Seconds":  est.P50.Seconds(),
-		"p90Seconds":  est.P90.Seconds(),
+		"meanSeconds": finite(est.Mean.Seconds()),
+		"stdSeconds":  finite(est.Std.Seconds()),
+		"p10Seconds":  finite(est.P10.Seconds()),
+		"p50Seconds":  finite(est.P50.Seconds()),
+		"p90Seconds":  finite(est.P90.Seconds()),
 		"records":     est.Records,
 		"source":      est.Source.String(),
 	})

@@ -3,6 +3,8 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -10,6 +12,8 @@ import (
 
 	"time"
 
+	"github.com/patternsoflife/pol/internal/geo"
+	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/obs"
@@ -150,14 +154,84 @@ func TestCellEndpoint(t *testing.T) {
 	if s.Records == 0 || s.Cell == "" {
 		t.Errorf("summary degenerate: %+v", s)
 	}
-	if !(s.SpeedP10 <= s.SpeedP50 && s.SpeedP50 <= s.SpeedP90) {
-		t.Errorf("percentiles unordered: %+v", s)
+	if s.SpeedP10 == nil || s.SpeedP50 == nil || s.SpeedP90 == nil || s.SpeedMean == nil {
+		t.Fatalf("lane cell reports null speed statistics: %+v", s)
+	}
+	if !(*s.SpeedP10 <= *s.SpeedP50 && *s.SpeedP50 <= *s.SpeedP90) {
+		t.Errorf("percentiles unordered: %v %v %v", *s.SpeedP10, *s.SpeedP50, *s.SpeedP90)
 	}
 	if len(s.CourseBins) != 12 {
 		t.Errorf("course bins %d, want 12", len(s.CourseBins))
 	}
 	if len(s.TopDests) == 0 {
 		t.Error("no destinations in lane cell")
+	}
+}
+
+// TestCellWithEmptyAccumulators: a cell that holds records but no sample
+// for some statistic (empty accumulators report NaN, which JSON cannot
+// carry) answers 200 with a complete, valid document and null in exactly
+// those fields — it used to answer 200 with an empty body.
+func TestCellWithEmptyAccumulators(t *testing.T) {
+	pos := geo.LatLng{Lat: 12.5, Lng: -38.25}
+	inv := inventory.New(inventory.BuildInfo{Resolution: 6})
+	cs := inventory.NewCellSummary()
+	cs.Records = 3
+	cs.Ships.AddUint64(244000001)
+	cs.Speed.Add(11.5)
+	cs.SpeedDig.Add(11.5)
+	cs.Course.Add(90)
+	// No heading, ATA or ETO sample.
+	inv.Put(inventory.GroupKey{Set: inventory.GSCell, Cell: hexgrid.LatLngToCell(pos, 6)}, cs)
+	srv := httptest.NewServer(NewServer(inv, ports.Default()).Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(fmt.Sprintf("%s/v1/cell?lat=%f&lng=%f", srv.URL, pos.Lat, pos.Lng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !json.Valid(body) {
+		t.Fatalf("status %d, body %q", resp.StatusCode, body)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"ataMeanSeconds", "etoMeanSeconds", "headingMeanDeg"} {
+		if v, present := raw[field]; !present || v != nil {
+			t.Errorf("%s = %v (present %v), want an explicit null", field, v, present)
+		}
+	}
+	if raw["records"] != float64(3) || raw["speedMeanKn"] != 11.5 || raw["courseMeanDeg"] == nil {
+		t.Errorf("sampled statistics wrong or nulled: %s", body)
+	}
+}
+
+// TestWriteJSONNeverAnswersEmpty: a value the encoder rejects becomes a 500
+// with a JSON error body, not the promised status over an empty one.
+func TestWriteJSONNeverAnswersEmpty(t *testing.T) {
+	for name, v := range map[string]any{
+		"nan":         map[string]any{"mean": math.NaN()},
+		"unsupported": map[string]any{"ch": make(chan int)},
+	} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		var doc struct {
+			Error string `json:"error"`
+		}
+		if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &doc) != nil || doc.Error == "" {
+			t.Errorf("%s: status %d, body %q; want 500 with an error document", name, rec.Code, rec.Body.String())
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"mean": finite(math.NaN()), "n": finite(2.5)})
+	if rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) || rec.Body.Len() == 0 {
+		t.Errorf("boxed NaN: status %d, body %q", rec.Code, rec.Body.String())
 	}
 }
 

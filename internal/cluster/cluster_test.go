@@ -255,14 +255,14 @@ func dialClient(t *testing.T, addr, name string) *testClient {
 
 func (c *testClient) write(env *envelope) {
 	c.t.Helper()
-	if _, err := writeFrame(c.conn, env); err != nil {
+	if err := writeFrame(c.conn, env); err != nil {
 		c.t.Fatalf("client write: %v", err)
 	}
 }
 
 func (c *testClient) read() *envelope {
 	c.t.Helper()
-	env, _, err := readFrame(c.conn, DefaultMaxFrameBytes)
+	env, err := readFrame(c.conn, DefaultMaxFrameBytes)
 	if err != nil {
 		c.t.Fatalf("client read: %v", err)
 	}
@@ -339,7 +339,7 @@ func TestStragglerRequeued(t *testing.T) {
 	go func() {
 		// Swallow every frame until the coordinator hangs up.
 		for {
-			if _, _, err := readFrame(blackhole.conn, DefaultMaxFrameBytes); err != nil {
+			if _, err := readFrame(blackhole.conn, DefaultMaxFrameBytes); err != nil {
 				return
 			}
 		}
@@ -362,9 +362,10 @@ func TestStragglerRequeued(t *testing.T) {
 	}
 }
 
-// TestDistributedArchiveEqualsLocal runs the two-phase archive job — scan
-// sections, shuffle through the coordinator, reduce vessel buckets — and
-// compares against a sequential single-process archive build.
+// TestDistributedArchiveEqualsLocal runs an archive job over an archive
+// that repeats every vessel's static report — scan sections, shuffle
+// worker to worker, reduce vessel buckets — and compares the inventory and
+// the summed feed statistics against a sequential single-process build.
 func TestDistributedArchiveEqualsLocal(t *testing.T) {
 	s, err := sim.New(testSpec.Config(), ports.Default())
 	if err != nil {
@@ -418,7 +419,7 @@ func TestDistributedArchiveEqualsLocal(t *testing.T) {
 	w2 := startWorker(t, addr, func(c *WorkerConfig) { c.Name = "a2" })
 	res, err := co.Run(context.Background(), Job{
 		Resolution: testRes,
-		Archive:    &ArchiveJob{Path: path, MapTasks: 3, ReduceTasks: 2, Shuffle: ShuffleCoordinator},
+		Archive:    &ArchiveJob{Path: path, MapTasks: 3, ReduceTasks: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -460,33 +461,30 @@ func TestRunValidation(t *testing.T) {
 // before allocating their payload.
 func TestProtocolFrames(t *testing.T) {
 	env := &envelope{Type: msgTask, Task: &Task{
-		ID: 42, Attempt: 2, Kind: TaskReduceBuild, Resolution: 7,
-		Records: []model.PositionRecord{{MMSI: 1234, Time: 99}},
+		ID: 42, Attempt: 2, Kind: TaskScan, Buckets: 7,
+		Section: feed.Section{Path: "fleet.nmea", Index: 3, Start: 1234, End: 5678},
 	}}
 	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, env); err != nil {
+	if err := writeFrame(&buf, env); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
-	got, n, err := readFrame(bytes.NewReader(frame), DefaultMaxFrameBytes)
+	got, err := readFrame(bytes.NewReader(frame), DefaultMaxFrameBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(frame) {
-		t.Errorf("readFrame size = %d, want %d", n, len(frame))
-	}
 	if got.Type != msgTask || got.Task == nil || got.Task.ID != 42 ||
-		len(got.Task.Records) != 1 || got.Task.Records[0].MMSI != 1234 {
+		got.Task.Buckets != 7 || got.Task.Section != env.Task.Section {
 		t.Fatalf("round-trip mismatch: %+v", got)
 	}
 
-	if _, _, err := readFrame(bytes.NewReader(frame), 8); err == nil ||
+	if _, err := readFrame(bytes.NewReader(frame), 8); err == nil ||
 		!strings.Contains(err.Error(), "exceeds cap") {
 		t.Errorf("oversize frame: %v, want cap rejection", err)
 	}
 	// A corrupt length prefix must be rejected before allocation.
 	huge := []byte{0x7f, 0xff, 0xff, 0xff}
-	if _, _, err := readFrame(bytes.NewReader(huge), 1<<20); err == nil ||
+	if _, err := readFrame(bytes.NewReader(huge), 1<<20); err == nil ||
 		!strings.Contains(err.Error(), "exceeds cap") {
 		t.Errorf("corrupt prefix: %v, want cap rejection", err)
 	}

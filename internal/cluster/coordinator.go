@@ -11,7 +11,6 @@ import (
 
 	"github.com/patternsoflife/pol/internal/feed"
 	"github.com/patternsoflife/pol/internal/inventory"
-	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/obs"
 	"github.com/patternsoflife/pol/internal/obs/trace"
 	"github.com/patternsoflife/pol/internal/pipeline"
@@ -89,20 +88,6 @@ type SyntheticJob struct {
 	Tasks int
 }
 
-// Shuffle fabrics for archive jobs.
-const (
-	// ShufflePeer streams map-side buckets worker-to-worker: the
-	// coordinator assigns bucket ownership up front and scan outputs go
-	// straight to the owning peer, which reduces a bucket the moment its
-	// inputs are complete (the default).
-	ShufflePeer = "peer"
-	// ShuffleCoordinator routes every shuffled byte through the
-	// coordinator — scan results up, reduce tasks down — with a global
-	// barrier between the phases. Kept selectable for fabric-comparison
-	// benchmarks.
-	ShuffleCoordinator = "coordinator"
-)
-
 // ArchiveJob builds from a timestamped-NMEA archive in two phases: scan
 // map tasks over byte-range sections, then reduce tasks over vessel-hash
 // buckets. Path must be readable by every worker (shared or replicated
@@ -113,9 +98,6 @@ type ArchiveJob struct {
 	MapTasks int
 	// ReduceTasks is the vessel-hash bucket count (default 2 per worker).
 	ReduceTasks int
-	// Shuffle selects the fabric moving map outputs into reduces:
-	// ShufflePeer (the default when empty) or ShuffleCoordinator.
-	Shuffle string
 }
 
 // BuildResult is the reduced output of a distributed build.
@@ -262,7 +244,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	}()
 	conn.SetReadDeadline(time.Now().Add(c.cfg.WriteTimeout))
 	in := countingReader{r: conn, c: c.metrics.bytesIn}
-	env, _, err := readFrame(in, c.cfg.MaxFrameBytes)
+	env, err := readFrame(in, c.cfg.MaxFrameBytes)
 	if err != nil || env.Type != msgHello || env.Hello == nil {
 		conn.Close()
 		return
@@ -271,7 +253,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	rem := &remote{name: env.Hello.Name, conn: conn, shuffleAddr: env.Hello.ShuffleAddr}
 	c.post(event{kind: evJoin, rem: rem})
 	for {
-		env, _, err := readFrame(in, c.cfg.MaxFrameBytes)
+		env, err := readFrame(in, c.cfg.MaxFrameBytes)
 		if err != nil {
 			c.post(event{kind: evGone, rem: rem, err: err})
 			return
@@ -284,7 +266,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 // the connection is closed and the reader goroutine reports evGone.
 func (c *Coordinator) send(rem *remote, env *envelope) bool {
 	rem.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	_, err := writeFrame(countingWriter{w: rem.conn, c: c.metrics.bytesOut}, env)
+	err := writeFrame(countingWriter{w: rem.conn, c: c.metrics.bytesOut}, env)
 	rem.conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		rem.conn.Close()
@@ -296,8 +278,7 @@ func (c *Coordinator) send(rem *remote, env *envelope) bool {
 // jobState is the scheduler state shared across a job's phases.
 type jobState struct {
 	workers map[*remote]bool
-	started bool        // MinWorkers reached once; dispatch stays open
-	statics *staticsMsg // broadcast before reduce tasks, nil otherwise
+	started bool // MinWorkers reached once; dispatch stays open
 	res     BuildResult
 	nextID  uint64
 	// jobSpan/traceParent thread the job trace into phase spans and tasks.
@@ -437,88 +418,6 @@ func (c *Coordinator) archiveGeometry(job Job) ([]feed.Section, int, error) {
 	return sections, reduceTasks, nil
 }
 
-// runArchive dispatches an archive job to the selected shuffle fabric.
-func (c *Coordinator) runArchive(ctx context.Context, st *jobState, job Job, merge func(*TaskResult) error) error {
-	switch job.Archive.Shuffle {
-	case "", ShufflePeer:
-		return c.runArchivePeer(ctx, st, job, merge)
-	case ShuffleCoordinator:
-		return c.runArchiveCoordinator(ctx, st, job, merge)
-	default:
-		return fmt.Errorf("cluster: unknown shuffle fabric %q", job.Archive.Shuffle)
-	}
-}
-
-// runArchiveCoordinator schedules the scan phase, shuffles through the
-// coordinator, broadcasts statics, then schedules the reduce phase.
-func (c *Coordinator) runArchiveCoordinator(ctx context.Context, st *jobState, job Job, merge func(*TaskResult) error) error {
-	sections, reduceTasks, err := c.archiveGeometry(job)
-	if err != nil {
-		return err
-	}
-	tasks := make([]Task, 0, len(sections))
-	for _, sec := range sections {
-		st.nextID++
-		tasks = append(tasks, Task{
-			ID:          st.nextID,
-			Kind:        TaskScan,
-			TraceParent: st.traceParent,
-			Section:     sec,
-			Buckets:     reduceTasks,
-		})
-	}
-	scans := make(map[int]*TaskResult, len(sections))
-	err = c.runPhase(ctx, st, "scan", tasks, func(r *TaskResult) error {
-		scans[r.SectionIndex] = r
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Shuffle: merge statics and concatenate bucket blocks in ascending
-	// section order, so per-vessel record order — and order-dependent
-	// cleaning decisions like duplicate-timestamp resolution — match a
-	// sequential read of the archive.
-	indexes := make([]int, 0, len(scans))
-	for idx := range scans {
-		indexes = append(indexes, idx)
-	}
-	sort.Ints(indexes)
-	st.statics = &staticsMsg{Statics: make(map[uint32]model.VesselInfo)}
-	buckets := make([][]model.PositionRecord, reduceTasks)
-	for _, idx := range indexes {
-		r := scans[idx]
-		for mmsi, vi := range r.Statics {
-			st.statics.Statics[mmsi] = vi
-		}
-		for b, block := range r.BucketBlocks {
-			if b < len(buckets) {
-				buckets[b] = append(buckets[b], block...)
-			}
-		}
-		addFeedStats(&st.res.Feed, r.Feed)
-	}
-	for rem := range st.workers {
-		if !rem.dead {
-			c.send(rem, &envelope{Type: msgStatics, Statics: st.statics})
-		}
-	}
-
-	tasks = tasks[:0]
-	for _, bucket := range buckets {
-		st.nextID++
-		tasks = append(tasks, Task{
-			ID:          st.nextID,
-			Kind:        TaskReduceBuild,
-			Resolution:  job.Resolution,
-			TraceParent: st.traceParent,
-			Records:     bucket,
-		})
-	}
-	return c.runPhase(ctx, st, "reduce-build", tasks, merge)
-}
-
 // bucketState tracks one shuffle bucket through ownership changes. The
 // stable id is the idempotency key its reduce results report under, so a
 // straggling old owner's completion after a reassignment dedupes.
@@ -532,7 +431,7 @@ type bucketState struct {
 	done     bool
 }
 
-// runArchivePeer drives a peer-shuffle archive job as one overlapped
+// runArchive drives an archive job as one overlapped peer-shuffle
 // phase: scan tasks are scheduled like any map phase, but their bucket
 // outputs stream worker-to-worker per the roster, and bucket reduce
 // results arrive here while scans are still running. The coordinator only
@@ -546,7 +445,7 @@ type bucketState struct {
 // buckets of a dead or stalled owner are re-granted round-robin under a
 // bumped roster epoch; live scan holders then re-stream their retained
 // frames to the new owner.
-func (c *Coordinator) runArchivePeer(ctx context.Context, st *jobState, job Job, merge func(*TaskResult) error) (err error) {
+func (c *Coordinator) runArchive(ctx context.Context, st *jobState, job Job, merge func(*TaskResult) error) (err error) {
 	sections, reduceTasks, err := c.archiveGeometry(job)
 	if err != nil {
 		return err
@@ -561,7 +460,6 @@ func (c *Coordinator) runArchivePeer(ctx context.Context, st *jobState, job Job,
 			TraceParent: st.traceParent,
 			Section:     sec,
 			Buckets:     reduceTasks,
-			PeerShuffle: true,
 		}}
 		scans[ts.task.ID] = ts
 		pending = append(pending, ts)
@@ -1032,9 +930,6 @@ func (c *Coordinator) runPhase(ctx context.Context, st *jobState, phase string, 
 				st.workers[ev.rem] = true
 				c.metrics.workers.Set(float64(len(st.workers)))
 				c.logf("worker %s joined (%d connected)", ev.rem.name, len(st.workers))
-				if st.statics != nil {
-					c.send(ev.rem, &envelope{Type: msgStatics, Statics: st.statics})
-				}
 			case evGone:
 				if !st.workers[ev.rem] {
 					break

@@ -16,10 +16,10 @@ const (
 	MetricWorkerTasks      = "pol_cluster_worker_tasks_total"
 	MetricWorkerHeartbeats = "pol_cluster_worker_heartbeats_total"
 
-	// Shuffle instrumentation (PR 9): bytes moved per fabric and
+	// Shuffle instrumentation: bytes moved worker to worker per
 	// direction, frame dispositions, payload compression, and the
 	// phase-overlap gauges.
-	MetricShuffleBytes   = "pol_cluster_shuffle_bytes_total"         // labels: path=peer|coordinator, dir=in|out
+	MetricShuffleBytes   = "pol_cluster_shuffle_bytes_total"         // labels: path=peer, dir=in|out
 	MetricShuffleFrames  = "pol_cluster_shuffle_frames_total"        // labels: event=sent|received|duplicate|rejected
 	MetricShuffleErrors  = "pol_cluster_shuffle_errors_total"        // labels: kind=dial|write
 	MetricShufflePayload = "pol_cluster_shuffle_payload_bytes_total" // labels: form=raw|compressed
@@ -88,14 +88,10 @@ type workerMetrics struct {
 	bytesIn    *obs.Counter
 	bytesOut   *obs.Counter
 
-	// Shuffle bytes by fabric and direction. Peer bytes move worker to
-	// worker; coordinator bytes are the legacy fabric's shuffle payloads
-	// transiting the coordinator connection (scan results out, reduce
-	// tasks in).
-	shufflePeerSent  *obs.Counter
-	shufflePeerRecv  *obs.Counter
-	shuffleCoordSent *obs.Counter
-	shuffleCoordRecv *obs.Counter
+	// Shuffle bytes by direction; they move worker to worker and never
+	// transit the coordinator connection.
+	shufflePeerSent *obs.Counter
+	shufflePeerRecv *obs.Counter
 
 	// Peer frame dispositions and stream errors.
 	peerFramesSent     *obs.Counter
@@ -121,7 +117,7 @@ func newWorkerMetrics(reg *obs.Registry) *workerMetrics {
 	}
 	reg.Help(MetricWorkerTasks, "Tasks executed by this worker by outcome.")
 	reg.Help(MetricWorkerHeartbeats, "Heartbeats sent by this worker.")
-	reg.Help(MetricShuffleBytes, "Shuffle bytes moved, by fabric (path) and direction.")
+	reg.Help(MetricShuffleBytes, "Shuffle bytes moved worker to worker, by direction.")
 	reg.Help(MetricShuffleFrames, "Peer shuffle frames by disposition.")
 	reg.Help(MetricShuffleErrors, "Peer shuffle stream errors by kind.")
 	reg.Help(MetricShufflePayload, "Shuffle payload bytes before and after compression.")
@@ -135,10 +131,8 @@ func newWorkerMetrics(reg *obs.Registry) *workerMetrics {
 		bytesIn:    reg.Counter(MetricBytes, obs.Labels{"dir": "in"}),
 		bytesOut:   reg.Counter(MetricBytes, obs.Labels{"dir": "out"}),
 
-		shufflePeerSent:  reg.Counter(MetricShuffleBytes, obs.Labels{"path": "peer", "dir": "out"}),
-		shufflePeerRecv:  reg.Counter(MetricShuffleBytes, obs.Labels{"path": "peer", "dir": "in"}),
-		shuffleCoordSent: reg.Counter(MetricShuffleBytes, obs.Labels{"path": "coordinator", "dir": "out"}),
-		shuffleCoordRecv: reg.Counter(MetricShuffleBytes, obs.Labels{"path": "coordinator", "dir": "in"}),
+		shufflePeerSent: reg.Counter(MetricShuffleBytes, obs.Labels{"path": "peer", "dir": "out"}),
+		shufflePeerRecv: reg.Counter(MetricShuffleBytes, obs.Labels{"path": "peer", "dir": "in"}),
 
 		peerFramesSent:     reg.Counter(MetricShuffleFrames, obs.Labels{"event": "sent"}),
 		peerFramesRecv:     reg.Counter(MetricShuffleFrames, obs.Labels{"event": "received"}),

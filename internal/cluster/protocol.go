@@ -7,7 +7,7 @@
 //
 // The wire protocol is length-prefixed gob frames over one TCP connection
 // per worker. The worker opens the connection and introduces itself with a
-// hello frame; from then on the coordinator pushes task and broadcast
+// hello frame; from then on the coordinator pushes task and roster
 // frames down, and the worker pushes heartbeat and result frames up.
 // Robustness model: every task carries an idempotent ID, workers heartbeat
 // while executing, and the coordinator re-queues tasks from dead or
@@ -19,14 +19,13 @@
 // shared seed, so no input bytes move. Archive jobs scan byte-range
 // sections of the archive (splittable readers, internal/feed) and shuffle
 // position records into vessel-hash buckets, so per-vessel cleaning and
-// trip extraction see exactly the records a single process would. Two
-// shuffle fabrics exist: the default peer shuffle, where the coordinator
-// assigns bucket ownership up front (a roster of worker shuffle
-// addresses) and scan workers stream compressed, CRC-checked bucket
-// frames straight to the owning peer, which starts reducing a bucket the
-// moment all of its section inputs have arrived; and the legacy
-// coordinator shuffle, where every shuffled byte rides a scan result up
-// to the coordinator and a reduce task back down.
+// trip extraction see exactly the records a single process would. The
+// shuffle is worker to worker: the coordinator assigns bucket ownership up
+// front (a roster of worker shuffle addresses) and scan workers stream
+// compressed, CRC-checked bucket frames straight to the owning peer, which
+// starts reducing a bucket the moment all of its section inputs have
+// arrived. The coordinator connection carries control traffic and the
+// reduced partial inventories (inventory.Marshal images), never records.
 package cluster
 
 import (
@@ -38,7 +37,6 @@ import (
 	"time"
 
 	"github.com/patternsoflife/pol/internal/feed"
-	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/pipeline"
 	"github.com/patternsoflife/pol/internal/sim"
 )
@@ -54,7 +52,6 @@ type msgType uint8
 const (
 	msgHello     msgType = iota + 1 // worker → coordinator: introduction
 	msgTask                         // coordinator → worker: task assignment
-	msgStatics                      // coordinator → worker: statics broadcast
 	msgHeartbeat                    // worker → coordinator: liveness + progress
 	msgResult                       // worker → coordinator: task completion
 	msgShutdown                     // coordinator → worker: job over, disconnect
@@ -67,7 +64,6 @@ type envelope struct {
 	Type      msgType
 	Hello     *helloMsg
 	Task      *Task
-	Statics   *staticsMsg
 	Heartbeat *heartbeatMsg
 	Result    *TaskResult
 	Roster    *rosterMsg
@@ -107,12 +103,6 @@ type rosterMsg struct {
 	Buckets     []BucketAssign
 }
 
-// staticsMsg broadcasts the merged vessel static inventory ahead of the
-// reduce phase of an archive job.
-type staticsMsg struct {
-	Statics map[uint32]model.VesselInfo
-}
-
 // heartbeatMsg reports liveness while a task executes.
 type heartbeatMsg struct {
 	TaskID uint64
@@ -125,11 +115,14 @@ const (
 	// TaskSimBuild: regenerate vessels [VesselLo, VesselHi) of the
 	// synthetic fleet from Sim and run the full pipeline over them.
 	TaskSimBuild TaskKind = iota + 1
-	// TaskScan: decode one archive section; return statics and positions
-	// bucketed by vessel hash into Buckets buckets.
+	// TaskScan: decode one archive section and stream its positions,
+	// bucketed by vessel hash into Buckets buckets, to the buckets' owners
+	// (statics ride each bucket's last frame).
 	TaskScan
-	// TaskReduceBuild: run the full pipeline over a vessel-complete record
-	// block using the broadcast statics.
+	// TaskReduceBuild: run the full pipeline over one vessel-complete
+	// bucket. Never dispatched: a bucket's owner starts it itself the
+	// moment the bucket's shuffle inputs are complete, and reports the
+	// result under the bucket's roster task ID.
 	TaskReduceBuild
 )
 
@@ -221,12 +214,6 @@ type Task struct {
 	// TaskScan:
 	Section feed.Section
 	Buckets int
-	// PeerShuffle routes the scan's bucket blocks straight to the owning
-	// peers (per the roster) instead of returning them in the result.
-	PeerShuffle bool
-
-	// TaskReduceBuild:
-	Records []model.PositionRecord
 }
 
 // TaskResult reports one task execution. Err is the execution failure, if
@@ -241,56 +228,50 @@ type TaskResult struct {
 	Inventory []byte // inventory.Marshal of the partial build
 	Stats     pipeline.Stats
 
-	// TaskScan:
-	Statics      map[uint32]model.VesselInfo
-	BucketBlocks [][]model.PositionRecord
-	Feed         feed.ReadStats
-	SectionIndex int
-	// Peer-shuffle scans ship their buckets directly to the owning peers
-	// and report only the per-bucket record counts here (completion
+	// TaskScan: scans ship their buckets directly to the owning peers and
+	// report only the per-bucket record counts here (completion
 	// accounting and metrics; the records themselves never transit the
 	// coordinator).
+	Feed          feed.ReadStats
+	SectionIndex  int
 	BucketRecords []int
 }
 
-// writeFrame encodes env as one length-prefixed gob frame and reports the
-// bytes written (callers attribute shuffle-bearing frames to the
-// coordinator-path shuffle metric).
-func writeFrame(w io.Writer, env *envelope) (int, error) {
+// writeFrame encodes env as one length-prefixed gob frame.
+func writeFrame(w io.Writer, env *envelope) error {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 0})
 	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return 0, fmt.Errorf("cluster: encode frame: %w", err)
+		return fmt.Errorf("cluster: encode frame: %w", err)
 	}
 	b := buf.Bytes()
 	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
 	if _, err := w.Write(b); err != nil {
-		return 0, fmt.Errorf("cluster: write frame: %w", err)
+		return fmt.Errorf("cluster: write frame: %w", err)
 	}
-	return len(b), nil
+	return nil
 }
 
-// readFrame decodes one frame, rejecting lengths beyond maxBytes, and
-// reports the frame size (header + body).
-func readFrame(r io.Reader, maxBytes int) (*envelope, int, error) {
+// readFrame decodes one frame, rejecting lengths beyond maxBytes.
+func readFrame(r io.Reader, maxBytes int) (*envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxFrameBytes
 	}
 	if int64(n) > int64(maxBytes) {
-		return nil, 0, fmt.Errorf("cluster: frame of %d bytes exceeds cap %d", n, maxBytes)
+		return nil, fmt.Errorf("cluster: frame of %d bytes exceeds cap %d", n, maxBytes)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 0, fmt.Errorf("cluster: read frame body: %w", err)
+		return nil, fmt.Errorf("cluster: read frame body: %w", err)
 	}
 	var env envelope
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		return nil, 0, fmt.Errorf("cluster: decode frame: %w", err)
+		return nil, fmt.Errorf("cluster: decode frame: %w", err)
 	}
-	return &env, int(n) + 4, nil
+	return &env, nil
 }

@@ -11,8 +11,8 @@ import (
 	"github.com/patternsoflife/pol/internal/model"
 )
 
-// bucketOf maps an MMSI to its shuffle bucket. Both shuffle fabrics and
-// both scan paths must agree on this function — it is the partitioning
+// bucketOf maps an MMSI to its shuffle bucket. Senders and receivers
+// must agree on this function — it is the partitioning
 // contract that makes every bucket vessel-complete.
 func bucketOf(mmsi uint32, buckets int) int {
 	return int(dataflow.HashKey(mmsi) % uint64(buckets))

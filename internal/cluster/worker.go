@@ -125,9 +125,8 @@ type worker struct {
 	writeMu sync.Mutex // heartbeat goroutine vs result sends
 	metrics *workerMetrics
 	portIdx *ports.Index
-	statics map[uint32]model.VesselInfo // broadcast vessel static inventory
-	shuffle *shuffleState               // peer-shuffle listener + reassembly
-	runCtx  context.Context             // cancelled when the connection dies
+	shuffle *shuffleState   // peer-shuffle listener + reassembly
+	runCtx  context.Context // cancelled when the connection dies
 
 	simSpec SimSpec        // cached fleet spec…
 	sim     *sim.Simulator // …and its simulator (lane graph reuse)
@@ -175,17 +174,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	go func() {
 		in := countingReader{r: conn, c: w.metrics.bytesIn}
 		for {
-			env, n, err := readFrame(in, cfg.MaxFrameBytes)
+			env, err := readFrame(in, cfg.MaxFrameBytes)
 			if err != nil {
 				readErr <- err
 				cancel()
 				close(frames)
 				return
-			}
-			if env.Type == msgTask && env.Task != nil && len(env.Task.Records) > 0 {
-				// A reduce task carrying records is the coordinator-path
-				// shuffle delivering a bucket.
-				w.metrics.shuffleCoordRecv.Add(int64(n))
 			}
 			frames <- env
 		}
@@ -207,11 +201,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			case msgShutdown:
 				w.logf("shutdown received")
 				return nil
-			case msgStatics:
-				if env.Statics != nil {
-					w.statics = env.Statics.Statics
-					w.logf("statics broadcast: %d vessels", len(w.statics))
-				}
 			case msgRoster:
 				if env.Roster != nil {
 					w.shuffle.setRoster(env.Roster)
@@ -262,13 +251,7 @@ func (w *worker) logf(format string, args ...any) {
 func (w *worker) send(env *envelope) error {
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
-	n, err := writeFrame(countingWriter{w: w.conn, c: w.metrics.bytesOut}, env)
-	if err == nil && env.Type == msgResult && env.Result != nil && len(env.Result.BucketBlocks) > 0 {
-		// A scan result carrying bucket blocks is the coordinator-path
-		// shuffle moving map outputs up.
-		w.metrics.shuffleCoordSent.Add(int64(n))
-	}
-	return err
+	return writeFrame(countingWriter{w: w.conn, c: w.metrics.bytesOut}, env)
 }
 
 // handleTask executes one task and reports its result; killed reports that
@@ -357,8 +340,6 @@ func (w *worker) execute(ctx context.Context, t Task) *TaskResult {
 		err = w.runSimBuild(ctx, t, res)
 	case TaskScan:
 		err = w.runScan(t, res)
-	case TaskReduceBuild:
-		err = w.runReduceBuild(ctx, t, res)
 	default:
 		err = fmt.Errorf("unknown task kind %d", t.Kind)
 	}
@@ -401,8 +382,9 @@ func (w *worker) runSimBuild(ctx context.Context, t Task, res *TaskResult) error
 	return w.runPipeline(records, s.Fleet().StaticIndex(), t, res)
 }
 
-// runScan decodes one archive section, returning statics and positions
-// bucketed by vessel hash — the map side of the archive shuffle.
+// runScan decodes one archive section and streams its positions, bucketed
+// by vessel hash, to the buckets' owners — the map side of the archive
+// shuffle.
 func (w *worker) runScan(t Task, res *TaskResult) error {
 	if t.Buckets < 1 {
 		return fmt.Errorf("scan task %d without buckets", t.ID)
@@ -429,13 +411,8 @@ func (w *worker) runScan(t Task, res *TaskResult) error {
 	res.Feed = r.Stats()
 	res.SectionIndex = t.Section.Index
 	statics := r.StaticsAsVesselInfo()
-	if !t.PeerShuffle {
-		res.Statics = statics
-		res.BucketBlocks = buckets
-		return nil
-	}
-	// Peer path: the bucket blocks stream straight to their owners (the
-	// bucket's statics riding the Last frame); the result reports only the
+	// The bucket blocks stream straight to their owners (the bucket's
+	// statics riding the Last frame); the result reports only the
 	// per-bucket record counts. Frames for buckets with no assigned owner
 	// yet are parked and re-delivered when the roster arrives.
 	counts := make([]int, t.Buckets)
@@ -506,14 +483,6 @@ func (w *worker) reduceOwnedBucket(bucket int) {
 	if err := w.send(&envelope{Type: msgResult, Result: res}); err != nil {
 		w.logf("send reduce result %d: %v", as.TaskID, err)
 	}
-}
-
-// runReduceBuild runs the full pipeline over one vessel-complete record
-// bucket using the broadcast statics.
-func (w *worker) runReduceBuild(ctx context.Context, t Task, res *TaskResult) error {
-	dctx := dataflow.NewContextWith(ctx, w.cfg.Parallelism)
-	records := dataflow.Parallelize(dctx, t.Records, w.cfg.Parallelism*4)
-	return w.runPipeline(records, w.statics, t, res)
 }
 
 // runPipeline executes the inventory pipeline and marshals the partial.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -19,23 +20,30 @@ import (
 )
 
 // Checkpoints are the engine's fast-recovery frontier: a generation is
-// the published inventory (the same POLINV1 serving artifact as before)
-// plus a POLSTAT1 state file carrying everything replay cannot re-derive
-// from the WAL suffix alone — the vessel static map, every vessel's
-// cleaner and trip-tracker state, and the engine counters. A small text
-// manifest (<base>.manifest) names the last two generations newest-first
-// with the WAL sequence each one covers and whole-file CRC32C checksums:
+// two files — the published inventory as a POLSEG1 segment (the format
+// every reader and replica takes) plus a POLSTAT1 state file carrying
+// everything replay cannot re-derive from the WAL suffix alone: the vessel
+// static map, every vessel's cleaner and trip-tracker state, and the
+// engine counters. A small text manifest (<base>.manifest) names the last
+// two generations newest-first with the WAL sequence each one covers,
+// whole-file CRC32C checksums, and the fencing claim it was written under:
 //
 //	POLCKPT1
-//	gen 12 seq 89214 inv ckpt.g000012 crc 1f2e3d4c size 88231 state ckpt.g000012.state crc aabbccdd size 4096
-//	gen 11 seq 80112 inv ckpt.g000011 crc ...
+//	gen 12 seq 89214 seg ckpt.g000012.seg crc 1f2e3d4c size 88231 state ckpt.g000012.state crc aabbccdd size 4096 term 2 node 00000000000000a1
+//	gen 11 seq 80112 seg ckpt.g000011.seg crc ...
 //
 // Every file is written atomically (temp + fsync + rename + dir fsync),
 // so cold start verifies the newest generation against its manifest
 // entry, falls back to the previous generation on any mismatch, and
 // replays only WAL records past the chosen generation's seq. A stable
-// copy of the newest inventory is kept at exactly <base> (hardlink swap)
-// so external read-only consumers keep loading the configured path.
+// copy of the newest segment is kept at exactly <base> (hardlink swap) so
+// external read-only consumers keep opening the configured path.
+//
+// Upgrade rule: manifests written while generations also carried a POLINV1
+// file (`inv NAME crc X size N` before `state`) still parse; such a
+// generation is restored from its segment and its inv file is deleted when
+// it falls out of retention. A manifest none of whose generations has a
+// segment predates the segment store and is refused (see Load).
 //
 // The WAL is pruned to the OLDEST retained generation's seq — pruning to
 // the newest would strand the fallback generation without the journal
@@ -48,21 +56,24 @@ const (
 
 var stateMagic = []byte("POLSTAT1\n")
 
-// ckptGen is one manifest entry. Seg is empty on manifests written
-// before the segment store existed; everything else treats a missing
-// segment as "heap bootstrap only". Term/Node are zero on manifests
-// written before the failover epoch existed — readers treat that as
-// term 1 under an unknown node.
+// ckptGen is one manifest entry. Seg is empty only on entries written
+// before the segment store existed; such a generation cannot be restored.
+// Inv is set only on entries read from a manifest of the era that wrote a
+// POLINV1 file beside the segment — kept so the file can be deleted with
+// its generation. Term/Node are zero on manifests written before the
+// failover epoch existed — readers treat that as term 1 under an unknown
+// node.
 type ckptGen struct {
-	Gen, Seq           uint64
-	Inv, State         string // basenames, sibling to the manifest
-	InvCRC, StateCRC   uint32
-	InvSize, StateSize int64
-	Seg                string // POLSEG1 columnar segment, "" when absent
-	SegCRC             uint32
-	SegSize            int64
-	Term               uint64 // fencing epoch the generation was written under
-	Node               uint64 // identity of the node that wrote it
+	Gen, Seq  uint64
+	Seg       string // POLSEG1 inventory segment; basenames, sibling to the manifest
+	SegCRC    uint32
+	SegSize   int64
+	State     string // POLSTAT1 engine state
+	StateCRC  uint32
+	StateSize int64
+	Inv       string // legacy POLINV1 file to clean up, "" otherwise
+	Term      uint64 // fencing epoch the generation was written under
+	Node      uint64 // identity of the node that wrote it
 }
 
 // checkpointer owns the generation files and manifest below one base
@@ -147,16 +158,11 @@ func (c *checkpointer) Save(snap *inventory.Inventory, st *engineState, seq, ter
 		gen = gens[0].Gen + 1
 	}
 	entry := ckptGen{Gen: gen, Seq: seq, Term: term, Node: node}
-	invPath := fmt.Sprintf("%s.g%06d", c.base, gen)
-	statePath := invPath + ".state"
-	segPath := invPath + ".seg"
-	entry.Inv = filepath.Base(invPath)
-	entry.State = filepath.Base(statePath)
+	stem := fmt.Sprintf("%s.g%06d", c.base, gen)
+	segPath, statePath := stem+".seg", stem+".state"
 	entry.Seg = filepath.Base(segPath)
+	entry.State = filepath.Base(statePath)
 
-	if entry.InvCRC, entry.InvSize, err = inventory.WriteFileSum(snap, invPath); err != nil {
-		return 0, fmt.Errorf("ingest: checkpoint inventory: %w", err)
-	}
 	segStats, err := segment.WriteFileSum(snap, segPath)
 	if err != nil {
 		return 0, fmt.Errorf("ingest: checkpoint segment: %w", err)
@@ -186,27 +192,29 @@ func (c *checkpointer) Save(snap *inventory.Inventory, st *engineState, seq, ter
 	c.gens = newGens
 	c.mu.Unlock()
 
-	if err := c.publishStable(invPath, c.base); err != nil {
+	if err := c.publishStable(segPath); err != nil {
 		return 0, fmt.Errorf("ingest: checkpoint stable artifact: %w", err)
 	}
-	if err := c.publishStable(segPath, c.base+".seg"); err != nil {
-		return 0, fmt.Errorf("ingest: checkpoint stable segment: %w", err)
-	}
 	for _, g := range dropped {
-		os.Remove(c.genPath(g.Inv))
 		os.Remove(c.genPath(g.State))
 		if g.Seg != "" {
 			os.Remove(c.genPath(g.Seg))
+		}
+		if g.Inv != "" {
+			// A generation from the two-format era: its POLINV1 file, and
+			// the second stable link that era kept beside <base>.
+			os.Remove(c.genPath(g.Inv))
+			os.Remove(c.base + ".seg")
 		}
 	}
 	return newGens[len(newGens)-1].Seq, nil
 }
 
-// publishStable points dstPath at the newest generation's artifact via a
+// publishStable points <base> at the newest generation's segment via a
 // hardlink rename (falling back to a copy on filesystems without links),
-// keeping the plain configured paths (<base> and <base>.seg) valid
-// serving artifacts.
-func (c *checkpointer) publishStable(srcPath, dstPath string) error {
+// keeping the plain configured path a valid serving artifact.
+func (c *checkpointer) publishStable(srcPath string) error {
+	dstPath := c.base
 	tmp := dstPath + ".pub.tmp"
 	os.Remove(tmp)
 	if err := os.Link(srcPath, tmp); err != nil {
@@ -240,8 +248,15 @@ func (c *checkpointer) publishStable(srcPath, dstPath string) error {
 // Load verifies and restores the newest intact generation. A generation
 // whose files are missing, the wrong length, or checksum-mismatched is
 // logged and skipped in favor of the previous one; (nil, nil, 0, nil)
-// means no usable checkpoint — recover from the WAL alone.
+// means no usable checkpoint — recover from the WAL alone. A manifest
+// that names generations but no segment for any of them was written
+// before segments existed: nothing here can read its inventories, and
+// carrying on as if there were no checkpoint would silently drop them, so
+// that is an error for the operator to resolve.
 func (c *checkpointer) Load(resolution int) (*inventory.Inventory, *engineState, uint64, error) {
+	if len(c.gens) > 0 && !slices.ContainsFunc(c.gens, func(g ckptGen) bool { return g.Seg != "" }) {
+		return nil, nil, 0, fmt.Errorf("ingest: checkpoint manifest %s lists only pre-segment (POLINV1) generations, which are no longer read; move the checkpoint files away to recover from the WAL alone, or rebuild", c.manifestPath())
+	}
 	for i, g := range c.gens {
 		inv, st, err := c.loadGen(g, resolution)
 		if err != nil {
@@ -257,18 +272,21 @@ func (c *checkpointer) Load(resolution int) (*inventory.Inventory, *engineState,
 }
 
 func (c *checkpointer) loadGen(g ckptGen, resolution int) (*inventory.Inventory, *engineState, error) {
-	invPath, statePath := c.genPath(g.Inv), c.genPath(g.State)
-	if sum, size, err := inventory.ChecksumFile(invPath); err != nil {
+	if g.Seg == "" {
+		return nil, nil, fmt.Errorf("generation has no segment")
+	}
+	segPath, statePath := c.genPath(g.Seg), c.genPath(g.State)
+	if sum, size, err := inventory.ChecksumFile(segPath); err != nil {
 		return nil, nil, err
-	} else if sum != g.InvCRC || size != g.InvSize {
-		return nil, nil, fmt.Errorf("inventory checksum mismatch (crc %08x/%d, want %08x/%d)", sum, size, g.InvCRC, g.InvSize)
+	} else if sum != g.SegCRC || size != g.SegSize {
+		return nil, nil, fmt.Errorf("segment checksum mismatch (crc %08x/%d, want %08x/%d)", sum, size, g.SegCRC, g.SegSize)
 	}
 	if sum, size, err := inventory.ChecksumFile(statePath); err != nil {
 		return nil, nil, err
 	} else if sum != g.StateCRC || size != g.StateSize {
 		return nil, nil, fmt.Errorf("state checksum mismatch (crc %08x/%d, want %08x/%d)", sum, size, g.StateCRC, g.StateSize)
 	}
-	inv, err := inventory.LoadFile(invPath)
+	inv, err := segment.Load(segPath)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -295,20 +313,26 @@ func writeManifest(path string, gens []ckptGen) error {
 			return err
 		}
 		for _, g := range gens {
-			if _, err := fmt.Fprintf(w, "gen %d seq %d inv %s crc %08x size %d state %s crc %08x size %d",
-				g.Gen, g.Seq, g.Inv, g.InvCRC, g.InvSize, g.State, g.StateCRC, g.StateSize); err != nil {
+			if _, err := fmt.Fprintf(w, "gen %d seq %d", g.Gen, g.Seq); err != nil {
 				return err
 			}
-			// The segment entry is a suffix so manifests stay readable by
-			// the pre-segment parser (and vice versa).
+			// A retained two-format-era generation keeps naming its POLINV1
+			// file, so a restart still knows to delete it.
+			if g.Inv != "" {
+				if _, err := fmt.Fprintf(w, " inv %s", g.Inv); err != nil {
+					return err
+				}
+			}
 			if g.Seg != "" {
 				if _, err := fmt.Fprintf(w, " seg %s crc %08x size %d", g.Seg, g.SegCRC, g.SegSize); err != nil {
 					return err
 				}
 			}
-			// The fencing epoch is a further suffix, same compatibility
-			// contract: pre-term parsers skip it, and lines without it
-			// read back as term 0 (pre-epoch).
+			if _, err := fmt.Fprintf(w, " state %s crc %08x size %d", g.State, g.StateCRC, g.StateSize); err != nil {
+				return err
+			}
+			// The fencing epoch is a suffix: lines without it read back as
+			// term 0 (pre-epoch).
 			if g.Term != 0 {
 				if _, err := fmt.Fprintf(w, " term %d node %016x", g.Term, g.Node); err != nil {
 					return err
@@ -345,15 +369,18 @@ func readManifest(path string) ([]ckptGen, error) {
 	return gens, nil
 }
 
-// parseManifestLine walks the line as key/value pairs so optional
-// suffixes (seg, term/node) and future additions parse without a format
+// parseManifestLine walks the line as key/value pairs so optional entries
+// (inv, seg, term/node) and future additions parse without a format
 // string per vintage. Unknown keys are skipped, which keeps old binaries
 // able to read manifests from newer ones. crc and size bind to the file
-// key (inv, state, seg) that most recently preceded them.
+// key (inv, state, seg) that most recently preceded them; an inv entry's
+// are read and dropped, since that file is only ever deleted.
 func parseManifestLine(line string) (ckptGen, error) {
 	var g ckptGen
 	var crcDst *uint32
 	var sizeDst *int64
+	var invCRC uint32
+	var invSize int64
 	f := strings.Fields(line)
 	if len(f)%2 != 0 {
 		return g, fmt.Errorf("odd token count")
@@ -368,7 +395,7 @@ func parseManifestLine(line string) (ckptGen, error) {
 			_, err = fmt.Sscanf(val, "%d", &g.Seq)
 		case "inv":
 			g.Inv = val
-			crcDst, sizeDst = &g.InvCRC, &g.InvSize
+			crcDst, sizeDst = &invCRC, &invSize
 		case "state":
 			g.State = val
 			crcDst, sizeDst = &g.StateCRC, &g.StateSize
@@ -394,7 +421,7 @@ func parseManifestLine(line string) (ckptGen, error) {
 			return g, fmt.Errorf("key %s: %w", key, err)
 		}
 	}
-	if g.Inv == "" || g.State == "" || g.Gen == 0 {
+	if g.State == "" || g.Gen == 0 {
 		return g, fmt.Errorf("missing required fields")
 	}
 	return g, nil

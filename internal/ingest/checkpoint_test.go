@@ -1,14 +1,18 @@
 package ingest
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/patternsoflife/pol/internal/fault"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
+	"github.com/patternsoflife/pol/internal/segment"
 	"github.com/patternsoflife/pol/internal/sim"
 )
 
@@ -25,19 +29,48 @@ func flipByte(t *testing.T, path string) {
 	}
 }
 
-// TestCheckpointerFallback exercises the manifest lifecycle directly:
-// two generations, newest wins; a corrupted newest generation falls back
-// to the previous one; with every generation corrupted Load reports "no
-// usable checkpoint" so the engine recovers from the WAL alone.
-func TestCheckpointerFallback(t *testing.T) {
-	const res = 6
-	_, _, inv1 := fleetStream(t, sim.Config{Vessels: 3, Days: 4, Seed: 5}, res)
-	_, _, inv2 := fleetStream(t, sim.Config{Vessels: 5, Days: 6, Seed: 6}, res)
-	st := &engineState{
-		counters: stateCounters{positionsSeen: 10, accepted: 7, trips: 2},
+// testState is a small engine state for driving the checkpointer directly.
+func testState(positionsSeen int64) *engineState {
+	return &engineState{
+		counters: stateCounters{positionsSeen: positionsSeen, accepted: 7, trips: 2},
 		statics:  map[uint32]model.VesselInfo{9: {MMSI: 9, Name: "TESTER"}},
 		vessels:  map[uint32]vesselPersist{},
 	}
+}
+
+// dirNames lists a directory's entries, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// parentGenBytes is what one checkpoint generation of the seed-11 fixture
+// below cost at the commit before segments became the only format
+// (83504d6): 15 446 516 B POLINV1 + 3 445 255 B POLSEG1 + 167 B state.
+const parentGenBytes = 18_891_938
+
+// TestCheckpointerFallback exercises the manifest lifecycle directly:
+// a generation is exactly a segment plus a state file and costs a fraction
+// of what the two-format generation did; two generations, newest wins; a
+// corrupted newest generation falls back to the previous one; with every
+// generation corrupted Load reports "no usable checkpoint" so the engine
+// recovers from the WAL alone.
+func TestCheckpointerFallback(t *testing.T) {
+	const res = 6
+	_, _, inv1 := fleetStream(t, sim.Config{Vessels: 6, Days: 24, Seed: 11}, res)
+	_, _, inv2 := fleetStream(t, sim.Config{Vessels: 6, Days: 24, Seed: 13}, res)
+	if inv1.Len() == 0 || inv2.Len() == 0 {
+		t.Fatal("fixtures completed no trips")
+	}
+	st := testState(10)
 	dir := t.TempDir()
 	base := filepath.Join(dir, "live.polinv")
 
@@ -45,35 +78,51 @@ func TestCheckpointerFallback(t *testing.T) {
 	if covered, err := c.Save(inv1, st, 100, 1, 0xabcd); err != nil || covered != 100 {
 		t.Fatalf("save gen1: covered %d, err %v", covered, err)
 	}
+	want := []string{"live.polinv", "live.polinv.g000001.seg", "live.polinv.g000001.state", "live.polinv.manifest"}
+	if got := dirNames(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("after one save the directory holds %v, want %v", got, want)
+	}
+	g1 := c.generations()[0]
+	if written := g1.SegSize + g1.StateSize; float64(written) >= 0.35*parentGenBytes {
+		t.Fatalf("generation wrote %d bytes, want < 0.35 x %d", written, parentGenBytes)
+	}
+
 	st.counters.positionsSeen = 20
 	if covered, err := c.Save(inv2, st, 200, 2, 0xabcd); err != nil || covered != 100 {
 		t.Fatalf("save gen2: covered %d (want oldest retained 100), err %v", covered, err)
 	}
 
-	// The stable artifact at the configured path is the newest inventory.
-	stable, err := inventory.LoadFile(base)
+	// The stable artifact at the configured path is the newest segment.
+	stable, err := segment.Open(base, segment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffInventories(t, stable, inv2, "stable artifact")
+	if !inventory.EqualViews(stable, inv2) {
+		t.Fatal("stable artifact differs from the newest snapshot")
+	}
+	stable.Close()
 
 	// A fresh process loads the newest generation.
 	inv, got, seq, err := newCheckpointer(base, fault.Default(), t.Logf).Load(res)
 	if err != nil || seq != 200 {
 		t.Fatalf("load: seq %d, err %v", seq, err)
 	}
-	diffInventories(t, inv, inv2, "newest generation")
+	if !inventory.Equal(inv, inv2) {
+		t.Fatal("newest generation restored a different inventory")
+	}
 	if got.counters.positionsSeen != 20 || got.statics[9].Name != "TESTER" {
 		t.Fatalf("state roundtrip lost data: %+v", got.counters)
 	}
 
-	// Corrupt the newest generation's inventory: fall back to gen 1.
-	flipByte(t, filepath.Join(dir, "live.polinv.g000002"))
+	// Corrupt the newest generation's segment: fall back to gen 1.
+	flipByte(t, filepath.Join(dir, "live.polinv.g000002.seg"))
 	inv, got, seq, err = newCheckpointer(base, fault.Default(), t.Logf).Load(res)
 	if err != nil || seq != 100 {
 		t.Fatalf("fallback load: seq %d, err %v", seq, err)
 	}
-	diffInventories(t, inv, inv1, "fallback generation")
+	if !inventory.Equal(inv, inv1) {
+		t.Fatal("fallback generation restored a different inventory")
+	}
 	if got.counters.positionsSeen != 10 {
 		t.Fatalf("fallback state has positionsSeen %d, want 10", got.counters.positionsSeen)
 	}
@@ -83,6 +132,115 @@ func TestCheckpointerFallback(t *testing.T) {
 	inv, _, seq, err = newCheckpointer(base, fault.Default(), t.Logf).Load(res)
 	if err != nil || inv != nil || seq != 0 {
 		t.Fatalf("all-corrupt load = (%v, seq %d, %v), want WAL-only recovery signal", inv, seq, err)
+	}
+}
+
+// TestCheckpointUpgradeFromTwoFormatManifest opens a directory left by a
+// build that wrote a POLINV1 file beside every segment: the generation is
+// restored from its segment, the manifest stops carrying the inv checksum
+// triple, and the old inv file and that era's second stable link are
+// deleted when the generation falls out of retention — across a restart.
+func TestCheckpointUpgradeFromTwoFormatManifest(t *testing.T) {
+	const res = 6
+	_, _, inv := fleetStream(t, sim.Config{Vessels: 6, Days: 24, Seed: 11}, res)
+	dir := t.TempDir()
+	base := filepath.Join(dir, "live.polinv")
+
+	// Today's writer produces the segment and state; the manifest and the
+	// extra files are then put in the shape the older writer left.
+	c := newCheckpointer(base, fault.Default(), t.Logf)
+	if _, err := c.Save(inv, testState(10), 100, 3, 0xbeef); err != nil {
+		t.Fatal(err)
+	}
+	g := c.generations()[0]
+	oldInv, oldLink := filepath.Join(dir, "live.polinv.g000001"), base+".seg"
+	for _, p := range []string{oldInv, oldLink} {
+		if err := os.WriteFile(p, []byte("POLINV1\nplaceholder"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	manifest := fmt.Sprintf("POLCKPT1\ngen 1 seq 100 inv live.polinv.g000001 crc 0a0b0c0d size 19 state %s crc %08x size %d seg %s crc %08x size %d term 3 node 000000000000beef\n",
+		g.State, g.StateCRC, g.StateSize, g.Seg, g.SegCRC, g.SegSize)
+	if err := os.WriteFile(base+".manifest", []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c = newCheckpointer(base, fault.Default(), t.Logf)
+	got, _, seq, err := c.Load(res)
+	if err != nil || seq != 100 || !inventory.Equal(got, inv) {
+		t.Fatalf("load of a two-format generation: seq %d, err %v", seq, err)
+	}
+	if term, node := c.newestTermNode(); term != 3 || node != 0xbeef {
+		t.Fatalf("newestTermNode = (%d, %x), want (3, beef)", term, node)
+	}
+
+	// One save: the old generation is still retained, and so is its file.
+	if _, err := c.Save(inv, testState(20), 200, 3, 0xbeef); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(base + ".manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "0a0b0c0d") {
+		t.Fatalf("rewritten manifest still carries the inv checksum:\n%s", data)
+	}
+	if _, err := os.Stat(oldInv); err != nil {
+		t.Fatalf("inv file of a retained generation removed early: %v", err)
+	}
+
+	// A restart, then the save that pushes it out of retention.
+	c = newCheckpointer(base, fault.Default(), t.Logf)
+	if _, err := c.Save(inv, testState(30), 300, 3, 0xbeef); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"live.polinv", "live.polinv.g000002.seg", "live.polinv.g000002.state",
+		"live.polinv.g000003.seg", "live.polinv.g000003.state", "live.polinv.manifest"}
+	if got := dirNames(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("after retention the directory holds %v, want %v", got, want)
+	}
+}
+
+// TestEngineRefusesPreSegmentManifest: a manifest none of whose
+// generations has a segment cannot be restored from, and treating it as
+// "no checkpoint" would silently drop the inventories it names — NewEngine
+// must stop with an error naming the manifest and leave the directory
+// exactly as it found it.
+func TestEngineRefusesPreSegmentManifest(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "live.polinv")
+	files := map[string]string{
+		"live.polinv.manifest": "POLCKPT1\n" +
+			"gen 4 seq 900 inv live.polinv.g000004 crc 0a0b0c0d size 19 state live.polinv.g000004.state crc 01020304 size 5\n" +
+			"gen 3 seq 800 inv live.polinv.g000003 crc 0a0b0c0d size 19 state live.polinv.g000003.state crc 01020304 size 5\n",
+		"live.polinv.g000004":       "POLINV1\nplaceholder",
+		"live.polinv.g000004.state": "state",
+		"live.polinv.g000003":       "POLINV1\nplaceholder",
+		"live.polinv.g000003.state": "state",
+		"live.polinv":               "POLINV1\nplaceholder",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirNames(t, dir)
+
+	e, err := NewEngine(Options{Resolution: 6, CheckpointPath: base, JournalPath: filepath.Join(dir, "wal")})
+	if err == nil {
+		e.Close()
+		t.Fatal("engine started on a pre-segment checkpoint directory")
+	}
+	if !strings.Contains(err.Error(), base+".manifest") || !strings.Contains(err.Error(), "WAL") {
+		t.Fatalf("error %q does not name the manifest and the way out", err)
+	}
+	if after := dirNames(t, dir); !slices.Equal(after, before) {
+		t.Fatalf("refused start changed the directory: %v -> %v", before, after)
+	}
+	for name, body := range files {
+		if got, _ := os.ReadFile(filepath.Join(dir, name)); string(got) != body {
+			t.Fatalf("refused start rewrote %s", name)
+		}
 	}
 }
 
@@ -162,7 +320,7 @@ func TestEngineCheckpointRecovery(t *testing.T) {
 
 	// Corrupt the newest generation: restart must fall back and replay the
 	// WAL suffix into exactly the uninterrupted state.
-	flipByte(t, filepath.Join(dir, gens[0].Inv))
+	flipByte(t, filepath.Join(dir, gens[0].Seg))
 	e2, err := NewEngine(Options{
 		Resolution:     res,
 		JournalPath:    journal,

@@ -17,14 +17,16 @@
 //
 // Durability is a length-prefixed write-ahead journal of accepted records
 // (positions that survived range validation and deduplication, plus
-// vessel static entries) with periodic checkpoints of the published
-// snapshot via inventory.WriteFile. Replaying the journal through the
-// deterministic cleaning/trip state machines reconstructs the exact
-// engine state — including trips that were open when the process died —
-// so kill-and-restart converges to the same inventory the uninterrupted
-// run produces. The checkpoint file is a serving artifact (fast cold
-// starts for read-only consumers); recovery derives from the journal
-// alone.
+// vessel static entries) with periodic checkpoint generations: the
+// published snapshot as a POLSEG1 segment (segment.WriteFileSum) plus the
+// engine state replay cannot re-derive (see checkpoint.go). Replaying the
+// journal suffix past a generation through the deterministic
+// cleaning/trip state machines reconstructs the exact engine state —
+// including trips that were open when the process died — so
+// kill-and-restart converges to the same inventory the uninterrupted run
+// produces. The newest segment, hard-linked at the configured checkpoint
+// path, doubles as the serving artifact read-only consumers and replicas
+// open.
 //
 // Feeds must deliver each vessel's reports in timestamp order (the wire
 // guarantees per-sender ordering); out-of-order records are counted and

@@ -16,6 +16,7 @@ import (
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/pipeline"
 	"github.com/patternsoflife/pol/internal/ports"
+	"github.com/patternsoflife/pol/internal/segment"
 	"github.com/patternsoflife/pol/internal/sim"
 )
 
@@ -235,7 +236,7 @@ func TestEngineCheckpoint(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	loaded, err := inventory.LoadFile(ckpt)
+	loaded, err := segment.Load(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,9 @@ import (
 // truncated with a warning) from *mid-file corruption* (a record that
 // fails its checksum with valid data after it — replay stops at the bad
 // record and the remainder is quarantined to a .corrupt sidecar so no
-// wrong state is ever reconstructed). Legacy v1 journals (single file at
-// the base path, no checksums) are still replayed for upgrade; new
-// records always go to v2 segments.
+// wrong state is ever reconstructed). A file at the base path itself — a
+// pre-segment POLWAL1 journal — is never read, overwritten or removed:
+// OpenJournal refuses to start beside it.
 type Journal struct {
 	base string
 	opts JournalOptions
@@ -59,7 +59,6 @@ type Journal struct {
 	// segs maps live segment index → first sequence number in it, for
 	// checkpoint-driven retention.
 	segs   map[int]uint64
-	v1Live bool
 	broken error
 
 	rec RecoveryInfo
@@ -96,7 +95,6 @@ func (o JournalOptions) withDefaults() JournalOptions {
 // RecoveryInfo summarizes what OpenJournal found on disk.
 type RecoveryInfo struct {
 	Entries             int64  // records scanned (including ones below StartSeq)
-	V1Entries           int64  // of which came from a legacy v1 journal
 	LastSeq             uint64 // highest valid sequence number on disk
 	TornBytes           int64  // bytes truncated from a torn final-segment tail
 	CorruptEvents       int64  // distinct corruption incidents (checksum/framing/seq)
@@ -112,7 +110,7 @@ const (
 )
 
 var (
-	walMagicV1 = []byte("POLWAL1\n")
+	walMagicV1 = []byte("POLWAL1\n") // recognised only to be refused
 	walMagicV2 = []byte("POLWAL2\n")
 )
 
@@ -218,15 +216,10 @@ func OpenJournal(base string, opts JournalOptions, replay func(JournalEntry) err
 		segs: make(map[int]uint64),
 	}
 
-	// Legacy v1 journal at the base path: replay for upgrade, never append.
-	v1Count, err := j.replayV1(replay)
-	if err != nil {
+	if err := refuseBaseFile(base); err != nil {
 		return nil, err
 	}
-	j.rec.V1Entries = v1Count
-	j.rec.Entries = v1Count
-	j.nextSeq = uint64(v1Count) + 1
-	j.rec.LastSeq = uint64(v1Count)
+	j.nextSeq = 1
 
 	idxs, err := scanSegments(base)
 	if err != nil {
@@ -288,56 +281,24 @@ func (j *Journal) appendableTail(idx int, firstSeq uint64) bool {
 	return j.nextSeq == j.rec.LastSeq+1 || j.nextSeq == firstSeq
 }
 
-// replayV1 streams a legacy single-file journal, assigning sequence
-// numbers 1..n. Parsing stops silently at the first bad record (the v1
-// format cannot distinguish torn from corrupt); the file is left intact
-// and retired by Prune once a checkpoint covers it.
-func (j *Journal) replayV1(replay func(JournalEntry) error) (int64, error) {
-	f, err := os.Open(j.base)
+// refuseBaseFile fails when something exists at the journal base path.
+// Segments live beside it, never at it; the only journal that ever did is
+// the unchecksummed single-file POLWAL1, whose reader is gone. Starting
+// anyway would strand those records silently, so the operator decides.
+func refuseBaseFile(base string) error {
+	f, err := os.Open(base)
 	if os.IsNotExist(err) {
-		return 0, nil
+		return nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("ingest: open v1 journal: %w", err)
+		return fmt.Errorf("ingest: journal base path: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<18)
 	head := make([]byte, len(walMagicV1))
-	if _, err := io.ReadFull(r, head); err != nil || !bytes.Equal(head, walMagicV1) {
-		return 0, fmt.Errorf("ingest: %s exists but is not a v1 journal", j.base)
+	if _, err := io.ReadFull(f, head); err == nil && bytes.Equal(head, walMagicV1) {
+		return fmt.Errorf("ingest: %s is a POLWAL1 journal, which is no longer replayed; move it away (its records are lost unless a checkpoint covers them)", base)
 	}
-	j.v1Live = true
-	var count int64
-	var hdr [5]byte
-	buf := make([]byte, 0, 256)
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return count, nil
-		}
-		kind := hdr[0]
-		n := binary.LittleEndian.Uint32(hdr[1:])
-		if n > maxRecordLen || !validEntryKind(kind) {
-			return count, nil
-		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return count, nil
-		}
-		e, ok := decodeEntry(kind, buf)
-		if !ok {
-			return count, nil
-		}
-		count++
-		e.Seq = uint64(count)
-		if replay != nil && e.Seq > j.opts.StartSeq {
-			if err := replay(e); err != nil {
-				return count, fmt.Errorf("ingest: journal replay: %w", err)
-			}
-		}
-	}
+	return fmt.Errorf("ingest: %s exists but is not a journal; segments are written beside the base path, never at it", base)
 }
 
 // replaySegments scans the v2 segments in order, validating checksums and
@@ -717,18 +678,12 @@ func (j *Journal) Segments() int {
 	return len(j.segs)
 }
 
-// Prune removes closed segments (and a legacy v1 file) whose records are
-// all covered by a durable checkpoint at coveredSeq. The active segment
-// is never removed. Safe to call concurrently with appends.
+// Prune removes closed segments whose records are all covered by a
+// durable checkpoint at coveredSeq. The active segment is never removed.
+// Safe to call concurrently with appends.
 func (j *Journal) Prune(coveredSeq uint64) error {
 	j.lock()
 	defer j.unlock()
-	if j.v1Live && uint64(j.rec.V1Entries) <= coveredSeq {
-		if err := os.Remove(j.base); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("ingest: prune v1 journal: %w", err)
-		}
-		j.v1Live = false
-	}
 	idxs := make([]int, 0, len(j.segs))
 	for idx := range j.segs {
 		idxs = append(idxs, idx)
@@ -835,11 +790,6 @@ func (j *Journal) ReadEntries(fromSeq uint64, max int) ([]JournalEntry, uint64, 
 	}
 	if err := j.flushLocked(); err != nil {
 		return nil, last, err
-	}
-	// Legacy v1 records have no checksummed framing to serve; a reader
-	// that far behind re-bases on a checkpoint, same as a pruned range.
-	if j.v1Live && fromSeq < uint64(j.rec.V1Entries) {
-		return nil, last, ErrSeqPruned
 	}
 	idxs := make([]int, 0, len(j.segs))
 	for idx := range j.segs {

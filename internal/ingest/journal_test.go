@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/patternsoflife/pol/internal/fault"
@@ -256,16 +257,14 @@ func TestJournalRotationAndPrune(t *testing.T) {
 	}
 }
 
-// TestJournalV1Upgrade replays a legacy v1 journal (single unchecksummed
-// file at the base path), appends to v2 segments on top of it, and
-// retires the v1 file once a checkpoint covers it.
-func TestJournalV1Upgrade(t *testing.T) {
-	recs := testPositions(8)
-	base := filepath.Join(t.TempDir(), "legacy.wal")
-
-	var v1 []byte
-	v1 = append(v1, walMagicV1...)
-	for _, r := range recs[:5] {
+// TestJournalRefusesV1File: a pre-segment POLWAL1 journal at the base
+// path is neither replayed, ignored nor overwritten — OpenJournal names it
+// and stops, leaving the file and the directory as they were.
+func TestJournalRefusesV1File(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "legacy.wal")
+	v1 := append([]byte(nil), walMagicV1...)
+	for _, r := range testPositions(5) {
 		payload := appendPositionEntry(nil, r)
 		v1 = append(v1, entryPosition)
 		v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(payload)))
@@ -275,37 +274,19 @@ func TestJournalV1Upgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, j := replayJournal(t, base, JournalOptions{})
-	expectPrefix(t, got, recs, "v1")
-	if len(got) != 5 {
-		t.Fatalf("v1 replayed %d entries, want 5", len(got))
+	j, err := OpenJournal(base, JournalOptions{}, nil)
+	if err == nil {
+		j.Close()
+		t.Fatal("OpenJournal started beside a POLWAL1 file")
 	}
-	if rec := j.Recovery(); rec.V1Entries != 5 {
-		t.Fatalf("V1Entries = %d, want 5", rec.V1Entries)
+	if !strings.Contains(err.Error(), base) || !strings.Contains(err.Error(), "POLWAL1") {
+		t.Fatalf("error %q does not name the file and its format", err)
 	}
-	for _, r := range recs[5:] {
-		if err := j.AppendPosition(r); err != nil {
-			t.Fatal(err)
-		}
+	if got, rerr := os.ReadFile(base); rerr != nil || !bytes.Equal(got, v1) {
+		t.Fatalf("v1 file touched: %v", rerr)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: v1 prefix then v2 suffix, one contiguous sequence run.
-	got2, j2 := replayJournal(t, base, JournalOptions{})
-	expectPrefix(t, got2, recs, "v1+v2")
-	if len(got2) != 8 {
-		t.Fatalf("reopen replayed %d entries, want 8", len(got2))
-	}
-	if err := j2.Prune(8); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(base); !os.IsNotExist(err) {
-		t.Fatalf("v1 journal not retired by covered prune: %v", err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("refused open left %d directory entries, want only the v1 file", len(entries))
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/patternsoflife/pol/internal/inventory"
+	"github.com/patternsoflife/pol/internal/segment"
 )
 
 // Replication surface: a primary engine with a checkpoint path and a
@@ -19,10 +19,13 @@ import (
 // stateless replicas can bootstrap and tail it.
 //
 //	GET /v1/repl/manifest                   checkpoint generations + WAL frontier (JSON)
-//	GET /v1/repl/checkpoint/{gen}/{file}    one generation file, verbatim bytes
-//	GET /v1/repl/segment/{gen}              one generation's columnar segment (POLSEG1, Range-capable)
+//	GET /v1/repl/checkpoint/{gen}/{file}    one generation file (segment or state), Range-capable
 //	GET /v1/repl/wal?from_seq=N[&max=M][&wait=D]  WAL suffix past seq N (POLREPL1)
-//	GET /v1/repl/snapshot                   current published inventory (POLINV1)
+//	GET /v1/repl/snapshot                   current published inventory (POLSEG1)
+//
+// Both replica kinds download generation files from the one checkpoint
+// route: the heap replica whole, the disk replica by Range (tail, index,
+// then only the shard blocks it is missing).
 //
 // The WAL endpoint long-polls: with wait set and no records past
 // from_seq, the handler holds the request until a record arrives or the
@@ -44,16 +47,20 @@ type ReplManifest struct {
 // ReplGenInfo names one checkpoint generation's files with the
 // whole-file checksums a replica must verify before install.
 type ReplGenInfo struct {
-	Gen       uint64 `json:"gen"`
-	Seq       uint64 `json:"seq"`
-	Inv       string `json:"inv"`
-	InvCRC    uint32 `json:"inv_crc"`
-	InvSize   int64  `json:"inv_size"`
+	Gen uint64 `json:"gen"`
+	Seq uint64 `json:"seq"`
+	// Inv, InvCRC and InvSize described the POLINV1 file generations used
+	// to carry. No generation has one to offer any more: the fields are
+	// always zero and stay only because manifest consumers compiled
+	// against this struct (bench/adapter.go sums the three sizes) name them.
+	Inv       string `json:"inv,omitempty"`
+	InvCRC    uint32 `json:"inv_crc,omitempty"`
+	InvSize   int64  `json:"inv_size,omitempty"`
 	State     string `json:"state"`
 	StateCRC  uint32 `json:"state_crc"`
 	StateSize int64  `json:"state_size"`
-	// Seg names the generation's columnar segment (POLSEG1); empty on
-	// manifests written before segments existed.
+	// Seg names the generation's inventory segment (POLSEG1); empty only
+	// for a generation retained from before segments existed.
 	Seg     string `json:"seg,omitempty"`
 	SegCRC  uint32 `json:"seg_crc,omitempty"`
 	SegSize int64  `json:"seg_size,omitempty"`
@@ -162,7 +169,6 @@ func (e *Engine) ReplManifestSnapshot() ReplManifest {
 		for _, g := range ckpt.generations() {
 			m.Generations = append(m.Generations, ReplGenInfo{
 				Gen: g.Gen, Seq: g.Seq,
-				Inv: g.Inv, InvCRC: g.InvCRC, InvSize: g.InvSize,
 				State: g.State, StateCRC: g.StateCRC, StateSize: g.StateSize,
 				Seg: g.Seg, SegCRC: g.SegCRC, SegSize: g.SegSize,
 				Term: g.Term,
@@ -199,7 +205,6 @@ func (e *Engine) ReplHandler() http.Handler {
 	}
 	mux.Handle("GET /v1/repl/manifest", traced("repl_manifest", e.handleReplManifest))
 	mux.Handle("GET /v1/repl/checkpoint/{gen}/{file}", traced("repl_checkpoint", e.handleReplCheckpoint))
-	mux.Handle("GET /v1/repl/segment/{gen}", traced("repl_segment", e.handleReplSegment))
 	mux.Handle("GET /v1/repl/wal", traced("repl_wal", e.handleReplWAL))
 	mux.Handle("GET /v1/repl/snapshot", traced("repl_snapshot", e.handleReplSnapshot))
 	return mux
@@ -220,9 +225,11 @@ func (e *Engine) handleReplManifest(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(m)
 }
 
-// handleReplCheckpoint serves one generation file. The file name must
-// match the manifest entry for that generation exactly — clients never
-// control paths, so there is nothing to traverse.
+// handleReplCheckpoint serves one generation file with Range support
+// (http.ServeContent), so a disk replica can fetch only the tail, the
+// index, and the blocks it is missing while a heap replica takes the file
+// whole. The file name must match the manifest entry for that generation
+// exactly — clients never control paths, so there is nothing to traverse.
 func (e *Engine) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if !e.replGate(w, r) {
 		return
@@ -239,7 +246,7 @@ func (e *Engine) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("file")
 	for _, g := range ckpt.generations() {
-		if g.Gen != gen || (name != g.Inv && name != g.State && (g.Seg == "" || name != g.Seg)) {
+		if g.Gen != gen || (name != g.State && (g.Seg == "" || name != g.Seg)) {
 			continue
 		}
 		f, err := os.Open(ckpt.genPath(name))
@@ -251,51 +258,10 @@ func (e *Engine) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
 		}
 		defer f.Close()
 		w.Header().Set("Content-Type", "application/octet-stream")
-		if st, err := f.Stat(); err == nil {
-			w.Header().Set("Content-Length", strconv.FormatInt(st.Size(), 10))
-		}
-		_, _ = io.Copy(w, f)
-		return
-	}
-	http.Error(w, "unknown generation or file", http.StatusNotFound)
-}
-
-// handleReplSegment serves one generation's columnar segment with Range
-// support (http.ServeContent), so a disk replica can fetch only the
-// tail, the index, and the blocks it is missing.
-func (e *Engine) handleReplSegment(w http.ResponseWriter, r *http.Request) {
-	if !e.replGate(w, r) {
-		return
-	}
-	ckpt := e.ckpt.Load()
-	if ckpt == nil {
-		http.Error(w, "no checkpoints on this engine", http.StatusServiceUnavailable)
-		return
-	}
-	gen, err := strconv.ParseUint(r.PathValue("gen"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad generation", http.StatusBadRequest)
-		return
-	}
-	for _, g := range ckpt.generations() {
-		if g.Gen != gen {
-			continue
-		}
-		if g.Seg == "" {
-			http.Error(w, "generation predates segments", http.StatusNotFound)
-			return
-		}
-		f, err := os.Open(ckpt.genPath(g.Seg))
-		if err != nil {
-			http.Error(w, "generation no longer on disk", http.StatusNotFound)
-			return
-		}
-		defer f.Close()
-		w.Header().Set("Content-Type", "application/octet-stream")
 		http.ServeContent(w, r, "", time.Time{}, f)
 		return
 	}
-	http.Error(w, "unknown generation", http.StatusNotFound)
+	http.Error(w, "unknown generation or file", http.StatusNotFound)
 }
 
 // handleReplWAL streams the WAL suffix past from_seq, long-polling up to
@@ -350,23 +316,24 @@ func (e *Engine) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleReplSnapshot serves the current published inventory in POLINV1
-// wire form — the artifact e2e checks compare against replica snapshots.
-func (e *Engine) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
+// handleReplSnapshot streams the engine's current published inventory as
+// a POLSEG1 segment — the artifact convergence checks fetch from a primary
+// and from a heap replica (whose daemon mounts its applier engine's
+// ReplHandler, so this is the one handler behind both) and compare with
+// polquery -equal. Ungated: a fenced engine still shows what it holds.
+func (e *Engine) handleReplSnapshot(w http.ResponseWriter, _ *http.Request) {
 	SetTermHeader(w.Header(), e.term.Load(), e.node)
 	snap := e.Snapshot()
 	if snap == nil {
 		http.Error(w, "no snapshot yet", http.StatusServiceUnavailable)
 		return
 	}
-	data, err := inventory.Marshal(snap)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
+	if _, err := segment.Write(snap, w); err != nil {
+		// The status line is gone; the short body fails the client's
+		// segment open (tail geometry), which is the signal it needs.
+		e.logf("repl snapshot: %v", err)
+	}
 }
 
 // writeReplChunk encodes one /v1/repl/wal response body.

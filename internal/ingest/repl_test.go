@@ -6,12 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"github.com/patternsoflife/pol/internal/inventory"
+	"github.com/patternsoflife/pol/internal/segment"
 	"github.com/patternsoflife/pol/internal/sim"
 )
 
@@ -190,7 +193,7 @@ func TestReplHTTPSurface(t *testing.T) {
 		name string
 		crc  uint32
 		size int64
-	}{{g.Inv, g.InvCRC, g.InvSize}, {g.State, g.StateCRC, g.StateSize}} {
+	}{{g.Seg, g.SegCRC, g.SegSize}, {g.State, g.StateCRC, g.StateSize}} {
 		body := fetchBytes(t, fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", srv.URL, g.Gen, f.name), http.StatusOK)
 		if int64(len(body)) != f.size {
 			t.Fatalf("%s: %d bytes, manifest says %d", f.name, len(body), f.size)
@@ -202,7 +205,34 @@ func TestReplHTTPSurface(t *testing.T) {
 
 	// A file name not in the manifest — traversal or stale — is 404.
 	fetchBytes(t, fmt.Sprintf("%s/v1/repl/checkpoint/%d/..%%2Fwal.000001.wal", srv.URL, g.Gen), http.StatusNotFound)
-	fetchBytes(t, fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", srv.URL, g.Gen+99, g.Inv), http.StatusNotFound)
+	fetchBytes(t, fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", srv.URL, g.Gen+99, g.Seg), http.StatusNotFound)
+	// No generation offers a POLINV1 file, and the separate segment route
+	// is gone: the checkpoint route is the only way to a generation file.
+	if g.Inv != "" || g.InvCRC != 0 || g.InvSize != 0 {
+		t.Fatalf("manifest advertises an inv file: %+v", g)
+	}
+	fetchBytes(t, fmt.Sprintf("%s/v1/repl/checkpoint/%d/live.polinv.g%06d", srv.URL, g.Gen, g.Gen), http.StatusNotFound)
+	fetchBytes(t, fmt.Sprintf("%s/v1/repl/segment/%d", srv.URL, g.Gen), http.StatusNotFound)
+
+	// The route is Range-capable: a suffix range returns 206 with exactly
+	// the segment's fixed tail, which parses against the manifest's size.
+	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", srv.URL, g.Gen, g.Seg), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Range", fmt.Sprintf("bytes=-%d", segment.TailLen))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailB, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusPartialContent || len(tailB) != segment.TailLen {
+		t.Fatalf("suffix range: status %d, %d bytes, err %v", resp.StatusCode, len(tailB), err)
+	}
+	if _, err := segment.ParseTail(tailB, g.SegSize); err != nil {
+		t.Fatalf("ranged bytes are not the segment tail: %v", err)
+	}
 
 	// The WAL endpoint serves a decodable suffix with contiguous seqs
 	// from any frontier at or past the oldest retained generation's.
@@ -234,9 +264,12 @@ func TestReplHTTPSurface(t *testing.T) {
 	if err := eng.PublishNow(); err != nil {
 		t.Fatal(err)
 	}
-	snap := fetchBytes(t, srv.URL+"/v1/repl/snapshot", http.StatusOK)
-	if len(snap) == 0 {
-		t.Fatal("empty snapshot body")
+	snap, err := segment.LoadBytes(fetchBytes(t, srv.URL+"/v1/repl/snapshot", http.StatusOK), "snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inventory.Equal(snap, eng.Snapshot()) {
+		t.Fatal("served snapshot differs from the published inventory")
 	}
 }
 

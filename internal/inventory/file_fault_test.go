@@ -1,7 +1,10 @@
 package inventory
 
 import (
+	"bytes"
 	"errors"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,20 +12,20 @@ import (
 	"github.com/patternsoflife/pol/internal/fault"
 )
 
-func mustWrite(t *testing.T, inv *Inventory, path string) {
-	t.Helper()
-	if err := WriteFile(inv, path); err != nil {
-		t.Fatal(err)
-	}
+// writeBytes drives AtomicWrite the way every artifact writer does: stream
+// content through the callback.
+func writeBytes(path string, data []byte) error {
+	return AtomicWrite(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 func TestAtomicWriteFaultLeavesOldFile(t *testing.T) {
-	inv, _ := buildTestInventory(t, 6)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "inv.polinv")
-	mustWrite(t, inv, path)
-	before, err := os.ReadFile(path)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "artifact")
+	before := bytes.Repeat([]byte("old generation "), 1000)
+	next := bytes.Repeat([]byte("new generation "), 1200)
+	if err := writeBytes(path, before); err != nil {
 		t.Fatal(err)
 	}
 
@@ -33,7 +36,7 @@ func TestAtomicWriteFaultLeavesOldFile(t *testing.T) {
 			}
 			defer fault.Default().Disable(fp)
 
-			err := WriteFile(inv, path)
+			err := writeBytes(path, next)
 			if err == nil {
 				t.Fatal("write succeeded despite injected fault")
 			}
@@ -45,56 +48,47 @@ func TestAtomicWriteFaultLeavesOldFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(after) != string(before) {
+			if !bytes.Equal(after, before) {
 				t.Fatal("failed write mutated the existing artifact")
 			}
 			if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("temp file left behind: %v", err)
 			}
-			// The artifact still loads.
-			got, err := LoadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Len() != inv.Len() {
-				t.Fatalf("groups %d, want %d", got.Len(), inv.Len())
-			}
 		})
 	}
 
+	// A failing content callback aborts the same way.
+	boom := errors.New("encoder failed")
+	if err := AtomicWrite(path, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("callback error not returned: %v", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("failed callback mutated the existing artifact")
+	}
+
 	// With faults cleared the write goes through again.
-	if err := WriteFile(inv, path); err != nil {
+	if err := writeBytes(path, next); err != nil {
 		t.Fatal(err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, next) {
+		t.Fatal("successful write did not replace the artifact")
 	}
 }
 
-func TestWriteFileSumMatchesChecksumFile(t *testing.T) {
-	inv, _ := buildTestInventory(t, 6)
-	path := filepath.Join(t.TempDir(), "inv.polinv")
-	sum, size, err := WriteFileSum(inv, path)
+func TestChecksumFileMatchesStreamedCRC(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "artifact")
+	data := bytes.Repeat([]byte("checkpoint bytes "), 4096)
+	if err := writeBytes(path, data); err != nil {
+		t.Fatal(err)
+	}
+	sum, size, err := ChecksumFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() != size {
-		t.Fatalf("reported size %d, on disk %d", size, st.Size())
-	}
-	gotSum, gotSize, err := ChecksumFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSum != sum || gotSize != size {
-		t.Fatalf("ChecksumFile = (%08x, %d), WriteFileSum reported (%08x, %d)",
-			gotSum, gotSize, sum, size)
+	if want := crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)); sum != want || size != int64(len(data)) {
+		t.Fatalf("ChecksumFile = (%08x, %d), want (%08x, %d)", sum, size, want, len(data))
 	}
 	// Any byte flip must change the checksum.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	data[len(data)/2] ^= 0x40
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

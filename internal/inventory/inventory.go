@@ -233,17 +233,6 @@ func (inv *Inventory) Snapshot() *Inventory {
 	return snap
 }
 
-// Clone returns a deep, mutable copy of the inventory: fresh summaries
-// (every sketch duplicated) and identical build info. The copy shares no
-// state with the receiver. Live serving should prefer Snapshot, which
-// re-copies only dirty shards; Clone always pays O(inventory).
-func (inv *Inventory) Clone() *Inventory {
-	c := New(BuildInfo{Resolution: inv.info.Resolution})
-	_ = c.MergeFrom(inv) // same resolution by construction
-	c.info = inv.info
-	return c
-}
-
 // Get returns the summary for an exact group identifier.
 func (inv *Inventory) Get(key GroupKey) (*CellSummary, bool) {
 	sh := inv.shards[shardFor(key)]

@@ -3,8 +3,6 @@ package inventory
 import (
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -429,103 +427,23 @@ func TestInventoryValidateRejectsBadKeys(t *testing.T) {
 	}
 }
 
-func TestFileRoundTrip(t *testing.T) {
-	inv, anchor := buildTestInventory(t, 6)
-	path := filepath.Join(t.TempDir(), "test.polinv")
-	if err := WriteFile(inv, path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != inv.Len() {
-		t.Fatalf("groups %d, want %d", got.Len(), inv.Len())
-	}
-	if got.Info() != inv.Info() {
-		t.Errorf("info %+v vs %+v", got.Info(), inv.Info())
-	}
-	want, _ := inv.Cell(anchor)
-	have, ok := got.Cell(anchor)
-	if !ok || have.Records != want.Records {
-		t.Error("anchor summary differs after file round trip")
-	}
-	if have.Ships.Estimate() != want.Ships.Estimate() {
-		t.Error("ships sketch differs after file round trip")
-	}
-}
-
-func TestFileRandomAccess(t *testing.T) {
-	inv, anchor := buildTestInventory(t, 6)
-	path := filepath.Join(t.TempDir(), "ra.polinv")
-	if err := WriteFile(inv, path); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.NumGroups() != int64(inv.Len()) {
-		t.Errorf("NumGroups %d, want %d", r.NumGroups(), inv.Len())
-	}
-	if r.Info().Resolution != 6 {
-		t.Errorf("info %+v", r.Info())
-	}
-	// Every key present in memory must be found on disk with equal records.
-	checked := 0
-	inv.Each(func(k GroupKey, want *CellSummary) bool {
-		s, ok, err := r.Lookup(k)
-		if err != nil {
-			t.Fatalf("lookup %v: %v", k, err)
-		}
-		if !ok {
-			t.Fatalf("key %v missing on disk", k)
-		}
-		if s.Records != want.Records {
-			t.Fatalf("key %v: records %d, want %d", k, s.Records, want.Records)
-		}
-		checked++
-		return checked < 50
-	})
-	// Missing keys return not-found without error.
-	miss := NewGroupKey(GSCell, hexgrid.LatLngToCell(geo.LatLng{Lat: -60, Lng: -60}, 6), 0, 0, 0)
-	if _, ok, err := r.Lookup(miss); err != nil || ok {
-		t.Errorf("missing key: ok=%v err=%v", ok, err)
-	}
-	_ = anchor
-}
-
-func TestFileRejectsCorruption(t *testing.T) {
+func TestWireImageRejectsCorruption(t *testing.T) {
 	inv, _ := buildTestInventory(t, 6)
-	path := filepath.Join(t.TempDir(), "c.polinv")
-	if err := WriteFile(inv, path); err != nil {
+	data, err := Marshal(inv)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.polinv")); err == nil {
-		t.Error("missing file must fail")
-	}
-	data, _ := readAll(t, path)
 	// Bad magic.
 	bad := append([]byte("XXXXXXXX"), data[8:]...)
-	if _, err := decodeAll(bad); err == nil {
+	if _, err := Unmarshal(bad); err == nil {
 		t.Error("bad magic must fail")
 	}
 	// Truncations at various depths.
 	for _, frac := range []float64{0.1, 0.5, 0.9} {
-		if _, err := decodeAll(data[:int(float64(len(data))*frac)]); err == nil {
+		if _, err := Unmarshal(data[:int(float64(len(data))*frac)]); err == nil {
 			t.Errorf("truncation at %.0f%% must fail", frac*100)
 		}
 	}
-}
-
-func readAll(t *testing.T, path string) ([]byte, error) {
-	t.Helper()
-	data, err := osReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, nil
 }
 
 func BenchmarkCellSummaryAdd(b *testing.B) {
@@ -560,35 +478,3 @@ func BenchmarkCellSummaryMerge(b *testing.B) {
 		z.Merge(y)
 	}
 }
-
-func BenchmarkInventoryLookupDisk(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	inv := New(BuildInfo{Resolution: 6, RawRecords: 1000})
-	anchor := hexgrid.LatLngToCell(geo.LatLng{Lat: 52, Lng: 4}, 6)
-	var keys []GroupKey
-	for _, c := range hexgrid.GridDisk(anchor, 12) {
-		s := NewCellSummary()
-		s.Add(obs(rng, c, 227000001, 1, 1, 2))
-		k := NewGroupKey(GSCell, c, 0, 0, 0)
-		inv.Put(k, s)
-		keys = append(keys, k)
-	}
-	path := filepath.Join(b.TempDir(), "bench.polinv")
-	if err := WriteFile(inv, path); err != nil {
-		b.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := r.Lookup(keys[i%len(keys)]); err != nil || !ok {
-			b.Fatal("lookup failed")
-		}
-	}
-}
-
-// osReadFile indirection keeps the corruption test readable.
-func osReadFile(path string) ([]byte, error) { return os.ReadFile(path) }

@@ -105,16 +105,28 @@ func TestConcurrentSnapshotServing(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence verifies a clone shares no mutable state: mutating
-// the original must not affect the clone's summaries or counts.
-func TestCloneIndependence(t *testing.T) {
+// deepCopy builds a mutable copy of inv that shares no state with it, the
+// way the engine's merge path does: a fresh inventory merged from inv.
+func deepCopy(t testing.TB, inv *Inventory) *Inventory {
+	t.Helper()
+	c := New(inv.Info())
+	if err := c.MergeFrom(inv); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestMergedCopyIndependence verifies a merged copy shares no mutable
+// state: mutating the original must not affect the copy's summaries or
+// counts.
+func TestMergedCopyIndependence(t *testing.T) {
 	inv := New(BuildInfo{Resolution: 6, Description: "orig"})
 	pos := geo.LatLng{Lat: 10, Lng: 10}
 	cell := hexgrid.LatLngToCell(pos, 6)
 	key := NewGroupKey(GSCell, cell, model.VesselCargo, 1, 2)
 	inv.Observe(key, testObservation(200000001, 1000, pos))
 
-	c := inv.Clone()
+	c := deepCopy(t, inv)
 	if c.Len() != 1 || c.Info() != inv.Info() {
 		t.Fatalf("clone mismatch: len=%d info=%+v", c.Len(), c.Info())
 	}

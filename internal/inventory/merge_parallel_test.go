@@ -40,7 +40,7 @@ func TestMergeFromParallelMatchesSerial(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		dstA := buildBigInventory(t, 2, parallelMergeThreshold)
-		dstB := dstA.Clone()
+		dstB := deepCopy(t, dstA)
 		if err := dstA.MergeFrom(src); err != nil { // parallel (count >= threshold)
 			t.Fatal(err)
 		}

@@ -19,34 +19,23 @@ func benchInventory(n int) (*Inventory, []GroupKey) {
 
 // BenchmarkPublishDelta measures the serving-publish step in isolation: a
 // micro-batch delta of 16 keys lands on a 20k-group master, then the state
-// is published. cow-snapshot pays only for the few dirtied shards;
-// clone-baseline re-copies the whole inventory (the pre-COW publish path).
-// This is also the CI smoke benchmark (-bench=Publish -benchtime=1x).
+// is published as a copy-on-write snapshot, which pays only for the few
+// dirtied shards. This is also the CI smoke benchmark (-bench=Publish
+// -benchtime=1x).
 func BenchmarkPublishDelta(b *testing.B) {
 	const groups, delta = 20000, 16
-	modes := []struct {
-		name    string
-		publish func(*Inventory) *Inventory
-	}{
-		{"cow-snapshot", (*Inventory).Snapshot},
-		{"clone-baseline", (*Inventory).Clone},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			master, keys := benchInventory(groups)
-			m.publish(master) // prime: steady-state publishes, not the first full copy
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < delta; j++ {
-					k := keys[(i*delta+j)%len(keys)]
-					master.Observe(k, testObservation(uint32(210000000+j), int64(i*delta+j), k.Cell.LatLng()))
-				}
-				snap := m.publish(master)
-				if snap.Len() != master.Len() {
-					b.Fatalf("published %d groups, master has %d", snap.Len(), master.Len())
-				}
-			}
-		})
+	master, keys := benchInventory(groups)
+	master.Snapshot() // prime: steady-state publishes, not the first full copy
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < delta; j++ {
+			k := keys[(i*delta+j)%len(keys)]
+			master.Observe(k, testObservation(uint32(210000000+j), int64(i*delta+j), k.Cell.LatLng()))
+		}
+		snap := master.Snapshot()
+		if snap.Len() != master.Len() {
+			b.Fatalf("published %d groups, master has %d", snap.Len(), master.Len())
+		}
 	}
 }

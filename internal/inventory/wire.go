@@ -2,26 +2,147 @@ package inventory
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
 )
 
-// Marshal encodes the inventory into the POLINV container format — the same
-// bytes WriteFile persists, usable as a wire representation. The cluster
-// layer ships partial inventories from workers to the coordinator this way,
-// so a map task's result is bit-identical to what the worker would have
-// written to disk.
+// The wire image is the uncompressed in-flight form of an inventory: the
+// cluster layer ships every reduce partial from worker to coordinator this
+// way, inside a build round, over loopback or a LAN. It has no file API
+// and is not a persistence or replication format — those are POLSEG1
+// (internal/segment). It exists because a partial lives for milliseconds
+// and encoding it takes ~28 ms where compressing the same groups into a
+// segment takes ~200 ms (bench fleet, 13 840 groups).
+//
+// Layout (little-endian, except keys which are big-endian for sort order):
+//
+//	header:  magic "POLINV1\n" | version u32 | resolution u32 |
+//	         rawRecords u64 | usedRecords u64 | builtUnix u64 |
+//	         descLen u32 | desc bytes | numGroups u64
+//	groups:  numGroups × ( key[18] | summaryLen u32 | summary bytes ),
+//	         sorted by key bytes
+//
+// The magic is the one the retired POLINV1 file format began with; a file
+// of that format handed to a tool is refused by name in segment.Open.
+
+var wireMagic = []byte("POLINV1\n")
+
+const wireVersion = 1
+
+// Marshal encodes the inventory into its wire image. The error is always
+// nil; the signature is the one the cluster layer and its tests call.
 func Marshal(inv *Inventory) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(1 << 16)
-	if _, err := writeTo(inv, &buf); err != nil {
-		return nil, err
+	info := inv.info
+	buf := make([]byte, 0, 1<<16)
+	buf = append(buf, wireMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, wireVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(info.Resolution))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(info.RawRecords))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(info.UsedRecords))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(info.BuiltUnix))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(info.Description)))
+	buf = append(buf, info.Description...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(inv.Len()))
+
+	// Sort keys by encoded bytes.
+	type entry struct {
+		keyEnc  [keyBytes]byte
+		summary *CellSummary
 	}
-	return buf.Bytes(), nil
+	entries := make([]entry, 0, inv.Len())
+	inv.Each(func(k GroupKey, s *CellSummary) bool {
+		e := entry{summary: s}
+		appendKey(e.keyEnc[:0], k)
+		entries = append(entries, e)
+		return true
+	})
+	slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.keyEnc[:], b.keyEnc[:]) })
+
+	for _, e := range entries {
+		// key | summaryLen | summary, the length patched in once the
+		// summary has been encoded in place.
+		at := len(buf) + keyBytes
+		buf = append(buf, e.keyEnc[:]...)
+		buf = append(buf, 0, 0, 0, 0)
+		buf = e.summary.AppendBinary(buf)
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	}
+	return buf, nil
 }
 
-// Unmarshal decodes a POLINV byte image produced by Marshal (or read from a
-// file) into a fresh mutable inventory, validating internal consistency.
+// Unmarshal decodes a wire image produced by Marshal into a fresh mutable
+// inventory, validating internal consistency.
 func Unmarshal(data []byte) (*Inventory, error) {
-	return decodeAll(data)
+	if len(data) < len(wireMagic)+4 || !bytes.Equal(data[:len(wireMagic)], wireMagic) {
+		return nil, fmt.Errorf("inventory: bad magic")
+	}
+	p := data[len(wireMagic):]
+	need := func(n int) error {
+		if len(p) < n {
+			return fmt.Errorf("inventory: truncated wire image")
+		}
+		return nil
+	}
+	if err := need(4); err != nil {
+		return nil, err
+	}
+	version := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	if version != wireVersion {
+		return nil, fmt.Errorf("inventory: unsupported version %d", version)
+	}
+	if err := need(4 + 8 + 8 + 8 + 4); err != nil {
+		return nil, err
+	}
+	var info BuildInfo
+	info.Resolution = int(binary.LittleEndian.Uint32(p))
+	p = p[4:]
+	info.RawRecords = int64(binary.LittleEndian.Uint64(p))
+	p = p[8:]
+	info.UsedRecords = int64(binary.LittleEndian.Uint64(p))
+	p = p[8:]
+	info.BuiltUnix = int64(binary.LittleEndian.Uint64(p))
+	p = p[8:]
+	descLen := int(binary.LittleEndian.Uint32(p))
+	p = p[4:]
+	if err := need(descLen + 8); err != nil {
+		return nil, err
+	}
+	info.Description = string(p[:descLen])
+	p = p[descLen:]
+	numGroups := binary.LittleEndian.Uint64(p)
+	p = p[8:]
+
+	inv := New(info)
+	for i := uint64(0); i < numGroups; i++ {
+		if err := need(keyBytes + 4); err != nil {
+			return nil, err
+		}
+		key, err := decodeKey(p[:keyBytes])
+		if err != nil {
+			return nil, err
+		}
+		p = p[keyBytes:]
+		bodyLen := int(binary.LittleEndian.Uint32(p))
+		p = p[4:]
+		if err := need(bodyLen); err != nil {
+			return nil, err
+		}
+		s, rest, err := DecodeCellSummary(p[:bodyLen])
+		if err != nil {
+			return nil, fmt.Errorf("inventory: group %d: %w", i, err)
+		}
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("inventory: group %d: %d trailing bytes", i, len(rest))
+		}
+		p = p[bodyLen:]
+		inv.Put(key, s)
+	}
+	if err := inv.Validate(); err != nil {
+		return nil, err
+	}
+	return inv, nil
 }
 
 // Equal reports whether two inventories hold exactly the same groups with

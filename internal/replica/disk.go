@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -292,7 +293,7 @@ func (d *DiskReplica) pickBest(ctx context.Context) (ingest.ReplManifest, string
 // (and installs nothing) unless the assembled file's whole-file CRC32C
 // and size match the manifest exactly.
 func (d *DiskReplica) assemble(ctx context.Context, endpoint string, g *ingest.ReplGenInfo, path string) error {
-	base := fmt.Sprintf("%s/v1/repl/segment/%d", endpoint, g.Gen)
+	base := fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", endpoint, g.Gen, url.PathEscape(g.Seg))
 	if g.SegSize < segment.TailLen {
 		return fmt.Errorf("replica: manifest segment size %d below tail size", g.SegSize)
 	}

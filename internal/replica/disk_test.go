@@ -32,13 +32,20 @@ import (
 func waitCheckpointQuiesce(t *testing.T, eng *ingest.Engine, after int64) int64 {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
+	// The window must outlast one Save, or a generation still being written
+	// lands after "quiescence" (seen under -race, where a Save of the test
+	// fleet takes over a second).
+	window := 1200 * time.Millisecond
+	if raceEnabled {
+		window = 6 * time.Second
+	}
 	last, lastChange := int64(-1), time.Now()
 	for {
 		n := eng.StatsSnapshot().Checkpoints
 		if n != last {
 			last, lastChange = n, time.Now()
 		}
-		if last > after && time.Since(lastChange) > 1200*time.Millisecond {
+		if last > after && time.Since(lastChange) > window {
 			return last
 		}
 		if time.Now().After(deadline) {
@@ -48,11 +55,11 @@ func waitCheckpointQuiesce(t *testing.T, eng *ingest.Engine, after int64) int64 
 	}
 }
 
-// fetchInventoryForGen downloads the named generation's inventory file
-// off the repl surface — the ground truth that generation's segment was
-// written from. Anchoring on the generation the replica actually
-// installed (rather than "the newest") keeps the comparison stable even
-// if one more checkpoint lands concurrently.
+// fetchInventoryForGen downloads the named generation's segment whole off
+// the repl surface and materializes it — the ground truth the replica's
+// Range-assembled mirror must equal. Anchoring on the generation the
+// replica actually installed (rather than "the newest") keeps the
+// comparison stable even if one more checkpoint lands concurrently.
 func fetchInventoryForGen(t *testing.T, base string, gen uint64) *inventory.Inventory {
 	t.Helper()
 	get := func(u string) []byte {
@@ -78,7 +85,7 @@ func fetchInventoryForGen(t *testing.T, base string, gen uint64) *inventory.Inve
 		if g.Gen != gen {
 			continue
 		}
-		inv, err := inventory.Unmarshal(get(fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", base, g.Gen, g.Inv)))
+		inv, err := segment.LoadBytes(get(fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", base, g.Gen, g.Seg)), g.Seg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,13 +228,13 @@ func (p *fakeSegPrimary) handler() http.Handler {
 		p.mu.Lock()
 		man := ingest.ReplManifest{Resolution: testRes, Generations: []ingest.ReplGenInfo{{
 			Gen: p.gen, Seg: filepath.Base(p.path), SegCRC: p.crc, SegSize: p.size,
-			Inv: "inv.polinv", State: "state.polstate",
+			State: "state.polstate",
 		}}}
 		p.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(man)
 	})
-	mux.HandleFunc("GET /v1/repl/segment/{gen}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/repl/checkpoint/{gen}/{file}", func(w http.ResponseWriter, r *http.Request) {
 		p.mu.Lock()
 		path := p.path
 		p.mu.Unlock()
@@ -374,7 +381,7 @@ func TestDiskReplicaRejectsCorruptFetch(t *testing.T) {
 
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.Contains(r.URL.Path, "/segment/") {
+		if !strings.Contains(r.URL.Path, "/checkpoint/") {
 			eng.ReplHandler().ServeHTTP(w, r)
 			return
 		}

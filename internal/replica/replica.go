@@ -9,8 +9,9 @@
 // the primary's. Correctness relies on three checks, all client-side:
 //
 //   - whole-file CRC32C and size verification of every checkpoint
-//     download against the manifest before anything is installed
-//     (truncated or bit-flipped downloads are rejected, never applied);
+//     download (the generation's POLSEG1 segment and its state file)
+//     against the manifest before anything is installed (truncated or
+//     bit-flipped downloads are rejected, never applied);
 //   - per-record CRC32C on the WAL stream (the same framing as on disk);
 //   - strict sequence contiguity: a record that is not exactly
 //     appliedSeq+1 is never applied — duplicates are skipped, gaps force
@@ -48,6 +49,7 @@ import (
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/obs"
 	"github.com/patternsoflife/pol/internal/obs/trace"
+	"github.com/patternsoflife/pol/internal/segment"
 )
 
 // Failpoints armed via POL_FAILPOINTS to drill the fetch path.
@@ -596,7 +598,11 @@ func (r *Replica) bootstrap(ctx context.Context) (err error) {
 		return fmt.Errorf("primary has no checkpoint generation yet")
 	}
 	for _, g := range man.Generations {
-		invData, err := r.fetchCheckpointFile(ctx, g.Gen, g.Inv, g.InvCRC, g.InvSize)
+		if g.Seg == "" {
+			r.logf("replica bootstrap gen %d: no segment (pre-segment generation); trying older generation", g.Gen)
+			continue
+		}
+		segData, err := r.fetchCheckpointFile(ctx, g.Gen, g.Seg, g.SegCRC, g.SegSize)
 		if err != nil {
 			if errors.Is(err, errGenRotated) {
 				return err
@@ -612,9 +618,11 @@ func (r *Replica) bootstrap(ctx context.Context) (err error) {
 			r.logf("replica bootstrap gen %d: %v; trying older generation", g.Gen, err)
 			continue
 		}
-		inv, err := inventory.Unmarshal(invData)
+		// Verified bytes → heap: the whole-file CRC passed above; each
+		// block's own CRC is checked again as it is inflated.
+		inv, err := segment.LoadBytes(segData, g.Seg)
 		if err != nil {
-			r.logf("replica bootstrap gen %d: inventory decode: %v", g.Gen, err)
+			r.logf("replica bootstrap gen %d: segment decode: %v", g.Gen, err)
 			continue
 		}
 		if err := r.eng.InstallReplicaState(inv, stateData, g.Seq); err != nil {
@@ -1173,26 +1181,6 @@ func (r *Replica) StatusHandler() http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(r.StatusSnapshot())
-	})
-}
-
-// SnapshotHandler serves the replica's current inventory in POLINV1 wire
-// form — the artifact convergence checks compare against the primary's
-// /v1/repl/snapshot.
-func (r *Replica) SnapshotHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		snap := r.eng.Snapshot()
-		if snap == nil {
-			http.Error(w, "no snapshot yet", http.StatusServiceUnavailable)
-			return
-		}
-		data, err := inventory.Marshal(snap)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(data)
 	})
 }
 

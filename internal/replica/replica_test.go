@@ -249,6 +249,53 @@ func TestReplicaRejectsCorruptCheckpoints(t *testing.T) {
 			}
 		})
 	}
+
+	// One flipped bit in one shard block of the newest generation's
+	// segment, everything else clean: the checksum rejects that download
+	// and bootstrap falls back to the older generation, then tails the WAL
+	// to the same inventory the primary serves.
+	t.Run("flip-newest-segment", func(t *testing.T) {
+		if err := eng.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		waitCheckpointQuiesce(t, eng, 1)
+		gens := eng.ReplManifestSnapshot().Generations
+		if len(gens) < 2 {
+			t.Fatalf("need two retained generations, manifest has %d", len(gens))
+		}
+		newest, older := gens[0], gens[1]
+		inner := eng.ReplHandler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !strings.HasSuffix(r.URL.Path, "/"+newest.Seg) {
+				inner.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			inner.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			body[len(body)/2] ^= 0x01 // mid-file: inside a shard block
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(body)
+		}))
+		defer srv.Close()
+		rep, err := New(testOptions(srv.URL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rep.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := rep.bootstrap(ctx); err != nil {
+			t.Fatalf("bootstrap did not fall back: %v", err)
+		}
+		st := rep.StatusSnapshot()
+		if !st.Bootstrapped || st.CRCRejects == 0 || st.Generation != older.Gen {
+			t.Fatalf("want generation %d after one CRC reject, got %+v", older.Gen, st)
+		}
+		go func() { _ = rep.Run(ctx) }()
+		waitCaughtUp(t, rep, eng.WALSeq())
+		requireEqual(t, eng, rep, "after falling back a generation")
+	})
 }
 
 // TestReplicaGenerationRotation simulates the primary rotating a

@@ -54,7 +54,7 @@ type Reader struct {
 	path string
 	f    *os.File
 	size int64
-	mm   []byte // mmap of the whole file; nil when unavailable
+	mm   []byte // the whole segment: an mmap of f, or the caller's bytes when f is nil
 
 	info  inventory.BuildInfo
 	tail  Tail
@@ -80,8 +80,19 @@ func Open(path string, opts Options) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: open %s: %w", path, err)
 	}
-	r, err := newReader(f, path, opts)
+	st, err := f.Stat()
 	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("segment: stat %s: %w", path, err)
+	}
+	r := &Reader{path: path, f: f, size: st.Size(), metrics: opts.Metrics}
+	if !opts.NoMmap {
+		if mm, err := mmapFile(f, r.size); err == nil {
+			r.mm = mm
+		}
+	}
+	if err := r.init(opts); err != nil {
+		r.unmap()
 		f.Close()
 		return nil, err
 	}
@@ -92,37 +103,43 @@ func Open(path string, opts Options) (*Reader, error) {
 	return r, nil
 }
 
-func newReader(f *os.File, path string, opts Options) (*Reader, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("segment: stat %s: %w", path, err)
+// openBytes serves a segment image already held in memory (a verified
+// replication download): the slice stands in for the mapping, so every
+// query path is the one a file-backed reader runs. name labels errors.
+func openBytes(data []byte, name string) (*Reader, error) {
+	r := &Reader{path: name, size: int64(len(data)), mm: data}
+	if err := r.init(Options{}); err != nil {
+		return nil, err
 	}
-	r := &Reader{path: path, f: f, size: st.Size(), metrics: opts.Metrics}
-	if r.size < int64(headerFixedLen+TailLen) {
-		return nil, fmt.Errorf("segment: %s is %d bytes: %w", path, r.size, ErrTruncated)
-	}
-	if !opts.NoMmap {
-		if mm, err := mmapFile(f, r.size); err == nil {
-			r.mm = mm
-		}
-	}
+	return r, nil
+}
 
+// legacyMagic opens the retired POLINV1 inventory file format.
+const legacyMagic = "POLINV1\n"
+
+// init parses tail, index and header out of the backing bytes.
+func (r *Reader) init(opts Options) error {
+	// The one place a pre-POLSEG1 inventory file is recognised: every tool
+	// opens its input through here, so none of them sniffs a magic.
+	if hb, err := r.bytesAt(0, len(legacyMagic)); err == nil && string(hb) == legacyMagic {
+		return fmt.Errorf("segment: %s: POLINV1 inventory files are no longer read; rebuild with polbuild: %w", r.path, ErrBadMagic)
+	}
+	if r.size < int64(headerFixedLen+TailLen) {
+		return fmt.Errorf("segment: %s is %d bytes: %w", r.path, r.size, ErrTruncated)
+	}
 	tb, err := r.bytesAt(r.size-TailLen, TailLen)
 	if err != nil {
-		return nil, fmt.Errorf("segment: tail: %w", err)
+		return fmt.Errorf("segment: tail: %w", err)
 	}
 	if r.tail, err = ParseTail(tb, r.size); err != nil {
-		r.unmap()
-		return nil, err
+		return err
 	}
 	ib, err := r.bytesAt(r.tail.IndexOff, r.tail.IndexLen)
 	if err != nil {
-		r.unmap()
-		return nil, fmt.Errorf("segment: index: %w", err)
+		return fmt.Errorf("segment: index: %w", err)
 	}
 	if r.index, err = ParseIndex(ib, r.tail); err != nil {
-		r.unmap()
-		return nil, err
+		return err
 	}
 	for i := range r.byShard {
 		r.byShard[i] = -1
@@ -133,20 +150,16 @@ func newReader(f *os.File, path string, opts Options) (*Reader, error) {
 
 	hb, err := r.bytesAt(0, r.tail.HeaderLen)
 	if err != nil {
-		r.unmap()
-		return nil, fmt.Errorf("segment: header: %w", err)
+		return fmt.Errorf("segment: header: %w", err)
 	}
 	if CRC(hb) != r.tail.HeaderCRC {
-		r.unmap()
-		return nil, fmt.Errorf("segment: header: %w", ErrChecksum)
+		return fmt.Errorf("segment: header: %w", ErrChecksum)
 	}
 	if !bytes.Equal(hb[:8], segMagic) {
-		r.unmap()
-		return nil, fmt.Errorf("segment: header magic %q: %w", hb[:8], ErrBadMagic)
+		return fmt.Errorf("segment: header magic %q: %w", hb[:8], ErrBadMagic)
 	}
 	if v := binary.LittleEndian.Uint32(hb[8:12]); v != segVersion {
-		r.unmap()
-		return nil, fmt.Errorf("segment: unsupported version %d: %w", v, ErrCorrupt)
+		return fmt.Errorf("segment: unsupported version %d: %w", v, ErrCorrupt)
 	}
 	r.info.Resolution = int(binary.LittleEndian.Uint32(hb[12:16]))
 	r.info.RawRecords = int64(binary.LittleEndian.Uint64(hb[16:24]))
@@ -154,8 +167,7 @@ func newReader(f *os.File, path string, opts Options) (*Reader, error) {
 	r.info.BuiltUnix = int64(binary.LittleEndian.Uint64(hb[32:40]))
 	descLen := int(binary.LittleEndian.Uint32(hb[40:44]))
 	if headerFixedLen+descLen != r.tail.HeaderLen {
-		r.unmap()
-		return nil, fmt.Errorf("segment: description length %d in %d-byte header: %w", descLen, r.tail.HeaderLen, ErrCorrupt)
+		return fmt.Errorf("segment: description length %d in %d-byte header: %w", descLen, r.tail.HeaderLen, ErrCorrupt)
 	}
 	r.info.Description = string(hb[headerFixedLen:])
 
@@ -167,7 +179,7 @@ func newReader(f *os.File, path string, opts Options) (*Reader, error) {
 		max = 1
 	}
 	r.cache = newShardCache(max)
-	return r, nil
+	return nil
 }
 
 // Path returns the file the reader serves from.
@@ -177,7 +189,7 @@ func (r *Reader) Path() string { return r.path }
 func (r *Reader) Size() int64 { return r.size }
 
 // Mapped reports whether the file is memory-mapped.
-func (r *Reader) Mapped() bool { return r.mm != nil }
+func (r *Reader) Mapped() bool { return r.f != nil && r.mm != nil }
 
 // Blocks returns the footer index (shared; do not mutate).
 func (r *Reader) Blocks() []BlockInfo { return r.index }
@@ -205,14 +217,18 @@ func (r *Reader) Close() error {
 		r.metrics.PinnedBytes.Add(-b)
 	}
 	r.unmap()
+	if r.f == nil {
+		return nil
+	}
 	return r.f.Close()
 }
 
+// unmap releases a file mapping; caller-owned bytes are just dropped.
 func (r *Reader) unmap() {
-	if r.mm != nil {
+	if r.f != nil && r.mm != nil {
 		munmap(r.mm)
-		r.mm = nil
 	}
+	r.mm = nil
 }
 
 // bytesAt returns n bytes at off — a zero-copy subslice under mmap, a
@@ -653,16 +669,31 @@ func (r *Reader) Utilization() float64 {
 	return float64(len(r.Cells(inventory.GSCell))) / float64(total)
 }
 
-// Load materializes a whole segment into a heap inventory — the bridge
-// for tools (polquery -equal) and tests that need the concrete type.
+// Load materializes a whole segment file into a mutable heap inventory —
+// engine cold start, polserve -inv, and the tools and tests that need the
+// concrete type.
 func Load(path string) (*inventory.Inventory, error) {
 	r, err := Open(path, Options{})
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
+	return r.materialize()
+}
+
+// LoadBytes is Load over a segment image held in memory; name labels
+// errors. The result does not alias data.
+func LoadBytes(data []byte, name string) (*inventory.Inventory, error) {
+	r, err := openBytes(data, name)
+	if err != nil {
+		return nil, err
+	}
+	return r.materialize()
+}
+
+func (r *Reader) materialize() (*inventory.Inventory, error) {
 	inv := inventory.New(r.Info())
-	err = r.EachGroup(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
+	err := r.EachGroup(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
 		inv.Put(k, s)
 		return true
 	})

@@ -1,8 +1,10 @@
 // Package segment implements the POLSEG1 columnar on-disk inventory
 // format: the serving-side answer to the paper's Table-4 compression
-// claim. A segment holds the same groups as a POLINV inventory file, but
-// laid out so a server can answer cell and OD queries without loading the
-// inventory into memory:
+// claim, and the only form in which an inventory is written to a disk or
+// downloaded by a replica (build output, checkpoint generation, serving
+// artifact). A segment holds the groups of a heap inventory, laid out so
+// a server can answer cell and OD queries without loading them into
+// memory:
 //
 //   - groups are partitioned into the same 256 hash shards as the
 //     in-memory inventory and the dataflow shuffle, one column block per
@@ -52,13 +54,6 @@ import (
 
 	"github.com/patternsoflife/pol/internal/inventory"
 )
-
-// IsSegment reports whether a file beginning with prefix is a POLSEG1
-// columnar segment — the 8-byte magic sniff format-agnostic loaders use
-// to decide between segment.Open and inventory.LoadFile.
-func IsSegment(prefix []byte) bool {
-	return len(prefix) >= len(segMagic) && string(prefix[:len(segMagic)]) == string(segMagic)
-}
 
 var (
 	segMagic  = []byte("POLSEG1\n")

@@ -2,8 +2,10 @@ package segment
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -298,33 +300,95 @@ func TestNoMmapFallback(t *testing.T) {
 	}
 }
 
-// TestSegmentSmallerThanInventoryFile is the on-disk half of the Table-4
+// TestSegmentSmallerThanWireImage is the on-disk half of the Table-4
 // story: the columnar compressed segment must be substantially smaller
-// than the POLINV heap file of the same inventory.
-func TestSegmentSmallerThanInventoryFile(t *testing.T) {
+// than the uncompressed wire image of the same inventory.
+func TestSegmentSmallerThanWireImage(t *testing.T) {
 	inv := fixture(t)
-	dir := t.TempDir()
-	segPath := filepath.Join(dir, "a.polseg")
-	invPath := filepath.Join(dir, "a.polinv")
+	segPath := filepath.Join(t.TempDir(), "a.polseg")
 	if err := WriteFile(inv, segPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := inventory.WriteFile(inv, invPath); err != nil {
 		t.Fatal(err)
 	}
 	ss, err := os.Stat(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, err := os.Stat(invPath)
+	wire, err := inventory.Marshal(inv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Size() >= is.Size() {
-		t.Fatalf("segment (%d B) not smaller than inventory file (%d B)", ss.Size(), is.Size())
+	if ss.Size() >= int64(len(wire)) {
+		t.Fatalf("segment (%d B) not smaller than wire image (%d B)", ss.Size(), len(wire))
 	}
-	t.Logf("segment %d B vs inventory file %d B (%.1f%% of heap format)",
-		ss.Size(), is.Size(), 100*float64(ss.Size())/float64(is.Size()))
+	t.Logf("segment %d B vs wire image %d B (%.1f%%)",
+		ss.Size(), len(wire), 100*float64(ss.Size())/float64(len(wire)))
+}
+
+// TestWriteStreamsTheFileBytes: Write to an io.Writer and WriteFile produce
+// the same bytes and the same reported checksum, and LoadBytes over them
+// materializes the inventory Load reads from the file.
+func TestWriteStreamsTheFileBytes(t *testing.T) {
+	inv := fixture(t)
+	path, fst := writeFixture(t, inv)
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	st, err := Write(inv, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), onDisk) {
+		t.Fatal("streamed segment differs from the file")
+	}
+	if st.Sum != fst.Sum || st.Size != fst.Size || st.Size != int64(buf.Len()) || st.Sum != CRC(onDisk) {
+		t.Fatalf("streamed stats crc %08x size %d, file stats crc %08x size %d", st.Sum, st.Size, fst.Sum, fst.Size)
+	}
+
+	fromBytes, err := LoadBytes(buf.Bytes(), "mem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inventory.Equal(fromBytes, inv) || !inventory.Equal(fromFile, inv) {
+		t.Fatal("materialized inventory differs from the source")
+	}
+	// The heap copy owns its memory: scribbling over the image afterwards
+	// must not reach it.
+	clear(buf.Bytes())
+	if !inventory.Equal(fromBytes, inv) {
+		t.Fatal("LoadBytes result aliases its input")
+	}
+
+	// One flipped bit in a block is caught on materialization.
+	bad := append([]byte(nil), onDisk...)
+	bad[len(bad)/3] ^= 0x04
+	if _, err := LoadBytes(bad, "mem"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("LoadBytes over a flipped block: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOpenNamesRetiredFormat: a POLINV1 inventory file is refused with the
+// one line that tells the operator what to do, not a generic geometry error.
+func TestOpenNamesRetiredFormat(t *testing.T) {
+	wire, err := inventory.Marshal(fixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, img := range [][]byte{wire, wire[:40]} { // full image; one shorter than any segment
+		path := filepath.Join(t.TempDir(), "old.polinv")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(path, Options{})
+		if !errors.Is(err, ErrBadMagic) || !strings.Contains(err.Error(), "POLINV1 inventory files are no longer read; rebuild with polbuild") {
+			t.Fatalf("Open(%d-byte POLINV1 image) = %v", len(img), err)
+		}
+	}
 }
 
 func equalCells[T comparable](a, b []T) bool {

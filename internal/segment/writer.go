@@ -17,7 +17,7 @@ import (
 
 // Failpoints on the segment write path, for crash-consistency and
 // fault-matrix tests. Armed via the default fault registry
-// (POL_FAILPOINTS), like the inventory and WAL write failpoints.
+// (POL_FAILPOINTS), like the atomic-write and WAL failpoints.
 const (
 	// FPWriteBlock fires before each shard block is emitted.
 	FPWriteBlock = "segment.write.block"
@@ -35,8 +35,8 @@ type WriteStats struct {
 }
 
 // WriteFile serializes a frozen inventory view into a POLSEG1 segment at
-// path, via the same atomic temp+fsync+rename path the POLINV writer
-// uses: a crash leaves either the old complete file or the new complete
+// path through inventory.AtomicWrite (temp + fsync + rename + directory
+// fsync): a crash leaves either the old complete file or the new complete
 // file, never a hybrid.
 func WriteFile(v inventory.View, path string) error {
 	_, err := WriteFileSum(v, path)
@@ -47,15 +47,19 @@ func WriteFile(v inventory.View, path string) error {
 // manifests) and the write stats.
 func WriteFileSum(v inventory.View, path string) (st WriteStats, err error) {
 	err = inventory.AtomicWrite(path, func(w io.Writer) error {
-		cw := &crcWriter{w: w}
-		s, err := writeTo(v, cw)
-		if err != nil {
-			return err
-		}
-		st = s
-		st.Sum, st.Size = cw.sum, cw.n
-		return nil
+		st, err = Write(v, w)
+		return err
 	})
+	return st, err
+}
+
+// Write streams the POLSEG1 encoding of v to w — the same bytes WriteFile
+// puts on disk, for consumers that want a segment without a file (the
+// /v1/repl/snapshot handler). Stats carry the CRC32C and size written.
+func Write(v inventory.View, w io.Writer) (WriteStats, error) {
+	cw := &crcWriter{w: w}
+	st, err := writeTo(v, cw)
+	st.Sum, st.Size = cw.sum, cw.n
 	return st, err
 }
 

@@ -1,7 +1,28 @@
 #!/bin/sh
 # Repository check suite — the one spelling of it: `make check` and CI both
-# run this file. Run from the repository root.
+# run this file. Run from the repository root. `check.sh e2e` runs only the
+# end-to-end drills (`make e2e`), so their list exists once, here.
 set -e
+
+e2e() {
+	echo "== cluster e2e smoke (loopback coordinator + 2 workers, 1 killed) =="
+	./scripts/cluster_e2e.sh
+
+	echo "== chaos e2e (crash mid-checkpoint, dead journal disk, recovery) =="
+	./scripts/chaos_e2e.sh
+
+	echo "== replica e2e (2 replicas, 1 killed mid-feed, bit-exact convergence) =="
+	./scripts/replica_e2e.sh
+
+	echo "== failover e2e (primary killed mid-feed, replica promoted, stale primary fenced) =="
+	./scripts/failover_e2e.sh
+}
+
+if [ "$1" = "e2e" ]; then
+	e2e
+	echo "e2e drills passed"
+	exit 0
+fi
 
 echo "== gofmt =="
 out="$(gofmt -l .)"
@@ -13,6 +34,15 @@ fi
 
 echo "== go vet =="
 go vet ./...
+
+echo "== wire image stays in flight (inventory.Marshal/Unmarshal only inside cluster) =="
+# The POLINV wire image is for cluster partials; persistence and
+# replication are POLSEG1. A caller anywhere else is a format creeping back.
+if grep -rnE 'inventory\.(Marshal|Unmarshal)\(' --include='*.go' --exclude='*_test.go' cmd internal examples ./*.go |
+	grep -vE '^internal/(cluster|inventory)/'; then
+	echo "inventory.Marshal/Unmarshal called outside internal/cluster"
+	exit 1
+fi
 
 echo "== go build =="
 go build ./...
@@ -32,16 +62,6 @@ go test -run='^$' -bench=Publish -benchtime=1x ./internal/inventory/
 echo "== benchmark smoke (segment write/open/lookup round trip) =="
 go test -run='^$' -bench=Segment -benchtime=1x ./internal/segment/
 
-echo "== cluster e2e smoke (loopback coordinator + 2 workers, 1 killed) =="
-./scripts/cluster_e2e.sh
-
-echo "== chaos e2e (crash mid-checkpoint, dead journal disk, recovery) =="
-./scripts/chaos_e2e.sh
-
-echo "== replica e2e (2 replicas, 1 killed mid-feed, bit-exact convergence) =="
-./scripts/replica_e2e.sh
-
-echo "== failover e2e (primary killed mid-feed, replica promoted, stale primary fenced) =="
-./scripts/failover_e2e.sh
+e2e
 
 echo "all checks passed"

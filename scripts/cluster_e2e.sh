@@ -116,7 +116,7 @@ w4=$!
 
 "$tmp/polbuild" -in "$tmp/fleet.nmea" -res 6 \
 	-coordinator "$addr2" -workers 4 -map-tasks 12 -reduce-tasks 8 \
-	-shuffle peer -v \
+	-v \
 	-out "$tmp/arc-dist.polinv" >"$tmp/arc-dist.log" 2>&1 || {
 	echo "4-worker peer-shuffle build failed:"
 	cat "$tmp/arc-dist.log"

@@ -17,8 +17,12 @@
 #      -server -trace invocation prints the primary's span tree;
 #   6. start a disk-backed replica (-segdir): it mirrors the primary's
 #      newest checkpoint segment over Range requests, serves it off disk,
-#      and its segment file must be bit-identical (cross-format polquery
-#      -equal) to the heap inventory of the same checkpoint generation.
+#      and its Range-assembled file must be byte-identical (cmp) and
+#      polquery -equal to the same generation's segment downloaded whole —
+#      and, when that generation covers the whole WAL, to the primary's
+#      snapshot;
+#   7. assert one format on disk: no file the primary or the disk replica
+#      wrote, and no downloaded snapshot, starts with the POLINV1 magic.
 #
 # Run from the repository root:
 #
@@ -232,22 +236,37 @@ while :; do
 	sleep 0.1
 done
 
-# Resolve that generation's file names from the manifest and compare the
-# mirrored on-disk segment against the heap checkpoint inventory — the
-# cross-format bit-exactness the segment store promises.
+# Resolve that generation's segment name from the manifest, download it
+# whole over the same route the disk replica Range-read it from, and
+# compare: the mirror must be the same bytes and the same inventory.
 genline="$("$tmp/polfeed" -get "http://$phttp/v1/repl/manifest" |
 	tr -d '\n' | tr '{' '\n' | grep '"gen": *'"$gen"'[,}]' | head -1)"
-inv_name="$(printf '%s' "$genline" | sed -n 's/.*"inv": *"\([^"]*\)".*/\1/p')"
 seg_name="$(printf '%s' "$genline" | sed -n 's/.*"seg": *"\([^"]*\)".*/\1/p')"
-if [ -z "$inv_name" ] || [ -z "$seg_name" ]; then
+gen_seq="$(printf '%s' "$genline" | sed -n 's/.*"seq": *\([0-9][0-9]*\).*/\1/p')"
+if [ -z "$seg_name" ] || [ -z "$gen_seq" ]; then
 	echo "could not resolve generation $gen in the primary manifest"
 	exit 1
 fi
-"$tmp/polfeed" -get "http://$phttp/v1/repl/checkpoint/$gen/$inv_name" >"$tmp/ckpt.polinv"
+"$tmp/polfeed" -get "http://$phttp/v1/repl/checkpoint/$gen/$seg_name" >"$tmp/ckpt.polinv"
+cmp "$tmp/ckpt.polinv" "$tmp/segdir/$seg_name" || {
+	echo "disk replica segment is not byte-identical to checkpoint generation $gen"
+	exit 1
+}
 "$tmp/polquery" -inv "$tmp/ckpt.polinv" -equal "$tmp/segdir/$seg_name" || {
 	echo "disk replica segment diverged from checkpoint generation $gen"
 	exit 1
 }
+# A checkpoint cadence that finds the previous write still running is
+# skipped, so the newest generation may trail the last merge; when it does
+# cover the whole WAL it must equal the snapshot fetched in phase 4.
+snap_note="trails the WAL, snapshot comparison skipped"
+if [ "$gen_seq" -eq "$(primary_wal_seq)" ]; then
+	"$tmp/polquery" -inv "$tmp/ckpt.polinv" -equal "$tmp/primary.polinv" || {
+		echo "checkpoint generation $gen covers the WAL but differs from the primary snapshot"
+		exit 1
+	}
+	snap_note="equal to the primary snapshot"
+fi
 # And the disk replica answers queries over HTTP like any serving mode.
 "$tmp/polfeed" -get "http://$r3http/v1/info" | grep -q '"groups"' || {
 	echo "disk replica /v1/info served no groups:"
@@ -255,4 +274,21 @@ fi
 	exit 1
 }
 
-echo "replica e2e passed: 2 replicas converged bit-exact at seq $seq2 (one killed and re-bootstrapped mid-feed); disk replica served gen $gen bit-exact from $seg_name; trace $shared spans primary+replica"
+### Phase 7: one inventory format on disk. Nothing the primary
+### checkpointed, the disk replica mirrored, or a snapshot route served
+### may be a POLINV1 file.
+for f in "$tmp"/primary/* "$tmp"/segdir/* "$tmp"/*.polinv; do
+	[ -f "$f" ] || continue
+	if [ "$(head -c 7 "$f")" = "POLINV1" ]; then
+		echo "POLINV1 file found on disk: $f"
+		exit 1
+	fi
+done
+nsegs="$(ls "$tmp"/primary/*.seg 2>/dev/null | wc -l)"
+if [ "$nsegs" -lt 1 ] || [ "$(head -c 7 "$tmp/primary/live.polinv")" != "POLSEG1" ]; then
+	echo "primary checkpoint directory holds no segment generation / stable artifact:"
+	ls -l "$tmp/primary"
+	exit 1
+fi
+
+echo "replica e2e passed: 2 replicas converged bit-exact at seq $seq2 (one killed and re-bootstrapped mid-feed); disk replica served gen $gen byte-identical from $seg_name ($snap_note); trace $shared spans primary+replica; no POLINV1 file on disk"
