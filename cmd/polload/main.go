@@ -1,6 +1,6 @@
 // Command polload is an open-loop HTTP load generator for the serving
 // tier: it fires requests at a fixed arrival rate against one or more
-// polserve/polingest nodes (round-robin), draws endpoints from a
+// polserve nodes (round-robin), draws endpoints from a
 // weighted mix, and reports per-endpoint latency quantiles (p50/p90/
 // p99/p999) suitable for SLO checks.
 //

@@ -16,7 +16,7 @@
 //	polquery -inv fleet.polinv -info
 //	polquery -inv primary.polinv -equal replica.polinv
 //
-// With -server the query goes to a running polserve/polingest daemon over
+// With -server the query goes to a running polserve daemon over
 // HTTP instead of reading a file, and -trace additionally fetches and
 // prints the server-side distributed trace of the query it just ran (the
 // client injects a W3C traceparent and reads it back from /v1/traces/{id}):

@@ -7,10 +7,17 @@
 // and differ only in residency: -inv materializes it into a heap
 // inventory (fastest queries, memory proportional to the inventory),
 // -seg opens it in O(index) and answers queries straight off the mapped
-// file without materializing the groups. Live mode
-// (-live) embeds the ingestion engine: it accepts timestamped NMEA feeds
-// on -listen and serves the continuously updated inventory, so queries
-// reflect traffic seen moments ago. Replica mode (-replica <primary-url>)
+// file without materializing the groups. Live mode (-live) is the
+// ingestion daemon, the primary of a deployment: it accepts timestamped
+// NMEA feeds over TCP on -listen, maintains a continuously updated
+// inventory (cleaning, trip extraction, grid statistics — the full paper
+// pipeline in online form) and serves it, so queries reflect traffic seen
+// moments ago. With -journal a write-ahead journal makes the state
+// survive restarts (without it the daemon is not durable); with
+// -checkpoint, periodic checkpoint generations (a POLSEG1 segment plus an
+// engine-state file) bound the replay, feed replicas, and keep the newest
+// segment at the -checkpoint path itself for read-only consumers
+// (polserve -inv/-seg, polquery). Replica mode (-replica <primary-url>)
 // serves a read-only copy of a primary's live inventory: it bootstraps
 // from the primary's newest checkpoint generation over /v1/repl and tails
 // the primary's WAL, so N stateless replicas scale out the query tier
@@ -30,27 +37,45 @@
 // so sibling replicas re-bootstrap onto it. Give each replica a distinct
 // -term-file so the highest term it has seen survives restarts.
 //
-// Operational endpoints:
+// Endpoints beside the query surface (see internal/api for that):
 //
 //	GET /metrics            Prometheus-style telemetry (per-endpoint
 //	                        latency histograms, ingest counters,
 //	                        pipeline stage durations, watchdog gauges)
 //	GET /healthz            liveness (200 while the process serves)
 //	GET /readyz             readiness (live mode: 503 until the first
-//	                        data snapshot is published; degraded-mode
-//	                        serving answers 200 "ready (degraded: ...)")
+//	                        data snapshot is published; a daemon running
+//	                        degraded — journal disk gone, serving the
+//	                        last good snapshot read-only — answers 200
+//	                        "ready (degraded: ...)")
+//	GET /v1/ingest/stats    live per-feed and engine counters (JSON),
+//	                        including uptime and snapshot age (live mode
+//	                        and heap replicas)
 //	GET /v1/ops/anomalies   watchdog baselines and anomaly history
 //	                        (live mode)
+//	GET /v1/repl/...        read-only replication surface (checkpoint
+//	                        manifest, one Range-capable route for the
+//	                        generation files, WAL long-poll, snapshot)
+//	                        consumed by polserve -replica; see
+//	                        internal/ingest's ReplHandler (live mode and
+//	                        heap replicas)
+//	GET /v1/replica/status  replication counters (replica mode)
 //	GET /v1/traces          recent distributed traces (tail-sampled);
 //	                        /v1/traces/{id} returns one trace as a span
 //	                        tree
 //	GET /debug/pprof/       profiling handlers (behind -pprof)
 //
+// Under overload, -max-inflight bounds concurrent HTTP requests; excess
+// requests are shed immediately with 429 + Retry-After rather than
+// queued (counted in pol_http_shed_total). Fault injection points for
+// robustness drills are armed via the POL_FAILPOINTS environment
+// variable (see internal/fault).
+//
 // Usage:
 //
 //	polserve -inv fleet.polinv -addr :8080
 //	polserve -seg fleet.polinv -addr :8080
-//	polserve -live -listen :10110 -addr :8080 -journal live.wal -pprof
+//	polserve -live -listen :10110 -addr :8080 -journal live.wal -checkpoint live.polinv
 //	polserve -replica http://primary:8080 -addr :8081 -max-lag 10s
 //	polserve -replica http://primary:8080 -segdir /var/lib/pol/segs -addr :8081
 package main
@@ -60,6 +85,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -92,7 +118,7 @@ func main() {
 		listen    = flag.String("listen", ":10110", "NMEA feed listen address (live mode)")
 		res       = flag.Int("res", 6, "hexgrid resolution (live mode)")
 		tick      = flag.Duration("tick", 2*time.Second, "inventory merge interval (live mode)")
-		journal   = flag.String("journal", "", "write-ahead journal path (live mode, empty disables)")
+		journal   = flag.String("journal", "", "write-ahead journal path (live mode; empty: not durable)")
 		ckpt      = flag.String("checkpoint", "", "periodic inventory checkpoint path (live mode)")
 		ckptEvery = flag.Int("checkpoint-every", 16, "merges between checkpoints (live mode)")
 		walSeg    = flag.Int64("wal-segment-bytes", 0, "journal segment rotation threshold (live mode, 0 = default 64 MiB)")
@@ -126,7 +152,12 @@ func main() {
 	mux := http.NewServeMux()
 	gaz := ports.Default()
 	ready := func() (bool, string) { return true, "" }
-	var cleanup func()
+	cleanup := func() {}
+	closeLogged := func(what string, c io.Closer) {
+		if err := c.Close(); err != nil {
+			logger.Error(what+" close", "err", err)
+		}
+	}
 
 	if *live && *replicaOf != "" {
 		fatal(logger, "flags", errors.New("-live and -replica are mutually exclusive"))
@@ -164,6 +195,8 @@ func main() {
 			Dir:        *segDir,
 			PollEvery:  *tick,
 			Metrics:    reg,
+			Tracer:     tr,
+			Faults:     fault.Default(),
 			Logf:       logf(logger.With("sub", "diskreplica")),
 		})
 		if err != nil {
@@ -175,11 +208,7 @@ func main() {
 		mux.Handle("/", api.NewLiveServer(d, gaz).WithMetrics(reg).WithTracing(tr).Handler())
 		mux.Handle("GET /v1/replica/status", d.StatusHandler())
 		ready = d.ReadyDetail
-		cleanup = func() {
-			if err := d.Close(); err != nil {
-				logger.Error("disk replica close", "err", err)
-			}
-		}
+		cleanup = func() { closeLogged("disk replica", d) }
 	} else if *replicaOf != "" {
 		tf := *termFile
 		if tf == "" && *ckpt != "" {
@@ -211,17 +240,12 @@ func main() {
 		var promoteOnce sync.Once
 		onPromoted := func() {
 			promoteOnce.Do(func() {
-				ln, err := net.Listen("tcp", *listen)
+				fs, err := openFeeds(rep.Engine(), *listen, *idle, logger)
 				if err != nil {
 					logger.Error("promoted feed listen", "err", err)
 					return
 				}
-				fs := ingest.NewServer(rep.Engine(), ln, ingest.ServerOptions{
-					IdleTimeout: *idle,
-					Logf:        logf(logger.With("sub", "feeds")),
-				})
 				promotedFeeds.Store(fs)
-				logger.Info("promoted: accepting NMEA feeds", "addr", ln.Addr().String())
 			})
 		}
 
@@ -231,9 +255,8 @@ func main() {
 		// the repl handlers answer for an engine with no generations (the
 		// snapshot route already serves the replica's inventory); after
 		// promotion siblings re-bootstrap from here.
-		mux.Handle("GET /v1/repl/", rep.Engine().ReplHandler())
-		mux.Handle("GET /v1/ingest/stats", rep.Engine().StatsHandler())
-		mux.Handle("POST /v1/admin/promote", rep.PromoteHandler(replica.PromoteConfig{
+		mountEngine(mux, rep.Engine())
+		mux.Handle("POST /v1/admin/promote", rep.PromoteHandler(replica.PromoteOptions{
 			JournalPath:     *journal,
 			CheckpointPath:  *ckpt,
 			CheckpointEvery: *ckptEvery,
@@ -243,13 +266,9 @@ func main() {
 		ready = obs.StaleReady(rep.ReadyDetail, rep.SnapshotAge, *maxSnapAge)
 		cleanup = func() {
 			if fs := promotedFeeds.Load(); fs != nil {
-				if err := fs.Close(); err != nil {
-					logger.Error("feed listener close", "err", err)
-				}
+				closeLogged("feed listener", fs)
 			}
-			if err := rep.Close(); err != nil {
-				logger.Error("replica close", "err", err)
-			}
+			closeLogged("replica", rep)
 		}
 	} else if *live {
 		eng, err := ingest.NewEngine(ingest.Options{
@@ -267,15 +286,11 @@ func main() {
 		if err != nil {
 			fatal(logger, "engine start", err)
 		}
-		ln, err := net.Listen("tcp", *listen)
+		logger.Info("live mode", "replayedGroups", eng.Snapshot().Len())
+		feeds, err := openFeeds(eng, *listen, *idle, logger)
 		if err != nil {
 			fatal(logger, "feed listen", err)
 		}
-		feeds := ingest.NewServer(eng, ln, ingest.ServerOptions{
-			IdleTimeout: *idle,
-			Logf:        logf(logger.With("sub", "feeds")),
-		})
-		logger.Info("live mode", "feeds", ln.Addr().String(), "replayedGroups", eng.Snapshot().Len())
 
 		wd := obs.NewWatchdog(reg, obs.WatchdogOptions{
 			Logger: logger.With("sub", "watchdog"),
@@ -289,18 +304,13 @@ func main() {
 		wd.Start()
 
 		mux.Handle("/", api.NewLiveServer(eng, gaz).WithMetrics(reg).WithTracing(tr).Handler())
-		mux.Handle("GET /v1/ingest/stats", eng.StatsHandler())
+		mountEngine(mux, eng)
 		mux.Handle("GET /v1/ops/anomalies", wd.Handler())
-		mux.Handle("GET /v1/repl/", eng.ReplHandler())
 		ready = obs.StaleReady(eng.ReadyDetail, eng.SnapshotAge, *maxSnapAge)
 		cleanup = func() {
 			wd.Stop()
-			if err := feeds.Close(); err != nil {
-				logger.Error("feed listener close", "err", err)
-			}
-			if err := eng.Close(); err != nil {
-				logger.Error("engine close", "err", err)
-			}
+			closeLogged("feed listener", feeds)
+			closeLogged("engine", eng)
 		}
 	} else if *segPath != "" {
 		rd, err := segment.Open(*segPath, segment.Options{Metrics: segment.NewMetrics(reg)})
@@ -309,11 +319,7 @@ func main() {
 		}
 		logger.Info("serving segment", "path", *segPath, "groups", rd.Len(), "mapped", rd.Mapped())
 		mux.Handle("/", api.NewServer(rd, gaz).WithMetrics(reg).WithTracing(tr).Handler())
-		cleanup = func() {
-			if err := rd.Close(); err != nil {
-				logger.Error("segment close", "err", err)
-			}
-		}
+		cleanup = func() { closeLogged("segment", rd) }
 	} else {
 		inv, err := segment.Load(*invPath)
 		if err != nil {
@@ -321,7 +327,6 @@ func main() {
 		}
 		logger.Info("serving inventory", "path", *invPath, "groups", inv.Len())
 		mux.Handle("/", api.NewServer(inv, gaz).WithMetrics(reg).WithTracing(tr).Handler())
-		cleanup = func() {}
 	}
 
 	mux.Handle("GET /metrics", reg.Handler())
@@ -376,6 +381,27 @@ func main() {
 	}
 	cleanup()
 	logger.Info("bye")
+}
+
+// mountEngine mounts what a daemon that owns an ingestion engine serves
+// beside the query API — the live primary from the start, a heap replica
+// so that a promotion needs no new routes.
+func mountEngine(mux *http.ServeMux, eng *ingest.Engine) {
+	mux.Handle("GET /v1/ingest/stats", eng.StatsHandler())
+	mux.Handle("GET /v1/repl/", eng.ReplHandler())
+}
+
+// openFeeds starts accepting NMEA feeds for eng on addr.
+func openFeeds(eng *ingest.Engine, addr string, idle time.Duration, logger *slog.Logger) (*ingest.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	logger.Info("accepting NMEA feeds", "addr", ln.Addr().String())
+	return ingest.NewServer(eng, ln, ingest.ServerOptions{
+		IdleTimeout: idle,
+		Logf:        logf(logger.With("sub", "feeds")),
+	}), nil
 }
 
 // fatal logs the error and exits non-zero — the slog replacement for

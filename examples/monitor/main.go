@@ -44,7 +44,7 @@ func main() {
 	sort.SliceStable(live, func(i, j int) bool { return live[i].Time < live[j].Time })
 
 	// The live daemon, in-process: engine + TCP feed listener + HTTP API
-	// with the ingestion stats endpoint — exactly what polingest runs.
+	// with the ingestion stats endpoint — exactly what polserve -live runs.
 	eng, err := ingest.NewEngine(ingest.Options{Resolution: 6, MergeEvery: 100 * time.Millisecond})
 	if err != nil {
 		log.Fatal(err)

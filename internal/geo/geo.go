@@ -94,11 +94,6 @@ func Haversine(a, b LatLng) float64 {
 	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(s)))
 }
 
-// HaversineNM returns the great-circle distance in nautical miles.
-func HaversineNM(a, b LatLng) float64 {
-	return Haversine(a, b) / MetersPerNauticalMile
-}
-
 // InitialBearing returns the initial great-circle bearing from a to b in
 // degrees clockwise from true north, in [0, 360). The bearing from a point to
 // itself is 0.

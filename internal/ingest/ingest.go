@@ -11,8 +11,8 @@
 // master inventory and publishes immutable copy-on-write snapshots through
 // an atomic.Pointer on every merge, so readers (internal/api in -live
 // mode, the stats endpoint, stream monitors) always see a complete,
-// consistent inventory. Publishing re-copies only the shards the
-// micro-batch dirtied (inventory.Snapshot), so publish latency tracks the
+// consistent inventory. Publishing re-copies only the summaries the
+// micro-batch changed (inventory.Snapshot), so publish latency tracks the
 // delta size, not the accumulated inventory size.
 //
 // Durability is a length-prefixed write-ahead journal of accepted records
@@ -1314,7 +1314,7 @@ func (e *Engine) mergePeriod(now time.Time) {
 }
 
 // publish takes a copy-on-write snapshot of the master — deep-copying only
-// the shards dirtied since the last publish — and swaps it in atomically.
+// the summaries changed since the last publish — and swaps it in atomically.
 func (e *Engine) publish(now time.Time) *inventory.Inventory {
 	ps := e.opt.Tracer.StartChild(e.cycle, "stage.ingest_publish")
 	t0 := time.Now()

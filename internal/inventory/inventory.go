@@ -28,12 +28,13 @@ type BuildInfo struct {
 // instance. The live-serving pattern is copy-on-write publishing: one owner
 // goroutine mutates a private master inventory and publishes Snapshot()
 // results through an atomic.Pointer[Inventory]. A snapshot re-copies only
-// the shards dirtied since the previous snapshot and shares every clean
-// shard with it, so publish cost is proportional to the micro-batch delta,
-// not the inventory size. Snapshots are frozen: their write methods panic,
-// and any number of goroutines may read one concurrently — the lazily
-// built per-shard OD index is the only internal mutation on the read path
-// and is mutex-guarded.
+// the summaries changed since the previous snapshot and shares every clean
+// shard, and every clean summary of a dirty one, with it, so publish cost
+// is proportional to the micro-batch delta, not the inventory size.
+// Snapshots are frozen: their write methods panic, and any number of
+// goroutines may read one concurrently — the lazily built per-shard OD
+// index is the only internal mutation on the read path and is
+// mutex-guarded.
 type Inventory struct {
 	info   BuildInfo
 	shards [ShardCount]*shard // nil until a shard receives its first group
@@ -42,9 +43,12 @@ type Inventory struct {
 	// Writer-side copy-on-write state (unused on frozen snapshots):
 	// dirty marks shards mutated since the last Snapshot; pub holds the
 	// immutable copies the last Snapshot published, reused verbatim for
-	// clean shards by the next one.
+	// clean shards by the next one. epoch counts the Snapshots taken and
+	// stamps every summary a write changes, so a dirty shard re-copies
+	// only those.
 	dirty  [ShardCount]bool
 	pub    []*shard
+	epoch  uint64
 	frozen bool
 }
 
@@ -97,8 +101,10 @@ func (inv *Inventory) Put(key GroupKey, s *CellSummary) {
 	sh, _ := inv.writeShard(key)
 	if cur, ok := sh.groups[key]; ok {
 		cur.Merge(s)
+		cur.stamp = inv.epoch
 		return
 	}
+	s.stamp = inv.epoch
 	sh.groups[key] = s
 	inv.count++
 	// Only OD-grouping keys appear in the OD sub-index; the single-writer
@@ -124,6 +130,7 @@ func (inv *Inventory) Observe(key GroupKey, o Observation) {
 			sh.od = nil
 		}
 	}
+	s.stamp = inv.epoch
 	s.Add(o)
 }
 
@@ -164,17 +171,17 @@ func (inv *Inventory) MergeFrom(other *Inventory) error {
 		}
 		inv.dirty[i] = true
 		for k, s := range os.groups {
-			if cur, ok := sh.groups[k]; ok {
-				cur.Merge(s)
-				continue
+			cur, ok := sh.groups[k]
+			if !ok {
+				cur = NewCellSummary()
+				sh.groups[k] = cur
+				added[i]++
+				if k.Set == GSCellODType {
+					sh.od = nil
+				}
 			}
-			c := NewCellSummary()
-			c.Merge(s)
-			sh.groups[k] = c
-			added[i]++
-			if k.Set == GSCellODType {
-				sh.od = nil
-			}
+			cur.Merge(s)
+			cur.stamp = inv.epoch
 		}
 	}
 	if workers := runtime.GOMAXPROCS(0); workers > 1 && other.count >= parallelMergeThreshold {
@@ -206,8 +213,9 @@ func (inv *Inventory) MergeFrom(other *Inventory) error {
 }
 
 // Snapshot publishes the current state as a frozen inventory in O(delta):
-// shards dirtied since the previous Snapshot are deep-copied; clean shards
-// are shared, pointer-for-pointer, with the previously published snapshot.
+// in shards dirtied since the previous Snapshot the changed summaries are
+// deep-copied; clean shards, and the unchanged summaries of dirty ones, are
+// shared, pointer-for-pointer, with the previously published snapshot.
 // The result is immutable (its write methods panic) and safe for any
 // number of concurrent readers; the master may keep mutating immediately —
 // it never shares memory with its snapshots.
@@ -225,11 +233,12 @@ func (inv *Inventory) Snapshot() *Inventory {
 			continue
 		}
 		if inv.dirty[i] || inv.pub[i] == nil {
-			inv.pub[i] = sh.deepCopy()
+			inv.pub[i] = sh.publish(inv.pub[i], inv.epoch)
 			inv.dirty[i] = false
 		}
 		snap.shards[i] = inv.pub[i]
 	}
+	inv.epoch++
 	return snap
 }
 

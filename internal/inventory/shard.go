@@ -9,7 +9,8 @@ import (
 // The inventory's group map is split into ShardCount hash shards so that
 // publishing a live snapshot costs O(micro-batch delta), not O(inventory):
 // the single writer tracks which shards a micro-batch touched and Snapshot
-// re-copies only those, sharing every clean shard with the previously
+// rebuilds only those — duplicating the summaries the batch changed, not
+// their untouched neighbours — sharing every clean shard with the previously
 // published snapshot. ShardCount is a power of two so shard selection is a
 // mask over GroupKey.Hash64.
 //
@@ -29,8 +30,9 @@ func shardFor(k GroupKey) int {
 // all share, so one shard's groups travel together across every layer.
 func ShardOf(k GroupKey) int { return shardFor(k) }
 
-// shard is one hash partition of the group map. Shards are shared between
-// published snapshots: once published they are immutable except for the
+// shard is one hash partition of the group map. Shards, and summaries that
+// did not change from one to the next, are shared between published
+// snapshots: once published they are immutable except for the
 // lazily built OD sub-index, which is mutex-guarded (and, being per shard,
 // is built at most once per shard copy no matter how many snapshots share
 // it). The writer's private shards are never shared — see
@@ -50,14 +52,23 @@ func newShard() *shard {
 	return &shard{groups: make(map[GroupKey]*CellSummary)}
 }
 
-// deepCopy returns a fully independent copy of the shard: fresh map, every
-// summary duplicated. The OD sub-index is not copied; it rebuilds lazily on
-// first query of the copy.
-func (sh *shard) deepCopy() *shard {
+// publish returns the immutable copy of the writer's shard sh that the next
+// snapshot serves: fresh map, every summary stamped epoch or later (changed
+// since the previous snapshot) duplicated, every other one shared with
+// prev, the copy that snapshot served (nil if there was none). The OD
+// sub-index is not copied; it rebuilds lazily on first query of the copy.
+func (sh *shard) publish(prev *shard, epoch uint64) *shard {
+	var old map[GroupKey]*CellSummary
+	if prev != nil {
+		old = prev.groups
+	}
 	c := &shard{groups: make(map[GroupKey]*CellSummary, len(sh.groups))}
 	for k, s := range sh.groups {
-		d := NewCellSummary()
-		d.Merge(s)
+		d := old[k]
+		if d == nil || s.stamp >= epoch {
+			d = NewCellSummary()
+			d.Merge(s)
+		}
 		c.groups[k] = d
 	}
 	return c

@@ -135,6 +135,14 @@ func TestSnapshotCOW(t *testing.T) {
 		t.Fatalf("snapshot re-copied %d shards (shared %d), want exactly 1", copied, shared)
 	}
 
+	// Inside the re-copied shard only the touched summary is duplicated:
+	// every other group is shared, pointer for pointer, with s1.
+	for k, s := range s2.shards[touchedShard].groups {
+		if shared := s == s1.shards[touchedShard].groups[k]; shared == (k == touched) {
+			t.Errorf("group %v: shared with the previous snapshot = %v", k, shared)
+		}
+	}
+
 	// s1 must not have seen the extra observation; s2 must.
 	old, _ := s1.Get(touched)
 	cur, _ := s2.Get(touched)
@@ -230,5 +238,43 @@ func TestSnapshotODIndexSharing(t *testing.T) {
 	}
 	if got := s1.ODCells(3, 4, model.VesselCargo); len(got) != 1 {
 		t.Fatalf("old snapshot grew: ODCells = %v, want 1 cell", got)
+	}
+}
+
+// TestSnapshotMatchesFullCopy drives a master through rounds of Observe,
+// Put and MergeFrom with a Snapshot after each, and holds every snapshot —
+// the new one and all earlier ones, which share summaries with it — against
+// a from-scratch copy of the master taken at the same moment.
+func TestSnapshotMatchesFullCopy(t *testing.T) {
+	const res = 6
+	rng := rand.New(rand.NewSource(5))
+	keys := randomKeys(rng, 600, res)
+	master := New(BuildInfo{Resolution: res})
+	var snaps, copies []*Inventory
+	for round := 0; round < 12; round++ {
+		period := New(BuildInfo{Resolution: res})
+		for i := 0; i < 80; i++ {
+			k := keys[rng.Intn(len(keys))]
+			o := testObservation(uint32(200000000+rng.Intn(500)), int64(round*1000+i), k.Cell.LatLng())
+			switch rng.Intn(3) {
+			case 0:
+				master.Observe(k, o)
+			case 1:
+				s := NewCellSummary()
+				s.Add(o)
+				master.Put(k, s)
+			default:
+				period.Observe(k, o)
+			}
+		}
+		if err := master.MergeFrom(period); err != nil {
+			t.Fatal(err)
+		}
+		snaps, copies = append(snaps, master.Snapshot()), append(copies, deepCopy(t, master))
+		for i := range snaps {
+			if !Equal(snaps[i], copies[i]) {
+				t.Fatalf("after round %d: snapshot of round %d differs from the full copy taken with it", round, i)
+			}
+		}
 	}
 }

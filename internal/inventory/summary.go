@@ -55,6 +55,10 @@ type CellSummary struct {
 	Origins     *stats.TopN
 	Dests       *stats.TopN
 	Transitions *stats.TopN
+
+	// stamp is writer-side: the owning inventory's epoch when it last
+	// changed this summary (see Inventory.Snapshot).
+	stamp uint64
 }
 
 // NewCellSummary returns an empty summary.

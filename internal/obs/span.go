@@ -53,10 +53,6 @@ func StartSpanCtx(ctx context.Context, tr *trace.Tracer, reg *Registry, stage st
 	return ctx, s
 }
 
-// TraceSpan returns the underlying trace span (nil when the span is
-// metrics-only), for attaching attributes or events to the stage.
-func (s Span) TraceSpan() *trace.Span { return s.ts }
-
 // End finishes the span, records its duration (with the trace ID as the
 // histogram exemplar when traced), and returns it.
 func (s Span) End() time.Duration {

@@ -3,7 +3,6 @@ package trace
 import (
 	"net/http"
 	"strconv"
-	"time"
 )
 
 // Header is the W3C trace-context propagation header.
@@ -155,9 +154,4 @@ func (w *traceStatusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// DurAttr renders a duration as a span attribute.
-func DurAttr(key string, d time.Duration) Attr {
-	return Attr{Key: key, Value: d.Round(time.Microsecond).String()}
 }

@@ -191,16 +191,6 @@ func (t *TripTracker) SetState(s TrackerState) {
 	}
 }
 
-// Buffered returns the number of records currently held by open trip and
-// visit state (exposed for ingest statistics).
-func (t *TripTracker) Buffered() int {
-	n := len(t.visit)
-	if t.cur != nil {
-		n += len(t.cur.Records)
-	}
-	return n
-}
-
 // isCall reports whether the buffered visit is an actual port call: a
 // near-zero-speed fix, or a dwell of at least CallMinDwellSeconds.
 func (t *TripTracker) isCall() bool {

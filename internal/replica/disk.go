@@ -2,23 +2,21 @@ package replica
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/patternsoflife/pol/internal/fault"
 	"github.com/patternsoflife/pol/internal/ingest"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/obs"
+	"github.com/patternsoflife/pol/internal/obs/trace"
 	"github.com/patternsoflife/pol/internal/segment"
 )
 
@@ -31,19 +29,21 @@ type DiskOptions struct {
 	Primary string
 	// Resolution must match the primary's; a mismatch is terminal.
 	Resolution int
-	// Dir holds the local segment files (required). At most the current
-	// and previous generation live here.
+	// Dir holds the local segment files (required) and pol.term, the
+	// persisted term high-water mark. At most the current and previous
+	// generation live here.
 	Dir string
 	// PollEvery is the manifest poll cadence (default 2s).
 	PollEvery time.Duration
-	// MaxPinned caps each reader's decompressed-shard LRU
-	// (default segment.DefaultMaxPinned).
-	MaxPinned int
-	// Client is the HTTP client (default &http.Client{}).
-	Client *http.Client
 	// Metrics, when non-nil, registers the pol_segment_* series and the
 	// disk-replica sync counters.
 	Metrics *obs.Registry
+	// Faults is the failpoint registry for fetch-path drills (default:
+	// the process-wide registry armed from POL_FAILPOINTS).
+	Faults *fault.Registry
+	// Tracer, when non-nil, roots a trace per sync cycle and injects W3C
+	// traceparent on every fetch.
+	Tracer *trace.Tracer
 	// Logf, when non-nil, receives sync warnings.
 	Logf func(format string, args ...any)
 }
@@ -54,9 +54,6 @@ func (o DiskOptions) withDefaults() DiskOptions {
 	}
 	if o.PollEvery <= 0 {
 		o.PollEvery = 2 * time.Second
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
 	}
 	return o
 }
@@ -77,123 +74,75 @@ func (o DiskOptions) withDefaults() DiskOptions {
 // swap, so queries that loaded the old reader just before a swap keep a
 // valid mapping for at least one full sync cycle.
 type DiskReplica struct {
-	opt       DiskOptions
-	segm      *segment.Metrics
-	endpoints []string
-	endpoint  atomic.Int64 // index of the endpoint last synced from
+	*follower
+	opt  DiskOptions
+	segm *segment.Metrics
 
-	cur        atomic.Pointer[segment.Reader]
-	generation atomic.Uint64
+	reader atomic.Pointer[segment.Reader]
+	segCRC atomic.Uint32 // whole-file CRC32C of the installed segment
 
 	mu      sync.Mutex
 	retired *segment.Reader
 
-	// Term high-water mark, persisted in Dir so a restarted disk replica
-	// keeps rejecting a demoted primary. Guarded by hwMu for
-	// raise-and-persist; read lock-free.
-	hwMu   sync.Mutex
-	hwTerm atomic.Uint64
-	hwNode atomic.Uint64
-
-	syncs          atomic.Int64
-	syncFailures   atomic.Int64
-	blockFetches   atomic.Int64
-	blockReuses    atomic.Int64
-	bytesFetched   atomic.Int64
-	bytesReused    atomic.Int64
-	crcRejects     atomic.Int64
-	fencingRejects atomic.Int64
-
-	lastErr atomic.Pointer[string]
-}
-
-// termPath is where the disk replica persists its term high-water mark.
-func (d *DiskReplica) termPath() string { return filepath.Join(d.opt.Dir, "pol.term") }
-
-// raiseHW lifts the persisted term high-water mark to (term, node) if it
-// beats the current one.
-func (d *DiskReplica) raiseHW(term, node uint64) error {
-	if term == 0 {
-		return nil
-	}
-	d.hwMu.Lock()
-	defer d.hwMu.Unlock()
-	if !ingest.TermBeats(term, node, d.hwTerm.Load(), d.hwNode.Load()) {
-		return nil
-	}
-	if err := writeTermFile(d.termPath(), term, node); err != nil {
-		return fmt.Errorf("replica: persist term high-water: %w", err)
-	}
-	d.hwTerm.Store(term)
-	d.hwNode.Store(node)
-	return nil
+	syncs        atomic.Int64
+	syncFailures atomic.Int64
+	blockFetches atomic.Int64
+	blockReuses  atomic.Int64
+	bytesFetched atomic.Int64
+	bytesReused  atomic.Int64
 }
 
 // NewDisk builds a disk replica rooted at opt.Dir.
 func NewDisk(opt DiskOptions) (*DiskReplica, error) {
 	opt = opt.withDefaults()
-	if opt.Primary == "" {
-		return nil, fmt.Errorf("replica: primary URL required")
-	}
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("replica: segment dir required")
 	}
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("replica: %w", err)
 	}
-	var endpoints []string
-	for _, ep := range strings.Split(opt.Primary, ",") {
-		ep = strings.TrimRight(strings.TrimSpace(ep), "/")
-		if ep != "" {
-			endpoints = append(endpoints, ep)
-		}
-	}
-	if len(endpoints) == 0 {
-		return nil, fmt.Errorf("replica: primary URL required")
-	}
-	d := &DiskReplica{opt: opt, segm: segment.NewMetrics(opt.Metrics), endpoints: endpoints}
-	term, node, err := readTermFile(d.termPath())
+	f, err := newFollower(followerConfig{
+		primary:    opt.Primary,
+		resolution: opt.Resolution,
+		termPath:   filepath.Join(opt.Dir, "pol.term"),
+		tracer:     opt.Tracer,
+		faults:     opt.Faults,
+		logf:       opt.Logf,
+	})
 	if err != nil {
 		return nil, err
 	}
-	d.hwTerm.Store(term)
-	d.hwNode.Store(node)
+	d := &DiskReplica{follower: f, opt: opt, segm: segment.NewMetrics(opt.Metrics)}
 	if reg := opt.Metrics; reg != nil {
+		f.registerMetrics(reg, "pol_segment_replica")
 		reg.CounterFunc("pol_segment_replica_syncs_total", nil, func() float64 { return float64(d.syncs.Load()) })
 		reg.CounterFunc("pol_segment_replica_sync_failures_total", nil, func() float64 { return float64(d.syncFailures.Load()) })
 		reg.CounterFunc("pol_segment_replica_block_fetches_total", nil, func() float64 { return float64(d.blockFetches.Load()) })
 		reg.CounterFunc("pol_segment_replica_block_reuses_total", nil, func() float64 { return float64(d.blockReuses.Load()) })
 		reg.CounterFunc("pol_segment_replica_bytes_fetched_total", nil, func() float64 { return float64(d.bytesFetched.Load()) })
 		reg.CounterFunc("pol_segment_replica_bytes_reused_total", nil, func() float64 { return float64(d.bytesReused.Load()) })
-		reg.CounterFunc("pol_segment_replica_crc_rejects_total", nil, func() float64 { return float64(d.crcRejects.Load()) })
-		reg.CounterFunc("pol_segment_replica_fencing_rejects_total", nil, func() float64 { return float64(d.fencingRejects.Load()) })
-		reg.GaugeFunc("pol_segment_replica_term", nil, func() float64 { return float64(d.hwTerm.Load()) })
 		reg.GaugeFunc("pol_segment_replica_generation", nil, func() float64 { return float64(d.generation.Load()) })
 	}
 	return d, nil
 }
 
-func (d *DiskReplica) logf(format string, args ...any) {
-	if d.opt.Logf != nil {
-		d.opt.Logf(format, args...)
-	}
-}
-
 // Run polls the primary until ctx ends or a terminal configuration error
-// (resolution mismatch) is hit. Transient sync errors are counted, logged
-// and retried on the next poll.
+// (resolution mismatch) is hit. Every cycle selects the endpoint again;
+// a failed one is logged and retried at the PollEvery cadence, a
+// throttled one after the primary's Retry-After.
 func (d *DiskReplica) Run(ctx context.Context) error {
 	for ctx.Err() == nil {
-		if err := d.Sync(ctx); err != nil {
-			if errors.Is(err, errTerminal) || ctx.Err() != nil {
+		wait := d.opt.PollEvery
+		if err := d.Sync(ctx); err != nil && ctx.Err() == nil {
+			switch v, after := classify(err); v {
+			case terminal:
 				return err
+			case throttled:
+				wait = after
 			}
 			d.logf("disk replica sync: %v", err)
 		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(d.opt.PollEvery):
-		}
+		d.pause(ctx, wait)
 	}
 	return ctx.Err()
 }
@@ -203,97 +152,45 @@ func (d *DiskReplica) Run(ctx context.Context) error {
 // and installs the new generation. Exported so one-shot bootstraps and
 // tests can drive the cycle directly.
 func (d *DiskReplica) Sync(ctx context.Context) (err error) {
+	span := d.opt.Tracer.StartRoot("replica.sync")
+	ctx = trace.ContextWith(ctx, span)
 	defer func() {
-		if err != nil {
+		span.SetError(err)
+		span.Finish()
+		if err == nil {
+			d.succeeded()
+		} else if v, _ := d.failed(err); v != throttled {
 			d.syncFailures.Add(1)
-			s := err.Error()
-			d.lastErr.Store(&s)
-		} else {
-			d.lastErr.Store(nil)
 		}
 	}()
-	man, base, err := d.pickBest(ctx)
+	man, err := d.selectEndpoint(ctx)
 	if err != nil {
 		return err
 	}
-	if man.Resolution != d.opt.Resolution {
-		return fmt.Errorf("%w: primary resolution %d != replica resolution %d",
-			errTerminal, man.Resolution, d.opt.Resolution)
-	}
-	var g *ingest.ReplGenInfo
-	for i := range man.Generations {
-		if man.Generations[i].Seg != "" {
-			g = &man.Generations[i]
-			break
-		}
-	}
-	if g == nil {
-		return fmt.Errorf("replica: primary has no segment generation yet")
-	}
-	if d.generation.Load() == g.Gen && d.cur.Load() != nil {
+	g := &man.Generations[0]
+	// Generation numbers are per primary: after a failover the same number
+	// can name different bytes, so the checksum decides.
+	if d.generation.Load() == g.Gen && d.segCRC.Load() == g.SegCRC && d.reader.Load() != nil {
 		return nil
 	}
 	path := filepath.Join(d.opt.Dir, g.Seg)
 	if sum, size, err := inventory.ChecksumFile(path); err == nil && sum == g.SegCRC && size == g.SegSize {
 		// Local copy already verified byte-identical (restart, or the swap
 		// itself failed last cycle): install without touching the network.
-		return d.install(path, g.Gen)
+		return d.install(path, g)
 	}
-	if err := d.assemble(ctx, base, g, path); err != nil {
+	if err := d.assemble(ctx, g, path); err != nil {
 		return err
 	}
-	return d.install(path, g.Gen)
-}
-
-// pickBest fetches every endpoint's manifest and returns the one with
-// the highest (term, node) pair, raising the high-water mark to match.
-// Manifests below the mark come from a stale primary: they are rejected,
-// never synced from, even if every fresher endpoint is down.
-func (d *DiskReplica) pickBest(ctx context.Context) (ingest.ReplManifest, string, error) {
-	var (
-		bestMan            ingest.ReplManifest
-		best               = -1
-		bestTerm, bestNode uint64
-		firstErr           error
-	)
-	for i, ep := range d.endpoints {
-		man, rt, rn, err := d.fetchManifest(ctx, ep)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if ingest.TermBeats(d.hwTerm.Load(), d.hwNode.Load(), rt, rn) {
-			d.fencingRejects.Add(1)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("replica: %s serves term %d below high-water %d", ep, rt, d.hwTerm.Load())
-			}
-			continue
-		}
-		if best < 0 || ingest.TermBeats(rt, rn, bestTerm, bestNode) {
-			best, bestTerm, bestNode, bestMan = i, rt, rn, man
-		}
-	}
-	if best < 0 {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("replica: no reachable endpoint")
-		}
-		return ingest.ReplManifest{}, "", firstErr
-	}
-	if err := d.raiseHW(bestTerm, bestNode); err != nil {
-		return ingest.ReplManifest{}, "", err
-	}
-	d.endpoint.Store(int64(best))
-	return bestMan, d.endpoints[best], nil
+	return d.install(path, g)
 }
 
 // assemble builds g's segment at path from Range requests plus every
 // reusable block of the currently installed generation. The write aborts
 // (and installs nothing) unless the assembled file's whole-file CRC32C
 // and size match the manifest exactly.
-func (d *DiskReplica) assemble(ctx context.Context, endpoint string, g *ingest.ReplGenInfo, path string) error {
-	base := fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", endpoint, g.Gen, url.PathEscape(g.Seg))
+func (d *DiskReplica) assemble(ctx context.Context, g *ingest.ReplGenInfo, path string) error {
+	base := checkpointURL(d.endpoint(), g.Gen, g.Seg)
 	if g.SegSize < segment.TailLen {
 		return fmt.Errorf("replica: manifest segment size %d below tail size", g.SegSize)
 	}
@@ -325,7 +222,7 @@ func (d *DiskReplica) assemble(ctx context.Context, endpoint string, g *ingest.R
 	// Delta core: any block the installed generation already holds with
 	// the same compressed bytes (shard + CRC32C + lengths) is copied
 	// locally instead of fetched.
-	old := d.cur.Load()
+	old := d.reader.Load()
 	oldBlocks := map[int]segment.BlockInfo{}
 	if old != nil {
 		for _, b := range old.Blocks() {
@@ -414,13 +311,14 @@ func (d *DiskReplica) assemble(ctx context.Context, endpoint string, g *ingest.R
 // install opens the assembled file and swaps it in. The displaced reader
 // is retired, not closed: it stays valid until the next swap retires its
 // successor, giving in-flight queries a full sync cycle of grace.
-func (d *DiskReplica) install(path string, gen uint64) error {
-	r, err := segment.Open(path, segment.Options{MaxPinned: d.opt.MaxPinned, Metrics: d.segm})
+func (d *DiskReplica) install(path string, g *ingest.ReplGenInfo) error {
+	r, err := segment.Open(path, segment.Options{Metrics: d.segm})
 	if err != nil {
 		return err
 	}
-	old := d.cur.Swap(r)
-	d.generation.Store(gen)
+	old := d.reader.Swap(r)
+	d.generation.Store(g.Gen)
+	d.segCRC.Store(g.SegCRC)
 	d.syncs.Add(1)
 	d.mu.Lock()
 	prev := d.retired
@@ -436,34 +334,6 @@ func (d *DiskReplica) install(path string, gen uint64) error {
 	return nil
 }
 
-func (d *DiskReplica) fetchManifest(ctx context.Context, endpoint string) (man ingest.ReplManifest, term, node uint64, err error) {
-	rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, endpoint+"/v1/repl/manifest", nil)
-	if err != nil {
-		return man, 0, 0, err
-	}
-	// Carrying the high-water mark fences a demoted primary on contact.
-	ingest.SetTermHeader(req.Header, d.hwTerm.Load(), d.hwNode.Load())
-	resp, err := d.opt.Client.Do(req)
-	if err != nil {
-		return man, 0, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return man, 0, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return man, 0, 0, fmt.Errorf("replica: manifest: %s", resp.Status)
-	}
-	if err := json.Unmarshal(body, &man); err != nil {
-		return man, 0, 0, fmt.Errorf("replica: manifest decode: %w", err)
-	}
-	term, node = ingest.TermFromHeader(resp.Header)
-	return man, term, node, nil
-}
-
 // getRange fetches [from, to] (inclusive) of the remote segment. A
 // server that answers 200 with the whole file still works: the requested
 // window is sliced out.
@@ -471,43 +341,25 @@ func (d *DiskReplica) getRange(ctx context.Context, u string, from, to int64) ([
 	if from < 0 || to < from {
 		return nil, fmt.Errorf("replica: bad byte range %d-%d", from, to)
 	}
-	rctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, u, nil)
+	body, status, _, err := d.get(ctx, u, checkpointTimeout, fmt.Sprintf("bytes=%d-%d", from, to))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", from, to))
-	ingest.SetTermHeader(req.Header, d.hwTerm.Load(), d.hwNode.Load())
-	resp, err := d.opt.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	want := to - from + 1
-	switch resp.StatusCode {
-	case http.StatusPartialContent:
-		if int64(len(body)) != want {
+	if status == http.StatusPartialContent {
+		if want := to - from + 1; int64(len(body)) != want {
 			return nil, fmt.Errorf("replica: range %d-%d answered %d bytes", from, to, len(body))
 		}
 		return body, nil
-	case http.StatusOK:
-		if int64(len(body)) < to+1 {
-			return nil, fmt.Errorf("replica: full-body fallback shorter (%d bytes) than range end %d", len(body), to)
-		}
-		return body[from : to+1], nil
-	default:
-		return nil, fmt.Errorf("replica: range %d-%d: %s", from, to, resp.Status)
 	}
+	if int64(len(body)) < to+1 {
+		return nil, fmt.Errorf("replica: full-body fallback shorter (%d bytes) than range end %d", len(body), to)
+	}
+	return body[from : to+1], nil
 }
 
 // Reader returns the currently installed segment reader (nil before the
 // first successful sync).
-func (d *DiskReplica) Reader() *segment.Reader { return d.cur.Load() }
+func (d *DiskReplica) Reader() *segment.Reader { return d.reader.Load() }
 
 // Generation returns the installed checkpoint generation (0 before the
 // first sync).
@@ -516,7 +368,7 @@ func (d *DiskReplica) Generation() uint64 { return d.generation.Load() }
 // Inventory implements api.Source: queries resolve against the mapped
 // segment; before the first sync an empty inventory answers.
 func (d *DiskReplica) Inventory() inventory.View {
-	if r := d.cur.Load(); r != nil {
+	if r := d.reader.Load(); r != nil {
 		return r
 	}
 	return inventory.New(inventory.BuildInfo{Resolution: d.opt.Resolution})
@@ -525,7 +377,7 @@ func (d *DiskReplica) Inventory() inventory.View {
 // ReadyDetail implements the obs.ReadyzDetailHandler contract: ready once
 // a generation is installed; degraded detail carries the last sync error.
 func (d *DiskReplica) ReadyDetail() (bool, string) {
-	if d.cur.Load() == nil {
+	if d.reader.Load() == nil {
 		return false, "disk replica: no segment generation installed yet"
 	}
 	if p := d.lastErr.Load(); p != nil {
@@ -536,57 +388,36 @@ func (d *DiskReplica) ReadyDetail() (bool, string) {
 
 // DiskStatus is the JSON document served by StatusHandler.
 type DiskStatus struct {
-	Primary        string `json:"primary"`
-	Endpoints      int    `json:"endpoints"`
-	Term           uint64 `json:"term"`
-	Generation     uint64 `json:"generation"`
-	Groups         int64  `json:"groups"`
-	Syncs          int64  `json:"syncs"`
-	SyncFailures   int64  `json:"sync_failures"`
-	BlockFetches   int64  `json:"block_fetches"`
-	BlockReuses    int64  `json:"block_reuses"`
-	BytesFetched   int64  `json:"bytes_fetched"`
-	BytesReused    int64  `json:"bytes_reused"`
-	CRCRejects     int64  `json:"crc_rejects"`
-	FencingRejects int64  `json:"fencing_rejects"`
-	LastError      string `json:"last_error,omitempty"`
+	FollowerStatus
+	Groups       int64 `json:"groups"`
+	Syncs        int64 `json:"syncs"`
+	SyncFailures int64 `json:"sync_failures"`
+	BlockFetches int64 `json:"block_fetches"`
+	BlockReuses  int64 `json:"block_reuses"`
+	BytesFetched int64 `json:"bytes_fetched"`
+	BytesReused  int64 `json:"bytes_reused"`
 }
 
 // StatusSnapshot collects the current sync counters.
 func (d *DiskReplica) StatusSnapshot() DiskStatus {
 	s := DiskStatus{
-		Primary:        d.endpoints[d.endpoint.Load()],
-		Endpoints:      len(d.endpoints),
-		Term:           d.hwTerm.Load(),
-		Generation:     d.generation.Load(),
+		FollowerStatus: d.status(),
 		Syncs:          d.syncs.Load(),
 		SyncFailures:   d.syncFailures.Load(),
 		BlockFetches:   d.blockFetches.Load(),
 		BlockReuses:    d.blockReuses.Load(),
 		BytesFetched:   d.bytesFetched.Load(),
 		BytesReused:    d.bytesReused.Load(),
-		CRCRejects:     d.crcRejects.Load(),
-		FencingRejects: d.fencingRejects.Load(),
 	}
-	if r := d.cur.Load(); r != nil {
+	if r := d.reader.Load(); r != nil {
 		s.Groups = int64(r.Len())
-	}
-	if p := d.lastErr.Load(); p != nil {
-		s.LastError = *p
 	}
 	return s
 }
 
 // StatusHandler serves the sync counters as JSON (/v1/replica/status on a
 // disk-replica daemon).
-func (d *DiskReplica) StatusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(d.StatusSnapshot())
-	})
-}
+func (d *DiskReplica) StatusHandler() http.Handler { return statusHandler(d.StatusSnapshot) }
 
 // Close closes the installed and retired readers. Cancel Run first.
 func (d *DiskReplica) Close() error {
@@ -597,7 +428,7 @@ func (d *DiskReplica) Close() error {
 	if prev != nil {
 		prev.Close()
 	}
-	if r := d.cur.Swap(nil); r != nil {
+	if r := d.reader.Swap(nil); r != nil {
 		return r.Close()
 	}
 	return nil

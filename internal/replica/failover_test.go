@@ -242,160 +242,338 @@ func TestRacingPromotionsSingleWinner(t *testing.T) {
 	<-doneB
 }
 
-// TestStickyTermRejectsStalePrimary: a replica that has seen term 2
-// persists that high-water mark, and after a restart refuses to
-// bootstrap from a term-1 primary — the stale half of a partitioned
-// pair can never quietly re-adopt its old followers.
-func TestStickyTermRejectsStalePrimary(t *testing.T) {
-	statics, stream := fleetStream(t, sim.Config{Vessels: 6, Days: 24, Seed: 11})
-	mk := func(term, node uint64) *ingest.Engine {
-		dir := t.TempDir()
-		e, err := ingest.NewEngine(ingest.Options{
-			Resolution:      testRes,
-			MergeEvery:      20 * time.Millisecond,
-			JournalPath:     filepath.Join(dir, "wal"),
-			CheckpointPath:  filepath.Join(dir, "live.polinv"),
-			CheckpointEvery: 1,
-			Term:            term,
-			NodeID:          node,
-		})
+// followerUnderTest is one replica kind seen through what the failover
+// rules are about: the shared core, one select-and-apply cycle, the run
+// loop, and whether anything was installed.
+type followerUnderTest struct {
+	*follower
+	cycle     func(context.Context) error
+	run       func(context.Context) error
+	installed func() bool
+	view      func() inventory.View
+	close     func() error
+}
+
+// followerKinds opens each replica kind against primary, keeping whatever
+// survives a restart (the term file; the disk replica's segments) under
+// state.
+var followerKinds = []struct {
+	name string
+	open func(t *testing.T, primary, state string) followerUnderTest
+}{
+	{"heap", func(t *testing.T, primary, state string) followerUnderTest {
+		opt := testOptions(primary)
+		opt.TermPath = filepath.Join(state, "pol.term")
+		rep, err := New(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { e.Close() })
-		feed(t, e, statics, stream)
-		waitCheckpoints(t, e, 1)
-		return e
-	}
-	engStale, engNew := mk(1, 0x1), mk(2, 0x2)
-	srvStale := httptest.NewServer(engStale.ReplHandler())
-	defer srvStale.Close()
-	srvNew := httptest.NewServer(engNew.ReplHandler())
-	defer srvNew.Close()
+		return followerUnderTest{rep.follower, rep.bootstrap, rep.Run, rep.bootstrapped.Load, rep.Inventory, rep.Close}
+	}},
+	{"disk", func(t *testing.T, primary, state string) followerUnderTest {
+		d, err := NewDisk(DiskOptions{Primary: primary, Resolution: testRes, Dir: state, PollEvery: 20 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return followerUnderTest{d.follower, d.Sync, d.Run, func() bool { return d.Reader() != nil }, d.Inventory, d.Close}
+	}},
+}
 
-	termPath := filepath.Join(t.TempDir(), "pol.term")
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// First life: tail the term-2 primary, learn its term.
-	opt1 := testOptions(srvNew.URL)
-	opt1.TermPath = termPath
-	rep1, err := New(opt1)
+// termPrimary builds a durable primary at (term, node) holding one
+// fleet's worth of checkpointed traffic.
+func termPrimary(t *testing.T, term, node uint64, fleet sim.Config) *ingest.Engine {
+	t.Helper()
+	statics, stream := fleetStream(t, fleet)
+	dir := t.TempDir()
+	e, err := ingest.NewEngine(ingest.Options{
+		Resolution:      testRes,
+		MergeEvery:      20 * time.Millisecond,
+		JournalPath:     filepath.Join(dir, "wal"),
+		CheckpointPath:  filepath.Join(dir, "live.polinv"),
+		CheckpointEvery: 1,
+		Term:            term,
+		NodeID:          node,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep1.bootstrap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if hw := rep1.hwTerm.Load(); hw != 2 {
-		t.Fatalf("high-water after tailing term-2 primary: %d", hw)
-	}
-	rep1.Close()
+	t.Cleanup(func() { e.Close() })
+	feed(t, e, statics, stream)
+	waitCheckpoints(t, e, 1)
+	return e
+}
 
-	// Second life, restarted against only the stale term-1 primary: the
-	// persisted high-water mark survives, and its very first request
-	// fences the stale primary — the server refuses to serve a follower
-	// that has seen a later term.
-	opt2 := testOptions(srvStale.URL)
-	opt2.TermPath = termPath
-	rep2, err := New(opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep2.Close()
-	if hw := rep2.hwTerm.Load(); hw != 2 {
-		t.Fatalf("high-water mark did not survive restart: %d, want 2", hw)
-	}
-	if err := rep2.bootstrap(ctx); err == nil {
-		t.Fatal("bootstrap from a stale primary succeeded")
-	}
-	if rep2.bootstrapped.Load() {
-		t.Fatal("replica bootstrapped from a primary it knows to be stale")
-	}
-	if rep2.Inventory() != nil && rep2.Inventory().Len() > 0 {
-		t.Fatal("stale primary's data reached the serving snapshot")
-	}
-	if !engStale.Fenced() {
-		t.Fatal("stale primary not fenced by the restarted replica's high-water mark")
-	}
-	if s := engStale.StatsSnapshot(); s.FencingRejects == 0 {
-		t.Fatalf("stale primary's fencing rejects not counted: %+v", s)
-	}
-
-	// Belt-and-braces layer: against a primary that never fences (e.g. a
-	// pre-epoch build behind a proxy that strips request headers), the
-	// client-side check still rejects the low response term.
-	engLegacy := mk(1, 0x3)
-	strip := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// stripTermHeaders forwards to inner with the request's term claim
+// removed, so inner never fences itself: what is left is the client-side
+// check. claim, when nonzero, also overwrites the term the manifest
+// response advertises.
+func stripTermHeaders(inner http.Handler, claim uint64, requests *atomic.Int64) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
 		r.Header.Del(ingest.HeaderTerm)
 		r.Header.Del(ingest.HeaderNode)
-		engLegacy.ReplHandler().ServeHTTP(w, r)
-	}))
-	defer strip.Close()
-	opt3 := testOptions(strip.URL)
-	opt3.TermPath = termPath
-	rep3, err := New(opt3)
+		if claim == 0 || !strings.HasSuffix(r.URL.Path, "/manifest") {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		ingest.SetTermHeader(w.Header(), claim, 0xff)
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	})
+}
+
+// TestStickyTermRejectsStalePrimary: a follower of either kind that has
+// seen term 2 persists that high-water mark, and after a restart refuses
+// to bootstrap or sync from a term-1 primary — the stale half of a
+// partitioned pair can never quietly re-adopt its old followers.
+func TestStickyTermRejectsStalePrimary(t *testing.T) {
+	fleet := sim.Config{Vessels: 6, Days: 24, Seed: 11}
+	for _, kind := range followerKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			engStale, engNew := termPrimary(t, 1, 0x1, fleet), termPrimary(t, 2, 0x2, fleet)
+			srvStale := httptest.NewServer(engStale.ReplHandler())
+			defer srvStale.Close()
+			srvNew := httptest.NewServer(engNew.ReplHandler())
+			defer srvNew.Close()
+
+			state := t.TempDir()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+
+			// First life: follow the term-2 primary, learn its term.
+			f1 := kind.open(t, srvNew.URL, state)
+			if err := f1.cycle(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if hw := f1.hwTerm.Load(); hw != 2 {
+				t.Fatalf("high-water after following term-2 primary: %d", hw)
+			}
+			f1.close()
+			if term, _, err := readTermFile(filepath.Join(state, "pol.term")); err != nil || term != 2 {
+				t.Fatalf("persisted mark: term %d, err %v", term, err)
+			}
+
+			// Second life, restarted against only the stale term-1 primary: the
+			// persisted high-water mark survives, and its very first request
+			// fences the stale primary — the server refuses to serve a follower
+			// that has seen a later term.
+			f2 := kind.open(t, srvStale.URL, state)
+			defer f2.close()
+			if hw := f2.hwTerm.Load(); hw != 2 {
+				t.Fatalf("high-water mark did not survive restart: %d, want 2", hw)
+			}
+			if err := f2.cycle(ctx); err == nil {
+				t.Fatal("cycle against a stale primary succeeded")
+			}
+			if f2.installed() {
+				t.Fatal("follower installed from a primary it knows to be stale")
+			}
+			if f2.view() != nil && f2.view().Len() > 0 {
+				t.Fatal("stale primary's data reached the serving snapshot")
+			}
+			if !engStale.Fenced() {
+				t.Fatal("stale primary not fenced by the restarted follower's high-water mark")
+			}
+			if s := engStale.StatsSnapshot(); s.FencingRejects == 0 {
+				t.Fatalf("stale primary's fencing rejects not counted: %+v", s)
+			}
+
+			// Belt-and-braces layer: against a primary that never fences (e.g. a
+			// pre-epoch build behind a proxy that strips request headers), the
+			// client-side check still rejects the low response term.
+			engLegacy := termPrimary(t, 1, 0x3, fleet)
+			var requests atomic.Int64
+			strip := httptest.NewServer(stripTermHeaders(engLegacy.ReplHandler(), 0, &requests))
+			defer strip.Close()
+			f3 := kind.open(t, strip.URL, state)
+			defer f3.close()
+			if err := f3.cycle(ctx); !errors.Is(err, errStaleTerm) {
+				t.Fatalf("client-side stale check returned %v, want errStaleTerm", err)
+			}
+			if f3.fencingRejects.Load() == 0 {
+				t.Fatal("client-side fencing reject not counted")
+			}
+
+			// An endpoint that stays stale and cannot be fenced is retried at
+			// the loop's wait cadence, never in a tight loop: every wait is
+			// at least RetryBase/2 (heap) or PollEvery (disk).
+			requests.Store(0)
+			rctx, rcancel := context.WithTimeout(ctx, 300*time.Millisecond)
+			t0 := time.Now()
+			_ = f3.run(rctx)
+			rcancel()
+			bound := 2 + 2*int64(time.Since(t0)/testOptions("").RetryBase)
+			if n := requests.Load(); n == 0 || n > bound {
+				t.Fatalf("%d requests to an unfenceable stale endpoint in %s, want 1..%d", n, time.Since(t0), bound)
+			}
+			if f3.installed() {
+				t.Fatal("follower installed from the stale endpoint while looping")
+			}
+		})
+	}
+
+	// The same check holds for a Range response: a proxy that lies about
+	// the term on the manifest gets the disk follower past selection, and
+	// the first block fetch gives the stale primary away.
+	t.Run("disk-range-response", func(t *testing.T) {
+		engLegacy := termPrimary(t, 1, 0x3, fleet)
+		var requests atomic.Int64
+		liar := httptest.NewServer(stripTermHeaders(engLegacy.ReplHandler(), 2, &requests))
+		defer liar.Close()
+		d, err := NewDisk(testDiskOptions(t, liar.URL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if err := d.Sync(context.Background()); !errors.Is(err, errStaleTerm) {
+			t.Fatalf("sync through a stale Range response returned %v, want errStaleTerm", err)
+		}
+		if requests.Load() < 2 {
+			t.Fatal("no Range request was made — vacuous test")
+		}
+		if st := d.StatusSnapshot(); d.Reader() != nil || st.FencingRejects == 0 || st.Term != 2 {
+			t.Fatalf("stale Range response not rejected: %+v", st)
+		}
+	})
+}
+
+// TestDiskReplicaFollowsHigherTerm: a disk follower that knows two
+// endpoints syncs from the only one up, and once the other appears with a
+// higher term the next cycle installs that one's generation — whatever
+// its number — and the status document names it.
+func TestDiskReplicaFollowsHigherTerm(t *testing.T) {
+	engOld := termPrimary(t, 1, 0x1, sim.Config{Vessels: 6, Days: 24, Seed: 11})
+	srvOld := httptest.NewServer(engOld.ReplHandler())
+	defer srvOld.Close()
+	hNew, dNew := delegator()
+	srvNew := httptest.NewServer(dNew)
+	defer srvNew.Close()
+
+	d, err := NewDisk(testDiskOptions(t, srvOld.URL+","+srvNew.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rep3.Close()
-	if err := rep3.bootstrap(ctx); !errors.Is(err, errStaleTerm) {
-		t.Fatalf("client-side stale check returned %v, want errStaleTerm", err)
+	defer d.Close()
+	ctx := context.Background()
+	if err := d.Sync(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if rep3.fencingRejects.Load() == 0 {
-		t.Fatal("client-side fencing reject not counted")
+	st := d.StatusSnapshot()
+	if st.Primary != srvOld.URL || st.Endpoints != 2 || st.Term != 1 || st.Generation == 0 {
+		t.Fatalf("first sync did not follow the only endpoint up: %+v", st)
+	}
+	requireViewEqual(t, fetchInventoryForGen(t, srvOld.URL, st.Generation), d.Inventory(), "term-1 endpoint")
+
+	// A different fleet, so serving the old bytes cannot pass for the new.
+	engNew := termPrimary(t, 2, 0x2, sim.Config{Vessels: 5, Days: 24, Seed: 23})
+	h := engNew.ReplHandler()
+	hNew.Store(&h)
+	if err := d.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st = d.StatusSnapshot()
+	if st.Primary != srvNew.URL || st.Term != 2 || st.Syncs != 2 {
+		t.Fatalf("higher-term endpoint not followed: %+v", st)
+	}
+	requireViewEqual(t, fetchInventoryForGen(t, srvNew.URL, st.Generation), d.Inventory(), "term-2 endpoint")
+
+	// The next cycle's probe carries the new mark to the old primary.
+	if err := d.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !engOld.Fenced() {
+		t.Fatal("old primary not fenced by the follower's raised mark")
 	}
 }
 
 // TestReplicaHonors429RetryAfter: a load-shedding primary's 429 with
-// Retry-After must be honored as a pacing hint — counted as throttling,
-// not as a connection failure that doubles the backoff and reconnects.
+// Retry-After must be honored as a pacing hint by both replica kinds —
+// counted as throttling, not as a failure that reconnects, doubles the
+// backoff or degrades readiness.
 func TestReplicaHonors429RetryAfter(t *testing.T) {
 	statics, stream := fleetStream(t, sim.Config{Vessels: 6, Days: 24, Seed: 11})
-	eng := newPrimary(t)
 	half := len(stream) / 2
-	feed(t, eng, statics, stream[:half])
-	waitCheckpoints(t, eng, 1)
-
-	var throttles atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Shed the first two WAL polls after bootstrap.
-		if strings.HasSuffix(r.URL.Path, "/wal") && throttles.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "shedding load", http.StatusTooManyRequests)
-			return
-		}
-		eng.ReplHandler().ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	rep, err := New(testOptions(srv.URL))
-	if err != nil {
-		t.Fatal(err)
+	// shedding serves eng's repl surface, shedding the first two requests
+	// whose path contains shed.
+	shedding := func(t *testing.T, shed string) (*ingest.Engine, *httptest.Server) {
+		eng := newPrimary(t)
+		feed(t, eng, statics, stream[:half])
+		waitCheckpoints(t, eng, 1)
+		var throttles atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.Contains(r.URL.Path, shed) && throttles.Add(1) <= 2 {
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, "shedding load", http.StatusTooManyRequests)
+				return
+			}
+			eng.ReplHandler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		return eng, srv
 	}
-	defer rep.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() { _ = rep.Run(ctx) }()
 
-	for _, rec := range stream[half:] {
-		if err := eng.SubmitPosition(rec, nil); err != nil {
+	t.Run("heap", func(t *testing.T) {
+		eng, srv := shedding(t, "/wal") // the first two WAL polls after bootstrap
+		rep, err := New(testOptions(srv.URL))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := eng.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	waitCaughtUp(t, rep, eng.WALSeq())
-	requireEqual(t, eng, rep, "after throttling")
+		defer rep.Close()
+		go func() { _ = rep.Run(ctx) }()
 
-	st := rep.StatusSnapshot()
-	if st.Throttled < 2 {
-		t.Fatalf("throttled polls not counted: %+v", st)
-	}
-	if st.Reconnects != 0 {
-		t.Fatalf("429 was treated as a connection failure (%d reconnects): %+v", st.Reconnects, st)
-	}
+		for _, rec := range stream[half:] {
+			if err := eng.SubmitPosition(rec, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		waitCaughtUp(t, rep, eng.WALSeq())
+		requireEqual(t, eng, rep, "after throttling")
+
+		st := rep.StatusSnapshot()
+		if st.Throttled < 2 {
+			t.Fatalf("throttled polls not counted: %+v", st)
+		}
+		if st.Reconnects != 0 {
+			t.Fatalf("429 was treated as a connection failure (%d reconnects): %+v", st.Reconnects, st)
+		}
+	})
+
+	t.Run("disk", func(t *testing.T) {
+		_, srv := shedding(t, "/checkpoint/") // the first two Range fetches
+		d, err := NewDisk(testDiskOptions(t, srv.URL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		t0 := time.Now()
+		go func() { _ = d.Run(ctx) }()
+		deadline := t0.Add(30 * time.Second)
+		for d.Reader() == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("never installed past the throttling: %+v", d.StatusSnapshot())
+			}
+			if _, detail := d.ReadyDetail(); detail != "" && strings.Contains(detail, "degraded") {
+				t.Fatalf("throttling degraded readiness: %q", detail)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		st := d.StatusSnapshot()
+		if st.Throttled != 2 || st.SyncFailures != 0 || st.LastError != "" {
+			t.Fatalf("429 was treated as a failed sync: %+v", st)
+		}
+		// Two Retry-After: 1 waits, not two 20 ms polls.
+		if el := time.Since(t0); el < 2*time.Second {
+			t.Fatalf("installed after %s: Retry-After was not waited out", el)
+		}
+		requireViewEqual(t, fetchInventoryForGen(t, srv.URL, st.Generation), d.Inventory(), "after throttling")
+	})
 }
 
 // TestPromoteDrainFailpoint: with the drain failpoint injecting an

@@ -433,65 +433,6 @@ func TestReplicaConvergesUnderFaults(t *testing.T) {
 	t.Logf("converged through %d injected drops (status %+v)", fired, rep.StatusSnapshot())
 }
 
-// TestReplicaBootstrapCacheSkipsDownload bootstraps twice through the
-// same cache directory and counts checkpoint downloads on the wire: the
-// second bootstrap must verify the cached files by CRC32C and fetch
-// nothing.
-func TestReplicaBootstrapCacheSkipsDownload(t *testing.T) {
-	statics, stream := fleetStream(t, sim.Config{Vessels: 6, Days: 24, Seed: 11})
-	eng := newPrimary(t)
-	feed(t, eng, statics, stream)
-	if err := eng.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// Let checkpointing settle: a generation landing between the two
-	// bootstraps would rotate the file names and defeat the cache by
-	// design, not by bug.
-	waitCheckpointQuiesce(t, eng, 0)
-
-	var downloads atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.Contains(r.URL.Path, "/checkpoint/") {
-			downloads.Add(1)
-		}
-		eng.ReplHandler().ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	opt := testOptions(srv.URL)
-	opt.CacheDir = t.TempDir()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	rep1, err := New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep1.bootstrap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	rep1.Close()
-	cold := downloads.Load()
-	if cold == 0 {
-		t.Fatal("first bootstrap downloaded nothing — vacuous test")
-	}
-
-	rep2, err := New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep2.Close()
-	go func() { _ = rep2.Run(ctx) }()
-	waitCaughtUp(t, rep2, eng.WALSeq())
-	if got := downloads.Load(); got != cold {
-		t.Fatalf("second bootstrap downloaded %d files despite a warm cache", got-cold)
-	}
-	if st := rep2.StatusSnapshot(); st.CacheHits == 0 || !st.Bootstrapped {
-		t.Fatalf("cache never hit: %+v", st)
-	}
-	requireEqual(t, eng, rep2, "cache-hit bootstrap")
-}
-
 // TestReplicaResolutionMismatch is terminal: a primary at a different
 // grid resolution is a deployment error, not something to retry into.
 func TestReplicaResolutionMismatch(t *testing.T) {

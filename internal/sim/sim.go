@@ -341,20 +341,6 @@ func corrupt(rng *rand.Rand, rec model.PositionRecord) model.PositionRecord {
 	return rec
 }
 
-// GenerateAll materializes every vessel's track sequentially. Prefer
-// feeding VesselTrack into dataflow.Generate for parallel pipelines; this
-// helper serves tests and small tools.
-func (s *Simulator) GenerateAll() ([]model.PositionRecord, []Voyage) {
-	var recs []model.PositionRecord
-	var voys []Voyage
-	for i := range s.fleet.Vessels {
-		r, v := s.VesselTrack(i)
-		recs = append(recs, r...)
-		voys = append(voys, v...)
-	}
-	return recs, voys
-}
-
 // NMEA encodes a position record as AIVDM sentences, for the polgen tool
 // and end-to-end protocol tests.
 func NMEA(rec model.PositionRecord) ([]string, error) {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -87,6 +88,12 @@ func (t *TDigest) Merge(o *TDigest) {
 	}
 	o.process()
 	t.process()
+	if t.totalW == 0 && t.compression == o.compression {
+		// A copy into an empty digest: process being idempotent, the pass
+		// below would hand o's centroids back unchanged.
+		t.centroids, t.totalW = slices.Clone(o.centroids), o.totalW
+		return
+	}
 	t.buffer = append(t.buffer, o.centroids...)
 	t.bufferedW += o.totalW
 	t.process()

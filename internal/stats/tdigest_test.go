@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -281,5 +283,39 @@ func BenchmarkTDigestMerge(b *testing.B) {
 		z := NewTDigest(DefaultCompression)
 		z.Merge(x)
 		z.Merge(y)
+	}
+}
+
+// Merging into an empty digest of the same compression takes a copying
+// shortcut; it must give the bits the compression pass it skips would.
+func TestTDigestMergeIntoEmptyIsRecompression(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 50, 799, 800, 5000, 40000} {
+		src := NewTDigest(DefaultCompression)
+		for i := 0; i < n; i++ {
+			src.AddWeighted(rng.NormFloat64()*30+rng.Float64(), 1+float64(rng.Intn(3)))
+		}
+		fast := NewTDigest(DefaultCompression)
+		fast.Merge(src)
+		// The pass the shortcut skips: src's centroids through process.
+		slow := NewTDigest(DefaultCompression)
+		slow.min, slow.max = src.min, src.max
+		slow.buffer, slow.bufferedW = slices.Clone(src.centroids), src.totalW
+		slow.process()
+		if !bytes.Equal(fast.AppendBinary(nil), slow.AppendBinary(nil)) || !bytes.Equal(fast.AppendBinary(nil), src.AppendBinary(nil)) {
+			t.Fatalf("n=%d: copy, recompression and source differ", n)
+		}
+		if fast.Count() != src.Count() || &fast.centroids[0] == &src.centroids[0] {
+			t.Fatalf("n=%d: count %v want %v, or centroids shared with the source", n, fast.Count(), src.Count())
+		}
+	}
+	// A different compression is a real recompression, not a copy.
+	src, coarse := NewTDigest(200), NewTDigest(20)
+	for i := 0; i < 5000; i++ {
+		src.Add(rng.Float64())
+	}
+	coarse.Merge(src)
+	if coarse.Centroids() >= src.Centroids() {
+		t.Fatalf("merge into compression 20 kept %d of %d centroids", coarse.Centroids(), src.Centroids())
 	}
 }

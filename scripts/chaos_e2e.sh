@@ -1,5 +1,5 @@
 #!/bin/sh
-# Chaos end-to-end drill for the durability layer: builds polingest +
+# Chaos end-to-end drill for the durability layer: builds polserve +
 # polgen + polfeed, ingests a synthetic fleet as the control run, then
 # replays the same archive through two injected failures —
 #
@@ -28,7 +28,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$tmp" ./cmd/polingest ./cmd/polgen ./cmd/polfeed
+go build -o "$tmp" ./cmd/polserve ./cmd/polgen ./cmd/polfeed
 
 feed="127.0.0.1:$((10200 + $$ % 100))"
 http="127.0.0.1:$((18200 + $$ % 100))"
@@ -40,7 +40,7 @@ groups_of() {
 	sed -n 's/.*"groups": *\([0-9]*\).*/\1/p' "$1"
 }
 
-# start_daemon <dir> <log> [env...] — launches polingest journaling into
+# start_daemon <dir> <log> [env...] — launches polserve -live journaling into
 # <dir> with an aggressive merge/checkpoint cadence and tiny WAL
 # segments so rotation, checkpoint, and prune paths all fire during a
 # short drill.
@@ -49,8 +49,8 @@ start_daemon() {
 	log="$2"
 	shift 2
 	mkdir -p "$d"
-	env "$@" "$tmp/polingest" \
-		-listen "$feed" -http "$http" -res 6 -tick 100ms \
+	env "$@" "$tmp/polserve" -live \
+		-listen "$feed" -addr "$http" -res 6 -tick 100ms \
 		-journal "$d/live.wal" -checkpoint "$d/live.polinv" \
 		-checkpoint-every 1 -wal-segment-bytes 262144 \
 		-max-inflight 64 \

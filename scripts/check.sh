@@ -44,6 +44,15 @@ if grep -rnE 'inventory\.(Marshal|Unmarshal)\(' --include='*.go' --exclude='*_te
 	exit 1
 fi
 
+echo "== one request builder (http.NewRequest only in internal/replica/follower.go) =="
+# Every replication request carries the term mark and is held against it
+# on the way back; a second builder is a second spelling of the fencing
+# rules.
+if grep -n 'http\.NewRequest' internal/replica/*.go | grep -vE '^internal/replica/(follower\.go|[a-z_]*_test\.go):'; then
+	echo "http.NewRequest outside internal/replica/follower.go"
+	exit 1
+fi
+
 echo "== go build =="
 go build ./...
 

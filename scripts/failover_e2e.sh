@@ -1,5 +1,5 @@
 #!/bin/sh
-# Primary-failover end-to-end drill: one polingest primary, a promotable
+# Primary-failover end-to-end drill: one polserve -live primary, a promotable
 # polserve replica (r1, with its own journal/checkpoint targets and an
 # NMEA listener held in reserve), and a second polserve replica (r2)
 # configured with both endpoints.
@@ -36,7 +36,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$tmp" ./cmd/polingest ./cmd/polgen ./cmd/polfeed ./cmd/polserve ./cmd/polquery
+go build -o "$tmp" ./cmd/polgen ./cmd/polfeed ./cmd/polserve ./cmd/polquery
 
 feed="127.0.0.1:$((11300 + $$ % 100))"
 r1feed="127.0.0.1:$((11400 + $$ % 100))"
@@ -51,8 +51,8 @@ head -n "$half" "$tmp/fleet.nmea" >"$tmp/first.nmea"
 tail -n +"$((half + 1))" "$tmp/fleet.nmea" >"$tmp/second.nmea"
 
 start_primary() { # start_primary <log>
-	"$tmp/polingest" \
-		-listen "$feed" -http "$phttp" -res 6 -tick 100ms \
+	"$tmp/polserve" -live \
+		-listen "$feed" -addr "$phttp" -res 6 -tick 100ms \
 		-journal "$tmp/primary/live.wal" -checkpoint "$tmp/primary/live.polinv" \
 		-checkpoint-every 1 -wal-segment-bytes 262144 \
 		>"$1" 2>&1 &

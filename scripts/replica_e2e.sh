@@ -1,5 +1,5 @@
 #!/bin/sh
-# Replicated-serving end-to-end drill: one polingest primary journaling
+# Replicated-serving end-to-end drill: one polserve -live primary journaling
 # with an aggressive checkpoint cadence, two polserve read replicas
 # bootstrapping from its checkpoint generations and tailing its WAL.
 #
@@ -42,7 +42,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$tmp" ./cmd/polingest ./cmd/polgen ./cmd/polfeed ./cmd/polserve ./cmd/polquery
+go build -o "$tmp" ./cmd/polgen ./cmd/polfeed ./cmd/polserve ./cmd/polquery
 
 feed="127.0.0.1:$((10300 + $$ % 100))"
 phttp="127.0.0.1:$((18300 + $$ % 100))"
@@ -58,8 +58,8 @@ tail -n +"$((half + 1))" "$tmp/fleet.nmea" >"$tmp/second.nmea"
 # Primary: tiny WAL segments + checkpoint-every-merge so rotation,
 # generation turnover, and prune all fire during a short drill.
 mkdir -p "$tmp/primary"
-"$tmp/polingest" \
-	-listen "$feed" -http "$phttp" -res 6 -tick 100ms \
+"$tmp/polserve" -live \
+	-listen "$feed" -addr "$phttp" -res 6 -tick 100ms \
 	-journal "$tmp/primary/live.wal" -checkpoint "$tmp/primary/live.polinv" \
 	-checkpoint-every 1 -wal-segment-bytes 262144 \
 	>"$tmp/primary.log" 2>&1 &
@@ -197,7 +197,7 @@ fi
 	cat "$tmp/polquery.trace"
 	exit 1
 }
-grep -q 'http\./v1/info \[polingest\]' "$tmp/polquery.trace" || {
+grep -q 'http\./v1/info \[polserve-live\]' "$tmp/polquery.trace" || {
 	echo "polquery -trace printed no server-side span:"
 	cat "$tmp/polquery.trace"
 	exit 1
