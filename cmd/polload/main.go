@@ -23,13 +23,10 @@
 //
 //	polload -targets http://localhost:8080 -rate 500 -duration 30s
 //	polload -targets http://r1:8081,http://r2:8082 \
-//	        -mix "info=1,cell=6,destinations=2,eta=1" \
-//	        -merge-bench BENCH.json
+//	        -mix "info=1,cell=6,destinations=2,eta=1"
 //
-// The summary is printed as JSON; -merge-bench folds it under an "slo"
-// key in an existing polbench -json report so serving SLOs live next to
-// build benchmarks. -max-p99 turns the run into a gate: exit 1 when the
-// overall p99 exceeds it.
+// The summary is printed as JSON. -max-p99 turns the run into a gate:
+// exit 1 when the overall p99 exceeds it.
 package main
 
 import (
@@ -104,7 +101,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed (query coordinates and endpoint draw)")
 		inflight = flag.Int("max-inflight", 4096, "cap on concurrently outstanding requests; arrivals past it count as dropped")
 		maxP99   = flag.Duration("max-p99", 0, "exit 1 when overall p99 exceeds this (0 disables the gate)")
-		merge    = flag.String("merge-bench", "", "merge the summary under an \"slo\" key into this polbench JSON file")
 	)
 	flag.Parse()
 
@@ -218,12 +214,6 @@ func main() {
 	if err := enc.Encode(sum); err != nil {
 		fmt.Fprintln(os.Stderr, "polload:", err)
 		os.Exit(1)
-	}
-	if *merge != "" {
-		if err := mergeBench(*merge, sum); err != nil {
-			fmt.Fprintln(os.Stderr, "polload: merge-bench:", err)
-			os.Exit(1)
-		}
 	}
 	if *maxP99 > 0 && sum.Overall.P99Ms > float64(*maxP99)/float64(time.Millisecond) {
 		fmt.Fprintf(os.Stderr, "polload: SLO violated: overall p99 %.2fms > %s\n",
@@ -345,25 +335,6 @@ func summarize(es *endpointStats, requests int64) EndpointSummary {
 		s.P50Ms, s.P90Ms, s.P99Ms, s.P999Ms = ms(0.5), ms(0.9), ms(0.99), ms(0.999)
 	}
 	return s
-}
-
-// mergeBench folds the summary under an "slo" key in a polbench -json
-// report, creating the file when absent.
-func mergeBench(path string, sum Summary) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	doc["slo"] = sum
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // endpointPicker draws a weighted endpoint kind and renders its query

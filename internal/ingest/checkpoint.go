@@ -135,12 +135,8 @@ type engineState struct {
 	vessels  map[uint32]vesselPersist
 }
 
-type stateCounters struct {
-	positionsSeen, staticsSeen, accepted, rejected,
-	rejectedUnknown, rejectedNonCommercial, rejectedRange,
-	rejectedDuplicate, rejectedOutOfOrder, rejectedInfeasible,
-	trips, tripRecords, observations int64
-}
+// stateCounters holds metrics.persisted() by value, in POLSTAT1 order.
+type stateCounters [13]int64
 
 type vesselPersist struct {
 	cleaner pipeline.CleanerState
@@ -214,35 +210,23 @@ func (c *checkpointer) Save(snap *inventory.Inventory, st *engineState, seq, ter
 // hardlink rename (falling back to a copy on filesystems without links),
 // keeping the plain configured path a valid serving artifact.
 func (c *checkpointer) publishStable(srcPath string) error {
-	dstPath := c.base
-	tmp := dstPath + ".pub.tmp"
+	tmp := c.base + ".pub.tmp"
 	os.Remove(tmp)
-	if err := os.Link(srcPath, tmp); err != nil {
-		src, err := os.Open(srcPath)
-		if err != nil {
+	if err := os.Link(srcPath, tmp); err == nil {
+		if err := os.Rename(tmp, c.base); err != nil {
 			return err
 		}
-		defer src.Close()
-		dst, err := os.Create(tmp)
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(dst, src); err != nil {
-			dst.Close()
-			return err
-		}
-		if err := dst.Sync(); err != nil {
-			dst.Close()
-			return err
-		}
-		if err := dst.Close(); err != nil {
-			return err
-		}
+		return syncDir(c.base)
 	}
-	if err := os.Rename(tmp, dstPath); err != nil {
+	src, err := os.Open(srcPath)
+	if err != nil {
 		return err
 	}
-	return syncDir(dstPath)
+	defer src.Close()
+	return inventory.AtomicWrite(c.base, func(w io.Writer) error {
+		_, err := io.Copy(w, src)
+		return err
+	})
 }
 
 // Load verifies and restores the newest intact generation. A generation
@@ -452,13 +436,7 @@ const (
 func encodeState(w io.Writer, st *engineState) error {
 	var buf []byte
 	buf = append(buf, stateMagic...)
-	c := st.counters
-	for _, v := range []int64{
-		c.positionsSeen, c.staticsSeen, c.accepted, c.rejected,
-		c.rejectedUnknown, c.rejectedNonCommercial, c.rejectedRange,
-		c.rejectedDuplicate, c.rejectedOutOfOrder, c.rejectedInfeasible,
-		c.trips, c.tripRecords, c.observations,
-	} {
+	for _, v := range st.counters {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.statics)))
@@ -507,178 +485,116 @@ func encodeState(w io.Writer, st *engineState) error {
 	return err
 }
 
-func decodeState(r io.Reader) (*engineState, error) {
-	data, err := io.ReadAll(r)
+// stateReader is a cursor over POLSTAT1 bytes. The first read past the
+// end sticks: it and every later read return zero values, and the caller
+// checks err once.
+type stateReader struct {
+	p   []byte
+	err error
+}
+
+func (r *stateReader) take(n int) []byte {
+	if r.err == nil && len(r.p) < n {
+		r.err = fmt.Errorf("truncated state (need %d bytes, have %d)", n, len(r.p))
+	}
+	if r.err != nil {
+		return nil
+	}
+	b := r.p[:n]
+	r.p = r.p[n:]
+	return b
+}
+
+func (r *stateReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *stateReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (r *stateReader) pos() model.PositionRecord {
+	rec, ok := decodePositionEntry(r.take(53))
+	if !ok && r.err == nil {
+		r.err = fmt.Errorf("bad position record")
+	}
+	return rec
+}
+
+// positions reads a counted run of position records; the count is held
+// against the bytes left before anything is allocated.
+func (r *stateReader) positions() []model.PositionRecord {
+	n := r.u32()
+	if int(n) > len(r.p)/53 && r.err == nil {
+		r.err = fmt.Errorf("implausible record count %d", n)
+	}
+	if n == 0 || r.err != nil {
+		return nil
+	}
+	out := make([]model.PositionRecord, n)
+	for i := range out {
+		out[i] = r.pos()
+	}
+	return out
+}
+
+func decodeState(rd io.Reader) (*engineState, error) {
+	data, err := io.ReadAll(rd)
 	if err != nil {
 		return nil, err
 	}
-	p := data
-	take := func(n int) ([]byte, error) {
-		if len(p) < n {
-			return nil, fmt.Errorf("truncated state (need %d bytes, have %d)", n, len(p))
-		}
-		b := p[:n]
-		p = p[n:]
-		return b, nil
-	}
-	u32 := func() (uint32, error) {
-		b, err := take(4)
-		if err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(b), nil
-	}
-	u64 := func() (uint64, error) {
-		b, err := take(8)
-		if err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(b), nil
-	}
-	pos := func() (model.PositionRecord, error) {
-		b, err := take(53)
-		if err != nil {
-			return model.PositionRecord{}, err
-		}
-		rec, ok := decodePositionEntry(b)
-		if !ok {
-			return model.PositionRecord{}, fmt.Errorf("bad position record")
-		}
-		return rec, nil
-	}
-
-	if b, err := take(len(stateMagic)); err != nil || string(b) != string(stateMagic) {
+	r := &stateReader{p: data}
+	if string(r.take(len(stateMagic))) != string(stateMagic) {
 		return nil, fmt.Errorf("bad state magic")
 	}
 	st := &engineState{
 		statics: make(map[uint32]model.VesselInfo),
 		vessels: make(map[uint32]vesselPersist),
 	}
-	counters := []*int64{
-		&st.counters.positionsSeen, &st.counters.staticsSeen, &st.counters.accepted, &st.counters.rejected,
-		&st.counters.rejectedUnknown, &st.counters.rejectedNonCommercial, &st.counters.rejectedRange,
-		&st.counters.rejectedDuplicate, &st.counters.rejectedOutOfOrder, &st.counters.rejectedInfeasible,
-		&st.counters.trips, &st.counters.tripRecords, &st.counters.observations,
+	for i := range st.counters {
+		st.counters[i] = int64(r.u64())
 	}
-	for _, c := range counters {
-		v, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		*c = int64(v)
-	}
-	nStatics, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nStatics; i++ {
-		n, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		b, err := take(int(n))
-		if err != nil {
-			return nil, err
-		}
-		v, ok := decodeStaticEntry(b)
-		if !ok {
-			return nil, fmt.Errorf("bad static entry %d", i)
+	for n := r.u32(); n > 0 && r.err == nil; n-- {
+		v, ok := decodeStaticEntry(r.take(int(r.u32())))
+		if !ok && r.err == nil {
+			r.err = fmt.Errorf("bad static entry")
 		}
 		st.statics[v.MMSI] = v
 	}
-	nVessels, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nVessels; i++ {
-		mmsi, err := u32()
-		if err != nil {
-			return nil, err
-		}
+	for n := r.u32(); n > 0 && r.err == nil; n-- {
+		mmsi := r.u32()
 		var vp vesselPersist
-		prev, err := u64()
-		if err != nil {
-			return nil, err
+		vp.cleaner.PrevTime = int64(r.u64())
+		var flags byte
+		if b := r.take(1); b != nil {
+			flags = b[0]
 		}
-		vp.cleaner.PrevTime = int64(prev)
-		fb, err := take(1)
-		if err != nil {
-			return nil, err
-		}
-		flags := fb[0]
 		vp.cleaner.HasPrev = flags&stFlagHasPrev != 0
 		vp.cleaner.HasLast = flags&stFlagHasLast != 0
-		if vp.cleaner.Last, err = pos(); err != nil {
-			return nil, err
+		vp.cleaner.Last = r.pos()
+		vp.tracker.LastPort = model.PortID(r.u32())
+		vp.tracker.VisitPort = model.PortID(r.u32())
+		if vp.tracker.HasTrip = flags&stFlagHasTrip != 0; vp.tracker.HasTrip {
+			trip := &vp.tracker.Trip
+			trip.ID = r.u64()
+			trip.Origin, trip.Dest = model.PortID(r.u32()), model.PortID(r.u32())
+			trip.DepartTime, trip.ArriveTime = int64(r.u64()), int64(r.u64())
+			trip.Records = r.positions()
 		}
-		lp, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		vp.tracker.LastPort = model.PortID(lp)
-		vpPort, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		vp.tracker.VisitPort = model.PortID(vpPort)
-		if flags&stFlagHasTrip != 0 {
-			vp.tracker.HasTrip = true
-			if vp.tracker.Trip.ID, err = u64(); err != nil {
-				return nil, err
-			}
-			o, err := u32()
-			if err != nil {
-				return nil, err
-			}
-			vp.tracker.Trip.Origin = model.PortID(o)
-			d, err := u32()
-			if err != nil {
-				return nil, err
-			}
-			vp.tracker.Trip.Dest = model.PortID(d)
-			dep, err := u64()
-			if err != nil {
-				return nil, err
-			}
-			vp.tracker.Trip.DepartTime = int64(dep)
-			arr, err := u64()
-			if err != nil {
-				return nil, err
-			}
-			vp.tracker.Trip.ArriveTime = int64(arr)
-			nrec, err := u32()
-			if err != nil {
-				return nil, err
-			}
-			if int(nrec) > len(p)/53+1 {
-				return nil, fmt.Errorf("implausible trip record count %d", nrec)
-			}
-			vp.tracker.Trip.Records = make([]model.PositionRecord, nrec)
-			for j := range vp.tracker.Trip.Records {
-				if vp.tracker.Trip.Records[j], err = pos(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		nvisit, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		if int(nvisit) > len(p)/53+1 {
-			return nil, fmt.Errorf("implausible visit record count %d", nvisit)
-		}
-		if nvisit > 0 {
-			vp.tracker.Visit = make([]model.PositionRecord, nvisit)
-			for j := range vp.tracker.Visit {
-				if vp.tracker.Visit[j], err = pos(); err != nil {
-					return nil, err
-				}
-			}
-		}
+		vp.tracker.Visit = r.positions()
 		st.vessels[mmsi] = vp
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("state has %d trailing bytes", len(p))
+	if r.err == nil && len(r.p) != 0 {
+		r.err = fmt.Errorf("state has %d trailing bytes", len(r.p))
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return st, nil
 }

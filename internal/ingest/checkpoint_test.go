@@ -32,7 +32,7 @@ func flipByte(t *testing.T, path string) {
 // testState is a small engine state for driving the checkpointer directly.
 func testState(positionsSeen int64) *engineState {
 	return &engineState{
-		counters: stateCounters{positionsSeen: positionsSeen, accepted: 7, trips: 2},
+		counters: stateCounters{0: positionsSeen, 2: 7, 10: 2}, // positionsSeen, accepted, trips
 		statics:  map[uint32]model.VesselInfo{9: {MMSI: 9, Name: "TESTER"}},
 		vessels:  map[uint32]vesselPersist{},
 	}
@@ -87,7 +87,7 @@ func TestCheckpointerFallback(t *testing.T) {
 		t.Fatalf("generation wrote %d bytes, want < 0.35 x %d", written, parentGenBytes)
 	}
 
-	st.counters.positionsSeen = 20
+	st.counters[0] = 20
 	if covered, err := c.Save(inv2, st, 200, 2, 0xabcd); err != nil || covered != 100 {
 		t.Fatalf("save gen2: covered %d (want oldest retained 100), err %v", covered, err)
 	}
@@ -110,7 +110,7 @@ func TestCheckpointerFallback(t *testing.T) {
 	if !inventory.Equal(inv, inv2) {
 		t.Fatal("newest generation restored a different inventory")
 	}
-	if got.counters.positionsSeen != 20 || got.statics[9].Name != "TESTER" {
+	if got.counters[0] != 20 || got.statics[9].Name != "TESTER" {
 		t.Fatalf("state roundtrip lost data: %+v", got.counters)
 	}
 
@@ -123,8 +123,8 @@ func TestCheckpointerFallback(t *testing.T) {
 	if !inventory.Equal(inv, inv1) {
 		t.Fatal("fallback generation restored a different inventory")
 	}
-	if got.counters.positionsSeen != 10 {
-		t.Fatalf("fallback state has positionsSeen %d, want 10", got.counters.positionsSeen)
+	if got.counters[0] != 10 {
+		t.Fatalf("fallback state has positionsSeen %d, want 10", got.counters[0])
 	}
 
 	// Corrupt the older generation's state too: no usable checkpoint.
@@ -488,4 +488,98 @@ func TestEngineDegradedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffInventories(t, e2.Snapshot(), ctl.Snapshot(), "restart after resume")
+}
+
+// TestResumeMarksItsFold pins the fold rule on the degraded → resume path.
+// A degraded primary may still fold what it had accepted — on its tick,
+// with no marker, or in the re-base — but it accepts nothing more, so
+// either way the fold sits at the frontier the journal broke at; the
+// re-base must journal a marker there, as the first record of the
+// reopened journal and under the sequence number the resume checkpoint
+// covers, or a tailing replica folds somewhere else for good.
+func TestResumeMarksItsFold(t *testing.T) {
+	for _, tickFolds := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tickFolds=%v", tickFolds), func(t *testing.T) { testResumeMarksItsFold(t, tickFolds) })
+	}
+}
+
+func testResumeMarksItsFold(t *testing.T, tickFolds bool) {
+	const res = 6
+	statics, stream, _ := fleetStream(t, sim.Config{Vessels: 6, Days: 24, Seed: 13}, res)
+	dir := t.TempDir()
+	reg := fault.New()
+	e, err := NewEngine(Options{
+		Resolution:      res,
+		MergeEvery:      5 * time.Millisecond,
+		JournalPath:     filepath.Join(dir, "wal"),
+		CheckpointPath:  filepath.Join(dir, "live.polinv"),
+		CheckpointEvery: 1,
+		Faults:          reg,
+		RetryBase:       400 * time.Millisecond, // first probe 200–600 ms after the failure
+		RetryMax:        400 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	waitFor := func(what string, ok func(Stats) bool) Stats {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !ok(e.StatsSnapshot()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("engine never %s: %+v", what, e.StatsSnapshot())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		return e.StatsSnapshot()
+	}
+	half := len(stream) / 2
+	submitAll(t, e, statics, stream[:half])
+	waitFor("folded and checkpointed the first half", func(s Stats) bool {
+		return s.PositionsSeen == int64(half) && s.Observations > 0 && s.Observations == s.MergedObservations && s.Checkpoints > 0
+	})
+
+	// Hold the tick's folds back so a period builds up, then break the disk.
+	if err := reg.Enable(FPEngineMerge, "error"); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range stream[half : half+half/2] {
+		if err := e.SubmitPosition(rec, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.StatsSnapshot(); s.Observations == s.MergedObservations {
+		t.Fatalf("vacuous: no period built up (%d observations, all merged)", s.Observations)
+	}
+	if err := reg.Enable(FPJournalAppend, "error(no space left on device)*1"); err != nil {
+		t.Fatal(err)
+	}
+	for i := half + half/2; e.StatsSnapshot().JournalErrors == 0; i++ {
+		if err := e.SubmitPosition(stream[i], nil); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	degraded := waitFor("degraded", func(s Stats) bool { return s.Degraded })
+	if tickFolds {
+		// Let the degraded engine's tick fold the period before the prober
+		// gets there; otherwise the re-base finds it pending.
+		reg.Disable(FPEngineMerge)
+		waitFor("folded on its tick while degraded", func(s Stats) bool {
+			return s.Degraded && s.Merges == degraded.Merges+1 && s.MergedObservations == s.Observations
+		})
+	}
+	resumed := waitFor("resumed", func(s Stats) bool { return s.Resumes == 1 && !s.Degraded })
+	if resumed.Merges != degraded.Merges+1 || resumed.MergedObservations != resumed.Observations {
+		t.Fatalf("the pending period was not folded exactly once: merges %d -> %d", degraded.Merges, resumed.Merges)
+	}
+	_, ckptSeq := e.CheckpointStatus()
+	entries, _, err := e.WALRead(degraded.JournalSeq, 1)
+	if err != nil || len(entries) != 1 || entries[0].Kind != entryMerge || entries[0].Seq != ckptSeq || ckptSeq != degraded.JournalSeq+1 {
+		t.Fatalf("reopened journal after seq %d starts with %+v (err %v), resume checkpoint covers seq %d; want a merge marker under that seq",
+			degraded.JournalSeq, entries, err, ckptSeq)
+	}
 }

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -370,8 +372,7 @@ func (j *Journal) scanSegment(path string, idx int, firstSeq uint64, final bool,
 
 	good := int64(segHeaderLen)
 	seq := firstSeq - 1
-	hdr := make([]byte, recHeaderLen)
-	buf := make([]byte, 0, 256)
+	rr := recordReader{r: r}
 
 	fail := func(reason string, short bool, recEnd int64) (uint64, bool, error) {
 		// Torn tail: the bad bytes end at EOF of the final segment — the
@@ -399,48 +400,29 @@ func (j *Journal) scanSegment(path string, idx int, firstSeq uint64, final bool,
 	}
 
 	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			if err == io.EOF {
-				j.total += good
-				j.rec.Entries += int64(seq - (firstSeq - 1))
-				return seq, true, nil
-			}
-			return fail("short header", true, 0)
+		rseq, n, short, err := rr.next()
+		if err == io.EOF {
+			j.total += good
+			j.rec.Entries += int64(seq - (firstSeq - 1))
+			return seq, true, nil
 		}
-		kind := hdr[0]
-		n := binary.LittleEndian.Uint32(hdr[1:5])
-		rseq := binary.LittleEndian.Uint64(hdr[5:])
-		recEnd := good + recHeaderLen + int64(n) + recTrailerLen
-		if n > maxRecordLen || !validEntryKind(kind) {
-			return fail("bad framing", false, recEnd)
+		if err == nil && rseq != seq+1 {
+			err = fmt.Errorf("seq %d, want %d", rseq, seq+1)
 		}
-		if rseq != seq+1 {
-			return fail(fmt.Sprintf("seq %d, want %d", rseq, seq+1), false, recEnd)
+		var e JournalEntry
+		if err == nil {
+			e, err = rr.entry()
 		}
-		if cap(buf) < int(n)+recTrailerLen {
-			buf = make([]byte, int(n)+recTrailerLen)
+		if err != nil {
+			return fail(err.Error(), short, good+n)
 		}
-		buf = buf[:int(n)+recTrailerLen]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return fail("short payload", true, recEnd)
-		}
-		payload := buf[:n]
-		wantCRC := binary.LittleEndian.Uint32(buf[n:])
-		if recordCRC(hdr, payload) != wantCRC {
-			return fail("checksum mismatch", false, recEnd)
-		}
-		e, ok := decodeEntry(kind, payload)
-		if !ok {
-			return fail("undecodable payload", false, recEnd)
-		}
-		e.Seq = rseq
 		if replay != nil && rseq > j.opts.StartSeq {
 			if err := replay(e); err != nil {
 				return 0, false, fmt.Errorf("ingest: journal replay: %w", err)
 			}
 		}
 		seq = rseq
-		good = recEnd
+		good += n
 	}
 }
 
@@ -501,7 +483,10 @@ func readSegmentHeader(path string) (firstSeq uint64, err error) {
 	if !bytes.Equal(head[:8], walMagicV2) {
 		return 0, fmt.Errorf("bad segment magic")
 	}
-	return binary.LittleEndian.Uint64(head[8:]), nil
+	if firstSeq = binary.LittleEndian.Uint64(head[8:]); firstSeq == 0 {
+		return 0, fmt.Errorf("first sequence number 0") // they start at 1; found by FuzzOpenJournal
+	}
+	return firstSeq, nil
 }
 
 // createSegment starts segment idx with firstSeq = nextSeq and makes its
@@ -684,11 +669,7 @@ func (j *Journal) Segments() int {
 func (j *Journal) Prune(coveredSeq uint64) error {
 	j.lock()
 	defer j.unlock()
-	idxs := make([]int, 0, len(j.segs))
-	for idx := range j.segs {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
+	idxs := slices.Sorted(maps.Keys(j.segs))
 	for i, idx := range idxs {
 		if idx == j.segIdx || i+1 >= len(idxs) {
 			break // never the active (= last) segment
@@ -791,11 +772,7 @@ func (j *Journal) ReadEntries(fromSeq uint64, max int) ([]JournalEntry, uint64, 
 	if err := j.flushLocked(); err != nil {
 		return nil, last, err
 	}
-	idxs := make([]int, 0, len(j.segs))
-	for idx := range j.segs {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
+	idxs := slices.Sorted(maps.Keys(j.segs))
 	if len(idxs) == 0 || fromSeq+1 < j.segs[idxs[0]] {
 		return nil, last, ErrSeqPruned
 	}
@@ -831,45 +808,75 @@ func (j *Journal) readSegmentEntries(idx int, fromSeq uint64, max int, out []Jou
 	if _, err := f.Seek(segHeaderLen, io.SeekStart); err != nil {
 		return out, fmt.Errorf("ingest: seek segment %s: %w", path, err)
 	}
-	r := bufio.NewReaderSize(f, 1<<16)
-	hdr := make([]byte, recHeaderLen)
-	buf := make([]byte, 0, 256)
+	rr := recordReader{r: bufio.NewReaderSize(f, 1<<16)}
 	for len(out) < max {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return out, nil // end of what has been flushed so far
+		seq, _, short, err := rr.next()
+		if err == io.EOF || short {
+			return out, nil // the flushed frontier, possibly mid-record; the next read resumes
+		}
+		if err == nil && seq > fromSeq { // records at or below it are verified, not decoded
+			var e JournalEntry
+			if e, err = rr.entry(); err == nil {
+				out = append(out, e)
 			}
+		}
+		if err != nil {
 			return out, fmt.Errorf("ingest: read segment %s: %w", path, err)
 		}
-		kind := hdr[0]
-		n := binary.LittleEndian.Uint32(hdr[1:5])
-		seq := binary.LittleEndian.Uint64(hdr[5:])
-		if n > maxRecordLen || !validEntryKind(kind) {
-			return out, fmt.Errorf("ingest: read segment %s: bad framing at seq %d", path, seq)
-		}
-		if cap(buf) < int(n)+recTrailerLen {
-			buf = make([]byte, int(n)+recTrailerLen)
-		}
-		buf = buf[:int(n)+recTrailerLen]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return out, nil // flushed frontier mid-record; next read resumes
-		}
-		payload := buf[:n]
-		wantCRC := binary.LittleEndian.Uint32(buf[n:])
-		if recordCRC(hdr, payload) != wantCRC {
-			return out, fmt.Errorf("ingest: read segment %s: checksum mismatch at seq %d", path, seq)
-		}
-		if seq <= fromSeq {
-			continue
-		}
-		e, ok := decodeEntry(kind, payload)
-		if !ok {
-			return out, fmt.Errorf("ingest: read segment %s: undecodable payload at seq %d", path, seq)
-		}
-		e.Seq = seq
-		out = append(out, e)
 	}
 	return out, nil
+}
+
+// recordReader reads framed records: the bytes of a WAL segment past its
+// header and the body of a POLREPL1 chunk are the same thing.
+type recordReader struct {
+	r       io.Reader
+	hdr     [recHeaderLen]byte
+	buf     []byte
+	payload []byte // of the record next last verified
+}
+
+// next verifies the next record's framing and checksum and returns its
+// sequence number and the bytes its framing claims (0 when even the header
+// is incomplete). io.EOF means the input ended on a record boundary;
+// short, that it ended inside this record — a torn tail or a flush
+// frontier, not bad bytes.
+func (rr *recordReader) next() (seq uint64, n int64, short bool, err error) {
+	if _, err := io.ReadFull(rr.r, rr.hdr[:]); err != nil {
+		if err == io.EOF {
+			return 0, 0, false, err
+		}
+		return 0, 0, true, fmt.Errorf("short header")
+	}
+	plen := binary.LittleEndian.Uint32(rr.hdr[1:5])
+	seq = binary.LittleEndian.Uint64(rr.hdr[5:])
+	n = recHeaderLen + int64(plen) + recTrailerLen
+	if plen > maxRecordLen || !validEntryKind(rr.hdr[0]) {
+		return seq, n, false, fmt.Errorf("bad framing at seq %d", seq)
+	}
+	if need := int(plen) + recTrailerLen; cap(rr.buf) < need {
+		rr.buf = make([]byte, need)
+	} else {
+		rr.buf = rr.buf[:need]
+	}
+	if _, err := io.ReadFull(rr.r, rr.buf); err != nil {
+		return seq, n, true, fmt.Errorf("short payload")
+	}
+	rr.payload = rr.buf[:plen]
+	if recordCRC(rr.hdr[:], rr.payload) != binary.LittleEndian.Uint32(rr.buf[plen:]) {
+		return seq, n, false, fmt.Errorf("checksum mismatch at seq %d", seq)
+	}
+	return seq, n, false, nil
+}
+
+// entry decodes the record next last verified.
+func (rr *recordReader) entry() (JournalEntry, error) {
+	e, ok := decodeEntry(rr.hdr[0], rr.payload)
+	e.Seq = binary.LittleEndian.Uint64(rr.hdr[5:])
+	if !ok {
+		return e, fmt.Errorf("undecodable payload at seq %d", e.Seq)
+	}
+	return e, nil
 }
 
 func decodeEntry(kind byte, payload []byte) (JournalEntry, bool) {

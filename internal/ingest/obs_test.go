@@ -81,6 +81,50 @@ func TestEngineTelemetry(t *testing.T) {
 	}
 }
 
+// TestMergedObservationsOnApplier: merged_observations means "folded into
+// the master", so on an applier it may only move at a replicated marker —
+// polfeed -stats reads observations == merged_observations as "drained".
+func TestMergedObservationsOnApplier(t *testing.T) {
+	const res = 6
+	statics, stream, _ := fleetStream(t, sim.Config{Vessels: 6, Days: 12, Seed: 11}, res)
+	e, err := NewEngine(Options{Resolution: res, MergeEvery: 5 * time.Millisecond, ReplicaDriven: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	seq := uint64(0)
+	submit := func(entry JournalEntry) {
+		t.Helper()
+		seq++
+		entry.Seq = seq
+		if err := e.SubmitReplicated(entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range statics {
+		submit(JournalEntry{Kind: entryStatic, Info: v})
+	}
+	for _, rec := range stream {
+		submit(JournalEntry{Kind: entryPosition, Pos: rec})
+	}
+	time.Sleep(20 * time.Millisecond) // several local ticks: none may fold
+	if err := e.PublishNow(); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.StatsSnapshot(); s.Observations == 0 || s.MergedObservations != 0 || s.Merges != 0 {
+		t.Fatalf("applier between markers: observations=%d merged_observations=%d merges=%d, want >0, 0, 0",
+			s.Observations, s.MergedObservations, s.Merges)
+	}
+	submit(JournalEntry{Kind: entryMerge})
+	if err := e.PublishNow(); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.StatsSnapshot(); s.MergedObservations != s.Observations || s.Merges != 1 || e.AppliedSeq() != seq {
+		t.Fatalf("applier after a marker: observations=%d merged_observations=%d merges=%d applied=%d/%d",
+			s.Observations, s.MergedObservations, s.Merges, e.AppliedSeq(), seq)
+	}
+}
+
 func grepLine(s, substr string) string {
 	for _, line := range strings.Split(s, "\n") {
 		if strings.Contains(line, substr) {

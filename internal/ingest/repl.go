@@ -180,13 +180,13 @@ func (e *Engine) ReplManifestSnapshot() ReplManifest {
 
 // replGate runs the term exchange on one replication request: the
 // response always advertises the local claim, the request's claim is fed
-// to the fencing state machine, and a fenced engine answers 503 so no
+// to the lifecycle, and an outranked or fenced engine answers 503 so no
 // replica bootstraps from or tails a superseded primary. Reports whether
 // the handler may proceed.
 func (e *Engine) replGate(w http.ResponseWriter, r *http.Request) bool {
 	SetTermHeader(w.Header(), e.term.Load(), e.node)
 	rt, rn := TermFromHeader(r.Header)
-	if e.ObserveRemoteTerm(rt, rn) || e.fenced.Load() {
+	if e.ObserveRemoteTerm(rt, rn) || !e.can(permServeRepl) {
 		e.m.fencingRejects.Add(1)
 		http.Error(w, "fenced: a higher replication term is active in the cluster", http.StatusServiceUnavailable)
 		return false
@@ -367,35 +367,16 @@ func ReadReplChunk(r io.Reader) ([]JournalEntry, uint64, error) {
 		return nil, 0, fmt.Errorf("ingest: implausible repl chunk count %d", count)
 	}
 	entries := make([]JournalEntry, 0, count)
-	hdr := make([]byte, recHeaderLen)
-	var buf []byte
+	rr := recordReader{r: r}
 	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return nil, 0, fmt.Errorf("ingest: repl record header: %w", err)
+		_, _, _, err := rr.next()
+		var e JournalEntry
+		if err == nil {
+			e, err = rr.entry()
 		}
-		kind := hdr[0]
-		n := binary.LittleEndian.Uint32(hdr[1:5])
-		seq := binary.LittleEndian.Uint64(hdr[5:])
-		if n > maxRecordLen || !validEntryKind(kind) {
-			return nil, 0, fmt.Errorf("ingest: repl record %d: bad framing", i)
+		if err != nil {
+			return nil, 0, fmt.Errorf("ingest: repl record %d: %w", i, err)
 		}
-		if cap(buf) < int(n)+recTrailerLen {
-			buf = make([]byte, int(n)+recTrailerLen)
-		}
-		buf = buf[:int(n)+recTrailerLen]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, 0, fmt.Errorf("ingest: repl record %d payload: %w", i, err)
-		}
-		payload := buf[:n]
-		wantCRC := binary.LittleEndian.Uint32(buf[n:])
-		if recordCRC(hdr, payload) != wantCRC {
-			return nil, 0, fmt.Errorf("ingest: repl record %d (seq %d): checksum mismatch", i, seq)
-		}
-		e, ok := decodeEntry(kind, payload)
-		if !ok {
-			return nil, 0, fmt.Errorf("ingest: repl record %d (seq %d): undecodable payload", i, seq)
-		}
-		e.Seq = seq
 		entries = append(entries, e)
 	}
 	return entries, lastSeq, nil

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -45,6 +46,15 @@ type metrics struct {
 	mergeDeferred         atomic.Int64
 	resumes               atomic.Int64
 	fencingRejects        atomic.Int64
+	illegalTransitions    atomic.Int64
+}
+
+// persisted lists the counters a checkpoint carries (stateCounters), in
+// the order POLSTAT1 stores them.
+func (m *metrics) persisted() [13]*atomic.Int64 {
+	return [...]*atomic.Int64{&m.positionsSeen, &m.staticsSeen, &m.accepted, &m.rejected,
+		&m.rejectedUnknown, &m.rejectedNonCommercial, &m.rejectedRange, &m.rejectedDuplicate,
+		&m.rejectedOutOfOrder, &m.rejectedInfeasible, &m.trips, &m.tripRecords, &m.observations}
 }
 
 // FeedStats tracks one feed connection. The TCP server registers one per
@@ -72,6 +82,13 @@ func (e *Engine) RegisterFeed(remote string) *FeedStats {
 	e.feeds = append(e.feeds, fs)
 	e.feedsMu.Unlock()
 	return fs
+}
+
+// feedList copies the registry so counters are read outside the lock.
+func (e *Engine) feedList() []*FeedStats {
+	e.feedsMu.Lock()
+	defer e.feedsMu.Unlock()
+	return slices.Clone(e.feeds)
 }
 
 // FeedSnapshot is the JSON form of one feed's counters.
@@ -118,19 +135,6 @@ func (e *Engine) Ready() bool {
 	return snap != nil && snap.Len() > 0
 }
 
-// Degraded reports whether the engine is in degraded (read-only) mode and
-// why.
-func (e *Engine) Degraded() (bool, string) {
-	if !e.degraded.Load() {
-		return false, ""
-	}
-	reason := ""
-	if p := e.degradedReason.Load(); p != nil {
-		reason = *p
-	}
-	return true, reason
-}
-
 // ReadyDetail implements the obs.ReadyzDetailHandler contract: a degraded
 // engine stays ready (it is still serving the last good snapshot) but the
 // detail surfaces the condition to operators and probes.
@@ -167,6 +171,7 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	counter("pol_ingest_merge_deferred_total", &e.m.mergeDeferred)
 	counter("pol_ingest_resumes_total", &e.m.resumes)
 	counter("pol_repl_fencing_rejects_total", &e.m.fencingRejects)
+	counter("pol_ingest_illegal_transitions_total", &e.m.illegalTransitions)
 	for reason, v := range map[string]*atomic.Int64{
 		"unknown_vessel": &e.m.rejectedUnknown,
 		"non_commercial": &e.m.rejectedNonCommercial,
@@ -175,7 +180,6 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		"out_of_order":   &e.m.rejectedOutOfOrder,
 		"infeasible":     &e.m.rejectedInfeasible,
 	} {
-		v := v
 		reg.CounterFunc("pol_ingest_rejected_by_total", obs.Labels{"reason": reason},
 			func() float64 { return float64(v.Load()) })
 	}
@@ -187,19 +191,15 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	gauge("pol_ingest_wal_seq", func() float64 { return float64(e.WALSeq()) })
 	gauge("pol_ingest_ckpt_gen", func() float64 { g, _ := e.CheckpointStatus(); return float64(g) })
 	gauge("pol_ingest_ckpt_seq", func() float64 { _, s := e.CheckpointStatus(); return float64(s) })
-	gauge("pol_ingest_degraded", func() float64 {
-		if e.degraded.Load() {
+	flag := func(b bool) float64 {
+		if b {
 			return 1
 		}
 		return 0
-	})
+	}
+	gauge("pol_ingest_degraded", func() float64 { deg, _ := e.Degraded(); return flag(deg) })
 	gauge("pol_repl_term", func() float64 { return float64(e.term.Load()) })
-	gauge("pol_ingest_fenced", func() float64 {
-		if e.fenced.Load() {
-			return 1
-		}
-		return 0
-	})
+	gauge("pol_ingest_fenced", func() float64 { return flag(e.Fenced()) })
 	gauge("pol_ingest_uptime_seconds", func() float64 { return e.Uptime().Seconds() })
 	gauge("pol_ingest_snapshot_age_seconds", func() float64 { return e.SnapshotAge().Seconds() })
 	gauge("pol_ingest_queue_depth", func() float64 { return float64(len(e.in)) })
@@ -212,12 +212,8 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	// time, so churning connections don't leak series.
 	feedSum := func(pick func(*FeedStats) int64) func() float64 {
 		return func() float64 {
-			e.feedsMu.Lock()
-			feeds := make([]*FeedStats, len(e.feeds))
-			copy(feeds, e.feeds)
-			e.feedsMu.Unlock()
 			var total int64
-			for _, fs := range feeds {
+			for _, fs := range e.feedList() {
 				total += pick(fs)
 			}
 			return float64(total)
@@ -331,7 +327,7 @@ func (e *Engine) StatsSnapshot() Stats {
 	s.CkptGen, s.CkptSeq = e.CheckpointStatus()
 	s.Term = e.term.Load()
 	s.Node = fmt.Sprintf("%016x", e.node)
-	s.Fenced = e.fenced.Load()
+	s.Fenced = e.Fenced()
 	s.FencingRejects = e.m.fencingRejects.Load()
 	s.Degraded, s.DegradedReason = e.Degraded()
 	s.DegradedDropped = e.m.degradedDrops.Load()
@@ -339,10 +335,7 @@ func (e *Engine) StatsSnapshot() Stats {
 	s.Resumes = e.m.resumes.Load()
 	s.QueueDepth = len(e.in)
 
-	e.feedsMu.Lock()
-	feeds := make([]*FeedStats, len(e.feeds))
-	copy(feeds, e.feeds)
-	e.feedsMu.Unlock()
+	feeds := e.feedList()
 	s.Feeds = make([]FeedSnapshot, 0, len(feeds))
 	for _, fs := range feeds {
 		fsnap := FeedSnapshot{

@@ -20,7 +20,7 @@ func TestManifestTermRoundTrip(t *testing.T) {
 	_, _, inv1 := fleetStream(t, sim.Config{Vessels: 3, Days: 4, Seed: 5}, res)
 	_, _, inv2 := fleetStream(t, sim.Config{Vessels: 5, Days: 6, Seed: 6}, res)
 	st := &engineState{
-		counters: stateCounters{positionsSeen: 1},
+		counters: stateCounters{1},
 		statics:  map[uint32]model.VesselInfo{},
 		vessels:  map[uint32]vesselPersist{},
 	}

@@ -715,3 +715,50 @@ func TestPromoteCheckpointFailpointRecovery(t *testing.T) {
 		t.Fatal("promoted inventory diverged")
 	}
 }
+
+// TestFailedPromoteLeavesApplierUnchanged: Engine.Promote promises that on
+// error the engine is unchanged. With the applier mid-period that includes
+// the fold — a promotion that folds and then fails at its checkpoint has
+// folded at a boundary the primary it goes back to tailing never will, and
+// the two never again agree bit-for-bit.
+func TestFailedPromoteLeavesApplierUnchanged(t *testing.T) {
+	faults := fault.NewSeeded(7)
+	p := newMidPeriodPair(t, nil, faults)
+	rep := p.rep
+
+	if err := faults.Enable(ingest.FPPromoteCheckpoint, "error(disk full)*1"); err != nil {
+		t.Fatal(err)
+	}
+	before, snapBefore, hwBefore := rep.Engine().StatsSnapshot(), rep.Snapshot(), rep.hwTerm.Load()
+	po := promoteTargets(t)
+	po.DrainTimeout = 500 * time.Millisecond
+	if _, err := rep.Promote(p.ctx, po); err == nil {
+		t.Fatal("promotion succeeded through a failed checkpoint write")
+	}
+	if faults.Count(ingest.FPPromoteCheckpoint) == 0 {
+		t.Fatal("checkpoint failpoint never fired — vacuous test")
+	}
+	after := rep.Engine().StatsSnapshot()
+	if after.Merges != before.Merges || after.Term != before.Term || after.JournalSeq != 0 ||
+		rep.AppliedSeq() != p.eng.WALSeq() || rep.hwTerm.Load() != hwBefore || rep.Promoted() || after.Fenced {
+		t.Fatalf("failed promotion changed the applier:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if !inventory.Equal(snapBefore, rep.Snapshot()) {
+		t.Fatal("failed promotion changed the applier's published snapshot")
+	}
+
+	p.finish(t, "tailing after failed promotion")
+
+	// The failpoint was single-shot: the retry promotes cleanly.
+	res, err := rep.Promote(p.ctx, po)
+	if err != nil {
+		t.Fatalf("promotion retry: %v", err)
+	}
+	if res.Term != 2 || !rep.Promoted() {
+		t.Fatalf("retried promotion: term %d promoted=%v, want term 2", res.Term, rep.Promoted())
+	}
+	if err := <-p.done; !errors.Is(err, ErrPromoted) {
+		t.Fatalf("Run returned %v, want ErrPromoted", err)
+	}
+	requireEqual(t, p.eng, rep, "after retried promotion")
+}

@@ -166,7 +166,6 @@ type Replica struct {
 	lastCaughtUp atomic.Int64 // unix nanos of the last applied==primary poll
 
 	tailTerm atomic.Uint64 // term the current bootstrap/tail session is pinned to
-	promoted atomic.Bool
 
 	promoteReq chan promoteAsk // buffered(1); drained by Run's loop
 
@@ -223,16 +222,16 @@ func New(opt Options) (*Replica, error) {
 		reg.GaugeFunc("pol_replica_lag_seq", nil, func() float64 { return float64(r.LagSeq()) })
 		reg.GaugeFunc("pol_replica_applied_seq", nil, func() float64 { return float64(r.applied.Load()) })
 		reg.GaugeFunc("pol_replica_primary_seq", nil, func() float64 { return float64(r.primarySeq.Load()) })
-		boolGauge := func(name string, b *atomic.Bool) {
+		boolGauge := func(name string, b func() bool) {
 			reg.GaugeFunc(name, nil, func() float64 {
-				if b.Load() {
+				if b() {
 					return 1
 				}
 				return 0
 			})
 		}
-		boolGauge("pol_replica_bootstrapped", &r.bootstrapped)
-		boolGauge("pol_replica_promoted", &r.promoted)
+		boolGauge("pol_replica_bootstrapped", r.bootstrapped.Load)
+		boolGauge("pol_replica_promoted", r.Promoted)
 		reg.CounterFunc("pol_replica_bootstraps_total", nil, func() float64 { return float64(r.bootstraps.Load()) })
 		reg.CounterFunc("pol_replica_rebootstraps_total", nil, func() float64 { return float64(r.rebootstraps.Load()) })
 		reg.CounterFunc("pol_replica_reconnects_total", nil, func() float64 { return float64(r.reconnects.Load()) })
@@ -631,7 +630,6 @@ func (r *Replica) doPromote(ctx context.Context, po PromoteOptions) (PromoteResu
 	if err := r.raiseHW(newTerm, r.eng.Node()); err != nil {
 		r.logf("replica: %v", err)
 	}
-	r.promoted.Store(true)
 	res.Term = newTerm
 	res.Node = fmt.Sprintf("%016x", r.eng.Node())
 	res.Seq = r.applied.Load()
@@ -688,8 +686,9 @@ func (r *Replica) PromoteHandler(po PromoteOptions, onPromoted func()) http.Hand
 // mount the full primary surface (/v1/repl, ingest stats, NMEA feeds).
 func (r *Replica) Engine() *ingest.Engine { return r.eng }
 
-// Promoted reports whether this replica has become a primary.
-func (r *Replica) Promoted() bool { return r.promoted.Load() }
+// Promoted reports whether this replica has become a primary: its engine
+// was built an applier, so only a promotion gives it the primary role.
+func (r *Replica) Promoted() bool { return r.eng.Role() == ingest.RolePrimary }
 
 // WALStatus implements api.WALStatus so /v1/info on a promoted replica
 // shows its journal frontier.
@@ -727,7 +726,7 @@ func (r *Replica) LagSeq() uint64 {
 // with a busy primary, growing monotonically while disconnected or
 // behind.
 func (r *Replica) Lag() time.Duration {
-	if r.promoted.Load() {
+	if r.Promoted() {
 		return 0 // a primary has nothing to lag behind
 	}
 	d := time.Since(time.Unix(0, r.lastCaughtUp.Load()))
@@ -746,7 +745,7 @@ func (r *Replica) ReplicaStatus() (appliedSeq, primarySeq uint64, lag time.Durat
 // until the first bootstrap installs a snapshot; ready-but-degraded with
 // the lag in the detail once replication falls more than MaxLag behind.
 func (r *Replica) ReadyDetail() (bool, string) {
-	if r.promoted.Load() {
+	if r.Promoted() {
 		return r.eng.ReadyDetail() // a primary now; lag is meaningless
 	}
 	if !r.bootstrapped.Load() {
@@ -779,7 +778,7 @@ func (r *Replica) StatusSnapshot() Status {
 	s := Status{
 		FollowerStatus: r.status(),
 		Bootstrapped:   r.bootstrapped.Load(),
-		Promoted:       r.promoted.Load(),
+		Promoted:       r.Promoted(),
 		AppliedSeq:     r.applied.Load(),
 		PrimarySeq:     r.primarySeq.Load(),
 		LagSeq:         r.LagSeq(),

@@ -456,3 +456,203 @@ func TestReplicaResolutionMismatch(t *testing.T) {
 		t.Fatalf("Run returned %v, want terminal resolution error", err)
 	}
 }
+
+// midPeriodPair is the set-up the fold-rule reproductions share: a
+// primary that folds only when told to (MergeEvery is an hour, so
+// PublishNow is the only merge boundary), half the stream folded and
+// checkpointed, a heap replica attached and caught up, then a third
+// quarter applied on both sides and NOT folded — primary and applier both
+// sit mid-period, which is where a fold nobody replicates does its damage.
+type midPeriodPair struct {
+	eng    *ingest.Engine
+	rep    *Replica
+	ctx    context.Context
+	done   chan error
+	gate   *walGate
+	stream []model.PositionRecord
+	rest   []model.PositionRecord // the last quarter, not yet fed
+}
+
+// walGate can park the replica's WAL polls outside the primary's handler,
+// so nothing flushes the primary's journal buffer while it is held.
+type walGate struct {
+	hold     atomic.Bool
+	inflight atomic.Int64
+}
+
+func (g *walGate) wrap(inner http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/repl/wal") {
+			for g.hold.Load() {
+				select {
+				case <-r.Context().Done():
+					return
+				case <-time.After(2 * time.Millisecond):
+				}
+			}
+			g.inflight.Add(1)
+			defer g.inflight.Add(-1)
+		}
+		inner.ServeHTTP(w, r)
+	})
+}
+
+// park holds new WAL polls and waits out the one in flight.
+func (g *walGate) park(t *testing.T) {
+	t.Helper()
+	g.hold.Store(true)
+	deadline := time.Now().Add(10 * time.Second)
+	for g.inflight.Load() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("WAL poll never returned")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+func newMidPeriodPair(t *testing.T, primaryFaults, replicaFaults *fault.Registry) *midPeriodPair {
+	t.Helper()
+	statics, stream := fleetStream(t, sim.Config{Vessels: 12, Days: 24, Seed: 5})
+	dir := t.TempDir()
+	eng, err := ingest.NewEngine(ingest.Options{
+		Resolution:      testRes,
+		MergeEvery:      time.Hour,
+		JournalPath:     filepath.Join(dir, "wal"),
+		CheckpointPath:  filepath.Join(dir, "live.polinv"),
+		CheckpointEvery: 1,
+		Faults:          primaryFaults,
+		RetryBase:       5 * time.Millisecond,
+		RetryMax:        50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	q := len(stream) / 4
+	feed(t, eng, statics, stream[:2*q])
+	if err := eng.PublishNow(); err != nil {
+		t.Fatal(err)
+	}
+	waitCheckpoints(t, eng, 1)
+
+	p := &midPeriodPair{eng: eng, gate: &walGate{}, stream: stream, rest: stream[3*q:]}
+	srv := httptest.NewServer(p.gate.wrap(eng.ReplHandler()))
+	t.Cleanup(srv.Close)
+	opt := testOptions(srv.URL)
+	opt.Faults = replicaFaults
+	if p.rep, err = New(opt); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.rep.Close() })
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	p.ctx, p.done = ctx, make(chan error, 1)
+	go func() { p.done <- p.rep.Run(ctx) }()
+
+	p.feedSynced(t, stream[2*q:3*q])
+	if m := p.rep.Engine().StatsSnapshot().Merges; m != 0 {
+		t.Fatalf("applier folded %d times before any marker past its bootstrap", m)
+	}
+	if s := eng.StatsSnapshot(); s.Observations == s.MergedObservations {
+		t.Fatalf("vacuous set-up: the primary's period is empty (%d observations, all merged)", s.Observations)
+	}
+	return p
+}
+
+// feedSynced submits recs to the primary, makes them durable and waits
+// for the replica to apply them. No fold happens on either side.
+func (p *midPeriodPair) feedSynced(t *testing.T, recs []model.PositionRecord) {
+	t.Helper()
+	for _, rec := range recs {
+		if err := p.eng.SubmitPosition(rec, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.eng.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, p.rep, p.eng.WALSeq())
+}
+
+// finish feeds the last quarter, folds it on the primary and requires the
+// caught-up replica to be inventory.Equal.
+func (p *midPeriodPair) finish(t *testing.T, label string) {
+	t.Helper()
+	for _, rec := range p.rest {
+		if err := p.eng.SubmitPosition(rec, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.eng.PublishNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.eng.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, p.rep, p.eng.WALSeq())
+	requireEqual(t, p.eng, p.rep, label)
+}
+
+// TestReplicaConvergesAcrossPrimaryResume: a primary's journal disk fails
+// mid-period and the prober re-bases it (checkpoint + reopened journal).
+// That re-base folds the primary's period, so a replica that was tailing
+// must either read that fold as a marker in the reopened journal or be
+// made to re-bootstrap from the resume checkpoint — anything else leaves
+// it folding at a different boundary and never again inventory.Equal. In
+// the lost-tail variant the broken journal dies with applied records
+// still in its write buffer, so the replica cannot get there by tailing.
+func TestReplicaConvergesAcrossPrimaryResume(t *testing.T) {
+	for _, lostTail := range []bool{false, true} {
+		name := "clean"
+		if lostTail {
+			name = "lost-tail"
+		}
+		t.Run(name, func(t *testing.T) {
+			faults := fault.NewSeeded(3)
+			p := newMidPeriodPair(t, faults, nil)
+			deadline := time.Now().Add(30 * time.Second)
+			wait := func(what string, ok func(ingest.Stats) bool) {
+				t.Helper()
+				for !ok(p.eng.StatsSnapshot()) {
+					if time.Now().After(deadline) {
+						t.Fatalf("primary never %s: %+v", what, p.eng.StatsSnapshot())
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+			}
+			fed, seen := 0, p.eng.StatsSnapshot().PositionsSeen
+			if lostTail {
+				// Applied on the primary, buffered in its journal, never
+				// flushed: nothing polls or syncs before the disk fails.
+				p.gate.park(t)
+				for ; fed < 200; fed++ {
+					if err := p.eng.SubmitPosition(p.rest[fed], nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				seen += 200
+				wait("applied the tail", func(s ingest.Stats) bool { return s.PositionsSeen >= seen })
+			}
+			if err := faults.Enable(ingest.FPJournalAppend, "error(no space left on device)*1"); err != nil {
+				t.Fatal(err)
+			}
+			// In stream order, one at a time, until an append hits the
+			// fault; then nothing more until the prober has re-based.
+			for i := fed; p.eng.StatsSnapshot().JournalErrors == 0; i++ {
+				if err := p.eng.SubmitPosition(p.rest[i], nil); err != nil {
+					t.Fatal(err)
+				}
+				seen++
+				wait("processed a submission", func(s ingest.Stats) bool { return s.PositionsSeen >= seen })
+			}
+			wait("resumed", func(s ingest.Stats) bool { return s.Resumes == 1 && !s.Degraded })
+			p.gate.hold.Store(false)
+			// The upstream re-feeds what it sent since its last
+			// acknowledged sync; the cleaner drops what was applied.
+			p.finish(t, "after primary resume ("+name+")")
+			if lostTail && p.rep.StatusSnapshot().Bootstraps < 2 {
+				t.Fatalf("replica tailed across a lost journal tail without re-bootstrapping: %+v", p.rep.StatusSnapshot())
+			}
+		})
+	}
+}

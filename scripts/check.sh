@@ -53,6 +53,28 @@ if grep -n 'http\.NewRequest' internal/replica/*.go | grep -vE '^internal/replic
 	exit 1
 fi
 
+echo "== one lifecycle word (state loaded/stored only in internal/ingest/lifecycle.go, no flags beside it) =="
+# Role and health are one atomic word with one permission table and one
+# edge table; a second reader of the word, or a boolean that comes back, is
+# a second spelling of "may I?".
+if grep -nE '\.state\.(Load|Store|Swap|CompareAndSwap)\(' internal/ingest/*.go | grep -vE '^internal/ingest/(lifecycle\.go|[a-z_]*_test\.go):'; then
+	echo "the lifecycle word is touched outside internal/ingest/lifecycle.go"
+	exit 1
+fi
+if grep -rnE '\.fenced\b|\.degraded\b|\.retrying\b|\.replaying\b|hasDurability|opt\.ReplicaDriven *=' --include='*.go' --exclude='*_test.go' cmd internal examples ./*.go; then
+	echo "a lifecycle flag is back"
+	exit 1
+fi
+
+echo "== line budget (non-test Go outside bench/, ROADMAP's measure) =="
+# Lower it when a PR deletes; raising it needs the ROADMAP's say-so.
+budget=27162
+lines="$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
+if [ "$lines" -gt "$budget" ]; then
+	echo "non-test Go outside bench/ is $lines lines, budget $budget"
+	exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -61,6 +83,11 @@ go test ./...
 
 echo "== go test -race (concurrent packages) =="
 go test -race -count=1 -timeout 20m ./internal/cluster/ ./internal/dataflow/ ./internal/ingest/ ./internal/inventory/ ./internal/obs/ ./internal/obs/trace/ ./internal/replica/ ./internal/segment/ ./internal/stats/ ./internal/stream/
+
+echo "== fuzz smoke (5 s per target; corpora under internal/ingest/testdata/fuzz) =="
+for target in FuzzReadReplChunk FuzzOpenJournal FuzzDecodeState; do
+	go test -run='^$' -fuzz="^$target\$" -fuzztime=5s ./internal/ingest/
+done
 
 echo "== benchmark harness tests (bench/ is its own module) =="
 (cd bench && go test ./...)
