@@ -9,15 +9,15 @@
 //	polbuild -synthetic -vessels 100 -days 30 -res 7 -out synth.polinv
 //
 // With -coordinator the build is distributed: polbuild listens on the given
-// address, waits for -workers polworker processes to join, splits the input
-// into map tasks, and reduces the partial inventories they return:
+// address, waits for -workers polworker processes to join, splits the
+// archive into scan tasks, and reduces the partial inventories the workers
+// return (a distributed build reads an archive; -synthetic is local only):
 //
-//	polbuild -synthetic -vessels 500 -coordinator :7700 -workers 4 -out synth.polinv
 //	polbuild -in fleet.nmea -coordinator :7700 -workers 2 -out fleet.polinv
 //
-// Distributed archive builds shuffle worker-to-worker: the coordinator
-// assigns each reduce bucket an owning worker and the workers stream map
-// output directly to the owner; -reduce-tasks sizes the bucket count.
+// The shuffle is worker-to-worker: the coordinator assigns each reduce
+// bucket an owning worker and the workers stream map output directly to
+// the owner; -reduce-tasks sizes the bucket count.
 package main
 
 import (
@@ -46,7 +46,7 @@ func main() {
 
 	var (
 		in          = flag.String("in", "", "input timestamped-NMEA archive (from polgen or a provider)")
-		synthetic   = flag.Bool("synthetic", false, "generate the dataset in-process instead of reading -in")
+		synthetic   = flag.Bool("synthetic", false, "generate the dataset in-process instead of reading -in (local builds only)")
 		vessels     = flag.Int("vessels", 100, "synthetic fleet size")
 		days        = flag.Int("days", 30, "synthetic days")
 		seed        = flag.Int64("seed", 1, "synthetic seed")
@@ -55,19 +55,20 @@ func main() {
 		par         = flag.Int("parallelism", runtime.GOMAXPROCS(0), "worker pool width")
 		coordinator = flag.String("coordinator", "", "distribute the build: listen on this address for polworker processes")
 		workers     = flag.Int("workers", 1, "distributed mode: wait for this many workers before dispatching")
-		mapTasks    = flag.Int("map-tasks", 0, "distributed mode: map task count (default 4 per worker)")
+		mapTasks    = flag.Int("map-tasks", 0, "distributed mode: archive scan section count (default 4 per worker)")
 		reduceTasks = flag.Int("reduce-tasks", 0, "distributed mode: shuffle bucket count (default 2 per worker)")
 		verbose     = flag.Bool("v", false, "print stage metrics (local) or scheduling progress (distributed)")
 	)
 	flag.Parse()
 
 	if *coordinator != "" {
+		if *synthetic || *in == "" {
+			log.Fatal("a distributed build reads an archive: write one with polgen -out fleet.nmea and pass polbuild -in fleet.nmea")
+		}
 		runDistributed(distOpts{
 			addr: *coordinator, workers: *workers,
 			mapTasks: *mapTasks, reduceTasks: *reduceTasks,
-			in: *in, synthetic: *synthetic,
-			vessels: *vessels, days: *days, seed: *seed,
-			res: *res, out: *out, verbose: *verbose,
+			in: *in, res: *res, out: *out, verbose: *verbose,
 		})
 		return
 	}
@@ -134,30 +135,19 @@ type distOpts struct {
 	mapTasks    int
 	reduceTasks int
 	in          string
-	synthetic   bool
-	vessels     int
-	days        int
-	seed        int64
 	res         int
 	out         string
 	verbose     bool
 }
 
 // runDistributed coordinates a cluster build: polworker processes dial in,
-// execute map tasks, and this process reduces their partial inventories.
+// scan and shuffle the archive, and this process merges the partial
+// inventories their bucket reduces return.
 func runDistributed(o distOpts) {
-	job := cluster.Job{Resolution: o.res}
-	switch {
-	case o.synthetic:
-		spec := cluster.SpecFromConfig(sim.Config{Vessels: o.vessels, Days: o.days, Seed: o.seed})
-		job.Synthetic = &cluster.SyntheticJob{Spec: spec, Tasks: o.mapTasks}
-		job.Description = fmt.Sprintf("synthetic (distributed): %d vessels, %d days, seed %d",
-			o.vessels, o.days, o.seed)
-	case o.in != "":
-		job.Archive = &cluster.ArchiveJob{Path: o.in, MapTasks: o.mapTasks, ReduceTasks: o.reduceTasks}
-		job.Description = "archive (distributed): " + o.in
-	default:
-		log.Fatal("need -in FILE or -synthetic (see -h)")
+	job := cluster.Job{
+		Resolution:  o.res,
+		Description: "archive (distributed): " + o.in,
+		Archive:     &cluster.ArchiveJob{Path: o.in, MapTasks: o.mapTasks, ReduceTasks: o.reduceTasks},
 	}
 
 	tr := trace.New(trace.Options{Service: "polbuild"})
@@ -184,11 +174,9 @@ func runDistributed(o distOpts) {
 	log.Printf("pipeline: %s", result.Stats)
 	log.Printf("cluster: %d tasks, %d retries, %d duplicate completions, %d bucket reassignments",
 		result.Tasks, result.Retries, result.Duplicates, result.Reassigned)
-	if job.Archive != nil {
-		log.Printf("ingest: %d lines, %d positions, %d statics, %d bad lines, %d bad NMEA",
-			result.Feed.Lines, result.Feed.Positions, result.Feed.Statics,
-			result.Feed.BadLines, result.Feed.BadNMEA)
-	}
+	log.Printf("ingest: %d lines, %d positions, %d statics, %d bad lines, %d bad NMEA",
+		result.Feed.Lines, result.Feed.Positions, result.Feed.Statics,
+		result.Feed.BadLines, result.Feed.BadNMEA)
 	report(result.Inventory, o.out)
 }
 

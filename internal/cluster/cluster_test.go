@@ -6,61 +6,25 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"github.com/patternsoflife/pol/internal/dataflow"
 	"github.com/patternsoflife/pol/internal/fault"
 	"github.com/patternsoflife/pol/internal/feed"
 	"github.com/patternsoflife/pol/internal/inventory"
-	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/obs"
 	"github.com/patternsoflife/pol/internal/pipeline"
 	"github.com/patternsoflife/pol/internal/ports"
 	"github.com/patternsoflife/pol/internal/sim"
 )
 
-// testSpec is the shared synthetic fleet: small enough for fast tests,
-// large enough that vessel-range tasks exercise real merges.
-var testSpec = SimSpec{Vessels: 8, Days: 3, Seed: 11}
+// testFleet is the simulated fleet whose archive every test builds from
+// (archiveFixture, shuffle_test.go): small enough for fast tests, large
+// enough that sections and buckets exercise real merges.
+var testFleet = sim.Config{Vessels: 8, Days: 3, Seed: 11}
 
 const testRes = 6
-
-var (
-	localOnce sync.Once
-	localRes  *pipeline.Result
-	localErr  error
-)
-
-// localBuild runs the single-process synthetic build the distributed result
-// must be semantically identical to. Computed once and shared: the fixture
-// is read-only.
-func localBuild(t *testing.T) *pipeline.Result {
-	t.Helper()
-	localOnce.Do(func() {
-		s, err := sim.New(testSpec.Config(), ports.Default())
-		if err != nil {
-			localErr = err
-			return
-		}
-		ctx := dataflow.NewContext(4)
-		records := dataflow.Generate(ctx, len(s.Fleet().Vessels), func(part int) []model.PositionRecord {
-			recs, _ := s.VesselTrack(part)
-			return recs
-		})
-		localRes, localErr = pipeline.Run(records, s.Fleet().StaticIndex(),
-			ports.NewIndex(ports.Default(), ports.IndexResolution),
-			pipeline.Options{Resolution: testRes})
-	})
-	if localErr != nil {
-		t.Fatal(localErr)
-	}
-	return localRes
-}
 
 // startWorker launches RunWorker in a goroutine with fast test timings.
 func startWorker(t *testing.T, addr string, mod func(*WorkerConfig)) chan error {
@@ -116,11 +80,12 @@ func assertEqualBuild(t *testing.T, res *BuildResult, local *pipeline.Result) {
 	}
 }
 
-// TestDistributedEqualsLocalSynthetic is the core equivalence property:
-// for 1, 2 and 4 workers, with per-task completion jitter shuffling result
-// order, the distributed build equals the single-process build exactly.
+// TestDistributedEqualsLocalSynthetic is the core equivalence property on
+// the synthetic fleet's archive: for 1, 2 and 4 workers, with per-task
+// completion jitter shuffling result order, the distributed build equals
+// the single-process build exactly.
 func TestDistributedEqualsLocalSynthetic(t *testing.T) {
-	local := localBuild(t)
+	path, local := archiveFixture(t)
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
 			co := newTestCoordinator(t, func(c *Config) { c.MinWorkers = n })
@@ -139,14 +104,14 @@ func TestDistributedEqualsLocalSynthetic(t *testing.T) {
 			}
 			res, err := co.Run(context.Background(), Job{
 				Resolution: testRes,
-				Synthetic:  &SyntheticJob{Spec: testSpec, Tasks: 5},
+				Archive:    &ArchiveJob{Path: path, MapTasks: 5, ReduceTasks: 3},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertEqualBuild(t, res, local)
-			if res.Tasks != 5 {
-				t.Errorf("scheduled %d tasks, want 5", res.Tasks)
+			if res.Tasks != 5+3 {
+				t.Errorf("scheduled %d tasks, want 8 (5 scan + 3 reduce)", res.Tasks)
 			}
 			for i, ch := range chans {
 				if err := <-ch; err != nil {
@@ -161,7 +126,7 @@ func TestDistributedEqualsLocalSynthetic(t *testing.T) {
 // workers upon its first task: the dead worker's task must be re-queued and
 // the build must still equal the single-process result.
 func TestDistributedWorkerKill(t *testing.T) {
-	local := localBuild(t)
+	path, local := archiveFixture(t)
 	co := newTestCoordinator(t, func(c *Config) { c.MinWorkers = 2 })
 	addr := co.Addr().String()
 	survivor := startWorker(t, addr, func(c *WorkerConfig) { c.Name = "survivor" })
@@ -174,7 +139,7 @@ func TestDistributedWorkerKill(t *testing.T) {
 	})
 	res, err := co.Run(context.Background(), Job{
 		Resolution: testRes,
-		Synthetic:  &SyntheticJob{Spec: testSpec, Tasks: 6},
+		Archive:    &ArchiveJob{Path: path, MapTasks: 6, ReduceTasks: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +160,8 @@ func TestDistributedWorkerKill(t *testing.T) {
 // its first execution recovers on retry; a worker that always fails
 // exhausts MaxRetries and fails the job.
 func TestInjectedFailureRecovers(t *testing.T) {
-	local := localBuild(t)
+	path, local := archiveFixture(t)
+	job := Job{Resolution: testRes, Archive: &ArchiveJob{Path: path, MapTasks: 3, ReduceTasks: 2}}
 	co := newTestCoordinator(t, nil)
 	w := startWorker(t, co.Addr().String(), func(c *WorkerConfig) {
 		c.Faults = fault.New()
@@ -203,10 +169,7 @@ func TestInjectedFailureRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	res, err := co.Run(context.Background(), Job{
-		Resolution: testRes,
-		Synthetic:  &SyntheticJob{Spec: testSpec, Tasks: 3},
-	})
+	res, err := co.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +188,7 @@ func TestInjectedFailureRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	_, err = co.Run(context.Background(), Job{
-		Resolution: testRes,
-		Synthetic:  &SyntheticJob{Spec: testSpec, Tasks: 2},
-	})
+	_, err = co.Run(context.Background(), job)
 	if err == nil || !strings.Contains(err.Error(), "failed after") {
 		t.Fatalf("always-failing worker: err = %v, want retry exhaustion", err)
 	}
@@ -236,7 +196,8 @@ func TestInjectedFailureRecovers(t *testing.T) {
 }
 
 // testClient speaks the raw wire protocol, giving tests exact control over
-// frame timing that a real worker does not.
+// frame timing that a real worker does not. It announces no shuffle
+// address, so it is handed scans but never owns a bucket.
 type testClient struct {
 	t    *testing.T
 	conn net.Conn
@@ -249,84 +210,219 @@ func dialClient(t *testing.T, addr, name string) *testClient {
 		t.Fatal(err)
 	}
 	c := &testClient{t: t, conn: conn}
-	c.write(&envelope{Type: msgHello, Hello: &helloMsg{Name: name, Procs: 1}})
+	c.write(&envelope{Type: msgHello, Hello: &helloMsg{Name: name}})
 	return c
 }
 
 func (c *testClient) write(env *envelope) {
 	c.t.Helper()
-	if err := writeFrame(c.conn, env); err != nil {
+	if _, err := writeFrame(c.conn, env); err != nil {
 		c.t.Fatalf("client write: %v", err)
 	}
 }
 
-func (c *testClient) read() *envelope {
+// readTask returns the next task frame, skipping rosters.
+func (c *testClient) readTask() Task {
 	c.t.Helper()
-	env, err := readFrame(c.conn, DefaultMaxFrameBytes)
-	if err != nil {
-		c.t.Fatalf("client read: %v", err)
+	for {
+		env, _, err := readFrame[envelope](c.conn, maxFrameBytes)
+		if err != nil {
+			c.t.Fatalf("client read: %v", err)
+		}
+		if env.Type == msgTask {
+			return *env.Task
+		}
 	}
-	return env
 }
 
-// TestDuplicateCompletionDropped sends the result of one task twice through
-// a protocol-level client: the second completion must be counted and
-// dropped, leaving the reduced inventory identical to the local build.
-func TestDuplicateCompletionDropped(t *testing.T) {
-	local := localBuild(t)
-	co := newTestCoordinator(t, nil)
-	done := make(chan *BuildResult, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		res, err := co.Run(context.Background(), Job{
-			Resolution: testRes,
-			Synthetic:  &SyntheticJob{Spec: testSpec, Tasks: 2},
-		})
-		errCh <- err
-		done <- res
-	}()
+// runResult is what a Run started on its own goroutine hands back.
+type runResult struct {
+	res *BuildResult
+	err error
+}
 
-	client := dialClient(t, co.Addr().String(), "dup-client")
-	defer client.conn.Close()
+func runAsync(co *Coordinator, job Job) chan runResult {
+	done := make(chan runResult, 1)
+	go func() {
+		res, err := co.Run(context.Background(), job)
+		done <- runResult{res, err}
+	}()
+	return done
+}
+
+// TestDuplicateCompletionDropped sends the result of one scan twice: the
+// second completion must be counted and dropped, leaving the reduced
+// inventory identical to the local build. The client is a worker whose
+// control loop the test drives — its real shuffle state scans, shuffles to
+// itself and reduces, and the test decides which frames go up.
+func TestDuplicateCompletionDropped(t *testing.T) {
+	path, local := archiveFixture(t)
+	co := newTestCoordinator(t, nil)
+	done := runAsync(co, Job{
+		Resolution: testRes,
+		Archive:    &ArchiveJob{Path: path, MapTasks: 2, ReduceTasks: 1},
+	})
+
+	conn, err := net.Dial("tcp", co.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
 	exec := &worker{
-		cfg:     WorkerConfig{Name: "dup-client", Parallelism: 2}.withDefaults(),
+		cfg:     WorkerConfig{Name: "dup-client", Parallelism: 2, ShuffleListen: "127.0.0.1:0"}.withDefaults(),
+		conn:    conn,
 		metrics: newWorkerMetrics(obs.NewRegistry()),
 		portIdx: ports.NewIndex(ports.Default(), ports.IndexResolution),
 	}
-	for i := 0; i < 2; i++ {
-		env := client.read()
-		if env.Type != msgTask {
-			t.Fatalf("frame %d: type %d, want task", i, env.Type)
-		}
-		res := exec.execute(context.Background(), *env.Task)
-		if res.Err != "" {
-			t.Fatalf("task %d: %s", env.Task.ID, res.Err)
-		}
-		client.write(&envelope{Type: msgResult, Result: res})
-		if i == 0 {
-			// Replay the first completion: the coordinator processes the
-			// duplicate before the second task's result can finish the job.
-			client.write(&envelope{Type: msgResult, Result: res})
-		}
-	}
-	if err := <-errCh; err != nil {
+	sh, err := newShuffleState(exec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	res := <-done
-	assertEqualBuild(t, res, local)
-	if res.Duplicates != 1 {
-		t.Errorf("duplicates = %d, want 1", res.Duplicates)
+	exec.shuffle = sh
+	sh.start()
+	defer sh.shutdown()
+	send := func(env *envelope) {
+		t.Helper()
+		if err := exec.send(env); err != nil {
+			t.Fatalf("client write: %v", err)
+		}
 	}
-	if res.Retries != 0 {
-		t.Errorf("retries = %d, want 0", res.Retries)
+	send(&envelope{Type: msgHello, Hello: &helloMsg{Name: exec.cfg.Name, ShuffleAddr: sh.resolveAdvertise(conn)}})
+	for scans := 0; scans < 2; {
+		env, _, err := readFrame[envelope](conn, maxFrameBytes)
+		if err != nil {
+			t.Fatalf("client read: %v", err)
+		}
+		switch env.Type {
+		case msgRoster:
+			sh.setRoster(env.Roster)
+		case msgTask:
+			res := exec.execute(*env.Task)
+			if res.Err != "" {
+				t.Fatalf("task %d: %s", env.Task.ID, res.Err)
+			}
+			send(&envelope{Type: msgResult, Result: res})
+			if scans == 0 {
+				// Replay the first completion: the coordinator processes the
+				// duplicate before the second scan's result can let the
+				// bucket reduce and finish the job.
+				send(&envelope{Type: msgResult, Result: res})
+			}
+			scans++
+		}
+	}
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	assertEqualBuild(t, out.res, local)
+	if out.res.Duplicates != 1 {
+		t.Errorf("duplicates = %d, want 1", out.res.Duplicates)
+	}
+	if out.res.Retries != 0 {
+		t.Errorf("retries = %d, want 0", out.res.Retries)
 	}
 }
 
-// TestStragglerRequeued connects one protocol client that accepts tasks but
+// TestStaleErrorDropped: a failure reported by a worker that no longer
+// holds the task must not be charged to the worker that holds it now. A
+// protocol client takes a scan and goes silent about it; once the scan has
+// timed out and a real worker holds its finished re-run (result gated), the
+// client reports the scan failed — and, never having owned it, the bucket's
+// reduce too. With MaxRetries 1 the stale scan error used to kill the job
+// ("failed after 2 attempts") over a healthy worker's head, and the stale
+// reduce error to take the bucket from its owner; both must be dropped as
+// duplicates.
+func TestStaleErrorDropped(t *testing.T) {
+	path, local := archiveFixture(t)
+	reg := obs.NewRegistry()
+	co := newTestCoordinator(t, func(c *Config) {
+		c.MinWorkers = 2
+		c.TaskTimeout = 400 * time.Millisecond
+		c.MaxRetries = 1
+		c.Obs = reg
+	})
+	addr := co.Addr().String()
+	done := runAsync(co, Job{
+		Resolution: testRes,
+		Archive:    &ArchiveJob{Path: path, MapTasks: 3, ReduceTasks: 1},
+	})
+
+	// The real worker's results are gated: its first until the client is
+	// busy with a second scan (so the re-queued one can only go to the real
+	// worker), the re-run's until the stale error has been processed.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wait := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		case <-ctx.Done():
+		}
+	}
+	first, holding, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var lostID uint64 // written before first closes, read after
+	results := 0
+	silent := dialClient(t, addr, "silent")
+	defer silent.conn.Close()
+	w := startWorker(t, addr, func(c *WorkerConfig) {
+		c.Name = "real"
+		c.resultDelay = func(tk Task) time.Duration {
+			if results++; results == 1 {
+				wait(first)
+			} else if tk.ID == lostID && tk.Attempt == 2 {
+				close(holding)
+				wait(release)
+			}
+			return 0
+		}
+	})
+
+	lost := silent.readTask() // taken, never answered
+	busy := silent.readTask() // the third scan, handed over when lost timed out
+	if busy.ID == lost.ID {
+		t.Fatalf("client was handed task %d again", lost.ID)
+	}
+	lostID = lost.ID
+	close(first)
+	select {
+	case <-holding:
+	case out := <-done:
+		t.Fatalf("job ended before the re-run was held: %v", out.err)
+	}
+	silent.write(&envelope{Type: msgHeartbeat, Heartbeat: &heartbeatMsg{TaskID: busy.ID}})
+	silent.write(&envelope{Type: msgResult, Result: &TaskResult{ID: lost.ID, Err: "stale"}})
+	const bucketID = 3 + 1 // task IDs: the scans, then the buckets
+	silent.write(&envelope{Type: msgResult, Result: &TaskResult{ID: bucketID, Err: "stale"}})
+	dup := reg.Counter(MetricTasks, obs.Labels{"event": "duplicate"})
+	for dup.Value() < 2 {
+		select {
+		case out := <-done:
+			t.Fatalf("stale error ended the job: %v", out.err)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	// The client leaves; its second scan re-queues to the only worker left.
+	silent.conn.Close()
+	close(release)
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	assertEqualBuild(t, out.res, local)
+	if out.res.Duplicates != 2 || out.res.Reassigned != 0 {
+		t.Errorf("duplicates = %d, reassigned = %d, want 2 and 0", out.res.Duplicates, out.res.Reassigned)
+	}
+	if err := <-w; err != nil {
+		t.Errorf("worker exit: %v", err)
+	}
+}
+
+// TestStragglerRequeued connects one protocol client that accepts scans but
 // never heartbeats or completes: its tasks must time out and be re-queued
-// to the real worker, and the result must still equal the local build.
+// to the real worker (the client benched after two strikes), and the
+// result must still equal the local build.
 func TestStragglerRequeued(t *testing.T) {
-	local := localBuild(t)
+	path, local := archiveFixture(t)
 	co := newTestCoordinator(t, func(c *Config) {
 		c.MinWorkers = 2
 		c.TaskTimeout = 150 * time.Millisecond
@@ -339,7 +435,7 @@ func TestStragglerRequeued(t *testing.T) {
 	go func() {
 		// Swallow every frame until the coordinator hangs up.
 		for {
-			if _, err := readFrame(blackhole.conn, DefaultMaxFrameBytes); err != nil {
+			if _, _, err := readFrame[envelope](blackhole.conn, maxFrameBytes); err != nil {
 				return
 			}
 		}
@@ -348,7 +444,7 @@ func TestStragglerRequeued(t *testing.T) {
 
 	res, err := co.Run(context.Background(), Job{
 		Resolution: testRes,
-		Synthetic:  &SyntheticJob{Spec: testSpec, Tasks: 4},
+		Archive:    &ArchiveJob{Path: path, MapTasks: 4, ReduceTasks: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,57 +458,12 @@ func TestStragglerRequeued(t *testing.T) {
 	}
 }
 
-// TestDistributedArchiveEqualsLocal runs an archive job over an archive
-// that repeats every vessel's static report — scan sections, shuffle
-// worker to worker, reduce vessel buckets — and compares the inventory and
-// the summed feed statistics against a sequential single-process build.
+// TestDistributedArchiveEqualsLocal runs a job over an archive that repeats
+// every vessel's static report — scan sections, shuffle worker to worker,
+// reduce vessel buckets — and compares the inventory and the summed feed
+// statistics against a sequential single-process build.
 func TestDistributedArchiveEqualsLocal(t *testing.T) {
-	s, err := sim.New(testSpec.Config(), ports.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	fw := feed.NewWriter(&buf)
-	for i, v := range s.Fleet().Vessels {
-		recs, _ := s.VesselTrack(i)
-		if len(recs) > 60 {
-			recs = recs[:60]
-		}
-		for j, r := range recs {
-			if j%20 == 0 {
-				if err := fw.WriteStatic(v, r.Time); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := fw.WritePosition(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fleet.nmea")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Single-process reference, mirroring polbuild's archive path.
-	fr := feed.NewReader(bytes.NewReader(buf.Bytes()))
-	all, err := fr.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := dataflow.NewContext(4)
-	local, err := pipeline.Run(
-		dataflow.Parallelize(ctx, all, 8),
-		fr.StaticsAsVesselInfo(),
-		ports.NewIndex(ports.Default(), ports.IndexResolution),
-		pipeline.Options{Resolution: testRes})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	path, local := archiveFixture(t)
 	co := newTestCoordinator(t, func(c *Config) { c.MinWorkers = 2 })
 	addr := co.Addr().String()
 	w1 := startWorker(t, addr, func(c *WorkerConfig) { c.Name = "a1" })
@@ -428,10 +479,10 @@ func TestDistributedArchiveEqualsLocal(t *testing.T) {
 	if res.Tasks != 3+2 {
 		t.Errorf("scheduled %d tasks, want 5 (3 scan + 2 reduce)", res.Tasks)
 	}
-	if got, want := res.Feed.Positions, fr.Stats().Positions; got != want {
+	if got, want := res.Feed.Positions, archFeed.Positions; got != want {
 		t.Errorf("scan positions = %d, want %d", got, want)
 	}
-	if got, want := res.Feed.Statics, fr.Stats().Statics; got != want {
+	if got, want := res.Feed.Statics, archFeed.Statics; got != want {
 		t.Errorf("scan statics = %d, want %d", got, want)
 	}
 	for _, ch := range []chan error{w1, w2} {
@@ -441,17 +492,19 @@ func TestDistributedArchiveEqualsLocal(t *testing.T) {
 	}
 }
 
-// TestRunValidation rejects malformed jobs and honors context abort.
+// TestRunValidation rejects a job without an archive and honors context
+// abort while no worker has joined.
 func TestRunValidation(t *testing.T) {
 	co := newTestCoordinator(t, nil)
 	if _, err := co.Run(context.Background(), Job{}); err == nil {
-		t.Error("job without shape must fail")
+		t.Error("job without an archive must fail")
 	}
 
+	path, _ := archiveFixture(t)
 	co = newTestCoordinator(t, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := co.Run(ctx, Job{Synthetic: &SyntheticJob{Spec: testSpec, Tasks: 2}})
+	_, err := co.Run(ctx, Job{Archive: &ArchiveJob{Path: path, MapTasks: 2}})
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("no-worker run: err = %v, want deadline exceeded", err)
 	}
@@ -460,43 +513,50 @@ func TestRunValidation(t *testing.T) {
 // TestProtocolFrames round-trips an envelope and rejects oversized frames
 // before allocating their payload.
 func TestProtocolFrames(t *testing.T) {
-	env := &envelope{Type: msgTask, Task: &Task{
-		ID: 42, Attempt: 2, Kind: TaskScan, Buckets: 7,
-		Section: feed.Section{Path: "fleet.nmea", Index: 3, Start: 1234, End: 5678},
-	}}
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, env); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
-	got, err := readFrame(bytes.NewReader(frame), DefaultMaxFrameBytes)
+	frame := taskFrame(t)
+	got, n, err := readFrame[envelope](bytes.NewReader(frame), maxFrameBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != msgTask || got.Task == nil || got.Task.ID != 42 ||
-		got.Task.Buckets != 7 || got.Task.Section != env.Task.Section {
-		t.Fatalf("round-trip mismatch: %+v", got)
+	want := feed.Section{Path: "fleet.nmea", Index: 3, Start: 1234, End: 5678}
+	if got.Type != msgTask || got.Task == nil || got.Task.ID != 42 || got.Task.Attempt != 2 ||
+		got.Task.Buckets != 7 || got.Task.Section != want || n != len(frame) {
+		t.Fatalf("round-trip mismatch: %+v (%d of %d bytes)", got, n, len(frame))
 	}
 
-	if _, err := readFrame(bytes.NewReader(frame), 8); err == nil ||
+	if _, _, err := readFrame[envelope](bytes.NewReader(frame), 8); err == nil ||
 		!strings.Contains(err.Error(), "exceeds cap") {
 		t.Errorf("oversize frame: %v, want cap rejection", err)
 	}
 	// A corrupt length prefix must be rejected before allocation.
 	huge := []byte{0x7f, 0xff, 0xff, 0xff}
-	if _, err := readFrame(bytes.NewReader(huge), 1<<20); err == nil ||
+	if _, _, err := readFrame[envelope](bytes.NewReader(huge), 1<<20); err == nil ||
 		!strings.Contains(err.Error(), "exceeds cap") {
 		t.Errorf("corrupt prefix: %v, want cap rejection", err)
 	}
 }
 
+// taskFrame is one encoded control frame: TestProtocolFrames' fixture and
+// FuzzReadFrame's seed.
+func taskFrame(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := writeFrame(&buf, &envelope{Type: msgTask, Task: &Task{
+		ID: 42, Attempt: 2, Buckets: 7,
+		Section: feed.Section{Path: "fleet.nmea", Index: 3, Start: 1234, End: 5678},
+	}})
+	if err != nil || n != buf.Len() {
+		t.Fatalf("writeFrame: %d of %d bytes, %v", n, buf.Len(), err)
+	}
+	return buf.Bytes()
+}
+
 // TestWorkerFaultSpecs pins the fault-spec shapes the worker failpoints
-// are driven with (the replacements for the old kill-task=N /
-// fail-tasks=N flags): a one-shot kill on the Nth evaluation and a
-// bounded run of execution failures.
+// are driven with: a one-shot kill on the Nth evaluation and a bounded run
+// of execution failures.
 func TestWorkerFaultSpecs(t *testing.T) {
 	r := fault.New()
-	if err := r.Enable(FPWorkerKill, "error*1@1"); err != nil { // legacy kill-task=2
+	if err := r.Enable(FPWorkerKill, "error*1@1"); err != nil {
 		t.Fatal(err)
 	}
 	if r.Hit(FPWorkerKill) != nil {
@@ -508,7 +568,7 @@ func TestWorkerFaultSpecs(t *testing.T) {
 	if r.Hit(FPWorkerKill) != nil {
 		t.Error("one-shot kill fired twice")
 	}
-	if err := r.Enable(FPWorkerExecute, "error*3"); err != nil { // legacy fail-tasks=3
+	if err := r.Enable(FPWorkerExecute, "error*3"); err != nil {
 		t.Fatal(err)
 	}
 	var fails int

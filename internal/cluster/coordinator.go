@@ -33,17 +33,12 @@ type Config struct {
 	// RetryBackoff delays attempt n+1 of a task by n×RetryBackoff
 	// (default 250ms).
 	RetryBackoff time.Duration
-	// WriteTimeout bounds one frame send to a worker (default 10s); a
-	// blocked send marks the worker dead.
-	WriteTimeout time.Duration
-	// MaxFrameBytes caps one protocol frame (default DefaultMaxFrameBytes).
-	MaxFrameBytes int
 	// Obs receives cluster metrics (default obs.Default()).
 	Obs *obs.Registry
 	// Tracer, when non-nil, records the job as a trace — a cluster.job
-	// root (joining any ambient span on Run's context), one child per
-	// phase, and a traceparent stamped into every Task so worker execution
-	// spans land in the same distributed trace.
+	// root (joining any ambient span on Run's context), the shuffle phase
+	// as its child, and a traceparent stamped into every Task and roster
+	// so worker execution spans land in the same distributed trace.
 	Tracer *trace.Tracer
 	// Logf, when non-nil, receives coordinator progress lines.
 	Logf func(format string, args ...any)
@@ -62,36 +57,21 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 250 * time.Millisecond
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = DefaultMaxFrameBytes
-	}
 	return c
 }
 
-// Job describes one distributed build; exactly one of Synthetic or Archive
-// must be set.
+// Job describes one distributed build. Archive is required: an archive is
+// the one input a distributed build reads.
 type Job struct {
 	Resolution  int
 	Description string
-	Synthetic   *SyntheticJob
 	Archive     *ArchiveJob
 }
 
-// SyntheticJob builds from the simulator, partitioned by vessel index.
-type SyntheticJob struct {
-	Spec SimSpec
-	// Tasks is the number of vessel-range map tasks (default 4 per
-	// expected worker, clamped to the fleet size).
-	Tasks int
-}
-
-// ArchiveJob builds from a timestamped-NMEA archive in two phases: scan
-// map tasks over byte-range sections, then reduce tasks over vessel-hash
-// buckets. Path must be readable by every worker (shared or replicated
-// storage — on a loopback cluster, the same filesystem).
+// ArchiveJob names a timestamped-NMEA archive and the job's geometry: scan
+// map tasks over byte-range sections, reduces over vessel-hash buckets.
+// Path must be readable by every worker (shared or replicated storage — on
+// a loopback cluster, the same filesystem).
 type ArchiveJob struct {
 	Path string
 	// MapTasks is the section count (default 4 per expected worker).
@@ -105,9 +85,9 @@ type BuildResult struct {
 	Inventory *inventory.Inventory
 	Stats     pipeline.Stats
 	Feed      feed.ReadStats
-	// Tasks, Retries and Duplicates count scheduling outcomes across all
-	// phases of the job. Reassigned counts shuffle-bucket ownership
-	// changes after an owner died or stalled (peer shuffle only).
+	// Tasks, Retries and Duplicates count scheduling outcomes (scans and
+	// bucket reduces alike). Reassigned counts shuffle-bucket ownership
+	// changes after an owner died or stalled.
 	Tasks, Retries, Duplicates, Reassigned int
 }
 
@@ -145,8 +125,7 @@ type remote struct {
 	conn        net.Conn
 	shuffleAddr string     // peer-shuffle listener; "" means cannot own buckets
 	cur         *taskState // task currently assigned, nil when idle
-	dead        bool
-	strikes     int // consecutive straggler timeouts; cleared on completion
+	strikes     int        // consecutive straggler timeouts; cleared on completion
 }
 
 // strikeLimit benches a worker from new assignments after this many
@@ -163,7 +142,7 @@ type taskState struct {
 	notBefore time.Time // retry backoff gate
 	deadline  time.Time // liveness deadline while running
 	runner    *remote   // nil unless running
-	holder    *remote   // peer shuffle: worker whose retained outputs back this completed scan
+	holder    *remote   // worker whose retained outputs back this completed scan
 	started   time.Time
 	done      bool
 }
@@ -242,18 +221,18 @@ func (c *Coordinator) handshake(conn net.Conn) {
 		delete(c.conns, conn)
 		c.connMu.Unlock()
 	}()
-	conn.SetReadDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	in := countingReader{r: conn, c: c.metrics.bytesIn}
-	env, err := readFrame(in, c.cfg.MaxFrameBytes)
+	conn.SetReadDeadline(time.Now().Add(writeTimeout))
+	env, n, err := readFrame[envelope](conn, maxFrameBytes)
+	c.metrics.bytesIn.Add(int64(n))
 	if err != nil || env.Type != msgHello || env.Hello == nil {
-		conn.Close()
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 	rem := &remote{name: env.Hello.Name, conn: conn, shuffleAddr: env.Hello.ShuffleAddr}
 	c.post(event{kind: evJoin, rem: rem})
 	for {
-		env, err := readFrame(in, c.cfg.MaxFrameBytes)
+		env, n, err := readFrame[envelope](conn, maxFrameBytes)
+		c.metrics.bytesIn.Add(int64(n))
 		if err != nil {
 			c.post(event{kind: evGone, rem: rem, err: err})
 			return
@@ -265,25 +244,15 @@ func (c *Coordinator) handshake(conn net.Conn) {
 // send writes one frame to a worker under the write deadline; on failure
 // the connection is closed and the reader goroutine reports evGone.
 func (c *Coordinator) send(rem *remote, env *envelope) bool {
-	rem.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	err := writeFrame(countingWriter{w: rem.conn, c: c.metrics.bytesOut}, env)
+	rem.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	n, err := writeFrame(rem.conn, env)
 	rem.conn.SetWriteDeadline(time.Time{})
+	c.metrics.bytesOut.Add(int64(n))
 	if err != nil {
 		rem.conn.Close()
 		return false
 	}
 	return true
-}
-
-// jobState is the scheduler state shared across a job's phases.
-type jobState struct {
-	workers map[*remote]bool
-	started bool // MinWorkers reached once; dispatch stays open
-	res     BuildResult
-	nextID  uint64
-	// jobSpan/traceParent thread the job trace into phase spans and tasks.
-	jobSpan     *trace.Span
-	traceParent string
 }
 
 // Run executes one job to completion and returns the reduced result. It
@@ -293,62 +262,40 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*BuildResult, error) {
 	defer c.closeConns()
 	defer c.ln.Close()
 	defer close(c.done)
-	if (job.Synthetic == nil) == (job.Archive == nil) {
-		return nil, errors.New("cluster: job needs exactly one of Synthetic or Archive")
+	if job.Archive == nil {
+		return nil, errors.New("cluster: job needs an Archive")
 	}
 	if job.Resolution <= 0 {
 		job.Resolution = 6
 	}
 	start := time.Now()
-	st := &jobState{workers: make(map[*remote]bool)}
 	// Join any ambient trace on ctx (polbuild's client root); otherwise
 	// the job starts a fresh one. Workers join via Task.TraceParent.
-	st.jobSpan = c.cfg.Tracer.StartChild(trace.FromContext(ctx), "cluster.job")
-	st.traceParent = st.jobSpan.TraceParent()
-	defer st.jobSpan.Finish()
+	jobSpan := c.cfg.Tracer.StartChild(trace.FromContext(ctx), "cluster.job")
+	defer jobSpan.Finish()
 	final := inventory.New(inventory.BuildInfo{
 		Resolution:  job.Resolution,
 		BuiltUnix:   time.Now().Unix(),
 		Description: job.Description,
 	})
 
-	// Partial inventories are validated as they arrive but merged only
-	// after the job completes, in ascending task ID. Order-sensitive
+	res := &BuildResult{}
+	partials, err := c.schedule(ctx, job, jobSpan, res)
+	if err != nil {
+		jobSpan.SetError(err)
+		return nil, err
+	}
+
+	// Partial inventories are held as they arrive but decoded and merged
+	// only after the job completes, in ascending task ID. Order-sensitive
 	// summary statistics (Welford moments, circular means, t-digests) make
 	// arrival-order merging nondeterministic under scheduling races; the
 	// ordered merge pins the distributed result to one canonical fold —
 	// bucket 0, bucket 1, … — no matter which worker finished first, which
 	// is half of what makes distributed builds bit-exact with local ones
-	// (the other half is the single-partition reduce pipeline).
-	partials := make(map[uint64][]byte)
-	collect := func(r *TaskResult) error {
-		partial, err := inventory.Unmarshal(r.Inventory)
-		if err != nil {
-			return fmt.Errorf("cluster: task %d partial inventory: %w", r.ID, err)
-		}
-		if partial.Info().Resolution != job.Resolution {
-			return fmt.Errorf("cluster: task %d partial at resolution %d, want %d",
-				r.ID, partial.Info().Resolution, job.Resolution)
-		}
-		partials[r.ID] = r.Inventory
-		addStats(&st.res.Stats, r.Stats)
-		return nil
-	}
-
-	var err error
-	if job.Synthetic != nil {
-		err = c.runSynthetic(ctx, st, job, collect)
-	} else {
-		err = c.runArchive(ctx, st, job, collect)
-	}
-	c.shutdownWorkers(st)
-	if err != nil {
-		st.jobSpan.SetError(err)
-		return nil, err
-	}
-
-	// MergeFrom accumulates the partials' RawRecords/UsedRecords into the
-	// final build info, so the reduced inventory reports the same totals a
+	// (the other half is the single-partition reduce pipeline). MergeFrom
+	// accumulates the partials' RawRecords/UsedRecords into the final build
+	// info, so the reduced inventory reports the same totals a
 	// single-process build would.
 	ids := make([]uint64, 0, len(partials))
 	for id := range partials {
@@ -360,62 +307,19 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*BuildResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: task %d partial inventory: %w", id, err)
 		}
+		if partial.Info().Resolution != job.Resolution {
+			return nil, fmt.Errorf("cluster: task %d partial at resolution %d, want %d",
+				id, partial.Info().Resolution, job.Resolution)
+		}
 		if err := final.MergeFrom(partial); err != nil {
 			return nil, err
 		}
 	}
 
-	st.res.Inventory = final
-	st.res.Stats.Groups = int64(final.Len())
-	st.res.Stats.Elapsed = time.Since(start)
-	return &st.res, nil
-}
-
-// runSynthetic schedules one phase of vessel-range build tasks.
-func (c *Coordinator) runSynthetic(ctx context.Context, st *jobState, job Job, merge func(*TaskResult) error) error {
-	// Resolve defaults once so every task ships the same fully-specified
-	// fleet and the index ranges cover the effective vessel count.
-	spec := SpecFromConfig(job.Synthetic.Spec.Config().WithDefaults())
-	vessels := spec.Vessels
-	nTasks := job.Synthetic.Tasks
-	if nTasks <= 0 {
-		nTasks = 4 * c.cfg.MinWorkers
-	}
-	if nTasks > vessels {
-		nTasks = vessels
-	}
-	tasks := make([]Task, 0, nTasks)
-	for i := 0; i < nTasks; i++ {
-		st.nextID++
-		tasks = append(tasks, Task{
-			ID:          st.nextID,
-			Kind:        TaskSimBuild,
-			Resolution:  job.Resolution,
-			TraceParent: st.traceParent,
-			Sim:         spec,
-			VesselLo:    vessels * i / nTasks,
-			VesselHi:    vessels * (i + 1) / nTasks,
-		})
-	}
-	return c.runPhase(ctx, st, "sim-build", tasks, merge)
-}
-
-// archiveGeometry resolves an archive job's task counts and splits the
-// archive into scan sections.
-func (c *Coordinator) archiveGeometry(job Job) ([]feed.Section, int, error) {
-	mapTasks := job.Archive.MapTasks
-	if mapTasks <= 0 {
-		mapTasks = 4 * c.cfg.MinWorkers
-	}
-	reduceTasks := job.Archive.ReduceTasks
-	if reduceTasks <= 0 {
-		reduceTasks = 2 * c.cfg.MinWorkers
-	}
-	sections, err := feed.Split(job.Archive.Path, mapTasks)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sections, reduceTasks, nil
+	res.Inventory = final
+	res.Stats.Groups = int64(final.Len())
+	res.Stats.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // bucketState tracks one shuffle bucket through ownership changes. The
@@ -431,12 +335,17 @@ type bucketState struct {
 	done     bool
 }
 
-// runArchive drives an archive job as one overlapped peer-shuffle
-// phase: scan tasks are scheduled like any map phase, but their bucket
-// outputs stream worker-to-worker per the roster, and bucket reduce
-// results arrive here while scans are still running. The coordinator only
-// ever moves control traffic — ownership rosters, scan tasks, results —
-// never shuffled records.
+// schedule is the one scheduler loop. It drives the job as one overlapped
+// phase: scan tasks are assigned to idle workers, their bucket outputs
+// stream worker-to-worker per the roster, and bucket reduce results arrive
+// here while scans are still running; it returns each bucket's partial
+// inventory image by task ID. The coordinator only ever moves control
+// traffic — ownership rosters, scan tasks, results — never shuffled
+// records.
+//
+// Task lifecycle: heartbeats extend a running task's deadline, a missed
+// deadline or a lost worker re-queues it with bounded, backed-off retries,
+// and idempotent task IDs make a second completion a no-op.
 //
 // Fault handling: a dead worker's running scan re-queues as usual; its
 // *completed* scans re-queue too when buckets are still outstanding,
@@ -445,19 +354,27 @@ type bucketState struct {
 // buckets of a dead or stalled owner are re-granted round-robin under a
 // bumped roster epoch; live scan holders then re-stream their retained
 // frames to the new owner.
-func (c *Coordinator) runArchive(ctx context.Context, st *jobState, job Job, merge func(*TaskResult) error) (err error) {
-	sections, reduceTasks, err := c.archiveGeometry(job)
-	if err != nil {
-		return err
+func (c *Coordinator) schedule(ctx context.Context, job Job, jobSpan *trace.Span, res *BuildResult) (partials map[uint64][]byte, err error) {
+	mapTasks, reduceTasks := job.Archive.MapTasks, job.Archive.ReduceTasks
+	if mapTasks <= 0 {
+		mapTasks = 4 * c.cfg.MinWorkers
 	}
+	if reduceTasks <= 0 {
+		reduceTasks = 2 * c.cfg.MinWorkers
+	}
+	sections, err := feed.Split(job.Archive.Path, mapTasks)
+	if err != nil {
+		return nil, err
+	}
+	traceParent := jobSpan.TraceParent()
+	var nextID uint64
 	scans := make(map[uint64]*taskState, len(sections))
 	var pending []*taskState
 	for _, sec := range sections {
-		st.nextID++
+		nextID++
 		ts := &taskState{task: Task{
-			ID:          st.nextID,
-			Kind:        TaskScan,
-			TraceParent: st.traceParent,
+			ID:          nextID,
+			TraceParent: traceParent,
 			Section:     sec,
 			Buckets:     reduceTasks,
 		}}
@@ -467,17 +384,29 @@ func (c *Coordinator) runArchive(ctx context.Context, st *jobState, job Job, mer
 	buckets := make([]*bucketState, reduceTasks)
 	bucketByID := make(map[uint64]*bucketState, reduceTasks)
 	for b := range buckets {
-		st.nextID++
-		bs := &bucketState{bucket: b, id: st.nextID}
+		nextID++
+		bs := &bucketState{bucket: b, id: nextID}
 		buckets[b] = bs
 		bucketByID[bs.id] = bs
 	}
-	st.res.Tasks += len(sections) + reduceTasks
+	res.Tasks = len(sections) + reduceTasks
 	scansLeft, bucketsLeft := len(sections), reduceTasks
 	feedCounted := make(map[uint64]bool, len(sections))
+	partials = make(map[uint64][]byte, reduceTasks)
+
+	workers := make(map[*remote]bool)
+	started := false // MinWorkers reached once; dispatch stays open
+	defer func() {
+		// Tell every connected worker the job is over.
+		for rem := range workers {
+			c.send(rem, &envelope{Type: msgShutdown})
+			rem.conn.Close()
+		}
+		c.metrics.workers.Set(0)
+	}()
 
 	c.logf("phase peer-shuffle: %d scans, %d buckets", len(sections), reduceTasks)
-	span := c.cfg.Tracer.StartChild(st.jobSpan, "cluster.phase.peer-shuffle")
+	span := c.cfg.Tracer.StartChild(jobSpan, "cluster.phase.peer-shuffle")
 	span.SetAttr("scans", fmt.Sprint(len(sections)))
 	span.SetAttr("buckets", fmt.Sprint(reduceTasks))
 	defer func() {
@@ -489,22 +418,12 @@ func (c *Coordinator) runArchive(ctx context.Context, st *jobState, job Job, mer
 	// ownership change bumps it, and workers ignore stale epochs.
 	epoch, rr := 0, 0
 	var roster *rosterMsg
-	eligible := func() []*remote {
-		var out []*remote
-		for rem := range st.workers {
-			if !rem.dead && rem.shuffleAddr != "" {
-				out = append(out, rem)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-		return out
-	}
 	broadcast := func() {
 		roster = &rosterMsg{
 			Epoch:       epoch,
 			Sections:    len(sections),
 			Resolution:  job.Resolution,
-			TraceParent: st.traceParent,
+			TraceParent: traceParent,
 		}
 		for _, bs := range buckets {
 			as := BucketAssign{Bucket: bs.bucket, TaskID: bs.id}
@@ -513,18 +432,24 @@ func (c *Coordinator) runArchive(ctx context.Context, st *jobState, job Job, mer
 			}
 			roster.Buckets = append(roster.Buckets, as)
 		}
-		for rem := range st.workers {
-			if !rem.dead {
-				c.send(rem, &envelope{Type: msgRoster, Roster: roster})
-			}
+		for rem := range workers {
+			c.send(rem, &envelope{Type: msgRoster, Roster: roster})
 		}
 		c.logf("phase peer-shuffle: roster epoch %d broadcast", epoch)
 	}
+	// assignBuckets grants every ownerless bucket round-robin over the
+	// workers that can own one, in name order.
 	assignBuckets := func() bool {
-		el := eligible()
+		var el []*remote
+		for rem := range workers {
+			if rem.shuffleAddr != "" {
+				el = append(el, rem)
+			}
+		}
 		if len(el) == 0 {
 			return false
 		}
+		sort.Slice(el, func(i, j int) bool { return el[i].name < el[j].name })
 		changed := false
 		now := time.Now()
 		for _, bs := range buckets {
@@ -545,9 +470,6 @@ func (c *Coordinator) runArchive(ctx context.Context, st *jobState, job Job, mer
 	// re-grants it; bounded like task retries.
 	benchBucket := func(bs *bucketState, why string) error {
 		bs.owner = nil
-		if bs.done {
-			return nil
-		}
 		if bs.attempts > c.cfg.MaxRetries {
 			c.metrics.failed.Inc()
 			return fmt.Errorf("cluster: bucket %d (task %d) failed after %d owners: %s",
@@ -555,27 +477,25 @@ func (c *Coordinator) runArchive(ctx context.Context, st *jobState, job Job, mer
 		}
 		c.metrics.retried.Inc()
 		c.metrics.reassigned.Inc()
-		st.res.Retries++
-		st.res.Reassigned++
+		res.Retries++
+		res.Reassigned++
 		span.AddEvent("reassign",
 			trace.Attr{Key: "bucket", Value: fmt.Sprint(bs.bucket)},
 			trace.Attr{Key: "why", Value: why})
 		c.logf("phase peer-shuffle: bucket %d re-owned (%s)", bs.bucket, why)
 		return nil
 	}
-
-	requeueScan := func(ts *taskState, why string) error {
+	// requeue puts a scan back on the pending list behind its retry
+	// backoff; exhausting MaxRetries fails the job.
+	requeue := func(ts *taskState, why string) error {
 		ts.runner = nil
-		if ts.done {
-			return nil
-		}
 		if ts.attempts > c.cfg.MaxRetries {
 			c.metrics.failed.Inc()
-			return fmt.Errorf("cluster: task %d (%s) failed after %d attempts: %s",
-				ts.task.ID, ts.task.Kind, ts.attempts, why)
+			return fmt.Errorf("cluster: task %d (scan) failed after %d attempts: %s",
+				ts.task.ID, ts.attempts, why)
 		}
 		c.metrics.retried.Inc()
-		st.res.Retries++
+		res.Retries++
 		span.AddEvent("requeue",
 			trace.Attr{Key: "task", Value: fmt.Sprint(ts.task.ID)},
 			trace.Attr{Key: "why", Value: why})
@@ -586,289 +506,15 @@ func (c *Coordinator) runArchive(ctx context.Context, st *jobState, job Job, mer
 	}
 	assignScans := func() {
 		allBenched := true
-		for rem := range st.workers {
-			if !rem.dead && rem.strikes < strikeLimit {
+		for rem := range workers {
+			if rem.strikes < strikeLimit {
 				allBenched = false
 				break
 			}
 		}
 		now := time.Now()
-		for rem := range st.workers {
-			if rem.dead || rem.cur != nil {
-				continue
-			}
-			if rem.strikes >= strikeLimit && !allBenched {
-				continue
-			}
-			best := -1
-			for i := 0; i < len(pending); i++ {
-				if pending[i].done {
-					pending = append(pending[:i], pending[i+1:]...)
-					i--
-					continue
-				}
-				if !pending[i].notBefore.After(now) {
-					best = i
-					break
-				}
-			}
-			if best < 0 {
-				return
-			}
-			ts := pending[best]
-			pending = append(pending[:best], pending[best+1:]...)
-			ts.attempts++
-			ts.task.Attempt = ts.attempts
-			ts.runner = rem
-			ts.deadline = now.Add(c.cfg.TaskTimeout)
-			ts.started = now
-			rem.cur = ts
-			c.metrics.assigned.Inc()
-			c.send(rem, &envelope{Type: msgTask, Task: &ts.task})
-		}
-	}
-
-	tick := c.cfg.TaskTimeout / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-
-	for {
-		if !st.started && len(st.workers) >= c.cfg.MinWorkers {
-			st.started = true
-		}
-		if st.started {
-			// Grant ownership before scans so the roster usually beats
-			// the first map outputs to every worker (frames that do race
-			// ahead are parked and re-delivered on roster install).
-			if assignBuckets() {
-				epoch++
-				broadcast()
-			}
-			assignScans()
-		}
-		if bucketsLeft == 0 {
-			c.logf("phase peer-shuffle: complete (%d reassignments)", st.res.Reassigned)
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("cluster: phase peer-shuffle aborted: %w", ctx.Err())
-		case <-ticker.C:
-			now := time.Now()
-			for _, ts := range scans {
-				if ts.runner != nil && now.After(ts.deadline) {
-					ts.runner.strikes++
-					ts.runner.cur = nil
-					if err := requeueScan(ts, "straggler timeout"); err != nil {
-						return err
-					}
-				}
-			}
-			for _, bs := range buckets {
-				if bs.owner != nil && !bs.done && now.After(bs.deadline) {
-					bs.owner.strikes++
-					if err := benchBucket(bs, "owner stalled"); err != nil {
-						return err
-					}
-				}
-			}
-		case ev := <-c.events:
-			switch ev.kind {
-			case evJoin:
-				st.workers[ev.rem] = true
-				c.metrics.workers.Set(float64(len(st.workers)))
-				c.logf("worker %s joined (%d connected)", ev.rem.name, len(st.workers))
-				if roster != nil {
-					c.send(ev.rem, &envelope{Type: msgRoster, Roster: roster})
-				}
-			case evGone:
-				if !st.workers[ev.rem] {
-					break
-				}
-				delete(st.workers, ev.rem)
-				ev.rem.dead = true
-				c.metrics.workers.Set(float64(len(st.workers)))
-				c.logf("worker %s gone: %v", ev.rem.name, ev.err)
-				if ts := ev.rem.cur; ts != nil {
-					ev.rem.cur = nil
-					if err := requeueScan(ts, "worker lost"); err != nil {
-						return err
-					}
-				}
-				// Completed scans whose retained outputs died with the
-				// worker: re-queue so a reassigned owner can still be fed.
-				// Receivers that already hold the frames dedupe the re-run.
-				for _, ts := range scans {
-					if ts.done && ts.holder == ev.rem {
-						ts.done, ts.holder = false, nil
-						scansLeft++
-						if err := requeueScan(ts, "scan holder lost"); err != nil {
-							return err
-						}
-					}
-				}
-				for _, bs := range buckets {
-					if bs.owner == ev.rem && !bs.done {
-						if err := benchBucket(bs, "owner lost"); err != nil {
-							return err
-						}
-					}
-				}
-			case evFrame:
-				switch ev.env.Type {
-				case msgHeartbeat:
-					c.metrics.heartbeats.Inc()
-					hb := ev.env.Heartbeat
-					if hb == nil {
-						break
-					}
-					if ts := scans[hb.TaskID]; ts != nil && ts.runner == ev.rem {
-						ts.deadline = time.Now().Add(c.cfg.TaskTimeout)
-					} else if bs := bucketByID[hb.TaskID]; bs != nil && bs.owner == ev.rem {
-						bs.deadline = time.Now().Add(c.cfg.TaskTimeout)
-					}
-				case msgResult:
-					r := ev.env.Result
-					if r == nil {
-						break
-					}
-					if ev.rem.cur != nil && ev.rem.cur.task.ID == r.ID {
-						ev.rem.cur = nil
-					}
-					ev.rem.strikes = 0
-					if ts := scans[r.ID]; ts != nil {
-						if ts.done {
-							c.metrics.duplicate.Inc()
-							st.res.Duplicates++
-							break
-						}
-						if r.Err != "" {
-							if ts.runner == ev.rem {
-								ts.runner = nil
-							}
-							if err := requeueScan(ts, "worker error: "+r.Err); err != nil {
-								return err
-							}
-							break
-						}
-						ts.done, ts.runner, ts.holder = true, nil, ev.rem
-						scansLeft--
-						c.metrics.completed.Inc()
-						c.metrics.taskSeconds.Observe(time.Since(ts.started).Seconds())
-						if !feedCounted[r.ID] {
-							feedCounted[r.ID] = true
-							addFeedStats(&st.res.Feed, r.Feed)
-						}
-						break
-					}
-					bs := bucketByID[r.ID]
-					if bs == nil || bs.done {
-						c.metrics.duplicate.Inc()
-						st.res.Duplicates++
-						break
-					}
-					if r.Err != "" {
-						// The reduce itself failed on the owner: rotate
-						// ownership; the next roster epoch lets the worker
-						// (or a peer) retry from the shuffled inputs.
-						if err := benchBucket(bs, "reduce error: "+r.Err); err != nil {
-							return err
-						}
-						break
-					}
-					bs.done = true
-					bucketsLeft--
-					c.metrics.completed.Inc()
-					c.metrics.taskSeconds.Observe(time.Since(bs.granted).Seconds())
-					if scansLeft > 0 {
-						// The overlap the direct shuffle buys: this bucket
-						// reduced while sections were still scanning.
-						c.metrics.overlapReduces.Inc()
-					}
-					if err := merge(r); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-}
-
-// runPhase drives one task set to completion: assignment, heartbeat
-// deadlines, straggler re-queue, bounded backed-off retries, and duplicate
-// suppression keyed on idempotent task IDs.
-func (c *Coordinator) runPhase(ctx context.Context, st *jobState, phase string, tasks []Task, onResult func(*TaskResult) error) (err error) {
-	states := make(map[uint64]*taskState, len(tasks))
-	var pending []*taskState
-	for i := range tasks {
-		ts := &taskState{task: tasks[i]}
-		states[tasks[i].ID] = ts
-		pending = append(pending, ts)
-	}
-	st.res.Tasks += len(tasks)
-	remaining := len(tasks)
-	if remaining == 0 {
-		return nil
-	}
-	c.logf("phase %s: %d tasks", phase, len(tasks))
-	span := c.cfg.Tracer.StartChild(st.jobSpan, "cluster.phase."+phase)
-	span.SetAttr("tasks", fmt.Sprint(len(tasks)))
-	defer func() {
-		span.SetError(err)
-		span.Finish()
-	}()
-
-	tick := c.cfg.TaskTimeout / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-
-	requeue := func(ts *taskState, why string) error {
-		ts.runner = nil
-		if ts.done {
-			return nil
-		}
-		if ts.attempts > c.cfg.MaxRetries {
-			c.metrics.failed.Inc()
-			return fmt.Errorf("cluster: task %d (%s) failed after %d attempts: %s",
-				ts.task.ID, ts.task.Kind, ts.attempts, why)
-		}
-		c.metrics.retried.Inc()
-		st.res.Retries++
-		span.AddEvent("requeue",
-			trace.Attr{Key: "task", Value: fmt.Sprint(ts.task.ID)},
-			trace.Attr{Key: "why", Value: why})
-		ts.notBefore = time.Now().Add(time.Duration(ts.attempts) * c.cfg.RetryBackoff)
-		pending = append(pending, ts)
-		c.logf("phase %s: task %d re-queued (%s), attempt %d next", phase, ts.task.ID, why, ts.attempts+1)
-		return nil
-	}
-
-	assign := func() {
-		if !st.started {
-			if len(st.workers) < c.cfg.MinWorkers {
-				return
-			}
-			st.started = true
-		}
-		allBenched := true
-		for rem := range st.workers {
-			if !rem.dead && rem.strikes < strikeLimit {
-				allBenched = false
-				break
-			}
-		}
-		now := time.Now()
-		for rem := range st.workers {
-			if rem.dead || rem.cur != nil {
-				continue
-			}
-			if rem.strikes >= strikeLimit && !allBenched {
+		for rem := range workers {
+			if rem.cur != nil || (rem.strikes >= strikeLimit && !allBenched) {
 				continue
 			}
 			best := -1
@@ -902,17 +548,37 @@ func (c *Coordinator) runPhase(ctx context.Context, st *jobState, phase string, 
 		}
 	}
 
+	tick := c.cfg.TaskTimeout / 4
+	if tick < 5*time.Millisecond {
+		tick = 5 * time.Millisecond
+	}
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+
 	for {
-		assign()
-		if remaining == 0 {
-			return nil
+		if !started && len(workers) >= c.cfg.MinWorkers {
+			started = true
+		}
+		if started {
+			// Grant ownership before scans so the roster usually beats
+			// the first map outputs to every worker (frames that do race
+			// ahead are parked and re-delivered on roster install).
+			if assignBuckets() {
+				epoch++
+				broadcast()
+			}
+			assignScans()
+		}
+		if bucketsLeft == 0 {
+			c.logf("phase peer-shuffle: complete (%d reassignments)", res.Reassigned)
+			return partials, nil
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("cluster: phase %s aborted: %w", phase, ctx.Err())
+			return nil, fmt.Errorf("cluster: phase peer-shuffle aborted: %w", ctx.Err())
 		case <-ticker.C:
 			now := time.Now()
-			for _, ts := range states {
+			for _, ts := range scans {
 				if ts.runner != nil && now.After(ts.deadline) {
 					// Drop the claim; the straggler may still finish, in
 					// which case whichever completion arrives first wins
@@ -920,38 +586,70 @@ func (c *Coordinator) runPhase(ctx context.Context, st *jobState, phase string, 
 					ts.runner.strikes++
 					ts.runner.cur = nil
 					if err := requeue(ts, "straggler timeout"); err != nil {
-						return err
+						return nil, err
+					}
+				}
+			}
+			for _, bs := range buckets {
+				if bs.owner != nil && !bs.done && now.After(bs.deadline) {
+					bs.owner.strikes++
+					if err := benchBucket(bs, "owner stalled"); err != nil {
+						return nil, err
 					}
 				}
 			}
 		case ev := <-c.events:
 			switch ev.kind {
 			case evJoin:
-				st.workers[ev.rem] = true
-				c.metrics.workers.Set(float64(len(st.workers)))
-				c.logf("worker %s joined (%d connected)", ev.rem.name, len(st.workers))
+				workers[ev.rem] = true
+				c.metrics.workers.Set(float64(len(workers)))
+				c.logf("worker %s joined (%d connected)", ev.rem.name, len(workers))
+				if roster != nil {
+					c.send(ev.rem, &envelope{Type: msgRoster, Roster: roster})
+				}
 			case evGone:
-				if !st.workers[ev.rem] {
+				if !workers[ev.rem] {
 					break
 				}
-				delete(st.workers, ev.rem)
-				ev.rem.dead = true
-				c.metrics.workers.Set(float64(len(st.workers)))
+				delete(workers, ev.rem)
+				c.metrics.workers.Set(float64(len(workers)))
 				c.logf("worker %s gone: %v", ev.rem.name, ev.err)
-				if ts := ev.rem.cur; ts != nil {
-					ev.rem.cur = nil
+				if ts := ev.rem.cur; ts != nil && ts.runner == ev.rem {
 					if err := requeue(ts, "worker lost"); err != nil {
-						return err
+						return nil, err
+					}
+				}
+				// Completed scans whose retained outputs died with the
+				// worker: re-queue so a reassigned owner can still be fed.
+				// Receivers that already hold the frames dedupe the re-run.
+				for _, ts := range scans {
+					if ts.done && ts.holder == ev.rem {
+						ts.done, ts.holder = false, nil
+						scansLeft++
+						if err := requeue(ts, "scan holder lost"); err != nil {
+							return nil, err
+						}
+					}
+				}
+				for _, bs := range buckets {
+					if bs.owner == ev.rem && !bs.done {
+						if err := benchBucket(bs, "owner lost"); err != nil {
+							return nil, err
+						}
 					}
 				}
 			case evFrame:
 				switch ev.env.Type {
 				case msgHeartbeat:
 					c.metrics.heartbeats.Inc()
-					if hb := ev.env.Heartbeat; hb != nil {
-						if ts := states[hb.TaskID]; ts != nil && ts.runner == ev.rem {
-							ts.deadline = time.Now().Add(c.cfg.TaskTimeout)
-						}
+					hb := ev.env.Heartbeat
+					if hb == nil {
+						break
+					}
+					if ts := scans[hb.TaskID]; ts != nil && ts.runner == ev.rem {
+						ts.deadline = time.Now().Add(c.cfg.TaskTimeout)
+					} else if bs := bucketByID[hb.TaskID]; bs != nil && bs.owner == ev.rem {
+						bs.deadline = time.Now().Add(c.cfg.TaskTimeout)
 					}
 				case msgResult:
 					r := ev.env.Result
@@ -962,47 +660,54 @@ func (c *Coordinator) runPhase(ctx context.Context, st *jobState, phase string, 
 						ev.rem.cur = nil
 					}
 					ev.rem.strikes = 0
-					ts := states[r.ID]
-					if ts == nil || ts.done {
-						// A straggler finished after its re-run did: the
-						// idempotent task ID makes this a no-op.
+					ts, bs := scans[r.ID], bucketByID[r.ID]
+					// Idempotent IDs make a second completion a no-op. So is
+					// a failure from a worker that no longer holds the task:
+					// it must not be charged to whoever holds it now. A late
+					// success is still taken — the work is done, whoever
+					// did it.
+					stale := r.Err != "" && (ts != nil && ts.runner != ev.rem || bs != nil && bs.owner != ev.rem)
+					switch {
+					case ts == nil && bs == nil, ts != nil && ts.done, bs != nil && bs.done, stale:
 						c.metrics.duplicate.Inc()
-						st.res.Duplicates++
-						break
-					}
-					if r.Err != "" {
-						if ts.runner == ev.rem {
-							ts.runner = nil
-						}
+						res.Duplicates++
+					case ts != nil && r.Err != "":
 						if err := requeue(ts, "worker error: "+r.Err); err != nil {
-							return err
+							return nil, err
 						}
-						break
-					}
-					ts.done = true
-					ts.runner = nil
-					remaining--
-					c.metrics.completed.Inc()
-					c.metrics.taskSeconds.Observe(time.Since(ts.started).Seconds())
-					if err := onResult(r); err != nil {
-						return err
+					case ts != nil:
+						ts.done, ts.runner, ts.holder = true, nil, ev.rem
+						scansLeft--
+						c.metrics.completed.Inc()
+						c.metrics.taskSeconds.Observe(time.Since(ts.started).Seconds())
+						if !feedCounted[r.ID] {
+							feedCounted[r.ID] = true
+							addFeedStats(&res.Feed, r.Feed)
+						}
+					case r.Err != "":
+						// The reduce itself failed on the owner: rotate
+						// ownership; the next roster epoch lets the worker
+						// (or a peer) retry from the shuffled inputs.
+						if err := benchBucket(bs, "reduce error: "+r.Err); err != nil {
+							return nil, err
+						}
+					default:
+						bs.done = true
+						bucketsLeft--
+						c.metrics.completed.Inc()
+						c.metrics.taskSeconds.Observe(time.Since(bs.granted).Seconds())
+						if scansLeft > 0 {
+							// The overlap the direct shuffle buys: this bucket
+							// reduced while sections were still scanning.
+							c.metrics.overlapReduces.Inc()
+						}
+						partials[r.ID] = r.Inventory
+						addStats(&res.Stats, r.Stats)
 					}
 				}
 			}
 		}
 	}
-}
-
-// shutdownWorkers tells every connected worker the job is over and closes
-// the connections.
-func (c *Coordinator) shutdownWorkers(st *jobState) {
-	for rem := range st.workers {
-		if !rem.dead {
-			c.send(rem, &envelope{Type: msgShutdown})
-			rem.conn.Close()
-		}
-	}
-	c.metrics.workers.Set(0)
 }
 
 // addStats sums pipeline flow statistics across partial builds.

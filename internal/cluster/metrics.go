@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"io"
-
-	"github.com/patternsoflife/pol/internal/obs"
-)
+import "github.com/patternsoflife/pol/internal/obs"
 
 // Cluster metric names (Prometheus conventions, pol_ namespace).
 const (
@@ -156,28 +152,4 @@ func newWorkerMetrics(reg *obs.Registry) *workerMetrics {
 		return float64(raw.Value()) / float64(c)
 	})
 	return m
-}
-
-// countingWriter tallies written bytes into a counter.
-type countingWriter struct {
-	w io.Writer
-	c *obs.Counter
-}
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.c.Add(int64(n))
-	return n, err
-}
-
-// countingReader tallies read bytes into a counter.
-type countingReader struct {
-	r io.Reader
-	c *obs.Counter
-}
-
-func (cr countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.c.Add(int64(n))
-	return n, err
 }

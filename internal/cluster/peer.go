@@ -26,11 +26,11 @@ const (
 	FPPeerWrite = "cluster.peer.write"
 )
 
-// peerBatchRecords is the map-side flush threshold: a scan emits a bucket
-// frame once this many records have accumulated for one destination. The
-// value is part of the shuffle's determinism contract — a re-executed scan
-// produces byte-identical frames with identical sequence numbers, which is
-// what makes mixing frames from two attempts of the same task safe.
+// peerBatchRecords is the map-side frame size: having read its section, a
+// scan cuts each bucket's records into frames of this many. The value is
+// part of the shuffle's determinism contract — a re-executed scan produces
+// byte-identical frames with identical sequence numbers, which is what
+// makes mixing frames from two attempts of the same task safe.
 const peerBatchRecords = 4096
 
 // crcTable is the Castagnoli polynomial, matching the WAL's record CRCs.
@@ -55,19 +55,16 @@ type peerPayload struct {
 // flipped payload byte nor a corrupted header field (a frame claiming the
 // wrong bucket or sequence) can poison a reduce.
 type peerFrame struct {
-	From        string // sending worker, for logs
-	Epoch       int
-	TaskID      uint64
-	Section     int
-	Bucket      int
-	Seq         int
-	Last        bool
-	Frames      int // on Last: total frames for (TaskID, Bucket)
-	Records     int // records in this frame's payload
-	RawLen      int // uncompressed payload bytes (compression-ratio metric)
-	TraceParent string
-	Payload     []byte
-	CRC         uint32
+	TaskID  uint64
+	Section int
+	Bucket  int
+	Seq     int
+	Last    bool
+	Frames  int // on Last: total frames for (TaskID, Bucket)
+	Records int // records in this frame's payload
+	RawLen  int // uncompressed payload bytes (compression-ratio metric)
+	Payload []byte
+	CRC     uint32
 }
 
 // digest computes the frame's integrity checksum: the numeric identity
@@ -140,46 +137,6 @@ func (f *peerFrame) open(maxBytes int) (*peerPayload, error) {
 	return &p, nil
 }
 
-// writePeerFrame writes one length-prefixed gob frame on a peer connection.
-func writePeerFrame(w io.Writer, f *peerFrame) (int, error) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0})
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return 0, fmt.Errorf("cluster: encode peer frame: %w", err)
-	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-	if _, err := w.Write(b); err != nil {
-		return 0, err
-	}
-	return len(b), nil
-}
-
-// readPeerFrame reads one frame, rejecting lengths beyond maxBytes before
-// allocating.
-func readPeerFrame(r io.Reader, maxBytes int) (*peerFrame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxFrameBytes
-	}
-	if int64(n) > int64(maxBytes) {
-		return nil, 0, fmt.Errorf("cluster: peer frame of %d bytes exceeds cap %d", n, maxBytes)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 0, err
-	}
-	var f peerFrame
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&f); err != nil {
-		return nil, 0, fmt.Errorf("cluster: decode peer frame: %w", err)
-	}
-	return &f, int(n) + 4, nil
-}
-
 // peerSender owns the stream of shuffle frames to one destination address:
 // a queue drained by a single goroutine that dials lazily, retries with
 // capped exponential backoff, and on any connection error reconnects and
@@ -187,7 +144,6 @@ func readPeerFrame(r io.Reader, maxBytes int) (*peerFrame, int, error) {
 // deduplicate, so replay is always safe and always sufficient).
 type peerSender struct {
 	addr    string
-	cfg     WorkerConfig
 	metrics *workerMetrics
 	faults  *fault.Registry
 
@@ -198,11 +154,8 @@ type peerSender struct {
 	closed bool
 }
 
-func newPeerSender(addr string, cfg WorkerConfig, m *workerMetrics) *peerSender {
-	return &peerSender{
-		addr: addr, cfg: cfg, metrics: m, faults: cfg.Faults,
-		wake: make(chan struct{}, 1),
-	}
+func newPeerSender(addr string, faults *fault.Registry, m *workerMetrics) *peerSender {
+	return &peerSender{addr: addr, metrics: m, faults: faults, wake: make(chan struct{}, 1)}
 }
 
 // enqueue accepts frames for delivery; the run loop picks them up.
@@ -316,8 +269,8 @@ func (s *peerSender) write(conn net.Conn, f *peerFrame) error {
 	if err := s.faults.Hit(FPPeerWrite); err != nil {
 		return err
 	}
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	n, err := writePeerFrame(conn, f)
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	n, err := writeFrame(conn, f)
 	conn.SetWriteDeadline(time.Time{})
 	if err == nil {
 		s.metrics.shufflePeerSent.Add(int64(n))
@@ -331,8 +284,7 @@ func (s *peerSender) write(conn net.Conn, f *peerFrame) error {
 // statics riding the Last frame. The same task always produces the same
 // frames, which is what makes straggler re-execution and reconnect replay
 // idempotent at the receiver.
-func bucketFrames(from string, epoch int, t Task, bucket int,
-	records []model.PositionRecord, statics map[uint32]model.VesselInfo) ([]*peerFrame, error) {
+func bucketFrames(t Task, bucket int, records []model.PositionRecord, statics map[uint32]model.VesselInfo) ([]*peerFrame, error) {
 	var frames []*peerFrame
 	n := len(records)
 	total := (n + peerBatchRecords - 1) / peerBatchRecords
@@ -345,15 +297,7 @@ func bucketFrames(from string, epoch int, t Task, bucket int,
 		if hi > n {
 			hi = n
 		}
-		f := &peerFrame{
-			From:        from,
-			Epoch:       epoch,
-			TaskID:      t.ID,
-			Section:     t.Section.Index,
-			Bucket:      bucket,
-			Seq:         seq,
-			TraceParent: t.TraceParent,
-		}
+		f := &peerFrame{TaskID: t.ID, Section: t.Section.Index, Bucket: bucket, Seq: seq}
 		var st map[uint32]model.VesselInfo
 		if seq == total-1 {
 			f.Last = true

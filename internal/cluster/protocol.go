@@ -14,13 +14,12 @@
 // straggling workers with bounded, backed-off retries, dropping duplicate
 // completions when a straggler finishes after its replacement.
 //
-// Two job shapes exist. Synthetic jobs partition the simulator's fleet by
-// vessel index — every task regenerates its own vessel range from the
-// shared seed, so no input bytes move. Archive jobs scan byte-range
-// sections of the archive (splittable readers, internal/feed) and shuffle
-// position records into vessel-hash buckets, so per-vessel cleaning and
-// trip extraction see exactly the records a single process would. The
-// shuffle is worker to worker: the coordinator assigns bucket ownership up
+// A job has one shape, the paper's: scan byte-range sections of a
+// timestamped-NMEA archive (splittable readers, internal/feed), shuffle
+// position records into vessel-hash buckets so per-vessel cleaning and
+// trip extraction see exactly the records a single process would, and
+// reduce each bucket to a partial inventory. The shuffle is worker to
+// worker: the coordinator assigns bucket ownership up
 // front (a roster of worker shuffle addresses) and scan workers stream
 // compressed, CRC-checked bucket frames straight to the owning peer, which
 // starts reducing a bucket the moment all of its section inputs have
@@ -38,13 +37,17 @@ import (
 
 	"github.com/patternsoflife/pol/internal/feed"
 	"github.com/patternsoflife/pol/internal/pipeline"
-	"github.com/patternsoflife/pol/internal/sim"
 )
 
-// DefaultMaxFrameBytes caps one protocol frame (1 GiB): large enough for a
-// shuffle bucket of a month-scale build, small enough to reject a corrupt
-// length prefix before allocating.
-const DefaultMaxFrameBytes = 1 << 30
+// maxFrameBytes caps one frame, control or shuffle (1 GiB): large enough
+// for a partial inventory of a month-scale build, small enough to reject a
+// corrupt length prefix before allocating.
+const maxFrameBytes = 1 << 30
+
+// writeTimeout bounds one frame write, to a worker or to a shuffle peer; a
+// blocked write drops the connection (the coordinator marks the worker
+// dead, a shuffle sender reconnects and replays).
+const writeTimeout = 10 * time.Second
 
 // msgType discriminates protocol frames.
 type msgType uint8
@@ -58,8 +61,8 @@ const (
 	msgRoster                       // coordinator → worker: bucket ownership + peer addresses
 )
 
-// envelope is the one frame shape on the wire; exactly the field matching
-// Type is populated.
+// envelope is the one frame shape on the control connection; exactly the
+// field matching Type is populated.
 type envelope struct {
 	Type      msgType
 	Hello     *helloMsg
@@ -71,10 +74,9 @@ type envelope struct {
 
 // helloMsg introduces a worker. ShuffleAddr is the address peers dial to
 // stream shuffle buckets to this worker; empty means the worker cannot own
-// buckets (it can still run scan and synthetic tasks).
+// buckets (it can still run scan tasks).
 type helloMsg struct {
 	Name        string
-	Procs       int
 	ShuffleAddr string
 }
 
@@ -89,12 +91,12 @@ type BucketAssign struct {
 	TaskID uint64
 }
 
-// rosterMsg broadcasts the shuffle geometry of a peer-shuffle archive job:
-// which worker owns which bucket, how many scan sections will contribute
-// frames to each bucket, and the grid resolution reduces run at. Epoch
-// increments on every reassignment; workers react to an ownership change
-// by re-streaming their retained map outputs for the moved bucket to its
-// new owner.
+// rosterMsg broadcasts the shuffle geometry of a job: which worker owns
+// which bucket, how many scan sections will contribute frames to each
+// bucket, and the grid resolution reduces run at. Epoch increments on
+// every reassignment; workers react to an ownership change by
+// re-streaming their retained map outputs for the moved bucket to its new
+// owner.
 type rosterMsg struct {
 	Epoch       int
 	Sections    int
@@ -108,170 +110,77 @@ type heartbeatMsg struct {
 	TaskID uint64
 }
 
-// TaskKind selects what a worker does with a task.
-type TaskKind uint8
-
-const (
-	// TaskSimBuild: regenerate vessels [VesselLo, VesselHi) of the
-	// synthetic fleet from Sim and run the full pipeline over them.
-	TaskSimBuild TaskKind = iota + 1
-	// TaskScan: decode one archive section and stream its positions,
-	// bucketed by vessel hash into Buckets buckets, to the buckets' owners
-	// (statics ride each bucket's last frame).
-	TaskScan
-	// TaskReduceBuild: run the full pipeline over one vessel-complete
-	// bucket. Never dispatched: a bucket's owner starts it itself the
-	// moment the bucket's shuffle inputs are complete, and reports the
-	// result under the bucket's roster task ID.
-	TaskReduceBuild
-)
-
-// String labels the kind for logs and metrics.
-func (k TaskKind) String() string {
-	switch k {
-	case TaskSimBuild:
-		return "sim-build"
-	case TaskScan:
-		return "scan"
-	case TaskReduceBuild:
-		return "reduce-build"
-	default:
-		return "unknown"
-	}
-}
-
-// SimSpec is the wire form of the simulator configuration: the seed and
-// shape parameters that let every worker regenerate an identical fleet.
-// (The weather field is not shippable; distributed synthetic builds run
-// calm-water, like the defaults.)
-type SimSpec struct {
-	Vessels          int
-	Days             int
-	Seed             int64
-	StartUnix        int64
-	ReportInterval   float64
-	MooredInterval   float64
-	DropoutRate      float64
-	NoiseRate        float64
-	BlockSuezFromDay int
-	BlockSuezToDay   int
-}
-
-// SpecFromConfig captures a simulator configuration for the wire.
-func SpecFromConfig(c sim.Config) SimSpec {
-	return SimSpec{
-		Vessels:          c.Vessels,
-		Days:             c.Days,
-		Seed:             c.Seed,
-		StartUnix:        c.Start.Unix(),
-		ReportInterval:   c.ReportInterval,
-		MooredInterval:   c.MooredInterval,
-		DropoutRate:      c.DropoutRate,
-		NoiseRate:        c.NoiseRate,
-		BlockSuezFromDay: c.BlockSuezFromDay,
-		BlockSuezToDay:   c.BlockSuezToDay,
-	}
-}
-
-// Config reconstructs the simulator configuration on the worker.
-func (s SimSpec) Config() sim.Config {
-	c := sim.Config{
-		Vessels:          s.Vessels,
-		Days:             s.Days,
-		Seed:             s.Seed,
-		ReportInterval:   s.ReportInterval,
-		MooredInterval:   s.MooredInterval,
-		DropoutRate:      s.DropoutRate,
-		NoiseRate:        s.NoiseRate,
-		BlockSuezFromDay: s.BlockSuezFromDay,
-		BlockSuezToDay:   s.BlockSuezToDay,
-	}
-	if s.StartUnix != 0 {
-		c.Start = time.Unix(s.StartUnix, 0).UTC()
-	}
-	return c
-}
-
-// Task is one schedulable unit of work. ID is stable across retries —
+// Task is the one dispatched unit of work, a scan: decode one archive
+// section and stream its positions, bucketed by vessel hash into Buckets
+// buckets, to the buckets' owners (statics ride each bucket's last
+// frame). Reduces are never dispatched: a bucket's owner starts one itself
+// the moment the bucket's shuffle inputs are complete, and reports the
+// result under the bucket's roster task ID. ID is stable across retries —
 // the idempotency key the coordinator dedupes completions on; Attempt
 // counts executions for logs.
 type Task struct {
-	ID         uint64
-	Attempt    int
-	Kind       TaskKind
-	Resolution int
+	ID      uint64
+	Attempt int
 
 	// TraceParent carries the coordinator's job-trace context in W3C
 	// traceparent form, so the worker's execution span joins the same
-	// distributed trace the client started. Empty on untraced jobs; gob
-	// omits it for old peers, which simply run untraced.
+	// distributed trace the client started. Empty on untraced jobs.
 	TraceParent string
 
-	// TaskSimBuild:
-	Sim                SimSpec
-	VesselLo, VesselHi int
-
-	// TaskScan:
 	Section feed.Section
 	Buckets int
 }
 
-// TaskResult reports one task execution. Err is the execution failure, if
-// any; the payload fields mirror the task kinds.
+// TaskResult reports one execution, a scan's or a bucket reduce's, under
+// its task ID. Err is the execution failure, if any.
 type TaskResult struct {
-	ID      uint64
-	Attempt int
-	Worker  string
-	Err     string
+	ID  uint64
+	Err string
 
-	// Build kinds:
-	Inventory []byte // inventory.Marshal of the partial build
+	// Reduce: the partial build.
+	Inventory []byte // inventory.Marshal image
 	Stats     pipeline.Stats
 
-	// TaskScan: scans ship their buckets directly to the owning peers and
-	// report only the per-bucket record counts here (completion
-	// accounting and metrics; the records themselves never transit the
-	// coordinator).
-	Feed          feed.ReadStats
-	SectionIndex  int
-	BucketRecords []int
+	// Scan: read statistics of the section. The records themselves went
+	// to the bucket owners and never transit the coordinator.
+	Feed feed.ReadStats
 }
 
-// writeFrame encodes env as one length-prefixed gob frame.
-func writeFrame(w io.Writer, env *envelope) error {
+// writeFrame encodes v as one length-prefixed gob frame and reports the
+// bytes written. Control connections carry envelopes, shuffle streams
+// carry peerFrames; each frame is an independent gob stream.
+func writeFrame[T any](w io.Writer, v *T) (int, error) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 0})
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return fmt.Errorf("cluster: encode frame: %w", err)
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return 0, fmt.Errorf("cluster: encode frame: %w", err)
 	}
 	b := buf.Bytes()
 	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
 	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("cluster: write frame: %w", err)
+		return 0, fmt.Errorf("cluster: write frame: %w", err)
 	}
-	return nil
+	return len(b), nil
 }
 
-// readFrame decodes one frame, rejecting lengths beyond maxBytes.
-func readFrame(r io.Reader, maxBytes int) (*envelope, error) {
+// readFrame decodes one frame and reports the bytes read, rejecting
+// lengths beyond maxBytes before allocating.
+func readFrame[T any](r io.Reader, maxBytes int) (*T, int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxFrameBytes
-	}
 	if int64(n) > int64(maxBytes) {
-		return nil, fmt.Errorf("cluster: frame of %d bytes exceeds cap %d", n, maxBytes)
+		return nil, 0, fmt.Errorf("cluster: frame of %d bytes exceeds cap %d", n, maxBytes)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("cluster: read frame body: %w", err)
+		return nil, 0, fmt.Errorf("cluster: read frame body: %w", err)
 	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("cluster: decode frame: %w", err)
+	v := new(T)
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
+		return nil, 0, fmt.Errorf("cluster: decode frame: %w", err)
 	}
-	return &env, nil
+	return v, int(n) + 4, nil
 }

@@ -104,17 +104,6 @@ func (sh *shuffleState) resolveAdvertise(coordConn net.Conn) string {
 	return sh.advertise
 }
 
-// currentEpoch reports the installed roster epoch (0 before the first
-// broadcast); scan frames stamp it for logs.
-func (sh *shuffleState) currentEpoch() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.roster == nil {
-		return 0
-	}
-	return sh.roster.Epoch
-}
-
 // start launches the accept loop and the reducer.
 func (sh *shuffleState) start() {
 	sh.wg.Add(2)
@@ -167,7 +156,7 @@ func (sh *shuffleState) handleConn(conn net.Conn) {
 		sh.mu.Unlock()
 	}()
 	for {
-		f, n, err := readPeerFrame(conn, sh.w.cfg.MaxFrameBytes)
+		f, n, err := readFrame[peerFrame](conn, maxFrameBytes)
 		if err != nil {
 			return
 		}
@@ -186,7 +175,7 @@ func (sh *shuffleState) handleConn(conn net.Conn) {
 // straggler re-execution, reconnect replay, or reassignment resend — are
 // counted and dropped.
 func (sh *shuffleState) ingest(f *peerFrame) error {
-	p, err := f.open(sh.w.cfg.MaxFrameBytes)
+	p, err := f.open(maxFrameBytes)
 	if err != nil {
 		return err
 	}
@@ -285,7 +274,7 @@ func (sh *shuffleState) sender(addr string) *peerSender {
 	defer sh.mu.Unlock()
 	s, ok := sh.senders[addr]
 	if !ok {
-		s = newPeerSender(addr, sh.w.cfg, sh.w.metrics)
+		s = newPeerSender(addr, sh.w.cfg.Faults, sh.w.metrics)
 		sh.senders[addr] = s
 		sh.wg.Add(1)
 		go func() {

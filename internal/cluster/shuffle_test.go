@@ -23,20 +23,22 @@ import (
 	"github.com/patternsoflife/pol/internal/sim"
 )
 
-// Shared archive fixture for the peer-shuffle tests: a small NMEA archive
-// plus its single-process reference build. Built once; each test gets its
-// own on-disk copy.
+// The one shared fixture: testFleet's NMEA archive (every vessel's static
+// report repeated through it), its single-process reference build and the
+// sequential reader's statistics. Built once; each test gets its own
+// on-disk copy.
 var (
 	archOnce  sync.Once
 	archData  []byte
 	archLocal *pipeline.Result
+	archFeed  feed.ReadStats
 	archErr   error
 )
 
 func archiveFixture(t *testing.T) (string, *pipeline.Result) {
 	t.Helper()
 	archOnce.Do(func() {
-		s, err := sim.New(testSpec.Config(), ports.Default())
+		s, err := sim.New(testFleet, ports.Default())
 		if err != nil {
 			archErr = err
 			return
@@ -73,6 +75,7 @@ func archiveFixture(t *testing.T) (string, *pipeline.Result) {
 			archErr = err
 			return
 		}
+		archFeed = fr.Stats()
 		ctx := dataflow.NewContext(4)
 		archLocal, archErr = pipeline.Run(
 			dataflow.Parallelize(ctx, all, 8),
@@ -115,10 +118,10 @@ func newTestShuffle(t *testing.T, name string) *shuffleState {
 }
 
 // sealTestFrame builds one sealed peer frame for tests.
-func sealTestFrame(t *testing.T, taskID uint64, section, bucket, seq int, last bool, frames int,
+func sealTestFrame(t testing.TB, taskID uint64, section, bucket, seq int, last bool, frames int,
 	recs []model.PositionRecord, statics map[uint32]model.VesselInfo) *peerFrame {
 	t.Helper()
-	f := &peerFrame{From: "test", TaskID: taskID, Section: section, Bucket: bucket,
+	f := &peerFrame{TaskID: taskID, Section: section, Bucket: bucket,
 		Seq: seq, Last: last, Frames: frames}
 	if err := sealFrame(f, recs, statics); err != nil {
 		t.Fatal(err)
@@ -137,18 +140,18 @@ func TestPeerFrameRoundTrip(t *testing.T) {
 		t.Fatalf("seal: RawLen=%d Records=%d", f.RawLen, f.Records)
 	}
 	var buf bytes.Buffer
-	wn, err := writePeerFrame(&buf, f)
+	wn, err := writeFrame(&buf, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rn, err := readPeerFrame(bytes.NewReader(buf.Bytes()), DefaultMaxFrameBytes)
+	got, rn, err := readFrame[peerFrame](bytes.NewReader(buf.Bytes()), maxFrameBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wn != buf.Len() || rn != buf.Len() {
 		t.Errorf("frame sizes: wrote %d, read %d, want %d", wn, rn, buf.Len())
 	}
-	p, err := got.open(DefaultMaxFrameBytes)
+	p, err := got.open(maxFrameBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,31 +175,31 @@ func TestPeerFrameCorruption(t *testing.T) {
 	flipped := mk()
 	flipped.Payload = append([]byte(nil), flipped.Payload...)
 	flipped.Payload[len(flipped.Payload)/2] ^= 0x40
-	if _, err := flipped.open(DefaultMaxFrameBytes); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if _, err := flipped.open(maxFrameBytes); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Errorf("flipped payload: %v, want CRC mismatch", err)
 	}
 
 	relabeled := mk()
 	relabeled.Bucket++ // claims a different bucket than was sealed
-	if _, err := relabeled.open(DefaultMaxFrameBytes); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if _, err := relabeled.open(maxFrameBytes); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Errorf("relabeled bucket: %v, want CRC mismatch", err)
 	}
 
 	lying := mk()
 	lying.Records++
 	lying.CRC = lying.digest() // CRC consistent, payload contradicts header
-	if _, err := lying.open(DefaultMaxFrameBytes); err == nil || !strings.Contains(err.Error(), "records") {
+	if _, err := lying.open(maxFrameBytes); err == nil || !strings.Contains(err.Error(), "records") {
 		t.Errorf("lying record count: %v, want record-count rejection", err)
 	}
 
 	var buf bytes.Buffer
-	if _, err := writePeerFrame(&buf, mk()); err != nil {
+	if _, err := writeFrame(&buf, mk()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readPeerFrame(bytes.NewReader(buf.Bytes()[:buf.Len()-3]), DefaultMaxFrameBytes); err == nil {
+	if _, _, err := readFrame[peerFrame](bytes.NewReader(buf.Bytes()[:buf.Len()-3]), maxFrameBytes); err == nil {
 		t.Error("truncated stream accepted")
 	}
-	if _, _, err := readPeerFrame(bytes.NewReader(buf.Bytes()), 8); err == nil ||
+	if _, _, err := readFrame[peerFrame](bytes.NewReader(buf.Bytes()), 8); err == nil ||
 		!strings.Contains(err.Error(), "exceeds cap") {
 		t.Errorf("oversize frame: %v, want cap rejection", err)
 	}
@@ -211,9 +214,6 @@ func TestShuffleReorderAndDedupe(t *testing.T) {
 	sh := newTestShuffle(t, "self")
 	sh.setRoster(&rosterMsg{Epoch: 1, Sections: 2, Resolution: testRes,
 		Buckets: []BucketAssign{{Bucket: 0, Owner: "self", Addr: "local", TaskID: 9}}})
-	if sh.currentEpoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", sh.currentEpoch())
-	}
 	// A stale roster must be ignored.
 	sh.setRoster(&rosterMsg{Epoch: 1, Sections: 99})
 	if sh.roster.Sections != 2 {
