@@ -34,9 +34,10 @@ func BenchmarkAblationResolution(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMapSideCombining compares the pipeline's
-// AggregateByKey (partial aggregation before the shuffle) against a naive
-// GroupByKey that shuffles every observation — the design choice that makes
+// BenchmarkAblationMapSideCombining compares map-side combining (ReduceByKey:
+// partial aggregation before the shuffle, as the pipeline's
+// AggregateByKeyHashed does) against a naive GroupByKey that shuffles every
+// observation — the design choice that makes
 // the paper's reduce phase tractable. Shuffled record counts are reported.
 func BenchmarkAblationMapSideCombining(b *testing.B) {
 	l := getLab(b)

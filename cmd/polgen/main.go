@@ -26,23 +26,21 @@ func main() {
 	log.SetPrefix("polgen: ")
 
 	var (
-		vessels  = flag.Int("vessels", 100, "fleet size")
-		days     = flag.Int("days", 30, "simulated days")
-		seed     = flag.Int64("seed", 1, "determinism seed")
-		noise    = flag.Float64("noise", 0, "fraction of corrupted reports (exercises cleaning)")
-		interval = flag.Float64("interval", 180, "mean seconds between received reports under way")
-		suez     = flag.String("block-suez", "", "block the Suez canal between days FROM:TO")
-		out      = flag.String("out", "-", "output path (- for stdout)")
-		start    = flag.String("start", "2022-01-01", "simulation start date (YYYY-MM-DD)")
+		vessels = flag.Int("vessels", 100, "fleet size")
+		days    = flag.Int("days", 30, "simulated days")
+		seed    = flag.Int64("seed", 1, "determinism seed")
+		noise   = flag.Float64("noise", 0, "fraction of corrupted reports (exercises cleaning)")
+		suez    = flag.String("block-suez", "", "block the Suez canal between days FROM:TO")
+		out     = flag.String("out", "-", "output path (- for stdout)")
+		start   = flag.String("start", "2022-01-01", "simulation start date (YYYY-MM-DD)")
 	)
 	flag.Parse()
 
 	cfg := sim.Config{
-		Vessels:        *vessels,
-		Days:           *days,
-		Seed:           *seed,
-		NoiseRate:      *noise,
-		ReportInterval: *interval,
+		Vessels:   *vessels,
+		Days:      *days,
+		Seed:      *seed,
+		NoiseRate: *noise,
 	}
 	if t, err := time.Parse("2006-01-02", *start); err == nil {
 		cfg.Start = t.UTC()

@@ -122,12 +122,10 @@ func main() {
 		ckpt      = flag.String("checkpoint", "", "periodic inventory checkpoint path (live mode)")
 		ckptEvery = flag.Int("checkpoint-every", 16, "merges between checkpoints (live mode)")
 		walSeg    = flag.Int64("wal-segment-bytes", 0, "journal segment rotation threshold (live mode, 0 = default 64 MiB)")
-		idle      = flag.Duration("idle-timeout", 5*time.Minute, "drop feeds silent for this long (live mode)")
 
 		replicaOf  = flag.String("replica", "", "comma-separated primary base URLs to replicate from (replica mode, e.g. http://primary:8080); with several, the highest-term endpoint wins")
 		segDir     = flag.String("segdir", "", "disk-backed replica: mirror the primary's segments into this directory and serve them mapped (replica mode)")
 		maxLag     = flag.Duration("max-lag", 15*time.Second, "replication lag before /readyz reports degraded (replica mode)")
-		maxSnapAge = flag.Duration("max-snapshot-age", 0, "snapshot age before /readyz reports degraded (live/replica mode, 0 disables)")
 		probeEvery = flag.Duration("probe-every", 2*time.Second, "endpoint probe cadence when -replica lists several endpoints")
 		drainTmo   = flag.Duration("drain-timeout", 3*time.Second, "WAL drain bound during promotion; past it the promotion proceeds from last-applied (replica mode)")
 		termFile   = flag.String("term-file", "", "replication term high-water file (replica mode; default <checkpoint>.term when -checkpoint is set)")
@@ -240,7 +238,7 @@ func main() {
 		var promoteOnce sync.Once
 		onPromoted := func() {
 			promoteOnce.Do(func() {
-				fs, err := openFeeds(rep.Engine(), *listen, *idle, logger)
+				fs, err := openFeeds(rep.Engine(), *listen, logger)
 				if err != nil {
 					logger.Error("promoted feed listen", "err", err)
 					return
@@ -263,7 +261,7 @@ func main() {
 			WALSegmentBytes: *walSeg,
 			DrainTimeout:    *drainTmo,
 		}, onPromoted))
-		ready = obs.StaleReady(rep.ReadyDetail, rep.SnapshotAge, *maxSnapAge)
+		ready = rep.ReadyDetail
 		cleanup = func() {
 			if fs := promotedFeeds.Load(); fs != nil {
 				closeLogged("feed listener", fs)
@@ -287,7 +285,7 @@ func main() {
 			fatal(logger, "engine start", err)
 		}
 		logger.Info("live mode", "replayedGroups", eng.Snapshot().Len())
-		feeds, err := openFeeds(eng, *listen, *idle, logger)
+		feeds, err := openFeeds(eng, *listen, logger)
 		if err != nil {
 			fatal(logger, "feed listen", err)
 		}
@@ -306,7 +304,7 @@ func main() {
 		mux.Handle("/", api.NewLiveServer(eng, gaz).WithMetrics(reg).WithTracing(tr).Handler())
 		mountEngine(mux, eng)
 		mux.Handle("GET /v1/ops/anomalies", wd.Handler())
-		ready = obs.StaleReady(eng.ReadyDetail, eng.SnapshotAge, *maxSnapAge)
+		ready = eng.ReadyDetail
 		cleanup = func() {
 			wd.Stop()
 			closeLogged("feed listener", feeds)
@@ -391,17 +389,15 @@ func mountEngine(mux *http.ServeMux, eng *ingest.Engine) {
 	mux.Handle("GET /v1/repl/", eng.ReplHandler())
 }
 
-// openFeeds starts accepting NMEA feeds for eng on addr.
-func openFeeds(eng *ingest.Engine, addr string, idle time.Duration, logger *slog.Logger) (*ingest.Server, error) {
+// openFeeds starts accepting NMEA feeds for eng on addr; a feed silent for
+// ingest.ServerOptions' default five minutes is dropped.
+func openFeeds(eng *ingest.Engine, addr string, logger *slog.Logger) (*ingest.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	logger.Info("accepting NMEA feeds", "addr", ln.Addr().String())
-	return ingest.NewServer(eng, ln, ingest.ServerOptions{
-		IdleTimeout: idle,
-		Logf:        logf(logger.With("sub", "feeds")),
-	}), nil
+	return ingest.NewServer(eng, ln, ingest.ServerOptions{Logf: logf(logger.With("sub", "feeds"))}), nil
 }
 
 // fatal logs the error and exits non-zero — the slog replacement for

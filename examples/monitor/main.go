@@ -3,9 +3,8 @@
 // feed over a real TCP connection (timestamped NMEA, the provider wire
 // format), builds the inventory continuously, and serves it over HTTP
 // while ingesting. The example polls the daemon's stats endpoint like an
-// operations dashboard would, then runs the stream monitor against the
-// live inventory to emit operational events: port departures and
-// arrivals, changes of the most probable destination, anomaly alerts.
+// operations dashboard would until the feed is drained, then finalizes the
+// engine and prints what the stream produced.
 package main
 
 import (
@@ -23,23 +22,20 @@ import (
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/ports"
 	"github.com/patternsoflife/pol/internal/sim"
-	"github.com/patternsoflife/pol/internal/stream"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	gaz := ports.Default()
-	portIdx := ports.NewIndex(gaz, ports.IndexResolution)
 	fleet, err := sim.New(sim.Config{Vessels: 30, Days: 21, Seed: 19}, gaz)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tracks := make([][]model.PositionRecord, 30)
 	var live []model.PositionRecord
-	for i := range tracks {
-		tracks[i], _ = fleet.VesselTrack(i)
-		live = append(live, tracks[i]...)
+	for i := range fleet.Fleet().Vessels {
+		track, _ := fleet.VesselTrack(i)
+		live = append(live, track...)
 	}
 	sort.SliceStable(live, func(i, j int) bool { return live[i].Time < live[j].Time })
 
@@ -114,48 +110,6 @@ func main() {
 		log.Fatal(err)
 	}
 	st = eng.StatsSnapshot()
-	fmt.Printf("\nfeed drained: %d accepted, %d rejected, %d trips, %d vessels, %d groups\n\n",
+	fmt.Printf("\nfeed drained: %d accepted, %d rejected, %d trips, %d vessels, %d groups\n",
 		st.Accepted, st.Rejected, st.Trips, st.Vessels, st.Groups)
-
-	// The monitor queries the hot inventory per report: replay three
-	// vessels as "today's" traffic against the normalcy the daemon just
-	// accumulated.
-	inv := eng.Snapshot()
-	monitor := stream.NewMonitor(inv, portIdx, fleet.Fleet().StaticIndex(), stream.Options{})
-	var replay []model.PositionRecord
-	for i := 0; i < 3; i++ {
-		replay = append(replay, tracks[i]...)
-	}
-	sort.Slice(replay, func(i, j int) bool { return replay[i].Time < replay[j].Time })
-
-	portName := func(id model.PortID) string {
-		if p, ok := gaz.ByID(id); ok {
-			return p.Name
-		}
-		return fmt.Sprintf("port-%d", id)
-	}
-	shown := 0
-	for _, rec := range replay {
-		for _, e := range monitor.Ingest(rec) {
-			ts := time.Unix(e.Time, 0).UTC().Format("Jan 02 15:04")
-			switch e.Kind {
-			case stream.EventPortDeparture:
-				fmt.Printf("%s  vessel %d departed %s\n", ts, e.MMSI, portName(e.Port))
-			case stream.EventPortArrival:
-				fmt.Printf("%s  vessel %d arrived at %s\n", ts, e.MMSI, portName(e.Port))
-			case stream.EventDestinationChanged:
-				fmt.Printf("%s  vessel %d now most probably bound for %s\n", ts, e.MMSI, portName(e.Dest))
-			case stream.EventAnomalyStarted:
-				fmt.Printf("%s  vessel %d ANOMALY score %.2f\n", ts, e.MMSI, e.Score)
-			case stream.EventAnomalyCleared:
-				fmt.Printf("%s  vessel %d anomaly cleared\n", ts, e.MMSI)
-			}
-			shown++
-		}
-		if shown > 60 {
-			fmt.Println("... (truncated)")
-			break
-		}
-	}
-	fmt.Printf("\nmonitor tracked %d vessels over the live inventory\n", monitor.Tracked())
 }

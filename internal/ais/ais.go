@@ -137,8 +137,6 @@ var (
 	ErrBadPayload    = errors.New("ais: malformed 6-bit payload")
 	ErrShortMessage  = errors.New("ais: message payload too short")
 	ErrWrongType     = errors.New("ais: unexpected message type")
-	ErrIncomplete    = errors.New("ais: multi-sentence message incomplete")
-	ErrUnsupported   = errors.New("ais: unsupported message type")
 	ErrInvalidFields = errors.New("ais: field value out of encodable range")
 )
 

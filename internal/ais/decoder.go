@@ -47,20 +47,6 @@ func (d *Decoder) Feed(line string) (Message, bool) {
 	return d.decodePayload(payload, fill)
 }
 
-// DecodePayload decodes a complete armored payload directly (already
-// assembled). Exposed for tests and for consumers that store payloads.
-func DecodePayload(payload string, fillBits int) (Message, error) {
-	var d Decoder
-	m, ok := d.decodePayload(payload, fillBits)
-	if !ok {
-		if d.BadPayload > 0 {
-			return Message{}, ErrBadPayload
-		}
-		return Message{}, ErrUnsupported
-	}
-	return m, nil
-}
-
 func (d *Decoder) decodePayload(payload string, fill int) (Message, bool) {
 	b, err := unarmor(payload, fill)
 	if err != nil || b.Len() < 6 {

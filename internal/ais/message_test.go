@@ -143,9 +143,6 @@ func TestPositionNotAvailableSentinels(t *testing.T) {
 		!math.IsNaN(p.COG) || !math.IsNaN(p.Heading) {
 		t.Errorf("sentinels must decode to NaN: %+v", p)
 	}
-	if p.HasPosition() {
-		t.Error("HasPosition must be false for unavailable position")
-	}
 	if p.Timestamp != TimestampNotAvail {
 		t.Errorf("timestamp %d", p.Timestamp)
 	}
@@ -308,15 +305,16 @@ func TestDecodePayloadDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := DecodePayload(s.Payload, s.FillBits)
-	if err != nil {
-		t.Fatal(err)
+	var d Decoder
+	m, ok := d.decodePayload(s.Payload, s.FillBits)
+	if !ok {
+		t.Fatal("assembled payload must decode")
 	}
 	if m.Position == nil || m.Position.MMSI != 227006560 {
 		t.Errorf("decoded %+v", m)
 	}
-	if _, err := DecodePayload("~~~", 0); err == nil {
-		t.Error("bad payload must fail")
+	if _, ok := d.decodePayload("~~~", 0); ok || d.BadPayload != 1 {
+		t.Errorf("bad payload must fail and be counted, BadPayload=%d", d.BadPayload)
 	}
 }
 

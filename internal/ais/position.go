@@ -17,12 +17,6 @@ type PositionReport struct {
 	Timestamp int       // UTC second of the report, 0-59, or 60 if unavailable
 }
 
-// HasPosition reports whether the report carries a usable position.
-func (p PositionReport) HasPosition() bool {
-	return !math.IsNaN(p.Lat) && !math.IsNaN(p.Lon) &&
-		p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180
-}
-
 const positionBits = 168
 
 // EncodePosition encodes a class-A position report (type 1) into NMEA

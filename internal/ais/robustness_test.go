@@ -64,6 +64,7 @@ func TestUnarmorFuzz(t *testing.T) {
 func TestDecodePayloadFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alphabet := "0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVW`abcdefghijklmnopqrstuvw"
+	var d Decoder
 	for i := 0; i < 3000; i++ {
 		n := 1 + rng.Intn(90)
 		var sb strings.Builder
@@ -71,6 +72,6 @@ func TestDecodePayloadFuzz(t *testing.T) {
 			sb.WriteByte(alphabet[rng.Intn(len(alphabet))])
 		}
 		// Must never panic regardless of decoded type and field garbage.
-		_, _ = DecodePayload(sb.String(), rng.Intn(6))
+		_, _ = d.decodePayload(sb.String(), rng.Intn(6))
 	}
 }

@@ -81,11 +81,10 @@ type ReplicaStatus interface {
 
 // Server answers inventory queries over HTTP.
 type Server struct {
-	src         Source
-	gaz         *ports.Gazetteer
-	reg         *obs.Registry
-	tracer      *trace.Tracer
-	maxInFlight int
+	src    Source
+	gaz    *ports.Gazetteer
+	reg    *obs.Registry
+	tracer *trace.Tracer
 }
 
 // NewServer builds a Server over a fixed inventory view (a loaded heap
@@ -117,15 +116,6 @@ func (s *Server) WithTracing(tr *trace.Tracer) *Server {
 	return s
 }
 
-// WithLoadShedding bounds the query requests concurrently in flight:
-// past n, requests are answered immediately with 429 + Retry-After
-// instead of queueing, so overload degrades into fast rejections (n <= 0
-// disables shedding). Returns the Server for chaining.
-func (s *Server) WithLoadShedding(n int) *Server {
-	s.maxInFlight = n
-	return s
-}
-
 // Handler returns the routed HTTP handler.
 func (s *Server) Handler() http.Handler {
 	routes := []struct {
@@ -149,12 +139,6 @@ func (s *Server) Handler() http.Handler {
 			h = s.tracer.Middleware(rt.endpoint, h)
 		}
 		mux.Handle("GET "+rt.endpoint, h)
-	}
-	if s.maxInFlight > 0 {
-		// Shed outside the router: rejected requests bypass routing and
-		// per-endpoint instrumentation entirely (pol_http_shed_total is
-		// their only trace), keeping the rejection path allocation-light.
-		return obs.Shed(s.reg, s.maxInFlight, mux)
 	}
 	return mux
 }

@@ -16,7 +16,6 @@ import (
 	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
-	"github.com/patternsoflife/pol/internal/obs"
 	"github.com/patternsoflife/pol/internal/ports"
 	"github.com/patternsoflife/pol/internal/sim"
 	"github.com/patternsoflife/pol/internal/testutil"
@@ -333,77 +332,5 @@ func TestParseVesselType(t *testing.T) {
 	}
 	if _, err := ParseVesselType("submarine"); err == nil {
 		t.Error("unknown type must error")
-	}
-}
-
-// blockingSource gates Inventory() so a request can be held in flight
-// while the shedding path is exercised.
-type blockingSource struct {
-	inv     *inventory.Inventory
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (b *blockingSource) Inventory() inventory.View {
-	b.entered <- struct{}{}
-	<-b.release
-	return b.inv
-}
-
-func TestLoadSheddingReturns429(t *testing.T) {
-	fx, _ := setup(t)
-	src := &blockingSource{
-		inv:     fx.Inventory,
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	reg := obs.NewRegistry()
-	srv := NewLiveServer(src, ports.Default()).WithMetrics(reg).WithLoadShedding(1)
-	shedTS := httptest.NewServer(srv.Handler())
-	defer shedTS.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		resp, err := http.Get(shedTS.URL + "/v1/info")
-		if err == nil {
-			resp.Body.Close()
-		}
-		done <- err
-	}()
-	<-src.entered
-
-	resp, err := http.Get(shedTS.URL + "/v1/info")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second in-flight request: status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Errorf("Retry-After %q, want \"1\"", ra)
-	}
-	if v := reg.Counter(obs.MetricHTTPShed, nil).Value(); v != 1 {
-		t.Errorf("%s = %d, want 1", obs.MetricHTTPShed, v)
-	}
-
-	close(src.release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-
-	// WithLoadShedding(0) must leave the handler unwrapped: both
-	// concurrent requests succeed.
-	go func() { <-src.entered }()
-	plain := NewLiveServer(StaticSource{Inv: fx.Inventory}, ports.Default()).WithLoadShedding(0)
-	plainTS := httptest.NewServer(plain.Handler())
-	defer plainTS.Close()
-	resp, err = http.Get(plainTS.URL + "/v1/info")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unshedded request: status %d, want 200", resp.StatusCode)
 	}
 }

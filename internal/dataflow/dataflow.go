@@ -2,13 +2,15 @@
 // from-scratch substitute for the Apache Spark substrate the paper runs on.
 //
 // A Dataset[T] is a lazy, partitioned collection. Narrow transformations
-// (Map, Filter, FlatMap, MapPartitions, SortWithinPartitions) fuse into
-// their parent's per-partition computation and never materialize
-// intermediate state. Wide transformations (ReduceByKey, AggregateByKey,
-// GroupByKey, RepartitionByKey) introduce a hash shuffle: the parent is
-// evaluated once, bucketed by key hash, and downstream partitions read their
-// bucket. Actions (Collect, Count, Foreach) trigger execution across a
-// bounded worker pool.
+// (Map, KeyBy, MapPartitions) fuse into their parent's per-partition
+// computation and never materialize intermediate state. Wide
+// transformations (RepartitionByKey, AggregateByKeyHashed, and the
+// ReduceByKey/GroupByKey pair DESIGN.md §6's combining ablation compares)
+// introduce a hash shuffle: the parent is evaluated once, bucketed by key
+// hash, and downstream partitions read their bucket. Actions (Collect,
+// Count) trigger execution across a bounded worker pool. These are the
+// operators the methodology runs, not a catalogue: surface_test.go at the
+// repository root fails on one nothing calls.
 //
 // The engine provides exactly the execution semantics the paper's
 // methodology needs (§3.3, Figure 3): partitioning by vessel identifier for
@@ -25,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -110,18 +111,11 @@ func (c *Context) Metrics() *Metrics { return c.metrics }
 type Dataset[T any] struct {
 	ctx     *Context
 	nParts  int
-	name    string
 	compute func(part int) ([]T, error)
 }
 
 // Context returns the owning execution context.
 func (d *Dataset[T]) Context() *Context { return d.ctx }
-
-// NumPartitions returns the partition count.
-func (d *Dataset[T]) NumPartitions() int { return d.nParts }
-
-// Name returns the stage name used in metrics.
-func (d *Dataset[T]) Name() string { return d.name }
 
 // Pair is a keyed record, the element type of all by-key operations.
 type Pair[K comparable, V any] struct {
@@ -144,26 +138,12 @@ func Parallelize[T any](ctx *Context, items []T, numPartitions int) *Dataset[T] 
 	return &Dataset[T]{
 		ctx:    ctx,
 		nParts: numPartitions,
-		name:   "parallelize",
 		compute: func(part int) ([]T, error) {
 			n := len(items)
 			lo := part * n / numPartitions
 			hi := (part + 1) * n / numPartitions
 			return items[lo:hi], nil
 		},
-	}
-}
-
-// FromPartitions wraps pre-partitioned data without copying.
-func FromPartitions[T any](ctx *Context, parts [][]T) *Dataset[T] {
-	if len(parts) == 0 {
-		parts = [][]T{nil}
-	}
-	return &Dataset[T]{
-		ctx:     ctx,
-		nParts:  len(parts),
-		name:    "fromPartitions",
-		compute: func(part int) ([]T, error) { return parts[part], nil },
 	}
 }
 
@@ -178,7 +158,6 @@ func Generate[T any](ctx *Context, numPartitions int, gen func(part int) []T) *D
 	return &Dataset[T]{
 		ctx:     ctx,
 		nParts:  numPartitions,
-		name:    "generate",
 		compute: func(part int) ([]T, error) { return gen(part), nil },
 	}
 }
@@ -192,7 +171,7 @@ func guard(stage string, err *error) {
 
 // Map applies f to every element.
 func Map[T, U any](d *Dataset[T], name string, f func(T) U) *Dataset[U] {
-	out := &Dataset[U]{ctx: d.ctx, nParts: d.nParts, name: name}
+	out := &Dataset[U]{ctx: d.ctx, nParts: d.nParts}
 	out.compute = func(part int) (res []U, err error) {
 		defer guard(name, &err)
 		in, err := d.compute(part)
@@ -210,51 +189,10 @@ func Map[T, U any](d *Dataset[T], name string, f func(T) U) *Dataset[U] {
 	return out
 }
 
-// Filter keeps the elements matching pred.
-func Filter[T any](d *Dataset[T], name string, pred func(T) bool) *Dataset[T] {
-	out := &Dataset[T]{ctx: d.ctx, nParts: d.nParts, name: name}
-	out.compute = func(part int) (res []T, err error) {
-		defer guard(name, &err)
-		in, err := d.compute(part)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		res = make([]T, 0, len(in)/2)
-		for _, x := range in {
-			if pred(x) {
-				res = append(res, x)
-			}
-		}
-		d.ctx.metrics.add(name, int64(len(in)), int64(len(res)), time.Since(t0))
-		return res, nil
-	}
-	return out
-}
-
-// FlatMap applies f to every element and concatenates the results.
-func FlatMap[T, U any](d *Dataset[T], name string, f func(T) []U) *Dataset[U] {
-	out := &Dataset[U]{ctx: d.ctx, nParts: d.nParts, name: name}
-	out.compute = func(part int) (res []U, err error) {
-		defer guard(name, &err)
-		in, err := d.compute(part)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		for _, x := range in {
-			res = append(res, f(x)...)
-		}
-		d.ctx.metrics.add(name, int64(len(in)), int64(len(res)), time.Since(t0))
-		return res, nil
-	}
-	return out
-}
-
 // MapPartitions applies f to each whole partition, enabling per-partition
 // state (sorting, sessionization, combining).
 func MapPartitions[T, U any](d *Dataset[T], name string, f func(part int, in []T) []U) *Dataset[U] {
-	out := &Dataset[U]{ctx: d.ctx, nParts: d.nParts, name: name}
+	out := &Dataset[U]{ctx: d.ctx, nParts: d.nParts}
 	out.compute = func(part int) (res []U, err error) {
 		defer guard(name, &err)
 		in, err := d.compute(part)
@@ -269,53 +207,9 @@ func MapPartitions[T, U any](d *Dataset[T], name string, f func(part int, in []T
 	return out
 }
 
-// SortWithinPartitions sorts each partition independently with less —
-// the paper's per-vessel timestamp ordering step.
-func SortWithinPartitions[T any](d *Dataset[T], name string, less func(a, b T) bool) *Dataset[T] {
-	return MapPartitions(d, name, func(_ int, in []T) []T {
-		out := make([]T, len(in))
-		copy(out, in)
-		sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
-		return out
-	})
-}
-
 // KeyBy pairs every element with the key extracted by f.
 func KeyBy[K comparable, T any](d *Dataset[T], name string, f func(T) K) *Dataset[Pair[K, T]] {
 	return Map(d, name, func(x T) Pair[K, T] { return Pair[K, T]{Key: f(x), Value: x} })
-}
-
-// Values drops the keys of a keyed dataset.
-func Values[K comparable, V any](d *Dataset[Pair[K, V]], name string) *Dataset[V] {
-	return Map(d, name, func(p Pair[K, V]) V { return p.Value })
-}
-
-// Cache materializes the dataset on first evaluation and serves subsequent
-// computations from memory. Use it when a dataset feeds multiple downstream
-// stages.
-func Cache[T any](d *Dataset[T]) *Dataset[T] {
-	var once sync.Once
-	var parts [][]T
-	var cacheErr error
-	out := &Dataset[T]{ctx: d.ctx, nParts: d.nParts, name: d.name + ".cache"}
-	out.compute = func(part int) ([]T, error) {
-		once.Do(func() {
-			parts = make([][]T, d.nParts)
-			cacheErr = d.ctx.runParallel(d.nParts, func(p int) error {
-				rows, err := d.compute(p)
-				if err != nil {
-					return err
-				}
-				parts[p] = rows
-				return nil
-			})
-		})
-		if cacheErr != nil {
-			return nil, cacheErr
-		}
-		return parts[part], nil
-	}
-	return out
 }
 
 // runParallel executes f(0..tasks-1) over at most width goroutines and
@@ -414,16 +308,4 @@ func Count[T any](d *Dataset[T]) (int64, error) {
 		return nil
 	})
 	return total, err
-}
-
-// ForeachPartition evaluates the dataset, invoking f once per partition.
-// f must be safe for concurrent calls on distinct partitions.
-func ForeachPartition[T any](d *Dataset[T], f func(part int, rows []T) error) error {
-	return d.ctx.runParallel(d.nParts, func(p int) error {
-		rows, e := d.compute(p)
-		if e != nil {
-			return e
-		}
-		return f(p, rows)
-	})
 }

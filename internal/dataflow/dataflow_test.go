@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -22,8 +20,8 @@ func intsUpTo(n int) []int {
 func TestParallelizeCollect(t *testing.T) {
 	ctx := NewContext(4)
 	d := Parallelize(ctx, intsUpTo(100), 7)
-	if d.NumPartitions() != 7 {
-		t.Errorf("partitions %d, want 7", d.NumPartitions())
+	if d.nParts != 7 {
+		t.Errorf("partitions %d, want 7", d.nParts)
 	}
 	got, err := Collect(d)
 	if err != nil {
@@ -57,22 +55,19 @@ func TestParallelizeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
+func TestMap(t *testing.T) {
 	ctx := NewContext(4)
 	d := Parallelize(ctx, intsUpTo(1000), 8)
-	squares := Map(d, "square", func(x int) int { return x * x })
-	evens := Filter(squares, "even", func(x int) bool { return x%2 == 0 })
-	doubled := FlatMap(evens, "dup", func(x int) []int { return []int{x, x} })
-	got, err := Collect(doubled)
+	got, err := Collect(Map(d, "square", func(x int) int { return x * x }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1000 { // 500 even squares × 2
+	if len(got) != 1000 {
 		t.Fatalf("got %d records, want 1000", len(got))
 	}
-	for i := 0; i+1 < len(got); i += 2 {
-		if got[i] != got[i+1] || got[i]%2 != 0 {
-			t.Fatalf("bad pair at %d: %d,%d", i, got[i], got[i+1])
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("element %d = %d, want %d", i, v, i*i)
 		}
 	}
 }
@@ -118,28 +113,7 @@ func TestMapPartitionsSeesWholePartition(t *testing.T) {
 	}
 }
 
-func TestSortWithinPartitions(t *testing.T) {
-	ctx := NewContext(4)
-	data := []int{5, 3, 9, 1, 8, 2, 7, 4, 6, 0}
-	d := Parallelize(ctx, data, 2)
-	sorted := SortWithinPartitions(d, "sort", func(a, b int) bool { return a < b })
-	err := ForeachPartition(sorted, func(part int, rows []int) error {
-		if !sort.IntsAreSorted(rows) {
-			return fmt.Errorf("partition %d not sorted: %v", part, rows)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Error(err)
-	}
-	// The source dataset must be untouched (sort copies).
-	orig, _ := Collect(d)
-	if fmt.Sprint(orig) != fmt.Sprint(data) {
-		t.Error("sort mutated its parent")
-	}
-}
-
-func TestKeyByAndValues(t *testing.T) {
+func TestKeyBy(t *testing.T) {
 	ctx := NewContext(2)
 	d := Parallelize(ctx, []string{"a", "bb", "ccc"}, 2)
 	keyed := KeyBy(d, "len", func(s string) int { return len(s) })
@@ -152,9 +126,8 @@ func TestKeyByAndValues(t *testing.T) {
 			t.Errorf("pair %+v", p)
 		}
 	}
-	vals, _ := Collect(Values(keyed, "vals"))
-	if strings.Join(vals, ",") != "a,bb,ccc" {
-		t.Errorf("values %v", vals)
+	if len(pairs) != 3 {
+		t.Errorf("pairs %v", pairs)
 	}
 }
 
@@ -209,7 +182,7 @@ func TestAggregateByKey(t *testing.T) {
 		n   int
 		sum float64
 	}
-	avg := AggregateByKey(d, "avg", 3,
+	avg := AggregateByKeyHashed(d, "avg", 3, HasherFor[string](),
 		func() acc { return acc{} },
 		func(a acc, v float64) acc { return acc{a.n + 1, a.sum + v} },
 		func(a, b acc) acc { return acc{a.n + b.n, a.sum + b.sum} },
@@ -263,24 +236,25 @@ func TestRepartitionByKeyColocatesKeys(t *testing.T) {
 	}
 	d := Parallelize(ctx, pairs, 8)
 	re := RepartitionByKey(d, "repart", 5)
-	if re.NumPartitions() != 5 {
-		t.Fatalf("partitions %d", re.NumPartitions())
+	if re.nParts != 5 {
+		t.Fatalf("partitions %d", re.nParts)
 	}
-	var mu sync.Mutex
-	keyPart := make(map[uint32]int)
-	err := ForeachPartition(re, func(part int, rows []Pair[uint32, int]) error {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, r := range rows {
-			if prev, ok := keyPart[r.Key]; ok && prev != part {
-				return fmt.Errorf("key %d in partitions %d and %d", r.Key, prev, part)
-			}
-			keyPart[r.Key] = part
+	placed, err := Collect(MapPartitions(re, "where", func(part int, rows []Pair[uint32, int]) []Pair[uint32, int] {
+		out := make([]Pair[uint32, int], len(rows))
+		for i, r := range rows {
+			out[i] = Pair[uint32, int]{Key: r.Key, Value: part}
 		}
-		return nil
-	})
+		return out
+	}))
 	if err != nil {
-		t.Error(err)
+		t.Fatal(err)
+	}
+	keyPart := make(map[uint32]int)
+	for _, p := range placed {
+		if prev, ok := keyPart[p.Key]; ok && prev != p.Value {
+			t.Fatalf("key %d in partitions %d and %d", p.Key, prev, p.Value)
+		}
+		keyPart[p.Key] = p.Value
 	}
 	if n, _ := Count(re); n != 1000 {
 		t.Errorf("repartition lost records: %d", n)
@@ -305,28 +279,6 @@ func TestRepartitionPreservesPerKeyOrder(t *testing.T) {
 		if rows[i].Value <= rows[i-1].Value {
 			t.Fatalf("order broken at %d", i)
 		}
-	}
-}
-
-func TestCacheComputesOnce(t *testing.T) {
-	ctx := NewContext(4)
-	var evals atomic.Int64
-	d := Map(Parallelize(ctx, intsUpTo(100), 4), "counted", func(x int) int {
-		evals.Add(1)
-		return x
-	})
-	cached := Cache(d)
-	if _, err := Collect(cached); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect(cached); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Count(cached); err != nil {
-		t.Fatal(err)
-	}
-	if got := evals.Load(); got != 100 {
-		t.Errorf("parent evaluated %d element-times, want 100 (cached)", got)
 	}
 }
 
@@ -371,7 +323,15 @@ func TestShuffleAfterPanicPropagates(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	ctx := NewContext(2)
 	d := Parallelize(ctx, intsUpTo(50), 2)
-	f := Filter(d, "keep-even", func(x int) bool { return x%2 == 0 })
+	f := MapPartitions(d, "keep-even", func(_ int, in []int) []int {
+		var out []int
+		for _, x := range in {
+			if x%2 == 0 {
+				out = append(out, x)
+			}
+		}
+		return out
+	})
 	if _, err := Collect(f); err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +392,15 @@ func BenchmarkMapFilterPipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := Parallelize(ctx, data, 8)
 		m := Map(d, "m", func(x int) int { return x * 2 })
-		f := Filter(m, "f", func(x int) bool { return x%3 == 0 })
+		f := MapPartitions(m, "f", func(_ int, in []int) []int {
+			out := make([]int, 0, len(in)/3+1)
+			for _, x := range in {
+				if x%3 == 0 {
+					out = append(out, x)
+				}
+			}
+			return out
+		})
 		if _, err := Count(f); err != nil {
 			b.Fatal(err)
 		}
@@ -452,32 +420,6 @@ func BenchmarkReduceByKey(b *testing.B) {
 		if _, err := Count(r); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestCachePropagatesAndLatchesErrors(t *testing.T) {
-	ctx := NewContext(2)
-	d := Map(Parallelize(ctx, intsUpTo(10), 2), "cboom", func(x int) int {
-		panic("cache me if you can")
-	})
-	cached := Cache(d)
-	if _, err := Collect(cached); err == nil {
-		t.Fatal("cache must propagate upstream errors")
-	}
-	// The error is latched: later reads fail the same way without
-	// recomputing.
-	if _, err := Collect(cached); err == nil {
-		t.Fatal("cached error must persist")
-	}
-}
-
-func TestValuesAfterShuffle(t *testing.T) {
-	ctx := NewContext(2)
-	pairs := []Pair[int, string]{{Key: 1, Value: "a"}, {Key: 2, Value: "b"}}
-	re := RepartitionByKey(Parallelize(ctx, pairs, 2), "vs", 2)
-	vals, err := Collect(Values(re, "vals"))
-	if err != nil || len(vals) != 2 {
-		t.Fatalf("values after shuffle: %v, %v", vals, err)
 	}
 }
 

@@ -178,7 +178,7 @@ func shuffle[K comparable, V any](d *Dataset[Pair[K, V]], name string, n int, ha
 		d.ctx.metrics.addShuffle(rows)
 	}
 
-	out := &Dataset[Pair[K, V]]{ctx: d.ctx, nParts: n, name: name}
+	out := &Dataset[Pair[K, V]]{ctx: d.ctx, nParts: n}
 	out.compute = func(part int) ([]Pair[K, V], error) {
 		// The whole shuffle (bucket + merge, the build's hottest path) runs
 		// under a pprof label so CPU profiles segment by stage name.
@@ -201,11 +201,6 @@ func shuffle[K comparable, V any](d *Dataset[Pair[K, V]], name string, n int, ha
 // input partition is preserved per bucket.
 func RepartitionByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string, numPartitions int) *Dataset[Pair[K, V]] {
 	return shuffle(d, name, numPartitions, HasherFor[K]())
-}
-
-// RepartitionByKeyHashed is RepartitionByKey with an explicit key hasher.
-func RepartitionByKeyHashed[K comparable, V any](d *Dataset[Pair[K, V]], name string, numPartitions int, hash Hasher[K]) *Dataset[Pair[K, V]] {
-	return shuffle(d, name, numPartitions, hash)
 }
 
 // ReduceByKey combines all values sharing a key with the associative,
@@ -252,19 +247,13 @@ func ReduceByKeyHashed[K comparable, V any](d *Dataset[Pair[K, V]], name string,
 	})
 }
 
-// AggregateByKey folds values into per-key accumulators: newAcc creates an
-// empty accumulator, seqOp folds one value in, combOp merges two
+// AggregateByKeyHashed folds values into per-key accumulators: newAcc
+// creates an empty accumulator, seqOp folds one value in, combOp merges two
 // accumulators. Accumulators are built within each input partition and
 // merged after the shuffle — the map/reduce split of the paper's feature
-// extraction (§3.3.4).
-func AggregateByKey[K comparable, V, A any](
-	d *Dataset[Pair[K, V]], name string, numPartitions int,
-	newAcc func() A, seqOp func(A, V) A, combOp func(A, A) A,
-) *Dataset[Pair[K, A]] {
-	return AggregateByKeyHashed(d, name, numPartitions, HasherFor[K](), newAcc, seqOp, combOp)
-}
-
-// AggregateByKeyHashed is AggregateByKey with an explicit key hasher.
+// extraction (§3.3.4). hash partitions the keys; pass the key type's own
+// method expression (inventory.GroupKey.Hash64) to keep the hot path
+// allocation-free, or HasherFor[K]().
 func AggregateByKeyHashed[K comparable, V, A any](
 	d *Dataset[Pair[K, V]], name string, numPartitions int, hash Hasher[K],
 	newAcc func() A, seqOp func(A, V) A, combOp func(A, A) A,
@@ -302,10 +291,9 @@ func AggregateByKeyHashed[K comparable, V, A any](
 	})
 }
 
-// GroupByKey gathers all values per key into a slice. Prefer ReduceByKey or
-// AggregateByKey when a mergeable accumulator exists; GroupByKey
-// materializes every value and is provided for sessionization-style logic
-// (the paper's per-vessel trip splitting).
+// GroupByKey gathers all values per key into a slice, shuffling every
+// record: the foil of DESIGN.md §6's map-side-combining ablation, which
+// runs it against ReduceByKey over the same pairs.
 func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string, numPartitions int) *Dataset[Pair[K, []V]] {
 	shuffled := shuffle(d, name+".shuffle", numPartitions, HasherFor[K]())
 	return MapPartitions(shuffled, name+".group", func(_ int, in []Pair[K, V]) []Pair[K, []V] {

@@ -154,16 +154,6 @@ func Interpolate(a, b LatLng, f float64) LatLng {
 	return LatLng{Lat: φ * radToDeg, Lng: NormalizeLng(λ * radToDeg)}
 }
 
-// CrossTrackDistance returns the signed distance in metres from point p to
-// the great circle through a and b. Positive values lie to the right of the
-// direction of travel a→b.
-func CrossTrackDistance(p, a, b LatLng) float64 {
-	δ13 := Haversine(a, p) / EarthRadiusMeters
-	θ13 := InitialBearing(a, p) * degToRad
-	θ12 := InitialBearing(a, b) * degToRad
-	return math.Asin(clamp(math.Sin(δ13)*math.Sin(θ13-θ12), -1, 1)) * EarthRadiusMeters
-}
-
 // SpeedKnots returns the implied average speed in knots for covering the
 // great-circle distance between a and b in dtSeconds. It returns +Inf when
 // dtSeconds <= 0 and the points differ, and 0 when they coincide.

@@ -117,23 +117,6 @@ func TestInterpolateLiesOnGreatCircle(t *testing.T) {
 	approx(t, sum, total, 1.0, "chord sum equals great-circle length")
 }
 
-func TestCrossTrackDistance(t *testing.T) {
-	a := LatLng{0, 0}
-	b := LatLng{0, 10}
-	// A point north of the equator path is to the left (negative by our sign).
-	north := CrossTrackDistance(LatLng{1, 5}, a, b)
-	south := CrossTrackDistance(LatLng{-1, 5}, a, b)
-	if north >= 0 {
-		t.Errorf("point north of eastbound track should be negative (left), got %v", north)
-	}
-	if south <= 0 {
-		t.Errorf("point south of eastbound track should be positive (right), got %v", south)
-	}
-	approx(t, math.Abs(north), 111195, 100, "one degree cross-track")
-	on := CrossTrackDistance(LatLng{0, 5}, a, b)
-	approx(t, on, 0, 1e-6, "on-track point")
-}
-
 func TestNormalizeLng(t *testing.T) {
 	cases := map[float64]float64{
 		0: 0, 180: -180, -180: -180, 190: -170, -190: 170, 360: 0, 540: -180, 725: 5,
@@ -217,7 +200,6 @@ func TestProjectionIsEqualArea(t *testing.T) {
 
 func TestProjectionExtents(t *testing.T) {
 	approx(t, ProjectionWidth(), 2*math.Pi*EarthRadiusMeters, 1e-6, "width")
-	approx(t, ProjectionHeight(), 2*EarthRadiusMeters, 1e-6, "height")
 	top := ProjectEqualArea(LatLng{90, 0})
 	approx(t, top.Y, EarthRadiusMeters, 1e-3, "north pole Y")
 }
@@ -304,17 +286,6 @@ func TestBBox(t *testing.T) {
 	}
 	if b.Contains(LatLng{50, 20}) || b.Contains(LatLng{59, 40}) {
 		t.Error("outside points misclassified")
-	}
-	c := b.Center()
-	approx(t, c.Lat, 59.5, 1e-9, "center lat")
-	approx(t, c.Lng, 20, 1e-9, "center lng")
-	e := b.Expand(5)
-	if e.MinLat != 48 || e.MaxLat != 71 {
-		t.Errorf("expand: got %+v", e)
-	}
-	huge := BBox{MinLat: -89, MinLng: -179, MaxLat: 89, MaxLng: 179}.Expand(5)
-	if huge.MinLat != -90 || huge.MaxLat != 90 || huge.MinLng != -180 || huge.MaxLng != 180 {
-		t.Errorf("expand must clamp: got %+v", huge)
 	}
 }
 

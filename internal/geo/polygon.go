@@ -120,19 +120,3 @@ func (b BBox) Contains(p LatLng) bool {
 	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat &&
 		p.Lng >= b.MinLng && p.Lng <= b.MaxLng
 }
-
-// Center returns the midpoint of the box.
-func (b BBox) Center() LatLng {
-	return LatLng{Lat: (b.MinLat + b.MaxLat) / 2, Lng: (b.MinLng + b.MaxLng) / 2}
-}
-
-// Expand returns the box grown by marginDeg degrees on every side, clamped
-// to the legal geographic range.
-func (b BBox) Expand(marginDeg float64) BBox {
-	return BBox{
-		MinLat: clamp(b.MinLat-marginDeg, -90, 90),
-		MaxLat: clamp(b.MaxLat+marginDeg, -90, 90),
-		MinLng: clamp(b.MinLng-marginDeg, -180, 180),
-		MaxLng: clamp(b.MaxLng+marginDeg, -180, 180),
-	}
-}

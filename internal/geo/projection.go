@@ -32,7 +32,3 @@ func UnprojectEqualArea(q Projected) LatLng {
 // ProjectionWidth returns the east-west extent of the equal-area plane in
 // metres (the length of the equator).
 func ProjectionWidth() float64 { return 2 * math.Pi * EarthRadiusMeters }
-
-// ProjectionHeight returns the north-south extent of the equal-area plane in
-// metres (2·R).
-func ProjectionHeight() float64 { return 2 * EarthRadiusMeters }

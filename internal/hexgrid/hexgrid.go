@@ -263,9 +263,6 @@ func (c Cell) LatLng() geo.LatLng {
 	return geo.UnprojectEqualArea(geo.Projected{X: x, Y: y})
 }
 
-// Center is an alias for LatLng, matching the paper's terminology.
-func (c Cell) Center() geo.LatLng { return c.LatLng() }
-
 // neighborOffsets lists the six axial neighbour offsets of a flat-top
 // hexagon.
 var neighborOffsets = [6][2]int64{
@@ -408,28 +405,6 @@ func (c Cell) Children(childRes int) []Cell {
 		cells = next
 	}
 	return cells
-}
-
-// Boundary returns the six vertices of the cell's hexagon in geographic
-// coordinates, counter-clockwise starting from the easternmost vertex.
-func (c Cell) Boundary() [6]geo.LatLng {
-	x, y := c.centerXY()
-	s := specs[c.Resolution()].size
-	var out [6]geo.LatLng
-	for i := 0; i < 6; i++ {
-		a := float64(i) * math.Pi / 3
-		vx := x + s*math.Cos(a)
-		vy := y + s*math.Sin(a)
-		// Wrap vertex into the projection strip for unprojection.
-		w := geo.ProjectionWidth()
-		if vx >= w/2 {
-			vx -= w
-		} else if vx < -w/2 {
-			vx += w
-		}
-		out[i] = geo.UnprojectEqualArea(geo.Projected{X: vx, Y: vy})
-	}
-	return out
 }
 
 // AreaKm2 returns the spherical area of the cell in km². Exact for all whole

@@ -420,28 +420,6 @@ func TestChildrenTwoLevels(t *testing.T) {
 	}
 }
 
-func TestBoundaryVerticesSurroundCenter(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 50; i++ {
-		res := 4 + rng.Intn(5)
-		c := LatLngToCell(randomPoint(rng), res)
-		b := c.Boundary()
-		pc := geo.ProjectEqualArea(c.LatLng())
-		s := specs[res].size
-		for _, v := range b {
-			pv := geo.ProjectEqualArea(v)
-			dx := math.Abs(pc.X - pv.X)
-			if w := geo.ProjectionWidth(); dx > w/2 {
-				dx = w - dx
-			}
-			d := math.Hypot(dx, pc.Y-pv.Y)
-			if math.Abs(d-s)/s > 1e-6 {
-				t.Errorf("res %d: boundary vertex at %.3f m, want circumradius %.3f", res, d, s)
-			}
-		}
-	}
-}
-
 func TestCellAreaExact(t *testing.T) {
 	c := LatLngToCell(geo.LatLng{Lat: 55, Lng: 15}, 6)
 	if got, want := c.AreaKm2(), AvgCellAreaKm2(6); got != want {

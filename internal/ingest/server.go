@@ -11,15 +11,12 @@ import (
 // ServerOptions configures the TCP feed listener.
 type ServerOptions struct {
 	// IdleTimeout is the per-connection read deadline, reset on every
-	// read: a feed silent for longer is dropped (default 5m). Zero or
-	// negative keeps the default; use NoIdleTimeout to disable.
+	// read: a feed silent for longer is dropped. Zero means the default,
+	// 5m; negative disables the deadline.
 	IdleTimeout time.Duration
 	// Logf receives connection lifecycle messages (default log.Printf).
 	Logf func(format string, args ...any)
 }
-
-// NoIdleTimeout disables the per-connection read deadline.
-const NoIdleTimeout = time.Duration(-1)
 
 // Server accepts timestamped-NMEA feed connections on a TCP listener and
 // pumps every decoded item into the engine. Each connection gets its own

@@ -109,11 +109,6 @@ func BuildAdaptive(fine *Inventory, coarseRes int, minRecords uint64) (*Adaptive
 // Len returns the number of cells (fine + coarse).
 func (ai *AdaptiveInventory) Len() int { return len(ai.cells) }
 
-// Resolutions returns (fine, coarse).
-func (ai *AdaptiveInventory) Resolutions() (fine, coarse int) {
-	return ai.fineRes, ai.coarseRes
-}
-
 // CountByResolution returns how many cells are kept at each resolution.
 func (ai *AdaptiveInventory) CountByResolution() (fine, coarse int) {
 	for c := range ai.cells {

@@ -126,9 +126,8 @@ func TestBuildAdaptiveKeepsDenseFine(t *testing.T) {
 	if coarseCount == 0 {
 		t.Fatal("no coarse cells produced in the sparse area")
 	}
-	fr, cr := ai.Resolutions()
-	if fr != 7 || cr != 6 {
-		t.Errorf("resolutions %d/%d", fr, cr)
+	if ai.fineRes != 7 || ai.coarseRes != 6 {
+		t.Errorf("resolutions %d/%d", ai.fineRes, ai.coarseRes)
 	}
 	// Dense-area lookup returns a fine cell; sparse-area lookup a coarse
 	// one.

@@ -134,8 +134,8 @@ func TestCellSummaryAccumulates(t *testing.T) {
 	if !(p10 < p50 && p50 < p90) {
 		t.Errorf("percentiles not ordered: %v %v %v", p10, p50, p90)
 	}
-	if origin, _ := s.TopOrigin(); origin != 3 {
-		t.Errorf("top origin %d, want 3", origin)
+	if top := s.Origins.Top(1); len(top) != 1 || top[0].Key != 3 {
+		t.Errorf("top origin %v, want 3", top)
 	}
 	if dest, _ := s.TopDestination(); dest != 7 {
 		t.Errorf("top destination %d, want 7", dest)
@@ -163,7 +163,7 @@ func TestCellSummaryEmptyTopsAndNaNs(t *testing.T) {
 	if p, c := s.TopDestination(); p != model.NoPort || c != 0 {
 		t.Error("empty summary has no top destination")
 	}
-	if p, _ := s.TopOrigin(); p != model.NoPort {
+	if top := s.Origins.Top(1); len(top) != 0 {
 		t.Error("empty summary has no top origin")
 	}
 	// NaN course/heading/speed records must not poison the sketches.

@@ -139,15 +139,6 @@ func (s *CellSummary) TopDestination() (model.PortID, uint64) {
 	return model.PortID(top[0].Key), top[0].Count
 }
 
-// TopOrigin returns the most frequent origin port and its count.
-func (s *CellSummary) TopOrigin() (model.PortID, uint64) {
-	top := s.Origins.Top(1)
-	if len(top) == 0 {
-		return model.NoPort, 0
-	}
-	return model.PortID(top[0].Key), top[0].Count
-}
-
 // TopTransitions returns up to n most frequent next cells with counts.
 func (s *CellSummary) TopTransitions(n int) []stats.TopEntry {
 	return s.Transitions.Top(n)

@@ -5,8 +5,6 @@
 package model
 
 import (
-	"time"
-
 	"github.com/patternsoflife/pol/internal/ais"
 	"github.com/patternsoflife/pol/internal/geo"
 )
@@ -27,9 +25,6 @@ const (
 	VesselTanker    VesselType = 4
 	VesselPassenger VesselType = 5
 )
-
-// NumVesselTypes is the count of defined vessel types including Unknown.
-const NumVesselTypes = 6
 
 // String returns the segment label.
 func (t VesselType) String() string {
@@ -75,9 +70,6 @@ type PositionRecord struct {
 	Heading float64       // true heading, degrees
 	Status  ais.NavStatus // navigational status
 }
-
-// Timestamp returns the report time as a time.Time.
-func (r PositionRecord) Timestamp() time.Time { return time.Unix(r.Time, 0).UTC() }
 
 // PortID identifies a port in the gazetteer. Zero means "no port".
 type PortID uint32

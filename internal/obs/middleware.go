@@ -142,22 +142,6 @@ func HealthzHandler() http.Handler {
 	})
 }
 
-// ReadyzHandler answers readiness probes: 200 when ready() reports true,
-// 503 otherwise. Live daemons gate readiness on the first published data
-// snapshot so load balancers don't route queries to an empty inventory.
-func ReadyzHandler(ready func() bool) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if ready == nil || ready() {
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write([]byte("ready\n"))
-			return
-		}
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = w.Write([]byte("not ready\n"))
-	})
-}
-
 // ReadyzDetailHandler is ReadyzHandler with an operator-facing detail
 // string: a ready-but-degraded daemon answers 200 "ready (degraded: …)"
 // so probes keep routing to it while dashboards and humans see the
@@ -185,37 +169,6 @@ func ReadyzDetailHandler(ready func() (bool, string)) http.Handler {
 		}
 		_, _ = w.Write([]byte("not ready\n"))
 	})
-}
-
-// StaleReady layers snapshot-staleness detection over a readiness
-// function: when the served snapshot's age exceeds maxAge the daemon
-// stays ready (probes keep routing to it — stale answers beat none) but
-// the detail reports the age so operators see the stall. maxAge <= 0
-// disables the check; an inner degraded detail is preserved alongside
-// the staleness note.
-func StaleReady(inner func() (bool, string), age func() time.Duration, maxAge time.Duration) func() (bool, string) {
-	if maxAge <= 0 || age == nil {
-		return inner
-	}
-	return func() (bool, string) {
-		ok, detail := true, ""
-		if inner != nil {
-			ok, detail = inner()
-		}
-		if !ok {
-			return ok, detail
-		}
-		if a := age(); a > maxAge {
-			stale := "degraded: snapshot stale for " + a.Round(time.Millisecond).String() +
-				" (threshold " + maxAge.String() + ")"
-			if detail != "" {
-				detail += "; " + stale
-			} else {
-				detail = stale
-			}
-		}
-		return true, detail
-	}
 }
 
 // Shed bounds the requests concurrently inside next: request number

@@ -90,7 +90,7 @@ func TestHealthAndReadiness(t *testing.T) {
 		t.Errorf("healthz %d", s)
 	}
 	ready := false
-	h := ReadyzHandler(func() bool { return ready })
+	h := ReadyzDetailHandler(func() (bool, string) { return ready, "" })
 	if s := status(h); s != http.StatusServiceUnavailable {
 		t.Errorf("readyz before ready: %d, want 503", s)
 	}
@@ -118,57 +118,6 @@ func TestReadyzDetail(t *testing.T) {
 	ok, detail = false, "loading checkpoint"
 	if code, body := probe(h); code != http.StatusServiceUnavailable || body != "not ready: loading checkpoint\n" {
 		t.Errorf("not-ready: %d %q", code, body)
-	}
-}
-
-// TestStaleReady covers the snapshot-staleness wrapper polserve mounts
-// over its readiness probe: a stale snapshot degrades the detail line but
-// never flips the probe to 503 — serving old data beats serving none.
-func TestStaleReady(t *testing.T) {
-	probe := func(h http.Handler) (int, string) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-		return rec.Code, rec.Body.String()
-	}
-	innerOK, innerDetail := true, ""
-	age := time.Second
-	ready := StaleReady(
-		func() (bool, string) { return innerOK, innerDetail },
-		func() time.Duration { return age },
-		10*time.Second,
-	)
-	h := ReadyzDetailHandler(ready)
-
-	// Fresh snapshot: clean 200.
-	if code, body := probe(h); code != http.StatusOK || body != "ready\n" {
-		t.Errorf("fresh: %d %q", code, body)
-	}
-	// Stale snapshot: still 200, but the detail names the staleness and
-	// the threshold so an operator can read the probe.
-	age = 42 * time.Second
-	code, body := probe(h)
-	if code != http.StatusOK {
-		t.Errorf("stale: %d, want 200 — staleness must not fail the probe", code)
-	}
-	if !strings.Contains(body, "degraded: snapshot stale for 42s") || !strings.Contains(body, "threshold 10s") {
-		t.Errorf("stale body %q missing staleness detail", body)
-	}
-	// Staleness composes with an inner degradation detail.
-	innerDetail = "degraded: journal broken"
-	if _, body := probe(h); !strings.Contains(body, "journal broken") || !strings.Contains(body, "snapshot stale") {
-		t.Errorf("composed body %q should carry both details", body)
-	}
-	// An inner not-ready wins outright: staleness never masks it.
-	innerOK, innerDetail = false, "loading checkpoint"
-	if code, body := probe(h); code != http.StatusServiceUnavailable || body != "not ready: loading checkpoint\n" {
-		t.Errorf("inner not-ready: %d %q", code, body)
-	}
-	// Zero threshold disables the wrapper entirely.
-	innerOK, innerDetail = true, ""
-	if ready := StaleReady(func() (bool, string) { return true, "" }, func() time.Duration { return age }, 0); ready == nil {
-		t.Fatal("zero-threshold StaleReady returned nil")
-	} else if _, detail := ready(); detail != "" {
-		t.Errorf("zero threshold should pass through, got detail %q", detail)
 	}
 }
 

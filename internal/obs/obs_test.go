@@ -98,7 +98,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	// Observations beyond the largest bound must NOT cap at the last
 	// finite bound: the overflow bucket interpolates toward the observed
-	// maximum (regression: silent p99 capping defeated polload -max-p99).
+	// maximum (regression: silent p99 capping defeated a p99 gate).
 	over := NewHistogram(0.1, 1)
 	over.Observe(100)
 	if q := over.Quantile(0.5); !(q > 1 && q <= 100) {

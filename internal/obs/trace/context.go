@@ -22,14 +22,3 @@ func FromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(ctxKey{}).(*Span)
 	return s
 }
-
-// StartFromContext begins a child of the context's ambient span (a fresh
-// root when the context has none) and returns the derived context
-// carrying the new span. A nil tracer returns (ctx, nil).
-func (t *Tracer) StartFromContext(ctx context.Context, name string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
-	s := t.StartChild(FromContext(ctx), name)
-	return ContextWith(ctx, s), s
-}

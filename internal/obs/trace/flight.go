@@ -68,16 +68,7 @@ func (t *Tracer) RecordFlight(reason string) (string, error) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return "", err
 	}
-	t.dumped.Add(1)
 	return path, nil
-}
-
-// FlightDumps returns how many flight files this tracer has written.
-func (t *Tracer) FlightDumps() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dumped.Load()
 }
 
 // sanitizeReason maps a free-form reason to a filename-safe slug.

@@ -26,7 +26,7 @@ func TestMiddlewareContinuity(t *testing.T) {
 	frontend := httptest.NewServer(frontendTr.Middleware("outer", http.HandlerFunc(
 		func(w http.ResponseWriter, r *http.Request) {
 			// Proxy hop: child span of the server span, injected outbound.
-			_, span := frontendTr.StartFromContext(r.Context(), "proxy.fetch")
+			span := frontendTr.StartChild(FromContext(r.Context()), "proxy.fetch")
 			req, _ := http.NewRequest("GET", backend.URL, nil)
 			Inject(req, span)
 			resp, err := http.DefaultClient.Do(req)

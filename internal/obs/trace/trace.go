@@ -1,7 +1,7 @@
 // Package trace is a stdlib-only distributed tracing subsystem for the
 // Patterns-of-Life daemons. It propagates W3C traceparent identifiers
 // across every HTTP surface (query API, replication fetches) and the
-// cluster's gob frames, so one request — a polload query, a replica WAL
+// cluster's gob frames, so one request — a polquery lookup, a replica WAL
 // fetch, a coordinator job — is followable across process boundaries.
 //
 // Finished spans land in a fixed-size lock-free ring buffer per process
@@ -277,11 +277,9 @@ func (o Options) withDefaults() Options {
 type Tracer struct {
 	opt Options
 
-	ring   *spanRing // most recent finished spans, any kind
-	errs   *spanRing // error spans, kept past ring churn
-	spans  atomic.Int64
-	drops  atomic.Int64
-	dumped atomic.Int64
+	ring  *spanRing // most recent finished spans, any kind
+	errs  *spanRing // error spans, kept past ring churn
+	spans atomic.Int64
 
 	mu      sync.Mutex
 	slowest map[string][]*Span // root name -> up to SlowestPerRoot, ascending duration

@@ -115,15 +115,6 @@ func Run(records *dataflow.Dataset[model.PositionRecord], static map[uint32]mode
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 
-	var stats Stats
-	_, countSpan := obs.StartSpanCtx(ctx.Std(), opt.Tracer, opt.Obs, "pipeline_input_count")
-	if n, err := dataflow.Count(records); err == nil {
-		stats.RawRecords = n
-	} else {
-		return nil, err
-	}
-	countSpan.End()
-
 	// Step 1 (§3.3.1): partition by vessel identifier.
 	keyed := dataflow.KeyBy(records, "partition-by-vessel", func(r model.PositionRecord) uint32 { return r.MMSI })
 	byVessel := dataflow.RepartitionByKey(keyed, "shuffle-by-vessel", parts)
@@ -157,13 +148,13 @@ func Run(records *dataflow.Dataset[model.PositionRecord], static map[uint32]mode
 
 	inv := inventory.New(inventory.BuildInfo{
 		Resolution:  opt.Resolution,
-		RawRecords:  stats.RawRecords,
 		BuiltUnix:   time.Now().Unix(),
 		Description: opt.Description,
 	})
 	// The graph is lazy: this Collect executes cleaning, trip extraction,
 	// projection and the feature reduce in one go, so the span covers the
-	// whole §3.3 dataflow.
+	// whole §3.3 dataflow. It is the run's only action: the input is
+	// evaluated once, and the raw count is taken where the rows arrive.
 	_, execSpan := obs.StartSpanCtx(ctx.Std(), opt.Tracer, opt.Obs, "pipeline_execute")
 	pairs, err := dataflow.Collect(aggregated)
 	if err != nil {
@@ -176,16 +167,20 @@ func Run(records *dataflow.Dataset[model.PositionRecord], static map[uint32]mode
 
 	// Derive flow stats from the engine metrics and stage counters.
 	m := ctx.Metrics()
-	stats.Observations = m.Stage("clean-trips-project").RecordsOut
-	stats.Groups = int64(inv.Len())
-	stats.ValidRecords = counters.valid.Load()
-	stats.FeasibleRecords = counters.feasible.Load()
-	stats.CommercialOnly = counters.commercial.Load()
-	stats.TripRecords = counters.tripRecords.Load()
-	stats.Trips = counters.trips.Load()
-	stats.Elapsed = time.Since(start)
+	stats := Stats{
+		RawRecords:      counters.raw.Load(),
+		ValidRecords:    counters.valid.Load(),
+		FeasibleRecords: counters.feasible.Load(),
+		CommercialOnly:  counters.commercial.Load(),
+		TripRecords:     counters.tripRecords.Load(),
+		Trips:           counters.trips.Load(),
+		Observations:    m.Stage("clean-trips-project").RecordsOut,
+		Groups:          int64(inv.Len()),
+		Elapsed:         time.Since(start),
+	}
 
 	info := inv.Info()
+	info.RawRecords = stats.RawRecords
 	info.UsedRecords = stats.TripRecords
 	inv.SetInfo(info)
 
@@ -199,6 +194,7 @@ func Run(records *dataflow.Dataset[model.PositionRecord], static map[uint32]mode
 // flowCounters accumulates per-stage record counts across concurrent
 // partition tasks.
 type flowCounters struct {
+	raw         atomic.Int64 // entered the pipeline (every row of every vessel partition)
 	valid       atomic.Int64 // passed range validation and deduplication
 	feasible    atomic.Int64 // passed the 50-knot transition filter
 	commercial  atomic.Int64 // belonged to commercial vessels
@@ -214,6 +210,7 @@ func processPartition(rows []dataflow.Pair[uint32, model.PositionRecord], static
 	// circular means, t-digests) are order-sensitive in their low bits, so
 	// a map-ordered walk would make repeated builds of the same input
 	// differ. Sorting pins one canonical fold order per partition.
+	counters.raw.Add(int64(len(rows)))
 	perVessel := make(map[uint32][]model.PositionRecord)
 	for _, p := range rows {
 		perVessel[p.Key] = append(perVessel[p.Key], p.Value)

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"github.com/patternsoflife/pol/internal/ais"
@@ -297,6 +298,47 @@ func TestRunEndToEnd(t *testing.T) {
 	// shape is asserted by the polbench harness at benchmark scale.)
 	if comp := inv.Compression(inventory.GSCell); comp < 0.7 {
 		t.Errorf("compression %.4f, want > 0.7", comp)
+	}
+}
+
+// TestRunEvaluatesInputOnce pins the one-action rule: Run's only action is
+// the Collect behind the shuffle, so a generated source is produced once per
+// partition, and the raw count is what the vessel partitions received — also
+// on a Context a second run shares.
+func TestRunEvaluatesInputOnce(t *testing.T) {
+	gaz := ports.Default()
+	s, err := sim.New(sim.Config{Vessels: 4, Days: 10, Seed: 51}, gaz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := ports.NewIndex(gaz, ports.IndexResolution)
+	ctx := dataflow.NewContext(2)
+	for run := 1; run <= 2; run++ {
+		var calls [4]atomic.Int64
+		var rows atomic.Int64
+		records := dataflow.Generate(ctx, len(calls), func(part int) []model.PositionRecord {
+			calls[part].Add(1)
+			recs, _ := s.VesselTrack(part)
+			rows.Add(int64(len(recs)))
+			return recs
+		})
+		res, err := Run(records, s.Fleet().StaticIndex(), idx, Options{Resolution: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for part := range calls {
+			if n := calls[part].Load(); n != 1 {
+				t.Errorf("run %d: partition %d generated %d times, want 1", run, part, n)
+			}
+		}
+		// rows counts every generator call, so it only equals the rows one
+		// evaluation produced when the calls check above holds too.
+		if got, want := res.Stats.RawRecords, rows.Load(); got != want || want == 0 {
+			t.Errorf("run %d: Stats.RawRecords %d, want the %d rows generated", run, got, want)
+		}
+		if got := res.Inventory.Info().RawRecords; got != res.Stats.RawRecords {
+			t.Errorf("run %d: Info().RawRecords %d, want %d", run, got, res.Stats.RawRecords)
+		}
 	}
 }
 

@@ -13,8 +13,6 @@ package ports
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"strings"
 
 	"github.com/patternsoflife/pol/internal/geo"
@@ -189,13 +187,6 @@ func NewIndex(g *Gazetteer, res int) *Index {
 	return idx
 }
 
-// Resolution returns the index's grid resolution.
-func (idx *Index) Resolution() int { return idx.res }
-
-// CellCount returns the number of grid cells with at least one candidate
-// port.
-func (idx *Index) CellCount() int { return len(idx.cells) }
-
 // PortAt returns the port whose geofence contains p, or (NoPort, false).
 // When fences overlap, the nearest port center wins.
 func (idx *Index) PortAt(p geo.LatLng) (model.PortID, bool) {
@@ -214,32 +205,4 @@ func (idx *Index) PortAt(p geo.LatLng) (model.PortID, bool) {
 		}
 	}
 	return best, best != model.NoPort
-}
-
-// Synthetic generates n deterministic pseudo-random ports spread over the
-// mid-latitudes for tests, with a mix of size classes.
-func Synthetic(n int, seed int64) *Gazetteer {
-	rng := rand.New(rand.NewSource(seed))
-	entries := make([]Port, n)
-	for i := range entries {
-		size := SizeMedium
-		switch {
-		case i%7 == 0:
-			size = SizeMega
-		case i%3 == 0:
-			size = SizeLarge
-		}
-		entries[i] = Port{
-			Name:    fmt.Sprintf("PORT-%03d", i),
-			Country: "ZZ",
-			Pos: geo.LatLng{
-				Lat: rng.Float64()*120 - 60,
-				Lng: rng.Float64()*360 - 180,
-			},
-			Size: size,
-		}
-	}
-	// Keep a deterministic order independent of map iteration anywhere.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	return New(entries)
 }

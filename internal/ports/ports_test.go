@@ -128,7 +128,7 @@ func TestSizeClassProperties(t *testing.T) {
 func TestIndexFindsPortsEverywhereInsideFences(t *testing.T) {
 	g := Default()
 	idx := NewIndex(g, IndexResolution)
-	if idx.CellCount() == 0 {
+	if len(idx.cells) == 0 {
 		t.Fatal("index is empty")
 	}
 	rng := rand.New(rand.NewSource(23))
@@ -176,29 +176,6 @@ func TestIndexOverlapPrefersNearest(t *testing.T) {
 	if !ok || id != la.ID {
 		got, _ := g.ByID(id)
 		t.Errorf("LA center resolved to %v", got.Name)
-	}
-}
-
-func TestSyntheticGazetteer(t *testing.T) {
-	g := Synthetic(50, 42)
-	if g.Len() != 50 {
-		t.Fatalf("want 50 synthetic ports, got %d", g.Len())
-	}
-	again := Synthetic(50, 42)
-	for i := range g.All() {
-		if g.All()[i] != again.All()[i] {
-			t.Fatal("synthetic gazetteer must be deterministic")
-		}
-	}
-	sizes := map[SizeClass]int{}
-	for _, p := range g.All() {
-		sizes[p.Size]++
-		if !p.Pos.Valid() {
-			t.Errorf("invalid synthetic position %v", p.Pos)
-		}
-	}
-	if sizes[SizeMega] == 0 || sizes[SizeLarge] == 0 || sizes[SizeMedium] == 0 {
-		t.Errorf("synthetic ports must mix size classes: %v", sizes)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/patternsoflife/pol/internal/geo"
-	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/sim"
@@ -160,72 +159,5 @@ func TestTopDeterministicOrder(t *testing.T) {
 		if a[i].Score > a[i-1].Score {
 			t.Fatal("top not sorted by score")
 		}
-	}
-}
-
-func TestNextCellsFollowsTraffic(t *testing.T) {
-	f := getFixture(t)
-	inv := f.Inventory
-	// Walk a voyage: at each en-route cell, the actual next cell should
-	// rank among the predicted next cells most of the time.
-	voys := f.CompletedVoyages()
-	var hits, total int
-	for _, v := range voys[:min(8, len(voys))] {
-		track := f.TrackDuring(v)
-		var cells []hexgrid.Cell
-		for _, r := range track {
-			c := hexgrid.LatLngToCell(r.Pos, 6)
-			if len(cells) == 0 || cells[len(cells)-1] != c {
-				cells = append(cells, c)
-			}
-		}
-		for i := 0; i+1 < len(cells); i++ {
-			preds, ok := NextCells(inv, cells[i], v.VType, v.Route.Origin, v.Route.Dest)
-			if !ok {
-				continue
-			}
-			total++
-			for _, p := range preds {
-				if p.Cell == cells[i+1] {
-					hits++
-					break
-				}
-			}
-		}
-	}
-	if total < 50 {
-		t.Fatalf("only %d predictions evaluated", total)
-	}
-	if frac := float64(hits) / float64(total); frac < 0.7 {
-		t.Errorf("next-cell hit rate %.0f%%, want >= 70%%", frac*100)
-	}
-}
-
-func TestNextCellsProperties(t *testing.T) {
-	f := getFixture(t)
-	v := f.CompletedVoyages()[0]
-	track := f.TrackDuring(v)
-	cell := hexgrid.LatLngToCell(track[len(track)/2].Pos, 6)
-	preds, ok := NextCells(f.Inventory, cell, v.VType, v.Route.Origin, v.Route.Dest)
-	if !ok {
-		t.Fatal("mid-voyage cell must have transitions")
-	}
-	var sum float64
-	for i, p := range preds {
-		if !p.Cell.Valid() {
-			t.Error("invalid predicted cell")
-		}
-		sum += p.Share
-		if i > 0 && p.Share > preds[i-1].Share {
-			t.Error("predictions must sort by descending share")
-		}
-	}
-	if sum < 0.99 || sum > 1.01 {
-		t.Errorf("shares must sum to 1, got %v", sum)
-	}
-	// A cell with no traffic has no prediction.
-	empty := hexgrid.LatLngToCell(geo.LatLng{Lat: -60, Lng: -150}, 6)
-	if _, ok := NextCells(f.Inventory, empty, v.VType, 0, 0); ok {
-		t.Error("empty cell must not predict")
 	}
 }

@@ -361,10 +361,6 @@ func (d *DiskReplica) getRange(ctx context.Context, u string, from, to int64) ([
 // first successful sync).
 func (d *DiskReplica) Reader() *segment.Reader { return d.reader.Load() }
 
-// Generation returns the installed checkpoint generation (0 before the
-// first sync).
-func (d *DiskReplica) Generation() uint64 { return d.generation.Load() }
-
 // Inventory implements api.Source: queries resolve against the mapped
 // segment; before the first sync an empty inventory answers.
 func (d *DiskReplica) Inventory() inventory.View {

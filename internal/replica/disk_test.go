@@ -161,7 +161,7 @@ func TestDiskReplicaSyncAndDelta(t *testing.T) {
 	if err := d.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	gen1 := d.Generation()
+	gen1 := d.generation.Load()
 	if d.Reader() == nil || gen1 == 0 {
 		t.Fatalf("no generation installed: %+v", d.StatusSnapshot())
 	}
@@ -186,7 +186,7 @@ func TestDiskReplicaSyncAndDelta(t *testing.T) {
 	}
 	waitCheckpointQuiesce(t, eng, ckpts)
 	deadline := time.Now().Add(30 * time.Second)
-	for d.Generation() == gen1 {
+	for d.generation.Load() == gen1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("second generation never installed: %+v", d.StatusSnapshot())
 		}
@@ -195,7 +195,7 @@ func TestDiskReplicaSyncAndDelta(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	gen2 := d.Generation()
+	gen2 := d.generation.Load()
 	requireViewEqual(t, fetchInventoryForGen(t, srv.URL, gen2), d.Inventory(), "delta sync")
 	st3 := d.StatusSnapshot()
 	// Completed trips back-fill groups across most shards, so how much is
@@ -487,5 +487,5 @@ func TestDiskReplicaRunConverges(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
-	requireViewEqual(t, fetchInventoryForGen(t, srv.URL, d.Generation()), d.Inventory(), "via Run")
+	requireViewEqual(t, fetchInventoryForGen(t, srv.URL, d.generation.Load()), d.Inventory(), "via Run")
 }

@@ -79,16 +79,6 @@ func pickSpec(rng *rand.Rand) typeSpec {
 	return fleetMix[len(fleetMix)-1]
 }
 
-// ByMMSI returns the static info for a vessel.
-func (f *Fleet) ByMMSI(mmsi uint32) (model.VesselInfo, bool) {
-	for _, v := range f.Vessels {
-		if v.MMSI == mmsi {
-			return v, true
-		}
-	}
-	return model.VesselInfo{}, false
-}
-
 // StaticIndex returns an MMSI-keyed map of the fleet, the form the
 // pipeline's annotation step joins against.
 func (f *Fleet) StaticIndex() map[uint32]model.VesselInfo {

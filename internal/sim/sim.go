@@ -60,12 +60,6 @@ type Config struct {
 	Weather *weather.Field
 }
 
-// WithDefaults returns the configuration with unset fields filled exactly
-// as New would fill them — callers that partition a fleet (the distributed
-// build coordinator) resolve the effective vessel count through it before
-// splitting index ranges.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.Vessels <= 0 {
@@ -339,38 +333,6 @@ func corrupt(rng *rand.Rand, rec model.PositionRecord) model.PositionRecord {
 		rec.Pos = geo.Destination(rec.Pos, rng.Float64()*360, 300e3+rng.Float64()*2000e3)
 	}
 	return rec
-}
-
-// NMEA encodes a position record as AIVDM sentences, for the polgen tool
-// and end-to-end protocol tests.
-func NMEA(rec model.PositionRecord) ([]string, error) {
-	return ais.EncodePosition(ais.PositionReport{
-		Type:      ais.TypePositionA1,
-		MMSI:      rec.MMSI,
-		Status:    rec.Status,
-		Lon:       rec.Pos.Lng,
-		Lat:       rec.Pos.Lat,
-		SOG:       rec.SOG,
-		COG:       rec.COG,
-		Heading:   rec.Heading,
-		Timestamp: int(rec.Time % 60),
-	})
-}
-
-// StaticNMEA encodes a vessel's static report as AIVDM sentences.
-func StaticNMEA(v model.VesselInfo, seq int) ([]string, error) {
-	return ais.EncodeStatic(ais.StaticReport{
-		MMSI:     v.MMSI,
-		IMO:      v.IMO,
-		CallSign: v.CallSign,
-		Name:     v.Name,
-		ShipType: v.Type.AISShipType(),
-		DimBow:   v.LengthM / 2,
-		DimStern: v.LengthM - v.LengthM/2,
-		DimPort:  v.BeamM / 2,
-		DimStarb: v.BeamM - v.BeamM/2,
-		Draught:  float64(v.GRT) / 12000,
-	}, seq)
 }
 
 // Describe returns a one-line human summary of the configuration.

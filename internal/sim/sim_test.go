@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -212,12 +211,6 @@ func TestFleetGeneration(t *testing.T) {
 			t.Fatal("fleet generation must be deterministic")
 		}
 	}
-	if v, ok := f.ByMMSI(f.Vessels[3].MMSI); !ok || v.Name != f.Vessels[3].Name {
-		t.Error("ByMMSI lookup failed")
-	}
-	if _, ok := f.ByMMSI(1); ok {
-		t.Error("unknown MMSI must not resolve")
-	}
 	if len(f.StaticIndex()) != 500 {
 		t.Error("static index size mismatch")
 	}
@@ -392,57 +385,6 @@ func TestVesselTrackOutOfRange(t *testing.T) {
 	}
 	if r, v := s.VesselTrack(2); r != nil || v != nil {
 		t.Error("out-of-range index must yield nil")
-	}
-}
-
-func TestNMEAEndToEnd(t *testing.T) {
-	s := testSim(t, Config{Vessels: 1, Days: 3, Seed: 17})
-	recs, _ := s.VesselTrack(0)
-	if len(recs) == 0 {
-		t.Fatal("no records")
-	}
-	dec := ais.NewDecoder()
-	decoded := 0
-	for _, rec := range recs[:min(200, len(recs))] {
-		lines, err := NMEA(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range lines {
-			m, ok := dec.Feed(line)
-			if !ok {
-				continue
-			}
-			decoded++
-			if m.Position.MMSI != rec.MMSI {
-				t.Fatal("MMSI corrupted through NMEA")
-			}
-			if math.Abs(m.Position.Lat-rec.Pos.Lat) > 1e-5 {
-				t.Fatalf("lat corrupted: %v vs %v", m.Position.Lat, rec.Pos.Lat)
-			}
-		}
-	}
-	if decoded != min(200, len(recs)) {
-		t.Errorf("decoded %d of %d reports", decoded, min(200, len(recs)))
-	}
-	// Static reports survive the wire too.
-	v := s.Fleet().Vessels[0]
-	lines, err := StaticNMEA(v, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := ais.NewDecoder()
-	var got *ais.StaticReport
-	for _, line := range lines {
-		if m, ok := d2.Feed(line); ok {
-			got = m.Static
-		}
-	}
-	if got == nil || got.MMSI != v.MMSI {
-		t.Fatal("static report did not survive NMEA round trip")
-	}
-	if !got.ShipType.IsCommercial() {
-		t.Error("simulated fleet ship types must be commercial")
 	}
 }
 

@@ -64,9 +64,6 @@ func (h *AngularHistogram) Bins() []uint64 {
 	return out
 }
 
-// BinWidth returns the width of each bin in degrees.
-func (h *AngularHistogram) BinWidth() float64 { return h.binWidth }
-
 // Total returns the total observed weight.
 func (h *AngularHistogram) Total() uint64 {
 	var t uint64
@@ -74,23 +71,6 @@ func (h *AngularHistogram) Total() uint64 {
 		t += c
 	}
 	return t
-}
-
-// ModeBin returns the index of the fullest bin and its count. Ties go to the
-// lowest index; an empty histogram returns (0, 0).
-func (h *AngularHistogram) ModeBin() (idx int, count uint64) {
-	for i, c := range h.counts {
-		if c > count {
-			idx, count = i, c
-		}
-	}
-	return idx, count
-}
-
-// ModeAngle returns the center angle in degrees of the fullest bin.
-func (h *AngularHistogram) ModeAngle() float64 {
-	idx, _ := h.ModeBin()
-	return (float64(idx) + 0.5) * h.binWidth
 }
 
 // AppendBinary appends the histogram's binary encoding to buf.

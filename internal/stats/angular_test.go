@@ -9,8 +9,8 @@ import (
 
 func TestAngularHistogramBinning(t *testing.T) {
 	h := NewAngularHistogram(DefaultAngularBins)
-	if h.BinWidth() != 30 {
-		t.Fatalf("bin width %v, want 30", h.BinWidth())
+	if h.binWidth != 30 {
+		t.Fatalf("bin width %v, want 30", h.binWidth)
 	}
 	h.Add(0)     // bin 0
 	h.Add(29.99) // bin 0
@@ -40,25 +40,6 @@ func TestAngularHistogramIgnoresNaN(t *testing.T) {
 	h.AddWeighted(10, 0)
 	if h.Total() != 0 {
 		t.Error("NaN and zero weight must be ignored")
-	}
-}
-
-func TestAngularHistogramMode(t *testing.T) {
-	h := NewAngularHistogram(12)
-	for i := 0; i < 10; i++ {
-		h.Add(95) // bin 3 (90-120)
-	}
-	h.Add(10)
-	idx, count := h.ModeBin()
-	if idx != 3 || count != 10 {
-		t.Errorf("mode bin %d count %d, want 3/10", idx, count)
-	}
-	if got := h.ModeAngle(); got != 105 {
-		t.Errorf("mode angle %v, want 105 (center of bin 3)", got)
-	}
-	empty := NewAngularHistogram(12)
-	if idx, count := empty.ModeBin(); idx != 0 || count != 0 {
-		t.Error("empty histogram mode must be (0,0)")
 	}
 }
 

@@ -98,9 +98,6 @@ func (h *HyperLogLog) densify() {
 // AddUint64 hashes and records an integer identifier.
 func (h *HyperLogLog) AddUint64(v uint64) { h.AddHash(Mix64(v)) }
 
-// AddString hashes and records a string identifier.
-func (h *HyperLogLog) AddString(s string) { h.AddHash(HashString(s)) }
-
 // Merge folds another sketch into this one. Sketches must share precision;
 // mismatched precision merges are ignored (callers construct all sketches
 // with HLLPrecision).
@@ -148,19 +145,6 @@ func (h *HyperLogLog) Estimate() uint64 {
 		e = m * math.Log(m/float64(zeros))
 	}
 	return uint64(e + 0.5)
-}
-
-// IsEmpty reports whether the sketch has seen no values.
-func (h *HyperLogLog) IsEmpty() bool {
-	if h.registers == nil {
-		return len(h.sparse) == 0
-	}
-	for _, r := range h.registers {
-		if r != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Occupied returns the number of non-zero registers (diagnostics, tests).

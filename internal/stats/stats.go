@@ -32,20 +32,6 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// HashString hashes a string with FNV-1a 64, suitable for HyperLogLog input.
-func HashString(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return Mix64(h)
-}
-
 // --- binary encoding helpers shared by all sketches ---
 
 func appendU64(b []byte, v uint64) []byte {

@@ -190,28 +190,6 @@ func (t *TDigest) Quantile(q float64) float64 {
 	return last.mean + f*(t.max-last.mean)
 }
 
-// CDF returns the approximate fraction of observations <= x.
-func (t *TDigest) CDF(x float64) float64 {
-	t.process()
-	if t.totalW == 0 {
-		return math.NaN()
-	}
-	if x < t.min {
-		return 0
-	}
-	if x >= t.max {
-		return 1
-	}
-	var cum float64
-	for _, c := range t.centroids {
-		if x < c.mean {
-			return cum / t.totalW
-		}
-		cum += c.weight
-	}
-	return 1
-}
-
 // Centroids returns the number of stored centroids (after compressing any
 // buffered points). Exposed for tests and diagnostics.
 func (t *TDigest) Centroids() int {

@@ -30,9 +30,6 @@ func TestTDigestEmpty(t *testing.T) {
 	if !math.IsNaN(d.Quantile(0.5)) {
 		t.Error("empty digest quantile must be NaN")
 	}
-	if !math.IsNaN(d.CDF(1)) {
-		t.Error("empty digest CDF must be NaN")
-	}
 	if d.Count() != 0 {
 		t.Error("empty digest count must be 0")
 	}
@@ -115,27 +112,6 @@ func TestTDigestQuantileMonotonic(t *testing.T) {
 			t.Fatalf("quantile not monotonic at q=%.2f: %v < %v", q, v, prev)
 		}
 		prev = v
-	}
-}
-
-func TestTDigestCDFQuantileInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	d := NewTDigest(DefaultCompression)
-	for i := 0; i < 20000; i++ {
-		d.Add(rng.Float64() * 100)
-	}
-	for _, q := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		x := d.Quantile(q)
-		back := d.CDF(x)
-		if math.Abs(back-q) > 0.03 {
-			t.Errorf("CDF(Quantile(%v)) = %v", q, back)
-		}
-	}
-	if d.CDF(-1) != 0 {
-		t.Error("CDF below min must be 0")
-	}
-	if d.CDF(1e9) != 1 {
-		t.Error("CDF above max must be 1")
 	}
 }
 
