@@ -1,44 +1,55 @@
 package ais
 
+import (
+	"bytes"
+	"encoding/binary"
+)
+
 // bitBuf is a big-endian bit vector backed by bytes, the wire representation
 // of AIS message payloads before 6-bit armoring. Bit 0 is the most
 // significant bit of byte 0, as in ITU-R M.1371 field tables.
+//
+// bits extends at least bitPad bytes past the last payload byte, so a field
+// starting anywhere inside the payload is one 64-bit load or store. One
+// access carries a field of up to 57 bits at any bit offset (7 + 57 = 64);
+// the widest AIS field is 30.
 type bitBuf struct {
 	bits []byte
 	n    int // length in bits
 }
 
+const bitPad = 8
+
 // newBitBuf allocates a buffer of n bits, all zero.
 func newBitBuf(n int) *bitBuf {
-	return &bitBuf{bits: make([]byte, (n+7)/8), n: n}
+	return &bitBuf{bits: make([]byte, (n+7)/8+bitPad), n: n}
 }
 
 // Len returns the length in bits.
 func (b *bitBuf) Len() int { return b.n }
 
 // setUint writes the width low bits of v at bit offset start, MSB first.
+// The field must lie inside the buffer.
 func (b *bitBuf) setUint(start, width int, v uint64) {
-	for i := 0; i < width; i++ {
-		bit := start + i
-		if v>>(width-1-i)&1 == 1 {
-			b.bits[bit/8] |= 1 << (7 - bit%8)
-		} else {
-			b.bits[bit/8] &^= 1 << (7 - bit%8)
-		}
+	if start+width > b.n {
+		panic("ais: bit field written past the end of the buffer")
 	}
+	word := b.bits[start>>3:]
+	shift := uint(64 - start&7 - width)
+	mask := (uint64(1)<<uint(width) - 1) << shift
+	binary.BigEndian.PutUint64(word, binary.BigEndian.Uint64(word)&^mask|v<<shift&mask)
 }
 
 // uint reads width bits at offset start as an unsigned integer. Reads past
 // the end return the available bits zero-padded (per the AIS convention that
 // truncated trailing fields read as zero).
 func (b *bitBuf) uint(start, width int) uint64 {
-	var v uint64
-	for i := 0; i < width; i++ {
-		v <<= 1
-		bit := start + i
-		if bit < b.n && b.bits[bit/8]>>(7-bit%8)&1 == 1 {
-			v |= 1
-		}
+	if start >= b.n {
+		return 0
+	}
+	v := binary.BigEndian.Uint64(b.bits[start>>3:]) << uint(start&7) >> uint(64-width)
+	if over := start + width - b.n; over > 0 {
+		v &^= uint64(1)<<uint(over) - 1
 	}
 	return v
 }
@@ -104,69 +115,67 @@ func (b *bitBuf) text(start, chars int) string {
 		v := byte(b.uint(start+6*i, 6))
 		out = append(out, sixBitChar(v))
 	}
-	// Trim at first '@' and trailing spaces.
-	end := len(out)
-	for i, c := range out {
-		if c == '@' {
-			end = i
-			break
-		}
+	if i := bytes.IndexByte(out, '@'); i >= 0 {
+		out = out[:i]
 	}
-	for end > 0 && out[end-1] == ' ' {
-		end--
-	}
-	return string(out[:end])
+	return string(bytes.TrimRight(out, " "))
 }
+
+// armorAlphabet is the printable payload alphabet indexed by 6-bit value:
+// '0'..'W' carry 0-39 and '`'..'w' carry 40-63.
+const armorAlphabet = "0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVW`abcdefghijklmnopqrstuvw"
+
+// armorValue inverts armorAlphabet; characters outside it map to badArmor.
+var armorValue = func() (t [256]byte) {
+	for i := range t {
+		t[i] = badArmor
+	}
+	for v := 0; v < len(armorAlphabet); v++ {
+		t[armorAlphabet[v]] = byte(v)
+	}
+	return t
+}()
+
+const badArmor = 0xFF
 
 // armor encodes the bit buffer into the printable 6-bit payload alphabet,
-// returning the payload string and the number of fill bits appended to pad
-// to a 6-bit boundary.
-func (b *bitBuf) armor() (payload string, fillBits int) {
+// returning the payload and the number of fill bits appended to pad to a
+// 6-bit boundary.
+func (b *bitBuf) armor() (payload []byte, fillBits int) {
 	nChars := (b.n + 5) / 6
 	fillBits = nChars*6 - b.n
-	out := make([]byte, nChars)
-	for i := 0; i < nChars; i++ {
-		v := byte(b.uint(i*6, 6))
-		if v < 40 {
-			out[i] = v + 48
-		} else {
-			out[i] = v + 56
-		}
+	payload = make([]byte, nChars)
+	for i := range payload {
+		payload[i] = armorAlphabet[b.uint(i*6, 6)]
 	}
-	return string(out), fillBits
+	return payload, fillBits
 }
 
-// unarmor decodes a printable payload (with fill bits) back into a bit
-// buffer.
-func unarmor(payload string, fillBits int) (*bitBuf, error) {
-	if fillBits < 0 || fillBits > 5 {
-		return nil, ErrBadPayload
-	}
+// unarmor resets the buffer to the bits of a printable payload (with fill
+// bits), reusing its storage; after an error it is empty. The final
+// character's fill bits stay in storage past Len, where uint masks them.
+func (b *bitBuf) unarmor(payload []byte, fillBits int) error {
+	b.n = 0
 	n := len(payload)*6 - fillBits
-	if n < 0 {
-		return nil, ErrBadPayload
+	if fillBits < 0 || fillBits > 5 || n < 0 {
+		return ErrBadPayload
 	}
-	b := newBitBuf(n)
-	for i := 0; i < len(payload); i++ {
-		c := payload[i]
-		var v byte
-		switch {
-		case c >= 48 && c <= 87: // '0'..'W'
-			v = c - 48
-		case c >= 96 && c <= 119: // '`'..'w'
-			v = c - 56
-		default:
-			return nil, ErrBadPayload
+	// Eight characters pack into six bytes; the low 48 bits of acc are
+	// always the last eight characters.
+	bits := b.bits[:0]
+	var acc uint64
+	for i, c := range payload {
+		v := armorValue[c]
+		if v == badArmor {
+			return ErrBadPayload
 		}
-		// The final character may carry fewer than 6 significant bits.
-		width := 6
-		if rem := n - i*6; rem < 6 {
-			width = rem
-			v >>= uint(6 - rem)
-		}
-		if width > 0 {
-			b.setUint(i*6, width, uint64(v))
+		acc = acc<<6 | uint64(v)
+		if i&7 == 7 {
+			bits = append(bits, byte(acc>>40), byte(acc>>32), byte(acc>>24), byte(acc>>16), byte(acc>>8), byte(acc))
 		}
 	}
-	return b, nil
+	// The characters left over go out left-aligned in one word, then the pad.
+	bits = binary.BigEndian.AppendUint64(bits, acc<<uint(64-6*(len(payload)&7)))
+	b.bits, b.n = binary.BigEndian.AppendUint64(bits, 0), n
+	return nil
 }

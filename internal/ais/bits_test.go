@@ -138,7 +138,8 @@ func TestArmorUnarmorRoundTrip(t *testing.T) {
 			}
 		}
 		payload, fill := b.armor()
-		got, err := unarmor(payload, fill)
+		var got bitBuf
+		err := got.unarmor(payload, fill)
 		if err != nil {
 			t.Fatalf("nBits=%d: %v", nBits, err)
 		}
@@ -170,13 +171,13 @@ func TestArmorAlphabet(t *testing.T) {
 }
 
 func TestUnarmorRejectsBadInput(t *testing.T) {
-	if _, err := unarmor("abc", 6); err == nil {
+	if err := new(bitBuf).unarmor([]byte("abc"), 6); err == nil {
 		t.Error("fill bits 6 must fail")
 	}
-	if _, err := unarmor("ab~", 0); err == nil {
+	if err := new(bitBuf).unarmor([]byte("ab~"), 0); err == nil {
 		t.Error("illegal character must fail")
 	}
-	if _, err := unarmor("\x00", 0); err == nil {
+	if err := new(bitBuf).unarmor([]byte("\x00"), 0); err == nil {
 		t.Error("control character must fail")
 	}
 }

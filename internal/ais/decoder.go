@@ -1,10 +1,11 @@
 package ais
 
-// Message is a decoded AIS message: exactly one of the payload pointers is
-// non-nil, indicated by Type.
+// Message is a decoded AIS message: Type says which payload is set.
+// Positions, nearly all of a feed, come by value so decoding one allocates
+// nothing.
 type Message struct {
 	Type        int
-	Position    *PositionReport    // types 1-3 and 18
+	Position    PositionReport     // types 1-3 and 18
 	Static      *StaticReport      // type 5
 	BaseStation *BaseStationReport // type 4
 	StaticB     *StaticBReport     // type 24
@@ -14,7 +15,8 @@ type Message struct {
 // checksum verification and multi-sentence assembly. A Decoder is not safe
 // for concurrent use; create one per input stream.
 type Decoder struct {
-	asm *Assembler
+	asm  *Assembler
+	bits bitBuf // un-armored payload of the message being decoded; reused
 
 	// Counters for data-quality reporting.
 	Lines       int // lines fed
@@ -32,8 +34,8 @@ func NewDecoder() *Decoder {
 // Feed consumes one NMEA line. It returns a decoded message with ok=true
 // when the line completes a supported message; ok=false means the line was
 // consumed without completing one (fragment, error, or unsupported type) —
-// inspect the counters for the breakdown.
-func (d *Decoder) Feed(line string) (Message, bool) {
+// inspect the counters for the breakdown. The line is not retained.
+func (d *Decoder) Feed(line []byte) (Message, bool) {
 	d.Lines++
 	s, err := ParseSentence(line)
 	if err != nil {
@@ -47,47 +49,33 @@ func (d *Decoder) Feed(line string) (Message, bool) {
 	return d.decodePayload(payload, fill)
 }
 
-func (d *Decoder) decodePayload(payload string, fill int) (Message, bool) {
-	b, err := unarmor(payload, fill)
+func (d *Decoder) decodePayload(payload []byte, fill int) (m Message, ok bool) {
+	b := &d.bits
+	err := b.unarmor(payload, fill)
 	if err != nil || b.Len() < 6 {
 		d.BadPayload++
 		return Message{}, false
 	}
-	switch t := int(b.uint(0, 6)); t {
+	switch m.Type = int(b.uint(0, 6)); m.Type {
 	case TypePositionA1, TypePositionA2, TypePositionA3, TypePositionB:
-		p, err := decodePosition(b)
-		if err != nil {
-			d.BadPayload++
-			return Message{}, false
-		}
-		d.Decoded++
-		return Message{Type: t, Position: &p}, true
+		m.Position, err = decodePosition(b)
 	case TypeStatic:
-		s, err := decodeStatic(b)
-		if err != nil {
-			d.BadPayload++
-			return Message{}, false
-		}
-		d.Decoded++
-		return Message{Type: t, Static: &s}, true
+		s, e := decodeStatic(b)
+		m.Static, err = &s, e
 	case TypeBaseStation:
-		s, err := decodeBaseStation(b)
-		if err != nil {
-			d.BadPayload++
-			return Message{}, false
-		}
-		d.Decoded++
-		return Message{Type: t, BaseStation: &s}, true
+		s, e := decodeBaseStation(b)
+		m.BaseStation, err = &s, e
 	case TypeStaticB:
-		s, err := decodeStaticB(b)
-		if err != nil {
-			d.BadPayload++
-			return Message{}, false
-		}
-		d.Decoded++
-		return Message{Type: t, StaticB: &s}, true
+		s, e := decodeStaticB(b)
+		m.StaticB, err = &s, e
 	default:
 		d.Skipped++
 		return Message{}, false
 	}
+	if err != nil {
+		d.BadPayload++
+		return Message{}, false
+	}
+	d.Decoded++
+	return m, true
 }

@@ -1,9 +1,6 @@
 package ais
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // Additional message types beyond the pipeline's core set: base-station
 // reports (type 4) provide the reference clock of terrestrial AIS networks,
@@ -38,16 +35,8 @@ func EncodeBaseStation(r BaseStationReport) ([]string, error) {
 	b.setUint(61, 5, uint64(t.Hour()))
 	b.setUint(66, 6, uint64(t.Minute()))
 	b.setUint(72, 6, uint64(t.Second()))
-	lonRaw := int64(LonNotAvailable)
-	if !math.IsNaN(r.Lon) && r.Lon >= -180 && r.Lon <= 180 {
-		lonRaw = int64(math.Round(r.Lon * 600000))
-	}
-	latRaw := int64(LatNotAvailable)
-	if !math.IsNaN(r.Lat) && r.Lat >= -90 && r.Lat <= 90 {
-		latRaw = int64(math.Round(r.Lat * 600000))
-	}
-	b.setInt(79, 28, lonRaw)
-	b.setInt(107, 27, latRaw)
+	b.setInt(79, 28, coordRaw(r.Lon, 180, LonNotAvailable))
+	b.setInt(107, 27, coordRaw(r.Lat, 90, LatNotAvailable))
 	b.setUint(134, 4, 1) // EPFD: GPS
 	return EncodeSentences(b, "A", 0), nil
 }
@@ -67,16 +56,8 @@ func decodeBaseStation(b *bitBuf) (BaseStationReport, error) {
 	if year > 0 && month >= 1 && month <= 12 && day >= 1 && day <= 31 {
 		r.Time = time.Date(year, time.Month(month), day, hour, minute, second, 0, time.UTC)
 	}
-	lonRaw := b.int(79, 28)
-	latRaw := b.int(107, 27)
-	r.Lon = math.NaN()
-	if lonRaw != LonNotAvailable {
-		r.Lon = float64(lonRaw) / 600000
-	}
-	r.Lat = math.NaN()
-	if latRaw != LatNotAvailable {
-		r.Lat = float64(latRaw) / 600000
-	}
+	r.Lon = scaled(b.int(79, 28), LonNotAvailable, 600000)
+	r.Lat = scaled(b.int(107, 27), LatNotAvailable, 600000)
 	return r, nil
 }
 

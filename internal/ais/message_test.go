@@ -10,7 +10,7 @@ func decodeAll(t *testing.T, lines []string) Message {
 	t.Helper()
 	d := NewDecoder()
 	for i, line := range lines {
-		m, ok := d.Feed(line)
+		m, ok := d.Feed([]byte(line))
 		if ok {
 			if i != len(lines)-1 {
 				t.Fatalf("message completed early at line %d", i)
@@ -42,10 +42,10 @@ func TestPositionEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("position report must fit one sentence, got %d", len(lines))
 	}
 	m := decodeAll(t, lines)
-	if m.Type != TypePositionA1 || m.Position == nil {
+	if m.Type != TypePositionA1 {
 		t.Fatalf("decoded %+v", m)
 	}
-	p := *m.Position
+	p := m.Position
 	if p.MMSI != orig.MMSI || p.Status != orig.Status || p.Timestamp != orig.Timestamp {
 		t.Errorf("identity fields: %+v", p)
 	}
@@ -85,7 +85,7 @@ func TestPositionRoundTripRandomized(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := decodeAll(t, lines)
-		p := *m.Position
+		p := m.Position
 		if p.MMSI != orig.MMSI {
 			t.Fatalf("MMSI %d, want %d", p.MMSI, orig.MMSI)
 		}
@@ -117,7 +117,7 @@ func TestPositionClassB(t *testing.T) {
 	if m.Type != TypePositionB {
 		t.Fatalf("type %d", m.Type)
 	}
-	p := *m.Position
+	p := m.Position
 	if p.Status != StatusNotDefined {
 		t.Errorf("class B status must be not-defined, got %v", p.Status)
 	}
@@ -138,7 +138,7 @@ func TestPositionNotAvailableSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := *decodeAll(t, lines).Position
+	p := decodeAll(t, lines).Position
 	if !math.IsNaN(p.Lon) || !math.IsNaN(p.Lat) || !math.IsNaN(p.SOG) ||
 		!math.IsNaN(p.COG) || !math.IsNaN(p.Heading) {
 		t.Errorf("sentinels must decode to NaN: %+v", p)
@@ -151,7 +151,7 @@ func TestPositionNotAvailableSentinels(t *testing.T) {
 func TestPositionSpeedSaturates(t *testing.T) {
 	orig := PositionReport{Type: TypePositionA1, MMSI: 235000001, Lon: 0, Lat: 0, SOG: 250}
 	lines, _ := EncodePosition(orig)
-	p := *decodeAll(t, lines).Position
+	p := decodeAll(t, lines).Position
 	if p.SOG != 102.2 {
 		t.Errorf("SOG must saturate at 102.2 knots, got %v", p.SOG)
 	}
@@ -274,9 +274,9 @@ func TestValidMMSI(t *testing.T) {
 func TestDecoderCounters(t *testing.T) {
 	d := NewDecoder()
 	lines, _ := EncodePosition(PositionReport{Type: 1, MMSI: 227006560, Lon: 1, Lat: 1})
-	d.Feed(lines[0])
-	d.Feed("garbage")
-	d.Feed("!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*00") // bad checksum
+	d.Feed([]byte(lines[0]))
+	d.Feed([]byte("garbage"))
+	d.Feed([]byte("!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*00")) // bad checksum
 	if d.Lines != 3 || d.Decoded != 1 || d.BadSentence != 2 {
 		t.Errorf("counters: %+v", d)
 	}
@@ -290,7 +290,7 @@ func TestDecoderSkipsUnsupportedTypes(t *testing.T) {
 	b.setUint(8, 30, 993669702)
 	lines := EncodeSentences(b, "A", 0)
 	d := NewDecoder()
-	_, ok := d.Feed(lines[0])
+	_, ok := d.Feed([]byte(lines[0]))
 	if ok {
 		t.Error("type 21 must not decode")
 	}
@@ -301,7 +301,7 @@ func TestDecoderSkipsUnsupportedTypes(t *testing.T) {
 
 func TestDecodePayloadDirect(t *testing.T) {
 	lines, _ := EncodePosition(PositionReport{Type: 1, MMSI: 227006560, Lon: 1, Lat: 1})
-	s, err := ParseSentence(lines[0])
+	s, err := ParseSentence([]byte(lines[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +310,10 @@ func TestDecodePayloadDirect(t *testing.T) {
 	if !ok {
 		t.Fatal("assembled payload must decode")
 	}
-	if m.Position == nil || m.Position.MMSI != 227006560 {
+	if m.Type != TypePositionA1 || m.Position.MMSI != 227006560 {
 		t.Errorf("decoded %+v", m)
 	}
-	if _, ok := d.decodePayload("~~~", 0); ok || d.BadPayload != 1 {
+	if _, ok := d.decodePayload([]byte("~~~"), 0); ok || d.BadPayload != 1 {
 		t.Errorf("bad payload must fail and be counted, BadPayload=%d", d.BadPayload)
 	}
 }
@@ -329,7 +329,7 @@ func BenchmarkEncodePosition(b *testing.B) {
 
 func BenchmarkDecodePosition(b *testing.B) {
 	lines, _ := EncodePosition(PositionReport{Type: 1, MMSI: 227006560, Lon: 4.14, Lat: 51.95, SOG: 12, COG: 180, Heading: 180})
-	line := lines[0]
+	line := []byte(lines[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := NewDecoder()

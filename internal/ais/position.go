@@ -38,14 +38,8 @@ func EncodePosition(p PositionReport) ([]string, error) {
 	b.setUint(0, 6, uint64(p.Type))
 	b.setUint(8, 30, uint64(p.MMSI))
 
-	lonRaw := int64(LonNotAvailable)
-	if !math.IsNaN(p.Lon) && p.Lon >= -180 && p.Lon <= 180 {
-		lonRaw = int64(math.Round(p.Lon * 600000))
-	}
-	latRaw := int64(LatNotAvailable)
-	if !math.IsNaN(p.Lat) && p.Lat >= -90 && p.Lat <= 90 {
-		latRaw = int64(math.Round(p.Lat * 600000))
-	}
+	lonRaw := coordRaw(p.Lon, 180, LonNotAvailable)
+	latRaw := coordRaw(p.Lat, 90, LatNotAvailable)
 	sogRaw := uint64(SOGNotAvailable)
 	if !math.IsNaN(p.SOG) && p.SOG >= 0 {
 		v := math.Round(p.SOG * 10)
@@ -73,23 +67,19 @@ func EncodePosition(p PositionReport) ([]string, error) {
 		ts = TimestampNotAvail
 	}
 
+	off := 0
 	if p.Type == TypePositionB {
-		b.setUint(46, 10, sogRaw)
-		b.setInt(57, 28, lonRaw)
-		b.setInt(85, 27, latRaw)
-		b.setUint(112, 12, cogRaw)
-		b.setUint(124, 9, hdgRaw)
-		b.setUint(133, 6, uint64(ts))
+		off = classBShift
 	} else {
 		b.setUint(38, 4, uint64(p.Status))
 		b.setUint(42, 8, 128) // rate of turn: not available
-		b.setUint(50, 10, sogRaw)
-		b.setInt(61, 28, lonRaw)
-		b.setInt(89, 27, latRaw)
-		b.setUint(116, 12, cogRaw)
-		b.setUint(128, 9, hdgRaw)
-		b.setUint(137, 6, uint64(ts))
 	}
+	b.setUint(50-off, 10, sogRaw)
+	b.setInt(61-off, 28, lonRaw)
+	b.setInt(89-off, 27, latRaw)
+	b.setUint(116-off, 12, cogRaw)
+	b.setUint(128-off, 9, hdgRaw)
+	b.setUint(137-off, 6, uint64(ts))
 	return EncodeSentences(b, "A", 0), nil
 }
 
@@ -104,48 +94,43 @@ func decodePosition(b *bitBuf) (PositionReport, error) {
 		MMSI:   uint32(b.uint(8, 30)),
 		Status: StatusNotDefined,
 	}
-	var sogRaw, cogRaw, hdgRaw, tsRaw uint64
-	var lonRaw, latRaw int64
+	off := 0
 	switch msgType {
 	case TypePositionA1, TypePositionA2, TypePositionA3:
 		p.Status = NavStatus(b.uint(38, 4))
-		sogRaw = b.uint(50, 10)
-		lonRaw = b.int(61, 28)
-		latRaw = b.int(89, 27)
-		cogRaw = b.uint(116, 12)
-		hdgRaw = b.uint(128, 9)
-		tsRaw = b.uint(137, 6)
 	case TypePositionB:
-		sogRaw = b.uint(46, 10)
-		lonRaw = b.int(57, 28)
-		latRaw = b.int(85, 27)
-		cogRaw = b.uint(112, 12)
-		hdgRaw = b.uint(124, 9)
-		tsRaw = b.uint(133, 6)
+		off = classBShift
 	default:
 		return PositionReport{}, ErrWrongType
 	}
-
-	p.SOG = math.NaN()
-	if sogRaw != SOGNotAvailable {
-		p.SOG = float64(sogRaw) / 10
-	}
-	p.Lon = math.NaN()
-	if lonRaw != LonNotAvailable {
-		p.Lon = float64(lonRaw) / 600000
-	}
-	p.Lat = math.NaN()
-	if latRaw != LatNotAvailable {
-		p.Lat = float64(latRaw) / 600000
-	}
-	p.COG = math.NaN()
-	if cogRaw != COGNotAvailable {
-		p.COG = float64(cogRaw) / 10
-	}
-	p.Heading = math.NaN()
-	if hdgRaw != HeadingNotAvailable {
-		p.Heading = float64(hdgRaw)
-	}
-	p.Timestamp = int(tsRaw)
+	p.SOG = scaled(int64(b.uint(50-off, 10)), SOGNotAvailable, 10)
+	p.Lon = scaled(b.int(61-off, 28), LonNotAvailable, 600000)
+	p.Lat = scaled(b.int(89-off, 27), LatNotAvailable, 600000)
+	p.COG = scaled(int64(b.uint(116-off, 12)), COGNotAvailable, 10)
+	p.Heading = scaled(int64(b.uint(128-off, 9)), HeadingNotAvailable, 1)
+	p.Timestamp = int(b.uint(137-off, 6))
 	return p, nil
+}
+
+// classBShift is how many bits earlier than in a class-A report the speed,
+// position, course, heading and timestamp of a class-B report sit: it has
+// no navigational status and no rate of turn.
+const classBShift = 4
+
+// scaled converts a raw field to natural units, NaN for the protocol's
+// "not available" value.
+func scaled(raw, notAvailable int64, perUnit float64) float64 {
+	if raw == notAvailable {
+		return math.NaN()
+	}
+	return float64(raw) / perUnit
+}
+
+// coordRaw converts a longitude or latitude in degrees to 1/10000 minutes,
+// or to notAvailable outside ±limit.
+func coordRaw(deg, limit float64, notAvailable int64) int64 {
+	if math.IsNaN(deg) || deg < -limit || deg > limit {
+		return notAvailable
+	}
+	return int64(math.Round(deg * 600000))
 }

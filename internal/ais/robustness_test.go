@@ -36,7 +36,7 @@ func TestDecoderNeverPanicsOnGarbage(t *testing.T) {
 			}
 			line = "!AIVDM,1,1,,A," + string(payload) + ",0*00"
 		}
-		d.Feed(line) // must not panic
+		d.Feed([]byte(line)) // must not panic
 	}
 	if d.Lines != 5000 {
 		t.Errorf("lines %d", d.Lines)
@@ -48,8 +48,8 @@ func TestDecoderNeverPanicsOnGarbage(t *testing.T) {
 func TestUnarmorFuzz(t *testing.T) {
 	f := func(payload string, fill uint8) bool {
 		// Must not panic; errors are fine.
-		b, err := unarmor(payload, int(fill%8))
-		if err != nil {
+		var b bitBuf
+		if err := b.unarmor([]byte(payload), int(fill%8)); err != nil {
 			return true
 		}
 		return b.Len() >= 0
@@ -72,6 +72,6 @@ func TestDecodePayloadFuzz(t *testing.T) {
 			sb.WriteByte(alphabet[rng.Intn(len(alphabet))])
 		}
 		// Must never panic regardless of decoded type and field garbage.
-		_, _ = d.decodePayload(sb.String(), rng.Intn(6))
+		_, _ = d.decodePayload([]byte(sb.String()), rng.Intn(6))
 	}
 }

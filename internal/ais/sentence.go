@@ -1,9 +1,9 @@
 package ais
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/hex"
 	"strconv"
-	"strings"
 )
 
 // Sentence is one parsed NMEA 0183 AIVDM/AIVDO sentence.
@@ -13,96 +13,128 @@ type Sentence struct {
 	Number   int    // sentence number (1..Total)
 	SeqID    int    // sequential message id for multi-sentence groups, -1 if empty
 	Channel  string // radio channel, "A" or "B"
-	Payload  string // armored 6-bit payload
+	Payload  []byte // armored 6-bit payload; ParseSentence aliases its input
 	FillBits int    // padding bits in the last payload character
-}
-
-// checksum computes the NMEA XOR checksum over the characters between '!'
-// and '*'.
-func checksum(body string) byte {
-	var c byte
-	for i := 0; i < len(body); i++ {
-		c ^= body[i]
-	}
-	return c
 }
 
 // FormatSentence renders the sentence in NMEA wire form, including the
 // leading '!' and the checksum.
 func FormatSentence(s Sentence) string {
-	seq := ""
+	dst := append(make([]byte, 0, 24+len(s.Payload)), '!')
+	dst = append(dst, s.Talker...)
+	dst = strconv.AppendInt(append(dst, ','), int64(s.Total), 10)
+	dst = strconv.AppendInt(append(dst, ','), int64(s.Number), 10)
+	dst = append(dst, ',')
 	if s.SeqID >= 0 {
-		seq = strconv.Itoa(s.SeqID)
+		dst = strconv.AppendInt(dst, int64(s.SeqID), 10)
 	}
-	body := fmt.Sprintf("%s,%d,%d,%s,%s,%s,%d",
-		s.Talker, s.Total, s.Number, seq, s.Channel, s.Payload, s.FillBits)
-	return fmt.Sprintf("!%s*%02X", body, checksum(body))
+	dst = append(append(dst, ','), s.Channel...)
+	dst = append(append(dst, ','), s.Payload...)
+	dst = strconv.AppendInt(append(dst, ','), int64(s.FillBits), 10)
+	var sum byte
+	for _, c := range dst[1:] {
+		sum ^= c
+	}
+	const hex = "0123456789ABCDEF"
+	return string(append(dst, '*', hex[sum>>4], hex[sum&15]))
 }
 
 // ParseSentence parses one NMEA AIVDM/AIVDO line. Leading/trailing
-// whitespace is tolerated; the checksum is verified.
-func ParseSentence(line string) (Sentence, error) {
-	line = strings.TrimSpace(line)
+// whitespace is tolerated; the checksum is verified. The returned payload
+// aliases line.
+func ParseSentence(line []byte) (Sentence, error) {
+	line = bytes.TrimSpace(line)
 	if len(line) < 10 || line[0] != '!' {
 		return Sentence{}, ErrBadSentence
 	}
-	star := strings.LastIndexByte(line, '*')
+	star := bytes.LastIndexByte(line, '*')
 	if star < 0 || star+3 > len(line) {
 		return Sentence{}, ErrBadSentence
 	}
-	body := line[1:star]
-	wantSum, err := strconv.ParseUint(line[star+1:star+3], 16, 8)
-	if err != nil {
+	var want [1]byte
+	if _, err := hex.Decode(want[:], line[star+1:star+3]); err != nil {
 		return Sentence{}, ErrBadSentence
 	}
-	if checksum(body) != byte(wantSum) {
+	// One pass over the body: the XOR checksum and the field boundaries.
+	body := line[1:star]
+	var sum byte
+	var comma [6]int
+	commas := 0
+	for i, c := range body {
+		sum ^= c
+		if c == ',' {
+			if commas < len(comma) {
+				comma[commas] = i
+			}
+			commas++
+		}
+	}
+	if sum != want[0] {
 		return Sentence{}, ErrBadChecksum
 	}
-	fields := strings.Split(body, ",")
-	if len(fields) != 7 {
+	if commas != len(comma) {
 		return Sentence{}, ErrBadSentence
 	}
-	if fields[0] != "AIVDM" && fields[0] != "AIVDO" {
+	s := Sentence{
+		Channel: string(body[comma[3]+1 : comma[4]]),
+		Payload: body[comma[4]+1 : comma[5]],
+	}
+	switch string(body[:comma[0]]) {
+	case "AIVDM":
+		s.Talker = "AIVDM"
+	case "AIVDO":
+		s.Talker = "AIVDO"
+	default:
 		return Sentence{}, ErrBadSentence
 	}
-	total, err := strconv.Atoi(fields[1])
-	if err != nil || total < 1 || total > 9 {
+	var ok bool
+	if s.Total, ok = countField(body[comma[0]+1 : comma[1]]); !ok || s.Total < 1 {
 		return Sentence{}, ErrBadSentence
 	}
-	number, err := strconv.Atoi(fields[2])
-	if err != nil || number < 1 || number > total {
+	if s.Number, ok = countField(body[comma[1]+1 : comma[2]]); !ok || s.Number < 1 || s.Number > s.Total {
 		return Sentence{}, ErrBadSentence
 	}
-	seq := -1
-	if fields[3] != "" {
-		seq, err = strconv.Atoi(fields[3])
-		if err != nil || seq < 0 || seq > 9 {
+	s.SeqID = -1
+	if seq := body[comma[2]+1 : comma[3]]; len(seq) > 0 {
+		if s.SeqID, ok = countField(seq); !ok {
 			return Sentence{}, ErrBadSentence
 		}
 	}
-	fill, err := strconv.Atoi(fields[6])
-	if err != nil || fill < 0 || fill > 5 {
+	if s.FillBits, ok = countField(body[comma[5]+1:]); !ok || s.FillBits > 5 {
 		return Sentence{}, ErrBadSentence
 	}
-	return Sentence{
-		Talker:   fields[0],
-		Total:    total,
-		Number:   number,
-		SeqID:    seq,
-		Channel:  fields[4],
-		Payload:  fields[5],
-		FillBits: fill,
-	}, nil
+	return s, nil
+}
+
+// countField parses one of the sentence's small decimal fields, reporting
+// whether it is a number in 0..9. All of them are a single digit on the
+// wire; anything else strconv.Atoi reads as such a number ("+1", "01") is
+// accepted too.
+func countField(f []byte) (int, bool) {
+	if len(f) == 1 && f[0] >= '0' && f[0] <= '9' {
+		return int(f[0] - '0'), true
+	}
+	n, err := strconv.Atoi(string(f))
+	return n, err == nil && n >= 0 && n <= 9
 }
 
 // Assembler reassembles multi-sentence AIS messages. Feed sentences in
 // arrival order with Push; when a message completes, Push returns its
-// payload bits. Single-sentence messages complete immediately. Incomplete
-// groups are evicted when more than maxPending groups are in flight.
+// payload bits. Single-sentence messages complete immediately. The oldest
+// incomplete group is evicted when a new one would make more than
+// maxPending in flight.
 type Assembler struct {
-	pending    map[int][]Sentence // keyed by SeqID
-	order      []int              // insertion order of pending groups
+	groups     [11]group // by SeqID+1; slot 0 holds groups sent without an id
+	opened     uint64    // groups opened so far; stamps their age
 	maxPending int
+}
+
+// group is one multi-sentence message being collected.
+type group struct {
+	payload []byte // the assembler's own copy of the fragments so far; storage is reused
+	total   int
+	held    int    // fragments held; 0 marks the slot free
+	age     uint64 // Assembler.opened when the group was opened
 }
 
 // NewAssembler returns an assembler that holds at most maxPending incomplete
@@ -111,56 +143,56 @@ func NewAssembler(maxPending int) *Assembler {
 	if maxPending < 1 {
 		maxPending = 8
 	}
-	return &Assembler{pending: make(map[int][]Sentence), maxPending: maxPending}
+	return &Assembler{maxPending: maxPending}
 }
 
 // Push feeds one sentence. It returns the completed message's payload and
 // fill bits with done=true when the sentence completes a message, and
-// done=false while a multi-sentence group is still accumulating.
-func (a *Assembler) Push(s Sentence) (payload string, fillBits int, done bool) {
+// done=false while a multi-sentence group is still accumulating. The
+// payload is s.Payload itself for a single-sentence message and the
+// assembler's buffer otherwise: it is valid until the next Push.
+func (a *Assembler) Push(s Sentence) (payload []byte, fillBits int, done bool) {
 	if s.Total == 1 {
 		return s.Payload, s.FillBits, true
 	}
-	group := a.pending[s.SeqID]
-	// A sentence restarting a group (number 1) replaces any stale state.
+	if s.SeqID < -1 || s.SeqID+1 >= len(a.groups) {
+		return nil, 0, false
+	}
+	g := &a.groups[s.SeqID+1]
 	if s.Number == 1 {
-		group = nil
+		// The first sentence opens a group, replacing any stale state
+		// under the same id (which keeps its place in the eviction order).
+		if g.held == 0 {
+			live, oldest := 0, g
+			for i := range a.groups {
+				if o := &a.groups[i]; o.held > 0 {
+					live++
+					if oldest.held == 0 || o.age < oldest.age {
+						oldest = o
+					}
+				}
+			}
+			if live >= a.maxPending {
+				oldest.held = 0
+			}
+			a.opened++
+			g.age = a.opened
+		}
+		g.payload, g.total, g.held = append(g.payload[:0], s.Payload...), s.Total, 1
+		return nil, 0, false
 	}
-	if len(group) != s.Number-1 || (len(group) > 0 && group[0].Total != s.Total) {
+	if g.held != s.Number-1 || g.total != s.Total {
 		// Out-of-order or mismatched fragment: drop the group.
-		delete(a.pending, s.SeqID)
-		if s.Number == 1 {
-			a.track(s.SeqID)
-			a.pending[s.SeqID] = []Sentence{s}
-		}
-		return "", 0, false
+		g.held = 0
+		return nil, 0, false
 	}
-	group = append(group, s)
+	g.payload = append(g.payload, s.Payload...)
+	g.held++
 	if s.Number == s.Total {
-		delete(a.pending, s.SeqID)
-		var b strings.Builder
-		for _, g := range group {
-			b.WriteString(g.Payload)
-		}
-		return b.String(), s.FillBits, true
+		g.held = 0
+		return g.payload, s.FillBits, true
 	}
-	if _, ok := a.pending[s.SeqID]; !ok {
-		a.track(s.SeqID)
-	}
-	a.pending[s.SeqID] = group
-	return "", 0, false
-}
-
-// track records a new pending group, evicting the oldest beyond capacity.
-func (a *Assembler) track(seqID int) {
-	a.order = append(a.order, seqID)
-	for len(a.order) > a.maxPending {
-		victim := a.order[0]
-		a.order = a.order[1:]
-		if victim != seqID {
-			delete(a.pending, victim)
-		}
-	}
+	return nil, 0, false
 }
 
 // EncodeSentences armors the message bits and splits them into one or more
@@ -170,14 +202,11 @@ func (a *Assembler) track(seqID int) {
 func EncodeSentences(b *bitBuf, channel string, seqID int) []string {
 	payload, fill := b.armor()
 	const maxChars = 60
-	if len(payload) <= maxChars {
-		return []string{FormatSentence(Sentence{
-			Talker: "AIVDM", Total: 1, Number: 1, SeqID: -1,
-			Channel: channel, Payload: payload, FillBits: fill,
-		})}
+	total := max(1, (len(payload)+maxChars-1)/maxChars)
+	if total == 1 {
+		seqID = -1
 	}
-	var out []string
-	total := (len(payload) + maxChars - 1) / maxChars
+	out := make([]string, 0, total)
 	for i := 0; i < total; i++ {
 		lo := i * maxChars
 		hi := lo + maxChars

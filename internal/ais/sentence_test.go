@@ -1,6 +1,7 @@
 package ais
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -8,17 +9,17 @@ import (
 func TestFormatParseRoundTrip(t *testing.T) {
 	s := Sentence{
 		Talker: "AIVDM", Total: 1, Number: 1, SeqID: -1,
-		Channel: "A", Payload: "15M67FC000G?ufbE`FepT@3n00Sa", FillBits: 0,
+		Channel: "A", Payload: []byte("15M67FC000G?ufbE`FepT@3n00Sa"), FillBits: 0,
 	}
 	line := FormatSentence(s)
 	if !strings.HasPrefix(line, "!AIVDM,1,1,,A,") {
 		t.Errorf("wire form %q", line)
 	}
-	got, err := ParseSentence(line)
+	got, err := ParseSentence([]byte(line))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != s {
+	if !reflect.DeepEqual(got, s) {
 		t.Errorf("round trip: %+v vs %+v", got, s)
 	}
 }
@@ -26,18 +27,18 @@ func TestFormatParseRoundTrip(t *testing.T) {
 func TestParseKnownRealSentence(t *testing.T) {
 	// A canonical AIVDM example (type 1 position report).
 	line := "!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C"
-	s, err := ParseSentence(line)
+	s, err := ParseSentence([]byte(line))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	if s.Channel != "B" || s.Total != 1 || s.FillBits != 0 {
 		t.Errorf("fields: %+v", s)
 	}
-	b, err := unarmor(s.Payload, s.FillBits)
-	if err != nil {
+	var b bitBuf
+	if err := b.unarmor(s.Payload, s.FillBits); err != nil {
 		t.Fatal(err)
 	}
-	p, err := decodePosition(b)
+	p, err := decodePosition(&b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestParseKnownRealSentence(t *testing.T) {
 
 func TestParseRejectsBadChecksum(t *testing.T) {
 	line := "!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5D"
-	if _, err := ParseSentence(line); err != ErrBadChecksum {
+	if _, err := ParseSentence([]byte(line)); err != ErrBadChecksum {
 		t.Errorf("got %v, want ErrBadChecksum", err)
 	}
 }
@@ -82,7 +83,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"!AIVDM,1,1,,B,xx,0*GZ", // bad checksum hex
 	}
 	for _, line := range bad {
-		if _, err := ParseSentence(line); err == nil {
+		if _, err := ParseSentence([]byte(line)); err == nil {
 			t.Errorf("%q must not parse", line)
 		}
 	}
@@ -90,41 +91,41 @@ func TestParseRejectsMalformed(t *testing.T) {
 
 func TestParseToleratesWhitespace(t *testing.T) {
 	line := "  !AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C\r\n"
-	if _, err := ParseSentence(line); err != nil {
+	if _, err := ParseSentence([]byte(line)); err != nil {
 		t.Errorf("whitespace-padded line must parse: %v", err)
 	}
 }
 
 func TestAssemblerSingleSentence(t *testing.T) {
 	a := NewAssembler(4)
-	payload, fill, done := a.Push(Sentence{Total: 1, Number: 1, Payload: "ABC", FillBits: 2})
-	if !done || payload != "ABC" || fill != 2 {
+	payload, fill, done := a.Push(Sentence{Total: 1, Number: 1, Payload: []byte("ABC"), FillBits: 2})
+	if !done || string(payload) != "ABC" || fill != 2 {
 		t.Error("single sentence must complete immediately")
 	}
 }
 
 func TestAssemblerTwoParts(t *testing.T) {
 	a := NewAssembler(4)
-	_, _, done := a.Push(Sentence{Total: 2, Number: 1, SeqID: 3, Payload: "AAA"})
+	_, _, done := a.Push(Sentence{Total: 2, Number: 1, SeqID: 3, Payload: []byte("AAA")})
 	if done {
 		t.Fatal("first fragment must not complete")
 	}
-	payload, fill, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 3, Payload: "BBB", FillBits: 2})
-	if !done || payload != "AAABBB" || fill != 2 {
+	payload, fill, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 3, Payload: []byte("BBB"), FillBits: 2})
+	if !done || string(payload) != "AAABBB" || fill != 2 {
 		t.Fatalf("got %q/%d/%v", payload, fill, done)
 	}
 }
 
 func TestAssemblerInterleavedGroups(t *testing.T) {
 	a := NewAssembler(4)
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 1, Payload: "A1"})
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 2, Payload: "B1"})
-	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 2, Payload: "B2"})
-	if !done || p != "B1B2" {
+	a.Push(Sentence{Total: 2, Number: 1, SeqID: 1, Payload: []byte("A1")})
+	a.Push(Sentence{Total: 2, Number: 1, SeqID: 2, Payload: []byte("B1")})
+	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 2, Payload: []byte("B2")})
+	if !done || string(p) != "B1B2" {
 		t.Errorf("group 2: %q/%v", p, done)
 	}
-	p, _, done = a.Push(Sentence{Total: 2, Number: 2, SeqID: 1, Payload: "A2"})
-	if !done || p != "A1A2" {
+	p, _, done = a.Push(Sentence{Total: 2, Number: 2, SeqID: 1, Payload: []byte("A2")})
+	if !done || string(p) != "A1A2" {
 		t.Errorf("group 1: %q/%v", p, done)
 	}
 }
@@ -132,41 +133,59 @@ func TestAssemblerInterleavedGroups(t *testing.T) {
 func TestAssemblerDropsOutOfOrder(t *testing.T) {
 	a := NewAssembler(4)
 	// Fragment 2 with no fragment 1 → dropped.
-	_, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 5, Payload: "X"})
+	_, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 5, Payload: []byte("X")})
 	if done {
 		t.Error("orphan fragment must not complete")
 	}
 	// A fresh group under the same seq id must work.
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 5, Payload: "Y1"})
-	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 5, Payload: "Y2"})
-	if !done || p != "Y1Y2" {
+	a.Push(Sentence{Total: 2, Number: 1, SeqID: 5, Payload: []byte("Y1")})
+	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 5, Payload: []byte("Y2")})
+	if !done || string(p) != "Y1Y2" {
 		t.Error("fresh group after drop must complete")
 	}
 }
 
 func TestAssemblerRestartReplacesStale(t *testing.T) {
 	a := NewAssembler(4)
-	a.Push(Sentence{Total: 3, Number: 1, SeqID: 7, Payload: "OLD"})
+	a.Push(Sentence{Total: 3, Number: 1, SeqID: 7, Payload: []byte("OLD")})
 	// Restart with a 2-part group under the same id.
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 7, Payload: "N1"})
-	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 7, Payload: "N2"})
-	if !done || p != "N1N2" {
+	a.Push(Sentence{Total: 2, Number: 1, SeqID: 7, Payload: []byte("N1")})
+	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 7, Payload: []byte("N2")})
+	if !done || string(p) != "N1N2" {
 		t.Errorf("restart: %q/%v", p, done)
 	}
 }
 
 func TestAssemblerEvictsBeyondCapacity(t *testing.T) {
 	a := NewAssembler(2)
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 0, Payload: "G0"})
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 1, Payload: "G1"})
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 2, Payload: "G2"}) // evicts G0
-	_, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 0, Payload: "G0B"})
+	a.Push(Sentence{Total: 2, Number: 1, SeqID: 0, Payload: []byte("G0")})
+	a.Push(Sentence{Total: 2, Number: 1, SeqID: 1, Payload: []byte("G1")})
+	a.Push(Sentence{Total: 2, Number: 1, SeqID: 2, Payload: []byte("G2")}) // evicts G0
+	_, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 0, Payload: []byte("G0B")})
 	if done {
 		t.Error("evicted group must not complete")
 	}
-	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 2, Payload: "G2B"})
-	if !done || p != "G2G2B" {
+	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 2, Payload: []byte("G2B")})
+	if !done || string(p) != "G2G2B" {
 		t.Error("retained group must complete")
+	}
+}
+
+// TestAssemblerReusesCompletedID: an id whose group completed is free
+// again and must not count against the groups opened after it. Receivers
+// cycle through ids 0-9, so a merged feed reuses them constantly.
+func TestAssemblerReusesCompletedID(t *testing.T) {
+	a := NewAssembler(8)
+	a.Push(Sentence{Total: 2, Number: 1, SeqID: 3, Payload: []byte("OLD")})
+	if _, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 3, Payload: []byte("X")}); !done {
+		t.Fatal("first group 3 must complete")
+	}
+	for _, id := range []int{3, 4, 5, 6, 7, 8, 9, 0} { // 8 pending: at capacity, not over
+		a.Push(Sentence{Total: 2, Number: 1, SeqID: id, Payload: []byte{'A' + byte(id)}})
+	}
+	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 3, Payload: []byte("Z")})
+	if !done || string(p) != "DZ" {
+		t.Errorf("group 3, the oldest of 8 live groups, was evicted by its own stale id: %q %v", p, done)
 	}
 }
 
@@ -177,7 +196,7 @@ func TestEncodeSentencesSplitsLongPayloads(t *testing.T) {
 		t.Fatalf("want 2 sentences, got %d", len(lines))
 	}
 	for i, line := range lines {
-		s, err := ParseSentence(line)
+		s, err := ParseSentence([]byte(line))
 		if err != nil {
 			t.Fatalf("sentence %d: %v", i, err)
 		}
@@ -190,7 +209,7 @@ func TestEncodeSentencesSplitsLongPayloads(t *testing.T) {
 func BenchmarkParseSentence(b *testing.B) {
 	line := "!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C"
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseSentence(line); err != nil {
+		if _, err := ParseSentence([]byte(line)); err != nil {
 			b.Fatal(err)
 		}
 	}

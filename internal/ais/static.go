@@ -49,10 +49,10 @@ func EncodeStatic(s StaticReport, seqID int) ([]string, error) {
 	b.setUint(258, 6, clampUint(s.DimPort, 63))
 	b.setUint(264, 6, clampUint(s.DimStarb, 63))
 	b.setUint(270, 4, 1) // EPFD: GPS
-	b.setUint(274, 4, uint64(clampInt(s.ETAMonth, 0, 12)))
-	b.setUint(278, 5, uint64(clampInt(s.ETADay, 0, 31)))
-	b.setUint(283, 5, uint64(clampInt(s.ETAHour, 0, 24)))
-	b.setUint(288, 6, uint64(clampInt(s.ETAMinute, 0, 60)))
+	b.setUint(274, 4, clampUint(s.ETAMonth, 12))
+	b.setUint(278, 5, clampUint(s.ETADay, 31))
+	b.setUint(283, 5, clampUint(s.ETAHour, 24))
+	b.setUint(288, 6, clampUint(s.ETAMinute, 60))
 	draughtRaw := uint64(0)
 	if !math.IsNaN(s.Draught) && s.Draught > 0 {
 		v := math.Round(s.Draught * 10)
@@ -98,22 +98,4 @@ func decodeStatic(b *bitBuf) (StaticReport, error) {
 	return s, nil
 }
 
-func clampUint(v, hi int) uint64 {
-	if v < 0 {
-		return 0
-	}
-	if v > hi {
-		return uint64(hi)
-	}
-	return uint64(v)
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
+func clampUint(v, hi int) uint64 { return uint64(min(max(v, 0), hi)) }

@@ -80,11 +80,10 @@ func assertEqualBuild(t *testing.T, res *BuildResult, local *pipeline.Result) {
 	}
 }
 
-// TestDistributedEqualsLocalSynthetic is the core equivalence property on
-// the synthetic fleet's archive: for 1, 2 and 4 workers, with per-task
-// completion jitter shuffling result order, the distributed build equals
-// the single-process build exactly.
-func TestDistributedEqualsLocalSynthetic(t *testing.T) {
+// TestDistributedEqualsLocalJittered is the core equivalence property:
+// for 1, 2 and 4 workers, with per-task completion jitter shuffling result
+// order, the distributed build equals the single-process build exactly.
+func TestDistributedEqualsLocalJittered(t *testing.T) {
 	path, local := archiveFixture(t)
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
@@ -113,12 +112,66 @@ func TestDistributedEqualsLocalSynthetic(t *testing.T) {
 			if res.Tasks != 5+3 {
 				t.Errorf("scheduled %d tasks, want 8 (5 scan + 3 reduce)", res.Tasks)
 			}
+			// A result delayed past the last bucket's reduce still counts.
+			if res.Feed != archFeed {
+				t.Errorf("summed scan statistics %+v, sequential read %+v", res.Feed, archFeed)
+			}
 			for i, ch := range chans {
 				if err := <-ch; err != nil {
 					t.Errorf("worker %d: %v", i, err)
 				}
 			}
 		})
+	}
+}
+
+// TestWorkerExitsCleanAfterJobEnd: a job is over when its last bucket is,
+// which can be while a worker still holds a scan — a duplicate, a re-queued
+// one, or only its result frame (the output is already shuffled). The
+// coordinator then sends the shutdown and closes; a worker whose result
+// write hits the dead socket has run a successful job and must return nil,
+// not "send result: broken pipe". The test is the coordinator: it sends
+// one scan, and once the worker holds the result, the shutdown and a reset.
+func TestWorkerExitsCleanAfterJobEnd(t *testing.T) {
+	path, _ := archiveFixture(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	reg := obs.NewRegistry()
+	holding := make(chan struct{})
+	w := startWorker(t, ln.Addr().String(), func(c *WorkerConfig) {
+		c.Obs = reg
+		// Held until the connection dies: handleTask stops waiting then.
+		c.resultDelay = func(Task) time.Duration { close(holding); return time.Minute }
+	})
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if env, _, err := readFrame[envelope](conn, maxFrameBytes); err != nil || env.Type != msgHello {
+		t.Fatalf("hello: %+v, %v", env, err)
+	}
+	// No roster: the scan's frames park, which is all this worker needs.
+	scan := Task{ID: 1, Attempt: 1, Section: feed.Section{Path: path, End: 1}, Buckets: 1}
+	if _, err := writeFrame(conn, &envelope{Type: msgTask, Task: &scan}); err != nil {
+		t.Fatal(err)
+	}
+	<-holding
+	in := reg.Counter(MetricBytes, obs.Labels{"dir": "in"})
+	before := in.Value()
+	if _, err := writeFrame(conn, &envelope{Type: msgShutdown}); err != nil {
+		t.Fatal(err)
+	}
+	for in.Value() == before { // the worker has read the shutdown frame
+		time.Sleep(time.Millisecond)
+	}
+	conn.(*net.TCPConn).SetLinger(0) // close resets: the worker's next write fails
+	conn.Close()
+	if err := <-w; err != nil {
+		t.Errorf("worker exit after the job's shutdown: %v", err)
 	}
 }
 

@@ -569,7 +569,10 @@ func (c *Coordinator) schedule(ctx context.Context, job Job, jobSpan *trace.Span
 			}
 			assignScans()
 		}
-		if bucketsLeft == 0 {
+		// The last bucket can reduce before the last scan's result frame
+		// arrives (its output is already shuffled); the result carries the
+		// section's read statistics, so the job waits for one per section.
+		if bucketsLeft == 0 && len(feedCounted) == len(sections) {
 			c.logf("phase peer-shuffle: complete (%d reassignments)", res.Reassigned)
 			return partials, nil
 		}

@@ -162,6 +162,11 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		}
 	}()
 
+	// A result that cannot be written is judged against the read side: a
+	// job ends with its last bucket, which can be while this worker still
+	// holds a scan or its result, and then the shutdown frame or the clean
+	// close is already in frames. unsent only stops further tasks.
+	var unsent error
 	for {
 		select {
 		case <-ctx.Done():
@@ -172,7 +177,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 				if err == io.EOF {
 					return nil // coordinator closed us out
 				}
-				return fmt.Errorf("cluster: connection lost: %w", err)
+				return fmt.Errorf("cluster: connection lost: %w", errors.Join(unsent, err))
 			}
 			switch env.Type {
 			case msgShutdown:
@@ -183,14 +188,11 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 					w.shuffle.setRoster(env.Roster)
 				}
 			case msgTask:
-				if env.Task == nil {
+				if env.Task == nil || unsent != nil {
 					continue
 				}
-				done, err := w.handleTask(runCtx, *env.Task)
-				if err != nil {
-					return err
-				}
-				if done {
+				var killed bool
+				if killed, unsent = w.handleTask(runCtx, *env.Task); killed {
 					return ErrKilled
 				}
 			}
@@ -238,8 +240,9 @@ func (w *worker) send(env *envelope) error {
 }
 
 // handleTask executes one task and reports its result; killed reports that
-// the kill failpoint fired and the worker must exit.
-func (w *worker) handleTask(ctx context.Context, t Task) (killed bool, fatal error) {
+// the kill failpoint fired and the worker must exit, unsent that the result
+// could not be written.
+func (w *worker) handleTask(ctx context.Context, t Task) (killed bool, unsent error) {
 	w.logf("task %d (scan) attempt %d", t.ID, t.Attempt)
 	if err := w.cfg.Faults.Hit(FPWorkerKill); err != nil {
 		// Die mid-task: prove liveness once, then vanish without a result.

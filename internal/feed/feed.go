@@ -12,10 +12,10 @@ package feed
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"github.com/patternsoflife/pol/internal/ais"
 	"github.com/patternsoflife/pol/internal/geo"
@@ -77,7 +77,9 @@ func (w *Writer) WriteStatic(v model.VesselInfo, atUnix int64) error {
 
 func (w *Writer) writeLines(ts int64, lines []string) error {
 	for _, line := range lines {
-		if _, err := fmt.Fprintf(w.w, "%d\t%s\n", ts, line); err != nil {
+		buf := append(strconv.AppendInt(w.w.AvailableBuffer(), ts, 10), '\t')
+		buf = append(append(buf, line...), '\n')
+		if _, err := w.w.Write(buf); err != nil {
 			return fmt.Errorf("feed: write: %w", err)
 		}
 		w.Lines++
@@ -147,13 +149,13 @@ type Item struct {
 func (r *Reader) NextItem() (Item, error) {
 	for r.sc.Scan() {
 		r.stats.Lines++
-		line := r.sc.Text()
-		tab := strings.IndexByte(line, '\t')
+		line := r.sc.Bytes()
+		tab := bytes.IndexByte(line, '\t')
 		if tab < 0 {
 			r.stats.BadLines++
 			continue
 		}
-		ts, err := strconv.ParseInt(line[:tab], 10, 64)
+		ts, err := strconv.ParseInt(string(line[:tab]), 10, 64)
 		if err != nil {
 			r.stats.BadLines++
 			continue
