@@ -111,6 +111,28 @@ func TestNextItemAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSectionReaderAllocatesNothingPerLine: the cluster scan's reader hands
+// the same positions over at the same price — one line buffer reused, the
+// two count fields read where they stand (two allocations a line before).
+func TestSectionReaderAllocatesNothingPerLine(t *testing.T) {
+	archive := fleetArchive()
+	r, err := NewSectionReader(bytes.NewReader(archive), int64(len(archive)/3), int64(len(archive)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lines = 1000
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < lines; i++ {
+			if it, err := r.NextItem(); err != nil || it.Kind != ItemPosition {
+				t.Fatalf("item %+v, error %v", it, err)
+			}
+		}
+	})
+	if perLine := allocs / lines; perLine > 0.01 {
+		t.Errorf("%.3f allocations per line, want at most 0.01", perLine)
+	}
+}
+
 // TestStaticSurvivesScannerRefill: NextItem parses Scanner.Bytes in place,
 // and the scanner's next refill overwrites them. A static's first fragment
 // must have been copied by then: wherever the 64 KiB refill falls across

@@ -110,7 +110,8 @@ type boundedLineReader struct {
 	br   *bufio.Reader
 	pos  int64 // absolute offset of the next unread byte
 	end  int64
-	cur  []byte // remainder of the current line being surfaced
+	line []byte // the current line, reused from line to line
+	cur  []byte // the part of line not yet surfaced
 	open bool   // the last surfaced line opened a multi-sentence group
 	done bool
 }
@@ -160,20 +161,25 @@ func firstLine(buf []byte) []byte {
 	return buf
 }
 
-// fragNum extracts the fragment number of a timestamped NMEA line
-// ("ts\t!AIVDM,total,num,..."): 1 for standalone or first sentences, and
-// for anything unparseable (malformed lines never extend a section).
+// fragCounts returns the total and number fields of a timestamped NMEA line
+// ("ts\t!AIVDM,total,num,...") where they stand in it. tab is false for a
+// line without the timestamp separator, fields with fewer than three fields.
+func fragCounts(line []byte) (total, num []byte, tab, fields bool) {
+	comma := []byte{','}
+	_, rest, tab := bytes.Cut(line, []byte{'\t'})
+	_, rest, _ = bytes.Cut(rest, comma)
+	total, rest, fields = bytes.Cut(rest, comma)
+	num, _, _ = bytes.Cut(rest, comma)
+	return total, num, tab, fields
+}
+
+// fragNum extracts the fragment number of a line: 1 for standalone or first
+// sentences, and for anything unparseable (malformed lines never extend a
+// section). (A one-digit count converts to a string without allocating.)
 func fragNum(line []byte) int {
-	tab := bytes.IndexByte(line, '\t')
-	if tab < 0 {
-		return 1
-	}
-	fields := bytes.SplitN(line[tab+1:], []byte{','}, 4)
-	if len(fields) < 3 {
-		return 1
-	}
-	n, err := strconv.Atoi(string(fields[2]))
-	if err != nil || n < 1 {
+	_, num, _, fields := fragCounts(line)
+	n, err := strconv.Atoi(string(num))
+	if !fields || err != nil || n < 1 {
 		return 1
 	}
 	return n
@@ -218,54 +224,37 @@ func (b *boundedLineReader) nextLine() error {
 			return io.EOF
 		}
 	}
-	line, err := b.readLine()
-	if len(line) == 0 {
+	err := b.readLine()
+	if len(b.line) == 0 {
 		if err == nil || err == io.EOF {
 			return io.EOF
 		}
 		return err
 	}
-	b.trackGroup(line)
-	b.cur = line
+	// A line with total > num leaves a group open; the line carrying the
+	// final fragment closes it.
+	if total, num, tab, fields := fragCounts(firstLine(b.line)); tab {
+		t, err1 := strconv.Atoi(string(total))
+		n, err2 := strconv.Atoi(string(num))
+		b.open = fields && err1 == nil && err2 == nil && n < t
+	}
+	b.cur = b.line
 	if err != nil && err != io.EOF {
 		return err
 	}
 	return nil
 }
 
-// readLine reads one full line (including '\n' when present), copying it
-// out of the bufio window.
-func (b *boundedLineReader) readLine() ([]byte, error) {
-	var out []byte
+// readLine reads one full line (including '\n' when present) out of the
+// bufio window into b.line, which Read has finished surfacing by now.
+func (b *boundedLineReader) readLine() error {
+	b.line = b.line[:0]
 	for {
 		chunk, err := b.br.ReadSlice('\n')
 		b.pos += int64(len(chunk))
-		out = append(out, chunk...)
-		if err == bufio.ErrBufferFull {
-			continue
+		b.line = append(b.line, chunk...)
+		if err != bufio.ErrBufferFull {
+			return err
 		}
-		return out, err
 	}
-}
-
-// trackGroup updates the open-group flag: a line with total > num leaves a
-// group open; the line carrying the final fragment closes it.
-func (b *boundedLineReader) trackGroup(line []byte) {
-	l := firstLine(line)
-	tab := bytes.IndexByte(l, '\t')
-	if tab < 0 {
-		return
-	}
-	fields := bytes.SplitN(l[tab+1:], []byte{','}, 4)
-	if len(fields) < 3 {
-		b.open = false
-		return
-	}
-	total, err1 := strconv.Atoi(string(fields[1]))
-	num, err2 := strconv.Atoi(string(fields[2]))
-	if err1 != nil || err2 != nil {
-		b.open = false
-		return
-	}
-	b.open = num < total
 }

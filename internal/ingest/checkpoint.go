@@ -3,6 +3,7 @@ package ingest
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -236,15 +237,21 @@ func (c *checkpointer) publishStable(srcPath string) error {
 // that names generations but no segment for any of them was written
 // before segments existed: nothing here can read its inventories, and
 // carrying on as if there were no checkpoint would silently drop them, so
-// that is an error for the operator to resolve.
+// that is an error for the operator to resolve. So is an intact segment of
+// a format version no longer read when no readable generation is left:
+// starting empty over a WAL pruned to that checkpoint would lose it.
 func (c *checkpointer) Load(resolution int) (*inventory.Inventory, *engineState, uint64, error) {
 	if len(c.gens) > 0 && !slices.ContainsFunc(c.gens, func(g ckptGen) bool { return g.Seg != "" }) {
 		return nil, nil, 0, fmt.Errorf("ingest: checkpoint manifest %s lists only pre-segment (POLINV1) generations, which are no longer read; move the checkpoint files away to recover from the WAL alone, or rebuild", c.manifestPath())
 	}
+	var old error
 	for i, g := range c.gens {
 		inv, st, err := c.loadGen(g, resolution)
 		if err != nil {
 			c.logf("checkpoint generation %d unusable (%v); falling back", g.Gen, err)
+			if errors.Is(err, segment.ErrOldVersion) {
+				old = fmt.Errorf("ingest: checkpoint manifest %s (move the checkpoint files away to start from what the WAL still holds): %w", c.manifestPath(), err)
+			}
 			continue
 		}
 		if i > 0 {
@@ -252,7 +259,7 @@ func (c *checkpointer) Load(resolution int) (*inventory.Inventory, *engineState,
 		}
 		return inv, st, g.Seq, nil
 	}
-	return nil, nil, 0, nil
+	return nil, nil, 0, old
 }
 
 func (c *checkpointer) loadGen(g ckptGen, resolution int) (*inventory.Inventory, *engineState, error) {

@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -241,6 +243,72 @@ func TestEngineRefusesPreSegmentManifest(t *testing.T) {
 		if got, _ := os.ReadFile(filepath.Join(dir, name)); string(got) != body {
 			t.Fatalf("refused start rewrote %s", name)
 		}
+	}
+}
+
+// asSegmentVersion1 rewrites an intact segment as a hand-made format
+// version 1 file — the version field, and the header checksum in the tail
+// that covers it — and returns its whole-file CRC32C for the manifest.
+func asSegmentVersion1(t *testing.T, path string) uint32 {
+	t.Helper()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(img[8:], 1)
+	tail := img[len(img)-segment.TailLen:]
+	headerLen := binary.LittleEndian.Uint32(tail[16:])
+	binary.LittleEndian.PutUint32(tail[20:], segment.CRC(img[:headerLen]))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return segment.CRC(img)
+}
+
+// TestEngineRefusesVersion1Checkpoint: generations written under segment
+// format version 1 are intact files this build cannot decode. While a
+// readable generation is left the engine falls back to it; when none is,
+// cold start must stop with the one line that says what to do — not log,
+// skip and come up empty over a WAL pruned to that checkpoint — and leave
+// the directory as it found it.
+func TestEngineRefusesVersion1Checkpoint(t *testing.T) {
+	const res = 6
+	_, _, inv := fleetStream(t, sim.Config{Vessels: 6, Days: 24, Seed: 11}, res)
+	dir := t.TempDir()
+	base := filepath.Join(dir, "live.polinv")
+	c := newCheckpointer(base, fault.Default(), t.Logf)
+	for _, seq := range []uint64{100, 200} {
+		if _, err := c.Save(inv, testState(int64(seq)), seq, 1, 0xbeef); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gens := c.generations() // newest first
+
+	gens[0].SegCRC = asSegmentVersion1(t, c.genPath(gens[0].Seg))
+	if err := writeManifest(c.manifestPath(), gens); err != nil {
+		t.Fatal(err)
+	}
+	got, _, seq, err := newCheckpointer(base, fault.Default(), t.Logf).Load(res)
+	if err != nil || seq != 100 || !inventory.Equal(got, inv) {
+		t.Fatalf("version-1 newest generation over a readable one: seq %d, err %v; want the fallback", seq, err)
+	}
+
+	gens[1].SegCRC = asSegmentVersion1(t, c.genPath(gens[1].Seg))
+	if err := writeManifest(c.manifestPath(), gens); err != nil {
+		t.Fatal(err)
+	}
+	before := dirNames(t, dir)
+	e, err := NewEngine(Options{Resolution: res, CheckpointPath: base, JournalPath: filepath.Join(dir, "wal")})
+	if err == nil {
+		e.Close()
+		t.Fatal("engine cold-started over version-1 checkpoint generations")
+	}
+	if !errors.Is(err, segment.ErrOldVersion) || !strings.Contains(err.Error(), base+".manifest") ||
+		!strings.Contains(err.Error(), "POLSEG1 version 1 segments are no longer read; rebuild with polbuild") {
+		t.Fatalf("error %q is not the named refusal", err)
+	}
+	if after := dirNames(t, dir); !slices.Equal(after, before) {
+		t.Fatalf("refused start changed the directory: %v -> %v", before, after)
 	}
 }
 

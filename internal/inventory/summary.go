@@ -151,7 +151,7 @@ func (s *CellSummary) SpeedPercentiles() (p10, p50, p90 float64) {
 
 // AppendBinary appends the summary's binary encoding to buf.
 func (s *CellSummary) AppendBinary(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, s.Records)
+	buf = binary.AppendUvarint(buf, s.Records) // the sketches' integer form (internal/stats)
 	buf = s.Ships.AppendBinary(buf)
 	buf = s.Course.AppendBinary(buf)
 	buf = s.CourseBins.AppendBinary(buf)
@@ -174,59 +174,41 @@ func (s *CellSummary) AppendBinary(buf []byte) []byte {
 // the remaining bytes.
 func DecodeCellSummary(data []byte) (*CellSummary, []byte, error) {
 	s := &CellSummary{}
-	if len(data) < 8 {
+	var n int
+	if s.Records, n = binary.Uvarint(data); n <= 0 {
 		return nil, nil, fmt.Errorf("inventory: %w", stats.ErrCorrupt)
 	}
-	s.Records = binary.LittleEndian.Uint64(data)
-	data = data[8:]
+	data = data[n:]
 	var err error
-	fail := func(what string) (*CellSummary, []byte, error) {
-		return nil, nil, fmt.Errorf("inventory: decode %s: %w", what, err)
-	}
-	if s.Ships, data, err = stats.DecodeHyperLogLog(data); err != nil {
-		return fail("ships")
-	}
-	if s.Course, data, err = stats.DecodeCircularMean(data); err != nil {
-		return fail("course")
-	}
-	if s.CourseBins, data, err = stats.DecodeAngularHistogram(data); err != nil {
-		return fail("course bins")
-	}
-	if s.Heading, data, err = stats.DecodeCircularMean(data); err != nil {
-		return fail("heading")
-	}
-	if s.HeadingBins, data, err = stats.DecodeAngularHistogram(data); err != nil {
-		return fail("heading bins")
-	}
-	if s.Speed, data, err = stats.DecodeWelford(data); err != nil {
-		return fail("speed")
-	}
-	if s.SpeedDig, data, err = stats.DecodeTDigest(data); err != nil {
-		return fail("speed digest")
-	}
-	if s.Trips, data, err = stats.DecodeHyperLogLog(data); err != nil {
-		return fail("trips")
-	}
-	if s.ETO, data, err = stats.DecodeWelford(data); err != nil {
-		return fail("eto")
-	}
-	if s.ETODig, data, err = stats.DecodeTDigest(data); err != nil {
-		return fail("eto digest")
-	}
-	if s.ATA, data, err = stats.DecodeWelford(data); err != nil {
-		return fail("ata")
-	}
-	if s.ATADig, data, err = stats.DecodeTDigest(data); err != nil {
-		return fail("ata digest")
-	}
-	if s.Origins, data, err = stats.DecodeTopN(data); err != nil {
-		return fail("origins")
-	}
-	if s.Dests, data, err = stats.DecodeTopN(data); err != nil {
-		return fail("destinations")
-	}
-	if s.Transitions, data, err = stats.DecodeTopN(data); err != nil {
-		return fail("transitions")
+	sketch(&err, &data, "ships", &s.Ships, stats.DecodeHyperLogLog)
+	sketch(&err, &data, "course", &s.Course, stats.DecodeCircularMean)
+	sketch(&err, &data, "course bins", &s.CourseBins, stats.DecodeAngularHistogram)
+	sketch(&err, &data, "heading", &s.Heading, stats.DecodeCircularMean)
+	sketch(&err, &data, "heading bins", &s.HeadingBins, stats.DecodeAngularHistogram)
+	sketch(&err, &data, "speed", &s.Speed, stats.DecodeWelford)
+	sketch(&err, &data, "speed digest", &s.SpeedDig, stats.DecodeTDigest)
+	sketch(&err, &data, "trips", &s.Trips, stats.DecodeHyperLogLog)
+	sketch(&err, &data, "eto", &s.ETO, stats.DecodeWelford)
+	sketch(&err, &data, "eto digest", &s.ETODig, stats.DecodeTDigest)
+	sketch(&err, &data, "ata", &s.ATA, stats.DecodeWelford)
+	sketch(&err, &data, "ata digest", &s.ATADig, stats.DecodeTDigest)
+	sketch(&err, &data, "origins", &s.Origins, stats.DecodeTopN)
+	sketch(&err, &data, "destinations", &s.Dests, stats.DecodeTopN)
+	sketch(&err, &data, "transitions", &s.Transitions, stats.DecodeTopN)
+	if err != nil {
+		return nil, nil, err
 	}
 	return s, data, nil
+}
+
+// sketch decodes one field off the front of *data into dst, unless an
+// earlier field has already failed.
+func sketch[T any](err *error, data *[]byte, what string, dst *T, decode func([]byte) (T, []byte, error)) {
+	if *err != nil {
+		return
+	}
+	var e error
+	if *dst, *data, e = decode(*data); e != nil {
+		*err = fmt.Errorf("inventory: decode %s: %w", what, e)
+	}
 }

@@ -12,10 +12,12 @@ import (
 // way, inside a build round, over loopback or a LAN. It has no file API
 // and is not a persistence or replication format — those are POLSEG1
 // (internal/segment). It exists because a partial lives for milliseconds
-// and encoding it takes ~28 ms where compressing the same groups into a
-// segment takes ~200 ms (bench fleet, 13 840 groups).
+// and encoding it takes ~25 ms where compressing the same groups into a
+// segment takes ~91 ms (bench fleet, 13 701 groups, 4.3 MB against 2.0 MB).
 //
-// Layout (little-endian, except keys which are big-endian for sort order):
+// Layout, version 2 (little-endian, except keys which are big-endian for
+// sort order; the summary bytes are CellSummary.AppendBinary's, the same as
+// in a segment blob, and an image of any other version is refused):
 //
 //	header:  magic "POLINV1\n" | version u32 | resolution u32 |
 //	         rawRecords u64 | usedRecords u64 | builtUnix u64 |
@@ -28,7 +30,7 @@ import (
 
 var wireMagic = []byte("POLINV1\n")
 
-const wireVersion = 1
+const wireVersion = 2
 
 // Marshal encodes the inventory into its wire image. The error is always
 // nil; the signature is the one the cluster layer and its tests call.
@@ -90,7 +92,7 @@ func Unmarshal(data []byte) (*Inventory, error) {
 	version := binary.LittleEndian.Uint32(p)
 	p = p[4:]
 	if version != wireVersion {
-		return nil, fmt.Errorf("inventory: unsupported version %d", version)
+		return nil, fmt.Errorf("inventory: wire image version %d, only version %d is read (coordinator and workers must run the same build)", version, wireVersion)
 	}
 	if err := need(4 + 8 + 8 + 8 + 4); err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package inventory
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"github.com/patternsoflife/pol/internal/model"
@@ -29,6 +31,12 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := Unmarshal(data[:len(data)/2]); err == nil {
 		t.Error("truncated image must fail to decode")
+	}
+	// A partial from a worker of the fixed-width build is refused by its
+	// version, before any of its summaries is misread as the dense form.
+	binary.LittleEndian.PutUint32(data[len(wireMagic):], 1)
+	if _, err := Unmarshal(data); err == nil || !strings.Contains(err.Error(), "wire image version 1, only version 2 is read") {
+		t.Errorf("version-1 wire image: %v", err)
 	}
 }
 

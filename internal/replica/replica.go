@@ -349,10 +349,12 @@ func (r *Replica) bootstrap(ctx context.Context) (err error) {
 	if err != nil {
 		return err
 	}
+	var bad error // why the last generation tried was refused; the manifest lists at least one
 	for _, g := range man.Generations {
 		inv, stateData, err := r.fetchGeneration(ctx, g)
 		if errors.Is(err, errCorrupt) {
 			r.logf("replica bootstrap gen %d: %v; trying older generation", g.Gen, err)
+			bad = err
 			continue
 		}
 		if err != nil {
@@ -371,7 +373,7 @@ func (r *Replica) bootstrap(ctx context.Context) (err error) {
 			r.endpoint(), g.Gen, g.Seq, man.Term, man.WALSeq)
 		return nil
 	}
-	return fmt.Errorf("no checkpoint generation downloaded and verified cleanly")
+	return fmt.Errorf("no checkpoint generation downloaded and verified cleanly: %w", bad)
 }
 
 // tail polls the WAL suffix past the applied frontier, applying verified
@@ -449,7 +451,7 @@ func (r *Replica) fetchGeneration(ctx context.Context, g ingest.ReplGenInfo) (*i
 	// own CRC is checked again as it is inflated.
 	inv, err := segment.LoadBytes(segData, g.Seg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: segment decode: %v", errCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: segment decode: %w", errCorrupt, err)
 	}
 	return inv, stateData, nil
 }

@@ -2,6 +2,8 @@ package replica
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +19,7 @@ import (
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/ports"
+	"github.com/patternsoflife/pol/internal/segment"
 	"github.com/patternsoflife/pol/internal/sim"
 )
 
@@ -249,6 +252,64 @@ func TestReplicaRejectsCorruptCheckpoints(t *testing.T) {
 			}
 		})
 	}
+
+	// A primary still running the fixed-width build: every generation is an
+	// intact version-1 segment (hand-made: version field, header checksum,
+	// and the manifest's whole-file checksum all consistent). Nothing is
+	// installed, and the error — what last_error and the log show — carries
+	// the one line that says why.
+	t.Run("version-1-primary", func(t *testing.T) {
+		inner := eng.ReplHandler()
+		asVersion1 := func(img []byte) []byte {
+			binary.LittleEndian.PutUint32(img[8:], 1)
+			tail := img[len(img)-segment.TailLen:]
+			binary.LittleEndian.PutUint32(tail[20:], segment.CRC(img[:binary.LittleEndian.Uint32(tail[16:])]))
+			return img
+		}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			inner.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			switch {
+			case rec.Code != http.StatusOK:
+			case strings.HasSuffix(r.URL.Path, ".seg"):
+				body = asVersion1(body)
+			case strings.HasSuffix(r.URL.Path, "/manifest"):
+				var man ingest.ReplManifest
+				if err := json.Unmarshal(body, &man); err != nil {
+					t.Error(err)
+				}
+				for i, g := range man.Generations {
+					seg := httptest.NewRecorder()
+					inner.ServeHTTP(seg, httptest.NewRequest(http.MethodGet, checkpointURL("", g.Gen, g.Seg), nil))
+					man.Generations[i].SegCRC = segment.CRC(asVersion1(seg.Body.Bytes()))
+				}
+				body, _ = json.Marshal(man)
+			}
+			for k, vs := range rec.Header() {
+				if k != "Content-Length" {
+					w.Header()[k] = vs
+				}
+			}
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(body)
+		}))
+		defer srv.Close()
+		rep, err := New(testOptions(srv.URL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rep.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		err = rep.bootstrap(ctx)
+		if !errors.Is(err, segment.ErrOldVersion) || !strings.Contains(err.Error(), "POLSEG1 version 1 segments are no longer read; rebuild with polbuild") {
+			t.Fatalf("bootstrap from a version-1 primary: %v", err)
+		}
+		if st := rep.StatusSnapshot(); st.Bootstrapped || st.CRCRejects != 0 {
+			t.Fatalf("version-1 generations: %+v", st)
+		}
+	})
 
 	// One flipped bit in one shard block of the newest generation's
 	// segment, everything else clean: the checksum rejects that download

@@ -158,7 +158,10 @@ func (r *Reader) init(opts Options) error {
 	if !bytes.Equal(hb[:8], segMagic) {
 		return fmt.Errorf("segment: header magic %q: %w", hb[:8], ErrBadMagic)
 	}
-	if v := binary.LittleEndian.Uint32(hb[8:12]); v != segVersion {
+	switch v := binary.LittleEndian.Uint32(hb[8:12]); {
+	case v == 1:
+		return fmt.Errorf("segment: %s: %w", r.path, ErrOldVersion)
+	case v != segVersion:
 		return fmt.Errorf("segment: unsupported version %d: %w", v, ErrCorrupt)
 	}
 	r.info.Resolution = int(binary.LittleEndian.Uint32(hb[12:16]))

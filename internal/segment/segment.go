@@ -20,7 +20,8 @@
 //   - the footer index plus fixed tail is all that Open reads, making
 //     cold start O(index) instead of O(inventory).
 //
-// File layout (little-endian, keys big-endian for sort order):
+// File layout, format version 2 (little-endian, keys big-endian for sort
+// order):
 //
 //	header:  magic "POLSEG1\n" | version u32 | resolution u32 |
 //	         rawRecords u64 | usedRecords u64 | builtUnix u64 |
@@ -33,6 +34,13 @@
 //	         nCellType u32 | nCellOD u32 )
 //	tail:    indexOff u64 | indexLen u32 | indexCRC u32 | headerLen u32 |
 //	         headerCRC u32 | totalGroups u64 | magic "POLSEGE\n"
+//
+// The blob is the groups' CellSummary.AppendBinary encodings end to end, in
+// key order: a varint record count, then each sketch in the varint and
+// byte-reversed-float form internal/stats documents (~340 B a group before
+// deflate). Version 1 differed in nothing but those bytes — fixed-width u32,
+// u64 and float64 fields, ~730 B a group — and is refused by name
+// (ErrOldVersion): nothing outside the tests can decode it.
 //
 // Every byte of the file is covered by some checksum: the header by
 // headerCRC, each block by its index entry, the index by indexCRC, and
@@ -60,7 +68,7 @@ var (
 	tailMagic = []byte("POLSEGE\n")
 )
 
-const segVersion = 1
+const segVersion = 2
 
 // Errors returned on malformed segments. All wrap ErrCorrupt, so callers
 // that only care about "is this file damaged" can errors.Is against the
@@ -75,6 +83,9 @@ var (
 	ErrChecksum = fmt.Errorf("checksum mismatch: %w", ErrCorrupt)
 	// ErrBadMagic wraps ErrCorrupt: header or tail magic is wrong.
 	ErrBadMagic = fmt.Errorf("bad magic: %w", ErrCorrupt)
+	// ErrOldVersion wraps ErrCorrupt: an intact segment of format version 1,
+	// whose fixed-width summary encoding nothing here decodes.
+	ErrOldVersion = fmt.Errorf("POLSEG1 version 1 segments are no longer read; rebuild with polbuild: %w", ErrCorrupt)
 )
 
 // crcTable is the Castagnoli table, matching the checkpoint manifests.
@@ -184,6 +195,11 @@ func ParseIndex(b []byte, t Tail) ([]BlockInfo, error) {
 		}
 		if bi.NSet[0]+bi.NSet[1]+bi.NSet[2] != bi.NGroups {
 			return nil, fmt.Errorf("segment: block %d set counts: %w", bi.Shard, ErrCorrupt)
+		}
+		// What a reader allocates for a block is bounded by its bytes in the
+		// file: deflate expands at most 1032:1, and the columns fit in RawLen.
+		if cols := 8 + uint64(bi.NGroups)*(inventory.EncodedKeyLen+12); uint64(bi.RawLen) < cols || uint64(bi.RawLen) > 1032*uint64(bi.CompLen) {
+			return nil, fmt.Errorf("segment: block %d raw length %d (%d groups, %d compressed): %w", bi.Shard, bi.RawLen, bi.NGroups, bi.CompLen, ErrCorrupt)
 		}
 		prevShard = bi.Shard
 		total += int64(bi.NGroups)

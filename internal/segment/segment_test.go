@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -388,6 +389,40 @@ func TestOpenNamesRetiredFormat(t *testing.T) {
 		if !errors.Is(err, ErrBadMagic) || !strings.Contains(err.Error(), "POLINV1 inventory files are no longer read; rebuild with polbuild") {
 			t.Fatalf("Open(%d-byte POLINV1 image) = %v", len(img), err)
 		}
+	}
+}
+
+// TestVersion1RefusedByName: an intact segment that says format version 1 —
+// hand-made here: the version field rewritten, and the header checksum that
+// covers it resealed — is refused by Open and by LoadBytes with the one line
+// that tells the operator what to do. A flipped version field in a version-2
+// file is still a checksum error, not this.
+func TestVersion1RefusedByName(t *testing.T) {
+	path, _ := writeFixture(t, fixture(t))
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(img[8:], 1)
+	if _, err := LoadBytes(img, "flipped"); !errors.Is(err, ErrChecksum) || errors.Is(err, ErrOldVersion) {
+		t.Fatalf("version field flipped under the header checksum: %v, want ErrChecksum", err)
+	}
+	img = reseal(img)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const line = "POLSEG1 version 1 segments are no longer read; rebuild with polbuild"
+	for _, noMmap := range []bool{false, true} {
+		_, err := Open(path, Options{NoMmap: noMmap})
+		if !errors.Is(err, ErrOldVersion) || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), line) || !strings.Contains(err.Error(), path) {
+			t.Fatalf("Open(version 1, NoMmap=%v) = %v", noMmap, err)
+		}
+	}
+	if _, err := Load(path); !errors.Is(err, ErrOldVersion) {
+		t.Fatalf("Load(version 1) = %v", err)
+	}
+	if _, err := LoadBytes(img, "gen.seg"); !errors.Is(err, ErrOldVersion) || !strings.Contains(err.Error(), line) {
+		t.Fatalf("LoadBytes(version 1) = %v", err)
 	}
 }
 

@@ -2,7 +2,7 @@ package segment
 
 import (
 	"bytes"
-	"math/rand"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,72 +10,52 @@ import (
 	"time"
 
 	"github.com/patternsoflife/pol/internal/fault"
-	"github.com/patternsoflife/pol/internal/geo"
-	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/inventory"
-	"github.com/patternsoflife/pol/internal/model"
+	"github.com/patternsoflife/pol/internal/testutil"
 )
 
-// pinnedFixture builds an inventory whose every bit is a function of this
-// file alone: a seeded stream of observations folded by one goroutine, and
-// a fixed BuiltUnix. (The simulator fixture's float summation order
-// follows GOMAXPROCS, and its BuiltUnix the clock.) It populates all 256
-// shards and all three grouping sets, and its hot and warm cells put
-// every HyperLogLog layout in the file: sparse, dense as runs, dense raw.
-func pinnedFixture() *inventory.Inventory {
-	rng := rand.New(rand.NewSource(13))
-	inv := inventory.New(inventory.BuildInfo{
-		Resolution:  6,
-		RawRecords:  16000,
-		UsedRecords: 10000,
-		BuiltUnix:   1700000000,
-		Description: "segment writer pinned fixture",
-	})
-	cells := make([]hexgrid.Cell, 400)
-	for i := range cells {
-		cells[i] = hexgrid.LatLngToCell(geo.LatLng{Lat: 30 + 30*rng.Float64(), Lng: -20 + 50*rng.Float64()}, 6)
+// The pinned fixture's two encodings, each with the format version it was
+// written under (go1.24 linux/amd64; Go may fuse x*y+z on other
+// architectures, which moves float bits in the summaries themselves).
+const (
+	pinnedSegVersion, pinnedSegCRC   = 2, 0x0cb2ada6
+	pinnedWireVersion, pinnedWireCRC = 2, 0x3b6d8d56
+)
+
+// TestFormatBytesAndVersionMoveTogether: a codec edit changes these bytes,
+// and must not ship under the version number that named the old ones.
+func TestFormatBytesAndVersionMoveTogether(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the pinned checksums are amd64's")
 	}
-	observe := func(cell hexgrid.Cell, mmsi uint32) {
-		depart := int64(1690000000 + rng.Intn(1e6))
-		now := depart + int64(rng.Intn(4e5))
-		rec := model.TripRecord{
-			PositionRecord: model.PositionRecord{
-				MMSI: mmsi, Time: now,
-				SOG: 25 * rng.Float64(), COG: 360 * rng.Float64(), Heading: 360 * rng.Float64(),
-			},
-			VType:      model.VesselType(1 + rng.Intn(4)),
-			TripID:     uint64(mmsi)<<20 | uint64(rng.Intn(8)),
-			Origin:     model.PortID(1 + rng.Intn(5)),
-			Dest:       model.PortID(1 + rng.Intn(5)),
-			DepartTime: depart,
-			ArriveTime: now + int64(rng.Intn(4e5)),
-		}
-		o := inventory.Observation{Rec: rec, NextCell: cells[rng.Intn(len(cells))]}
-		for _, set := range inventory.AllGroupSets {
-			inv.Observe(inventory.NewGroupKey(set, cell, rec.VType, rec.Origin, rec.Dest), o)
+	inv := testutil.PinnedInventory()
+	var seg bytes.Buffer
+	if _, err := Write(inv, &seg); err != nil {
+		t.Fatal(err)
+	}
+	wire, err := inventory.Marshal(inv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		img          []byte // 8-byte magic, then the version as a u32
+		version, crc uint32
+	}{
+		{"POLSEG1 segment", seg.Bytes(), pinnedSegVersion, pinnedSegCRC},
+		{"POLINV wire image", wire, pinnedWireVersion, pinnedWireCRC},
+	} {
+		if v, crc := binary.LittleEndian.Uint32(tc.img[8:]), CRC(tc.img); v != tc.version || crc != tc.crc {
+			t.Errorf("%s: version %d, CRC32C %#08x; pinned: version %d, CRC32C %#08x — the encoding changed: bump the version and re-pin",
+				tc.name, v, crc, tc.version, uint32(tc.crc))
 		}
 	}
-	for i := 0; i < 8000; i++ {
-		observe(cells[rng.Intn(len(cells))], uint32(200000000+rng.Intn(300)))
-	}
-	for i := 0; i < 2000; i++ { // the hot cell: thousands of distinct ships
-		observe(cells[0], uint32(300000000+i))
-	}
-	for i := 0; i < 250; i++ { // the warm cell: a dense sketch that still encodes as runs
-		observe(cells[1], uint32(400000000+i))
-	}
-	return inv
 }
 
-// pinnedFixtureCRC is the whole-file CRC32C of pinnedFixture's segment as
-// written by the sequential writer this encoder replaced (commit 0574732,
-// go1.24 linux/amd64).
-const pinnedFixtureCRC = 0x49df58fb
-
 // TestWriteBytesIdenticalAcrossProcs: the file must not depend on how many
-// workers compressed it, and must equal what the parent commit wrote.
+// workers compressed it.
 func TestWriteBytesIdenticalAcrossProcs(t *testing.T) {
-	inv := pinnedFixture()
+	inv := testutil.PinnedInventory()
 	dir := t.TempDir()
 	var first []byte
 	for _, procs := range []int{1, 2, 8} {
@@ -102,10 +82,8 @@ func TestWriteBytesIdenticalAcrossProcs(t *testing.T) {
 			t.Fatalf("GOMAXPROCS=%d wrote different bytes than GOMAXPROCS=1", procs)
 		}
 	}
-	// Go may fuse x*y+z on other architectures, which moves float bits in
-	// the summaries themselves; the constant is amd64's.
-	if runtime.GOARCH == "amd64" && CRC(first) != pinnedFixtureCRC {
-		t.Fatalf("segment CRC32C %#08x, parent commit's writer produced %#08x", CRC(first), uint32(pinnedFixtureCRC))
+	if runtime.GOARCH == "amd64" && CRC(first) != pinnedSegCRC {
+		t.Fatalf("segment CRC32C %#08x, pinned %#08x", CRC(first), uint32(pinnedSegCRC))
 	}
 	got, err := Load(filepath.Join(dir, "pinned.polseg"))
 	if err != nil || !inventory.Equal(inv, got) {
@@ -120,7 +98,7 @@ func TestWriteBytesIdenticalAcrossProcs(t *testing.T) {
 // will ever receive are what a naive fan-out leaks here.
 func TestWriteFailureLeavesNothingBehind(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	inv := pinnedFixture()
+	inv := testutil.PinnedInventory()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.polseg")
 	if err := WriteFile(inv, path); err != nil {

@@ -86,10 +86,7 @@ func (h *AngularHistogram) AppendBinary(buf []byte) []byte {
 // returns the remaining bytes.
 func DecodeAngularHistogram(data []byte) (*AngularHistogram, []byte, error) {
 	n, data, err := readU32(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 || n > 3600 || uint64(n)*8 > uint64(len(data)) {
+	if err != nil || n == 0 || n > 3600 || int(n) > len(data) {
 		return nil, nil, ErrCorrupt
 	}
 	h := NewAngularHistogram(int(n))
@@ -158,25 +155,16 @@ func (c *CircularMean) Resultant() float64 {
 
 // AppendBinary appends the accumulator's binary encoding to buf.
 func (c *CircularMean) AppendBinary(buf []byte) []byte {
-	buf = appendF64(buf, c.sumSin)
-	buf = appendF64(buf, c.sumCos)
-	buf = appendF64(buf, c.weight)
-	return buf
+	return appendF64(appendF64(appendF64(buf, c.sumSin), c.sumCos), c.weight)
 }
 
 // DecodeCircularMean decodes an accumulator from the front of data and
 // returns the remaining bytes.
-func DecodeCircularMean(data []byte) (CircularMean, []byte, error) {
-	var c CircularMean
-	var err error
-	if c.sumSin, data, err = readF64(data); err != nil {
-		return CircularMean{}, nil, err
-	}
-	if c.sumCos, data, err = readF64(data); err != nil {
-		return CircularMean{}, nil, err
-	}
-	if c.weight, data, err = readF64(data); err != nil {
-		return CircularMean{}, nil, err
+func DecodeCircularMean(data []byte) (c CircularMean, rest []byte, err error) {
+	for _, f := range [...]*float64{&c.sumSin, &c.sumCos, &c.weight} {
+		if *f, data, err = readF64(data); err != nil {
+			return CircularMean{}, nil, err
+		}
 	}
 	return c, data, nil
 }

@@ -147,49 +147,21 @@ func (h *HyperLogLog) Estimate() uint64 {
 	return uint64(e + 0.5)
 }
 
-// Occupied returns the number of non-zero registers (diagnostics, tests).
-func (h *HyperLogLog) Occupied() int {
-	if h.registers == nil {
-		return len(h.sparse)
-	}
-	n := 0
-	for _, r := range h.registers {
-		if r != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Encoding modes.
 const (
-	hllModeRLE uint8 = 0 // (zero-run u32, value u8) pairs — cheap when sparse
+	hllModeRLE uint8 = 0 // (zero-run varint, value u8) pairs — cheap when sparse
 	hllModeRaw uint8 = 1 // all 2^p registers verbatim — cheap when dense
 )
 
-// AppendBinary appends the sketch's binary encoding to buf, choosing
-// whichever of the run-length and raw layouts is smaller for the current
-// occupancy. It only reads the sketch: encoding a summary that other
-// goroutines are querying is safe, and its cost follows the occupied
-// registers, not 2^p, while the sketch is sparse.
+// AppendBinary appends the sketch's binary encoding to buf: the run-length
+// layout unless it would take as many bytes as the raw one, decided on the
+// bytes the runs actually encode to. It only reads the sketch: encoding a
+// summary that other goroutines are querying is safe, and its cost follows
+// the occupied registers, not 2^p, while the sketch is sparse.
 func (h *HyperLogLog) AppendBinary(buf []byte) []byte {
-	buf = append(buf, h.p)
 	n := h.numRegisters()
-	// RLE costs 5 bytes per occupied register (plus a terminator); raw
-	// costs one byte per register.
-	if h.Occupied()*5+5 >= n {
-		buf = append(buf, hllModeRaw)
-		if h.registers != nil {
-			return append(buf, h.registers...)
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		for _, packed := range h.sparse {
-			buf[start+int(packed>>8)] = uint8(packed)
-		}
-		return buf
-	}
-	buf = append(buf, hllModeRLE)
+	buf = append(buf, h.p, hllModeRLE)
+	start := len(buf)
 	// next is the first register no pair has covered yet; both
 	// representations yield their occupied registers in ascending order
 	// (sparse ranks are never zero: AddHash ranks start at 1 and decode
@@ -211,6 +183,17 @@ func (h *HyperLogLog) AppendBinary(buf []byte) []byte {
 	if next < uint32(n) {
 		// Trailing zero run, closed by a zero value.
 		buf = append(appendU32(buf, uint32(n)-next), 0)
+	}
+	if len(buf)-start < n {
+		return buf
+	}
+	buf[start-1] = hllModeRaw
+	if h.registers != nil {
+		return append(buf[:start], h.registers...)
+	}
+	buf = append(buf[:start], make([]byte, n)...)
+	for _, packed := range h.sparse {
+		buf[start+int(packed>>8)] = uint8(packed)
 	}
 	return buf
 }
@@ -242,15 +225,11 @@ func DecodeHyperLogLog(data []byte) (*HyperLogLog, []byte, error) {
 		i := uint32(0)
 		for i < n {
 			run, rest, err := readU32(data)
-			if err != nil {
-				return nil, nil, err
-			}
-			data = rest
-			if len(data) < 1 {
+			if err != nil || len(rest) < 1 {
 				return nil, nil, ErrCorrupt
 			}
-			v := data[0]
-			data = data[1:]
+			v := rest[0]
+			data = rest[1:]
 			if i+run > n || (v != 0 && i+run >= n) {
 				return nil, nil, ErrCorrupt
 			}

@@ -21,20 +21,15 @@ func (h *HyperLogLog) register(idx uint32) uint8 {
 	return 0
 }
 
-// appendBinaryByRegisterWalk is the encoder AppendBinary replaced, kept as
-// the reference: it visits all 2^p registers through register() and knows
-// nothing about the representation.
+// appendBinaryByRegisterWalk is the reference for AppendBinary's layout: it
+// visits all 2^p registers through register(), knows nothing about the
+// representation, and writes both layouts out to choose the shorter.
 func (h *HyperLogLog) appendBinaryByRegisterWalk(buf []byte) []byte {
-	buf = append(buf, h.p)
 	n := uint32(h.numRegisters())
-	if h.Occupied()*5+5 >= int(n) {
-		buf = append(buf, hllModeRaw)
-		for i := uint32(0); i < n; i++ {
-			buf = append(buf, h.register(i))
-		}
-		return buf
+	var raw, rle []byte
+	for i := uint32(0); i < n; i++ {
+		raw = append(raw, h.register(i))
 	}
-	buf = append(buf, hllModeRLE)
 	i := uint32(0)
 	for i < n {
 		run := uint32(0)
@@ -43,15 +38,18 @@ func (h *HyperLogLog) appendBinaryByRegisterWalk(buf []byte) []byte {
 			run++
 		}
 		if i >= n {
-			buf = appendU32(buf, run)
-			buf = append(buf, 0)
+			rle = appendU32(rle, run)
+			rle = append(rle, 0)
 			break
 		}
-		buf = appendU32(buf, run)
-		buf = append(buf, h.register(i))
+		rle = appendU32(rle, run)
+		rle = append(rle, h.register(i))
 		i++
 	}
-	return buf
+	if len(rle) < len(raw) {
+		return append(append(buf, h.p, hllModeRLE), rle...)
+	}
+	return append(append(buf, h.p, hllModeRaw), raw...)
 }
 
 func TestHLLEmpty(t *testing.T) {
@@ -390,7 +388,7 @@ func TestHLLEncodingMatchesRegisterWalk(t *testing.T) {
 func TestHLLEncodeDoesNotMutate(t *testing.T) {
 	for _, p := range []uint8{4, HLLPrecision} {
 		h := NewHyperLogLog(p)
-		for i := uint64(0); i < 9; i++ {
+		for i := uint64(0); i < 16; i++ {
 			h.AddUint64(i)
 		}
 		if h.registers != nil {

@@ -10,12 +10,23 @@
 // extraction of the paper depends on. Every sketch also has a compact binary
 // encoding (AppendBinary / Decode*) used for shuffles and for the inventory
 // file format.
+//
+// Every encoder is built from two primitives and single bytes. An integer —
+// count, length, zero run, key — is an unsigned LEB128 varint (7 bits a byte,
+// low group first). A float64 is its IEEE-754 bits with the byte order
+// reversed, written as that same varint: the mantissa's low bytes, zero in
+// the integer-valued weights, counts and seconds that fill a summary, become
+// high bytes a varint does not write (0, 1 or 86 400 take 1–3 bytes, a
+// full-precision value 9–10), and every bit pattern round-trips, NaN payloads,
+// −0 and ±Inf included. Decoders bound what they allocate by their input: an
+// element count the remaining bytes could not hold is ErrCorrupt first.
 package stats
 
 import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // ErrCorrupt is returned when a binary sketch encoding cannot be decoded.
@@ -32,32 +43,30 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// --- binary encoding helpers shared by all sketches ---
+// --- binary encoding primitives shared by all sketches ---
 
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
+func appendU64(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
+func appendU32(b []byte, v uint32) []byte { return binary.AppendUvarint(b, uint64(v)) }
 
 func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	return binary.AppendUvarint(b, bits.ReverseBytes64(math.Float64bits(v)))
 }
 
 func readU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
 		return 0, nil, ErrCorrupt
 	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
+	return v, b[n:], nil
 }
 
 func readU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
+	v, rest, err := readU64(b)
+	if err != nil || v > math.MaxUint32 {
 		return 0, nil, ErrCorrupt
 	}
-	return binary.LittleEndian.Uint32(b), b[4:], nil
+	return uint32(v), rest, nil
 }
 
 func readF64(b []byte) (float64, []byte, error) {
@@ -65,5 +74,5 @@ func readF64(b []byte) (float64, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return math.Float64frombits(v), rest, nil
+	return math.Float64frombits(bits.ReverseBytes64(v)), rest, nil
 }

@@ -216,23 +216,16 @@ func (t *TDigest) AppendBinary(buf []byte) []byte {
 func DecodeTDigest(data []byte) (*TDigest, []byte, error) {
 	var err error
 	t := &TDigest{}
-	if t.compression, data, err = readF64(data); err != nil {
-		return nil, nil, err
+	for _, f := range [...]*float64{&t.compression, &t.min, &t.max} {
+		if *f, data, err = readF64(data); err != nil {
+			return nil, nil, err
+		}
 	}
 	if t.compression < 20 || t.compression > 1e6 || math.IsNaN(t.compression) {
 		return nil, nil, ErrCorrupt
 	}
-	if t.min, data, err = readF64(data); err != nil {
-		return nil, nil, err
-	}
-	if t.max, data, err = readF64(data); err != nil {
-		return nil, nil, err
-	}
 	var n uint32
-	if n, data, err = readU32(data); err != nil {
-		return nil, nil, err
-	}
-	if uint64(n)*16 > uint64(len(data)) {
+	if n, data, err = readU32(data); err != nil || 2*uint64(n) > uint64(len(data)) {
 		return nil, nil, ErrCorrupt
 	}
 	t.centroids = make([]centroid, n)

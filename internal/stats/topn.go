@@ -159,32 +159,22 @@ func (t *TopN) AppendBinary(buf []byte) []byte {
 // remaining bytes.
 func DecodeTopN(data []byte) (*TopN, []byte, error) {
 	capacity, data, err := readU32(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if capacity == 0 || capacity > 1<<20 {
+	if err != nil || capacity == 0 || capacity > 1<<20 {
 		return nil, nil, ErrCorrupt
 	}
 	n, data, err := readU32(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > capacity || uint64(n)*24 > uint64(len(data)) {
+	if err != nil || n > capacity || 3*uint64(n) > uint64(len(data)) {
 		return nil, nil, ErrCorrupt
 	}
 	t := &TopN{capacity: int(capacity), counters: make(map[uint64]*ssCounter, n)}
 	for i := uint32(0); i < n; i++ {
-		var key, count, errBound uint64
-		if key, data, err = readU64(data); err != nil {
-			return nil, nil, err
+		var e [3]uint64 // key, count, error bound
+		for j := range e {
+			if e[j], data, err = readU64(data); err != nil {
+				return nil, nil, err
+			}
 		}
-		if count, data, err = readU64(data); err != nil {
-			return nil, nil, err
-		}
-		if errBound, data, err = readU64(data); err != nil {
-			return nil, nil, err
-		}
-		t.counters[key] = &ssCounter{count: count, err: errBound}
+		t.counters[e[0]] = &ssCounter{count: e[1], err: e[2]}
 	}
 	return t, data, nil
 }

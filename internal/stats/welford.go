@@ -102,33 +102,19 @@ func (a *Welford) Max() float64 {
 
 // AppendBinary appends the accumulator's binary encoding to buf.
 func (a *Welford) AppendBinary(buf []byte) []byte {
-	buf = appendF64(buf, a.w)
-	buf = appendF64(buf, a.mean)
-	buf = appendF64(buf, a.m2)
-	buf = appendF64(buf, a.min)
-	buf = appendF64(buf, a.max)
+	for _, v := range [...]float64{a.w, a.mean, a.m2, a.min, a.max} {
+		buf = appendF64(buf, v)
+	}
 	return buf
 }
 
 // DecodeWelford decodes an accumulator from the front of data and returns
 // the remaining bytes.
-func DecodeWelford(data []byte) (Welford, []byte, error) {
-	var a Welford
-	var err error
-	if a.w, data, err = readF64(data); err != nil {
-		return Welford{}, nil, err
-	}
-	if a.mean, data, err = readF64(data); err != nil {
-		return Welford{}, nil, err
-	}
-	if a.m2, data, err = readF64(data); err != nil {
-		return Welford{}, nil, err
-	}
-	if a.min, data, err = readF64(data); err != nil {
-		return Welford{}, nil, err
-	}
-	if a.max, data, err = readF64(data); err != nil {
-		return Welford{}, nil, err
+func DecodeWelford(data []byte) (a Welford, rest []byte, err error) {
+	for _, f := range [...]*float64{&a.w, &a.mean, &a.m2, &a.min, &a.max} {
+		if *f, data, err = readF64(data); err != nil {
+			return Welford{}, nil, err
+		}
 	}
 	return a, data, nil
 }

@@ -81,7 +81,7 @@ fi
 
 echo "== line budget (non-test Go outside bench/, ROADMAP's measure) =="
 # Lower it when a PR deletes; raising it needs the ROADMAP's say-so.
-budget=24995
+budget=24994
 lines="$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 if [ "$lines" -gt "$budget" ]; then
 	echo "non-test Go outside bench/ is $lines lines, budget $budget"
@@ -109,7 +109,8 @@ go test -race -count=1 -timeout 20m ./internal/cluster/ ./internal/dataflow/ ./i
 
 echo "== fuzz smoke (5 s per target; corpora under <package>/testdata/fuzz) =="
 for target in ingest/FuzzReadReplChunk ingest/FuzzOpenJournal ingest/FuzzDecodeState \
-	cluster/FuzzReadFrame cluster/FuzzPeerFrame ais/FuzzDecoderFeed; do
+	cluster/FuzzReadFrame cluster/FuzzPeerFrame ais/FuzzDecoderFeed \
+	inventory/FuzzDecodeCellSummary segment/FuzzLoadBytes; do
 	go test -run='^$' -fuzz="^${target#*/}\$" -fuzztime=5s "./internal/${target%/*}/"
 done
 
