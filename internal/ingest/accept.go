@@ -31,10 +31,24 @@ func (e *Engine) newVesselState() *vesselState {
 	}
 }
 
+// applyEntry is the one record path: what a submitted, replayed or
+// replicated entry does to loop state.
+func (e *Engine) applyEntry(en *JournalEntry, fs *FeedStats) {
+	switch en.Kind {
+	case entryPosition:
+		e.processPosition(en, fs)
+	case entryStatic:
+		e.processStatic(en)
+	case entryMerge:
+		e.foldAtMarker()
+	}
+}
+
 // processStatic updates the vessel static inventory, journaling new or
 // changed entries. A state that may not accept drops the entry: applying
 // what the journal cannot make durable would diverge from replay.
-func (e *Engine) processStatic(v model.VesselInfo, fs *FeedStats) {
+func (e *Engine) processStatic(en *JournalEntry) {
+	v := en.Info
 	e.m.staticsSeen.Add(1)
 	may := e.perms()
 	if may&permAccept == 0 {
@@ -44,19 +58,33 @@ func (e *Engine) processStatic(v model.VesselInfo, fs *FeedStats) {
 	if cur, ok := e.statics[v.MMSI]; ok && cur == v {
 		return
 	}
-	if j := e.jrnl(); j != nil && may&permJournal != 0 {
-		if err := j.AppendStatic(v); err != nil {
-			e.journalFailed(err)
-			return
-		}
-		e.setLastSeq(j.LastSeq())
-		e.m.journalBytes.Store(j.Size())
+	if e.journalEntry(may, en) != nil {
+		return
 	}
 	e.statics[v.MMSI] = v
 }
 
+// journalEntry appends en to the journal, if this state keeps one, and moves
+// the frontier and the size gauge to what the append returned; on failure
+// the engine degrades and the caller drops the entry.
+func (e *Engine) journalEntry(may perm, en *JournalEntry) error {
+	j := e.jrnl()
+	if j == nil || may&permJournal == 0 {
+		return nil
+	}
+	seq, size, err := j.append(en)
+	if err != nil {
+		e.journalFailed(err)
+		return err
+	}
+	e.setLastSeq(seq)
+	e.m.journalBytes.Store(size)
+	return nil
+}
+
 // processPosition runs one report through the online pipeline.
-func (e *Engine) processPosition(rec model.PositionRecord, fs *FeedStats) {
+func (e *Engine) processPosition(en *JournalEntry, fs *FeedStats) {
+	rec := en.Pos
 	e.m.positionsSeen.Add(1)
 	may := e.perms() // the record's one look at the lifecycle
 	if may&permAccept == 0 {
@@ -86,31 +114,13 @@ func (e *Engine) processPosition(rec model.PositionRecord, fs *FeedStats) {
 	// Journal every record that survived range validation and dedup — the
 	// speed filter is deterministic, so replay re-derives its verdicts and
 	// the cleaner state stays bit-identical across restarts.
-	if reason == pipeline.RejectNone || reason == pipeline.RejectInfeasible {
-		if j := e.jrnl(); j != nil && may&permJournal != 0 {
-			if err := j.AppendPosition(rec); err != nil {
-				vs.cleaner.SetState(undo)
-				e.journalFailed(err)
-				e.m.degradedDrops.Add(1)
-				return
-			}
-			e.setLastSeq(j.LastSeq())
-			e.m.journalBytes.Store(j.Size())
-		}
+	if (reason == pipeline.RejectNone || reason == pipeline.RejectInfeasible) && e.journalEntry(may, en) != nil {
+		vs.cleaner.SetState(undo)
+		e.m.degradedDrops.Add(1)
+		return
 	}
-	switch reason {
-	case pipeline.RejectNone:
-	case pipeline.RejectRange:
-		e.reject(fs, &e.m.rejectedRange)
-		return
-	case pipeline.RejectDuplicate:
-		e.reject(fs, &e.m.rejectedDuplicate)
-		return
-	case pipeline.RejectOutOfOrder:
-		e.reject(fs, &e.m.rejectedOutOfOrder)
-		return
-	case pipeline.RejectInfeasible:
-		e.reject(fs, &e.m.rejectedInfeasible)
+	if reason != pipeline.RejectNone {
+		e.reject(fs, e.m.rejectedBy(reason))
 		return
 	}
 	e.m.accepted.Add(1)
@@ -144,14 +154,7 @@ func (e *Engine) emitTrip(trip pipeline.Trip) {
 
 // replayEntry applies one journal entry during cold-start replay.
 func (e *Engine) replayEntry(entry JournalEntry) error {
-	switch entry.Kind {
-	case entryStatic:
-		e.processStatic(entry.Info, nil)
-	case entryPosition:
-		e.processPosition(entry.Pos, nil)
-	case entryMerge:
-		e.foldAtMarker()
-	}
+	e.applyEntry(&entry, nil)
 	return nil
 }
 
@@ -169,25 +172,23 @@ func (e *Engine) foldAtMarker() {
 // break the replay invariant.
 var ErrNotApplier = fmt.Errorf("ingest: only an applier engine applies replicated state")
 
-// SubmitReplicated enqueues one WAL entry fetched from a primary,
-// tagged with the primary's sequence number so AppliedSeq tracks the
-// replication frontier. The record flows through the same cleaner and
-// trip-tracker path as a direct submission, so a replica that applies
-// the primary's WAL in order converges to an inventory.Equal snapshot.
-func (e *Engine) SubmitReplicated(entry JournalEntry) error {
+// ApplyReplicated enqueues a run of WAL entries fetched from a primary as
+// one envelope, each tagged with the primary's sequence number so
+// AppliedSeq tracks the replication frontier. The records take the path of
+// direct submissions and a merge marker folds and publishes where it sits
+// in the run, so a replica applying the primary's WAL in order converges to
+// an inventory.Equal snapshot. The engine owns entries until a later
+// barrier (PublishNow) returns.
+func (e *Engine) ApplyReplicated(entries []JournalEntry) error {
 	if !e.can(permApplyReplicated) {
 		return ErrNotApplier
 	}
-	switch entry.Kind {
-	case entryPosition:
-		return e.submit(envelope{kind: envPosition, rec: entry.Pos, seq: entry.Seq})
-	case entryStatic:
-		return e.submit(envelope{kind: envStatic, info: entry.Info, seq: entry.Seq})
-	case entryMerge:
-		return e.submit(envelope{kind: envReplMerge, seq: entry.Seq})
-	default:
-		return fmt.Errorf("ingest: unknown journal entry kind %q", entry.Kind)
+	for i := range entries {
+		if !validEntryKind(entries[i].Kind) {
+			return fmt.Errorf("ingest: unknown journal entry kind %q", entries[i].Kind)
+		}
 	}
+	return e.submit(envelope{kind: envRecords, entries: entries})
 }
 
 // InstallReplicaState atomically replaces the engine's entire state with

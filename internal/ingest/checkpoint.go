@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -165,13 +166,11 @@ func (c *checkpointer) Save(snap *inventory.Inventory, st *engineState, seq, ter
 		return 0, fmt.Errorf("ingest: checkpoint segment: %w", err)
 	}
 	entry.SegCRC, entry.SegSize = segStats.Sum, segStats.Size
+	state := encodeState(st)
+	entry.StateCRC, entry.StateSize = crc32.Checksum(state, castagnoli), int64(len(state))
 	err = inventory.AtomicWrite(statePath, func(w io.Writer) error {
-		sw := &sumWriter{w: w}
-		if err := encodeState(sw, st); err != nil {
-			return err
-		}
-		entry.StateCRC, entry.StateSize = sw.sum, sw.n
-		return nil
+		_, err := w.Write(state)
+		return err
 	})
 	if err != nil {
 		return 0, fmt.Errorf("ingest: checkpoint state: %w", err)
@@ -217,7 +216,7 @@ func (c *checkpointer) publishStable(srcPath string) error {
 		if err := os.Rename(tmp, c.base); err != nil {
 			return err
 		}
-		return syncDir(c.base)
+		return inventory.SyncDir(c.base)
 	}
 	src, err := os.Open(srcPath)
 	if err != nil {
@@ -420,29 +419,14 @@ func parseManifestLine(line string) (ckptGen, error) {
 
 // --- POLSTAT1 encoding ---
 
-// sumWriter folds a CRC32C and byte count over everything written.
-type sumWriter struct {
-	w   io.Writer
-	sum uint32
-	n   int64
-}
-
-func (s *sumWriter) Write(p []byte) (int, error) {
-	n, err := s.w.Write(p)
-	s.sum = crc32.Update(s.sum, castagnoli, p[:n])
-	s.n += int64(n)
-	return n, err
-}
-
 const (
 	stFlagHasPrev = 1 << iota
 	stFlagHasLast
 	stFlagHasTrip
 )
 
-func encodeState(w io.Writer, st *engineState) error {
-	var buf []byte
-	buf = append(buf, stateMagic...)
+func encodeState(st *engineState) []byte {
+	buf := append([]byte(nil), stateMagic...)
 	for _, v := range st.counters {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
@@ -488,13 +472,13 @@ func encodeState(w io.Writer, st *engineState) error {
 			buf = appendPositionEntry(buf, r)
 		}
 	}
-	_, err := w.Write(buf)
-	return err
+	return buf
 }
 
-// stateReader is a cursor over POLSTAT1 bytes. The first read past the
-// end sticks: it and every later read return zero values, and the caller
-// checks err once.
+// stateReader is a cursor over POLSTAT1 bytes, and over the WAL entry
+// payloads it embeds (journal.go decodes them with it). The first read
+// past the end sticks: it and every later read return zero values, and the
+// caller checks err once.
 type stateReader struct {
 	p   []byte
 	err error
@@ -511,6 +495,15 @@ func (r *stateReader) take(n int) []byte {
 	r.p = r.p[n:]
 	return b
 }
+
+func (r *stateReader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *stateReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 func (r *stateReader) u32() uint32 {
 	if b := r.take(4); b != nil {
@@ -578,10 +571,7 @@ func decodeState(rd io.Reader) (*engineState, error) {
 		mmsi := r.u32()
 		var vp vesselPersist
 		vp.cleaner.PrevTime = int64(r.u64())
-		var flags byte
-		if b := r.take(1); b != nil {
-			flags = b[0]
-		}
+		flags := r.u8()
 		vp.cleaner.HasPrev = flags&stFlagHasPrev != 0
 		vp.cleaner.HasLast = flags&stFlagHasLast != 0
 		vp.cleaner.Last = r.pos()

@@ -645,7 +645,7 @@ func testResumeMarksItsFold(t *testing.T, tickFolds bool) {
 		t.Fatalf("the pending period was not folded exactly once: merges %d -> %d", degraded.Merges, resumed.Merges)
 	}
 	_, ckptSeq := e.CheckpointStatus()
-	entries, _, err := e.WALRead(degraded.JournalSeq, 1)
+	entries, _, err := readEntries(e.jrnl(), degraded.JournalSeq, 1)
 	if err != nil || len(entries) != 1 || entries[0].Kind != entryMerge || entries[0].Seq != ckptSeq || ckptSeq != degraded.JournalSeq+1 {
 		t.Fatalf("reopened journal after seq %d starts with %+v (err %v), resume checkpoint covers seq %d; want a merge marker under that seq",
 			degraded.JournalSeq, entries, err, ckptSeq)

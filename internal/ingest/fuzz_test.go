@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/patternsoflife/pol/internal/model"
 )
@@ -27,28 +28,30 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 		entries = append(entries, JournalEntry{Kind: entryPosition, Seq: uint64(i + 2), Pos: r})
 	}
 	entries = append(entries, JournalEntry{Kind: entryMerge, Seq: uint64(len(recs) + 2)})
-	rec := httptest.NewRecorder()
-	writeReplChunk(rec, entries, 42)
+	chunk := refReplChunk(entries, 42)
 
+	// The same entries journaled by an engine: its first segment, and what
+	// its replication handler ships of it, whole and bounded.
 	base := filepath.Join(t.TempDir(), "wal")
-	j, err := OpenJournal(base, JournalOptions{}, nil)
+	eng, err := NewEngine(Options{JournalPath: base, MergeEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		switch e.Kind {
-		case entryStatic:
-			err = j.AppendStatic(e.Info)
-		case entryPosition:
-			err = j.AppendPosition(e.Pos)
-		case entryMerge:
-			err = j.AppendMerge()
-		}
-		if err != nil {
+	for i := range entries {
+		if _, _, err := eng.jrnl().append(&entries[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Close(); err != nil {
+	var shipped [][]byte
+	for _, q := range []string{"from_seq=0", "from_seq=3&max=4"} {
+		rec := httptest.NewRecorder()
+		eng.ReplHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/repl/wal?"+q, nil))
+		if rec.Code != 200 {
+			t.Fatalf("wal?%s: status %d", q, rec.Code)
+		}
+		shipped = append(shipped, rec.Body.Bytes())
+	}
+	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	seg, err := os.ReadFile(segmentPath(base, 1))
@@ -64,10 +67,7 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 	vp.tracker.Trip.ID, vp.tracker.Trip.Records = 7, recs[:3]
 	vp.tracker.Visit = recs[3:5]
 	st.vessels[recs[3].MMSI] = vp
-	var state bytes.Buffer
-	if err := encodeState(&state, st); err != nil {
-		t.Fatal(err)
-	}
+	state := encodeState(st)
 
 	variants := func(valid []byte) [][]byte {
 		flipped := append([]byte(nil), valid...)
@@ -75,14 +75,14 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 		return [][]byte{valid, valid[:len(valid)-7], flipped}
 	}
 	return map[string][][]byte{
-		"FuzzReadReplChunk": variants(rec.Body.Bytes()),
+		"FuzzReadReplChunk": append(variants(chunk), shipped...),
 		"FuzzOpenJournal":   variants(seg),
-		"FuzzDecodeState":   variants(state.Bytes()),
+		"FuzzDecodeState":   variants(state),
 	}
 }
 
 // TestFuzzSeedsCommitted keeps testdata/fuzz populated: every target has
-// its three seeds on disk (their bytes may drift with the fixtures; the
+// its seeds on disk (their bytes may drift with the fixtures; the
 // files are rewritten only with -update).
 func TestFuzzSeedsCommitted(t *testing.T) {
 	for target, seeds := range fuzzSeeds(t) {
@@ -111,15 +111,12 @@ func FuzzReadReplChunk(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rec := httptest.NewRecorder()
-		writeReplChunk(rec, entries, lastSeq)
-		again, lastAgain, err := ReadReplChunk(bytes.NewReader(rec.Body.Bytes()))
+		enc := refReplChunk(entries, lastSeq)
+		again, lastAgain, err := ReadReplChunk(bytes.NewReader(enc))
 		if err != nil || lastAgain != lastSeq || len(again) != len(entries) {
 			t.Fatalf("re-encoded chunk: %d entries, lastSeq %d, err %v; first decode gave %d, %d", len(again), lastAgain, err, len(entries), lastSeq)
 		}
-		rec2 := httptest.NewRecorder()
-		writeReplChunk(rec2, again, lastAgain)
-		if !bytes.Equal(rec.Body.Bytes(), rec2.Body.Bytes()) {
+		if !bytes.Equal(enc, refReplChunk(again, lastAgain)) {
 			t.Fatal("re-encoding is not a fixed point")
 		}
 	})
@@ -150,7 +147,24 @@ func FuzzOpenJournal(f *testing.F) {
 			return got, j
 		}
 		first, j := open()
-		if err := j.AppendMerge(); err != nil {
+		// The index the scan rebuilt changes where a read starts, never what
+		// it returns: from every surviving record on, the bytes are those a
+		// scan from the segment head finds. (TestWALReadSeeksByIndex does the
+		// same over a recovered segment long enough to carry marks.)
+		if len(first) > 0 {
+			all, _, err := refReadEntries(j, first[0].Seq-1, 0)
+			if err != nil || len(all) != min(len(first), maxReadEntries) {
+				t.Fatalf("reference read of %d replayed entries: %d, %v", len(first), len(all), err)
+			}
+			for i := range all {
+				got, n, _, err := readFrames(j, all[i].Seq-1, 3)
+				want := refReplChunk(all[i:min(i+3, len(all))], 0)[replHeaderLen:]
+				if err != nil || n != min(3, len(all)-i) || !bytes.Equal(got, want) {
+					t.Fatalf("read from seq %d: %d records, %d bytes, %v; a scan from the head finds %d bytes", all[i].Seq, n, len(got), err, len(want))
+				}
+			}
+		}
+		if _, _, err := j.append(&JournalEntry{Kind: entryMerge}); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		marker := j.LastSeq()
@@ -163,7 +177,7 @@ func FuzzOpenJournal(f *testing.F) {
 			t.Fatalf("second open replayed %d entries after %d + 1 appended (seq %d)", len(second), len(first), marker)
 		}
 		for i, e := range first {
-			if s := second[i]; s.Seq != e.Seq || s.Kind != e.Kind || !bytes.Equal(entryPayload(s), entryPayload(e)) {
+			if s := second[i]; s.Seq != e.Seq || s.Kind != e.Kind || !bytes.Equal(refEntryPayload(s), refEntryPayload(e)) {
 				t.Fatalf("entry %d changed between opens: %+v then %+v", i, e, s)
 			}
 		}
@@ -178,14 +192,11 @@ func FuzzDecodeState(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var enc bytes.Buffer
-		if err := encodeState(&enc, st); err != nil {
-			t.Fatal(err)
+		enc := encodeState(st)
+		if len(enc) > len(data) {
+			t.Fatalf("%d input bytes decoded to a state that encodes to %d", len(data), len(enc))
 		}
-		if enc.Len() > len(data) {
-			t.Fatalf("%d input bytes decoded to a state that encodes to %d", len(data), enc.Len())
-		}
-		again, err := decodeState(bytes.NewReader(enc.Bytes()))
+		again, err := decodeState(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("re-encoded state does not decode: %v", err)
 		}

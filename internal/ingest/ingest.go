@@ -28,6 +28,15 @@
 // path, doubles as the serving artifact read-only consumers and replicas
 // open.
 //
+// Records cross the live path in batches: PumpFeed submits what one socket
+// read decoded as one envelope, the loop appends each record under one
+// journal lock into a buffer the journal owns, the replication handler
+// ships WAL bytes as they lie on disk (sought through a sparse per-segment
+// seq → offset index, checksum-verified, never decoded), and a replica
+// hands each chunk to its applier as one envelope. The queue ahead of the
+// loop stays bounded in records, so memory and TCP backpressure do not
+// depend on the batch size.
+//
 // Feeds must deliver each vessel's reports in timestamp order (the wire
 // guarantees per-sender ordering); out-of-order records are counted and
 // dropped. Vessel static reports should precede a vessel's positions, as
@@ -36,6 +45,7 @@
 package ingest
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -43,7 +53,6 @@ import (
 	"time"
 
 	"github.com/patternsoflife/pol/internal/fault"
-	"github.com/patternsoflife/pol/internal/feed"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/obs"
@@ -75,8 +84,9 @@ type Options struct {
 	// CheckpointEvery is the number of merges between checkpoints
 	// (default 16).
 	CheckpointEvery int
-	// QueueSize bounds the submission queue; full queues block submitters,
-	// propagating backpressure to the TCP feeds (default 4096).
+	// QueueSize bounds the submission queue in records, however they are
+	// batched: a full queue blocks submitters, propagating backpressure to
+	// the TCP feeds with one batch per feed decoded beyond it (default 4096).
 	QueueSize int
 	// PortIndex is the geofence index (default: the embedded gazetteer at
 	// ports.IndexResolution).
@@ -107,7 +117,7 @@ type Options struct {
 	RetryMax  time.Duration
 	// Logf, when non-nil, receives recovery and degradation warnings.
 	Logf func(format string, args ...any)
-	// ReplicaDriven marks an engine fed exclusively by SubmitReplicated:
+	// ReplicaDriven marks an engine fed exclusively by ApplyReplicated:
 	// period→master merges happen only when a replicated merge marker
 	// arrives, never on the local tick, so float summation order matches
 	// the primary's and snapshots stay bit-identical (inventory.Equal).
@@ -124,42 +134,24 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Resolution <= 0 {
-		o.Resolution = 6
-	}
+	o.Resolution = cmp.Or(max(o.Resolution, 0), 6)
 	if len(o.GroupSets) == 0 {
 		o.GroupSets = inventory.AllGroupSets
 	}
-	if o.MaxSpeedKnots <= 0 {
-		o.MaxSpeedKnots = 50
-	}
-	if o.MinTripRecords <= 0 {
-		o.MinTripRecords = 2
-	}
-	if o.MergeEvery <= 0 {
-		o.MergeEvery = 2 * time.Second
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 16
-	}
-	if o.QueueSize <= 0 {
-		o.QueueSize = 4096
-	}
+	o.MaxSpeedKnots = cmp.Or(max(o.MaxSpeedKnots, 0), 50)
+	o.MinTripRecords = cmp.Or(max(o.MinTripRecords, 0), 2)
+	o.MergeEvery = cmp.Or(max(o.MergeEvery, 0), 2*time.Second)
+	o.CheckpointEvery = cmp.Or(max(o.CheckpointEvery, 0), 16)
+	o.QueueSize = cmp.Or(max(o.QueueSize, 0), 4096)
 	if o.PortIndex == nil {
 		o.PortIndex = ports.NewIndex(ports.Default(), ports.IndexResolution)
 	}
-	if o.WALSegmentBytes <= 0 {
-		o.WALSegmentBytes = 64 << 20
-	}
+	o.WALSegmentBytes = cmp.Or(max(o.WALSegmentBytes, 0), 64<<20)
 	if o.Faults == nil {
 		o.Faults = fault.Default()
 	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = time.Second
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 30 * time.Second
-	}
+	o.RetryBase = cmp.Or(max(o.RetryBase, 0), time.Second)
+	o.RetryMax = cmp.Or(max(o.RetryMax, 0), 30*time.Second)
 	if o.Term == 0 && !o.ReplicaDriven {
 		// Primaries start the epoch at 1. Replica appliers stay pre-term
 		// (0) until promoted: they advertise no term of their own and can
@@ -195,33 +187,42 @@ const FPPromoteCheckpoint = "ingest.promote.checkpoint"
 
 // envelope kinds.
 const (
-	envPosition = iota
-	envStatic
+	envRecords = iota
 	envSync
 	envFinalize
 	envResume
 	envInstall
 	envPublish
-	envReplMerge
 	envPromote
 )
 
 // envelope is one unit of work on the engine queue.
 type envelope struct {
-	kind  int
-	rec   model.PositionRecord
-	info  model.VesselInfo
-	feed  *FeedStats
-	reply chan error
-	// seq carries the primary's WAL sequence number on a replicated
-	// record (Engine.SubmitReplicated); zero on direct submissions.
-	seq uint64
-	// inv and state carry a checkpoint install (envInstall).
+	kind int
+	// entries is a batch of records in arrival order (envRecords): what one
+	// socket read decoded, one direct submission, or one replicated WAL
+	// chunk, whose Seq is its primary's (zero on a submitted entry). batch,
+	// when non-nil, is the pooled buffer entries lives in.
+	entries []JournalEntry
+	batch   *batch
+	feed    *FeedStats
+	reply   chan error
+	// inv, state and seq carry a checkpoint install (envInstall).
 	inv   *inventory.Inventory
 	state []byte
+	seq   uint64
 	// promote carries an Engine.Promote request (envPromote).
 	promote *PromoteOptions
 }
+
+// batch is a reusable buffer of entries on their way to the loop.
+type batch struct{ entries []JournalEntry }
+
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
+
+// batchCap is the most records one envelope carries from a feed: half of
+// what a 64 KiB socket read decodes, and a batch stays under 100 KB.
+const batchCap = 512
 
 // ErrClosed is returned by Submit methods after Close.
 var ErrClosed = fmt.Errorf("ingest: engine closed")
@@ -234,7 +235,11 @@ type Engine struct {
 	opt   Options
 	start time.Time
 
+	// in carries envelopes to the loop; queued counts the records in it and
+	// space wakes a submitter the record bound holds back (see submit).
 	in       chan envelope
+	queued   atomic.Int64
+	space    chan struct{}
 	quit     chan struct{}
 	loopDone chan struct{}
 	closed   sync.Once
@@ -316,6 +321,7 @@ func NewEngine(opt Options) (*Engine, error) {
 		opt:      opt,
 		start:    time.Now(),
 		in:       make(chan envelope, opt.QueueSize),
+		space:    make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 		vessels:  make(map[uint32]*vesselState),
@@ -355,37 +361,72 @@ func (e *Engine) Inventory() inventory.View { return e.Snapshot() }
 // SubmitPosition enqueues one decoded position report. It blocks while
 // the queue is full (backpressure) and returns ErrClosed after Close.
 func (e *Engine) SubmitPosition(rec model.PositionRecord, fs *FeedStats) error {
-	return e.submit(envelope{kind: envPosition, rec: rec, feed: fs})
+	return e.submitOne(JournalEntry{Kind: entryPosition, Pos: rec}, fs)
 }
 
 // SubmitStatic enqueues one vessel static-inventory entry.
 func (e *Engine) SubmitStatic(v model.VesselInfo, fs *FeedStats) error {
-	return e.submit(envelope{kind: envStatic, info: v, feed: fs})
+	return e.submitOne(JournalEntry{Kind: entryStatic, Info: v}, fs)
 }
 
-// SubmitItem enqueues one decoded feed item.
-func (e *Engine) SubmitItem(it feed.Item, fs *FeedStats) error {
-	switch it.Kind {
-	case feed.ItemPosition:
-		return e.SubmitPosition(it.Pos, fs)
-	case feed.ItemStatic:
-		return e.SubmitStatic(feed.StaticAsVesselInfo(it.Static), fs)
-	default:
-		return fmt.Errorf("ingest: unknown feed item kind %d", it.Kind)
+// submitOne submits a batch of one.
+func (e *Engine) submitOne(en JournalEntry, fs *FeedStats) error {
+	b := batchPool.Get().(*batch)
+	b.entries = append(b.entries[:0], en)
+	return e.submitBatch(b, fs)
+}
+
+// submitBatch hands a pooled batch to the loop, which returns it to the
+// pool when its records are applied.
+func (e *Engine) submitBatch(b *batch, fs *FeedStats) error {
+	err := e.submit(envelope{kind: envRecords, entries: b.entries, batch: b, feed: fs})
+	if err != nil {
+		batchPool.Put(b)
 	}
+	return err
 }
 
+// submit queues an envelope. The queue is bounded in records, whatever
+// their envelopes' shape: while it holds QueueSize of them a submitter of
+// more waits here (a batch larger than the whole queue goes in alone), as
+// it would on a queue of single records.
 func (e *Engine) submit(env envelope) error {
 	select {
 	case <-e.quit:
 		return ErrClosed
 	default:
 	}
+	n := int64(len(env.entries))
+	for n > 0 {
+		q := e.queued.Load()
+		if q != 0 && q+n > int64(e.opt.QueueSize) {
+			select {
+			case <-e.space:
+			case <-e.quit:
+				return ErrClosed
+			}
+		} else if e.queued.CompareAndSwap(q, q+n) {
+			break
+		}
+	}
 	select {
 	case e.in <- env:
 		return nil
 	case <-e.quit:
+		e.dequeued(n)
 		return ErrClosed
+	}
+}
+
+// dequeued takes n records off the queue's count and wakes one submitter
+// waiting for room; its batch is dequeued in turn and wakes the next.
+func (e *Engine) dequeued(n int64) {
+	if n > 0 {
+		e.queued.Add(-n)
+		select {
+		case e.space <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -471,13 +512,25 @@ func (e *Engine) run() {
 
 func (e *Engine) process(env envelope) {
 	switch env.kind {
-	case envPosition:
-		e.processPosition(env.rec, env.feed)
-	case envStatic:
-		e.processStatic(env.info, env.feed)
+	case envRecords:
+		e.dequeued(int64(len(env.entries)))
+		for i := range env.entries {
+			en := &env.entries[i]
+			e.applyEntry(en, env.feed)
+			if en.Kind == entryMerge { // folded where the primary folded: serve it
+				e.publish(time.Now())
+			}
+			// A replicated record carries its primary's sequence number:
+			// the frontier follows once the record is applied.
+			if en.Seq > e.lastSeq {
+				e.setLastSeq(en.Seq)
+			}
+		}
+		if env.batch != nil {
+			batchPool.Put(env.batch)
+		}
 	case envInstall:
 		env.reply <- e.handleInstall(env)
-		return // a refused install must not move the frontier
 	case envPublish:
 		// A state that may not fold on its own — an applier between
 		// markers — only publishes.
@@ -485,11 +538,6 @@ func (e *Engine) process(env envelope) {
 		e.mergeAndPublish(now)
 		e.publish(now)
 		env.reply <- nil
-	case envReplMerge:
-		// The primary folded period→master after the record with this
-		// sequence number; do the same, at the same boundary.
-		e.foldAtMarker()
-		e.publish(time.Now())
 	case envPromote:
 		env.reply <- e.handlePromote(env.promote)
 	case envSync:
@@ -504,11 +552,6 @@ func (e *Engine) process(env envelope) {
 		env.reply <- e.syncJournal()
 	case envResume:
 		e.handleResume()
-	}
-	// A replicated record carries its primary's sequence number: the
-	// frontier follows once the record is applied.
-	if env.seq > e.lastSeq {
-		e.setLastSeq(env.seq)
 	}
 }
 

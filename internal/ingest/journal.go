@@ -3,6 +3,7 @@ package ingest
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -15,10 +16,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/patternsoflife/pol/internal/ais"
 	"github.com/patternsoflife/pol/internal/fault"
 	"github.com/patternsoflife/pol/internal/geo"
+	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 )
 
@@ -49,21 +52,55 @@ type Journal struct {
 	base string
 	opts JournalOptions
 
-	// mu guards the file handles and segment list: appends come from the
-	// engine loop while Prune runs from the checkpoint goroutine.
-	mu       chan struct{} // 1-deep semaphore; avoids importing sync here
+	// mu guards the file handles, the segment table and the frame buffer:
+	// appends come from the engine loop, Prune from the checkpoint goroutine,
+	// reads from the replication handlers.
+	mu       sync.Mutex
 	f        *os.File
 	w        *bufio.Writer
+	frame    []byte // the record being framed; every append reuses it
 	segIdx   int
 	segBytes int64
 	total    int64
 	nextSeq  uint64
-	// segs maps live segment index → first sequence number in it, for
-	// checkpoint-driven retention.
-	segs   map[int]uint64
+	// segs maps live segment index → what is known of the file; active is
+	// the entry appends extend.
+	segs   map[int]*walSegment
+	active *walSegment
 	broken error
 
 	rec RecoveryInfo
+}
+
+// walSegment is one live segment file: the first sequence number in it (for
+// checkpoint-driven retention and to place a read) and a sparse seq → offset
+// index, marks[k] being the file offset of record first+(k+1)*walIndexStride.
+// The index lives in memory only: appends extend it, OpenJournal's scan
+// rebuilds it, Prune drops it with the file. A segment that scan skipped
+// (wholly below the checkpoint) has no marks and is read from its head.
+type walSegment struct {
+	first uint64
+	marks []int64
+}
+
+// walIndexStride is the distance in records between index marks: a read
+// verifies at most that many (≈ 70 KB) before the first record it wants,
+// and a 64 MiB segment keeps under a thousand marks.
+const walIndexStride = 1024
+
+// mark extends the index when record seq starts at offset off.
+func (s *walSegment) mark(seq uint64, off int64) {
+	if k := seq - s.first; k > 0 && k%walIndexStride == 0 {
+		s.marks = append(s.marks, off)
+	}
+}
+
+// seek returns the offset of the nearest indexed record at or before seq.
+func (s *walSegment) seek(seq uint64) int64 {
+	if k := min((seq-s.first)/walIndexStride, uint64(len(s.marks))); k > 0 {
+		return s.marks[k-1]
+	}
+	return segHeaderLen
 }
 
 // JournalOptions tunes a Journal.
@@ -85,9 +122,7 @@ type JournalOptions struct {
 }
 
 func (o JournalOptions) withDefaults() JournalOptions {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
-	}
+	o.SegmentBytes = cmp.Or(max(o.SegmentBytes, 0), 64<<20)
 	if o.Faults == nil {
 		o.Faults = fault.Default()
 	}
@@ -190,20 +225,6 @@ func scanSegments(base string) ([]int, error) {
 	return idxs, nil
 }
 
-// syncDir fsyncs the directory containing path, making renames and
-// creations within it durable.
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // OpenJournal opens (or creates) the journal rooted at base. Every valid
 // record with seq > opts.StartSeq is passed to replay in order (replay may
 // be nil to scan without applying); then the journal is positioned for
@@ -214,8 +235,7 @@ func OpenJournal(base string, opts JournalOptions, replay func(JournalEntry) err
 	j := &Journal{
 		base: base,
 		opts: opts,
-		mu:   make(chan struct{}, 1),
-		segs: make(map[int]uint64),
+		segs: make(map[int]*walSegment),
 	}
 
 	if err := refuseBaseFile(base); err != nil {
@@ -240,47 +260,26 @@ func OpenJournal(base string, opts JournalOptions, replay func(JournalEntry) err
 		j.nextSeq = opts.NextSeqAtLeast
 	}
 
-	// Position for appending: reuse the final live segment when it is
-	// intact and its sequence run reaches nextSeq-1; otherwise start a
-	// fresh one (quarantined or seq-gapped tails must not be extended).
-	if first, ok := j.segs[lastIdx]; ok && j.appendableTail(lastIdx, first) {
+	// Position for appending: reuse the final live segment when its
+	// sequence run reaches nextSeq-1 — a segment that ended in quarantine
+	// was removed from segs by replaySegments, so one still live ended at
+	// rec.LastSeq — otherwise start a fresh one (quarantined or seq-gapped
+	// tails must not be extended).
+	if seg, ok := j.segs[lastIdx]; ok && (j.nextSeq == j.rec.LastSeq+1 || j.nextSeq == seg.first) {
 		f, err := os.OpenFile(segmentPath(base, lastIdx), os.O_RDWR, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: reopen segment: %w", err)
 		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ingest: stat segment: %w", err)
-		}
-		if _, err := f.Seek(st.Size(), io.SeekStart); err != nil {
+		if j.segBytes, err = f.Seek(0, io.SeekEnd); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("ingest: seek segment end: %w", err)
 		}
-		j.f = f
-		j.segIdx = lastIdx
-		j.segBytes = st.Size()
-	} else {
-		if err := j.createSegment(lastIdx + 1); err != nil {
-			return nil, err
-		}
+		j.f, j.segIdx, j.active = f, lastIdx, seg
+	} else if err := j.createSegment(lastIdx + 1); err != nil {
+		return nil, err
 	}
 	j.w = bufio.NewWriterSize(j.f, 1<<18)
 	return j, nil
-}
-
-// appendableTail reports whether the last scanned segment may take new
-// appends: its records form an unbroken run ending exactly at nextSeq-1
-// and it was not quarantined.
-func (j *Journal) appendableTail(idx int, firstSeq uint64) bool {
-	if j.broken != nil {
-		return false
-	}
-	// A segment whose firstSeq is beyond the last valid seq+1 (because a
-	// resume re-based past lost records) or that ended in quarantine is
-	// closed by replaySegments removing it from segs; reaching here with
-	// the index still live means its run ended at rec.LastSeq.
-	return j.nextSeq == j.rec.LastSeq+1 || j.nextSeq == firstSeq
 }
 
 // refuseBaseFile fails when something exists at the journal base path.
@@ -325,7 +324,8 @@ func (j *Journal) replaySegments(idxs []int, replay func(JournalEntry) error) er
 				path, first, expect)
 			return j.quarantineSegments(idxs[pos:])
 		}
-		j.segs[idx] = first
+		seg := &walSegment{first: first}
+		j.segs[idx] = seg
 
 		// Whole segment below the covered frontier: skip the scan, its
 		// extent is implied by the next segment's header.
@@ -341,7 +341,7 @@ func (j *Journal) replaySegments(idxs []int, replay func(JournalEntry) error) er
 			}
 		}
 
-		last, cont, err := j.scanSegment(path, idx, first, pos == len(idxs)-1, replay)
+		last, cont, err := j.scanSegment(path, seg, pos == len(idxs)-1, replay)
 		if err != nil {
 			return err
 		}
@@ -355,9 +355,11 @@ func (j *Journal) replaySegments(idxs []int, replay func(JournalEntry) error) er
 	return nil
 }
 
-// scanSegment replays one segment's records. It returns the last valid
-// seq and whether replay may continue into later segments.
-func (j *Journal) scanSegment(path string, idx int, firstSeq uint64, final bool, replay func(JournalEntry) error) (uint64, bool, error) {
+// scanSegment replays one segment's records and rebuilds its index. It
+// returns the last valid seq and whether replay may continue into later
+// segments.
+func (j *Journal) scanSegment(path string, seg *walSegment, final bool, replay func(JournalEntry) error) (uint64, bool, error) {
+	firstSeq := seg.first
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return 0, false, fmt.Errorf("ingest: open segment %s: %w", path, err)
@@ -421,6 +423,7 @@ func (j *Journal) scanSegment(path string, idx int, firstSeq uint64, final bool,
 				return 0, false, fmt.Errorf("ingest: journal replay: %w", err)
 			}
 		}
+		seg.mark(rseq, good)
 		seq = rseq
 		good += n
 	}
@@ -508,15 +511,15 @@ func (j *Journal) createSegment(idx int) error {
 		f.Close()
 		return fmt.Errorf("ingest: segment header sync: %w", err)
 	}
-	if err := syncDir(path); err != nil {
+	if err := inventory.SyncDir(path); err != nil {
 		f.Close()
 		return fmt.Errorf("ingest: segment dir sync: %w", err)
 	}
 	j.f = f
-	j.segIdx = idx
+	j.segIdx, j.active = idx, &walSegment{first: j.nextSeq}
 	j.segBytes = segHeaderLen
 	j.total += segHeaderLen
-	j.segs[idx] = j.nextSeq
+	j.segs[idx] = j.active
 	return nil
 }
 
@@ -529,47 +532,40 @@ func (j *Journal) warnf(format string, args ...any) {
 // Recovery returns what OpenJournal found on disk.
 func (j *Journal) Recovery() RecoveryInfo { return j.rec }
 
-func (j *Journal) lock()   { j.mu <- struct{}{} }
-func (j *Journal) unlock() { <-j.mu }
-
 // AppendPosition journals one accepted position record.
 func (j *Journal) AppendPosition(r model.PositionRecord) error {
-	return j.append(entryPosition, appendPositionEntry(nil, r))
+	_, _, err := j.append(&JournalEntry{Kind: entryPosition, Pos: r})
+	return err
 }
 
-// AppendStatic journals one vessel static-inventory entry.
-func (j *Journal) AppendStatic(v model.VesselInfo) error {
-	return j.append(entryStatic, appendStaticEntry(nil, v))
-}
-
-// AppendMerge journals a period→master merge boundary marker.
-func (j *Journal) AppendMerge() error {
-	return j.append(entryMerge, nil)
-}
-
-func (j *Journal) append(kind byte, payload []byte) error {
-	j.lock()
-	defer j.unlock()
+// append journals one entry (its Seq is ignored: the journal numbers what
+// it writes), framed in a buffer the journal owns, and returns the record's
+// sequence number and the journal size after it: one lock per record.
+func (j *Journal) append(e *JournalEntry) (seq uint64, size int64, err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.broken != nil {
-		return j.broken
+		return 0, 0, j.broken
 	}
 	if err := j.opts.Faults.Hit(FPJournalAppend); err != nil {
-		return j.markBroken(err)
+		return 0, 0, j.markBroken(err)
 	}
-	recLen := int64(recHeaderLen + len(payload) + recTrailerLen)
+	seq = j.nextSeq
+	j.frame = appendRecord(j.frame[:0], seq, e)
+	recLen := int64(len(j.frame))
 	if j.segBytes+recLen > j.opts.SegmentBytes && j.segBytes > segHeaderLen {
 		if err := j.rotate(); err != nil {
-			return j.markBroken(err)
+			return 0, 0, j.markBroken(err)
 		}
 	}
-	rec := appendRecord(nil, kind, j.nextSeq, payload)
-	if _, err := j.w.Write(rec); err != nil {
-		return j.markBroken(fmt.Errorf("ingest: journal append: %w", err))
+	if _, err := j.w.Write(j.frame); err != nil {
+		return 0, 0, j.markBroken(fmt.Errorf("ingest: journal append: %w", err))
 	}
+	j.active.mark(seq, j.segBytes)
 	j.nextSeq++
 	j.segBytes += recLen
 	j.total += recLen
-	return nil
+	return seq, j.total, nil
 }
 
 // rotate closes the active segment behind a durability barrier and opens
@@ -606,8 +602,8 @@ func (j *Journal) markBroken(err error) error {
 
 // Flush pushes buffered entries to the operating system.
 func (j *Journal) Flush() error {
-	j.lock()
-	defer j.unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	return j.flushLocked()
 }
 
@@ -626,8 +622,8 @@ func (j *Journal) flushLocked() error {
 // permanently broken: the kernel may have dropped the dirty pages, so
 // retrying could report durability that does not exist.
 func (j *Journal) Sync() error {
-	j.lock()
-	defer j.unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if err := j.flushLocked(); err != nil {
 		return err
 	}
@@ -643,23 +639,23 @@ func (j *Journal) Sync() error {
 // Size returns the live journal length in bytes including buffered
 // entries, across all segments.
 func (j *Journal) Size() int64 {
-	j.lock()
-	defer j.unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	return j.total
 }
 
 // LastSeq returns the sequence number of the most recently appended
 // record (0 before any append on a fresh journal).
 func (j *Journal) LastSeq() uint64 {
-	j.lock()
-	defer j.unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	return j.nextSeq - 1
 }
 
 // Segments returns the number of live segment files.
 func (j *Journal) Segments() int {
-	j.lock()
-	defer j.unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	return len(j.segs)
 }
 
@@ -667,14 +663,14 @@ func (j *Journal) Segments() int {
 // durable checkpoint at coveredSeq. The active segment is never removed.
 // Safe to call concurrently with appends.
 func (j *Journal) Prune(coveredSeq uint64) error {
-	j.lock()
-	defer j.unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	idxs := slices.Sorted(maps.Keys(j.segs))
 	for i, idx := range idxs {
 		if idx == j.segIdx || i+1 >= len(idxs) {
 			break // never the active (= last) segment
 		}
-		lastSeq := j.segs[idxs[i+1]] - 1
+		lastSeq := j.segs[idxs[i+1]].first - 1
 		if lastSeq > coveredSeq {
 			break
 		}
@@ -688,59 +684,42 @@ func (j *Journal) Prune(coveredSeq uint64) error {
 		}
 		delete(j.segs, idx)
 	}
-	return syncDir(j.base)
+	return inventory.SyncDir(j.base)
 }
 
 // Close syncs and closes the journal file. A broken journal's descriptor
 // is closed without further writes and the sticky error is returned.
 func (j *Journal) Close() error {
-	j.lock()
-	defer j.unlock()
-	if j.broken != nil {
-		j.f.Close()
-		return j.broken
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	err := j.flushLocked()
+	if err == nil {
+		if err = j.f.Sync(); err != nil {
+			err = j.markBroken(fmt.Errorf("ingest: journal sync: %w", err))
+		}
 	}
-	if err := j.flushLocked(); err != nil {
-		j.f.Close()
-		return err
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
 	}
-	if err := j.f.Sync(); err != nil {
-		err = j.markBroken(fmt.Errorf("ingest: journal sync: %w", err))
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
+	return err
 }
 
-// recordCRC computes a record's checksum over its header and payload —
-// the trailer value both the disk scan and the replication stream check.
-func recordCRC(hdr, payload []byte) uint32 {
-	return crc32.Update(crc32.Checksum(hdr, castagnoli), castagnoli, payload)
-}
-
-// appendRecord appends one WAL-framed record — kind | len | seq |
+// appendRecord appends e as one WAL-framed record — kind | len | seq |
 // payload | crc32c — to buf. The same framing is used on disk and on the
 // replication wire, so a tailing replica validates exactly what a
 // restarting primary would.
-func appendRecord(buf []byte, kind byte, seq uint64, payload []byte) []byte {
+func appendRecord(buf []byte, seq uint64, e *JournalEntry) []byte {
 	start := len(buf)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, e.Kind, 0, 0, 0, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
-}
-
-// entryPayload re-encodes a decoded entry's payload. Entry encoding is
-// deterministic, so the bytes match what was originally journaled.
-func entryPayload(e JournalEntry) []byte {
 	switch e.Kind {
+	case entryPosition:
+		buf = appendPositionEntry(buf, e.Pos)
 	case entryStatic:
-		return appendStaticEntry(nil, e.Info)
-	case entryMerge:
-		return nil
+		buf = appendStaticEntry(buf, e.Info)
 	}
-	return appendPositionEntry(nil, e.Pos)
+	binary.LittleEndian.PutUint32(buf[start+1:], uint32(len(buf)-start-recHeaderLen))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
 }
 
 // ErrSeqPruned reports that a requested replication start point lies
@@ -749,82 +728,91 @@ func entryPayload(e JournalEntry) []byte {
 // checkpoint generation instead of tailing.
 var ErrSeqPruned = fmt.Errorf("ingest: requested WAL sequence already pruned")
 
-// maxReadEntries bounds one ReadEntries batch so the journal lock is
-// never held for an unbounded scan.
+// maxReadEntries bounds the records of one POLREPL1 chunk.
 const maxReadEntries = 8192
 
-// ReadEntries returns up to max committed entries with sequence numbers
-// strictly greater than fromSeq, in order, plus the last sequence number
-// appended so far. It flushes buffered appends first so the files
-// reflect every acknowledged record, and holds the journal lock for the
-// duration of the scan so Prune cannot remove a segment mid-read.
-// fromSeq below the retained frontier returns ErrSeqPruned.
-func (j *Journal) ReadEntries(fromSeq uint64, max int) ([]JournalEntry, uint64, error) {
+// readChunk builds one POLREPL1 body — magic | lastSeq | count | records —
+// of up to max committed records past fromSeq, in order, as they lie on
+// disk, and returns it with its count. Under the lock it only flushes — so
+// the files hold every acknowledged record — and notes where to read; the
+// reading itself starts at the index mark at or before fromSeq+1, verifies
+// each record's checksum and copies it, decoding nothing, while appends go
+// on. A segment Prune removes meanwhile ends the chunk early. fromSeq below
+// the retained frontier returns ErrSeqPruned.
+func (j *Journal) readChunk(fromSeq uint64, max int) ([]byte, int, error) {
 	if max <= 0 || max > maxReadEntries {
 		max = maxReadEntries
 	}
-	j.lock()
-	defer j.unlock()
+	var idxs []int
+	var off int64
+	var err error
+	j.mu.Lock()
 	last := j.nextSeq - 1
-	if fromSeq >= last {
-		return nil, last, nil
-	}
-	if err := j.flushLocked(); err != nil {
-		return nil, last, err
-	}
-	idxs := slices.Sorted(maps.Keys(j.segs))
-	if len(idxs) == 0 || fromSeq+1 < j.segs[idxs[0]] {
-		return nil, last, ErrSeqPruned
-	}
-	var out []JournalEntry
-	for pos, idx := range idxs {
-		// Skip whole segments entirely below the requested start.
-		if pos+1 < len(idxs) && j.segs[idxs[pos+1]] <= fromSeq+1 {
-			continue
-		}
-		var err error
-		out, err = j.readSegmentEntries(idx, fromSeq, max, out)
-		if err != nil {
-			return nil, last, err
-		}
-		if len(out) >= max {
-			break
-		}
-	}
-	return out, last, nil
-}
-
-// readSegmentEntries scans one live segment, appending decoded entries
-// with seq > fromSeq to out until max is reached. Called with the lock
-// held, after a flush, on segments the open-time scan already validated
-// — a framing or checksum failure here means the disk mutated under us.
-func (j *Journal) readSegmentEntries(idx int, fromSeq uint64, max int, out []JournalEntry) ([]JournalEntry, error) {
-	path := segmentPath(j.base, idx)
-	f, err := os.Open(path)
-	if err != nil {
-		return out, fmt.Errorf("ingest: read segment %s: %w", path, err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(segHeaderLen, io.SeekStart); err != nil {
-		return out, fmt.Errorf("ingest: seek segment %s: %w", path, err)
-	}
-	rr := recordReader{r: bufio.NewReaderSize(f, 1<<16)}
-	for len(out) < max {
-		seq, _, short, err := rr.next()
-		if err == io.EOF || short {
-			return out, nil // the flushed frontier, possibly mid-record; the next read resumes
-		}
-		if err == nil && seq > fromSeq { // records at or below it are verified, not decoded
-			var e JournalEntry
-			if e, err = rr.entry(); err == nil {
-				out = append(out, e)
+	if max = int(min(uint64(max), last-min(fromSeq, last))); max > 0 {
+		if err = j.flushLocked(); err == nil {
+			idxs = slices.Sorted(maps.Keys(j.segs))
+			// Skip whole segments entirely below the requested start.
+			for len(idxs) > 1 && j.segs[idxs[1]].first <= fromSeq+1 {
+				idxs = idxs[1:]
+			}
+			if len(idxs) == 0 || fromSeq+1 < j.segs[idxs[0]].first {
+				err = ErrSeqPruned
+			} else {
+				off = j.segs[idxs[0]].seek(fromSeq + 1)
 			}
 		}
-		if err != nil {
-			return out, fmt.Errorf("ingest: read segment %s: %w", path, err)
+	}
+	j.mu.Unlock()
+
+	chunk := make([]byte, replHeaderLen, replHeaderLen+max*positionFrameLen) // grown only by statics
+	copy(chunk, replMagic)
+	binary.LittleEndian.PutUint64(chunk[len(replMagic):], last)
+	n := 0
+	for _, idx := range idxs {
+		if err != nil || n >= max {
+			break
+		}
+		chunk, n, err = readSegmentFrames(chunk, segmentPath(j.base, idx), off, fromSeq, max, n)
+		off = segHeaderLen
+	}
+	if os.IsNotExist(err) { // pruned under the read; with records in hand, the next read says so
+		err = nil
+		if n == 0 {
+			err = ErrSeqPruned
 		}
 	}
-	return out, nil
+	binary.LittleEndian.PutUint32(chunk[len(replMagic)+8:], uint32(n))
+	return chunk, n, err
+}
+
+// readSegmentFrames appends to dst one segment's records with seq > fromSeq
+// from offset off on, until n reaches max. The open-time scan validated the
+// segment — a framing or checksum failure here means the disk mutated
+// under us.
+func readSegmentFrames(dst []byte, path string, off int64, fromSeq uint64, max, n int) ([]byte, int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return dst, n, err
+	}
+	defer f.Close()
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return dst, n, fmt.Errorf("ingest: seek segment %s: %w", path, err)
+	}
+	rr := recordReader{r: bufio.NewReaderSize(f, 1<<16)}
+	for n < max {
+		seq, _, short, err := rr.next()
+		if err == io.EOF || short {
+			break // the segment's end, or a torn tail the next open truncates
+		}
+		if err != nil {
+			return dst, n, fmt.Errorf("ingest: read segment %s: %w", path, err)
+		}
+		if seq > fromSeq { // records at or below it are verified, not copied
+			dst = append(append(dst, rr.hdr[:]...), rr.buf...)
+			n++
+		}
+	}
+	return dst, n, nil
 }
 
 // recordReader reads framed records: the bytes of a WAL segment past its
@@ -863,7 +851,7 @@ func (rr *recordReader) next() (seq uint64, n int64, short bool, err error) {
 		return seq, n, true, fmt.Errorf("short payload")
 	}
 	rr.payload = rr.buf[:plen]
-	if recordCRC(rr.hdr[:], rr.payload) != binary.LittleEndian.Uint32(rr.buf[plen:]) {
+	if crc32.Update(crc32.Checksum(rr.hdr[:], castagnoli), castagnoli, rr.payload) != binary.LittleEndian.Uint32(rr.buf[plen:]) {
 		return seq, n, false, fmt.Errorf("checksum mismatch at seq %d", seq)
 	}
 	return seq, n, false, nil
@@ -871,29 +859,18 @@ func (rr *recordReader) next() (seq uint64, n int64, short bool, err error) {
 
 // entry decodes the record next last verified.
 func (rr *recordReader) entry() (JournalEntry, error) {
-	e, ok := decodeEntry(rr.hdr[0], rr.payload)
-	e.Seq = binary.LittleEndian.Uint64(rr.hdr[5:])
+	e := JournalEntry{Seq: binary.LittleEndian.Uint64(rr.hdr[5:]), Kind: rr.hdr[0]}
+	ok := len(rr.payload) == 0 // a merge marker carries nothing
+	switch e.Kind {
+	case entryPosition:
+		e.Pos, ok = decodePositionEntry(rr.payload)
+	case entryStatic:
+		e.Info, ok = decodeStaticEntry(rr.payload)
+	}
 	if !ok {
 		return e, fmt.Errorf("undecodable payload at seq %d", e.Seq)
 	}
 	return e, nil
-}
-
-func decodeEntry(kind byte, payload []byte) (JournalEntry, bool) {
-	var e JournalEntry
-	var ok bool
-	switch kind {
-	case entryPosition:
-		e.Kind = kind
-		e.Pos, ok = decodePositionEntry(payload)
-	case entryStatic:
-		e.Kind = kind
-		e.Info, ok = decodeStaticEntry(payload)
-	case entryMerge:
-		e.Kind = kind
-		ok = len(payload) == 0
-	}
-	return e, ok
 }
 
 // appendPositionEntry encodes a position record (fixed 53 bytes).
@@ -909,21 +886,10 @@ func appendPositionEntry(buf []byte, r model.PositionRecord) []byte {
 }
 
 func decodePositionEntry(b []byte) (model.PositionRecord, bool) {
-	if len(b) != 53 {
-		return model.PositionRecord{}, false
-	}
-	return model.PositionRecord{
-		MMSI: binary.LittleEndian.Uint32(b),
-		Time: int64(binary.LittleEndian.Uint64(b[4:])),
-		Pos: geo.LatLng{
-			Lat: math.Float64frombits(binary.LittleEndian.Uint64(b[12:])),
-			Lng: math.Float64frombits(binary.LittleEndian.Uint64(b[20:])),
-		},
-		SOG:     math.Float64frombits(binary.LittleEndian.Uint64(b[28:])),
-		COG:     math.Float64frombits(binary.LittleEndian.Uint64(b[36:])),
-		Heading: math.Float64frombits(binary.LittleEndian.Uint64(b[44:])),
-		Status:  ais.NavStatus(b[52]),
-	}, true
+	r := stateReader{p: b}
+	rec := model.PositionRecord{MMSI: r.u32(), Time: int64(r.u64()), Pos: geo.LatLng{Lat: r.f64(), Lng: r.f64()},
+		SOG: r.f64(), COG: r.f64(), Heading: r.f64(), Status: ais.NavStatus(r.u8())}
+	return rec, r.err == nil && len(r.p) == 0
 }
 
 // appendStaticEntry encodes a vessel static-inventory entry.
@@ -947,31 +913,10 @@ func appendStaticEntry(buf []byte, v model.VesselInfo) []byte {
 }
 
 func decodeStaticEntry(b []byte) (model.VesselInfo, bool) {
-	const fixed = 4 + 4 + 1 + 8 + 4 + 4 + 8 + 1
-	if len(b) < fixed+2 {
-		return model.VesselInfo{}, false
-	}
-	v := model.VesselInfo{
-		MMSI:        binary.LittleEndian.Uint32(b),
-		IMO:         binary.LittleEndian.Uint32(b[4:]),
-		Type:        model.VesselType(b[8]),
-		GRT:         int(int64(binary.LittleEndian.Uint64(b[9:]))),
-		LengthM:     int(binary.LittleEndian.Uint32(b[17:])),
-		BeamM:       int(binary.LittleEndian.Uint32(b[21:])),
-		DesignSpeed: math.Float64frombits(binary.LittleEndian.Uint64(b[25:])),
-		ClassA:      b[33] == 1,
-	}
-	p := b[fixed:]
-	nameLen := int(p[0])
-	if len(p) < 1+nameLen+1 {
-		return model.VesselInfo{}, false
-	}
-	v.Name = string(p[1 : 1+nameLen])
-	p = p[1+nameLen:]
-	callLen := int(p[0])
-	if len(p) != 1+callLen {
-		return model.VesselInfo{}, false
-	}
-	v.CallSign = string(p[1 : 1+callLen])
-	return v, true
+	r := stateReader{p: b}
+	v := model.VesselInfo{MMSI: r.u32(), IMO: r.u32(), Type: model.VesselType(r.u8()), GRT: int(int64(r.u64())),
+		LengthM: int(r.u32()), BeamM: int(r.u32()), DesignSpeed: r.f64(), ClassA: r.u8() == 1}
+	v.Name = string(r.take(int(r.u8())))
+	v.CallSign = string(r.take(int(r.u8())))
+	return v, r.err == nil && len(r.p) == 0
 }

@@ -17,7 +17,7 @@ import (
 
 // journalRecSize is the on-disk footprint of one position record: fixed
 // 53-byte payload plus the record header and CRC trailer.
-const journalRecSize = recHeaderLen + 53 + recTrailerLen
+const journalRecSize = positionFrameLen
 
 // testPositions builds n deterministic, distinguishable position records.
 func testPositions(n int) []model.PositionRecord {

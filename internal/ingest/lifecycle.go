@@ -51,7 +51,7 @@ const (
 	permFoldAtMarker                       // fold where a replayed or replicated marker says so
 	permCheckpoint                         // write checkpoint generations on the merge cadence
 	permServeRepl                          // answer /v1/repl requests
-	permApplyReplicated                    // SubmitReplicated / InstallReplicaState
+	permApplyReplicated                    // ApplyReplicated / InstallReplicaState
 	permPromote                            // Promote
 	permFenceOnHigherTerm                  // a higher (term, node) claim fences this engine
 	permResume                             // re-base on a fresh checkpoint and accept again
@@ -236,10 +236,7 @@ func (e *Engine) armProber() {
 				return
 			}
 			if probeDisk(probe) == nil {
-				select {
-				case e.in <- envelope{kind: envResume}:
-				case <-e.quit:
-				}
+				_ = e.submit(envelope{kind: envResume}) // ErrClosed: nothing left to resume
 				return
 			}
 			delay = min(2*delay, e.opt.RetryMax)
@@ -364,7 +361,7 @@ func (e *Engine) rebase(d durCfg, term uint64, ev event) error {
 			Logf:           e.opt.Logf,
 		}, replay)
 		if err == nil && (!cold || e.period.Len() > 0) {
-			err = j.AppendMerge()
+			_, _, err = j.append(&JournalEntry{Kind: entryMerge})
 		}
 		if err != nil {
 			if j != nil {

@@ -45,22 +45,14 @@ func (e *Engine) mergeAndPublish(now time.Time) {
 	// associative, so a replica tailing this WAL (and a replay after a
 	// crash) must fold period→master at exactly this record frontier to
 	// reproduce the published snapshot bit-for-bit.
-	var j *Journal
-	if may&permJournal != 0 {
-		j = e.jrnl()
-	}
-	if j != nil {
-		if err := j.AppendMerge(); err != nil {
-			e.m.mergeDeferred.Add(1)
-			e.cycle.SetError(err)
-			e.journalFailed(err)
-			return
-		}
-		e.setLastSeq(j.LastSeq())
+	if err := e.journalEntry(may, &JournalEntry{Kind: entryMerge}); err != nil {
+		e.m.mergeDeferred.Add(1)
+		e.cycle.SetError(err)
+		return
 	}
 	e.mergePeriod(now)
 	snap := e.publish(now)
-	if j != nil {
+	if j := e.jrnl(); j != nil && may&permJournal != 0 {
 		fs := e.opt.Tracer.StartChild(e.cycle, "stage.journal_flush")
 		err := j.Flush()
 		fs.SetError(err)

@@ -97,7 +97,7 @@ func TestMergedObservationsOnApplier(t *testing.T) {
 		t.Helper()
 		seq++
 		entry.Seq = seq
-		if err := e.SubmitReplicated(entry); err != nil {
+		if err := e.ApplyReplicated([]JournalEntry{entry}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -106,6 +107,13 @@ func TermFromHeader(h http.Header) (term, node uint64) {
 var replMagic = []byte("POLREPL1")
 
 const (
+	replHeaderLen = 8 + 8 + 4
+	// positionFrameLen is the framed size of a position record — all but a
+	// few records of any chunk — and sizes a chunk's buffer.
+	positionFrameLen = recHeaderLen + 53 + recTrailerLen
+)
+
+const (
 	// replPollEvery is the internal re-check cadence while long-polling.
 	replPollEvery = 100 * time.Millisecond
 	// replMaxWait caps the long-poll hold below the daemons' HTTP write
@@ -121,17 +129,6 @@ func (e *Engine) WALSeq() uint64 {
 		return j.LastSeq()
 	}
 	return e.AppliedSeq()
-}
-
-// WALRead returns up to max journal entries past fromSeq plus the
-// current WAL frontier. ErrSeqPruned means the range was checkpointed
-// away; callers re-bootstrap.
-func (e *Engine) WALRead(fromSeq uint64, max int) ([]JournalEntry, uint64, error) {
-	j := e.jrnl()
-	if j == nil {
-		return nil, 0, fmt.Errorf("ingest: engine has no journal to replicate from")
-	}
-	return j.ReadEntries(fromSeq, max)
 }
 
 // CheckpointStatus returns the newest checkpoint generation number and
@@ -265,7 +262,9 @@ func (e *Engine) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplWAL streams the WAL suffix past from_seq, long-polling up to
-// wait when the replica is already caught up.
+// wait when the replica is already caught up. The records are the
+// journal's bytes as they lie on disk, checksum-verified and copied: the
+// primary never decodes what it ships.
 func (e *Engine) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	if !e.replGate(w, r) {
 		return
@@ -276,26 +275,25 @@ func (e *Engine) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "from_seq is a required integer", http.StatusBadRequest)
 		return
 	}
-	max := 0
-	if v := q.Get("max"); v != "" {
-		if max, err = strconv.Atoi(v); err != nil || max < 0 {
-			http.Error(w, "bad max", http.StatusBadRequest)
-			return
-		}
+	max, err := strconv.Atoi(cmp.Or(q.Get("max"), "0"))
+	if err != nil || max < 0 {
+		http.Error(w, "bad max", http.StatusBadRequest)
+		return
 	}
-	var wait time.Duration
-	if v := q.Get("wait"); v != "" {
-		if wait, err = time.ParseDuration(v); err != nil || wait < 0 {
-			http.Error(w, "bad wait", http.StatusBadRequest)
-			return
-		}
-		if wait > replMaxWait {
-			wait = replMaxWait
-		}
+	wait, err := time.ParseDuration(cmp.Or(q.Get("wait"), "0s"))
+	if err != nil || wait < 0 {
+		http.Error(w, "bad wait", http.StatusBadRequest)
+		return
 	}
+	wait = min(wait, replMaxWait)
 	deadline := time.Now().Add(wait)
 	for {
-		entries, lastSeq, err := e.WALRead(fromSeq, max)
+		j := e.jrnl()
+		if j == nil {
+			http.Error(w, "ingest: engine has no journal to replicate from", http.StatusServiceUnavailable)
+			return
+		}
+		body, count, err := j.readChunk(fromSeq, max)
 		switch {
 		case errors.Is(err, ErrSeqPruned):
 			http.Error(w, "sequence pruned; re-bootstrap from a checkpoint", http.StatusGone)
@@ -304,8 +302,10 @@ func (e *Engine) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		if len(entries) > 0 || wait == 0 || !time.Now().Before(deadline) {
-			writeReplChunk(w, entries, lastSeq)
+		if count > 0 || wait == 0 || !time.Now().Before(deadline) {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			_, _ = w.Write(body)
 			return
 		}
 		select {
@@ -336,26 +336,13 @@ func (e *Engine) handleReplSnapshot(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// writeReplChunk encodes one /v1/repl/wal response body.
-func writeReplChunk(w http.ResponseWriter, entries []JournalEntry, lastSeq uint64) {
-	buf := append([]byte(nil), replMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, lastSeq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = appendRecord(buf, e.Kind, e.Seq, entryPayload(e))
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	_, _ = w.Write(buf)
-}
-
 // ReadReplChunk decodes a /v1/repl/wal response body: the primary's WAL
 // frontier at answer time and the checksum-verified entries. Records are
 // framed exactly as on disk, so a bit flip in transit fails the same
 // CRC32C that catches it at rest.
 func ReadReplChunk(r io.Reader) ([]JournalEntry, uint64, error) {
-	head := make([]byte, len(replMagic)+8+4)
-	if _, err := io.ReadFull(r, head); err != nil {
+	var head [replHeaderLen]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, 0, fmt.Errorf("ingest: repl chunk header: %w", err)
 	}
 	if string(head[:len(replMagic)]) != string(replMagic) {

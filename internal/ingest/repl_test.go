@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +20,39 @@ import (
 )
 
 func crcOf(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+
+// readFrames is readChunk taken apart: the framed records, their count and
+// the journal's frontier.
+func readFrames(j *Journal, fromSeq uint64, max int) ([]byte, int, uint64, error) {
+	chunk, n, err := j.readChunk(fromSeq, max)
+	return chunk[replHeaderLen:], n, binary.LittleEndian.Uint64(chunk[len(replMagic):]), err
+}
+
+// readEntries decodes what readChunk ships: the entries past fromSeq and
+// the journal's frontier.
+func readEntries(j *Journal, fromSeq uint64, max int) ([]JournalEntry, uint64, error) {
+	frames, n, last, err := readFrames(j, fromSeq, max)
+	if err != nil {
+		return nil, last, err
+	}
+	var out []JournalEntry
+	for rr := (recordReader{r: bytes.NewReader(frames)}); ; {
+		if _, _, _, err := rr.next(); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, last, err
+		}
+		e, err := rr.entry()
+		if err != nil {
+			return nil, last, err
+		}
+		out = append(out, e)
+	}
+	if len(out) != n {
+		return nil, last, fmt.Errorf("readChunk counted %d records, its bytes hold %d", n, len(out))
+	}
+	return out, last, nil
+}
 
 // TestJournalReadEntries covers the random-access WAL reader the
 // replication surface is built on: reads across segment rotations must
@@ -44,7 +78,7 @@ func TestJournalReadEntries(t *testing.T) {
 
 	// Full read from zero, then from every rotation-straddling offset.
 	for _, from := range []uint64{0, 1, 19, 20, 21, 100, 198, 199} {
-		got, last, err := j.ReadEntries(from, 0)
+		got, last, err := readEntries(j, from, 0)
 		if err != nil {
 			t.Fatalf("ReadEntries(%d): %v", from, err)
 		}
@@ -65,17 +99,17 @@ func TestJournalReadEntries(t *testing.T) {
 	}
 
 	// max bounds the batch; the next call resumes where it left off.
-	got, _, err := j.ReadEntries(0, 7)
+	got, _, err := readEntries(j, 0, 7)
 	if err != nil || len(got) != 7 || got[6].Seq != 7 {
 		t.Fatalf("bounded read: %d entries (err %v)", len(got), err)
 	}
-	got, _, err = j.ReadEntries(7, 7)
+	got, _, err = readEntries(j, 7, 7)
 	if err != nil || len(got) != 7 || got[0].Seq != 8 {
 		t.Fatalf("resumed read: %d entries (err %v)", len(got), err)
 	}
 
 	// Caught-up read: empty, no error, frontier reported.
-	got, last, err := j.ReadEntries(200, 0)
+	got, last, err := readEntries(j, 200, 0)
 	if err != nil || len(got) != 0 || last != 200 {
 		t.Fatalf("caught-up read: %d entries, last %d, err %v", len(got), last, err)
 	}
@@ -85,10 +119,10 @@ func TestJournalReadEntries(t *testing.T) {
 	if err := j.Prune(100); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := j.ReadEntries(0, 0); !errors.Is(err, ErrSeqPruned) {
+	if _, _, err := readEntries(j, 0, 0); !errors.Is(err, ErrSeqPruned) {
 		t.Fatalf("read below pruned frontier: err %v, want ErrSeqPruned", err)
 	}
-	got, _, err = j.ReadEntries(150, 0)
+	got, _, err = readEntries(j, 150, 0)
 	if err != nil || len(got) != 50 || got[0].Seq != 151 {
 		t.Fatalf("read above pruned frontier: %d entries (err %v)", len(got), err)
 	}
@@ -103,9 +137,7 @@ func TestReplChunkCodec(t *testing.T) {
 	for i, r := range recs {
 		entries = append(entries, JournalEntry{Kind: entryPosition, Seq: uint64(i + 1), Pos: r})
 	}
-	rec := httptest.NewRecorder()
-	writeReplChunk(rec, entries, 42)
-	body := rec.Body.Bytes()
+	body := refReplChunk(entries, 42)
 
 	got, lastSeq, err := ReadReplChunk(bytes.NewReader(body))
 	if err != nil {

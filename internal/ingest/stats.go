@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/patternsoflife/pol/internal/obs"
+	"github.com/patternsoflife/pol/internal/pipeline"
 )
 
 // metrics is the engine-wide counter block. All fields are atomics:
@@ -55,6 +56,12 @@ func (m *metrics) persisted() [13]*atomic.Int64 {
 	return [...]*atomic.Int64{&m.positionsSeen, &m.staticsSeen, &m.accepted, &m.rejected,
 		&m.rejectedUnknown, &m.rejectedNonCommercial, &m.rejectedRange, &m.rejectedDuplicate,
 		&m.rejectedOutOfOrder, &m.rejectedInfeasible, &m.trips, &m.tripRecords, &m.observations}
+}
+
+// rejectedBy returns the counter of one of the cleaner's reject reasons.
+func (m *metrics) rejectedBy(r pipeline.RejectReason) *atomic.Int64 {
+	return [...]*atomic.Int64{pipeline.RejectRange: &m.rejectedRange, pipeline.RejectDuplicate: &m.rejectedDuplicate,
+		pipeline.RejectOutOfOrder: &m.rejectedOutOfOrder, pipeline.RejectInfeasible: &m.rejectedInfeasible}[r]
 }
 
 // FeedStats tracks one feed connection. The TCP server registers one per
@@ -202,7 +209,7 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	gauge("pol_ingest_fenced", func() float64 { return flag(e.Fenced()) })
 	gauge("pol_ingest_uptime_seconds", func() float64 { return e.Uptime().Seconds() })
 	gauge("pol_ingest_snapshot_age_seconds", func() float64 { return e.SnapshotAge().Seconds() })
-	gauge("pol_ingest_queue_depth", func() float64 { return float64(len(e.in)) })
+	gauge("pol_ingest_queue_depth", func() float64 { return float64(e.queued.Load()) })
 	gauge("pol_ingest_feeds", func() float64 {
 		e.feedsMu.Lock()
 		defer e.feedsMu.Unlock()
@@ -333,7 +340,7 @@ func (e *Engine) StatsSnapshot() Stats {
 	s.DegradedDropped = e.m.degradedDrops.Load()
 	s.MergeDeferred = e.m.mergeDeferred.Load()
 	s.Resumes = e.m.resumes.Load()
-	s.QueueDepth = len(e.in)
+	s.QueueDepth = int(e.queued.Load())
 
 	feeds := e.feedList()
 	s.Feeds = make([]FeedSnapshot, 0, len(feeds))

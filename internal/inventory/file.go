@@ -63,15 +63,15 @@ func AtomicWrite(path string, write func(w io.Writer) error) (err error) {
 	if err = os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("inventory: rename: %w", err)
 	}
-	if err = syncDir(path); err != nil {
+	if err = SyncDir(path); err != nil {
 		return fmt.Errorf("inventory: dir sync: %w", err)
 	}
 	return nil
 }
 
-// syncDir fsyncs the directory containing path so a completed rename
-// survives a crash.
-func syncDir(path string) error {
+// SyncDir fsyncs the directory containing path so a completed rename,
+// creation or removal within it survives a crash.
+func SyncDir(path string) error {
 	d, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return err

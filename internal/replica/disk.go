@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/crc32"
@@ -49,12 +50,8 @@ type DiskOptions struct {
 }
 
 func (o DiskOptions) withDefaults() DiskOptions {
-	if o.Resolution <= 0 {
-		o.Resolution = 6
-	}
-	if o.PollEvery <= 0 {
-		o.PollEvery = 2 * time.Second
-	}
+	o.Resolution = cmp.Or(max(o.Resolution, 0), 6)
+	o.PollEvery = cmp.Or(max(o.PollEvery, 0), 2*time.Second)
 	return o
 }
 

@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -132,12 +134,8 @@ func newFollower(cfg followerConfig) (*follower, error) {
 	if cfg.faults == nil {
 		cfg.faults = fault.Default()
 	}
-	if cfg.retryBase <= 0 {
-		cfg.retryBase = 250 * time.Millisecond
-	}
-	if cfg.retryMax <= 0 {
-		cfg.retryMax = 10 * time.Second
-	}
+	cfg.retryBase = cmp.Or(max(cfg.retryBase, 0), 250*time.Millisecond)
+	cfg.retryMax = cmp.Or(max(cfg.retryMax, 0), 10*time.Second)
 	f := &follower{cfg: cfg, wake: make(chan struct{}, 1), delay: cfg.retryBase}
 	for _, ep := range strings.Split(cfg.primary, ",") {
 		ep = strings.TrimRight(strings.TrimSpace(ep), "/")
@@ -254,7 +252,11 @@ func (f *follower) get(ctx context.Context, u string, timeout time.Duration, byt
 	}
 	defer resp.Body.Close()
 	s.SetAttr("status", strconv.Itoa(resp.StatusCode))
-	body, err := io.ReadAll(resp.Body)
+	// One buffer sized from the (capped) Content-Length the replication
+	// surface sends: io.ReadAll would grow and copy its way to megabytes.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), 64<<20)+bytes.MinRead))
+	_, err = buf.ReadFrom(resp.Body)
+	body := buf.Bytes()
 	switch {
 	case err != nil:
 	case resp.StatusCode == http.StatusTooManyRequests:

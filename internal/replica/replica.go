@@ -34,13 +34,14 @@
 package replica
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -121,24 +122,12 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Resolution <= 0 {
-		o.Resolution = 6
-	}
-	if o.MergeEvery <= 0 {
-		o.MergeEvery = 200 * time.Millisecond
-	}
-	if o.MaxLag == 0 {
-		o.MaxLag = 15 * time.Second
-	}
-	if o.PollWait <= 0 {
-		o.PollWait = 5 * time.Second
-	}
-	if o.ProbeEvery <= 0 {
-		o.ProbeEvery = 2 * time.Second
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 3 * time.Second
-	}
+	o.Resolution = cmp.Or(max(o.Resolution, 0), 6)
+	o.MergeEvery = cmp.Or(max(o.MergeEvery, 0), 200*time.Millisecond)
+	o.MaxLag = cmp.Or(o.MaxLag, 15*time.Second) // negative disables
+	o.PollWait = cmp.Or(max(o.PollWait, 0), 5*time.Second)
+	o.ProbeEvery = cmp.Or(max(o.ProbeEvery, 0), 2*time.Second)
+	o.DrainTimeout = cmp.Or(max(o.DrainTimeout, 0), 3*time.Second)
 	return o
 }
 
@@ -400,35 +389,37 @@ func (r *Replica) tail(ctx context.Context) error {
 	return nil
 }
 
-// pollOnce runs one WAL fetch-and-apply round and returns the primary's
-// frontier as of the response. Shared by the steady-state tail and the
+// pollOnce runs one WAL fetch-and-apply round — the chunk goes to the
+// applier engine as one envelope — and returns the primary's frontier as of
+// the response. Shared by the steady-state tail and the
 // promotion drain (which polls with wait=0).
 func (r *Replica) pollOnce(ctx context.Context, wait time.Duration) (uint64, error) {
-	entries, lastSeq, err := r.fetchWAL(ctx, r.applied.Load(), wait)
+	applied := r.applied.Load()
+	entries, lastSeq, err := r.fetchWAL(ctx, applied, wait)
 	if err != nil {
 		return 0, err
 	}
-	applied := r.applied.Load()
-	for _, e := range entries {
-		if e.Seq <= applied {
-			continue // duplicate delivery; never applied twice
+	for len(entries) > 0 && entries[0].Seq <= applied {
+		entries = entries[1:] // duplicate delivery; never applied twice
+	}
+	// The chunk must be the unbroken run that continues the frontier before
+	// any of it reaches the engine.
+	for i, e := range entries {
+		if want := applied + 1 + uint64(i); e.Seq != want {
+			return 0, fmt.Errorf("%w: WAL gap (got seq %d, want %d)", errRebootstrap, e.Seq, want)
 		}
-		if e.Seq != applied+1 {
-			return 0, fmt.Errorf("%w: WAL gap (got seq %d, want %d)", errRebootstrap, e.Seq, applied+1)
-		}
-		if err := r.eng.SubmitReplicated(e); err != nil {
-			return 0, err
-		}
-		applied = e.Seq
 	}
 	if len(entries) > 0 {
+		if err := r.eng.ApplyReplicated(entries); err != nil {
+			return 0, err
+		}
 		// Barrier: everything submitted above is applied and visible
 		// before the frontier advances, so applied never claims a
 		// record a concurrent reader cannot see.
 		if err := r.eng.PublishNow(); err != nil {
 			return 0, err
 		}
-		r.applied.Store(applied)
+		r.applied.Store(entries[len(entries)-1].Seq)
 	}
 	return lastSeq, nil
 }
@@ -520,7 +511,7 @@ func (r *Replica) fetchWAL(ctx context.Context, fromSeq uint64, wait time.Durati
 	if rt, _ := ingest.TermFromHeader(hdr); rt != r.tailTerm.Load() {
 		return nil, 0, fmt.Errorf("%w: primary term changed %d -> %d", errRebootstrap, r.tailTerm.Load(), rt)
 	}
-	entries, lastSeq, err = ingest.ReadReplChunk(strings.NewReader(string(body)))
+	entries, lastSeq, err = ingest.ReadReplChunk(bytes.NewReader(body))
 	if err != nil {
 		r.crcRejects.Add(1)
 		return nil, 0, err
@@ -586,10 +577,7 @@ func (r *Replica) doPromote(ctx context.Context, po PromoteOptions) (PromoteResu
 	if po.JournalPath == "" && po.CheckpointPath == "" {
 		return PromoteResult{}, fmt.Errorf("replica: promotion needs a journal or checkpoint path")
 	}
-	timeout := po.DrainTimeout
-	if timeout <= 0 {
-		timeout = r.opt.DrainTimeout
-	}
+	timeout := cmp.Or(max(po.DrainTimeout, 0), r.opt.DrainTimeout)
 	// Drain: chase the old primary's tip with non-blocking polls. Any
 	// failure — old primary dead, drain failpoint, timeout — means
 	// promoting from last-applied and declaring the rest lost.

@@ -100,7 +100,7 @@ func testOptions(primary string) Options {
 }
 
 // waitCaughtUp blocks until the replica has applied through target.
-func waitCaughtUp(t *testing.T, rep *Replica, target uint64) {
+func waitCaughtUp(t testing.TB, rep *Replica, target uint64) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for rep.AppliedSeq() < target {
@@ -108,13 +108,13 @@ func waitCaughtUp(t *testing.T, rep *Replica, target uint64) {
 			t.Fatalf("replica stuck at seq %d, want %d (status %+v)",
 				rep.AppliedSeq(), target, rep.StatusSnapshot())
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 
 // requireEqual compares the primary's and replica's published snapshots
 // after a publish barrier on both.
-func requireEqual(t *testing.T, eng *ingest.Engine, rep *Replica, label string) {
+func requireEqual(t testing.TB, eng *ingest.Engine, rep *Replica, label string) {
 	t.Helper()
 	if err := eng.PublishNow(); err != nil {
 		t.Fatal(err)

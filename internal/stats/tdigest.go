@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
 // TDigest is a merging t-digest (Dunning & Ertl) for approximate quantiles
@@ -117,7 +116,17 @@ func (t *TDigest) process() {
 		return
 	}
 	all := append(t.centroids, t.buffer...)
-	sort.Slice(all, func(i, j int) bool { return all[i].mean < all[j].mean })
+	// sort.Slice's `<`, three-way (NaN equal to all, as there): the same
+	// pdqsort and permutation without the reflection swapper.
+	slices.SortFunc(all, func(a, b centroid) int {
+		switch {
+		case a.mean < b.mean:
+			return -1
+		case b.mean < a.mean:
+			return 1
+		}
+		return 0
+	})
 	total := t.totalW + t.bufferedW
 
 	merged := all[:0]

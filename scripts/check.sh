@@ -123,6 +123,9 @@ go test -run='^$' -bench=Publish -benchtime=1x ./internal/inventory/
 echo "== benchmark smoke (segment write/open/lookup round trip) =="
 go test -run='^$' -bench=Segment -benchtime=1x ./internal/segment/
 
+echo "== benchmark smoke (live path: pump, primary, ReplHandler, replica applier) =="
+go test -run='^$' -bench=PumpToReplica -benchtime=1x ./internal/replica/
+
 e2e
 
 echo "all checks passed"
