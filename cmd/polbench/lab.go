@@ -225,11 +225,11 @@ func (l *lab) runTable3() error {
 		durS(s.ATA.Mean()), durS(s.ATA.Std()), durS(s.ATADig.Quantile(0.5)))
 	fmt.Print("  origin       top-n:")
 	for _, e := range s.Origins.Top(3) {
-		fmt.Printf(" %s=%d", l.portName(model.PortID(e.Key)), e.Count)
+		fmt.Printf(" %s=%d", l.gaz.Name(model.PortID(e.Key)), e.Count)
 	}
 	fmt.Print("\n  destination  top-n:")
 	for _, e := range s.Dests.Top(3) {
-		fmt.Printf(" %s=%d", l.portName(model.PortID(e.Key)), e.Count)
+		fmt.Printf(" %s=%d", l.gaz.Name(model.PortID(e.Key)), e.Count)
 	}
 	fmt.Print("\n  transitions  top-n:")
 	for _, e := range s.TopTransitions(3) {
@@ -241,13 +241,6 @@ func (l *lab) runTable3() error {
 
 func durS(sec float64) time.Duration {
 	return (time.Duration(sec) * time.Second).Round(time.Minute)
-}
-
-func (l *lab) portName(id model.PortID) string {
-	if p, ok := l.gaz.ByID(id); ok {
-		return p.Name
-	}
-	return fmt.Sprintf("port-%d", id)
 }
 
 // ------------------------------------------------------------------------
@@ -473,7 +466,7 @@ func (l *lab) runFig6() error {
 	fmt.Printf("measured: wrote %s\n", path)
 	total := 0
 	for _, id := range ids {
-		fmt.Printf("  cells pointing at %-10s %6d\n", l.portName(id), counts[id])
+		fmt.Printf("  cells pointing at %-10s %6d\n", l.gaz.Name(id), counts[id])
 		total += counts[id]
 	}
 	fmt.Printf("  shape check (all three ports attract cells): %v\n",

@@ -42,6 +42,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/patternsoflife/pol/internal/api"
 	"github.com/patternsoflife/pol/internal/geo"
 	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/inventory"
@@ -314,28 +315,11 @@ func resolvePort(gaz *ports.Gazetteer, s string) model.PortID {
 }
 
 func parseType(s string) model.VesselType {
-	switch strings.ToLower(s) {
-	case "cargo":
-		return model.VesselCargo
-	case "container":
-		return model.VesselContainer
-	case "bulk":
-		return model.VesselBulk
-	case "tanker":
-		return model.VesselTanker
-	case "passenger":
-		return model.VesselPassenger
-	default:
+	vt, err := api.ParseVesselType(s)
+	if err != nil || vt == model.VesselUnknown {
 		log.Fatalf("unknown vessel type %q", s)
-		return model.VesselUnknown
 	}
-}
-
-func portName(gaz *ports.Gazetteer, id model.PortID) string {
-	if p, ok := gaz.ByID(id); ok {
-		return p.Name
-	}
-	return fmt.Sprintf("port-%d", id)
+	return vt
 }
 
 func printSummary(gaz *ports.Gazetteer, cell hexgrid.Cell, s *inventory.CellSummary) {
@@ -356,11 +340,11 @@ func printSummary(gaz *ports.Gazetteer, cell hexgrid.Cell, s *inventory.CellSumm
 		time.Duration(s.ATA.Mean())*time.Second, time.Duration(s.ATADig.Quantile(0.5))*time.Second)
 	fmt.Println("top origins:")
 	for _, e := range s.Origins.Top(3) {
-		fmt.Printf("  %-20s %d\n", portName(gaz, model.PortID(e.Key)), e.Count)
+		fmt.Printf("  %-20s %d\n", gaz.Name(model.PortID(e.Key)), e.Count)
 	}
 	fmt.Println("top destinations:")
 	for _, e := range s.Dests.Top(3) {
-		fmt.Printf("  %-20s %d\n", portName(gaz, model.PortID(e.Key)), e.Count)
+		fmt.Printf("  %-20s %d\n", gaz.Name(model.PortID(e.Key)), e.Count)
 	}
 	fmt.Println("top transitions:")
 	for _, e := range s.TopTransitions(3) {

@@ -81,10 +81,7 @@ func main() {
 		rank := "-"
 		line := ""
 		for j, cand := range top {
-			name := fmt.Sprintf("port-%d", cand.Port)
-			if pp, ok := gaz.ByID(cand.Port); ok {
-				name = pp.Name
-			}
+			name := gaz.Name(cand.Port)
 			if cand.Port == voyage.Route.Dest {
 				rank = fmt.Sprintf("#%d", j+1)
 			}

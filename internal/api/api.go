@@ -18,11 +18,11 @@
 package api
 
 import (
-	"bytes"
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"math"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -36,6 +36,7 @@ import (
 	"github.com/patternsoflife/pol/internal/obs/trace"
 	"github.com/patternsoflife/pol/internal/ports"
 	"github.com/patternsoflife/pol/internal/routing"
+	"github.com/patternsoflife/pol/internal/stats"
 )
 
 // Source resolves the inventory view a request is answered from. Batch
@@ -118,304 +119,218 @@ func (s *Server) WithTracing(tr *trace.Tracer) *Server {
 
 // Handler returns the routed HTTP handler.
 func (s *Server) Handler() http.Handler {
-	routes := []struct {
-		endpoint string
-		h        http.HandlerFunc
-	}{
-		{"/v1/info", s.handleInfo},
-		{"/v1/cell", s.handleCell},
-		{"/v1/destinations", s.handleDestinations},
-		{"/v1/eta", s.handleETA},
-		{"/v1/odcells", s.handleODCells},
-		{"/v1/forecast", s.handleForecast},
-	}
 	mux := http.NewServeMux()
-	for _, rt := range routes {
-		var h http.Handler = rt.h
+	for endpoint, handle := range map[string]http.HandlerFunc{
+		"/v1/info": s.handleInfo, "/v1/cell": s.handleCell, "/v1/destinations": s.handleDestinations,
+		"/v1/eta": s.handleETA, "/v1/odcells": s.handleODCells, "/v1/forecast": s.handleForecast,
+	} {
+		var h http.Handler = handle
 		switch {
 		case s.reg != nil:
-			h = obs.InstrumentTraced(s.reg, s.tracer, rt.endpoint, h)
+			h = obs.InstrumentTraced(s.reg, s.tracer, endpoint, h)
 		case s.tracer != nil:
-			h = s.tracer.Middleware(rt.endpoint, h)
+			h = s.tracer.Middleware(endpoint, h)
 		}
-		mux.Handle("GET "+rt.endpoint, h)
+		mux.Handle("GET "+endpoint, h)
 	}
 	return mux
 }
 
-// writeJSON encodes v before it commits to a status: a value that cannot
-// be encoded answers 500 with an error body, never the promised status
-// over an empty one.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		buf.Reset()
-		status = http.StatusInternalServerError
-		_ = enc.Encode(map[string]string{"error": "encode response: " + err.Error()}) // a string map always encodes
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
-}
-
-// finite boxes a statistic for JSON: a pointer encodes as the number, nil
-// as null. An empty accumulator (a cell with records but no heading, ATA
-// or ETO sample) reports NaN, which JSON cannot carry.
-func finite(f float64) *float64 {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil
-	}
-	return &f
-}
-
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	newBody().open("", '{').str("error", fmt.Sprintf(format, args...)).close('}').send(w, status)
 }
 
-func (s *Server) parseLatLng(r *http.Request) (geo.LatLng, error) {
-	lat, err1 := strconv.ParseFloat(r.URL.Query().Get("lat"), 64)
-	lng, err2 := strconv.ParseFloat(r.URL.Query().Get("lng"), 64)
-	if err1 != nil || err2 != nil {
-		return geo.LatLng{}, fmt.Errorf("lat and lng query parameters are required numbers")
-	}
+// query holds a request's parameters, parsed once, and the first error
+// met reading them: a handler reads what it needs in order, then answers
+// 400 with that error.
+type query struct {
+	url.Values
+	err error
+}
+
+func (q *query) fail(err error) { q.err = cmp.Or(q.err, err) }
+
+func (q *query) latLng() geo.LatLng {
+	lat, err1 := strconv.ParseFloat(q.Get("lat"), 64)
+	lng, err2 := strconv.ParseFloat(q.Get("lng"), 64)
 	p := geo.LatLng{Lat: lat, Lng: lng}
-	if !p.Valid() {
-		return geo.LatLng{}, fmt.Errorf("coordinate out of range")
+	if err1 != nil || err2 != nil {
+		q.fail(fmt.Errorf("lat and lng query parameters are required numbers"))
+	} else if !p.Valid() {
+		q.fail(fmt.Errorf("coordinate out of range"))
 	}
-	return p, nil
+	return p
 }
 
-// ParseVesselType maps the API's type parameter to a market segment.
+func (q *query) vesselType() model.VesselType {
+	vt, err := ParseVesselType(q.Get("type"))
+	q.fail(err)
+	return vt
+}
+
+// ParseVesselType maps the API's type parameter, a segment's label in any
+// case, to a market segment; empty means all traffic (VesselUnknown).
 func ParseVesselType(s string) (model.VesselType, error) {
-	switch strings.ToLower(s) {
-	case "":
-		return model.VesselUnknown, nil
-	case "cargo":
-		return model.VesselCargo, nil
-	case "container":
-		return model.VesselContainer, nil
-	case "bulk":
-		return model.VesselBulk, nil
-	case "tanker":
-		return model.VesselTanker, nil
-	case "passenger":
-		return model.VesselPassenger, nil
-	default:
+	for vt, label := model.VesselCargo, strings.ToLower(s); vt <= model.VesselPassenger; vt++ {
+		if label == vt.String() {
+			return vt, nil
+		}
+	}
+	if s != "" {
 		return 0, fmt.Errorf("unknown vessel type %q", s)
 	}
+	return model.VesselUnknown, nil
 }
 
-func (s *Server) resolvePort(v string) (model.PortID, error) {
+// port resolves the named parameter, a port id or name, NoPort if absent.
+func (s *Server) port(q *query, name string) model.PortID {
+	v := q.Get(name)
 	if v == "" {
-		return model.NoPort, nil
+		return model.NoPort
 	}
 	if id, err := strconv.Atoi(v); err == nil {
 		if _, ok := s.gaz.ByID(model.PortID(id)); !ok {
-			return model.NoPort, fmt.Errorf("unknown port id %d", id)
+			q.fail(fmt.Errorf("unknown port id %d", id))
 		}
-		return model.PortID(id), nil
+		return model.PortID(id)
 	}
-	if p, ok := s.gaz.ByName(v); ok {
-		return p.ID, nil
+	p, ok := s.gaz.ByName(v)
+	if !ok {
+		q.fail(fmt.Errorf("unknown port %q", v))
 	}
-	return model.NoPort, fmt.Errorf("unknown port %q", v)
+	return p.ID
 }
 
-func (s *Server) portName(id model.PortID) string {
-	if p, ok := s.gaz.ByID(id); ok {
-		return p.Name
+// odKey reads the origin, dest and type of an OD key; both ports are
+// required.
+func (s *Server) odKey(q *query) (origin, dest model.PortID, vt model.VesselType) {
+	origin, dest, vt = s.port(q, "origin"), s.port(q, "dest"), q.vesselType()
+	if origin == model.NoPort || dest == model.NoPort {
+		q.fail(fmt.Errorf("origin and dest are required"))
 	}
-	return fmt.Sprintf("port-%d", id)
+	return origin, dest, vt
 }
 
+// handleInfo writes its members in sorted key order, as encoding/json
+// wrote the map it used to be.
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	inv := s.src.Inventory()
 	bi := inv.Info()
-	groups := map[string]int{}
-	for _, gs := range inventory.AllGroupSets {
-		groups[gs.String()] = inv.CountGroups(gs)
+	j := newBody().open("", '{').str("builtAt", time.Unix(bi.BuiltUnix, 0).UTC().Format(time.RFC3339))
+	j.i64("cells", int64(inv.CountGroups(inventory.GSCell))) // one GSCell group per cell
+	j.str("description", bi.Description).open("groups", '{')
+	for _, gs := range slices.SortedFunc(slices.Values(inventory.AllGroupSets), func(a, b inventory.GroupSet) int {
+		return strings.Compare(a.String(), b.String())
+	}) {
+		j.i64(gs.String(), int64(inv.CountGroups(gs)))
 	}
-	out := map[string]any{
-		"resolution":  bi.Resolution,
-		"rawRecords":  bi.RawRecords,
-		"usedRecords": bi.UsedRecords,
-		"builtAt":     time.Unix(bi.BuiltUnix, 0).UTC().Format(time.RFC3339),
-		"description": bi.Description,
-		"groups":      groups,
-		"cells":       len(inv.Cells(inventory.GSCell)),
-		"utilization": inv.Utilization(),
-	}
+	j.close('}')
 	if ls, ok := s.src.(LiveStatus); ok {
-		out["live"] = map[string]any{
-			"uptimeSeconds":      int64(ls.Uptime().Seconds()),
-			"snapshotAgeSeconds": int64(ls.SnapshotAge().Seconds()),
-		}
+		j.open("live", '{').i64("snapshotAgeSeconds", int64(ls.SnapshotAge().Seconds()))
+		j.i64("uptimeSeconds", int64(ls.Uptime().Seconds())).close('}')
 	}
-	if ws, ok := s.src.(WALStatus); ok {
-		gen, cseq, wseq := ws.WALStatus()
-		out["wal"] = map[string]any{
-			"ckptGen": gen,
-			"ckptSeq": cseq,
-			"walSeq":  wseq,
-		}
-	}
+	j.i64("rawRecords", bi.RawRecords)
 	if rs, ok := s.src.(ReplicaStatus); ok {
 		applied, primary, lag := rs.ReplicaStatus()
-		out["replica"] = map[string]any{
-			"appliedSeq": applied,
-			"primarySeq": primary,
-			"lagSeconds": lag.Seconds(),
-		}
+		j.open("replica", '{').u64("appliedSeq", applied).f64("lagSeconds", lag.Seconds()).u64("primarySeq", primary).close('}')
 	}
-	writeJSON(w, http.StatusOK, out)
+	j.i64("resolution", int64(bi.Resolution)).i64("usedRecords", bi.UsedRecords).f64("utilization", inv.Utilization())
+	if ws, ok := s.src.(WALStatus); ok {
+		gen, cseq, wseq := ws.WALStatus()
+		j.open("wal", '{').u64("ckptGen", gen).u64("ckptSeq", cseq).u64("walSeq", wseq).close('}')
+	}
+	j.close('}').send(w, http.StatusOK)
 }
 
-// Summary is the JSON shape of a cell's statistical summary. Every
-// statistic is nullable: null means the cell holds no sample for it. (The
-// center is geometry derived from the cell id, always finite.)
-type Summary struct {
-	Cell        string      `json:"cell"`
-	CenterLat   float64     `json:"centerLat"`
-	CenterLng   float64     `json:"centerLng"`
-	Records     uint64      `json:"records"`
-	Ships       uint64      `json:"ships"`
-	Trips       uint64      `json:"trips"`
-	SpeedMean   *float64    `json:"speedMeanKn"`
-	SpeedStd    *float64    `json:"speedStdKn"`
-	SpeedP10    *float64    `json:"speedP10Kn"`
-	SpeedP50    *float64    `json:"speedP50Kn"`
-	SpeedP90    *float64    `json:"speedP90Kn"`
-	CourseMean  *float64    `json:"courseMeanDeg"`
-	CourseBins  []uint64    `json:"courseBins30Deg"`
-	HeadingMean *float64    `json:"headingMeanDeg"`
-	ATAMeanSec  *float64    `json:"ataMeanSeconds"`
-	ETOMeanSec  *float64    `json:"etoMeanSeconds"`
-	TopOrigins  []PortCount `json:"topOrigins"`
-	TopDests    []PortCount `json:"topDestinations"`
-	Transitions []CellCount `json:"topTransitions"`
-}
-
-// PortCount pairs a port with an observation count.
-type PortCount struct {
-	Port  string `json:"port"`
-	Count uint64 `json:"count"`
-}
-
-// CellCount pairs a cell id with an observation count.
-type CellCount struct {
-	Cell  string `json:"cell"`
-	Count uint64 `json:"count"`
-}
-
-func (s *Server) summary(cell hexgrid.Cell, cs *inventory.CellSummary) Summary {
-	p := cell.LatLng()
-	p10, p50, p90 := cs.SpeedPercentiles()
-	out := Summary{
-		Cell: cell.String(), CenterLat: p.Lat, CenterLng: p.Lng,
-		Records: cs.Records, Ships: cs.Ships.Estimate(), Trips: cs.Trips.Estimate(),
-		SpeedMean: finite(cs.Speed.Mean()), SpeedStd: finite(cs.Speed.Std()),
-		SpeedP10: finite(p10), SpeedP50: finite(p50), SpeedP90: finite(p90),
-		CourseMean: finite(cs.Course.Mean()), CourseBins: cs.CourseBins.Bins(),
-		HeadingMean: finite(cs.Heading.Mean()),
-		ATAMeanSec:  finite(cs.ATA.Mean()), ETOMeanSec: finite(cs.ETO.Mean()),
-	}
-	for _, e := range cs.Origins.Top(5) {
-		out.TopOrigins = append(out.TopOrigins, PortCount{s.portName(model.PortID(e.Key)), e.Count})
-	}
-	for _, e := range cs.Dests.Top(5) {
-		out.TopDests = append(out.TopDests, PortCount{s.portName(model.PortID(e.Key)), e.Count})
-	}
-	for _, e := range cs.TopTransitions(5) {
-		out.Transitions = append(out.Transitions, CellCount{hexgrid.Cell(e.Key).String(), e.Count})
-	}
-	return out
-}
-
-func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
-	p, err := s.parseLatLng(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	vt, err := ParseVesselType(r.URL.Query().Get("type"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+// lookup returns the cell at p and its summary, narrowed to the (cell,
+// vessel-type) grouping set when vt names a segment.
+func (s *Server) lookup(p geo.LatLng, vt model.VesselType) (hexgrid.Cell, *inventory.CellSummary, bool) {
 	inv := s.src.Inventory()
 	cell := hexgrid.LatLngToCell(p, inv.Info().Resolution)
-	var cs *inventory.CellSummary
-	var ok bool
 	if vt != model.VesselUnknown {
-		cs, ok = inv.TypeSummary(cell, vt)
-	} else {
-		cs, ok = inv.Cell(cell)
+		cs, ok := inv.TypeSummary(cell, vt)
+		return cell, cs, ok
 	}
+	cs, ok := inv.Cell(cell)
+	return cell, cs, ok
+}
+
+// handleCell writes a cell's statistical summary. Every statistic is
+// nullable: null means the cell holds no sample for it. (The center is
+// geometry derived from the cell id, always finite.)
+func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
+	q := query{Values: r.URL.Query()}
+	p, vt := q.latLng(), q.vesselType()
+	if q.err != nil {
+		httpError(w, http.StatusBadRequest, "%v", q.err)
+		return
+	}
+	cell, cs, ok := s.lookup(p, vt)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no historical traffic in cell %v", cell)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.summary(cell, cs))
+	center := cell.LatLng()
+	p10, p50, p90 := cs.SpeedPercentiles()
+	j := newBody().open("", '{').cell("cell", cell).f64("centerLat", center.Lat).f64("centerLng", center.Lng)
+	j.u64("records", cs.Records).u64("ships", cs.Ships.Estimate()).u64("trips", cs.Trips.Estimate())
+	j.f64("speedMeanKn", cs.Speed.Mean()).f64("speedStdKn", cs.Speed.Std())
+	j.f64("speedP10Kn", p10).f64("speedP50Kn", p50).f64("speedP90Kn", p90)
+	j.f64("courseMeanDeg", cs.Course.Mean()).open("courseBins30Deg", '[')
+	for _, n := range cs.CourseBins.Bins() {
+		j.u64("", n)
+	}
+	j.close(']').f64("headingMeanDeg", cs.Heading.Mean())
+	j.f64("ataMeanSeconds", cs.ATA.Mean()).f64("etoMeanSeconds", cs.ETO.Mean())
+	s.topList(j, "topOrigins", "port", cs.Origins.Top(5))
+	s.topList(j, "topDestinations", "port", cs.Dests.Top(5))
+	s.topList(j, "topTransitions", "cell", cs.TopTransitions(5))
+	j.close('}').send(w, http.StatusOK)
+}
+
+// topList writes top-N entries as {name, count} objects, name "port" or
+// "cell". An empty member list is null and an empty top-level list (of
+// /v1/destinations) is [], as the old nil and empty slices were.
+func (s *Server) topList(j *jsonBody, key, name string, top []stats.TopEntry) *jsonBody {
+	if len(top) == 0 && key != "" {
+		return j.null(key)
+	}
+	j.open(key, '[')
+	for _, e := range top {
+		if j.open("", '{'); name == "cell" {
+			j.cell(name, hexgrid.Cell(e.Key))
+		} else {
+			j.str(name, s.gaz.Name(model.PortID(e.Key)))
+		}
+		j.u64("count", e.Count).close('}')
+	}
+	return j.close(']')
 }
 
 func (s *Server) handleDestinations(w http.ResponseWriter, r *http.Request) {
-	p, err := s.parseLatLng(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q := query{Values: r.URL.Query()}
+	p, vt := q.latLng(), q.vesselType()
+	if q.err != nil {
+		httpError(w, http.StatusBadRequest, "%v", q.err)
 		return
 	}
-	n, _ := strconv.Atoi(r.URL.Query().Get("n"))
-	if n <= 0 {
-		n = 5
-	}
-	vt, err := ParseVesselType(r.URL.Query().Get("type"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	inv := s.src.Inventory()
-	cell := hexgrid.LatLngToCell(p, inv.Info().Resolution)
-	var cs *inventory.CellSummary
-	var ok bool
-	if vt != model.VesselUnknown {
-		// Same type-filter semantics as /v1/cell: the (cell, vessel-type)
-		// grouping set narrows destinations to the requested segment.
-		cs, ok = inv.TypeSummary(cell, vt)
-	} else {
-		cs, ok = inv.Cell(cell)
-	}
+	_, cs, ok := s.lookup(p, vt)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no historical traffic at %.3f,%.3f", p.Lat, p.Lng)
 		return
 	}
-	out := []PortCount{}
-	for _, e := range cs.Dests.Top(n) {
-		out = append(out, PortCount{s.portName(model.PortID(e.Key)), e.Count})
+	n, _ := strconv.Atoi(q.Get("n"))
+	if n <= 0 {
+		n = 5
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.topList(newBody(), "", "port", cs.Dests.Top(n)).send(w, http.StatusOK)
 }
 
 func (s *Server) handleETA(w http.ResponseWriter, r *http.Request) {
-	p, err := s.parseLatLng(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	vt, err := ParseVesselType(r.URL.Query().Get("type"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	origin, err := s.resolvePort(r.URL.Query().Get("origin"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	dest, err := s.resolvePort(r.URL.Query().Get("dest"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q := query{Values: r.URL.Query()}
+	p, vt, origin, dest := q.latLng(), q.vesselType(), s.port(&q, "origin"), s.port(&q, "dest")
+	if q.err != nil {
+		httpError(w, http.StatusBadRequest, "%v", q.err)
 		return
 	}
 	// eta.New is a stateless view over the inventory, so constructing one
@@ -425,87 +340,51 @@ func (s *Server) handleETA(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no ATA history at %.3f,%.3f", p.Lat, p.Lng)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"meanSeconds": finite(est.Mean.Seconds()),
-		"stdSeconds":  finite(est.Std.Seconds()),
-		"p10Seconds":  finite(est.P10.Seconds()),
-		"p50Seconds":  finite(est.P50.Seconds()),
-		"p90Seconds":  finite(est.P90.Seconds()),
-		"records":     est.Records,
-		"source":      est.Source.String(),
-	})
+	j := newBody().open("", '{').f64("meanSeconds", est.Mean.Seconds()) // sorted keys: it was a map
+	j.f64("p10Seconds", est.P10.Seconds()).f64("p50Seconds", est.P50.Seconds()).f64("p90Seconds", est.P90.Seconds())
+	j.u64("records", est.Records).str("source", est.Source.String()).f64("stdSeconds", est.Std.Seconds())
+	j.close('}').send(w, http.StatusOK)
 }
 
-// CellPos is a cell with its center coordinates.
-type CellPos struct {
-	Cell string  `json:"cell"`
-	Lat  float64 `json:"lat"`
-	Lng  float64 `json:"lng"`
+// sendCells answers a cell list, each cell with its center coordinates —
+// the body of /v1/odcells and /v1/forecast.
+func sendCells(w http.ResponseWriter, cells []hexgrid.Cell) {
+	j := newBody().open("", '[')
+	for _, c := range cells {
+		p := c.LatLng()
+		j.open("", '{').cell("cell", c).f64("lat", p.Lat).f64("lng", p.Lng).close('}')
+	}
+	j.close(']').send(w, http.StatusOK)
 }
 
 func (s *Server) handleODCells(w http.ResponseWriter, r *http.Request) {
-	origin, dest, vt, err := s.parseODKey(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q := query{Values: r.URL.Query()}
+	origin, dest, vt := s.odKey(&q)
+	if q.err != nil {
+		httpError(w, http.StatusBadRequest, "%v", q.err)
 		return
 	}
-	cells := s.src.Inventory().ODCells(origin, dest, vt)
-	out := make([]CellPos, 0, len(cells))
-	for _, c := range cells {
-		p := c.LatLng()
-		out = append(out, CellPos{c.String(), p.Lat, p.Lng})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) parseODKey(r *http.Request) (model.PortID, model.PortID, model.VesselType, error) {
-	origin, err := s.resolvePort(r.URL.Query().Get("origin"))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	dest, err := s.resolvePort(r.URL.Query().Get("dest"))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	vt, err := ParseVesselType(r.URL.Query().Get("type"))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if origin == model.NoPort || dest == model.NoPort {
-		return 0, 0, 0, fmt.Errorf("origin and dest are required")
-	}
-	return origin, dest, vt, nil
+	sendCells(w, s.src.Inventory().ODCells(origin, dest, vt))
 }
 
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
-	origin, dest, vt, err := s.parseODKey(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	p, err := s.parseLatLng(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q := query{Values: r.URL.Query()}
+	origin, dest, vt := s.odKey(&q)
+	p := q.latLng()
+	if q.err != nil {
+		httpError(w, http.StatusBadRequest, "%v", q.err)
 		return
 	}
 	destPort, _ := s.gaz.ByID(dest)
 	path, err := routing.Forecast(s.src.Inventory(), origin, dest, vt, p, destPort.Pos)
 	switch err {
 	case nil:
+		sendCells(w, path)
 	case routing.ErrNoHistory:
 		httpError(w, http.StatusNotFound, "no inventory history for this key")
-		return
 	case routing.ErrNoPath:
 		httpError(w, http.StatusNotFound, "transition graph has no path")
-		return
 	default:
 		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
 	}
-	out := make([]CellPos, 0, len(path))
-	for _, c := range path {
-		q := c.LatLng()
-		out = append(out, CellPos{c.String(), q.Lat, q.Lng})
-	}
-	writeJSON(w, http.StatusOK, out)
 }

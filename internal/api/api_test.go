@@ -26,7 +26,7 @@ var (
 	ts      *httptest.Server
 )
 
-func setup(t *testing.T) (*testutil.Fixture, *httptest.Server) {
+func setup(t testing.TB) (*testutil.Fixture, *httptest.Server) {
 	t.Helper()
 	if fixture == nil {
 		fixture = testutil.Build(t, sim.Config{Vessels: 20, Days: 20, Seed: 55}, 6)
@@ -211,26 +211,37 @@ func TestCellWithEmptyAccumulators(t *testing.T) {
 	}
 }
 
-// TestWriteJSONNeverAnswersEmpty: a value the encoder rejects becomes a 500
-// with a JSON error body, not the promised status over an empty one.
+// TestWriteJSONNeverAnswersEmpty: the writer has no failure path, so a
+// document holding NaN or ±Inf — as a member or a list element — answers
+// its status with a complete, valid body, null in exactly those places and
+// a Content-Length that matches. (TestBodiesMatchReference checks every
+// route's bodies on the fixture are valid too.)
 func TestWriteJSONNeverAnswersEmpty(t *testing.T) {
-	for name, v := range map[string]any{
-		"nan":         map[string]any{"mean": math.NaN()},
-		"unsupported": map[string]any{"ch": make(chan int)},
-	} {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		j := newBody()
+		j.open("", '{')
+		j.f64("mean", v)
+		j.open("bins", '[')
+		j.f64("", v)
+		j.f64("", 2.5)
+		j.close(']')
+		j.close('}')
 		rec := httptest.NewRecorder()
-		writeJSON(rec, http.StatusOK, v)
+		j.send(rec, http.StatusOK)
+		body := rec.Body.Bytes()
 		var doc struct {
-			Error string `json:"error"`
+			Mean *float64   `json:"mean"`
+			Bins []*float64 `json:"bins"`
 		}
-		if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &doc) != nil || doc.Error == "" {
-			t.Errorf("%s: status %d, body %q; want 500 with an error document", name, rec.Code, rec.Body.String())
+		if rec.Code != http.StatusOK || !json.Valid(body) || json.Unmarshal(body, &doc) != nil {
+			t.Fatalf("%v: status %d, body %q", v, rec.Code, body)
 		}
-	}
-	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, map[string]any{"mean": finite(math.NaN()), "n": finite(2.5)})
-	if rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) || rec.Body.Len() == 0 {
-		t.Errorf("boxed NaN: status %d, body %q", rec.Code, rec.Body.String())
+		if doc.Mean != nil || len(doc.Bins) != 2 || doc.Bins[0] != nil || doc.Bins[1] == nil || *doc.Bins[1] != 2.5 {
+			t.Errorf("%v: body %q, want null for the non-finite values only", v, body)
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(len(body)) {
+			t.Errorf("%v: Content-Length %q for a %d-byte body", v, cl, len(body))
+		}
 	}
 }
 

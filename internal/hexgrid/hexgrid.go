@@ -184,10 +184,19 @@ func canonicalize(res int, q, r int64) (int64, int64) {
 // String renders the cell as a 16-digit hexadecimal string, like H3's
 // canonical string form. Invalid cells render as "<invalid>".
 func (c Cell) String() string {
+	var b [16]byte
+	return string(c.AppendString(b[:0]))
+}
+
+// AppendString appends the String form to b; the API's JSON spells ids so.
+func (c Cell) AppendString(b []byte) []byte {
 	if c == InvalidCell {
-		return "<invalid>"
+		return append(b, "<invalid>"...)
 	}
-	return fmt.Sprintf("%016x", uint64(c))
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[uint64(c)>>shift&0xF])
+	}
+	return b
 }
 
 // ParseCell parses the hexadecimal string form produced by Cell.String. It

@@ -1,6 +1,7 @@
 package hexgrid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -151,6 +152,32 @@ func TestStringParseRoundTrip(t *testing.T) {
 	}
 	if InvalidCell.String() != "<invalid>" {
 		t.Errorf("invalid cell string = %q", InvalidCell.String())
+	}
+}
+
+// TestStringMatchesSprintf pins the hand-rolled hex routine to the
+// fmt.Sprintf("%016x") form it replaced, over random bit patterns (valid
+// or not) and real cells, and checks AppendString appends after a prefix.
+func TestStringMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 100000; i++ {
+		c := Cell(rng.Uint64() >> uint(rng.Intn(64)))
+		if i%2 == 0 {
+			c = LatLngToCell(randomPoint(rng), rng.Intn(MaxResolution+1))
+		}
+		want := "<invalid>"
+		if c != InvalidCell {
+			want = fmt.Sprintf("%016x", uint64(c))
+		}
+		if got := c.String(); got != want {
+			t.Fatalf("Cell(%#x).String() = %q, want %q", uint64(c), got, want)
+		}
+		if got := string(c.AppendString([]byte("id="))); got != "id="+want {
+			t.Fatalf("Cell(%#x).AppendString = %q, want %q", uint64(c), got, "id="+want)
+		}
+	}
+	if got := string(InvalidCell.AppendString(nil)); got != "<invalid>" {
+		t.Errorf("invalid cell appends %q", got)
 	}
 }
 

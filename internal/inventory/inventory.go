@@ -3,7 +3,7 @@ package inventory
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/patternsoflife/pol/internal/geo"
@@ -105,13 +105,8 @@ func (inv *Inventory) Put(key GroupKey, s *CellSummary) {
 		return
 	}
 	s.stamp = inv.epoch
-	sh.groups[key] = s
+	sh.add(key, s)
 	inv.count++
-	// Only OD-grouping keys appear in the OD sub-index; the single-writer
-	// master invalidates without any lock round-trip.
-	if key.Set == GSCellODType {
-		sh.od = nil
-	}
 }
 
 // Observe folds one observation into the summary of the key, creating the
@@ -124,11 +119,8 @@ func (inv *Inventory) Observe(key GroupKey, o Observation) {
 	s, ok := sh.groups[key]
 	if !ok {
 		s = NewCellSummary()
-		sh.groups[key] = s
+		sh.add(key, s)
 		inv.count++
-		if key.Set == GSCellODType {
-			sh.od = nil
-		}
 	}
 	s.stamp = inv.epoch
 	s.Add(o)
@@ -174,11 +166,8 @@ func (inv *Inventory) MergeFrom(other *Inventory) error {
 			cur, ok := sh.groups[k]
 			if !ok {
 				cur = NewCellSummary()
-				sh.groups[k] = cur
+				sh.add(k, cur)
 				added[i]++
-				if k.Set == GSCellODType {
-					sh.od = nil
-				}
 			}
 			cur.Merge(s)
 			cur.stamp = inv.epoch
@@ -264,41 +253,36 @@ func (inv *Inventory) At(p geo.LatLng) (*CellSummary, bool) {
 	return inv.Cell(hexgrid.LatLngToCell(p, inv.info.Resolution))
 }
 
-// CountGroups returns the number of groups in one grouping set.
+// CountGroups returns the number of groups in one grouping set, kept per shard.
 func (inv *Inventory) CountGroups(set GroupSet) int {
+	if set < GSCell || set > GSCellODType {
+		return 0
+	}
 	n := 0
 	for _, sh := range inv.shards {
-		if sh == nil {
-			continue
-		}
-		for k := range sh.groups {
-			if k.Set == set {
-				n++
-			}
+		if sh != nil {
+			n += sh.sets[set-GSCell]
 		}
 	}
 	return n
 }
 
-// Cells returns all cells of one grouping set, sorted for determinism.
+// Cells returns all cells of one grouping set, sorted for determinism and
+// without repeats (a cell holds one group per vessel type or OD key).
 func (inv *Inventory) Cells(set GroupSet) []hexgrid.Cell {
-	seen := make(map[hexgrid.Cell]struct{})
+	var out []hexgrid.Cell
 	for _, sh := range inv.shards {
 		if sh == nil {
 			continue
 		}
 		for k := range sh.groups {
 			if k.Set == set {
-				seen[k.Cell] = struct{}{}
+				out = append(out, k.Cell)
 			}
 		}
 	}
-	out := make([]hexgrid.Cell, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Each calls f for every (key, summary) pair, in unspecified order.
@@ -343,7 +327,7 @@ func (inv *Inventory) ODCells(origin, dest model.PortID, vt model.VesselType) []
 			out = append(out, cells...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -370,13 +354,14 @@ func (inv *Inventory) Compression(set GroupSet) float64 {
 
 // Utilization returns the paper's Table-4 H3-utilization metric: the
 // fraction of all grid cells at the inventory resolution that carry
-// traffic.
+// traffic. It counts GSCell groups, not cells: a GSCell key is {Set, Cell},
+// all else zero (NewGroupKey, Cell), so that set holds one group per cell.
 func (inv *Inventory) Utilization() float64 {
 	total := hexgrid.NumCells(inv.info.Resolution)
 	if total == 0 {
 		return 0
 	}
-	return float64(len(inv.Cells(GSCell))) / float64(total)
+	return float64(inv.CountGroups(GSCell)) / float64(total)
 }
 
 // CoverageUtilization returns utilization within a coverage envelope: the
@@ -405,7 +390,7 @@ func (inv *Inventory) CoverageUtilization(box geo.BBox) float64 {
 // Validate performs internal consistency checks (used by tests and the
 // file loader): every key's set is known, cells match the resolution,
 // summaries are non-nil, keys live in the shard their hash selects, and
-// the cached group count matches the shard contents.
+// the cached group counts match the shard contents.
 func (inv *Inventory) Validate() error {
 	total := 0
 	for i, sh := range inv.shards {
@@ -413,6 +398,7 @@ func (inv *Inventory) Validate() error {
 			continue
 		}
 		total += len(sh.groups)
+		var sets [GSCellODType]int
 		for k, s := range sh.groups {
 			if s == nil {
 				return fmt.Errorf("inventory: nil summary for %v", k)
@@ -422,6 +408,7 @@ func (inv *Inventory) Validate() error {
 			}
 			switch k.Set {
 			case GSCell, GSCellType, GSCellODType:
+				sets[k.Set-GSCell]++
 			default:
 				return fmt.Errorf("inventory: unknown grouping set %d", k.Set)
 			}
@@ -432,6 +419,9 @@ func (inv *Inventory) Validate() error {
 				return fmt.Errorf("inventory: key %v at resolution %d, want %d",
 					k, k.Cell.Resolution(), inv.info.Resolution)
 			}
+		}
+		if sets != sh.sets {
+			return fmt.Errorf("inventory: shard %d counts %v groups per set, holds %v", i, sh.sets, sets)
 		}
 	}
 	if total != inv.count {

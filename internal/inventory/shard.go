@@ -39,6 +39,7 @@ func ShardOf(k GroupKey) int { return shardFor(k) }
 // Inventory.Snapshot.
 type shard struct {
 	groups map[GroupKey]*CellSummary
+	sets   [GSCellODType]int // groups per grouping set, GSCell first
 
 	// odMu guards the lazy OD sub-index on shared (published) shards.
 	// The single writer invalidates od on its private shards without the
@@ -52,6 +53,18 @@ func newShard() *shard {
 	return &shard{groups: make(map[GroupKey]*CellSummary)}
 }
 
+// add inserts a group the shard lacks, counts it under its set and drops an
+// OD sub-index it makes stale — writer-side, so without odMu.
+func (sh *shard) add(k GroupKey, s *CellSummary) {
+	sh.groups[k] = s
+	if k.Set >= GSCell && k.Set <= GSCellODType {
+		sh.sets[k.Set-GSCell]++
+	}
+	if k.Set == GSCellODType {
+		sh.od = nil
+	}
+}
+
 // publish returns the immutable copy of the writer's shard sh that the next
 // snapshot serves: fresh map, every summary stamped epoch or later (changed
 // since the previous snapshot) duplicated, every other one shared with
@@ -62,7 +75,7 @@ func (sh *shard) publish(prev *shard, epoch uint64) *shard {
 	if prev != nil {
 		old = prev.groups
 	}
-	c := &shard{groups: make(map[GroupKey]*CellSummary, len(sh.groups))}
+	c := &shard{groups: make(map[GroupKey]*CellSummary, len(sh.groups)), sets: sh.sets}
 	for k, s := range sh.groups {
 		d := old[k]
 		if d == nil || s.stamp >= epoch {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/hex"
 	"net/http"
 	"strconv"
 )
@@ -27,56 +28,30 @@ func FormatTraceparent(sc SpanContext) string {
 // version — and callers are expected to fall back to a fresh root span,
 // never to fail the request.
 func ParseTraceparent(v string) (SpanContext, bool) {
-	// 2 (version) + 1 + 32 (trace id) + 1 + 16 (span id) + 1 + 2 (flags)
-	if len(v) != 55 {
+	// "00-" + 32-hex trace id + "-" + 16-hex span id + "-" + 2-hex flags.
+	// Only version 00, the version we emit, is accepted, and only the W3C
+	// grammar's lowercase hex: hex.Decode alone would also admit
+	// uppercase, breaking the parse → format round trip.
+	var sc SpanContext
+	if len(v) != 55 || v[:3] != "00-" || v[35] != '-' || v[52] != '-' ||
+		!isHex(v[3:35]) || !isHex(v[36:52]) || !isHex(v[53:]) {
+		return sc, false
+	}
+	_, _ = hex.Decode(sc.TraceID[:], []byte(v[3:35])) // cannot fail: isHex
+	_, _ = hex.Decode(sc.SpanID[:], []byte(v[36:52]))
+	if !sc.Valid() {
 		return SpanContext{}, false
 	}
-	if v[2] != '-' || v[35] != '-' || v[52] != '-' {
-		return SpanContext{}, false
-	}
-	// Only version 00 — the version we emit — is accepted; anything else
-	// falls back to a fresh root trace at the caller.
-	if v[:2] != "00" || !isHex(v[53:]) {
-		return SpanContext{}, false
-	}
-	// The W3C grammar is strict lowercase hex; hex.Decode alone would
-	// also admit uppercase, breaking the parse→format round trip.
-	if !isHex(v[3:35]) {
-		return SpanContext{}, false
-	}
-	tid, ok := ParseTraceID(v[3:35])
-	if !ok {
-		return SpanContext{}, false
-	}
-	var sid SpanID
-	if !isHex(v[36:52]) {
-		return SpanContext{}, false
-	}
-	for i := 0; i < 8; i++ {
-		hi, lo := hexVal(v[36+2*i]), hexVal(v[37+2*i])
-		sid[i] = hi<<4 | lo
-	}
-	if sid.IsZero() {
-		return SpanContext{}, false
-	}
-	return SpanContext{TraceID: tid, SpanID: sid}, true
+	return sc, true
 }
 
 func isHex(s string) bool {
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+		if c := s[i]; !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
 			return false
 		}
 	}
 	return true
-}
-
-func hexVal(c byte) byte {
-	if c >= 'a' {
-		return c - 'a' + 10
-	}
-	return c - '0'
 }
 
 // Inject stamps the span's context onto an outgoing request. Nil spans

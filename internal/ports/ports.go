@@ -135,6 +135,15 @@ func (g *Gazetteer) ByID(id model.PortID) (Port, bool) {
 	return g.ports[id-1], true
 }
 
+// Name returns the name of the port with the given id, or "port-<id>"
+// for an id the gazetteer does not hold.
+func (g *Gazetteer) Name(id model.PortID) string {
+	if p, ok := g.ByID(id); ok {
+		return p.Name
+	}
+	return fmt.Sprintf("port-%d", id)
+}
+
 // ByName returns the port with the given name (case-insensitive).
 func (g *Gazetteer) ByName(name string) (Port, bool) {
 	id, ok := g.byName[strings.ToLower(name)]

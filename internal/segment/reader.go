@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -495,18 +496,13 @@ type odKey struct {
 // reader's lifetime. It is the segment-side equivalent of the heap
 // inventory's lazily built per-shard OD index.
 type keyDir struct {
-	cells  [3][]hexgrid.Cell
-	counts [3]int
-	od     map[odKey][]hexgrid.Cell
+	cells [3][]hexgrid.Cell
+	od    map[odKey][]hexgrid.Cell
 }
 
 func (r *Reader) directory() (*keyDir, error) {
 	r.dirOnce.Do(func() {
 		d := &keyDir{od: make(map[odKey][]hexgrid.Cell)}
-		var seen [3]map[hexgrid.Cell]struct{}
-		for i := range seen {
-			seen[i] = make(map[hexgrid.Cell]struct{})
-		}
 		for i := range r.index {
 			bi := &r.index[i]
 			comp, err := r.compressedBlock(bi)
@@ -537,25 +533,19 @@ func (r *Reader) directory() (*keyDir, error) {
 					return
 				}
 				si := int(k.Set - inventory.GSCell)
-				d.counts[si]++
-				seen[si][k.Cell] = struct{}{}
+				d.cells[si] = append(d.cells[si], k.Cell)
 				if k.Set == inventory.GSCellODType {
 					ok := odKey{origin: k.Origin, dest: k.Dest, vtype: k.VType}
 					d.od[ok] = append(d.od[ok], k.Cell)
 				}
 			}
 		}
-		for i := range seen {
-			cs := make([]hexgrid.Cell, 0, len(seen[i]))
-			for c := range seen[i] {
-				cs = append(cs, c)
-			}
-			sort.Slice(cs, func(a, b int) bool { return cs[a] < cs[b] })
-			d.cells[i] = cs
+		for i := range d.cells { // a cell holds one group per type or OD key
+			slices.Sort(d.cells[i])
+			d.cells[i] = slices.Compact(d.cells[i])
 		}
-		for k := range d.od {
-			cs := d.od[k]
-			sort.Slice(cs, func(a, b int) bool { return cs[a] < cs[b] })
+		for _, cs := range d.od {
+			slices.Sort(cs)
 		}
 		r.dir = d
 	})
@@ -669,7 +659,7 @@ func (r *Reader) Utilization() float64 {
 	if total == 0 {
 		return 0
 	}
-	return float64(len(r.Cells(inventory.GSCell))) / float64(total)
+	return float64(r.CountGroups(inventory.GSCell)) / float64(total) // one GSCell group per cell
 }
 
 // Load materializes a whole segment file into a mutable heap inventory —

@@ -79,6 +79,15 @@ if [ "$(grep -c 'case <-ticker.C' internal/cluster/coordinator.go)" != 1 ]; then
 	exit 1
 fi
 
+echo "== one JSON encoder (no json.NewEncoder or SetIndent in internal/api non-test code) =="
+# Every /v1 body is built by the append-style writer in internal/api/json.go
+# and pinned byte for byte by the reflection handlers of ref_test.go; a
+# reflection encoder back in a handler is a second spelling of the bodies.
+if grep -nE 'json\.NewEncoder|SetIndent' internal/api/*.go | grep -vE '^internal/api/[a-z_]*_test\.go:'; then
+	echo "a reflection JSON encoder is back in internal/api"
+	exit 1
+fi
+
 echo "== line budget (non-test Go outside bench/, ROADMAP's measure) =="
 # Lower it when a PR deletes; raising it needs the ROADMAP's say-so.
 budget=24994
@@ -105,13 +114,14 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (concurrent packages) =="
-go test -race -count=1 -timeout 20m ./internal/cluster/ ./internal/dataflow/ ./internal/ingest/ ./internal/inventory/ ./internal/obs/ ./internal/obs/trace/ ./internal/replica/ ./internal/segment/ ./internal/stats/
+go test -race -count=1 -timeout 20m ./internal/api/ ./internal/cluster/ ./internal/dataflow/ ./internal/ingest/ ./internal/inventory/ ./internal/obs/ ./internal/obs/trace/ ./internal/replica/ ./internal/segment/ ./internal/stats/
 
 echo "== fuzz smoke (5 s per target; corpora under <package>/testdata/fuzz) =="
 for target in ingest/FuzzReadReplChunk ingest/FuzzOpenJournal ingest/FuzzDecodeState \
 	cluster/FuzzReadFrame cluster/FuzzPeerFrame ais/FuzzDecoderFeed \
-	inventory/FuzzDecodeCellSummary segment/FuzzLoadBytes; do
-	go test -run='^$' -fuzz="^${target#*/}\$" -fuzztime=5s "./internal/${target%/*}/"
+	inventory/FuzzDecodeCellSummary segment/FuzzLoadBytes api/FuzzAppendJSONString \
+	obs/trace/FuzzParseTraceparent; do
+	go test -run='^$' -fuzz="^${target##*/}\$" -fuzztime=5s "./internal/${target%/*}/"
 done
 
 echo "== benchmark harness tests (bench/ is its own module) =="
@@ -125,6 +135,9 @@ go test -run='^$' -bench=Segment -benchtime=1x ./internal/segment/
 
 echo "== benchmark smoke (live path: pump, primary, ReplHandler, replica applier) =="
 go test -run='^$' -bench=PumpToReplica -benchtime=1x ./internal/replica/
+
+echo "== benchmark smoke (api handlers per route: ns/op, allocs/op) =="
+go test -run='^$' -bench=Handlers -benchtime=1x ./internal/api/
 
 e2e
 
