@@ -92,14 +92,6 @@ const (
 // Category returns the first digit of the ship type (0 when unset).
 func (t ShipType) Category() int { return int(t) / 10 }
 
-// IsCommercial reports whether the ship type belongs to the commercial
-// logistic-chain fleet the paper analyses: cargo (7x), tanker (8x) and
-// passenger (6x) vessels.
-func (t ShipType) IsCommercial() bool {
-	c := t.Category()
-	return c == ShipCategoryCargo || c == ShipCategoryTanker || c == ShipCategoryPassenger
-}
-
 // String returns a coarse label for the ship type.
 func (t ShipType) String() string {
 	switch t.Category() {

@@ -199,7 +199,7 @@ func TestStaticEncodeDecodeRoundTrip(t *testing.T) {
 	if s.Name != orig.Name || s.CallSign != orig.CallSign || s.Destination != orig.Destination {
 		t.Errorf("text fields: name %q callsign %q dest %q", s.Name, s.CallSign, s.Destination)
 	}
-	if s.ShipType != orig.ShipType || !s.ShipType.IsCommercial() {
+	if s.ShipType != orig.ShipType {
 		t.Errorf("ship type %v", s.ShipType)
 	}
 	if s.Length() != 399 || s.Beam() != 58 {
@@ -230,16 +230,17 @@ func TestStaticRejectsBadMMSI(t *testing.T) {
 	}
 }
 
+// TestShipTypeClassification: the market segments the commercial fleet is
+// read from (passenger 6x, cargo 7x, tanker 8x) are the first digit.
 func TestShipTypeClassification(t *testing.T) {
-	commercial := []ShipType{60, 69, 70, 71, 79, 80, 89}
-	for _, st := range commercial {
-		if !st.IsCommercial() {
+	commercial := map[int]bool{ShipCategoryPassenger: true, ShipCategoryCargo: true, ShipCategoryTanker: true}
+	for _, st := range []ShipType{60, 69, 70, 71, 79, 80, 89} {
+		if !commercial[st.Category()] {
 			t.Errorf("type %d must be commercial", st)
 		}
 	}
-	nonCommercial := []ShipType{0, 30, 31, 36, 37, 40, 50, 51, 52, 55, 90, 99}
-	for _, st := range nonCommercial {
-		if st.IsCommercial() {
+	for _, st := range []ShipType{0, 30, 31, 36, 37, 40, 50, 51, 52, 55, 90, 99} {
+		if commercial[st.Category()] {
 			t.Errorf("type %d must not be commercial", st)
 		}
 	}

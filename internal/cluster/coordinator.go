@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -286,33 +288,20 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*BuildResult, error) {
 		return nil, err
 	}
 
-	// Partial inventories are held as they arrive but decoded and merged
-	// only after the job completes, in ascending task ID. Order-sensitive
-	// summary statistics (Welford moments, circular means, t-digests) make
+	// Partial inventories are held as they arrive but folded only after the
+	// job completes, in ascending task ID. Order-sensitive summary
+	// statistics (Welford moments, circular means, t-digests) make
 	// arrival-order merging nondeterministic under scheduling races; the
 	// ordered merge pins the distributed result to one canonical fold —
 	// bucket 0, bucket 1, … — no matter which worker finished first, which
 	// is half of what makes distributed builds bit-exact with local ones
-	// (the other half is the single-partition reduce pipeline). MergeFrom
-	// accumulates the partials' RawRecords/UsedRecords into the final build
-	// info, so the reduced inventory reports the same totals a
-	// single-process build would.
-	ids := make([]uint64, 0, len(partials))
-	for id := range partials {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		partial, err := inventory.Unmarshal(partials[id])
-		if err != nil {
+	// (the other half is the single-partition reduce pipeline). MergeImage
+	// decodes each image straight into the result (shard-parallel, a fixed
+	// order within each shard) and adds its RawRecords/UsedRecords, so the
+	// reduced inventory reports the same totals a single-process build would.
+	for _, id := range slices.Sorted(maps.Keys(partials)) {
+		if err := final.MergeImage(partials[id]); err != nil {
 			return nil, fmt.Errorf("cluster: task %d partial inventory: %w", id, err)
-		}
-		if partial.Info().Resolution != job.Resolution {
-			return nil, fmt.Errorf("cluster: task %d partial at resolution %d, want %d",
-				id, partial.Info().Resolution, job.Resolution)
-		}
-		if err := final.MergeFrom(partial); err != nil {
-			return nil, err
 		}
 	}
 

@@ -84,7 +84,8 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzPeerFrame: the read + open path never panics, and a frame that opens
 // holds exactly the records its (CRC-covered) header promises, inflated to
-// no more than the cap.
+// exactly RawLen ≤ the cap. Fixed point: the payload it opens to encodes to
+// the bytes it inflated from, and re-sealed, opens to that payload again.
 func FuzzPeerFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pf, _, err := readFrame[peerFrame](bytes.NewReader(data), fuzzCap)
@@ -98,6 +99,20 @@ func FuzzPeerFrame(f *testing.F) {
 		if len(p.Records) != pf.Records || pf.CRC != pf.digest() {
 			t.Fatalf("opened frame: %d records, header says %d; CRC %08x, digest %08x",
 				len(p.Records), pf.Records, pf.CRC, pf.digest())
+		}
+		raw, err := inflate(pf.Payload, fuzzCap+1)
+		if err != nil || len(raw) != pf.RawLen || len(raw) > fuzzCap {
+			t.Fatalf("opened frame inflates to %d bytes (%v), RawLen %d", len(raw), err, pf.RawLen)
+		}
+		if !bytes.Equal(appendPayload(nil, p), raw) {
+			t.Fatal("decode → encode is not the identity on an accepted payload")
+		}
+		again := &peerFrame{TaskID: pf.TaskID, Section: pf.Section, Bucket: pf.Bucket, Seq: pf.Seq,
+			Last: pf.Last, Frames: pf.Frames, Records: pf.Records, content: p}
+		again.seal()
+		q, err := again.open(fuzzCap)
+		if err != nil || again.RawLen != pf.RawLen || !bytes.Equal(appendPayload(nil, q), raw) {
+			t.Fatalf("re-sealed frame: %v, RawLen %d against %d", err, again.RawLen, pf.RawLen)
 		}
 	})
 }

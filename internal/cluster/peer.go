@@ -1,13 +1,8 @@
 package cluster
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
-	"encoding/gob"
-	"fmt"
 	"hash/crc32"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -36,18 +31,10 @@ const peerBatchRecords = 4096
 // crcTable is the Castagnoli polynomial, matching the WAL's record CRCs.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// peerPayload is the content of one shuffle frame before compression.
-// Statics ride the shuffle rather than a coordinator broadcast: a vessel
-// hashes to exactly one bucket, so merging per-bucket statics in ascending
-// section order reconstructs exactly the entries a global last-wins merge
-// would hand that bucket's reduce.
-type peerPayload struct {
-	Records []model.PositionRecord
-	Statics map[uint32]model.VesselInfo
-}
-
 // peerFrame is one unit of the worker-to-worker shuffle: a batch of one
-// scan task's records for one bucket, gob-encoded and flate-compressed.
+// scan task's records for one bucket. It is built holding its records
+// (content) and sealed — payload-encoded, flate-compressed, CRC-stamped —
+// only on its first trip across a socket (seal, payload.go).
 // (TaskID, Bucket, Seq) is the idempotency key receivers deduplicate on;
 // Last carries Frames, the total frame count for the (task, bucket) pair,
 // so the receiver knows when a section's contribution is complete. CRC is
@@ -65,6 +52,9 @@ type peerFrame struct {
 	RawLen  int // uncompressed payload bytes (compression-ratio metric)
 	Payload []byte
 	CRC     uint32
+
+	mu      sync.Mutex   // guards the seal: content → RawLen, Payload, CRC
+	content *peerPayload // until sealed; nil on a frame read off a socket
 }
 
 // digest computes the frame's integrity checksum: the numeric identity
@@ -84,57 +74,6 @@ func (f *peerFrame) digest() uint32 {
 	binary.LittleEndian.PutUint32(hdr[40:], uint32(f.Records))
 	crc := crc32.Update(0, crcTable, hdr[:])
 	return crc32.Update(crc, crcTable, f.Payload)
-}
-
-// seal compresses the payload and stamps the CRC.
-func sealFrame(f *peerFrame, records []model.PositionRecord, statics map[uint32]model.VesselInfo) error {
-	var raw bytes.Buffer
-	if err := gob.NewEncoder(&raw).Encode(&peerPayload{Records: records, Statics: statics}); err != nil {
-		return fmt.Errorf("cluster: encode peer payload: %w", err)
-	}
-	f.Records = len(records)
-	f.RawLen = raw.Len()
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		return err
-	}
-	if _, err := fw.Write(raw.Bytes()); err != nil {
-		return err
-	}
-	if err := fw.Close(); err != nil {
-		return err
-	}
-	f.Payload = comp.Bytes()
-	f.CRC = f.digest()
-	return nil
-}
-
-// open verifies the CRC and decompresses the payload. A nil error means the
-// frame is exactly what the sender sealed.
-func (f *peerFrame) open(maxBytes int) (*peerPayload, error) {
-	if f.CRC != f.digest() {
-		return nil, fmt.Errorf("cluster: peer frame task %d bucket %d seq %d: CRC mismatch", f.TaskID, f.Bucket, f.Seq)
-	}
-	fr := flate.NewReader(bytes.NewReader(f.Payload))
-	defer fr.Close()
-	lr := &io.LimitedReader{R: fr, N: int64(maxBytes) + 1}
-	raw, err := io.ReadAll(lr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: peer frame inflate: %w", err)
-	}
-	if lr.N == 0 {
-		return nil, fmt.Errorf("cluster: peer frame inflates past cap %d", maxBytes)
-	}
-	var p peerPayload
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&p); err != nil {
-		return nil, fmt.Errorf("cluster: decode peer payload: %w", err)
-	}
-	if len(p.Records) != f.Records {
-		return nil, fmt.Errorf("cluster: peer frame task %d bucket %d seq %d: %d records, header says %d",
-			f.TaskID, f.Bucket, f.Seq, len(p.Records), f.Records)
-	}
-	return &p, nil
 }
 
 // peerSender owns the stream of shuffle frames to one destination address:
@@ -265,9 +204,15 @@ func (s *peerSender) dial() (net.Conn, error) {
 	return net.DialTimeout("tcp", s.addr, 2*time.Second)
 }
 
+// write sends one frame, sealing it first if this is its first trip across
+// a socket; the payload counters count each frame once, when it is sealed.
 func (s *peerSender) write(conn net.Conn, f *peerFrame) error {
 	if err := s.faults.Hit(FPPeerWrite); err != nil {
 		return err
+	}
+	if f.seal() {
+		s.metrics.shuffleRawBytes.Add(int64(f.RawLen))
+		s.metrics.shuffleCompBytes.Add(int64(len(f.Payload)))
 	}
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	n, err := writeFrame(conn, f)
@@ -281,43 +226,31 @@ func (s *peerSender) write(conn net.Conn, f *peerFrame) error {
 
 // bucketFrames builds the deterministic frame sequence for one (scan task,
 // bucket) pair: records batched peerBatchRecords at a time, the bucket's
-// statics riding the Last frame. The same task always produces the same
-// frames, which is what makes straggler re-execution and reconnect replay
-// idempotent at the receiver.
-func bucketFrames(t Task, bucket int, records []model.PositionRecord, statics map[uint32]model.VesselInfo) ([]*peerFrame, error) {
+// statics riding the Last frame. The frames hold their records unsealed.
+// The same task always produces the same frames, which is what makes
+// straggler re-execution and reconnect replay idempotent at the receiver.
+func bucketFrames(t Task, bucket int, records []model.PositionRecord, statics map[uint32]model.VesselInfo) []*peerFrame {
 	var frames []*peerFrame
 	n := len(records)
-	total := (n + peerBatchRecords - 1) / peerBatchRecords
-	if total == 0 {
-		total = 1 // an empty section still sends its Last marker
-	}
-	for seq := 0; seq < total; seq++ {
-		lo := seq * peerBatchRecords
-		hi := lo + peerBatchRecords
-		if hi > n {
-			hi = n
-		}
-		f := &peerFrame{TaskID: t.ID, Section: t.Section.Index, Bucket: bucket, Seq: seq}
-		var st map[uint32]model.VesselInfo
+	total := max(1, (n+peerBatchRecords-1)/peerBatchRecords) // an empty section still sends its Last marker
+	for seq := range total {
+		lo, hi := seq*peerBatchRecords, min(n, (seq+1)*peerBatchRecords)
+		f := &peerFrame{TaskID: t.ID, Section: t.Section.Index, Bucket: bucket, Seq: seq, Records: hi - lo,
+			content: &peerPayload{Records: records[lo:hi]}}
 		if seq == total-1 {
-			f.Last = true
-			f.Frames = total
-			st = statics
-		}
-		if err := sealFrame(f, records[lo:hi], st); err != nil {
-			return nil, err
+			f.Last, f.Frames, f.content.Statics = true, total, statics
 		}
 		frames = append(frames, f)
 	}
-	return frames, nil
+	return frames
 }
 
 // bucketStatics filters a section's statics down to the vessels hashing
 // into one bucket. A vessel hashes to exactly one bucket, so the union
-// over buckets partitions the section's statics; frame idempotency is
-// semantic (same task → same entries), not byte-level — receivers keep the
-// first frame per (task, bucket, seq) key, and any attempt's frame
-// carries the same content.
+// over buckets partitions the section's statics. Frame idempotency is
+// byte-level: the payload codec writes statics in MMSI order, so any
+// attempt of a task seals byte-identical frames, and receivers keep the
+// first frame per (task, bucket, seq) key.
 func bucketStatics(statics map[uint32]model.VesselInfo, bucket, buckets int) map[uint32]model.VesselInfo {
 	var out map[uint32]model.VesselInfo
 	for mmsi, vi := range statics {

@@ -6,9 +6,10 @@
 // compression on.
 //
 // The wire protocol is length-prefixed gob frames over one TCP connection
-// per worker. The worker opens the connection and introduces itself with a
-// hello frame; from then on the coordinator pushes task and roster
-// frames down, and the worker pushes heartbeat and result frames up.
+// per worker (gob carries frame envelopes only, never records). The worker
+// opens the connection and introduces itself with a hello frame; from then
+// on the coordinator pushes task and roster frames down, and the worker
+// pushes heartbeat and result frames up.
 // Robustness model: every task carries an idempotent ID, workers heartbeat
 // while executing, and the coordinator re-queues tasks from dead or
 // straggling workers with bounded, backed-off retries, dropping duplicate
@@ -21,10 +22,13 @@
 // reduce each bucket to a partial inventory. The shuffle is worker to
 // worker: the coordinator assigns bucket ownership up
 // front (a roster of worker shuffle addresses) and scan workers stream
-// compressed, CRC-checked bucket frames straight to the owning peer, which
-// starts reducing a bucket the moment all of its section inputs have
-// arrived. The coordinator connection carries control traffic and the
-// reduced partial inventories (inventory.Marshal images), never records.
+// bucket frames straight to the owning peer, which starts reducing a
+// bucket the moment all of its section inputs have arrived. A frame is
+// sealed — fixed-width record rows (payload.go), deflated, CRC-checked —
+// only when it crosses a socket; frames for a bucket the scanning worker
+// owns go into its reassembly as rows. The coordinator connection carries
+// control traffic and the reduced partial inventories (inventory.Marshal
+// images, folded by MergeImage), never records.
 package cluster
 
 import (

@@ -171,13 +171,18 @@ func (sh *shuffleState) handleConn(conn net.Conn) {
 }
 
 // ingest validates and files one frame, firing the reduce when it was the
-// bucket's last missing input. Duplicate (task, bucket, seq) keys — from
-// straggler re-execution, reconnect replay, or reassignment resend — are
-// counted and dropped.
-func (sh *shuffleState) ingest(f *peerFrame) error {
-	p, err := f.open(maxFrameBytes)
-	if err != nil {
-		return err
+// bucket's last missing input. A frame still holding its records (one for a
+// bucket this worker owns) goes in as it is; any other is opened. Duplicate
+// (task, bucket, seq) keys — from straggler re-execution, reconnect replay,
+// or reassignment resend — are counted and dropped.
+func (sh *shuffleState) ingest(f *peerFrame) (err error) {
+	f.mu.Lock()
+	p := f.content
+	f.mu.Unlock()
+	if p == nil {
+		if p, err = f.open(maxFrameBytes); err != nil {
+			return err
+		}
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -238,11 +243,9 @@ func (sh *shuffleState) maybeReduceLocked(bucket int) {
 	}
 }
 
-// retain records a locally produced frame so an ownership change can
+// emit retains a locally produced frame so an ownership change can
 // re-stream the bucket to its new owner, then delivers it.
 func (sh *shuffleState) emit(f *peerFrame) {
-	sh.w.metrics.shuffleRawBytes.Add(int64(f.RawLen))
-	sh.w.metrics.shuffleCompBytes.Add(int64(len(f.Payload)))
 	sh.mu.Lock()
 	sh.retained[f.Bucket] = append(sh.retained[f.Bucket], f)
 	as, ok := sh.assigns[f.Bucket]
@@ -253,9 +256,9 @@ func (sh *shuffleState) emit(f *peerFrame) {
 	sh.deliver(as.Addr, f)
 }
 
-// deliver routes one frame: straight into local reassembly when this
-// worker owns the destination bucket, otherwise onto the sender queue for
-// the owning peer.
+// deliver routes frames: straight into local reassembly when this worker
+// owns the destination bucket, otherwise onto the sender queue for the
+// owning peer (which seals each frame on its first send).
 func (sh *shuffleState) deliver(addr string, frames ...*peerFrame) {
 	if addr == sh.advertise {
 		for _, f := range frames {
@@ -430,17 +433,24 @@ func (sh *shuffleState) assemble(bucket int) ([]model.PositionRecord, map[uint32
 	return records, statics, as, true
 }
 
-// markResult flips the bucket's heartbeat off. A successful reduce frees
-// the reassembly state (the result is on its way to the coordinator); a
-// failed one keeps it, so a roster that re-owns the bucket to this worker
-// can retry from the inputs already here.
-func (sh *shuffleState) markResult(bucket int, failed bool) {
+// markResult flips the bucket's heartbeat off once its result went up. A
+// successful reduce frees the reassembly state; a failed one keeps it, so
+// a roster that re-owns the bucket to this worker can retry from the
+// inputs already here. A successful result that was sent also releases
+// this worker's retained map outputs for the bucket: the coordinator takes
+// a late success whoever owns the bucket by then, so no owner needs them
+// again — and for a bucket this worker owns they are unsealed rows, the
+// largest thing it retains.
+func (sh *shuffleState) markResult(bucket int, failed, sent bool) {
 	sh.mu.Lock()
 	sh.resulted[bucket] = true
 	if failed {
 		sh.failed[bucket] = true
 	} else {
 		delete(sh.contribs, bucket)
+		if sent {
+			delete(sh.retained, bucket)
+		}
 	}
 	pending := 0
 	for _, as := range sh.assigns {

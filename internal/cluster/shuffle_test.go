@@ -97,7 +97,7 @@ func archiveFixture(t *testing.T) (string, *pipeline.Result) {
 // ingest/assemble directly and read the reduce queue themselves. The hour
 // heartbeat keeps the roster-started heartbeat loop from ever touching the
 // (absent) coordinator connection.
-func newTestShuffle(t *testing.T, name string) *shuffleState {
+func newTestShuffle(t testing.TB, name string) *shuffleState {
 	t.Helper()
 	w := &worker{
 		cfg: WorkerConfig{
@@ -122,9 +122,10 @@ func sealTestFrame(t testing.TB, taskID uint64, section, bucket, seq int, last b
 	recs []model.PositionRecord, statics map[uint32]model.VesselInfo) *peerFrame {
 	t.Helper()
 	f := &peerFrame{TaskID: taskID, Section: section, Bucket: bucket,
-		Seq: seq, Last: last, Frames: frames}
-	if err := sealFrame(f, recs, statics); err != nil {
-		t.Fatal(err)
+		Seq: seq, Last: last, Frames: frames, Records: len(recs),
+		content: &peerPayload{Records: recs, Statics: statics}}
+	if !f.seal() {
+		t.Fatal("a fresh frame did not seal")
 	}
 	return f
 }

@@ -356,11 +356,7 @@ func (w *worker) runScan(t Task) (feed.ReadStats, error) {
 	// statics riding the Last frame). Frames for buckets with no assigned
 	// owner yet are parked and re-delivered when the roster arrives.
 	for b, recs := range buckets {
-		frames, err := bucketFrames(t, b, recs, bucketStatics(statics, b, t.Buckets))
-		if err != nil {
-			return feed.ReadStats{}, err
-		}
-		for _, f := range frames {
+		for _, f := range bucketFrames(t, b, recs, bucketStatics(statics, b, t.Buckets)) {
 			w.shuffle.emit(f)
 		}
 	}
@@ -414,10 +410,10 @@ func (w *worker) reduceOwnedBucket(bucket int) {
 		w.metrics.tasksOK.Inc()
 	}
 	span.Finish()
-	sh.markResult(bucket, res.Err != "")
-	if err := w.send(&envelope{Type: msgResult, Result: res}); err != nil {
+	if err = w.send(&envelope{Type: msgResult, Result: res}); err != nil {
 		w.logf("send reduce result %d: %v", as.TaskID, err)
 	}
+	sh.markResult(bucket, res.Err != "", err == nil)
 }
 
 // runPipeline executes the inventory pipeline over one vessel-complete

@@ -161,14 +161,6 @@ func (r *Registry) EnableSet(set string) error {
 // Disable disarms the named point.
 func (r *Registry) Disable(name string) { _ = r.Enable(name, "off") }
 
-// Reset disarms every point.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.points = make(map[string]*point)
-	r.armed.Store(0)
-}
-
 // Count returns how many times the named point fired.
 func (r *Registry) Count(name string) int64 {
 	if r == nil {

@@ -142,7 +142,7 @@ func TestReaderInterleavedMultiSentenceGroups(t *testing.T) {
 	if st.Statics != 2 || st.BadNMEA != 0 || st.BadLines != 0 {
 		t.Errorf("stats %+v, want statics=2 and no errors", st)
 	}
-	statics := r.Statics()
+	statics := r.statics
 	if statics[219000001].Name != "ALFA" || statics[219000002].Name != "BRAVO" {
 		t.Errorf("statics misattributed across interleaved groups: %+v", statics)
 	}
@@ -207,7 +207,7 @@ func TestNextItemStreamOrder(t *testing.T) {
 			t.Errorf("item %d = (%d, %d), want (%d, %d)", i, kinds[i], times[i], wantKinds[i], wantTimes[i])
 		}
 	}
-	if r.Statics()[219000002].Name != "ECHO" {
+	if r.statics[219000002].Name != "ECHO" {
 		t.Error("static not collected alongside NextItem")
 	}
 }

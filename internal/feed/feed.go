@@ -229,9 +229,6 @@ func (r *Reader) ReadAll() ([]model.PositionRecord, error) {
 // Stats returns the ingest counters accumulated so far.
 func (r *Reader) Stats() ReadStats { return r.stats }
 
-// Statics returns the static reports seen so far, keyed by MMSI.
-func (r *Reader) Statics() map[uint32]ais.StaticReport { return r.statics }
-
 // StaticsAsVesselInfo converts collected static reports into the vessel
 // static inventory the pipeline joins against. The market segment is
 // derived from the AIS ship type (AIS cannot distinguish container/bulk

@@ -85,8 +85,8 @@ func TestArchiveEqualsParent(t *testing.T) {
 	for _, v := range r.StaticsAsVesselInfo() {
 		names += v.Name
 	}
-	if len(r.Statics()) != 24 || len(names) == 0 {
-		t.Errorf("%d statics, names %q", len(r.Statics()), names)
+	if len(r.statics) != 24 || len(names) == 0 {
+		t.Errorf("%d statics, names %q", len(r.statics), names)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestStaticSurvivesScannerRefill(t *testing.T) {
 		if _, err := r.ReadAll(); err != nil {
 			t.Fatal(err)
 		}
-		s := r.Statics()[227006560]
+		s := r.statics[227006560]
 		if st := r.Stats(); st.Statics != 1 || st.BadNMEA != 0 || st.BadLines != 1 || s.Name != "EVER GIVEN" || s.CallSign != "TEST" {
 			t.Fatalf("group at byte %d: stats %+v, static %+v", len(head), st, s)
 		}

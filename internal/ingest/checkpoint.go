@@ -299,41 +299,33 @@ func (c *checkpointer) loadGen(g ckptGen, resolution int) (*inventory.Inventory,
 
 func writeManifest(path string, gens []ckptGen) error {
 	return inventory.AtomicWrite(path, func(w io.Writer) error {
-		if _, err := fmt.Fprintln(w, ckptManifestMagic); err != nil {
-			return err
-		}
+		lines := []string{ckptManifestMagic}
 		for _, g := range gens {
-			if _, err := fmt.Fprintf(w, "gen %d seq %d", g.Gen, g.Seq); err != nil {
-				return err
-			}
-			// A retained two-format-era generation keeps naming its POLINV1
-			// file, so a restart still knows to delete it.
-			if g.Inv != "" {
-				if _, err := fmt.Fprintf(w, " inv %s", g.Inv); err != nil {
-					return err
-				}
-			}
-			if g.Seg != "" {
-				if _, err := fmt.Fprintf(w, " seg %s crc %08x size %d", g.Seg, g.SegCRC, g.SegSize); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, " state %s crc %08x size %d", g.State, g.StateCRC, g.StateSize); err != nil {
-				return err
-			}
-			// The fencing epoch is a suffix: lines without it read back as
-			// term 0 (pre-epoch).
-			if g.Term != 0 {
-				if _, err := fmt.Fprintf(w, " term %d node %016x", g.Term, g.Node); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
+			lines = append(lines, manifestLine(g))
 		}
-		return nil
+		_, err := io.WriteString(w, strings.Join(lines, "\n")+"\n")
+		return err
 	})
+}
+
+// manifestLine is the one spelling of a generation's manifest line;
+// parseManifestLine reads it back. A retained two-format-era generation
+// keeps naming its POLINV1 file, so a restart still knows to delete it;
+// the fencing epoch is a suffix, and lines without it read back as term 0
+// (pre-epoch).
+func manifestLine(g ckptGen) string {
+	line := fmt.Sprintf("gen %d seq %d", g.Gen, g.Seq)
+	if g.Inv != "" {
+		line += " inv " + g.Inv
+	}
+	if g.Seg != "" {
+		line += fmt.Sprintf(" seg %s crc %08x size %d", g.Seg, g.SegCRC, g.SegSize)
+	}
+	line += fmt.Sprintf(" state %s crc %08x size %d", g.State, g.StateCRC, g.StateSize)
+	if g.Term != 0 {
+		line += fmt.Sprintf(" term %d node %016x", g.Term, g.Node)
+	}
+	return line
 }
 
 func readManifest(path string) ([]ckptGen, error) {

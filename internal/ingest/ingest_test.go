@@ -272,7 +272,7 @@ func TestServerTCPFeeds(t *testing.T) {
 	conns := make([]net.Conn, 2)
 	writers := make([]*feed.Writer, 2)
 	for i := range conns {
-		c, err := net.Dial("tcp", srv.Addr().String())
+		c, err := net.Dial("tcp", srv.ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestServerIdleTimeout(t *testing.T) {
 	srv := NewServer(e, ln, ServerOptions{IdleTimeout: 100 * time.Millisecond, Logf: t.Logf})
 	defer srv.Close()
 
-	c, err := net.Dial("tcp", srv.Addr().String())
+	c, err := net.Dial("tcp", srv.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,6 @@ func NewServer(eng *Engine, ln net.Listener, opt ServerOptions) *Server {
 	return s
 }
 
-// Addr returns the listener address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
-
 // Close stops accepting, closes live connections, and waits for the
 // per-connection goroutines to drain.
 func (s *Server) Close() error {

@@ -81,32 +81,25 @@ func (inv *Inventory) mustWrite(op string) {
 	}
 }
 
-// writeShard returns the shard for key, creating it if needed and marking
-// it dirty for the next Snapshot.
-func (inv *Inventory) writeShard(key GroupKey) (*shard, int) {
-	i := shardFor(key)
+// writeShard returns shard i, creating it (sized for n groups) if needed
+// and marking it dirty for the next Snapshot.
+func (inv *Inventory) writeShard(i, n int) *shard {
 	sh := inv.shards[i]
 	if sh == nil {
-		sh = newShard()
+		sh = &shard{groups: make(map[GroupKey]*CellSummary, n)}
 		inv.shards[i] = sh
 	}
 	inv.dirty[i] = true
-	return sh, i
+	return sh
 }
 
 // Put inserts or merges a summary under the key. Writer-side only — see
 // the type's concurrency contract.
 func (inv *Inventory) Put(key GroupKey, s *CellSummary) {
 	inv.mustWrite("Put")
-	sh, _ := inv.writeShard(key)
-	if cur, ok := sh.groups[key]; ok {
-		cur.Merge(s)
-		cur.stamp = inv.epoch
-		return
+	if inv.writeShard(shardFor(key), 0).put(key, s, inv.epoch) {
+		inv.count++
 	}
-	s.stamp = inv.epoch
-	sh.add(key, s)
-	inv.count++
 }
 
 // Observe folds one observation into the summary of the key, creating the
@@ -115,7 +108,7 @@ func (inv *Inventory) Put(key GroupKey, s *CellSummary) {
 // only.
 func (inv *Inventory) Observe(key GroupKey, o Observation) {
 	inv.mustWrite("Observe")
-	sh, _ := inv.writeShard(key)
+	sh := inv.writeShard(shardFor(key), 0)
 	s, ok := sh.groups[key]
 	if !ok {
 		s = NewCellSummary()
@@ -150,55 +143,53 @@ func (inv *Inventory) MergeFrom(other *Inventory) error {
 		return fmt.Errorf("inventory: merge resolution %d into %d",
 			other.info.Resolution, inv.info.Resolution)
 	}
-	var added [ShardCount]int
-	mergeShard := func(i int) {
+	inv.eachShard(other.count, func(i int) (added int) {
 		os := other.shards[i]
 		if os == nil || len(os.groups) == 0 {
-			return
+			return 0
 		}
-		sh := inv.shards[i]
-		if sh == nil {
-			sh = &shard{groups: make(map[GroupKey]*CellSummary, len(os.groups))}
-			inv.shards[i] = sh
-		}
-		inv.dirty[i] = true
+		sh := inv.writeShard(i, len(os.groups))
 		for k, s := range os.groups {
 			cur, ok := sh.groups[k]
 			if !ok {
 				cur = NewCellSummary()
 				sh.add(k, cur)
-				added[i]++
+				added++
 			}
 			cur.Merge(s)
 			cur.stamp = inv.epoch
 		}
-	}
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && other.count >= parallelMergeThreshold {
-		if workers > ShardCount {
-			workers = ShardCount
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < ShardCount; i += workers {
-					mergeShard(i)
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < ShardCount; i++ {
-			mergeShard(i)
-		}
-	}
-	for _, n := range added {
-		inv.count += n
-	}
+		return added
+	})
 	inv.info.RawRecords += other.info.RawRecords
 	inv.info.UsedRecords += other.info.UsedRecords
 	return nil
+}
+
+// eachShard runs fold once per shard index — fanned out over GOMAXPROCS
+// goroutines, each taking every workers-th shard, when the source holds
+// at least parallelMergeThreshold groups — and adds the groups the folds
+// report new to the count. A fold touches its own shard only.
+func (inv *Inventory) eachShard(groups int, fold func(i int) (added int)) {
+	var added [ShardCount]int
+	workers := min(runtime.GOMAXPROCS(0), ShardCount)
+	if workers < 2 || groups < parallelMergeThreshold {
+		workers = 1
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < ShardCount; i += workers {
+				added[i] = fold(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, n := range added {
+		inv.count += n
+	}
 }
 
 // Snapshot publishes the current state as a frozen inventory in O(delta):

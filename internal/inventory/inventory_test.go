@@ -1,14 +1,17 @@
 package inventory
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/patternsoflife/pol/internal/geo"
 	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/model"
+	"github.com/patternsoflife/pol/internal/stats"
 )
 
 // obs builds a deterministic observation in the given cell.
@@ -153,7 +156,7 @@ func TestCellSummaryAccumulates(t *testing.T) {
 	if got := s.ETO.Mean() + s.ATA.Mean(); math.Abs(got-99000) > 1 {
 		t.Errorf("ETO+ATA mean %v, want 99000", got)
 	}
-	if s.CourseBins.Total() != n || s.HeadingBins.Total() != n {
+	if binTotal(s.CourseBins) != n || binTotal(s.HeadingBins) != n {
 		t.Error("angular bins must count every record")
 	}
 }
@@ -181,7 +184,7 @@ func TestCellSummaryEmptyTopsAndNaNs(t *testing.T) {
 	if s.Speed.Weight() != 0 {
 		t.Error("NaN speed must not enter the speed stats")
 	}
-	if s.CourseBins.Total() != 0 {
+	if binTotal(s.CourseBins) != 0 {
 		t.Error("NaN course must not enter the bins")
 	}
 }
@@ -433,16 +436,24 @@ func TestWireImageRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	merge := func(b []byte) error { return New(BuildInfo{Resolution: 6}).MergeImage(b) }
 	// Bad magic.
 	bad := append([]byte("XXXXXXXX"), data[8:]...)
-	if _, err := Unmarshal(bad); err == nil {
+	if err := merge(bad); err == nil {
 		t.Error("bad magic must fail")
 	}
 	// Truncations at various depths.
 	for _, frac := range []float64{0.1, 0.5, 0.9} {
-		if _, err := Unmarshal(data[:int(float64(len(data))*frac)]); err == nil {
+		if err := merge(data[:int(float64(len(data))*frac)]); err == nil {
 			t.Errorf("truncation at %.0f%% must fail", frac*100)
 		}
+	}
+	// A key whose cell is not at the image's resolution.
+	key := append([]byte(nil), data...)
+	at := len(wireMagic) + 4 + 4 + 8 + 8 + 8 + 4 + len(inv.Info().Description) + 8 + 1
+	binary.BigEndian.PutUint64(key[at:], uint64(hexgrid.LatLngToCell(geo.LatLng{Lat: 1, Lng: 1}, 7)))
+	if err := merge(key); err == nil || !strings.Contains(err.Error(), "bad key") {
+		t.Errorf("resolution-7 key in a resolution-6 image: %v", err)
 	}
 }
 
@@ -477,4 +488,13 @@ func BenchmarkCellSummaryMerge(b *testing.B) {
 		z.Merge(x)
 		z.Merge(y)
 	}
+}
+
+// binTotal is an angular histogram's total observed weight.
+func binTotal(h *stats.AngularHistogram) uint64 {
+	var t uint64
+	for _, c := range h.Bins() {
+		t += c
+	}
+	return t
 }

@@ -49,10 +49,6 @@ type shard struct {
 	od   map[odKey][]hexgrid.Cell
 }
 
-func newShard() *shard {
-	return &shard{groups: make(map[GroupKey]*CellSummary)}
-}
-
 // add inserts a group the shard lacks, counts it under its set and drops an
 // OD sub-index it makes stale — writer-side, so without odMu.
 func (sh *shard) add(k GroupKey, s *CellSummary) {
@@ -63,6 +59,19 @@ func (sh *shard) add(k GroupKey, s *CellSummary) {
 	if k.Set == GSCellODType {
 		sh.od = nil
 	}
+}
+
+// put adopts s under k, or merges it into the summary k already has, and
+// reports whether the group is new — Put's semantics for one shard.
+func (sh *shard) put(k GroupKey, s *CellSummary, epoch uint64) bool {
+	if cur, ok := sh.groups[k]; ok {
+		cur.Merge(s)
+		cur.stamp = epoch
+		return false
+	}
+	s.stamp = epoch
+	sh.add(k, s)
+	return true
 }
 
 // publish returns the immutable copy of the writer's shard sh that the next

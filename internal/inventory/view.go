@@ -1,7 +1,6 @@
 package inventory
 
 import (
-	"github.com/patternsoflife/pol/internal/geo"
 	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/model"
 )
@@ -25,8 +24,6 @@ type View interface {
 	Get(key GroupKey) (*CellSummary, bool)
 	// Cell returns the all-traffic summary of a cell (GSCell).
 	Cell(cell hexgrid.Cell) (*CellSummary, bool)
-	// At returns the all-traffic summary of the cell containing p.
-	At(p geo.LatLng) (*CellSummary, bool)
 	// CountGroups returns the number of groups in one grouping set.
 	CountGroups(set GroupSet) int
 	// Cells returns all cells of one grouping set, sorted.
@@ -39,8 +36,6 @@ type View interface {
 	ODSummary(cell hexgrid.Cell, origin, dest model.PortID, vt model.VesselType) (*CellSummary, bool)
 	// TypeSummary returns the summary for a (cell, vessel-type) group.
 	TypeSummary(cell hexgrid.Cell, vt model.VesselType) (*CellSummary, bool)
-	// MostFrequentDestination returns the top destination of a cell.
-	MostFrequentDestination(cell hexgrid.Cell) (model.PortID, uint64, bool)
 	// Compression returns the Table-4 compression metric for a set.
 	Compression(set GroupSet) float64
 	// Utilization returns the Table-4 H3-utilization metric.

@@ -3,13 +3,15 @@ package inventory
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 )
 
 // The wire image is the uncompressed in-flight form of an inventory: the
 // cluster layer ships every reduce partial from worker to coordinator this
-// way, inside a build round, over loopback or a LAN. It has no file API
+// way, inside a build round, over loopback or a LAN, and the coordinator
+// folds it straight into the result (MergeImage). It has no file API
 // and is not a persistence or replication format — those are POLSEG1
 // (internal/segment). It exists because a partial lives for milliseconds
 // and encoding it takes ~25 ms where compressing the same groups into a
@@ -73,78 +75,87 @@ func Marshal(inv *Inventory) ([]byte, error) {
 	return buf, nil
 }
 
-// Unmarshal decodes a wire image produced by Marshal into a fresh mutable
-// inventory, validating internal consistency.
-func Unmarshal(data []byte) (*Inventory, error) {
+// MergeImage folds a wire image produced by Marshal into the receiver, as
+// MergeFrom would fold the inventory the image holds: the header must
+// match the receiver's resolution, its record counters are added, and
+// every group is decoded straight into the receiver with Put's semantics —
+// a group the receiver lacks adopts the decoded summary, one it holds
+// merges it. No intermediate inventory is built. Groups are indexed by
+// shard first, then decoded shard-parallel (a shard's groups in image
+// order), so folding images one call at a time, in a fixed order, gives
+// the same result at any GOMAXPROCS. MergeImage is writer-side, like
+// MergeFrom. On error the receiver may hold part of the image and is to
+// be discarded.
+func (inv *Inventory) MergeImage(data []byte) error {
+	inv.mustWrite("MergeImage")
 	if len(data) < len(wireMagic)+4 || !bytes.Equal(data[:len(wireMagic)], wireMagic) {
-		return nil, fmt.Errorf("inventory: bad magic")
+		return fmt.Errorf("inventory: bad magic")
 	}
 	p := data[len(wireMagic):]
-	need := func(n int) error {
-		if len(p) < n {
-			return fmt.Errorf("inventory: truncated wire image")
-		}
-		return nil
+	le, truncated := binary.LittleEndian, fmt.Errorf("inventory: truncated wire image")
+	if version := le.Uint32(p); version != wireVersion {
+		return fmt.Errorf("inventory: wire image version %d, only version %d is read (coordinator and workers must run the same build)", version, wireVersion)
 	}
-	if err := need(4); err != nil {
-		return nil, err
+	const fixed = 4 + 4 + 8 + 8 + 8 + 4 // version … descLen
+	if len(p) < fixed || uint64(len(p)) < fixed+uint64(le.Uint32(p[32:]))+8 {
+		return truncated
 	}
-	version := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	if version != wireVersion {
-		return nil, fmt.Errorf("inventory: wire image version %d, only version %d is read (coordinator and workers must run the same build)", version, wireVersion)
+	if res := int(le.Uint32(p[4:])); res != inv.info.Resolution {
+		return fmt.Errorf("inventory: wire image at resolution %d, want %d", res, inv.info.Resolution)
 	}
-	if err := need(4 + 8 + 8 + 8 + 4); err != nil {
-		return nil, err
-	}
-	var info BuildInfo
-	info.Resolution = int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	info.RawRecords = int64(binary.LittleEndian.Uint64(p))
-	p = p[8:]
-	info.UsedRecords = int64(binary.LittleEndian.Uint64(p))
-	p = p[8:]
-	info.BuiltUnix = int64(binary.LittleEndian.Uint64(p))
-	p = p[8:]
-	descLen := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	if err := need(descLen + 8); err != nil {
-		return nil, err
-	}
-	info.Description = string(p[:descLen])
-	p = p[descLen:]
-	numGroups := binary.LittleEndian.Uint64(p)
+	raw, used := int64(le.Uint64(p[8:])), int64(le.Uint64(p[16:]))
+	p = p[fixed+le.Uint32(p[32:]):]
+	numGroups := le.Uint64(p)
 	p = p[8:]
 
-	inv := New(info)
+	type group struct {
+		key  GroupKey
+		body []byte
+	}
+	var shards [ShardCount][]group
 	for i := uint64(0); i < numGroups; i++ {
-		if err := need(keyBytes + 4); err != nil {
-			return nil, err
+		if len(p) < keyBytes+4 {
+			return truncated
 		}
-		key, err := decodeKey(p[:keyBytes])
-		if err != nil {
-			return nil, err
+		key, _ := decodeKey(p)
+		bodyLen := uint64(le.Uint32(p[keyBytes:]))
+		if p = p[keyBytes+4:]; uint64(len(p)) < bodyLen {
+			return truncated
 		}
-		p = p[keyBytes:]
-		bodyLen := int(binary.LittleEndian.Uint32(p))
-		p = p[4:]
-		if err := need(bodyLen); err != nil {
-			return nil, err
+		if key.Set < GSCell || key.Set > GSCellODType || !key.Cell.Valid() || key.Cell.Resolution() != inv.info.Resolution {
+			return fmt.Errorf("inventory: group %d: bad key %v at resolution %d", i, key, inv.info.Resolution)
 		}
-		s, rest, err := DecodeCellSummary(p[:bodyLen])
-		if err != nil {
-			return nil, fmt.Errorf("inventory: group %d: %w", i, err)
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("inventory: group %d: %d trailing bytes", i, len(rest))
-		}
+		sh := shardFor(key)
+		shards[sh] = append(shards[sh], group{key, p[:bodyLen]})
 		p = p[bodyLen:]
-		inv.Put(key, s)
 	}
-	if err := inv.Validate(); err != nil {
-		return nil, err
+	var errs [ShardCount]error
+	inv.eachShard(int(numGroups), func(i int) (added int) {
+		if len(shards[i]) == 0 {
+			return 0
+		}
+		sh := inv.writeShard(i, len(shards[i]))
+		for _, g := range shards[i] {
+			s, rest, err := DecodeCellSummary(g.body)
+			if err == nil && len(rest) != 0 {
+				err = fmt.Errorf("inventory: %d trailing bytes", len(rest))
+			}
+			if err != nil {
+				errs[i] = fmt.Errorf("inventory: group %v: %w", g.key, err)
+				return added
+			}
+			if sh.put(g.key, s, inv.epoch) {
+				added++
+			}
+		}
+		return added
+	})
+	if err := errors.Join(errs[:]...); err != nil {
+		return err
 	}
-	return inv, nil
+	inv.info.RawRecords += raw
+	inv.info.UsedRecords += used
+	return nil
 }
 
 // Equal reports whether two inventories hold exactly the same groups with

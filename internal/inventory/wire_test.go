@@ -8,34 +8,40 @@ import (
 	"github.com/patternsoflife/pol/internal/model"
 )
 
-func TestMarshalUnmarshalRoundTrip(t *testing.T) {
+func TestMarshalMergeImageRoundTrip(t *testing.T) {
 	fine, dense := buildFineInventory(t)
 	data, err := Marshal(fine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Unmarshal(data)
-	if err != nil {
+	empty := func() *Inventory { return New(BuildInfo{Resolution: fine.Info().Resolution}) }
+	back := empty()
+	if err := back.MergeImage(data); err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(fine, back) {
 		t.Fatal("round-tripped inventory differs from the original")
 	}
-	if back.Info() != fine.Info() {
-		t.Errorf("build info %+v, want %+v", back.Info(), fine.Info())
+	if got, want := back.Info(), fine.Info(); got.RawRecords != want.RawRecords || got.UsedRecords != want.UsedRecords {
+		t.Errorf("record counters %d/%d, want %d/%d", got.RawRecords, got.UsedRecords, want.RawRecords, want.UsedRecords)
 	}
 	// The round-tripped copy is mutable (not a frozen snapshot).
 	s, _ := back.Get(GroupKey{Set: GSCell, Cell: dense})
 	if s == nil {
 		t.Fatal("dense cell missing after round trip")
 	}
-	if _, err := Unmarshal(data[:len(data)/2]); err == nil {
+	s.Records++
+	if err := empty().MergeImage(data[:len(data)/2]); err == nil {
 		t.Error("truncated image must fail to decode")
+	}
+	coarse := New(BuildInfo{Resolution: 6})
+	if err := coarse.MergeImage(data); err == nil || !strings.Contains(err.Error(), "resolution 7, want 6") {
+		t.Errorf("resolution-7 image into a resolution-6 inventory: %v", err)
 	}
 	// A partial from a worker of the fixed-width build is refused by its
 	// version, before any of its summaries is misread as the dense form.
 	binary.LittleEndian.PutUint32(data[len(wireMagic):], 1)
-	if _, err := Unmarshal(data); err == nil || !strings.Contains(err.Error(), "wire image version 1, only version 2 is read") {
+	if err := empty().MergeImage(data); err == nil || !strings.Contains(err.Error(), "wire image version 1, only version 2 is read") {
 		t.Errorf("version-1 wire image: %v", err)
 	}
 }

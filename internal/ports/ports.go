@@ -85,11 +85,6 @@ func (p Port) Fence() geo.Polygon {
 	return geo.CirclePolygon(p.Pos, p.FenceRadiusM(), 24)
 }
 
-// Contains reports whether the coordinate lies inside the port geofence.
-func (p Port) Contains(q geo.LatLng) bool {
-	return geo.Haversine(p.Pos, q) <= p.FenceRadiusM()
-}
-
 // String renders "Name (CC)".
 func (p Port) String() string { return fmt.Sprintf("%s (%s)", p.Name, p.Country) }
 
@@ -151,22 +146,6 @@ func (g *Gazetteer) ByName(name string) (Port, bool) {
 		return Port{}, false
 	}
 	return g.ports[id-1], true
-}
-
-// Nearest returns the port closest to p and its distance in metres. It
-// returns false if the gazetteer is empty.
-func (g *Gazetteer) Nearest(p geo.LatLng) (Port, float64, bool) {
-	if len(g.ports) == 0 {
-		return Port{}, 0, false
-	}
-	best := g.ports[0]
-	bestD := geo.Haversine(p, best.Pos)
-	for _, port := range g.ports[1:] {
-		if d := geo.Haversine(p, port.Pos); d < bestD {
-			best, bestD = port, d
-		}
-	}
-	return best, bestD, true
 }
 
 // Index is a compiled geofence index: a hexgrid covering of every port

@@ -75,38 +75,21 @@ func TestPaperFigure6PortsPresent(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	g := Default()
-	// A point in the North Sea off the Dutch coast is nearest Rotterdam or
-	// Amsterdam-area ports.
-	port, dist, ok := g.Nearest(geo.LatLng{Lat: 52.0, Lng: 3.9})
-	if !ok {
-		t.Fatal("nearest failed")
-	}
-	if port.Country != "NL" && port.Country != "BE" {
-		t.Errorf("nearest to Dutch coast is %v", port)
-	}
-	if dist > 100000 {
-		t.Errorf("distance %v m too large", dist)
-	}
-	empty := New(nil)
-	if _, _, ok := empty.Nearest(geo.LatLng{}); ok {
-		t.Error("empty gazetteer must report !ok")
-	}
-}
-
+// TestPortContains: the geofence check behind PortAt holds a port's
+// center and a point just inside its fence, and not one outside it.
 func TestPortContains(t *testing.T) {
 	g := Default()
+	idx := NewIndex(g, IndexResolution)
 	rtm, _ := g.ByName("Rotterdam")
-	if !rtm.Contains(rtm.Pos) {
+	if id, ok := idx.PortAt(rtm.Pos); !ok || id != rtm.ID {
 		t.Error("port must contain its own center")
 	}
 	edge := geo.Destination(rtm.Pos, 90, rtm.FenceRadiusM()-100)
-	if !rtm.Contains(edge) {
+	if id, ok := idx.PortAt(edge); !ok || id != rtm.ID {
 		t.Error("point just inside fence must be contained")
 	}
 	outside := geo.Destination(rtm.Pos, 90, rtm.FenceRadiusM()+1000)
-	if rtm.Contains(outside) {
+	if id, _ := idx.PortAt(outside); id == rtm.ID {
 		t.Error("point outside fence must not be contained")
 	}
 }

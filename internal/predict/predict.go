@@ -39,9 +39,6 @@ func New(inv *inventory.Inventory, vtype model.VesselType) *Predictor {
 	}
 }
 
-// Observations returns the number of reports observed so far.
-func (p *Predictor) Observations() int { return p.obs }
-
 // Observe folds one position report into the vote tally. Each report
 // contributes the cell's top destinations weighted by their historical
 // share in the cell — the streaming scheme the paper sketches. Reports in
@@ -96,10 +93,4 @@ func (p *Predictor) Best() (model.PortID, bool) {
 		return model.NoPort, false
 	}
 	return top[0].Port, true
-}
-
-// Reset clears the tally (e.g. after the vessel calls at a port).
-func (p *Predictor) Reset() {
-	p.votes = make(map[model.PortID]float64)
-	p.obs = 0
 }

@@ -106,12 +106,12 @@ func TestPredictorLifecycle(t *testing.T) {
 	if _, ok := p.Best(); ok {
 		t.Error("no observations yet: Best must report !ok")
 	}
-	if p.Observations() != 0 {
+	if p.obs != 0 {
 		t.Error("fresh predictor has observations")
 	}
 	// Observing open ocean contributes nothing but counts.
 	p.Observe(geo.LatLng{Lat: -55, Lng: -140})
-	if p.Observations() != 1 {
+	if p.obs != 1 {
 		t.Error("observation count must advance")
 	}
 	if _, ok := p.Best(); ok {
@@ -128,13 +128,6 @@ func TestPredictorLifecycle(t *testing.T) {
 	}
 	if len(p.Top(1000)) > inventory.TopNCapacity*10 {
 		t.Error("candidate set implausibly large")
-	}
-	p.Reset()
-	if p.Observations() != 0 {
-		t.Error("reset must clear observations")
-	}
-	if _, ok := p.Best(); ok {
-		t.Error("reset must clear votes")
 	}
 }
 

@@ -354,10 +354,6 @@ func (d *DiskReplica) getRange(ctx context.Context, u string, from, to int64) ([
 	return body[from : to+1], nil
 }
 
-// Reader returns the currently installed segment reader (nil before the
-// first successful sync).
-func (d *DiskReplica) Reader() *segment.Reader { return d.reader.Load() }
-
 // Inventory implements api.Source: queries resolve against the mapped
 // segment; before the first sync an empty inventory answers.
 func (d *DiskReplica) Inventory() inventory.View {

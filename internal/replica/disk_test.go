@@ -162,7 +162,7 @@ func TestDiskReplicaSyncAndDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen1 := d.generation.Load()
-	if d.Reader() == nil || gen1 == 0 {
+	if d.reader.Load() == nil || gen1 == 0 {
 		t.Fatalf("no generation installed: %+v", d.StatusSnapshot())
 	}
 	requireViewEqual(t, fetchInventoryForGen(t, srv.URL, gen1), d.Inventory(), "cold sync")
@@ -411,7 +411,7 @@ func TestDiskReplicaRejectsCorruptFetch(t *testing.T) {
 	if hits.Load() == 0 {
 		t.Fatal("corruptor never fired — vacuous test")
 	}
-	if d.Reader() != nil {
+	if d.reader.Load() != nil {
 		t.Fatal("corrupted fetch reached the serving reader")
 	}
 	st := d.StatusSnapshot()
@@ -475,7 +475,7 @@ func TestDiskReplicaRunConverges(t *testing.T) {
 	go func() { done <- d.Run(ctx) }()
 
 	deadline := time.Now().Add(30 * time.Second)
-	for d.Reader() == nil {
+	for d.reader.Load() == nil {
 		if time.Now().After(deadline) {
 			t.Fatalf("Run never installed a generation: %+v", d.StatusSnapshot())
 		}

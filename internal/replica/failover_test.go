@@ -275,7 +275,7 @@ var followerKinds = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return followerUnderTest{d.follower, d.Sync, d.Run, func() bool { return d.Reader() != nil }, d.Inventory, d.Close}
+		return followerUnderTest{d.follower, d.Sync, d.Run, func() bool { return d.reader.Load() != nil }, d.Inventory, d.Close}
 	}},
 }
 
@@ -433,7 +433,7 @@ func TestStickyTermRejectsStalePrimary(t *testing.T) {
 		if requests.Load() < 2 {
 			t.Fatal("no Range request was made — vacuous test")
 		}
-		if st := d.StatusSnapshot(); d.Reader() != nil || st.FencingRejects == 0 || st.Term != 2 {
+		if st := d.StatusSnapshot(); d.reader.Load() != nil || st.FencingRejects == 0 || st.Term != 2 {
 			t.Fatalf("stale Range response not rejected: %+v", st)
 		}
 	})
@@ -555,7 +555,7 @@ func TestReplicaHonors429RetryAfter(t *testing.T) {
 		t0 := time.Now()
 		go func() { _ = d.Run(ctx) }()
 		deadline := t0.Add(30 * time.Second)
-		for d.Reader() == nil {
+		for d.reader.Load() == nil {
 			if time.Now().After(deadline) {
 				t.Fatalf("never installed past the throttling: %+v", d.StatusSnapshot())
 			}

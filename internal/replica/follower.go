@@ -191,10 +191,20 @@ func readTermFile(path string) (term, node uint64, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("replica: term file: %w", err)
 	}
-	if _, err := fmt.Sscanf(string(data), "POLTERM1\nterm %d node %x", &term, &node); err != nil {
+	if term, node, err = parseTermFile(data); err != nil {
 		return 0, 0, fmt.Errorf("replica: term file %s: malformed: %w", path, err)
 	}
 	return term, node, nil
+}
+
+// termFile is the one spelling of a POLTERM1 file; parseTermFile reads it.
+func termFile(term, node uint64) string {
+	return fmt.Sprintf("POLTERM1\nterm %d node %016x\n", term, node)
+}
+
+func parseTermFile(data []byte) (term, node uint64, err error) {
+	_, err = fmt.Sscanf(string(data), "POLTERM1\nterm %d node %x", &term, &node)
+	return term, node, err
 }
 
 // raiseHW lifts the term high-water mark to (term, node) if it beats the
@@ -208,7 +218,7 @@ func (f *follower) raiseHW(term, node uint64) error {
 	}
 	if f.cfg.termPath != "" {
 		err := inventory.AtomicWrite(f.cfg.termPath, func(w io.Writer) error {
-			_, werr := fmt.Fprintf(w, "POLTERM1\nterm %d node %016x\n", term, node)
+			_, werr := io.WriteString(w, termFile(term, node))
 			return werr
 		})
 		if err != nil {

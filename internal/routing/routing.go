@@ -74,12 +74,6 @@ func Build(inv inventory.View, origin, dest model.PortID, vt model.VesselType) (
 // Size returns the number of vertices.
 func (g *Graph) Size() int { return len(g.cells) }
 
-// Contains reports whether the cell is a vertex of the graph.
-func (g *Graph) Contains(c hexgrid.Cell) bool {
-	_, ok := g.cells[c]
-	return ok
-}
-
 // Nearest returns the graph vertex closest to the position.
 func (g *Graph) Nearest(p geo.LatLng) (hexgrid.Cell, bool) {
 	var best hexgrid.Cell

@@ -45,7 +45,7 @@ func TestBuildGraph(t *testing.T) {
 	// Every vertex must carry the OD summary's resolution.
 	res := f.Inventory.Info().Resolution
 	for _, c := range f.Inventory.ODCells(v.Route.Origin, v.Route.Dest, v.VType) {
-		if !g.Contains(c) {
+		if _, ok := g.cells[c]; !ok {
 			t.Error("OD cell missing from graph")
 		}
 		if c.Resolution() != res {

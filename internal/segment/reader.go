@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/patternsoflife/pol/internal/geo"
 	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
@@ -188,9 +187,6 @@ func (r *Reader) init(opts Options) error {
 
 // Path returns the file the reader serves from.
 func (r *Reader) Path() string { return r.path }
-
-// Size returns the on-disk byte size of the segment.
-func (r *Reader) Size() int64 { return r.size }
 
 // Mapped reports whether the file is memory-mapped.
 func (r *Reader) Mapped() bool { return r.f != nil && r.mm != nil }
@@ -577,11 +573,6 @@ func (r *Reader) Cell(cell hexgrid.Cell) (*inventory.CellSummary, bool) {
 	return r.Get(inventory.GroupKey{Set: inventory.GSCell, Cell: cell})
 }
 
-// At returns the all-traffic summary of the cell containing p.
-func (r *Reader) At(p geo.LatLng) (*inventory.CellSummary, bool) {
-	return r.Cell(hexgrid.LatLngToCell(p, r.info.Resolution))
-}
-
 // CountGroups answers from the footer index's per-set counts — no block
 // is read.
 func (r *Reader) CountGroups(set inventory.GroupSet) int {
@@ -633,16 +624,6 @@ func (r *Reader) ODSummary(cell hexgrid.Cell, origin, dest model.PortID, vt mode
 // TypeSummary returns the summary for a (cell, vessel-type) group.
 func (r *Reader) TypeSummary(cell hexgrid.Cell, vt model.VesselType) (*inventory.CellSummary, bool) {
 	return r.Get(inventory.GroupKey{Set: inventory.GSCellType, Cell: cell, VType: vt})
-}
-
-// MostFrequentDestination returns the top destination of a cell.
-func (r *Reader) MostFrequentDestination(cell hexgrid.Cell) (model.PortID, uint64, bool) {
-	s, ok := r.Cell(cell)
-	if !ok {
-		return model.NoPort, 0, false
-	}
-	port, count := s.TopDestination()
-	return port, count, port != model.NoPort
 }
 
 // Compression returns the Table-4 compression metric for a grouping set.

@@ -64,15 +64,6 @@ func (h *AngularHistogram) Bins() []uint64 {
 	return out
 }
 
-// Total returns the total observed weight.
-func (h *AngularHistogram) Total() uint64 {
-	var t uint64
-	for _, c := range h.counts {
-		t += c
-	}
-	return t
-}
-
 // AppendBinary appends the histogram's binary encoding to buf.
 func (h *AngularHistogram) AppendBinary(buf []byte) []byte {
 	buf = appendU32(buf, uint32(len(h.counts)))
@@ -127,9 +118,6 @@ func (c *CircularMean) Merge(o *CircularMean) {
 	c.sumCos += o.sumCos
 	c.weight += o.weight
 }
-
-// Weight returns the total observed weight.
-func (c *CircularMean) Weight() float64 { return c.weight }
 
 // Mean returns the circular mean angle in degrees [0, 360), or NaN if empty
 // or if the observations cancel (no preferred direction).

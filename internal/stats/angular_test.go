@@ -29,8 +29,8 @@ func TestAngularHistogramBinning(t *testing.T) {
 	if bins[11] != 2 {
 		t.Errorf("bin 11 = %d, want 2", bins[11])
 	}
-	if h.Total() != 7 {
-		t.Errorf("total %d, want 7", h.Total())
+	if binTotal(h) != 7 {
+		t.Errorf("total %d, want 7", binTotal(h))
 	}
 }
 
@@ -38,7 +38,7 @@ func TestAngularHistogramIgnoresNaN(t *testing.T) {
 	h := NewAngularHistogram(12)
 	h.Add(math.NaN())
 	h.AddWeighted(10, 0)
-	if h.Total() != 0 {
+	if binTotal(h) != 0 {
 		t.Error("NaN and zero weight must be ignored")
 	}
 }
@@ -59,7 +59,7 @@ func TestAngularHistogramMerge(t *testing.T) {
 	mismatched := NewAngularHistogram(6)
 	a.Merge(mismatched) // ignored
 	a.Merge(nil)        // ignored
-	if a.Total() != 12 {
+	if binTotal(a) != 12 {
 		t.Error("mismatched/nil merges must be no-ops")
 	}
 }
@@ -229,4 +229,13 @@ func BenchmarkCircularMeanAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Add(float64(i % 360))
 	}
+}
+
+// binTotal is the histogram's total observed weight.
+func binTotal(h *AngularHistogram) uint64 {
+	var t uint64
+	for _, c := range h.counts {
+		t += c
+	}
+	return t
 }

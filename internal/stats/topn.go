@@ -132,14 +132,6 @@ func (t *TopN) Top(n int) []TopEntry {
 	return e
 }
 
-// Count returns the estimated count for key, or 0 if it is not tracked.
-func (t *TopN) Count(key uint64) uint64 {
-	if c, ok := t.counters[key]; ok {
-		return c.count
-	}
-	return 0
-}
-
 // AppendBinary appends the sketch's binary encoding to buf.
 func (t *TopN) AppendBinary(buf []byte) []byte {
 	buf = appendU32(buf, uint32(t.capacity))

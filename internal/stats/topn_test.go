@@ -82,11 +82,11 @@ func TestTopNWeighted(t *testing.T) {
 	s.AddWeighted(7, 100)
 	s.AddWeighted(8, 50)
 	s.AddWeighted(7, 25)
-	if got := s.Count(7); got != 125 {
+	if got := s.counters[7].count; got != 125 {
 		t.Errorf("count(7) = %d, want 125", got)
 	}
-	if got := s.Count(99); got != 0 {
-		t.Errorf("untracked key count %d, want 0", got)
+	if _, ok := s.counters[99]; ok {
+		t.Error("untracked key tracked")
 	}
 	s.AddWeighted(9, 0)
 	if s.Len() != 2 {
@@ -132,7 +132,7 @@ func TestTopNMergeNilAndEmpty(t *testing.T) {
 	s.Add(1)
 	s.Merge(nil)
 	s.Merge(NewTopN(4))
-	if s.Len() != 1 || s.Count(1) != 1 {
+	if s.Len() != 1 || s.counters[1].count != 1 {
 		t.Error("nil/empty merges must be no-ops")
 	}
 }

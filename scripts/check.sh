@@ -35,12 +35,20 @@ fi
 echo "== go vet =="
 go vet ./...
 
-echo "== wire image stays in flight (inventory.Marshal/Unmarshal only inside cluster) =="
+echo "== wire image stays in flight (inventory.Marshal/MergeImage only inside cluster) =="
 # The POLINV wire image is for cluster partials; persistence and
 # replication are POLSEG1. A caller anywhere else is a format creeping back.
-if grep -rnE 'inventory\.(Marshal|Unmarshal)\(' --include='*.go' --exclude='*_test.go' cmd internal examples ./*.go |
+if grep -rnE 'inventory\.Marshal\(|\.MergeImage\(' --include='*.go' --exclude='*_test.go' cmd internal examples ./*.go |
 	grep -vE '^internal/(cluster|inventory)/'; then
-	echo "inventory.Marshal/Unmarshal called outside internal/cluster"
+	echo "inventory.Marshal/MergeImage called outside internal/cluster"
+	exit 1
+fi
+
+echo "== one shuffle codec (encoding/gob in non-test internal/cluster only in protocol.go, for frame envelopes) =="
+# Shuffle payloads are the record rows of internal/cluster/payload.go; gob
+# anywhere else in the package is a second, reflective spelling of them.
+if grep -ln '"encoding/gob"' internal/cluster/*.go | grep -vE '^internal/cluster/(protocol\.go|[a-z_]*_test\.go)$'; then
+	echo "encoding/gob imported in internal/cluster outside protocol.go"
 	exit 1
 fi
 
@@ -118,6 +126,7 @@ go test -race -count=1 -timeout 20m ./internal/api/ ./internal/cluster/ ./intern
 
 echo "== fuzz smoke (5 s per target; corpora under <package>/testdata/fuzz) =="
 for target in ingest/FuzzReadReplChunk ingest/FuzzOpenJournal ingest/FuzzDecodeState \
+	ingest/FuzzParseManifestLine replica/FuzzTermFile \
 	cluster/FuzzReadFrame cluster/FuzzPeerFrame ais/FuzzDecoderFeed \
 	inventory/FuzzDecodeCellSummary segment/FuzzLoadBytes api/FuzzAppendJSONString \
 	obs/trace/FuzzParseTraceparent; do
@@ -138,6 +147,9 @@ go test -run='^$' -bench=PumpToReplica -benchtime=1x ./internal/replica/
 
 echo "== benchmark smoke (api handlers per route: ns/op, allocs/op) =="
 go test -run='^$' -bench=Handlers -benchtime=1x ./internal/api/
+
+echo "== benchmark smoke (shuffle frame: seal + open, local delivery; ns and allocs per record) =="
+go test -run='^$' -bench=ShuffleFrame -benchtime=1x ./internal/cluster/
 
 e2e
 
