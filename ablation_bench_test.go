@@ -1,7 +1,10 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: grid
+// Ablation benchmarks for the design choices DESIGN.md §6 calls out: grid
 // resolution, map-side combining, heavy-hitter capacity, HyperLogLog
-// precision and the sparse sketch representation. Each reports the
-// quality/size metric it trades against time via b.ReportMetric.
+// precision, the sparse sketch representation and the three grouping sets.
+// Each reports the quality/size metric it trades against time via
+// b.ReportMetric. Run with:
+//
+//	go test -run '^$' -bench=Ablation -benchmem
 package pol_test
 
 import (
@@ -14,19 +17,41 @@ import (
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/pipeline"
+	"github.com/patternsoflife/pol/internal/ports"
+	"github.com/patternsoflife/pol/internal/sim"
 	"github.com/patternsoflife/pol/internal/stats"
+	"github.com/patternsoflife/pol/internal/testutil"
 )
+
+// ablationFleet is the simulated fleet the data-driven ablations build on.
+var ablationFleet = sim.Config{Vessels: 30, Days: 15, Seed: 1}
+
+// records is a fixture's raw stream, one partition per vessel in fleet order.
+func records(f *testutil.Fixture, ctx *dataflow.Context) *dataflow.Dataset[model.PositionRecord] {
+	vessels := f.Sim.Fleet().Vessels
+	return dataflow.Generate(ctx, len(vessels), func(i int) []model.PositionRecord { return f.Tracks[vessels[i].MMSI] })
+}
+
+// rebuild runs the pipeline over a fixture's records again.
+func rebuild(b *testing.B, f *testutil.Fixture, idx *ports.Index, opt pipeline.Options) *inventory.Inventory {
+	result, err := pipeline.Run(records(f, dataflow.NewContext(0)), f.Sim.Fleet().StaticIndex(), idx, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return result.Inventory
+}
 
 // BenchmarkAblationResolution sweeps the grid resolution (the paper uses 6
 // and 7): finer grids cost more groups and build time for more spatial
 // detail. Cells and compression are reported per resolution.
 func BenchmarkAblationResolution(b *testing.B) {
-	l := getLab(b)
+	f := testutil.Build(b, ablationFleet, 6)
+	idx := ports.NewIndex(f.Sim.Gazetteer(), ports.IndexResolution)
 	for res := 4; res <= 8; res++ {
 		b.Run(fmt.Sprintf("res%d", res), func(b *testing.B) {
 			var inv *inventory.Inventory
 			for i := 0; i < b.N; i++ {
-				inv = l.build(res)
+				inv = rebuild(b, f, idx, pipeline.Options{Resolution: res})
 			}
 			b.ReportMetric(float64(inv.CountGroups(inventory.GSCell)), "cells")
 			b.ReportMetric(inv.Compression(inventory.GSCell)*100, "compression-%")
@@ -34,40 +59,38 @@ func BenchmarkAblationResolution(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMapSideCombining compares map-side combining (ReduceByKey:
-// partial aggregation before the shuffle, as the pipeline's
-// AggregateByKeyHashed does) against a naive GroupByKey that shuffles every
-// observation — the design choice that makes
-// the paper's reduce phase tractable. Shuffled record counts are reported.
+// BenchmarkAblationMapSideCombining compares map-side combining
+// (AggregateByKeyHashed, what pipeline.Run uses: partial counts before the
+// shuffle) against shuffling every pair (RepartitionByKey) over the same
+// (cell-key, 1) pairs — the design choice that makes the paper's reduce
+// phase tractable. Shuffled record counts are reported.
 func BenchmarkAblationMapSideCombining(b *testing.B) {
-	l := getLab(b)
-	// Reuse the pipeline's observation stream: emit (cell-key, 1) pairs at
-	// res 6 from the raw tracks.
-	mkPairs := func(ctx *dataflow.Context) *dataflow.Dataset[dataflow.Pair[inventory.GroupKey, int]] {
-		records := dataflow.Generate(ctx, len(l.tracks), func(i int) []model.PositionRecord { return l.tracks[i] })
-		return dataflow.Map(records, "obs", func(r model.PositionRecord) dataflow.Pair[inventory.GroupKey, int] {
-			key := inventory.NewGroupKey(inventory.GSCell, cellOf(r), 0, 0, 0)
+	f := testutil.Build(b, ablationFleet, 6)
+	pairs := func(ctx *dataflow.Context) *dataflow.Dataset[dataflow.Pair[inventory.GroupKey, int]] {
+		return dataflow.Map(records(f, ctx), "obs", func(r model.PositionRecord) dataflow.Pair[inventory.GroupKey, int] {
+			key := inventory.NewGroupKey(inventory.GSCell, hexgrid.LatLngToCell(r.Pos, 6), 0, 0, 0)
 			return dataflow.Pair[inventory.GroupKey, int]{Key: key, Value: 1}
 		})
 	}
+	sum := func(a, b int) int { return a + b }
 	b.Run("aggregateByKey", func(b *testing.B) {
 		var shuffled int64
 		for i := 0; i < b.N; i++ {
 			ctx := dataflow.NewContext(0)
-			counts := dataflow.ReduceByKey(mkPairs(ctx), "combine", 4, func(a, b int) int { return a + b })
-			if _, err := dataflow.Count(counts); err != nil {
+			counts := dataflow.AggregateByKeyHashed(pairs(ctx), "combine", 4, inventory.GroupKey.Hash64, func() int { return 0 }, sum, sum)
+			if _, err := dataflow.Collect(counts); err != nil {
 				b.Fatal(err)
 			}
 			shuffled = ctx.Metrics().ShuffledRecords()
 		}
 		b.ReportMetric(float64(shuffled), "shuffled-records")
 	})
-	b.Run("groupByKey", func(b *testing.B) {
+	b.Run("repartitionByKey", func(b *testing.B) {
 		var shuffled int64
 		for i := 0; i < b.N; i++ {
 			ctx := dataflow.NewContext(0)
-			groups := dataflow.GroupByKey(mkPairs(ctx), "naive", 4)
-			if _, err := dataflow.Count(groups); err != nil {
+			rows := dataflow.RepartitionByKey(pairs(ctx), "naive", 4)
+			if _, err := dataflow.Collect(rows); err != nil {
 				b.Fatal(err)
 			}
 			shuffled = ctx.Metrics().ShuffledRecords()
@@ -160,35 +183,22 @@ func BenchmarkAblationSparseHLL(b *testing.B) {
 // BenchmarkAblationGroupSets compares building only the (cell) grouping
 // set against all three — the cost of the paper's full Table-2 inventory.
 func BenchmarkAblationGroupSets(b *testing.B) {
-	l := getLab(b)
-	build := func(sets []inventory.GroupSet) *inventory.Inventory {
-		ctx := dataflow.NewContext(0)
-		records := dataflow.Generate(ctx, len(l.tracks), func(i int) []model.PositionRecord { return l.tracks[i] })
-		result, err := pipeline.Run(records, l.sim.Fleet().StaticIndex(), l.portIdx,
-			pipeline.Options{Resolution: 6, GroupSets: sets})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return result.Inventory
-	}
+	f := testutil.Build(b, ablationFleet, 6)
+	idx := ports.NewIndex(f.Sim.Gazetteer(), ports.IndexResolution)
 	b.Run("cellOnly", func(b *testing.B) {
 		var groups int
 		for i := 0; i < b.N; i++ {
-			groups = build([]inventory.GroupSet{inventory.GSCell}).Len()
+			groups = rebuild(b, f, idx, pipeline.Options{Resolution: 6, GroupSets: []inventory.GroupSet{inventory.GSCell}}).Len()
 		}
 		b.ReportMetric(float64(groups), "groups")
 	})
 	b.Run("allThree", func(b *testing.B) {
 		var groups int
 		for i := 0; i < b.N; i++ {
-			groups = build(inventory.AllGroupSets).Len()
+			groups = rebuild(b, f, idx, pipeline.Options{Resolution: 6}).Len()
 		}
 		b.ReportMetric(float64(groups), "groups")
 	})
-}
-
-func cellOf(r model.PositionRecord) hexgrid.Cell {
-	return hexgrid.LatLngToCell(r.Pos, 6)
 }
 
 func abs(v float64) float64 {

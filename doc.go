@@ -6,7 +6,8 @@
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory), the command-line tools under cmd/, and runnable examples
-// under examples/. The benchmarks in bench_test.go regenerate every table
-// and figure of the paper's evaluation; `go run ./cmd/polbench -exp all`
-// prints the full paper-vs-measured comparison.
+// under examples/. `go run ./cmd/polbench -exp all` regenerates every
+// table and figure of the paper's evaluation as EXPERIMENTS.md's paper
+// section and exits 1 when a claim's check fails; the ablations of
+// DESIGN.md §6 are the benchmarks in ablation_bench_test.go.
 package pol

@@ -14,10 +14,10 @@ import (
 
 var fixture *testutil.Fixture
 
-func getFixture(t *testing.T) *testutil.Fixture {
-	t.Helper()
+func getFixture(tb testing.TB) *testutil.Fixture {
+	tb.Helper()
 	if fixture == nil {
-		fixture = testutil.Build(t, sim.Config{Vessels: 25, Days: 30, Seed: 77}, 6)
+		fixture = testutil.Build(tb, sim.Config{Vessels: 25, Days: 30, Seed: 77}, 6)
 	}
 	return fixture
 }
@@ -190,5 +190,18 @@ func TestSearchRingsConfigurable(t *testing.T) {
 	}
 	if !s.OffLane {
 		t.Errorf("with 0 search rings, off-cell point must be off-lane: %+v", s)
+	}
+}
+
+// BenchmarkScore is one normalcy evaluation of a mid-voyage report.
+func BenchmarkScore(b *testing.B) {
+	f := getFixture(b)
+	v := f.CompletedVoyages()[0]
+	track := f.TrackDuring(v)
+	sc := New(f.Inventory)
+	rec := track[len(track)/2]
+	b.ResetTimer()
+	for range b.N {
+		sc.Score(rec, v.VType)
 	}
 }

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/patternsoflife/pol/internal/geo"
@@ -131,12 +132,15 @@ func (m *RouteModel) Covers(origin, dest model.PortID, vt model.VesselType, p ge
 	if !ok {
 		return false
 	}
+	// No vertex farther than BufferM along the meridian lies within BufferM
+	// on the sphere; the band is a hair wide so rounding only admits more.
+	band := m.BufferM / geo.EarthRadiusMeters * 180 / math.Pi * 1.001
 	for _, h := range hulls {
 		if len(h) >= 3 && h.Contains(p) {
 			return true
 		}
 		for _, v := range h {
-			if geo.Haversine(v, p) <= m.BufferM {
+			if math.Abs(v.Lat-p.Lat) <= band && geo.Haversine(v, p) <= m.BufferM {
 				return true
 			}
 		}

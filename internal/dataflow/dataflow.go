@@ -4,13 +4,12 @@
 // A Dataset[T] is a lazy, partitioned collection. Narrow transformations
 // (Map, KeyBy, MapPartitions) fuse into their parent's per-partition
 // computation and never materialize intermediate state. Wide
-// transformations (RepartitionByKey, AggregateByKeyHashed, and the
-// ReduceByKey/GroupByKey pair DESIGN.md §6's combining ablation compares)
-// introduce a hash shuffle: the parent is evaluated once, bucketed by key
-// hash, and downstream partitions read their bucket. Actions (Collect,
-// Count) trigger execution across a bounded worker pool. These are the
-// operators the methodology runs, not a catalogue: surface_test.go at the
-// repository root fails on one nothing calls.
+// transformations (RepartitionByKey, AggregateByKeyHashed) introduce a hash
+// shuffle: the parent is evaluated once, bucketed by key hash, and
+// downstream partitions read their bucket. The action, Collect, triggers
+// execution across a bounded worker pool. These are the operators the
+// methodology runs, not a catalogue: surface_test.go at the repository root
+// fails on one nothing calls.
 //
 // The engine provides exactly the execution semantics the paper's
 // methodology needs (§3.3, Figure 3): partitioning by vessel identifier for
@@ -291,21 +290,4 @@ func Collect[T any](d *Dataset[T]) ([]T, error) {
 		out = append(out, p...)
 	}
 	return out, nil
-}
-
-// Count evaluates the dataset and returns its total element count.
-func Count[T any](d *Dataset[T]) (int64, error) {
-	var mu sync.Mutex
-	var total int64
-	err := d.ctx.runParallel(d.nParts, func(p int) error {
-		rows, e := d.compute(p)
-		if e != nil {
-			return e
-		}
-		mu.Lock()
-		total += int64(len(rows))
-		mu.Unlock()
-		return nil
-	})
-	return total, err
 }

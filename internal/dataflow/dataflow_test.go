@@ -50,9 +50,6 @@ func TestParallelizeEdgeCases(t *testing.T) {
 	if len(got) != 2 {
 		t.Errorf("tiny dataset lost records: %v", got)
 	}
-	if n, _ := Count(tiny); n != 2 {
-		t.Errorf("count %d", n)
-	}
 }
 
 func TestMap(t *testing.T) {
@@ -131,28 +128,6 @@ func TestKeyBy(t *testing.T) {
 	}
 }
 
-func TestReduceByKey(t *testing.T) {
-	ctx := NewContext(4)
-	var pairs []Pair[string, int]
-	for i := 0; i < 1000; i++ {
-		pairs = append(pairs, Pair[string, int]{Key: fmt.Sprintf("k%d", i%10), Value: 1})
-	}
-	d := Parallelize(ctx, pairs, 8)
-	counts := ReduceByKey(d, "count", 4, func(a, b int) int { return a + b })
-	got, err := Collect(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("want 10 keys, got %d", len(got))
-	}
-	for _, p := range got {
-		if p.Value != 100 {
-			t.Errorf("key %s count %d, want 100", p.Key, p.Value)
-		}
-	}
-}
-
 func TestReduceByKeyMapSideCombining(t *testing.T) {
 	// With 10 distinct keys over 8 partitions, the shuffle must carry at
 	// most 8×10 pre-combined records rather than all 10000 raw ones.
@@ -162,7 +137,8 @@ func TestReduceByKeyMapSideCombining(t *testing.T) {
 		pairs = append(pairs, Pair[int, int]{Key: i % 10, Value: 1})
 	}
 	d := Parallelize(ctx, pairs, 8)
-	counts := ReduceByKey(d, "combtest", 4, func(a, b int) int { return a + b })
+	sum := func(a, b int) int { return a + b }
+	counts := AggregateByKeyHashed(d, "combtest", 4, HasherFor[int](), func() int { return 0 }, sum, sum)
 	if _, err := Collect(counts); err != nil {
 		t.Fatal(err)
 	}
@@ -201,33 +177,6 @@ func TestAggregateByKey(t *testing.T) {
 	}
 }
 
-func TestGroupByKey(t *testing.T) {
-	ctx := NewContext(4)
-	var pairs []Pair[int, int]
-	for i := 0; i < 100; i++ {
-		pairs = append(pairs, Pair[int, int]{Key: i % 5, Value: i})
-	}
-	d := Parallelize(ctx, pairs, 4)
-	grouped := GroupByKey(d, "group", 3)
-	got, err := Collect(grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Fatalf("want 5 groups, got %d", len(got))
-	}
-	for _, g := range got {
-		if len(g.Value) != 20 {
-			t.Errorf("key %d has %d values, want 20", g.Key, len(g.Value))
-		}
-		for _, v := range g.Value {
-			if v%5 != g.Key {
-				t.Errorf("value %d in wrong group %d", v, g.Key)
-			}
-		}
-	}
-}
-
 func TestRepartitionByKeyColocatesKeys(t *testing.T) {
 	ctx := NewContext(4)
 	var pairs []Pair[uint32, int]
@@ -256,8 +205,8 @@ func TestRepartitionByKeyColocatesKeys(t *testing.T) {
 		}
 		keyPart[p.Key] = p.Value
 	}
-	if n, _ := Count(re); n != 1000 {
-		t.Errorf("repartition lost records: %d", n)
+	if rows, _ := Collect(re); len(rows) != 1000 {
+		t.Errorf("repartition lost records: %d", len(rows))
 	}
 }
 
@@ -314,7 +263,8 @@ func TestShuffleAfterPanicPropagates(t *testing.T) {
 	d := KeyBy(Map(Parallelize(ctx, intsUpTo(10), 2), "boom2", func(x int) int {
 		panic("die")
 	}), "key", func(x int) int { return x })
-	r := ReduceByKey(d, "reduce", 2, func(a, b int) int { return a + b })
+	sum := func(a, b int) int { return a + b }
+	r := AggregateByKeyHashed(d, "reduce", 2, HasherFor[int](), func() int { return 0 }, sum, sum)
 	if _, err := Collect(r); err == nil {
 		t.Error("shuffle must propagate upstream errors")
 	}
@@ -401,14 +351,15 @@ func BenchmarkMapFilterPipeline(b *testing.B) {
 			}
 			return out
 		})
-		if _, err := Count(f); err != nil {
+		if _, err := Collect(f); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkReduceByKey(b *testing.B) {
+func BenchmarkAggregateByKey(b *testing.B) {
 	ctx := NewContext(4)
+	sum := func(a, b int) int { return a + b }
 	pairs := make([]Pair[int, int], 100000)
 	for i := range pairs {
 		pairs[i] = Pair[int, int]{Key: i % 1000, Value: 1}
@@ -416,8 +367,8 @@ func BenchmarkReduceByKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := Parallelize(ctx, pairs, 8)
-		r := ReduceByKey(d, "r", 4, func(a, b int) int { return a + b })
-		if _, err := Count(r); err != nil {
+		r := AggregateByKeyHashed(d, "r", 4, HasherFor[int](), func() int { return 0 }, sum, sum)
+		if _, err := Collect(r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -456,9 +407,6 @@ func TestCancelledContextFailsAllActions(t *testing.T) {
 	d := Parallelize(ctx, []int{1, 2, 3, 4}, 4)
 	if _, err := Collect(d); !errors.Is(err, context.Canceled) {
 		t.Errorf("Collect on dead context: %v", err)
-	}
-	if _, err := Count(d); !errors.Is(err, context.Canceled) {
-		t.Errorf("Count on dead context: %v", err)
 	}
 	keyed := KeyBy(d, "k", func(x int) int { return x })
 	if _, err := Collect(RepartitionByKey(keyed, "shuffle", 2)); !errors.Is(err, context.Canceled) {

@@ -203,50 +203,6 @@ func RepartitionByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string, 
 	return shuffle(d, name, numPartitions, HasherFor[K]())
 }
 
-// ReduceByKey combines all values sharing a key with the associative,
-// commutative function combine. Values are pre-combined within each input
-// partition (map-side combining) before the shuffle, so shuffle volume is
-// proportional to distinct keys, not records — the property that makes the
-// paper's grouping-set aggregation tractable.
-func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string, numPartitions int, combine func(V, V) V) *Dataset[Pair[K, V]] {
-	return ReduceByKeyHashed(d, name, numPartitions, HasherFor[K](), combine)
-}
-
-// ReduceByKeyHashed is ReduceByKey with an explicit key hasher.
-func ReduceByKeyHashed[K comparable, V any](d *Dataset[Pair[K, V]], name string, numPartitions int, hash Hasher[K], combine func(V, V) V) *Dataset[Pair[K, V]] {
-	combined := MapPartitions(d, name+".combine", func(_ int, in []Pair[K, V]) []Pair[K, V] {
-		acc := make(map[K]V, len(in)/2+1)
-		for _, p := range in {
-			if cur, ok := acc[p.Key]; ok {
-				acc[p.Key] = combine(cur, p.Value)
-			} else {
-				acc[p.Key] = p.Value
-			}
-		}
-		out := make([]Pair[K, V], 0, len(acc))
-		for k, v := range acc {
-			out = append(out, Pair[K, V]{Key: k, Value: v})
-		}
-		return out
-	})
-	shuffled := shuffle(combined, name+".shuffle", numPartitions, hash)
-	return MapPartitions(shuffled, name+".reduce", func(_ int, in []Pair[K, V]) []Pair[K, V] {
-		acc := make(map[K]V, len(in))
-		for _, p := range in {
-			if cur, ok := acc[p.Key]; ok {
-				acc[p.Key] = combine(cur, p.Value)
-			} else {
-				acc[p.Key] = p.Value
-			}
-		}
-		out := make([]Pair[K, V], 0, len(acc))
-		for k, v := range acc {
-			out = append(out, Pair[K, V]{Key: k, Value: v})
-		}
-		return out
-	})
-}
-
 // AggregateByKeyHashed folds values into per-key accumulators: newAcc
 // creates an empty accumulator, seqOp folds one value in, combOp merges two
 // accumulators. Accumulators are built within each input partition and
@@ -286,24 +242,6 @@ func AggregateByKeyHashed[K comparable, V, A any](
 		out := make([]Pair[K, A], 0, len(acc))
 		for k, a := range acc {
 			out = append(out, Pair[K, A]{Key: k, Value: a})
-		}
-		return out
-	})
-}
-
-// GroupByKey gathers all values per key into a slice, shuffling every
-// record: the foil of DESIGN.md §6's map-side-combining ablation, which
-// runs it against ReduceByKey over the same pairs.
-func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], name string, numPartitions int) *Dataset[Pair[K, []V]] {
-	shuffled := shuffle(d, name+".shuffle", numPartitions, HasherFor[K]())
-	return MapPartitions(shuffled, name+".group", func(_ int, in []Pair[K, V]) []Pair[K, []V] {
-		acc := make(map[K][]V, len(in)/4+1)
-		for _, p := range in {
-			acc[p.Key] = append(acc[p.Key], p.Value)
-		}
-		out := make([]Pair[K, []V], 0, len(acc))
-		for k, vs := range acc {
-			out = append(out, Pair[K, []V]{Key: k, Value: vs})
 		}
 		return out
 	})

@@ -14,10 +14,10 @@ import (
 
 var fixture *testutil.Fixture
 
-func getFixture(t *testing.T) *testutil.Fixture {
-	t.Helper()
+func getFixture(tb testing.TB) *testutil.Fixture {
+	tb.Helper()
 	if fixture == nil {
-		fixture = testutil.Build(t, sim.Config{Vessels: 25, Days: 30, Seed: 77}, 6)
+		fixture = testutil.Build(tb, sim.Config{Vessels: 25, Days: 30, Seed: 77}, 6)
 	}
 	return fixture
 }
@@ -170,4 +170,19 @@ func TestEstimateZeroDurations(t *testing.T) {
 		t.Error("empty inventory must not answer")
 	}
 	_ = time.Second
+}
+
+// BenchmarkEstimate is one baseline ETA query (§4.1.2) from mid-voyage.
+func BenchmarkEstimate(b *testing.B) {
+	f := getFixture(b)
+	v := f.CompletedVoyages()[0]
+	track := f.TrackDuring(v)
+	est := New(f.Inventory)
+	q := Query{Pos: track[len(track)/2].Pos, VType: v.VType, Origin: v.Route.Origin, Dest: v.Route.Dest}
+	b.ResetTimer()
+	for range b.N {
+		if _, ok := est.Estimate(q); !ok {
+			b.Fatal("no estimate")
+		}
+	}
 }

@@ -220,3 +220,24 @@ func TestMergeFromIncrementalBuilds(t *testing.T) {
 		t.Error("resolution mismatch must fail")
 	}
 }
+
+// BenchmarkRollUp merges the fine fixture into res 6 (§5 future work).
+func BenchmarkRollUp(b *testing.B) {
+	fine, _ := buildFineInventory(b)
+	for range b.N {
+		if _, err := RollUp(fine, 6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildAdaptive builds the non-uniform inventory from the fine
+// fixture (§5 future work).
+func BenchmarkBuildAdaptive(b *testing.B) {
+	fine, _ := buildFineInventory(b)
+	for range b.N {
+		if _, err := BuildAdaptive(fine, 6, 50); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -399,6 +399,41 @@ func TestInventoryCompressionAndUtilization(t *testing.T) {
 	}
 }
 
+// TestCellsCentredInCountsCoverBBoxCentres: the lattice count equals the
+// cells of CoverBBox's covering whose centre lies in the box, and a
+// whole-ocean box at res 7 is counted without listing its cells.
+func TestCellsCentredInCountsCoverBBoxCentres(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for res := 4; res <= 6; res++ {
+		for i := 0; i < 20; i++ {
+			lat, lng := -70+140*rng.Float64(), -170+330*rng.Float64()
+			box := geo.BBox{MinLat: lat, MinLng: lng, MaxLat: lat + 0.2 + 3*rng.Float64(), MaxLng: lng + 0.2 + 8*rng.Float64()}
+			want := 0
+			for _, c := range hexgrid.CoverBBox(box, res) {
+				if box.Contains(c.LatLng()) {
+					want++
+				}
+			}
+			if got := cellsCentredIn(box, res); got != int64(want) {
+				t.Errorf("res %d box %+v: counted %d, CoverBBox has %d centres inside", res, box, got, want)
+			}
+		}
+	}
+	pacific := geo.BBox{MinLat: -60, MinLng: -179.9, MaxLat: 60, MaxLng: -70}
+	var n int64
+	if allocs := testing.AllocsPerRun(1, func() { n = cellsCentredIn(pacific, 7) }); allocs > 0 {
+		t.Errorf("counting a res-7 ocean allocates %.0f times, want none", allocs)
+	}
+	p, q := geo.ProjectEqualArea(geo.LatLng{Lat: -60, Lng: -179.9}), geo.ProjectEqualArea(geo.LatLng{Lat: 60, Lng: -70})
+	if area := (q.X - p.X) * (q.Y - p.Y) / 1e6 / hexgrid.AvgCellAreaKm2(7); math.Abs(float64(n)-area) > 1e-3*area {
+		t.Errorf("res-7 ocean: %d centres, box area holds %.0f cells", n, area)
+	}
+	inv, _ := buildTestInventory(t, 7)
+	if allocs := testing.AllocsPerRun(1, func() { inv.CoverageUtilization(pacific) }); allocs > 8 {
+		t.Errorf("res-7 ocean coverage utilization allocates %.0f times, want at most 8", allocs)
+	}
+}
+
 func TestInventoryPutMerges(t *testing.T) {
 	inv := New(BuildInfo{Resolution: 6})
 	cell := hexgrid.LatLngToCell(geo.LatLng{Lat: 10, Lng: 10}, 6)

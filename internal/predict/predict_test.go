@@ -12,10 +12,10 @@ import (
 
 var fixture *testutil.Fixture
 
-func getFixture(t *testing.T) *testutil.Fixture {
-	t.Helper()
+func getFixture(tb testing.TB) *testutil.Fixture {
+	tb.Helper()
 	if fixture == nil {
-		fixture = testutil.Build(t, sim.Config{Vessels: 25, Days: 30, Seed: 77}, 6)
+		fixture = testutil.Build(tb, sim.Config{Vessels: 25, Days: 30, Seed: 77}, 6)
 	}
 	return fixture
 }
@@ -153,4 +153,22 @@ func TestTopDeterministicOrder(t *testing.T) {
 			t.Fatal("top not sorted by score")
 		}
 	}
+}
+
+// BenchmarkReplayVoyage streams one voyage through the predictor (§4.1.3).
+func BenchmarkReplayVoyage(b *testing.B) {
+	f := getFixture(b)
+	v := f.CompletedVoyages()[0]
+	track := f.TrackDuring(v)
+	b.ResetTimer()
+	for range b.N {
+		p := New(f.Inventory, v.VType)
+		for _, r := range track {
+			p.Observe(r.Pos)
+		}
+		if _, ok := p.Best(); !ok {
+			b.Fatal("no prediction")
+		}
+	}
+	b.ReportMetric(float64(len(track)), "reports/op")
 }

@@ -18,10 +18,10 @@ import (
 
 var fixture *testutil.Fixture
 
-func getFixture(t *testing.T) *testutil.Fixture {
-	t.Helper()
+func getFixture(tb testing.TB) *testutil.Fixture {
+	tb.Helper()
 	if fixture == nil {
-		fixture = testutil.Build(t, sim.Config{Vessels: 20, Days: 20, Seed: 77}, 6)
+		fixture = testutil.Build(tb, sim.Config{Vessels: 20, Days: 20, Seed: 77}, 6)
 	}
 	return fixture
 }
@@ -226,6 +226,36 @@ func TestWritePNG(t *testing.T) {
 	}
 	if err := WritePNG(img, filepath.Join(t.TempDir(), "no/such/dir/x.png")); err == nil {
 		t.Error("unwritable path must error")
+	}
+}
+
+// BenchmarkFigures renders Figures 4–6 from the test fleet's inventory;
+// BenchmarkSpeedMapGlobal is Figure 1's speed half.
+func BenchmarkFigures(b *testing.B) {
+	f := getFixture(b)
+	inv := f.Inventory
+	var ids []model.PortID
+	for _, name := range []string{"Singapore", "Shanghai", "Rotterdam"} {
+		p, _ := f.Sim.Gazetteer().ByName(name)
+		ids = append(ids, p.ID)
+	}
+	for _, fig := range []struct {
+		name string
+		draw func()
+	}{
+		{"fig4-baltic", func() {
+			TripFrequencyMap(inv, BalticBox, 400)
+			SpeedMap(inv, BalticBox, 400, 24)
+			CourseMap(inv, BalticBox, 400)
+		}},
+		{"fig5-ata", func() { ATAMap(inv, WorldBox, 800) }},
+		{"fig6-destinations", func() { DestinationMap(inv, WorldBox, 800, ids) }},
+	} {
+		b.Run(fig.name, func(b *testing.B) {
+			for range b.N {
+				fig.draw()
+			}
+		})
 	}
 }
 

@@ -1,9 +1,6 @@
 package weather
 
 import (
-	"fmt"
-	"strings"
-
 	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/stats"
@@ -65,18 +62,4 @@ func (inv *Inventory) GlobalSpeedBySeaState() [MaxSeaState + 1]stats.Welford {
 		}
 	}
 	return out
-}
-
-// Report renders the global speed-by-sea-state table.
-func (inv *Inventory) Report() string {
-	global := inv.GlobalSpeedBySeaState()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %12s %12s\n", "sea state", "reports", "mean speed")
-	for s, w := range global {
-		if w.Weight() == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-10d %12.0f %9.1f kn\n", s, w.Weight(), w.Mean())
-	}
-	return b.String()
 }

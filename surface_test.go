@@ -30,11 +30,7 @@ var surfaceAllow = map[string]string{
 	"stats.TDigest.Centroids": "codec and merge tests compare digests centroid by centroid",
 	"ais.EncodeBaseStation":   "generator for the type-4 decoder, which parses outside input",
 	"ais.EncodeStaticB":       "generator for the type-24 decoder, which parses outside input",
-	// The pair DESIGN §6's map-side-combining ablation runs, with the action
-	// that drives it, and the paper reproduction with a DESIGN §3 row.
-	"dataflow.ReduceByKey": "the ablation's combining side (partial sums before the shuffle, through ReduceByKeyHashed)",
-	"dataflow.GroupByKey":  "the ablation's foil: shuffle every record, then fold",
-	"dataflow.Count":       "the action the ablation and the dataflow tests drive a dataset with, without concatenating it",
+	// The paper reproduction with a DESIGN §3 row.
 	"baseline.DBSCAN":      "DESIGN §3 '§2 baseline' row: the density-skew failure mode of [20], reproduced in baseline's tests",
 	"baseline.NumClusters": "reads DBSCAN's labelling in that reproduction",
 }
