@@ -4,13 +4,13 @@
 // survives daemon restarts and failovers (reconnect with jittered
 // backoff, resuming a little before where the last connection died), it
 // can wait for the daemon to finish absorbing the archive (polling
-// /v1/ingest/stats until the counters stop moving), and it doubles as a
+// /v1/status until the counters stop moving), and it doubles as a
 // minimal HTTP fetcher so end-to-end scripts need neither nc nor curl.
 //
 // Usage:
 //
 //	polfeed -addr localhost:10110 archive.nmea
-//	polfeed -addr localhost:10110 -stats http://localhost:8080/v1/ingest/stats archive.nmea
+//	polfeed -addr localhost:10110 -stats http://localhost:8080/v1/status archive.nmea
 //	polfeed -addr primary:10110,replica:10110 -probe http://primary:8080,http://replica:8081 archive.nmea
 //	polfeed -get http://localhost:8080/readyz
 //
@@ -24,9 +24,9 @@
 // feeder follows the promoted primary on its own.
 //
 // With -stats, after the archive has been written polfeed polls the
-// stats endpoint until the groups/accepted/rejected counters are
+// status document until the groups/accepted/rejected counters are
 // unchanged between consecutive polls (i.e. the daemon has drained its
-// queue and merged), then prints the final stats JSON to stdout. When
+// queue and merged), then prints the final document to stdout. When
 // -stats lists several URLs (parallel to -addr), the one matching the
 // endpoint that took the final line is polled.
 package main
@@ -54,7 +54,7 @@ func main() {
 
 	var (
 		addr     = flag.String("addr", "localhost:10110", "daemon NMEA feed address, or a comma-separated list of candidates")
-		statsURL = flag.String("stats", "", "poll this /v1/ingest/stats URL until counters settle, then print it (comma list parallel to -addr)")
+		statsURL = flag.String("stats", "", "poll this /v1/status URL until counters settle, then print it (comma list parallel to -addr)")
 		probeURL = flag.String("probe", "", "comma-separated HTTP bases (parallel to -addr) probed for the highest replication term before each connection")
 		getURL   = flag.String("get", "", "fetch this URL, print the body and exit (no feeding)")
 		timeout  = flag.Duration("timeout", 2*time.Minute, "overall deadline for connect, feed and settle")
@@ -259,7 +259,7 @@ func dialUntil(addr string, deadline time.Time) (net.Conn, error) {
 	}
 }
 
-// settle polls the stats endpoint until the daemon has demonstrably
+// settle polls the status document until the daemon has demonstrably
 // finished absorbing the feed: every feed connection has reached EOF,
 // the submission queue is empty, and the ingestion counters are
 // identical across three consecutive polls (so the final merge has
@@ -291,40 +291,28 @@ func settle(url string, poll time.Duration, deadline time.Time) ([]byte, error) 
 	}
 }
 
-// counterKey reduces a stats document to the counters that move while
+// counterKey reduces a status document to the counters that move while
 // ingestion is still in flight (volatile fields like uptime are
 // excluded so settle terminates) plus whether the daemon has drained:
-// all feeds at EOF and nothing left in the submission queue.
+// all feeds at EOF and nothing left in the submission queue. A document
+// without an engine section has nothing to settle.
 func counterKey(body []byte) (key string, drained, ok bool) {
-	var s struct {
-		Positions  int64 `json:"positions_seen"`
-		Statics    int64 `json:"statics_seen"`
-		Accepted   int64 `json:"accepted"`
-		Rejected   int64 `json:"rejected"`
-		Groups     int64 `json:"groups"`
-		Dropped    int64 `json:"degraded_dropped"`
-		QueueDepth int   `json:"queue_depth"`
-		Obs        int64 `json:"observations"`
-		MergedObs  int64 `json:"merged_observations"`
-		Feeds      []struct {
-			Closed bool `json:"closed"`
-		} `json:"feeds"`
-	}
-	if err := json.Unmarshal(body, &s); err != nil {
+	var s ingest.Status
+	if err := json.Unmarshal(body, &s); err != nil || s.EngineSection == nil {
 		return "", false, false
 	}
 	// Drained = every feed at EOF, nothing queued, and every emitted
 	// observation folded into a published snapshot (a long merge can
 	// freeze the counters for several polls while a trip is still
 	// unpublished).
-	drained = s.QueueDepth == 0 && s.Obs == s.MergedObs
+	drained = s.QueueDepth == 0 && s.Observations == s.MergedObservations
 	for _, f := range s.Feeds {
 		if !f.Closed {
 			drained = false
 		}
 	}
 	key = fmt.Sprintf("%d/%d/%d/%d/%d/%d",
-		s.Positions, s.Statics, s.Accepted, s.Rejected, s.Groups, s.Dropped)
+		s.PositionsSeen, s.StaticsSeen, s.Accepted, s.Rejected, s.Groups, s.DegradedDropped)
 	return key, drained, true
 }
 

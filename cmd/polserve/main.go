@@ -48,9 +48,13 @@
 //	                        degraded — journal disk gone, serving the
 //	                        last good snapshot read-only — answers 200
 //	                        "ready (degraded: ...)")
-//	GET /v1/ingest/stats    live per-feed and engine counters (JSON),
-//	                        including uptime and snapshot age (live mode
-//	                        and heap replicas)
+//	GET /v1/status          the node's one status document (JSON; live
+//	                        mode and both replica kinds): lifecycle
+//	                        state, term/node, generation, groups, uptime
+//	                        and snapshot age, then an engine section
+//	                        (counters, WAL frontier, feeds) and on
+//	                        replicas a follower section (endpoint, term
+//	                        mark, applied/primary seq, lag, sync counters)
 //	GET /v1/ops/anomalies   watchdog baselines and anomaly history
 //	                        (live mode)
 //	GET /v1/repl/...        read-only replication surface (checkpoint
@@ -59,7 +63,6 @@
 //	                        consumed by polserve -replica; see
 //	                        internal/ingest's ReplHandler (live mode and
 //	                        heap replicas)
-//	GET /v1/replica/status  replication counters (replica mode)
 //	GET /v1/traces          recent distributed traces (tail-sampled);
 //	                        /v1/traces/{id} returns one trace as a span
 //	                        tree
@@ -184,6 +187,9 @@ func main() {
 	}
 	tr := trace.New(trace.Options{Service: service, FlightDir: fdir})
 	tr.Mount(mux)
+	queries := func(src api.Source) http.Handler {
+		return api.NewLiveServer(src, gaz).WithMetrics(reg).WithTracing(tr).Handler()
+	}
 
 	replicaErr := make(chan error, 1)
 	if *replicaOf != "" && *segDir != "" {
@@ -203,8 +209,7 @@ func main() {
 		go func() { replicaErr <- d.Run(ctx) }()
 		logger.Info("disk replica mode", "primary", *replicaOf, "dir", *segDir)
 
-		mux.Handle("/", api.NewLiveServer(d, gaz).WithMetrics(reg).WithTracing(tr).Handler())
-		mux.Handle("GET /v1/replica/status", d.StatusHandler())
+		mountNode(mux, queries(d), d.StatusSnapshot, nil)
 		ready = d.ReadyDetail
 		cleanup = func() { closeLogged("disk replica", d) }
 	} else if *replicaOf != "" {
@@ -247,13 +252,11 @@ func main() {
 			})
 		}
 
-		mux.Handle("/", api.NewLiveServer(rep, gaz).WithMetrics(reg).WithTracing(tr).Handler())
-		mux.Handle("GET /v1/replica/status", rep.StatusHandler())
 		// The full primary surface, live from the start: before promotion
 		// the repl handlers answer for an engine with no generations (the
 		// snapshot route already serves the replica's inventory); after
 		// promotion siblings re-bootstrap from here.
-		mountEngine(mux, rep.Engine())
+		mountNode(mux, queries(rep), rep.StatusSnapshot, rep.Engine())
 		mux.Handle("POST /v1/admin/promote", rep.PromoteHandler(replica.PromoteOptions{
 			JournalPath:     *journal,
 			CheckpointPath:  *ckpt,
@@ -301,8 +304,7 @@ func main() {
 		eng.AttachWatchdog(wd)
 		wd.Start()
 
-		mux.Handle("/", api.NewLiveServer(eng, gaz).WithMetrics(reg).WithTracing(tr).Handler())
-		mountEngine(mux, eng)
+		mountNode(mux, queries(eng), eng.StatsSnapshot, eng)
 		mux.Handle("GET /v1/ops/anomalies", wd.Handler())
 		ready = eng.ReadyDetail
 		cleanup = func() {
@@ -381,12 +383,16 @@ func main() {
 	logger.Info("bye")
 }
 
-// mountEngine mounts what a daemon that owns an ingestion engine serves
-// beside the query API — the live primary from the start, a heap replica
-// so that a promotion needs no new routes.
-func mountEngine(mux *http.ServeMux, eng *ingest.Engine) {
-	mux.Handle("GET /v1/ingest/stats", eng.StatsHandler())
-	mux.Handle("GET /v1/repl/", eng.ReplHandler())
+// mountNode mounts what every stateful mode serves: the query API, the
+// node's one status document, and — where there is an engine, on the live
+// primary and on a heap replica so that a promotion needs no new routes —
+// the replication surface.
+func mountNode(mux *http.ServeMux, queries http.Handler, status func() ingest.Status, eng *ingest.Engine) {
+	mux.Handle("/", queries)
+	mux.Handle("GET /v1/status", ingest.ServeStatus(status))
+	if eng != nil {
+		mux.Handle("GET /v1/repl/", eng.ReplHandler())
+	}
 }
 
 // openFeeds starts accepting NMEA feeds for eng on addr; a feed silent for

@@ -2,7 +2,7 @@
 // end to end. A live ingestion engine accepts a simulated fleet's AIS
 // feed over a real TCP connection (timestamped NMEA, the provider wire
 // format), builds the inventory continuously, and serves it over HTTP
-// while ingesting. The example polls the daemon's stats endpoint like an
+// while ingesting. The example polls the daemon's status document like an
 // operations dashboard would until the feed is drained, then finalizes the
 // engine and prints what the stream produced.
 package main
@@ -40,7 +40,7 @@ func main() {
 	sort.SliceStable(live, func(i, j int) bool { return live[i].Time < live[j].Time })
 
 	// The live daemon, in-process: engine + TCP feed listener + HTTP API
-	// with the ingestion stats endpoint — exactly what polserve -live runs.
+	// with the status document — exactly what polserve -live runs.
 	eng, err := ingest.NewEngine(ingest.Options{Resolution: 6, MergeEvery: 100 * time.Millisecond})
 	if err != nil {
 		log.Fatal(err)
@@ -55,7 +55,7 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/", api.NewLiveServer(eng, gaz).Handler())
-	mux.Handle("GET /v1/ingest/stats", eng.StatsHandler())
+	mux.Handle("GET /v1/status", ingest.ServeStatus(eng.StatsSnapshot))
 	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -86,11 +86,11 @@ func main() {
 	}
 	conn.Close()
 
-	// Watch the daemon ingest through its stats endpoint, the way an
+	// Watch the daemon ingest through its status document, the way an
 	// operations dashboard does.
-	var st ingest.Stats
+	var st ingest.Status
 	for {
-		resp, err := http.Get(baseURL + "/v1/ingest/stats")
+		resp, err := http.Get(baseURL + "/v1/status")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,12 +5,16 @@
 //
 // Endpoints:
 //
-//	GET /v1/info                         build info, group counts, live status
+//	GET /v1/info                         build info, group counts
 //	GET /v1/cell?lat=&lng=[&type=]       per-location statistical summary
 //	GET /v1/destinations?lat=&lng=[&n=&type=]  top destinations at a location
 //	GET /v1/eta?lat=&lng=[&origin=&dest=&type=]  baseline ETA estimate
 //	GET /v1/odcells?origin=&dest=&type=  cells of an OD key
 //	GET /v1/forecast?origin=&dest=&type=&lat=&lng=  route forecast (A*)
+//
+// A node's own state — lifecycle, term, WAL frontier, lag — is not part of
+// this surface: every stateful node serves it as one document on
+// /v1/status (ingest.Status), so /v1/info describes the inventory alone.
 //
 // When a telemetry registry is attached with WithMetrics, every endpoint
 // is wrapped in the obs middleware: request counts per status class and a
@@ -54,31 +58,6 @@ type StaticSource struct{ Inv inventory.View }
 
 // Inventory implements Source.
 func (s StaticSource) Inventory() inventory.View { return s.Inv }
-
-// LiveStatus is implemented by live sources (the ingestion engine) that
-// can report process uptime and the age of the served snapshot. When the
-// Server's source implements it, /v1/info includes a "live" block so
-// staleness is visible without client-side math.
-type LiveStatus interface {
-	Uptime() time.Duration
-	SnapshotAge() time.Duration
-}
-
-// WALStatus is implemented by sources that replicate (the ingestion
-// engine with checkpoints enabled): the newest checkpoint generation,
-// the WAL sequence it covers, and the latest appended sequence. /v1/info
-// includes them in a "wal" block so replica lag is computable from
-// either side of the replication link.
-type WALStatus interface {
-	WALStatus() (ckptGen, ckptSeq, walSeq uint64)
-}
-
-// ReplicaStatus is implemented by replica sources: the applied and
-// primary WAL frontiers plus the current replication lag, surfaced as a
-// "replica" block in /v1/info.
-type ReplicaStatus interface {
-	ReplicaStatus() (appliedSeq, primarySeq uint64, lag time.Duration)
-}
 
 // Server answers inventory queries over HTTP.
 type Server struct {
@@ -224,22 +203,8 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	}) {
 		j.i64(gs.String(), int64(inv.CountGroups(gs)))
 	}
-	j.close('}')
-	if ls, ok := s.src.(LiveStatus); ok {
-		j.open("live", '{').i64("snapshotAgeSeconds", int64(ls.SnapshotAge().Seconds()))
-		j.i64("uptimeSeconds", int64(ls.Uptime().Seconds())).close('}')
-	}
-	j.i64("rawRecords", bi.RawRecords)
-	if rs, ok := s.src.(ReplicaStatus); ok {
-		applied, primary, lag := rs.ReplicaStatus()
-		j.open("replica", '{').u64("appliedSeq", applied).f64("lagSeconds", lag.Seconds()).u64("primarySeq", primary).close('}')
-	}
-	j.i64("resolution", int64(bi.Resolution)).i64("usedRecords", bi.UsedRecords).f64("utilization", inv.Utilization())
-	if ws, ok := s.src.(WALStatus); ok {
-		gen, cseq, wseq := ws.WALStatus()
-		j.open("wal", '{').u64("ckptGen", gen).u64("ckptSeq", cseq).u64("walSeq", wseq).close('}')
-	}
-	j.close('}').send(w, http.StatusOK)
+	j.close('}').i64("rawRecords", bi.RawRecords).i64("resolution", int64(bi.Resolution))
+	j.i64("usedRecords", bi.UsedRecords).f64("utilization", inv.Utilization()).close('}').send(w, http.StatusOK)
 }
 
 // lookup returns the cell at p and its summary, narrowed to the (cell,

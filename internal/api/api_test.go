@@ -10,10 +10,9 @@ import (
 	"net/url"
 	"testing"
 
-	"time"
-
 	"github.com/patternsoflife/pol/internal/geo"
 	"github.com/patternsoflife/pol/internal/hexgrid"
+	"github.com/patternsoflife/pol/internal/ingest"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/ports"
@@ -77,55 +76,58 @@ func TestInfoEndpoint(t *testing.T) {
 	}
 }
 
-// statusSource decorates a plain inventory source with the replication
-// status interfaces the live daemons implement.
-type statusSource struct {
-	inv *inventory.Inventory
+// liveNode mounts src's query API and a /v1/status serving st on one mux,
+// as polserve mounts a stateful node.
+func liveNode(t *testing.T, src Source, st ingest.Status) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.Handle("/", NewLiveServer(src, ports.Default()).Handler())
+	mux.Handle("GET /v1/status", ingest.ServeStatus(func() ingest.Status { return st }))
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv
 }
 
-func (s statusSource) Inventory() inventory.View { return s.inv }
-func (s statusSource) WALStatus() (uint64, uint64, uint64) {
-	return 3, 1200, 1234
-}
-func (s statusSource) ReplicaStatus() (uint64, uint64, time.Duration) {
-	return 1230, 1234, 250 * time.Millisecond
-}
-
-// TestInfoReplicationBlocks verifies /v1/info surfaces the WAL and
-// replica frontiers when the source implements the optional status
-// interfaces — the numbers a lag monitor scrapes — and omits the blocks
-// for a plain batch inventory.
+// TestInfoReplicationBlocks verifies the WAL and replica frontiers — the
+// numbers a lag monitor scrapes — are served once, on /v1/status under
+// their one spelling, and that /v1/info carries no wal or replica block,
+// for a plain batch inventory and a live node alike.
 func TestInfoReplicationBlocks(t *testing.T) {
 	f, plain := setup(t)
-	var bare map[string]json.RawMessage
-	get(t, plain, "/v1/info", http.StatusOK, &bare)
-	if _, ok := bare["wal"]; ok {
-		t.Error("plain source should have no wal block")
-	}
-	if _, ok := bare["replica"]; ok {
-		t.Error("plain source should have no replica block")
+	live := liveNode(t, StaticSource{Inv: f.Inventory}, ingest.Status{
+		State:           "applier",
+		Generation:      3,
+		EngineSection:   &ingest.EngineSection{CkptSeq: 1200, WALSeq: 1234},
+		FollowerSection: &ingest.FollowerSection{AppliedSeq: 1230, PrimarySeq: 1234, LagSeconds: 0.25},
+	})
+	for name, srv := range map[string]*httptest.Server{"plain": plain, "live": live} {
+		var info map[string]json.RawMessage
+		get(t, srv, "/v1/info", http.StatusOK, &info)
+		for _, block := range []string{"wal", "replica"} {
+			if _, ok := info[block]; ok {
+				t.Errorf("%s source: /v1/info carries a %q block", name, block)
+			}
+		}
 	}
 
-	srv := httptest.NewServer(NewLiveServer(statusSource{inv: f.Inventory}, ports.Default()).Handler())
-	defer srv.Close()
-	var info struct {
-		WAL struct {
-			CkptGen uint64 `json:"ckptGen"`
-			CkptSeq uint64 `json:"ckptSeq"`
-			WALSeq  uint64 `json:"walSeq"`
-		} `json:"wal"`
-		Replica struct {
-			AppliedSeq uint64  `json:"appliedSeq"`
-			PrimarySeq uint64  `json:"primarySeq"`
-			LagSeconds float64 `json:"lagSeconds"`
-		} `json:"replica"`
+	var st struct {
+		Generation uint64 `json:"generation"`
+		Engine     struct {
+			CkptSeq uint64 `json:"ckpt_seq"`
+			WALSeq  uint64 `json:"wal_seq"`
+		} `json:"engine"`
+		Follower struct {
+			AppliedSeq uint64  `json:"applied_seq"`
+			PrimarySeq uint64  `json:"primary_seq"`
+			LagSeconds float64 `json:"lag_seconds"`
+		} `json:"follower"`
 	}
-	get(t, srv, "/v1/info", http.StatusOK, &info)
-	if info.WAL.CkptGen != 3 || info.WAL.CkptSeq != 1200 || info.WAL.WALSeq != 1234 {
-		t.Errorf("wal block %+v", info.WAL)
+	get(t, live, "/v1/status", http.StatusOK, &st)
+	if st.Generation != 3 || st.Engine.CkptSeq != 1200 || st.Engine.WALSeq != 1234 {
+		t.Errorf("WAL frontier %d/%d/%d", st.Generation, st.Engine.CkptSeq, st.Engine.WALSeq)
 	}
-	if info.Replica.AppliedSeq != 1230 || info.Replica.PrimarySeq != 1234 || info.Replica.LagSeconds != 0.25 {
-		t.Errorf("replica block %+v", info.Replica)
+	if st.Follower.AppliedSeq != 1230 || st.Follower.PrimarySeq != 1234 || st.Follower.LagSeconds != 0.25 {
+		t.Errorf("follower section %+v", st.Follower)
 	}
 }
 

@@ -21,13 +21,25 @@ import (
 	"github.com/patternsoflife/pol/internal/segment"
 )
 
-// allStatus is a source reporting live, WAL and replica status at once.
-type allStatus struct {
-	fakeLive
+// Sources that can report live, WAL and replica status, as the daemons'
+// engines and replicas can. /v1/info describes the inventory alone for
+// them too: a node's status is /v1/status's.
+type liveSource struct{ StaticSource }
+
+func (liveSource) Uptime() time.Duration      { return 90*time.Second + 999*time.Millisecond }
+func (liveSource) SnapshotAge() time.Duration { return 7 * time.Second }
+
+type walReplicaSource struct{ StaticSource }
+
+func (walReplicaSource) WALStatus() (uint64, uint64, uint64) { return 3, 1200, 1234 }
+func (walReplicaSource) ReplicaStatus() (uint64, uint64, time.Duration) {
+	return 1230, 1234, 250 * time.Millisecond
 }
 
-func (allStatus) WALStatus() (uint64, uint64, uint64) { return 7, 1 << 40, 1<<40 + 9 }
-func (allStatus) ReplicaStatus() (uint64, uint64, time.Duration) {
+type allSource struct{ liveSource }
+
+func (allSource) WALStatus() (uint64, uint64, uint64) { return 7, 1 << 40, 1<<40 + 9 }
+func (allSource) ReplicaStatus() (uint64, uint64, time.Duration) {
 	return 1<<40 - 3, 1 << 40, 1500 * time.Microsecond
 }
 
@@ -167,11 +179,11 @@ func TestBodiesMatchReference(t *testing.T) {
 		segPaths = append(segPaths, ps...)
 	}
 
-	live := fakeLive{StaticSource: StaticSource{Inv: f.Inventory}, uptime: 90*time.Second + 999*time.Millisecond, age: 7 * time.Second}
+	plain := StaticSource{Inv: f.Inventory}
 	empty := StaticSource{Inv: inventory.New(inventory.BuildInfo{Resolution: 7, Description: "<empty> & \"quoted\""})}
 	for name, src := range map[string]Source{
-		"plain": StaticSource{Inv: f.Inventory}, "live": live, "wal+replica": statusSource{inv: f.Inventory},
-		"all": allStatus{live}, "empty": empty, "segment": StaticSource{Inv: seg},
+		"plain": plain, "empty": empty, "segment": StaticSource{Inv: seg},
+		"live": liveSource{plain}, "wal+replica": walReplicaSource{plain}, "all": allSource{liveSource{plain}},
 	} {
 		s := NewLiveServer(src, ports.Default())
 		paths := []string{"/v1/info"}

@@ -1,14 +1,15 @@
 package api
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
+	"github.com/patternsoflife/pol/internal/ingest"
 	"github.com/patternsoflife/pol/internal/obs"
 	"github.com/patternsoflife/pol/internal/ports"
 )
@@ -103,41 +104,31 @@ func TestHandlerInstrumented(t *testing.T) {
 	}
 }
 
-// fakeLive wraps a static source with canned live status.
-type fakeLive struct {
-	StaticSource
-	uptime, age time.Duration
-}
-
-func (f fakeLive) Uptime() time.Duration      { return f.uptime }
-func (f fakeLive) SnapshotAge() time.Duration { return f.age }
-
-// TestInfoLiveStatus verifies /v1/info surfaces uptime and snapshot age
-// when the source reports live status, and omits the block otherwise.
+// TestInfoLiveStatus verifies a live node's uptime and snapshot age are
+// served once, on /v1/status, and that /v1/info carries no live block,
+// whether the source is static or live.
 func TestInfoLiveStatus(t *testing.T) {
-	f, ts := setup(t)
-
-	var static map[string]any
-	get(t, ts, "/v1/info", http.StatusOK, &static)
-	if _, ok := static["live"]; ok {
-		t.Error("static source must not report a live block")
+	f, static := setup(t)
+	live := liveNode(t, StaticSource{Inv: f.Inventory}, ingest.Status{
+		State:              "primary",
+		UptimeSeconds:      90,
+		SnapshotAgeSeconds: 7,
+	})
+	for name, srv := range map[string]*httptest.Server{"static": static, "live": live} {
+		var info map[string]json.RawMessage
+		get(t, srv, "/v1/info", http.StatusOK, &info)
+		if _, ok := info["live"]; ok {
+			t.Errorf("%s source: /v1/info carries a live block", name)
+		}
 	}
 
-	src := fakeLive{
-		StaticSource: StaticSource{Inv: f.Inventory},
-		uptime:       90 * time.Second,
-		age:          7 * time.Second,
+	var st struct {
+		State              string `json:"state"`
+		UptimeSeconds      int64  `json:"uptime_seconds"`
+		SnapshotAgeSeconds int64  `json:"snapshot_age_seconds"`
 	}
-	liveTS := httptest.NewServer(NewLiveServer(src, ports.Default()).Handler())
-	defer liveTS.Close()
-	var info struct {
-		Live struct {
-			UptimeSeconds      int64 `json:"uptimeSeconds"`
-			SnapshotAgeSeconds int64 `json:"snapshotAgeSeconds"`
-		} `json:"live"`
-	}
-	get(t, liveTS, "/v1/info", http.StatusOK, &info)
-	if info.Live.UptimeSeconds != 90 || info.Live.SnapshotAgeSeconds != 7 {
-		t.Errorf("live status %+v", info.Live)
+	get(t, live, "/v1/status", http.StatusOK, &st)
+	if st.State != "primary" || st.UptimeSeconds != 90 || st.SnapshotAgeSeconds != 7 {
+		t.Errorf("status head %+v", st)
 	}
 }

@@ -157,20 +157,6 @@ func refInfo(s *Server, w http.ResponseWriter, _ *http.Request) {
 		"cells":       len(inv.Cells(inventory.GSCell)),
 		"utilization": refUtilization(inv),
 	}
-	if ls, ok := s.src.(LiveStatus); ok {
-		out["live"] = map[string]any{
-			"uptimeSeconds":      int64(ls.Uptime().Seconds()),
-			"snapshotAgeSeconds": int64(ls.SnapshotAge().Seconds()),
-		}
-	}
-	if ws, ok := s.src.(WALStatus); ok {
-		gen, cseq, wseq := ws.WALStatus()
-		out["wal"] = map[string]any{"ckptGen": gen, "ckptSeq": cseq, "walSeq": wseq}
-	}
-	if rs, ok := s.src.(ReplicaStatus); ok {
-		applied, primary, lag := rs.ReplicaStatus()
-		out["replica"] = map[string]any{"appliedSeq": applied, "primarySeq": primary, "lagSeconds": lag.Seconds()}
-	}
 	refWriteJSON(w, http.StatusOK, out)
 }
 

@@ -111,13 +111,22 @@ func walDigest(t testing.TB, base string) string {
 	return fmt.Sprintf("%d segments %x", len(idxs), h.Sum(nil)[:8])
 }
 
-// counters is a Stats with everything that follows the clock, the node or
-// the feed registry cleared.
-func counters(e *Engine) Stats {
+// counterDoc is a status document with its engine section held by value,
+// so %+v prints the counters rather than a pointer.
+type counterDoc struct {
+	Head Status
+	EngineSection
+}
+
+// counters is the engine's status document with everything that follows
+// the clock, the node or the feed registry cleared.
+func counters(e *Engine) counterDoc {
 	s := e.StatsSnapshot()
-	s.UptimeSeconds, s.SnapshotAgeSeconds, s.LastMergeMicros, s.AvgMergeMicros, s.LastPublishUnix = 0, 0, 0, 0, 0
-	s.Node, s.Feeds, s.DegradedReason = "", nil, ""
-	return s
+	d := counterDoc{Head: s, EngineSection: *s.EngineSection}
+	d.Head.EngineSection, d.Head.UptimeSeconds, d.Head.SnapshotAgeSeconds, d.Head.Node = nil, 0, 0, ""
+	d.LastMergeMicros, d.AvgMergeMicros, d.LastPublishUnix = 0, 0, 0
+	d.Feeds, d.DegradedReason = nil, ""
+	return d
 }
 
 // tailInto drives a fresh applier engine from eng's replication surface
@@ -299,7 +308,7 @@ func TestBatchAppendFailureMatchesSingleSubmissions(t *testing.T) {
 	nmea := bytes.Join(nmeaFleet(t, sim.Config{Vessels: 6, Days: 24, Seed: 11}, 1), nil)
 	const failAt = 1500 // journal appends that succeed first: 6 statics, then positions
 	type end struct {
-		stats    Stats
+		stats    counterDoc
 		wal      string
 		cleaners map[uint32]string
 	}
@@ -335,7 +344,7 @@ func TestBatchAppendFailureMatchesSingleSubmissions(t *testing.T) {
 		t.Errorf("end states differ:\nsingle  %+v\nbatched %+v", single, batched)
 	}
 	s := batched.stats
-	if s.JournalSeq != failAt || s.JournalErrors == 0 || !s.Degraded || s.Accepted == 0 ||
+	if s.WALSeq != failAt || s.JournalErrors == 0 || !s.Degraded || s.Accepted == 0 ||
 		s.DegradedDropped == 0 || s.DegradedDropped+s.Accepted+s.Rejected != s.PositionsSeen {
 		t.Errorf("after the failure: %+v", s)
 	}
@@ -607,7 +616,7 @@ func TestPumpAllocsPerRecord(t *testing.T) {
 	pump(buf.Bytes())
 	runtime.ReadMemStats(&m1)
 	s := e.StatsSnapshot()
-	if s.Accepted != n || s.JournalSeq != n+vessels {
+	if s.Accepted != n || s.WALSeq != n+vessels {
 		t.Fatalf("stream not steady: %+v", s)
 	}
 	if per := float64(m1.Mallocs-m0.Mallocs) / (n - n/10); per > 2 {

@@ -10,7 +10,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 
@@ -41,11 +40,10 @@ import (
 // copy of the newest segment is kept at exactly <base> (hardlink swap) so
 // external read-only consumers keep opening the configured path.
 //
-// Upgrade rule: manifests written while generations also carried a POLINV1
-// file (`inv NAME crc X size N` before `state`) still parse; such a
-// generation is restored from its segment and its inv file is deleted when
-// it falls out of retention. A manifest none of whose generations has a
-// segment predates the segment store and is refused (see Load).
+// A manifest that cannot be read or parsed — a flipped byte, or a vintage
+// written before segments existed, whose inventories this build cannot
+// read — stops the engine rather than reading as "no checkpoint" (see
+// newCheckpointer).
 //
 // The WAL is pruned to the OLDEST retained generation's seq — pruning to
 // the newest would strand the fallback generation without the journal
@@ -58,13 +56,9 @@ const (
 
 var stateMagic = []byte("POLSTAT1\n")
 
-// ckptGen is one manifest entry. Seg is empty only on entries written
-// before the segment store existed; such a generation cannot be restored.
-// Inv is set only on entries read from a manifest of the era that wrote a
-// POLINV1 file beside the segment — kept so the file can be deleted with
-// its generation. Term/Node are zero on manifests written before the
-// failover epoch existed — readers treat that as term 1 under an unknown
-// node.
+// ckptGen is one manifest entry. Term/Node are zero on manifests written
+// before the failover epoch existed — readers treat that as term 1 under
+// an unknown node.
 type ckptGen struct {
 	Gen, Seq  uint64
 	Seg       string // POLSEG1 inventory segment; basenames, sibling to the manifest
@@ -73,7 +67,6 @@ type ckptGen struct {
 	State     string // POLSTAT1 engine state
 	StateCRC  uint32
 	StateSize int64
-	Inv       string // legacy POLINV1 file to clean up, "" otherwise
 	Term      uint64 // fencing epoch the generation was written under
 	Node      uint64 // identity of the node that wrote it
 }
@@ -98,17 +91,21 @@ func (c *checkpointer) generations() []ckptGen {
 	return append([]ckptGen(nil), c.gens...)
 }
 
-func newCheckpointer(base string, faults *fault.Registry, logf func(string, ...any)) *checkpointer {
+// newCheckpointer reads base's manifest. A missing one means no
+// checkpoint yet; any other read or parse error is returned, because
+// starting fresh would serve an empty inventory over a WAL already pruned
+// to the generations the manifest names.
+func newCheckpointer(base string, faults *fault.Registry, logf func(string, ...any)) (*checkpointer, error) {
 	c := &checkpointer{base: base, faults: faults, logf: logf}
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
 	}
-	if gens, err := readManifest(c.manifestPath()); err == nil {
-		c.gens = gens
-	} else if !os.IsNotExist(err) {
-		c.logf("checkpoint manifest unreadable, starting fresh: %v", err)
+	gens, err := readManifest(c.manifestPath())
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("ingest: checkpoint manifest %s unreadable (move the checkpoint files away to recover from the WAL alone): %w", c.manifestPath(), err)
 	}
-	return c
+	c.gens = gens
+	return c, nil
 }
 
 func (c *checkpointer) manifestPath() string { return c.base + ".manifest" }
@@ -193,15 +190,7 @@ func (c *checkpointer) Save(snap *inventory.Inventory, st *engineState, seq, ter
 	}
 	for _, g := range dropped {
 		os.Remove(c.genPath(g.State))
-		if g.Seg != "" {
-			os.Remove(c.genPath(g.Seg))
-		}
-		if g.Inv != "" {
-			// A generation from the two-format era: its POLINV1 file, and
-			// the second stable link that era kept beside <base>.
-			os.Remove(c.genPath(g.Inv))
-			os.Remove(c.base + ".seg")
-		}
+		os.Remove(c.genPath(g.Seg))
 	}
 	return newGens[len(newGens)-1].Seq, nil
 }
@@ -232,17 +221,11 @@ func (c *checkpointer) publishStable(srcPath string) error {
 // Load verifies and restores the newest intact generation. A generation
 // whose files are missing, the wrong length, or checksum-mismatched is
 // logged and skipped in favor of the previous one; (nil, nil, 0, nil)
-// means no usable checkpoint — recover from the WAL alone. A manifest
-// that names generations but no segment for any of them was written
-// before segments existed: nothing here can read its inventories, and
-// carrying on as if there were no checkpoint would silently drop them, so
-// that is an error for the operator to resolve. So is an intact segment of
-// a format version no longer read when no readable generation is left:
-// starting empty over a WAL pruned to that checkpoint would lose it.
+// means no usable checkpoint — recover from the WAL alone. An intact
+// segment of a format version no longer read, when no readable generation
+// is left, is an error for the operator to resolve: starting empty over a
+// WAL pruned to that checkpoint would silently lose it.
 func (c *checkpointer) Load(resolution int) (*inventory.Inventory, *engineState, uint64, error) {
-	if len(c.gens) > 0 && !slices.ContainsFunc(c.gens, func(g ckptGen) bool { return g.Seg != "" }) {
-		return nil, nil, 0, fmt.Errorf("ingest: checkpoint manifest %s lists only pre-segment (POLINV1) generations, which are no longer read; move the checkpoint files away to recover from the WAL alone, or rebuild", c.manifestPath())
-	}
 	var old error
 	for i, g := range c.gens {
 		inv, st, err := c.loadGen(g, resolution)
@@ -262,9 +245,6 @@ func (c *checkpointer) Load(resolution int) (*inventory.Inventory, *engineState,
 }
 
 func (c *checkpointer) loadGen(g ckptGen, resolution int) (*inventory.Inventory, *engineState, error) {
-	if g.Seg == "" {
-		return nil, nil, fmt.Errorf("generation has no segment")
-	}
 	segPath, statePath := c.genPath(g.Seg), c.genPath(g.State)
 	if sum, size, err := inventory.ChecksumFile(segPath); err != nil {
 		return nil, nil, err
@@ -309,19 +289,11 @@ func writeManifest(path string, gens []ckptGen) error {
 }
 
 // manifestLine is the one spelling of a generation's manifest line;
-// parseManifestLine reads it back. A retained two-format-era generation
-// keeps naming its POLINV1 file, so a restart still knows to delete it;
-// the fencing epoch is a suffix, and lines without it read back as term 0
-// (pre-epoch).
+// parseManifestLine reads it back. The fencing epoch is a suffix, and
+// lines without it read back as term 0 (pre-epoch).
 func manifestLine(g ckptGen) string {
-	line := fmt.Sprintf("gen %d seq %d", g.Gen, g.Seq)
-	if g.Inv != "" {
-		line += " inv " + g.Inv
-	}
-	if g.Seg != "" {
-		line += fmt.Sprintf(" seg %s crc %08x size %d", g.Seg, g.SegCRC, g.SegSize)
-	}
-	line += fmt.Sprintf(" state %s crc %08x size %d", g.State, g.StateCRC, g.StateSize)
+	line := fmt.Sprintf("gen %d seq %d seg %s crc %08x size %d state %s crc %08x size %d",
+		g.Gen, g.Seq, g.Seg, g.SegCRC, g.SegSize, g.State, g.StateCRC, g.StateSize)
 	if g.Term != 0 {
 		line += fmt.Sprintf(" term %d node %016x", g.Term, g.Node)
 	}
@@ -351,18 +323,15 @@ func readManifest(path string) ([]ckptGen, error) {
 	return gens, nil
 }
 
-// parseManifestLine walks the line as key/value pairs so optional entries
-// (inv, seg, term/node) and future additions parse without a format
-// string per vintage. Unknown keys are skipped, which keeps old binaries
-// able to read manifests from newer ones. crc and size bind to the file
-// key (inv, state, seg) that most recently preceded them; an inv entry's
-// are read and dropped, since that file is only ever deleted.
+// parseManifestLine walks the line as key/value pairs so the optional
+// term/node suffix and future additions parse without a format string per
+// vintage. Unknown keys are skipped, which keeps old binaries able to read
+// manifests from newer ones. crc and size bind to the file key (seg,
+// state) that most recently preceded them.
 func parseManifestLine(line string) (ckptGen, error) {
 	var g ckptGen
 	var crcDst *uint32
 	var sizeDst *int64
-	var invCRC uint32
-	var invSize int64
 	f := strings.Fields(line)
 	if len(f)%2 != 0 {
 		return g, fmt.Errorf("odd token count")
@@ -375,9 +344,6 @@ func parseManifestLine(line string) (ckptGen, error) {
 			_, err = fmt.Sscanf(val, "%d", &g.Gen)
 		case "seq":
 			_, err = fmt.Sscanf(val, "%d", &g.Seq)
-		case "inv":
-			g.Inv = val
-			crcDst, sizeDst = &invCRC, &invSize
 		case "state":
 			g.State = val
 			crcDst, sizeDst = &g.StateCRC, &g.StateSize
@@ -403,7 +369,7 @@ func parseManifestLine(line string) (ckptGen, error) {
 			return g, fmt.Errorf("key %s: %w", key, err)
 		}
 	}
-	if g.State == "" || g.Gen == 0 {
+	if g.Seg == "" || g.State == "" || g.Gen == 0 {
 		return g, fmt.Errorf("missing required fields")
 	}
 	return g, nil

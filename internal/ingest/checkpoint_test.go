@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -76,7 +77,7 @@ func TestCheckpointerFallback(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "live.polinv")
 
-	c := newCheckpointer(base, fault.Default(), t.Logf)
+	c := openCheckpointer(t, base)
 	if covered, err := c.Save(inv1, st, 100, 1, 0xabcd); err != nil || covered != 100 {
 		t.Fatalf("save gen1: covered %d, err %v", covered, err)
 	}
@@ -105,7 +106,7 @@ func TestCheckpointerFallback(t *testing.T) {
 	stable.Close()
 
 	// A fresh process loads the newest generation.
-	inv, got, seq, err := newCheckpointer(base, fault.Default(), t.Logf).Load(res)
+	inv, got, seq, err := openCheckpointer(t, base).Load(res)
 	if err != nil || seq != 200 {
 		t.Fatalf("load: seq %d, err %v", seq, err)
 	}
@@ -118,7 +119,7 @@ func TestCheckpointerFallback(t *testing.T) {
 
 	// Corrupt the newest generation's segment: fall back to gen 1.
 	flipByte(t, filepath.Join(dir, "live.polinv.g000002.seg"))
-	inv, got, seq, err = newCheckpointer(base, fault.Default(), t.Logf).Load(res)
+	inv, got, seq, err = openCheckpointer(t, base).Load(res)
 	if err != nil || seq != 100 {
 		t.Fatalf("fallback load: seq %d, err %v", seq, err)
 	}
@@ -131,75 +132,64 @@ func TestCheckpointerFallback(t *testing.T) {
 
 	// Corrupt the older generation's state too: no usable checkpoint.
 	flipByte(t, filepath.Join(dir, "live.polinv.g000001.state"))
-	inv, _, seq, err = newCheckpointer(base, fault.Default(), t.Logf).Load(res)
+	inv, _, seq, err = openCheckpointer(t, base).Load(res)
 	if err != nil || inv != nil || seq != 0 {
 		t.Fatalf("all-corrupt load = (%v, seq %d, %v), want WAL-only recovery signal", inv, seq, err)
 	}
 }
 
-// TestCheckpointUpgradeFromTwoFormatManifest opens a directory left by a
-// build that wrote a POLINV1 file beside every segment: the generation is
-// restored from its segment, the manifest stops carrying the inv checksum
-// triple, and the old inv file and that era's second stable link are
-// deleted when the generation falls out of retention — across a restart.
-func TestCheckpointUpgradeFromTwoFormatManifest(t *testing.T) {
+// openCheckpointer is newCheckpointer for a manifest the test expects to
+// read.
+func openCheckpointer(t testing.TB, base string) *checkpointer {
+	t.Helper()
+	c, err := newCheckpointer(base, fault.Default(), t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestEngineRefusesUnreadableManifest: a manifest that no longer parses —
+// here one flipped bit in its magic — names generations the WAL has been
+// pruned to. Reading it as "no checkpoint" would bring the engine up empty,
+// so NewEngine must stop with an error naming the manifest and the way
+// out, and leave the directory exactly as it found it.
+func TestEngineRefusesUnreadableManifest(t *testing.T) {
 	const res = 6
 	_, _, inv := fleetStream(t, sim.Config{Vessels: 6, Days: 24, Seed: 11}, res)
 	dir := t.TempDir()
 	base := filepath.Join(dir, "live.polinv")
-
-	// Today's writer produces the segment and state; the manifest and the
-	// extra files are then put in the shape the older writer left.
-	c := newCheckpointer(base, fault.Default(), t.Logf)
-	if _, err := c.Save(inv, testState(10), 100, 3, 0xbeef); err != nil {
-		t.Fatal(err)
-	}
-	g := c.generations()[0]
-	oldInv, oldLink := filepath.Join(dir, "live.polinv.g000001"), base+".seg"
-	for _, p := range []string{oldInv, oldLink} {
-		if err := os.WriteFile(p, []byte("POLINV1\nplaceholder"), 0o644); err != nil {
+	c := openCheckpointer(t, base)
+	for _, seq := range []uint64{100, 200} {
+		if _, err := c.Save(inv, testState(int64(seq)), seq, 1, 0xbeef); err != nil {
 			t.Fatal(err)
 		}
 	}
-	manifest := fmt.Sprintf("POLCKPT1\ngen 1 seq 100 inv live.polinv.g000001 crc 0a0b0c0d size 19 state %s crc %08x size %d seg %s crc %08x size %d term 3 node 000000000000beef\n",
-		g.State, g.StateCRC, g.StateSize, g.Seg, g.SegCRC, g.SegSize)
-	if err := os.WriteFile(base+".manifest", []byte(manifest), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c = newCheckpointer(base, fault.Default(), t.Logf)
-	got, _, seq, err := c.Load(res)
-	if err != nil || seq != 100 || !inventory.Equal(got, inv) {
-		t.Fatalf("load of a two-format generation: seq %d, err %v", seq, err)
-	}
-	if term, node := c.newestTermNode(); term != 3 || node != 0xbeef {
-		t.Fatalf("newestTermNode = (%d, %x), want (3, beef)", term, node)
-	}
-
-	// One save: the old generation is still retained, and so is its file.
-	if _, err := c.Save(inv, testState(20), 200, 3, 0xbeef); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(base + ".manifest")
+	manifest := base + ".manifest"
+	data, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "0a0b0c0d") {
-		t.Fatalf("rewritten manifest still carries the inv checksum:\n%s", data)
-	}
-	if _, err := os.Stat(oldInv); err != nil {
-		t.Fatalf("inv file of a retained generation removed early: %v", err)
-	}
-
-	// A restart, then the save that pushes it out of retention.
-	c = newCheckpointer(base, fault.Default(), t.Logf)
-	if _, err := c.Save(inv, testState(30), 300, 3, 0xbeef); err != nil {
+	data[3] ^= 0x01 // POLCKPT1 -> POLBKPT1
+	if err := os.WriteFile(manifest, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"live.polinv", "live.polinv.g000002.seg", "live.polinv.g000002.state",
-		"live.polinv.g000003.seg", "live.polinv.g000003.state", "live.polinv.manifest"}
-	if got := dirNames(t, dir); !slices.Equal(got, want) {
-		t.Fatalf("after retention the directory holds %v, want %v", got, want)
+	before := dirNames(t, dir)
+
+	e, err := NewEngine(Options{Resolution: res, CheckpointPath: base, JournalPath: filepath.Join(dir, "wal")})
+	if err == nil {
+		groups := e.Snapshot().Len()
+		e.Close()
+		t.Fatalf("engine started over an unreadable manifest, serving %d of %d groups", groups, inv.Len())
+	}
+	if !strings.Contains(err.Error(), manifest) || !strings.Contains(err.Error(), "WAL") {
+		t.Fatalf("error %q does not name the manifest and the way out", err)
+	}
+	if after := dirNames(t, dir); !slices.Equal(after, before) {
+		t.Fatalf("refused start changed the directory: %v -> %v", before, after)
+	}
+	if got, _ := os.ReadFile(manifest); !bytes.Equal(got, data) {
+		t.Fatal("refused start rewrote the manifest")
 	}
 }
 
@@ -276,7 +266,7 @@ func TestEngineRefusesVersion1Checkpoint(t *testing.T) {
 	_, _, inv := fleetStream(t, sim.Config{Vessels: 6, Days: 24, Seed: 11}, res)
 	dir := t.TempDir()
 	base := filepath.Join(dir, "live.polinv")
-	c := newCheckpointer(base, fault.Default(), t.Logf)
+	c := openCheckpointer(t, base)
 	for _, seq := range []uint64{100, 200} {
 		if _, err := c.Save(inv, testState(int64(seq)), seq, 1, 0xbeef); err != nil {
 			t.Fatal(err)
@@ -288,7 +278,7 @@ func TestEngineRefusesVersion1Checkpoint(t *testing.T) {
 	if err := writeManifest(c.manifestPath(), gens); err != nil {
 		t.Fatal(err)
 	}
-	got, _, seq, err := newCheckpointer(base, fault.Default(), t.Logf).Load(res)
+	got, _, seq, err := openCheckpointer(t, base).Load(res)
 	if err != nil || seq != 100 || !inventory.Equal(got, inv) {
 		t.Fatalf("version-1 newest generation over a readable one: seq %d, err %v; want the fallback", seq, err)
 	}
@@ -590,7 +580,7 @@ func testResumeMarksItsFold(t *testing.T, tickFolds bool) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	waitFor := func(what string, ok func(Stats) bool) Stats {
+	waitFor := func(what string, ok func(Status) bool) Status {
 		t.Helper()
 		deadline := time.Now().Add(30 * time.Second)
 		for !ok(e.StatsSnapshot()) {
@@ -603,7 +593,7 @@ func testResumeMarksItsFold(t *testing.T, tickFolds bool) {
 	}
 	half := len(stream) / 2
 	submitAll(t, e, statics, stream[:half])
-	waitFor("folded and checkpointed the first half", func(s Stats) bool {
+	waitFor("folded and checkpointed the first half", func(s Status) bool {
 		return s.PositionsSeen == int64(half) && s.Observations > 0 && s.Observations == s.MergedObservations && s.Checkpoints > 0
 	})
 
@@ -631,23 +621,23 @@ func testResumeMarksItsFold(t *testing.T, tickFolds bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	degraded := waitFor("degraded", func(s Stats) bool { return s.Degraded })
+	degraded := waitFor("degraded", func(s Status) bool { return s.Degraded })
 	if tickFolds {
 		// Let the degraded engine's tick fold the period before the prober
 		// gets there; otherwise the re-base finds it pending.
 		reg.Disable(FPEngineMerge)
-		waitFor("folded on its tick while degraded", func(s Stats) bool {
+		waitFor("folded on its tick while degraded", func(s Status) bool {
 			return s.Degraded && s.Merges == degraded.Merges+1 && s.MergedObservations == s.Observations
 		})
 	}
-	resumed := waitFor("resumed", func(s Stats) bool { return s.Resumes == 1 && !s.Degraded })
+	resumed := waitFor("resumed", func(s Status) bool { return s.Resumes == 1 && !s.Degraded })
 	if resumed.Merges != degraded.Merges+1 || resumed.MergedObservations != resumed.Observations {
 		t.Fatalf("the pending period was not folded exactly once: merges %d -> %d", degraded.Merges, resumed.Merges)
 	}
 	_, ckptSeq := e.CheckpointStatus()
-	entries, _, err := readEntries(e.jrnl(), degraded.JournalSeq, 1)
-	if err != nil || len(entries) != 1 || entries[0].Kind != entryMerge || entries[0].Seq != ckptSeq || ckptSeq != degraded.JournalSeq+1 {
+	entries, _, err := readEntries(e.jrnl(), degraded.WALSeq, 1)
+	if err != nil || len(entries) != 1 || entries[0].Kind != entryMerge || entries[0].Seq != ckptSeq || ckptSeq != degraded.WALSeq+1 {
 		t.Fatalf("reopened journal after seq %d starts with %+v (err %v), resume checkpoint covers seq %d; want a merge marker under that seq",
-			degraded.JournalSeq, entries, err, ckptSeq)
+			degraded.WALSeq, entries, err, ckptSeq)
 	}
 }

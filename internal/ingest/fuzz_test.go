@@ -74,15 +74,15 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 		flipped[len(flipped)*2/3] ^= 0x40
 		return [][]byte{valid, valid[:len(valid)-7], flipped}
 	}
-	line := manifestLine(ckptGen{Gen: 5, Seq: 950, Inv: "a", Seg: "c", SegCRC: 0xc, SegSize: 3, State: "b",
+	line := manifestLine(ckptGen{Gen: 5, Seq: 950, Seg: "c", SegCRC: 0xc, SegSize: 3, State: "b",
 		StateCRC: 0xb, StateSize: 2, Term: 9, Node: 0xaa})
 	return map[string][][]byte{
 		"FuzzReadReplChunk": append(variants(chunk), shipped...),
 		"FuzzOpenJournal":   variants(seg),
 		"FuzzDecodeState":   variants(state),
 		"FuzzParseManifestLine": append(variants([]byte(line)),
-			[]byte("gen 4 seq 900 inv live.polinv.g000004 crc 0a0b0c0d size 123 state live.polinv.g000004.state crc 01020304 size 456"),
-			[]byte("gen 2 seq 1 state s crc 1 size 2 term 0 node ff unknown key")),
+			[]byte("gen 4 seq 900 seg live.polinv.g000004.seg crc 0a0b0c0d size 123 state live.polinv.g000004.state crc 01020304 size 456"),
+			[]byte("gen 2 seq 1 seg g crc 3 size 4 state s crc 1 size 2 term 0 node ff unknown key")),
 	}
 }
 
@@ -215,8 +215,7 @@ func FuzzDecodeState(f *testing.F) {
 // FuzzParseManifestLine: parsing a manifest line never panics, and what
 // parses is what the writer writes back: the written line parses to the
 // same generation — but for what the writer does not carry (unknown keys,
-// an inv file's crc/size, a node without a term) — and writing that again
-// is a fixed point.
+// a node without a term) — and writing that again is a fixed point.
 func FuzzParseManifestLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
 		g, err := parseManifestLine(string(line))

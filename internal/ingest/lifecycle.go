@@ -146,6 +146,9 @@ func (e *Engine) transition(ev event) (from, to state) {
 func (e *Engine) perms() perm     { return states[e.state.Load()].perms }
 func (e *Engine) can(p perm) bool { return e.perms()&p != 0 }
 
+// stateName is the lifecycle state's name, as the status document reports it.
+func (e *Engine) stateName() string { return states[e.state.Load()].name }
+
 // Role returns the engine's current role.
 func (e *Engine) Role() Role { return states[e.state.Load()].role }
 
@@ -299,7 +302,10 @@ func (e *Engine) rebase(d durCfg, term uint64, ev event) error {
 	cold, now := ev == evReplayed, time.Now()
 	ckpt := e.ckpt.Load()
 	if d.ckptPath != "" && (ckpt == nil || ckpt.base != d.ckptPath) {
-		ckpt = newCheckpointer(d.ckptPath, e.opt.Faults, e.opt.Logf)
+		var err error
+		if ckpt, err = newCheckpointer(d.ckptPath, e.opt.Faults, e.opt.Logf); err != nil {
+			return err
+		}
 	}
 	master, foldTook, covered := e.master, time.Duration(0), uint64(0)
 	switch {

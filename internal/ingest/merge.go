@@ -134,8 +134,7 @@ func (e *Engine) publish(now time.Time) *inventory.Inventory {
 	d := time.Since(t0)
 	ps.SetAttr("groups", fmt.Sprint(snap.Len()))
 	ps.Finish()
-	e.m.lastPublishNanos.Store(int64(d))
-	e.m.lastPublishUnix.Store(now.Unix())
+	e.m.lastPublishAt.Store(now.UnixNano())
 	e.m.groups.Store(int64(snap.Len()))
 	if e.hPublish != nil {
 		if ps != nil {

@@ -133,3 +133,26 @@ func grepLine(s, substr string) string {
 	}
 	return ""
 }
+
+// TestSnapshotAgeFreshAfterPublish: the age of what serving reads is
+// measured from the publication itself, not from its whole second. The
+// publish is placed in the second half of a wall-clock second, where a
+// whole-second stamp would over-report by at least half a second.
+func TestSnapshotAgeFreshAfterPublish(t *testing.T) {
+	e, err := NewEngine(Options{Resolution: 6, MergeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 3; i++ {
+		if frac := time.Duration(time.Now().Nanosecond()); frac < 500*time.Millisecond {
+			time.Sleep(500*time.Millisecond - frac + 10*time.Millisecond)
+		}
+		if err := e.PublishNow(); err != nil {
+			t.Fatal(err)
+		}
+		if age := e.SnapshotAge(); age >= 100*time.Millisecond {
+			t.Fatalf("snapshot age %v right after a publish, want well under 100ms", age)
+		}
+	}
+}

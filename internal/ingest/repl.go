@@ -146,9 +146,9 @@ func (e *Engine) CheckpointStatus() (gen, seq uint64) {
 	return gens[0].Gen, gens[0].Seq
 }
 
-// WALStatus reports the replication frontier triple exposed in /v1/info:
-// newest checkpoint generation, the WAL seq it covers, and the latest
-// appended seq.
+// WALStatus reports the replication frontier triple the status document
+// carries: newest checkpoint generation, the WAL seq it covers, and the
+// latest appended seq.
 func (e *Engine) WALStatus() (ckptGen, ckptSeq, walSeq uint64) {
 	gen, seq := e.CheckpointStatus()
 	return gen, seq, e.WALSeq()

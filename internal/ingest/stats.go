@@ -35,8 +35,7 @@ type metrics struct {
 	merges                atomic.Int64
 	lastMergeNanos        atomic.Int64
 	totalMergeNanos       atomic.Int64
-	lastPublishNanos      atomic.Int64
-	lastPublishUnix       atomic.Int64
+	lastPublishAt         atomic.Int64 // unix nanoseconds
 	journalBytes          atomic.Int64
 	journalErrors         atomic.Int64
 	checkpoints           atomic.Int64
@@ -98,7 +97,9 @@ func (e *Engine) feedList() []*FeedStats {
 	return slices.Clone(e.feeds)
 }
 
-// FeedSnapshot is the JSON form of one feed's counters.
+// FeedSnapshot is the JSON form of one feed's counters, an entry of the
+// status document's feeds list; its keys are spelled apart from the
+// engine's.
 type FeedSnapshot struct {
 	Remote    string `json:"remote"`
 	OpenedAt  string `json:"opened_at"`
@@ -109,8 +110,8 @@ type FeedSnapshot struct {
 	BadNMEA   int64  `json:"bad_nmea"`
 	Positions int64  `json:"positions"`
 	Statics   int64  `json:"statics"`
-	Accepted  int64  `json:"accepted"`
-	Rejected  int64  `json:"rejected"`
+	Accepted  int64  `json:"feed_accepted"`
+	Rejected  int64  `json:"feed_rejected"`
 }
 
 // Uptime returns how long the engine has been running.
@@ -119,11 +120,11 @@ func (e *Engine) Uptime() time.Duration { return time.Since(e.start) }
 // SnapshotAge returns the time since the last snapshot publication — the
 // staleness of what serving reads. Zero before the first publication.
 func (e *Engine) SnapshotAge() time.Duration {
-	last := e.m.lastPublishUnix.Load()
+	last := e.m.lastPublishAt.Load()
 	if last == 0 {
 		return 0
 	}
-	age := time.Since(time.Unix(last, 0))
+	age := time.Since(time.Unix(0, last))
 	if age < 0 {
 		return 0
 	}
@@ -243,11 +244,35 @@ func (e *Engine) AttachWatchdog(wd *obs.Watchdog) {
 	})
 }
 
-// Stats is the JSON document served by StatsHandler.
-type Stats struct {
-	UptimeSeconds      int64 `json:"uptime_seconds"`
-	SnapshotAgeSeconds int64 `json:"snapshot_age_seconds"`
+// Status is the one status document a stateful node serves on GET
+// /v1/status — the live primary, a heap replica (promoted or not) and a
+// disk replica. A common head says what the node is and what it serves;
+// the engine section is present wherever there is an ingestion engine, the
+// follower section on replicas. The sections are embedded, so their fields
+// promote (s.PositionsSeen, s.AppliedSeq). Every JSON key is unique at any
+// depth: a one-line text match on a key reads exactly one fact.
+type Status struct {
+	// State is the engine's lifecycle state (DESIGN.md §4), or "follower"
+	// on a disk replica, which has no engine.
+	State string `json:"state"`
+	// Term and Node are the claim the node's engine answers under; a disk
+	// replica claims none.
+	Term uint64 `json:"term"`
+	Node string `json:"node,omitempty"`
+	// Generation is the newest checkpoint generation the engine wrote or,
+	// on a follower whose engine wrote none, the one it installed.
+	Generation         uint64 `json:"generation"`
+	Groups             int64  `json:"groups"`
+	UptimeSeconds      int64  `json:"uptime_seconds"`
+	SnapshotAgeSeconds int64  `json:"snapshot_age_seconds"`
 
+	*EngineSection   `json:"engine,omitempty"`
+	*FollowerSection `json:"follower,omitempty"`
+}
+
+// EngineSection is Status's engine section: the ingestion counters, the
+// WAL frontier and the feeds.
+type EngineSection struct {
 	PositionsSeen int64 `json:"positions_seen"`
 	StaticsSeen   int64 `json:"statics_seen"`
 	Accepted      int64 `json:"accepted"`
@@ -266,84 +291,118 @@ type Stats struct {
 	// MergedObservations trails Observations until every emitted
 	// observation has been folded into a published snapshot; equality
 	// means the serving inventory reflects all completed trips.
-	MergedObservations int64          `json:"merged_observations"`
-	Vessels            int64          `json:"vessels"`
-	Groups             int64          `json:"groups"`
-	Merges             int64          `json:"merges"`
-	LastMergeMicros    int64          `json:"last_merge_us"`
-	AvgMergeMicros     int64          `json:"avg_merge_us"`
-	LastPublishUnix    int64          `json:"last_publish_unix"`
-	JournalBytes       int64          `json:"journal_bytes"`
-	JournalErrors      int64          `json:"journal_errors"`
-	JournalSeq         uint64         `json:"journal_seq"`
-	WALSegments        int64          `json:"wal_segments"`
-	WALCorruption      int64          `json:"wal_corruption"`
-	Checkpoints        int64          `json:"checkpoints"`
-	CheckpointErrors   int64          `json:"checkpoint_errors"`
-	CkptGen            uint64         `json:"ckpt_gen"`
-	CkptSeq            uint64         `json:"ckpt_seq"`
-	Term               uint64         `json:"term"`
-	Node               string         `json:"node"`
-	Fenced             bool           `json:"fenced"`
-	FencingRejects     int64          `json:"fencing_rejects"`
-	Degraded           bool           `json:"degraded"`
-	DegradedReason     string         `json:"degraded_reason,omitempty"`
-	DegradedDropped    int64          `json:"degraded_dropped"`
-	MergeDeferred      int64          `json:"merge_deferred"`
-	Resumes            int64          `json:"resumes"`
-	QueueDepth         int            `json:"queue_depth"`
-	Feeds              []FeedSnapshot `json:"feeds"`
+	MergedObservations int64 `json:"merged_observations"`
+	Vessels            int64 `json:"vessels"`
+	Merges             int64 `json:"merges"`
+	LastMergeMicros    int64 `json:"last_merge_us"`
+	AvgMergeMicros     int64 `json:"avg_merge_us"`
+	LastPublishUnix    int64 `json:"last_publish_unix"`
+	JournalBytes       int64 `json:"journal_bytes"`
+	JournalErrors      int64 `json:"journal_errors"`
+	// WALSeq is the last appended WAL sequence (the last applied one on an
+	// engine without a journal); CkptSeq the one the newest generation
+	// covers.
+	WALSeq           uint64 `json:"wal_seq"`
+	CkptSeq          uint64 `json:"ckpt_seq"`
+	WALSegments      int64  `json:"wal_segments"`
+	WALCorruption    int64  `json:"wal_corruption"`
+	Checkpoints      int64  `json:"checkpoints"`
+	CheckpointErrors int64  `json:"checkpoint_errors"`
+	FencingRejects   int64  `json:"fencing_rejects"`
+	// Degraded is true in the read-only states, degraded and fenced.
+	Degraded        bool           `json:"degraded"`
+	DegradedReason  string         `json:"degraded_reason,omitempty"`
+	DegradedDropped int64          `json:"degraded_dropped"`
+	MergeDeferred   int64          `json:"merge_deferred"`
+	Resumes         int64          `json:"resumes"`
+	QueueDepth      int            `json:"queue_depth"`
+	Feeds           []FeedSnapshot `json:"feeds"`
 }
 
-// StatsSnapshot collects the current counters.
-func (e *Engine) StatsSnapshot() Stats {
-	var s Stats
-	s.UptimeSeconds = int64(e.Uptime().Seconds())
-	s.SnapshotAgeSeconds = int64(e.SnapshotAge().Seconds())
-	s.PositionsSeen = e.m.positionsSeen.Load()
-	s.StaticsSeen = e.m.staticsSeen.Load()
-	s.Accepted = e.m.accepted.Load()
-	s.Rejected = e.m.rejected.Load()
-	s.RejectedBy.UnknownVessel = e.m.rejectedUnknown.Load()
-	s.RejectedBy.NonCommercial = e.m.rejectedNonCommercial.Load()
-	s.RejectedBy.Range = e.m.rejectedRange.Load()
-	s.RejectedBy.Duplicate = e.m.rejectedDuplicate.Load()
-	s.RejectedBy.OutOfOrder = e.m.rejectedOutOfOrder.Load()
-	s.RejectedBy.Infeasible = e.m.rejectedInfeasible.Load()
-	s.Trips = e.m.trips.Load()
-	s.TripRecords = e.m.tripRecords.Load()
-	s.Observations = e.m.observations.Load()
-	s.MergedObservations = e.m.mergedObservations.Load()
-	s.Vessels = e.m.vessels.Load()
-	s.Groups = e.m.groups.Load()
-	s.Merges = e.m.merges.Load()
-	s.LastMergeMicros = e.m.lastMergeNanos.Load() / 1000
-	if n := s.Merges; n > 0 {
-		s.AvgMergeMicros = e.m.totalMergeNanos.Load() / n / 1000
+// FollowerSection is Status's follower section, on replicas: the endpoint
+// followed and what the failover rules counted, then what only one kind of
+// replica does — a heap replica tails the WAL, a disk replica syncs
+// segments. The other kind's fields are left out, and so is any such
+// field at zero.
+type FollowerSection struct {
+	Primary          string `json:"primary"`
+	Endpoints        int    `json:"endpoints"`
+	HWTerm           uint64 `json:"hw_term"` // the highest claim seen, persisted as the term mark
+	HWNode           string `json:"hw_node"`
+	CRCRejects       int64  `json:"crc_rejects"`
+	StaleTermRejects int64  `json:"stale_term_rejects"` // responses below the term mark
+	Throttled        int64  `json:"throttled"`
+	LastError        string `json:"last_error,omitempty"`
+
+	// Heap replica.
+	Bootstrapped bool    `json:"bootstrapped,omitempty"`
+	AppliedSeq   uint64  `json:"applied_seq,omitempty"`
+	PrimarySeq   uint64  `json:"primary_seq,omitempty"`
+	LagSeq       uint64  `json:"lag_seq,omitempty"`
+	LagSeconds   float64 `json:"lag_seconds,omitempty"`
+	Bootstraps   int64   `json:"bootstraps,omitempty"`
+	Rebootstraps int64   `json:"rebootstraps,omitempty"`
+	Reconnects   int64   `json:"reconnects,omitempty"`
+
+	// Disk replica.
+	Syncs        int64 `json:"syncs,omitempty"`
+	SyncFailures int64 `json:"sync_failures,omitempty"`
+	BlockFetches int64 `json:"block_fetches,omitempty"`
+	BlockReuses  int64 `json:"block_reuses,omitempty"`
+	BytesFetched int64 `json:"bytes_fetched,omitempty"`
+	BytesReused  int64 `json:"bytes_reused,omitempty"`
+}
+
+// StatsSnapshot collects the engine's status document: the head and the
+// engine section.
+func (e *Engine) StatsSnapshot() Status {
+	s := Status{
+		State:              e.stateName(),
+		Term:               e.term.Load(),
+		Node:               fmt.Sprintf("%016x", e.node),
+		Groups:             e.m.groups.Load(),
+		UptimeSeconds:      int64(e.Uptime().Seconds()),
+		SnapshotAgeSeconds: int64(e.SnapshotAge().Seconds()),
+		EngineSection:      &EngineSection{},
 	}
-	s.LastPublishUnix = e.m.lastPublishUnix.Load()
-	s.JournalBytes = e.m.journalBytes.Load()
-	s.JournalErrors = e.m.journalErrors.Load()
-	if j := e.jrnl(); j != nil {
-		s.JournalSeq = j.LastSeq()
+	es := s.EngineSection
+	es.PositionsSeen = e.m.positionsSeen.Load()
+	es.StaticsSeen = e.m.staticsSeen.Load()
+	es.Accepted = e.m.accepted.Load()
+	es.Rejected = e.m.rejected.Load()
+	es.RejectedBy.UnknownVessel = e.m.rejectedUnknown.Load()
+	es.RejectedBy.NonCommercial = e.m.rejectedNonCommercial.Load()
+	es.RejectedBy.Range = e.m.rejectedRange.Load()
+	es.RejectedBy.Duplicate = e.m.rejectedDuplicate.Load()
+	es.RejectedBy.OutOfOrder = e.m.rejectedOutOfOrder.Load()
+	es.RejectedBy.Infeasible = e.m.rejectedInfeasible.Load()
+	es.Trips = e.m.trips.Load()
+	es.TripRecords = e.m.tripRecords.Load()
+	es.Observations = e.m.observations.Load()
+	es.MergedObservations = e.m.mergedObservations.Load()
+	es.Vessels = e.m.vessels.Load()
+	es.Merges = e.m.merges.Load()
+	es.LastMergeMicros = e.m.lastMergeNanos.Load() / 1000
+	if n := es.Merges; n > 0 {
+		es.AvgMergeMicros = e.m.totalMergeNanos.Load() / n / 1000
 	}
-	s.WALSegments = e.m.walSegments.Load()
-	s.WALCorruption = e.m.walCorruption.Load()
-	s.Checkpoints = e.m.checkpoints.Load()
-	s.CheckpointErrors = e.m.checkpointErrors.Load()
-	s.CkptGen, s.CkptSeq = e.CheckpointStatus()
-	s.Term = e.term.Load()
-	s.Node = fmt.Sprintf("%016x", e.node)
-	s.Fenced = e.Fenced()
-	s.FencingRejects = e.m.fencingRejects.Load()
-	s.Degraded, s.DegradedReason = e.Degraded()
-	s.DegradedDropped = e.m.degradedDrops.Load()
-	s.MergeDeferred = e.m.mergeDeferred.Load()
-	s.Resumes = e.m.resumes.Load()
-	s.QueueDepth = int(e.queued.Load())
+	es.LastPublishUnix = e.m.lastPublishAt.Load() / int64(time.Second)
+	es.JournalBytes = e.m.journalBytes.Load()
+	es.JournalErrors = e.m.journalErrors.Load()
+	s.Generation, es.CkptSeq, es.WALSeq = e.WALStatus()
+	es.WALSegments = e.m.walSegments.Load()
+	es.WALCorruption = e.m.walCorruption.Load()
+	es.Checkpoints = e.m.checkpoints.Load()
+	es.CheckpointErrors = e.m.checkpointErrors.Load()
+	es.FencingRejects = e.m.fencingRejects.Load()
+	es.Degraded, es.DegradedReason = e.Degraded()
+	es.DegradedDropped = e.m.degradedDrops.Load()
+	es.MergeDeferred = e.m.mergeDeferred.Load()
+	es.Resumes = e.m.resumes.Load()
+	es.QueueDepth = int(e.queued.Load())
 
 	feeds := e.feedList()
-	s.Feeds = make([]FeedSnapshot, 0, len(feeds))
+	es.Feeds = make([]FeedSnapshot, 0, len(feeds))
 	for _, fs := range feeds {
 		fsnap := FeedSnapshot{
 			Remote:    fs.Remote,
@@ -360,17 +419,18 @@ func (e *Engine) StatsSnapshot() Stats {
 		if p := fs.Err.Load(); p != nil {
 			fsnap.Error = *p
 		}
-		s.Feeds = append(s.Feeds, fsnap)
+		es.Feeds = append(es.Feeds, fsnap)
 	}
 	return s
 }
 
-// StatsHandler serves the live ingestion counters as JSON.
-func (e *Engine) StatsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// ServeStatus serves GET /v1/status: the document snapshot collects, as
+// indented JSON. It is the one status handler of every node kind.
+func ServeStatus(snapshot func() Status) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(e.StatsSnapshot())
+		_ = enc.Encode(snapshot())
 	})
 }

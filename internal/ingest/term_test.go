@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/patternsoflife/pol/internal/fault"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/sim"
 )
@@ -26,7 +25,7 @@ func TestManifestTermRoundTrip(t *testing.T) {
 	}
 	base := filepath.Join(t.TempDir(), "live.polinv")
 
-	c := newCheckpointer(base, fault.Default(), t.Logf)
+	c := openCheckpointer(t, base)
 	if _, err := c.Save(inv1, st, 100, 3, 0x00ff); err != nil {
 		t.Fatal(err)
 	}
@@ -44,17 +43,17 @@ func TestManifestTermRoundTrip(t *testing.T) {
 	if gens[1].Term != 3 || gens[1].Node != 0x00ff {
 		t.Fatalf("older generation carries term %d node %x, want 3/ff", gens[1].Term, gens[1].Node)
 	}
-	if term, node := newCheckpointer(base, fault.Default(), t.Logf).newestTermNode(); term != 7 || node != 0xbeef {
+	if term, node := openCheckpointer(t, base).newestTermNode(); term != 7 || node != 0xbeef {
 		t.Fatalf("newestTermNode = (%d, %x), want (7, beef)", term, node)
 	}
 }
 
 // TestManifestBackwardCompatNoTerm parses a pre-epoch manifest line
-// (no term/node suffix, no segment entry): it must read back as term 0
-// — the "writer unknown" claim that never beats a real term.
+// (no term/node suffix): it must read back as term 0 — the "writer
+// unknown" claim that never beats a real term.
 func TestManifestBackwardCompatNoTerm(t *testing.T) {
 	g, err := parseManifestLine(
-		"gen 4 seq 900 inv live.polinv.g000004 crc 0a0b0c0d size 123 state live.polinv.g000004.state crc 01020304 size 456")
+		"gen 4 seq 900 seg live.polinv.g000004.seg crc 0a0b0c0d size 123 state live.polinv.g000004.state crc 01020304 size 456")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +63,9 @@ func TestManifestBackwardCompatNoTerm(t *testing.T) {
 	if TermBeats(g.Term, g.Node, 1, 1) {
 		t.Fatal("a pre-epoch claim must never beat a real term")
 	}
-	// And the newer-format line with both suffixes still parses.
+	// And the line with the suffix still parses.
 	g, err = parseManifestLine(
-		"gen 5 seq 950 inv a crc 0a size 1 state b crc 0b size 2 seg c crc 0c size 3 term 9 node 00000000000000aa")
+		"gen 5 seq 950 state b crc 0b size 2 seg c crc 0c size 3 term 9 node 00000000000000aa")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +200,7 @@ func TestReplGateFencesOutrankedPrimary(t *testing.T) {
 		t.Fatalf("fenced primary still serves replication: %d", resp.StatusCode)
 	}
 	s := eng.StatsSnapshot()
-	if !s.Fenced || s.FencingRejects < 2 {
+	if s.State != "fenced" || s.FencingRejects < 2 {
 		t.Fatalf("stats don't reflect the fence: %+v", s)
 	}
 	if ready, detail := eng.ReadyDetail(); !ready || detail == "" {

@@ -75,8 +75,10 @@ type DiskReplica struct {
 	opt  DiskOptions
 	segm *segment.Metrics
 
-	reader atomic.Pointer[segment.Reader]
-	segCRC atomic.Uint32 // whole-file CRC32C of the installed segment
+	start       time.Time
+	reader      atomic.Pointer[segment.Reader]
+	segCRC      atomic.Uint32 // whole-file CRC32C of the installed segment
+	installedAt atomic.Int64  // unix nanoseconds of the last install
 
 	mu      sync.Mutex
 	retired *segment.Reader
@@ -109,7 +111,7 @@ func NewDisk(opt DiskOptions) (*DiskReplica, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &DiskReplica{follower: f, opt: opt, segm: segment.NewMetrics(opt.Metrics)}
+	d := &DiskReplica{follower: f, opt: opt, segm: segment.NewMetrics(opt.Metrics), start: time.Now()}
 	if reg := opt.Metrics; reg != nil {
 		f.registerMetrics(reg, "pol_segment_replica")
 		reg.CounterFunc("pol_segment_replica_syncs_total", nil, func() float64 { return float64(d.syncs.Load()) })
@@ -313,6 +315,7 @@ func (d *DiskReplica) install(path string, g *ingest.ReplGenInfo) error {
 	if err != nil {
 		return err
 	}
+	d.installedAt.Store(time.Now().UnixNano())
 	old := d.reader.Swap(r)
 	d.generation.Store(g.Gen)
 	d.segCRC.Store(g.SegCRC)
@@ -375,38 +378,30 @@ func (d *DiskReplica) ReadyDetail() (bool, string) {
 	return true, ""
 }
 
-// DiskStatus is the JSON document served by StatusHandler.
-type DiskStatus struct {
-	FollowerStatus
-	Groups       int64 `json:"groups"`
-	Syncs        int64 `json:"syncs"`
-	SyncFailures int64 `json:"sync_failures"`
-	BlockFetches int64 `json:"block_fetches"`
-	BlockReuses  int64 `json:"block_reuses"`
-	BytesFetched int64 `json:"bytes_fetched"`
-	BytesReused  int64 `json:"bytes_reused"`
-}
-
-// StatusSnapshot collects the current sync counters.
-func (d *DiskReplica) StatusSnapshot() DiskStatus {
-	s := DiskStatus{
-		FollowerStatus: d.status(),
-		Syncs:          d.syncs.Load(),
-		SyncFailures:   d.syncFailures.Load(),
-		BlockFetches:   d.blockFetches.Load(),
-		BlockReuses:    d.blockReuses.Load(),
-		BytesFetched:   d.bytesFetched.Load(),
-		BytesReused:    d.bytesReused.Load(),
+// StatusSnapshot collects the disk replica's status document: a head
+// without an engine, whose snapshot age is the time since the served
+// generation was installed, and the follower section with the sync
+// counters.
+func (d *DiskReplica) StatusSnapshot() ingest.Status {
+	f := d.section()
+	f.Syncs = d.syncs.Load()
+	f.SyncFailures = d.syncFailures.Load()
+	f.BlockFetches = d.blockFetches.Load()
+	f.BlockReuses = d.blockReuses.Load()
+	f.BytesFetched = d.bytesFetched.Load()
+	f.BytesReused = d.bytesReused.Load()
+	s := ingest.Status{
+		State:           "follower",
+		Generation:      d.generation.Load(),
+		UptimeSeconds:   int64(time.Since(d.start).Seconds()),
+		FollowerSection: f,
 	}
 	if r := d.reader.Load(); r != nil {
 		s.Groups = int64(r.Len())
+		s.SnapshotAgeSeconds = int64(time.Since(time.Unix(0, d.installedAt.Load())).Seconds())
 	}
 	return s
 }
-
-// StatusHandler serves the sync counters as JSON (/v1/replica/status on a
-// disk-replica daemon).
-func (d *DiskReplica) StatusHandler() http.Handler { return statusHandler(d.StatusSnapshot) }
 
 // Close closes the installed and retired readers. Cancel Run first.
 func (d *DiskReplica) Close() error {

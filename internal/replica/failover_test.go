@@ -231,7 +231,7 @@ func TestRacingPromotionsSingleWinner(t *testing.T) {
 			loser.Engine().Term(), loser.Engine().Node())
 	}
 	// The loser's replication surface now refuses service.
-	if s := loser.Engine().StatsSnapshot(); !s.Fenced {
+	if s := loser.Engine().StatsSnapshot(); s.State != "fenced" {
 		t.Fatalf("loser's stats not fenced: %+v", s)
 	}
 	// Nothing was lost in the race: the winner serves the primary's
@@ -433,7 +433,7 @@ func TestStickyTermRejectsStalePrimary(t *testing.T) {
 		if requests.Load() < 2 {
 			t.Fatal("no Range request was made — vacuous test")
 		}
-		if st := d.StatusSnapshot(); d.reader.Load() != nil || st.FencingRejects == 0 || st.Term != 2 {
+		if st := d.StatusSnapshot(); d.reader.Load() != nil || st.StaleTermRejects == 0 || st.HWTerm != 2 {
 			t.Fatalf("stale Range response not rejected: %+v", st)
 		}
 	})
@@ -461,7 +461,7 @@ func TestDiskReplicaFollowsHigherTerm(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := d.StatusSnapshot()
-	if st.Primary != srvOld.URL || st.Endpoints != 2 || st.Term != 1 || st.Generation == 0 {
+	if st.Primary != srvOld.URL || st.Endpoints != 2 || st.HWTerm != 1 || st.Generation == 0 {
 		t.Fatalf("first sync did not follow the only endpoint up: %+v", st)
 	}
 	requireViewEqual(t, fetchInventoryForGen(t, srvOld.URL, st.Generation), d.Inventory(), "term-1 endpoint")
@@ -474,7 +474,7 @@ func TestDiskReplicaFollowsHigherTerm(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = d.StatusSnapshot()
-	if st.Primary != srvNew.URL || st.Term != 2 || st.Syncs != 2 {
+	if st.Primary != srvNew.URL || st.HWTerm != 2 || st.Syncs != 2 {
 		t.Fatalf("higher-term endpoint not followed: %+v", st)
 	}
 	requireViewEqual(t, fetchInventoryForGen(t, srvNew.URL, st.Generation), d.Inventory(), "term-2 endpoint")
@@ -739,8 +739,8 @@ func TestFailedPromoteLeavesApplierUnchanged(t *testing.T) {
 		t.Fatal("checkpoint failpoint never fired — vacuous test")
 	}
 	after := rep.Engine().StatsSnapshot()
-	if after.Merges != before.Merges || after.Term != before.Term || after.JournalSeq != 0 ||
-		rep.AppliedSeq() != p.eng.WALSeq() || rep.hwTerm.Load() != hwBefore || rep.Promoted() || after.Fenced {
+	if after.Merges != before.Merges || after.Term != before.Term || after.WALSegments != 0 ||
+		rep.AppliedSeq() != p.eng.WALSeq() || rep.hwTerm.Load() != hwBefore || rep.Promoted() || after.State != "applier" {
 		t.Fatalf("failed promotion changed the applier:\nbefore %+v\nafter  %+v", before, after)
 	}
 	if !inventory.Equal(snapBefore, rep.Snapshot()) {

@@ -403,30 +403,18 @@ func (f *follower) pause(ctx context.Context, d time.Duration) bool {
 	return true
 }
 
-// FollowerStatus is the head Status and DiskStatus share: which endpoint
-// is followed and what the failover rules have counted.
-type FollowerStatus struct {
-	Primary        string `json:"primary"`
-	Endpoints      int    `json:"endpoints"`
-	Term           uint64 `json:"term"`
-	Node           string `json:"node"`
-	Generation     uint64 `json:"generation"`
-	CRCRejects     int64  `json:"crc_rejects"`
-	FencingRejects int64  `json:"fencing_rejects"`
-	Throttled      int64  `json:"throttled"`
-	LastError      string `json:"last_error,omitempty"`
-}
-
-func (f *follower) status() FollowerStatus {
-	s := FollowerStatus{
-		Primary:        f.endpoint(),
-		Endpoints:      len(f.endpoints),
-		Term:           f.hwTerm.Load(),
-		Node:           fmt.Sprintf("%016x", f.hwNode.Load()),
-		Generation:     f.generation.Load(),
-		CRCRejects:     f.crcRejects.Load(),
-		FencingRejects: f.fencingRejects.Load(),
-		Throttled:      f.throttled.Load(),
+// section fills the status document's follower section with what both
+// kinds share: which endpoint is followed and what the failover rules have
+// counted.
+func (f *follower) section() *ingest.FollowerSection {
+	s := &ingest.FollowerSection{
+		Primary:          f.endpoint(),
+		Endpoints:        len(f.endpoints),
+		HWTerm:           f.hwTerm.Load(),
+		HWNode:           fmt.Sprintf("%016x", f.hwNode.Load()),
+		CRCRejects:       f.crcRejects.Load(),
+		StaleTermRejects: f.fencingRejects.Load(),
+		Throttled:        f.throttled.Load(),
 	}
 	if p := f.lastErr.Load(); p != nil {
 		s.LastError = *p
@@ -440,9 +428,4 @@ func serveJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-// statusHandler serves whatever snapshot returns as /v1/replica/status.
-func statusHandler[S any](snapshot func() S) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, snapshot()) })
 }

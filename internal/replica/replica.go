@@ -19,10 +19,10 @@
 //
 // Two kinds of replica share one follower core (follower.go): which
 // endpoint is the primary, the sticky term mark, every HTTP request, the
-// throttle and backoff policy and the head of the status document exist
-// once there. Replica (this file) adds WAL-tail apply, bootstrap and
-// promotion; DiskReplica (disk.go) adds segment delta-assembly and serves
-// the mapped file.
+// throttle and backoff policy and the shared half of the status
+// document's follower section exist once there. Replica (this file) adds
+// WAL-tail apply, bootstrap and promotion; DiskReplica (disk.go) adds
+// segment delta-assembly and serves the mapped file.
 //
 // Failure handling: connection errors reconnect with jittered
 // exponential backoff; a 404 mid-bootstrap (generation rotated away
@@ -673,16 +673,12 @@ func (r *Replica) PromoteHandler(po PromoteOptions, onPromoted func()) http.Hand
 }
 
 // Engine exposes the applier engine so a promoted replica's daemon can
-// mount the full primary surface (/v1/repl, ingest stats, NMEA feeds).
+// mount the full primary surface (/v1/repl, NMEA feeds).
 func (r *Replica) Engine() *ingest.Engine { return r.eng }
 
 // Promoted reports whether this replica has become a primary: its engine
 // was built an applier, so only a promotion gives it the primary role.
 func (r *Replica) Promoted() bool { return r.eng.Role() == ingest.RolePrimary }
-
-// WALStatus implements api.WALStatus so /v1/info on a promoted replica
-// shows its journal frontier.
-func (r *Replica) WALStatus() (ckptGen, ckptSeq, walSeq uint64) { return r.eng.WALStatus() }
 
 // Inventory implements api.Source: queries resolve against the applier
 // engine's current snapshot.
@@ -691,12 +687,6 @@ func (r *Replica) Inventory() inventory.View { return r.eng.Snapshot() }
 // Snapshot returns the applier engine's current snapshot as the concrete
 // heap type, for tests and tools that compare inventories bit-exactly.
 func (r *Replica) Snapshot() *inventory.Inventory { return r.eng.Snapshot() }
-
-// Uptime implements api.LiveStatus.
-func (r *Replica) Uptime() time.Duration { return r.eng.Uptime() }
-
-// SnapshotAge implements api.LiveStatus.
-func (r *Replica) SnapshotAge() time.Duration { return r.eng.SnapshotAge() }
 
 // AppliedSeq returns the replication frontier: the last WAL sequence
 // applied to the local engine.
@@ -726,11 +716,6 @@ func (r *Replica) Lag() time.Duration {
 	return d
 }
 
-// ReplicaStatus implements api.ReplicaStatus for the /v1/info block.
-func (r *Replica) ReplicaStatus() (appliedSeq, primarySeq uint64, lag time.Duration) {
-	return r.applied.Load(), r.primarySeq.Load(), r.Lag()
-}
-
 // ReadyDetail implements the obs.ReadyzDetailHandler contract: not ready
 // until the first bootstrap installs a snapshot; ready-but-degraded with
 // the lag in the detail once replication falls more than MaxLag behind.
@@ -748,44 +733,27 @@ func (r *Replica) ReadyDetail() (bool, string) {
 	return true, ""
 }
 
-// Status is the JSON document served by StatusHandler.
-type Status struct {
-	FollowerStatus
-	Bootstrapped bool    `json:"bootstrapped"`
-	Promoted     bool    `json:"promoted"`
-	AppliedSeq   uint64  `json:"applied_seq"`
-	PrimarySeq   uint64  `json:"primary_seq"`
-	LagSeq       uint64  `json:"lag_seq"`
-	LagSeconds   float64 `json:"lag_seconds"`
-	Bootstraps   int64   `json:"bootstraps"`
-	Rebootstraps int64   `json:"rebootstraps"`
-	Reconnects   int64   `json:"reconnects"`
-	Groups       int64   `json:"groups"`
-}
-
-// StatusSnapshot collects the current replication counters.
-func (r *Replica) StatusSnapshot() Status {
-	s := Status{
-		FollowerStatus: r.status(),
-		Bootstrapped:   r.bootstrapped.Load(),
-		Promoted:       r.Promoted(),
-		AppliedSeq:     r.applied.Load(),
-		PrimarySeq:     r.primarySeq.Load(),
-		LagSeq:         r.LagSeq(),
-		LagSeconds:     r.Lag().Seconds(),
-		Bootstraps:     r.bootstraps.Load(),
-		Rebootstraps:   r.rebootstraps.Load(),
-		Reconnects:     r.reconnects.Load(),
-	}
-	if snap := r.eng.Snapshot(); snap != nil {
-		s.Groups = int64(snap.Len())
+// StatusSnapshot collects the replica's status document: its applier
+// engine's head and engine section, and the follower section with the WAL
+// tail. The head's generation is the one installed until the engine,
+// promoted, writes its own.
+func (r *Replica) StatusSnapshot() ingest.Status {
+	s := r.eng.StatsSnapshot()
+	f := r.section()
+	f.Bootstrapped = r.bootstrapped.Load()
+	f.AppliedSeq = r.applied.Load()
+	f.PrimarySeq = r.primarySeq.Load()
+	f.LagSeq = r.LagSeq()
+	f.LagSeconds = r.Lag().Seconds()
+	f.Bootstraps = r.bootstraps.Load()
+	f.Rebootstraps = r.rebootstraps.Load()
+	f.Reconnects = r.reconnects.Load()
+	s.FollowerSection = f
+	if s.Generation == 0 {
+		s.Generation = r.generation.Load()
 	}
 	return s
 }
-
-// StatusHandler serves the replication counters as JSON
-// (/v1/replica/status on a replica daemon).
-func (r *Replica) StatusHandler() http.Handler { return statusHandler(r.StatusSnapshot) }
 
 // Close shuts down the applier engine. Cancel Run's context first.
 func (r *Replica) Close() error { return r.eng.Close() }

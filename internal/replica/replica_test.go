@@ -174,9 +174,8 @@ func TestReplicaConverges(t *testing.T) {
 	if ok, detail := rep.ReadyDetail(); !ok || strings.Contains(detail, "degraded") {
 		t.Fatalf("caught-up replica not cleanly ready: %v %q", ok, detail)
 	}
-	applied, primarySeq, _ := rep.ReplicaStatus()
-	if applied != primarySeq {
-		t.Fatalf("caught-up replica reports lag: applied %d, primary %d", applied, primarySeq)
+	if st.AppliedSeq != st.PrimarySeq || st.LagSeq != 0 {
+		t.Fatalf("caught-up replica reports lag: applied %d, primary %d", st.AppliedSeq, st.PrimarySeq)
 	}
 
 	cancel()
@@ -672,7 +671,7 @@ func TestReplicaConvergesAcrossPrimaryResume(t *testing.T) {
 			faults := fault.NewSeeded(3)
 			p := newMidPeriodPair(t, faults, nil)
 			deadline := time.Now().Add(30 * time.Second)
-			wait := func(what string, ok func(ingest.Stats) bool) {
+			wait := func(what string, ok func(ingest.Status) bool) {
 				t.Helper()
 				for !ok(p.eng.StatsSnapshot()) {
 					if time.Now().After(deadline) {
@@ -692,7 +691,7 @@ func TestReplicaConvergesAcrossPrimaryResume(t *testing.T) {
 					}
 				}
 				seen += 200
-				wait("applied the tail", func(s ingest.Stats) bool { return s.PositionsSeen >= seen })
+				wait("applied the tail", func(s ingest.Status) bool { return s.PositionsSeen >= seen })
 			}
 			if err := faults.Enable(ingest.FPJournalAppend, "error(no space left on device)*1"); err != nil {
 				t.Fatal(err)
@@ -704,9 +703,9 @@ func TestReplicaConvergesAcrossPrimaryResume(t *testing.T) {
 					t.Fatal(err)
 				}
 				seen++
-				wait("processed a submission", func(s ingest.Stats) bool { return s.PositionsSeen >= seen })
+				wait("processed a submission", func(s ingest.Status) bool { return s.PositionsSeen >= seen })
 			}
-			wait("resumed", func(s ingest.Stats) bool { return s.Resumes == 1 && !s.Degraded })
+			wait("resumed", func(s ingest.Status) bool { return s.Resumes == 1 && !s.Degraded })
 			p.gate.hold.Store(false)
 			// The upstream re-feeds what it sent since its last
 			// acknowledged sync; the cleaner drops what was applied.

@@ -32,12 +32,14 @@ go build -o "$tmp" ./cmd/polserve ./cmd/polgen ./cmd/polfeed
 
 feed="127.0.0.1:$((10200 + $$ % 100))"
 http="127.0.0.1:$((18200 + $$ % 100))"
-stats="http://$http/v1/ingest/stats"
+stats="http://$http/v1/status"
 
 "$tmp/polgen" -vessels 8 -days 30 -seed 7 -out "$tmp/fleet.nmea"
 
-groups_of() {
-	sed -n 's/.*"groups": *\([0-9]*\).*/\1/p' "$1"
+# fact <file> <key> — one fact from a saved /v1/status document; every key
+# is unique at any depth, so a one-line match reads it.
+fact() {
+	sed -n 's/.*"'"$2"'": *\([0-9]*\).*/\1/p' "$1"
 }
 
 # start_daemon <dir> <log> [env...] — launches polserve -live journaling into
@@ -63,7 +65,7 @@ start_daemon "$tmp/ctl" "$tmp/ctl.log"
 "$tmp/polfeed" -addr "$feed" -stats "$stats" "$tmp/fleet.nmea" >"$tmp/ctl.stats" 2>"$tmp/ctl.feed.log"
 kill -TERM "$pid" && wait "$pid" || true
 pid=""
-control="$(groups_of "$tmp/ctl.stats")"
+control="$(fact "$tmp/ctl.stats" groups)"
 if [ -z "$control" ] || [ "$control" -lt 1 ]; then
 	echo "control run produced no groups:"
 	cat "$tmp/ctl.log"
@@ -89,7 +91,7 @@ grep -q 'fault: crash at inventory.writefile.rename' "$tmp/s1.log" || {
 
 start_daemon "$tmp/s1" "$tmp/s1.restart.log"
 "$tmp/polfeed" -addr "$feed" -stats "$stats" "$tmp/fleet.nmea" >"$tmp/s1.stats" 2>"$tmp/s1.feed.log"
-s1="$(groups_of "$tmp/s1.stats")"
+s1="$(fact "$tmp/s1.stats" groups)"
 # New durability metrics must be visible on /metrics.
 "$tmp/polfeed" -get "http://$http/metrics" >"$tmp/s1.metrics" || {
 	echo "scenario 1: metrics endpoint failed"
@@ -115,7 +117,7 @@ fi
 start_daemon "$tmp/s2" "$tmp/s2.log" \
 	POL_FAILPOINTS='ingest.journal.append=error(no space left on device)@40000'
 "$tmp/polfeed" -addr "$feed" -stats "$stats" "$tmp/fleet.nmea" >"$tmp/s2.stats" 2>"$tmp/s2.feed.log"
-dropped="$(sed -n 's/.*"degraded_dropped": *\([0-9]*\).*/\1/p' "$tmp/s2.stats")"
+dropped="$(fact "$tmp/s2.stats" degraded_dropped)"
 if [ -z "$dropped" ] || [ "$dropped" -lt 1 ]; then
 	echo "scenario 2: journal fault never degraded the daemon:"
 	cat "$tmp/s2.stats"
@@ -149,7 +151,7 @@ pid=""
 
 start_daemon "$tmp/s2" "$tmp/s2.restart.log"
 "$tmp/polfeed" -addr "$feed" -stats "$stats" "$tmp/fleet.nmea" >"$tmp/s2r.stats" 2>"$tmp/s2r.feed.log"
-s2="$(groups_of "$tmp/s2r.stats")"
+s2="$(fact "$tmp/s2r.stats" groups)"
 kill -TERM "$pid" && wait "$pid" || true
 pid=""
 if [ "$s2" != "$control" ]; then

@@ -14,8 +14,8 @@
 #      term-2 history, and drain to lag 0;
 #   4. restart the dead primary from its old artifacts (it comes back
 #      claiming term 1): r2's probes carry the term-2 high-water mark,
-#      so the stale primary must fence itself — asserted via "fenced"
-#      and fencing_rejects in its /v1/ingest/stats;
+#      so the stale primary must fence itself — asserted via its state
+#      "fenced" and fencing_rejects in its /v1/status;
 #   5. assert r1 and r2 snapshots are bit-for-bit inventory.Equal
 #      (polquery -equal) and non-empty.
 #
@@ -78,26 +78,21 @@ r1pid=$!
 	>"$tmp/replica2.log" 2>&1 &
 r2pid=$!
 
-status_field() { # status_field <http> <json-field>
-	"$tmp/polfeed" -get "http://$1/v1/replica/status" 2>/dev/null |
-		sed -n 's/.*"'"$2"'": *\([0-9][0-9]*\).*/\1/p'
-}
-
-stats_field() { # stats_field <http> <json-field>
-	"$tmp/polfeed" -get "http://$1/v1/ingest/stats" 2>/dev/null |
-		sed -n 's/.*"'"$2"'": *\([0-9][0-9]*\).*/\1/p'
-}
-
-primary_wal_seq() {
-	"$tmp/polfeed" -get "http://$phttp/v1/info" 2>/dev/null |
-		sed -n 's/.*"walSeq": *\([0-9][0-9]*\).*/\1/p'
+# field <http> <key> — one fact from a node's /v1/status. Every key in the
+# document is unique at any depth, so a one-line match reads it; a follower
+# counter at zero is left out of the document and reads as 0, a node that
+# does not answer reads as nothing.
+field() {
+	doc="$("$tmp/polfeed" -get "http://$1/v1/status" 2>/dev/null)" || return 0
+	v="$(printf '%s\n' "$doc" | sed -n 's/.*"'"$2"'": *"\{0,1\}\([^",]*\).*/\1/p')"
+	echo "${v:-0}"
 }
 
 # wait_caught_up <http> <seq> <label> <log>
 wait_caught_up() {
 	i=0
 	while :; do
-		applied="$(status_field "$1" applied_seq)"
+		applied="$(field "$1" applied_seq)"
 		[ -n "$applied" ] && [ "$applied" -ge "$2" ] && return 0
 		i=$((i + 1))
 		if [ "$i" -gt 600 ]; then
@@ -110,10 +105,10 @@ wait_caught_up() {
 }
 
 ### Phase 1: first half; both replicas converge on the primary.
-"$tmp/polfeed" -addr "$feed" -stats "http://$phttp/v1/ingest/stats" \
+"$tmp/polfeed" -addr "$feed" -stats "http://$phttp/v1/status" \
 	"$tmp/first.nmea" >"$tmp/first.stats" 2>"$tmp/first.feed.log"
 sleep 1
-seq1="$(primary_wal_seq)"
+seq1="$(field "$phttp" wal_seq)"
 if [ -z "$seq1" ] || [ "$seq1" -lt 1 ]; then
 	echo "primary produced no WAL records:"
 	cat "$tmp/primary.log"
@@ -160,13 +155,13 @@ wait "$feedpid" || {
 }
 
 # Settle the promoted primary: all feeds at EOF, queue drained.
-"$tmp/polfeed" -get "http://$r1http/v1/ingest/stats" >"$tmp/r1.stats"
+"$tmp/polfeed" -get "http://$r1http/v1/status" >"$tmp/r1.stats"
 i=0
 while :; do
-	seq2="$(stats_field "$r1http" journal_seq)"
+	seq2="$(field "$r1http" wal_seq)"
 	prev="$seq2"
 	sleep 0.5
-	seq2="$(stats_field "$r1http" journal_seq)"
+	seq2="$(field "$r1http" wal_seq)"
 	[ -n "$seq2" ] && [ "$seq2" = "$prev" ] && [ "$seq2" -gt "$seq1" ] && break
 	i=$((i + 1))
 	if [ "$i" -gt 120 ]; then
@@ -178,10 +173,10 @@ done
 
 ### Phase 3: r2 follows the term to r1 and drains its new history.
 wait_caught_up "$r2http" "$seq2" "replica 2 (on promoted r1)" "$tmp/replica2.log"
-r2term="$(status_field "$r2http" term)"
+r2term="$(field "$r2http" hw_term)"
 if [ -z "$r2term" ] || [ "$r2term" -lt 2 ]; then
-	echo "replica 2 never adopted the promoted term (term=${r2term:-none}):"
-	"$tmp/polfeed" -get "http://$r2http/v1/replica/status"
+	echo "replica 2 never adopted the promoted term (hw_term=${r2term:-none}):"
+	"$tmp/polfeed" -get "http://$r2http/v1/status"
 	exit 1
 fi
 
@@ -190,20 +185,20 @@ fi
 start_primary "$tmp/primary.restart.log"
 i=0
 while :; do
-	fencerejects="$(stats_field "$phttp" fencing_rejects)"
+	fencerejects="$(field "$phttp" fencing_rejects)"
 	[ -n "$fencerejects" ] && [ "$fencerejects" -ge 1 ] && break
 	i=$((i + 1))
 	if [ "$i" -gt 300 ]; then
 		echo "restarted stale primary was never fenced:"
-		"$tmp/polfeed" -get "http://$phttp/v1/ingest/stats"
+		"$tmp/polfeed" -get "http://$phttp/v1/status"
 		tail -20 "$tmp/primary.restart.log"
 		exit 1
 	fi
 	sleep 0.1
 done
-"$tmp/polfeed" -get "http://$phttp/v1/ingest/stats" | grep -q '"fenced": *true' || {
+[ "$(field "$phttp" state)" = fenced ] || {
 	echo "stale primary rejected requests but did not fence itself:"
-	"$tmp/polfeed" -get "http://$phttp/v1/ingest/stats"
+	"$tmp/polfeed" -get "http://$phttp/v1/status"
 	exit 1
 }
 
@@ -215,7 +210,7 @@ done
 # states line up.
 i=0
 while :; do
-	lag="$(status_field "$r2http" lag_seq)"
+	lag="$(field "$r2http" lag_seq)"
 	if [ -n "$lag" ] && [ "$lag" -eq 0 ]; then
 		"$tmp/polfeed" -get "http://$r1http/v1/repl/snapshot" >"$tmp/r1.polinv" 2>/dev/null || true
 		"$tmp/polfeed" -get "http://$r2http/v1/repl/snapshot" >"$tmp/r2.polinv" 2>/dev/null || true
@@ -232,9 +227,9 @@ while :; do
 		echo "--- r2 inventory ---"
 		"$tmp/polquery" -inv "$tmp/r2.polinv" -info 2>&1 || true
 		echo "--- r2 status ---"
-		"$tmp/polfeed" -get "http://$r2http/v1/replica/status" || true
-		echo "--- r1 stats ---"
-		"$tmp/polfeed" -get "http://$r1http/v1/ingest/stats" || true
+		"$tmp/polfeed" -get "http://$r2http/v1/status" || true
+		echo "--- r1 status ---"
+		"$tmp/polfeed" -get "http://$r1http/v1/status" || true
 		exit 1
 	fi
 	sleep 1

@@ -75,14 +75,14 @@ r1pid=$!
 start_replica "$r2http" "$tmp/replica2.log"
 r2pid=$!
 
-status_field() { # status_field <http> <json-field>
-	"$tmp/polfeed" -get "http://$1/v1/replica/status" 2>/dev/null |
-		sed -n 's/.*"'"$2"'": *\([0-9][0-9]*\).*/\1/p'
-}
-
-primary_wal_seq() {
-	"$tmp/polfeed" -get "http://$phttp/v1/info" 2>/dev/null |
-		sed -n 's/.*"walSeq": *\([0-9][0-9]*\).*/\1/p'
+# field <http> <key> — one fact from a node's /v1/status. Every key in the
+# document is unique at any depth, so a one-line match reads it; a follower
+# counter at zero is left out of the document and reads as 0, a node that
+# does not answer reads as nothing.
+field() {
+	doc="$("$tmp/polfeed" -get "http://$1/v1/status" 2>/dev/null)" || return 0
+	v="$(printf '%s\n' "$doc" | sed -n 's/.*"'"$2"'": *"\{0,1\}\([^",]*\).*/\1/p')"
+	echo "${v:-0}"
 }
 
 # wait_caught_up <http> <seq> <label> — polls until the replica has
@@ -91,7 +91,7 @@ primary_wal_seq() {
 wait_caught_up() {
 	i=0
 	while :; do
-		applied="$(status_field "$1" applied_seq)"
+		applied="$(field "$1" applied_seq)"
 		[ -n "$applied" ] && [ "$applied" -ge "$2" ] && return 0
 		i=$((i + 1))
 		if [ "$i" -gt 600 ]; then
@@ -105,10 +105,10 @@ wait_caught_up() {
 }
 
 ### Phase 1: first half of the archive; both replicas catch up.
-"$tmp/polfeed" -addr "$feed" -stats "http://$phttp/v1/ingest/stats" \
+"$tmp/polfeed" -addr "$feed" -stats "http://$phttp/v1/status" \
 	"$tmp/first.nmea" >"$tmp/first.stats" 2>"$tmp/first.feed.log"
-sleep 1 # let the trailing merge tick land so walSeq is stable
-seq1="$(primary_wal_seq)"
+sleep 1 # let the trailing merge tick land so wal_seq is stable
+seq1="$(field "$phttp" wal_seq)"
 if [ -z "$seq1" ] || [ "$seq1" -lt 1 ]; then
 	echo "primary produced no WAL records:"
 	cat "$tmp/primary.log"
@@ -129,10 +129,10 @@ grep -q 'ready' "$tmp/r1.readyz" || {
 kill -TERM "$r2pid"
 wait "$r2pid" 2>/dev/null || true
 r2pid=""
-"$tmp/polfeed" -addr "$feed" -stats "http://$phttp/v1/ingest/stats" \
+"$tmp/polfeed" -addr "$feed" -stats "http://$phttp/v1/status" \
 	"$tmp/second.nmea" >"$tmp/second.stats" 2>"$tmp/second.feed.log"
 sleep 1
-seq2="$(primary_wal_seq)"
+seq2="$(field "$phttp" wal_seq)"
 if [ "$seq2" -le "$seq1" ]; then
 	echo "second feed advanced no WAL records ($seq1 -> $seq2)"
 	exit 1
@@ -143,7 +143,7 @@ wait_caught_up "$r1http" "$seq2" "replica 1" "$tmp/replica1.log"
 start_replica "$r2http" "$tmp/replica2.restart.log"
 r2pid=$!
 wait_caught_up "$r2http" "$seq2" "restarted replica 2" "$tmp/replica2.restart.log"
-boots="$(status_field "$r2http" bootstraps)"
+boots="$(field "$r2http" bootstraps)"
 if [ -z "$boots" ] || [ "$boots" -lt 1 ]; then
 	echo "restarted replica 2 never bootstrapped"
 	exit 1
@@ -153,7 +153,7 @@ fi
 for r in "$r1http|replica1" "$r2http|replica2"; do
 	http="${r%|*}"
 	name="${r#*|}"
-	lag="$(status_field "$http" lag_seq)"
+	lag="$(field "$http" lag_seq)"
 	if [ -z "$lag" ] || [ "$lag" -ne 0 ]; then
 		echo "$name finished with lag_seq=${lag:-none}, want 0"
 		exit 1
@@ -225,7 +225,7 @@ if [ -z "$want_gen" ]; then
 fi
 i=0
 while :; do
-	gen="$(status_field "$r3http" generation)"
+	gen="$(field "$r3http" generation)"
 	[ -n "$gen" ] && [ "$gen" -ge "$want_gen" ] && break
 	i=$((i + 1))
 	if [ "$i" -gt 600 ]; then
@@ -260,7 +260,7 @@ cmp "$tmp/ckpt.polinv" "$tmp/segdir/$seg_name" || {
 # skipped, so the newest generation may trail the last merge; when it does
 # cover the whole WAL it must equal the snapshot fetched in phase 4.
 snap_note="trails the WAL, snapshot comparison skipped"
-if [ "$gen_seq" -eq "$(primary_wal_seq)" ]; then
+if [ "$gen_seq" -eq "$(field "$phttp" wal_seq)" ]; then
 	"$tmp/polquery" -inv "$tmp/ckpt.polinv" -equal "$tmp/primary.polinv" || {
 		echo "checkpoint generation $gen covers the WAL but differs from the primary snapshot"
 		exit 1
