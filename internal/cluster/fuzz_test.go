@@ -100,7 +100,7 @@ func FuzzPeerFrame(f *testing.F) {
 			t.Fatalf("opened frame: %d records, header says %d; CRC %08x, digest %08x",
 				len(p.Records), pf.Records, pf.CRC, pf.digest())
 		}
-		raw, err := inflate(pf.Payload, fuzzCap+1)
+		raw, err := flateRead(pf.Payload, fuzzCap+1)
 		if err != nil || len(raw) != pf.RawLen || len(raw) > fuzzCap {
 			t.Fatalf("opened frame inflates to %d bytes (%v), RawLen %d", len(raw), err, pf.RawLen)
 		}

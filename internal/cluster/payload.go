@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"maps"
 	"math"
 	"slices"
@@ -13,6 +12,7 @@ import (
 
 	"github.com/patternsoflife/pol/internal/ais"
 	"github.com/patternsoflife/pol/internal/geo"
+	"github.com/patternsoflife/pol/internal/inflate"
 	"github.com/patternsoflife/pol/internal/model"
 )
 
@@ -35,8 +35,7 @@ const (
 	rowBytes       = 4 + 8 + 5*8 + 1
 	staticMinBytes = 3*4 + 2*4 + 1 + 4*8 + 1
 
-	pooledBufCap    = 1 << 20 // largest buffer the seal and open pools keep; a full frame is ~217 KB raw
-	maxInflateRatio = 1032    // deflate expands at most ~1032:1, which bounds RawLen before allocating
+	pooledBufCap = 1 << 20 // largest buffer the seal and open pools keep; a full frame is ~217 KB raw
 )
 
 // peerPayload is the content of one shuffle frame. Statics ride the
@@ -154,18 +153,12 @@ func decodePayload(raw []byte) (*peerPayload, error) {
 	return p, nil
 }
 
-// sealer and opener are the pooled state of seal and open, kept apart
-// because a BestSpeed flate writer is 1.2 MB and an open needs none.
+// sealer is the pooled state of seal; open pools only its raw buffer,
+// since a BestSpeed flate writer is 1.2 MB and an open needs none.
 type sealer struct {
 	raw []byte
 	out bytes.Buffer
 	fw  *flate.Writer
-}
-
-type opener struct {
-	raw []byte
-	src bytes.Reader
-	fr  io.ReadCloser
 }
 
 var (
@@ -173,7 +166,7 @@ var (
 		fw, _ := flate.NewWriter(nil, flate.BestSpeed) // a valid level: no error
 		return &sealer{fw: fw}
 	}}
-	openers = sync.Pool{New: func() any { return &opener{fr: flate.NewReader(nil)} }}
+	openBufs = sync.Pool{New: func() any { return new([]byte) }}
 )
 
 // seal encodes and compresses the frame's content and stamps the CRC, the
@@ -209,25 +202,20 @@ func (f *peerFrame) open(maxBytes int) (*peerPayload, error) {
 	if f.CRC != f.digest() {
 		return nil, fmt.Errorf("cluster: peer frame task %d bucket %d seq %d: CRC mismatch", f.TaskID, f.Bucket, f.Seq)
 	}
-	if f.RawLen < 0 || f.RawLen > maxBytes || f.RawLen > maxInflateRatio*len(f.Payload) {
+	if f.RawLen < 0 || f.RawLen > maxBytes || f.RawLen > inflate.MaxRatio*len(f.Payload) {
 		return nil, fmt.Errorf("cluster: peer frame raw length %d out of bounds (cap %d, %d compressed bytes)", f.RawLen, maxBytes, len(f.Payload))
 	}
-	o := openers.Get().(*opener)
+	buf := openBufs.Get().(*[]byte)
 	defer func() {
-		if cap(o.raw) <= pooledBufCap {
-			openers.Put(o)
+		if cap(*buf) <= pooledBufCap {
+			openBufs.Put(buf)
 		}
 	}()
-	o.src.Reset(f.Payload)
-	o.fr.(flate.Resetter).Reset(&o.src, nil)
-	o.raw = slices.Grow(o.raw[:0], f.RawLen)[:f.RawLen]
-	if _, err := io.ReadFull(o.fr, o.raw); err != nil {
-		return nil, fmt.Errorf("cluster: peer frame inflate: %w", err)
+	*buf = slices.Grow((*buf)[:0], f.RawLen)[:f.RawLen]
+	if err := inflate.Inflate(*buf, f.Payload); err != nil {
+		return nil, fmt.Errorf("cluster: peer frame inflate (raw length %d): %w", f.RawLen, err)
 	}
-	if n, err := o.fr.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-		return nil, fmt.Errorf("cluster: peer frame inflates past its raw length %d", f.RawLen)
-	}
-	p, err := decodePayload(o.raw)
+	p, err := decodePayload(*buf)
 	if err == nil && len(p.Records) != f.Records {
 		p, err = nil, fmt.Errorf("cluster: peer frame task %d bucket %d seq %d: %d records, header says %d",
 			f.TaskID, f.Bucket, f.Seq, len(p.Records), f.Records)

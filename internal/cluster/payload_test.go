@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/patternsoflife/pol/internal/feed"
+	"github.com/patternsoflife/pol/internal/inflate"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/ports"
 	"github.com/patternsoflife/pol/internal/sim"
@@ -112,7 +113,7 @@ func TestPayloadRefusals(t *testing.T) {
 	big.RawLen = fuzzCap + 1
 	refused("RawLen past the cap", big, "out of bounds")
 	bomb := frame(raw)
-	bomb.RawLen = maxInflateRatio*len(bomb.Payload) + 1
+	bomb.RawLen = inflate.MaxRatio*len(bomb.Payload) + 1
 	refused("RawLen past deflate's ratio", bomb, "out of bounds")
 	long := frame(raw)
 	long.RawLen--
@@ -261,8 +262,8 @@ func BenchmarkShuffleFrame(b *testing.B) {
 	})
 }
 
-// inflate is the test side's plain read of a sealed payload.
-func inflate(payload []byte, limit int64) ([]byte, error) {
+// flateRead is the test side's plain read of a sealed payload.
+func flateRead(payload []byte, limit int64) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(payload)), limit))
 }
 

@@ -27,7 +27,7 @@ type vesselState struct {
 func (e *Engine) newVesselState() *vesselState {
 	return &vesselState{
 		cleaner: pipeline.NewOnlineCleaner(e.opt.MaxSpeedKnots),
-		tracker: pipeline.NewTripTracker(e.opt.PortIndex, e.opt.MinTripRecords),
+		tracker: pipeline.NewTripTracker(e.ports, e.opt.MinTripRecords),
 	}
 }
 

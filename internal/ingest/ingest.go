@@ -88,9 +88,6 @@ type Options struct {
 	// batched: a full queue blocks submitters, propagating backpressure to
 	// the TCP feeds with one batch per feed decoded beyond it (default 4096).
 	QueueSize int
-	// PortIndex is the geofence index (default: the embedded gazetteer at
-	// ports.IndexResolution).
-	PortIndex *ports.Index
 	// Description is stored in the published snapshots' build info.
 	Description string
 	// Metrics, when non-nil, re-registers the engine counters in the
@@ -143,9 +140,6 @@ func (o Options) withDefaults() Options {
 	o.MergeEvery = cmp.Or(max(o.MergeEvery, 0), 2*time.Second)
 	o.CheckpointEvery = cmp.Or(max(o.CheckpointEvery, 0), 16)
 	o.QueueSize = cmp.Or(max(o.QueueSize, 0), 4096)
-	if o.PortIndex == nil {
-		o.PortIndex = ports.NewIndex(ports.Default(), ports.IndexResolution)
-	}
 	o.WALSegmentBytes = cmp.Or(max(o.WALSegmentBytes, 0), 64<<20)
 	if o.Faults == nil {
 		o.Faults = fault.Default()
@@ -234,6 +228,7 @@ var ErrClosed = fmt.Errorf("ingest: engine closed")
 type Engine struct {
 	opt   Options
 	start time.Time
+	ports *ports.Index // geofences: the embedded gazetteer
 
 	// in carries envelopes to the loop; queued counts the records in it and
 	// space wakes a submitter the record bound holds back (see submit).
@@ -320,6 +315,7 @@ func NewEngine(opt Options) (*Engine, error) {
 	e := &Engine{
 		opt:      opt,
 		start:    time.Now(),
+		ports:    ports.NewIndex(ports.Default(), ports.IndexResolution),
 		in:       make(chan envelope, opt.QueueSize),
 		space:    make(chan struct{}, 1),
 		quit:     make(chan struct{}),

@@ -42,8 +42,6 @@ type WatchdogOptions struct {
 	MinSamples int
 	// ZThreshold is the |z-score| that flags an anomaly (default 3).
 	ZThreshold float64
-	// MaxAnomalies bounds the retained anomaly history (default 128).
-	MaxAnomalies int
 	// Logger receives a warning per detected anomaly when non-nil.
 	Logger *slog.Logger
 	// OnAnomaly, when non-nil, is called (outside the watchdog lock) for
@@ -52,6 +50,9 @@ type WatchdogOptions struct {
 	// recent span history for post-mortem analysis.
 	OnAnomaly func(Anomaly)
 }
+
+// maxAnomalies bounds the retained anomaly history.
+const maxAnomalies = 128
 
 func (o WatchdogOptions) withDefaults() WatchdogOptions {
 	if o.Interval <= 0 {
@@ -65,9 +66,6 @@ func (o WatchdogOptions) withDefaults() WatchdogOptions {
 	}
 	if o.ZThreshold <= 0 {
 		o.ZThreshold = 3
-	}
-	if o.MaxAnomalies <= 0 {
-		o.MaxAnomalies = 128
 	}
 	return o
 }
@@ -210,7 +208,7 @@ func (w *Watchdog) Step(now time.Time) {
 				}
 				w.anomalies = append(w.anomalies, a)
 				fired = append(fired, a)
-				if n := len(w.anomalies) - w.opt.MaxAnomalies; n > 0 {
+				if n := len(w.anomalies) - maxAnomalies; n > 0 {
 					w.anomalies = append(w.anomalies[:0], w.anomalies[n:]...)
 				}
 				if w.opt.Logger != nil {

@@ -84,13 +84,3 @@ func (p *Predictor) Top(n int) []Prediction {
 	}
 	return out
 }
-
-// Best returns the most probable destination, or (NoPort, false) if no
-// report has matched any history yet.
-func (p *Predictor) Best() (model.PortID, bool) {
-	top := p.Top(1)
-	if len(top) == 0 {
-		return model.NoPort, false
-	}
-	return top[0].Port, true
-}

@@ -103,8 +103,8 @@ func TestAccuracyRisesWithObservedFraction(t *testing.T) {
 func TestPredictorLifecycle(t *testing.T) {
 	f := getFixture(t)
 	p := New(f.Inventory, model.VesselContainer)
-	if _, ok := p.Best(); ok {
-		t.Error("no observations yet: Best must report !ok")
+	if len(p.Top(1)) != 0 {
+		t.Error("no observations yet: Top must be empty")
 	}
 	if p.obs != 0 {
 		t.Error("fresh predictor has observations")
@@ -114,7 +114,7 @@ func TestPredictorLifecycle(t *testing.T) {
 	if p.obs != 1 {
 		t.Error("observation count must advance")
 	}
-	if _, ok := p.Best(); ok {
+	if len(p.Top(1)) != 0 {
 		t.Error("open-ocean observation must not produce a prediction")
 	}
 	// Observing a lane cell produces candidates.
@@ -123,7 +123,7 @@ func TestPredictorLifecycle(t *testing.T) {
 	for _, r := range track[:10] {
 		p.Observe(r.Pos)
 	}
-	if _, ok := p.Best(); !ok {
+	if len(p.Top(1)) == 0 {
 		t.Error("lane observations must produce a prediction")
 	}
 	if len(p.Top(1000)) > inventory.TopNCapacity*10 {
@@ -166,7 +166,7 @@ func BenchmarkReplayVoyage(b *testing.B) {
 		for _, r := range track {
 			p.Observe(r.Pos)
 		}
-		if _, ok := p.Best(); !ok {
+		if len(p.Top(1)) == 0 {
 			b.Fatal("no prediction")
 		}
 	}

@@ -2,10 +2,12 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/patternsoflife/pol/internal/fault"
@@ -248,6 +250,57 @@ func TestBitFlippedBlockIsTyped(t *testing.T) {
 	})
 	if !healthy {
 		t.Fatal("no healthy shard exercised")
+	}
+}
+
+// TestLyingRawLenRefused: an index entry whose RawLen is one byte short of
+// or past what its block inflates to, the index checksum resealed over the
+// lie, is caught by the exact-length inflate alone: Lookup on that shard
+// fails with ErrCorrupt, and Load refuses the file.
+func TestLyingRawLenRefused(t *testing.T) {
+	inv := fixture(t)
+	path, _ := writeFixture(t, inv)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := ParseTail(img[len(img)-TailLen:], int64(len(img)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := ParseIndex(img[tail.IndexOff:tail.IndexOff+int64(tail.IndexLen)], tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := len(blocks) / 2
+	target := blocks[i]
+	var k inventory.GroupKey
+	inv.Each(func(key inventory.GroupKey, _ *inventory.CellSummary) bool {
+		k = key
+		return inventory.ShardOf(key) != target.Shard
+	})
+	if inventory.ShardOf(k) != target.Shard {
+		t.Fatalf("no fixture key in shard %d", target.Shard)
+	}
+	for _, lie := range []uint32{target.RawLen - 1, target.RawLen + 1} {
+		lied := bytes.Clone(img)
+		binary.LittleEndian.PutUint32(lied[tail.IndexOff+4+int64(i*indexEntryLen)+14:], lie)
+		p := filepath.Join(t.TempDir(), "lied.polseg")
+		if err := os.WriteFile(p, reseal(lied), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(p, Options{})
+		if err != nil {
+			t.Fatalf("RawLen %d for %d: Open reads only the index and must succeed: %v", lie, target.RawLen, err)
+		}
+		// The inflate refuses it, before the column checks could.
+		if _, _, err := r.Lookup(k); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "inflate") {
+			t.Errorf("RawLen %d for %d: Lookup = %v, want an inflate ErrCorrupt", lie, target.RawLen, err)
+		}
+		r.Close()
+		if _, err := Load(p); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("RawLen %d for %d: Load = %v, want ErrCorrupt", lie, target.RawLen, err)
+		}
 	}
 }
 

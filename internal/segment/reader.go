@@ -2,10 +2,8 @@ package segment
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"sort"
@@ -13,23 +11,19 @@ import (
 	"sync/atomic"
 
 	"github.com/patternsoflife/pol/internal/hexgrid"
+	"github.com/patternsoflife/pol/internal/inflate"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 )
 
-// DefaultMaxPinned is the default cap on decompressed shard blocks pinned
-// in memory at once. 64 of 256 shards keeps a hot replica's RSS at a
-// fraction of the heap inventory while serving a skewed query mix almost
-// entirely from pinned blocks.
-const DefaultMaxPinned = 64
+// maxPinned caps the decompressed shard blocks pinned in memory at once.
+// 64 of 256 shards keeps a hot replica's RSS at a fraction of the heap
+// inventory while serving a skewed query mix almost entirely from pinned
+// blocks.
+const maxPinned = 64
 
 // Options tune a segment reader.
 type Options struct {
-	// MaxPinned caps the decompressed shard blocks held in the LRU.
-	// 0 means DefaultMaxPinned; negative means 1.
-	MaxPinned int
-	// NoMmap forces pread-style ReadAt even where mmap is available.
-	NoMmap bool
 	// Metrics receives cache and corruption counters; nil disables.
 	Metrics *Metrics
 }
@@ -37,15 +31,15 @@ type Options struct {
 // Reader serves inventory queries directly from a POLSEG1 segment file.
 // Open reads only the fixed tail and the footer index — O(index), not
 // O(inventory) — and every query lazily loads, CRC-verifies and
-// decompresses just the shard blocks it touches, keeping the hottest
-// MaxPinned of them pinned in an LRU.
+// inflates just the shard blocks it touches, keeping the hottest
+// maxPinned of them pinned in an LRU.
 //
 // Reader implements inventory.View, so the api layer serves from it
 // interchangeably with the heap inventory. The View methods cannot
 // return errors; on a corrupt block they report the group as absent,
 // count the failure in Metrics, and retain the first error for Err().
-// Callers that must distinguish "absent" from "damaged" (the replication
-// and query tools) use the error-returning Lookup / EachGroup.
+// Lookup is Get with the error returned: the tests that must tell "absent"
+// from "damaged" call it; no program code does.
 //
 // A Reader is safe for concurrent use. Summaries returned from queries
 // are shared and must not be mutated, matching the frozen-snapshot
@@ -75,7 +69,11 @@ type Reader struct {
 }
 
 // Open opens a segment for querying, reading only the tail and index.
-func Open(path string, opts Options) (*Reader, error) {
+func Open(path string, opts Options) (*Reader, error) { return openFile(path, opts, mmapFile) }
+
+// openFile is Open with the mapping as a seam: where mmap fails the reader
+// falls back to pread, and tests reach that path with a mapper that fails.
+func openFile(path string, opts Options, mmap func(*os.File, int64) ([]byte, error)) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("segment: open %s: %w", path, err)
@@ -86,12 +84,10 @@ func Open(path string, opts Options) (*Reader, error) {
 		return nil, fmt.Errorf("segment: stat %s: %w", path, err)
 	}
 	r := &Reader{path: path, f: f, size: st.Size(), metrics: opts.Metrics}
-	if !opts.NoMmap {
-		if mm, err := mmapFile(f, r.size); err == nil {
-			r.mm = mm
-		}
+	if mm, err := mmap(f, r.size); err == nil {
+		r.mm = mm
 	}
-	if err := r.init(opts); err != nil {
+	if err := r.init(); err != nil {
 		r.unmap()
 		f.Close()
 		return nil, err
@@ -108,7 +104,7 @@ func Open(path string, opts Options) (*Reader, error) {
 // query path is the one a file-backed reader runs. name labels errors.
 func openBytes(data []byte, name string) (*Reader, error) {
 	r := &Reader{path: name, size: int64(len(data)), mm: data}
-	if err := r.init(Options{}); err != nil {
+	if err := r.init(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -118,7 +114,7 @@ func openBytes(data []byte, name string) (*Reader, error) {
 const legacyMagic = "POLINV1\n"
 
 // init parses tail, index and header out of the backing bytes.
-func (r *Reader) init(opts Options) error {
+func (r *Reader) init() error {
 	// The one place a pre-POLSEG1 inventory file is recognised: every tool
 	// opens its input through here, so none of them sniffs a magic.
 	if hb, err := r.bytesAt(0, len(legacyMagic)); err == nil && string(hb) == legacyMagic {
@@ -174,14 +170,7 @@ func (r *Reader) init(opts Options) error {
 	}
 	r.info.Description = string(hb[headerFixedLen:])
 
-	max := opts.MaxPinned
-	if max == 0 {
-		max = DefaultMaxPinned
-	}
-	if max < 1 {
-		max = 1
-	}
-	r.cache = newShardCache(max)
+	r.cache = newShardCache(maxPinned)
 	return nil
 }
 
@@ -316,53 +305,18 @@ func (p *pinnedShard) summary(i int) (*inventory.CellSummary, error) {
 	return s, nil
 }
 
-// inflater is a reusable flate decompressor: its window and Huffman tables
-// (~40 KB) are the bulk of what a shard miss used to allocate besides the
-// block itself.
-type inflater struct {
-	src   bytes.Reader
-	fr    io.ReadCloser // a flate reader over src; also a flate.Resetter
-	probe [1]byte
-}
-
-var inflaters = sync.Pool{New: func() any {
-	in := new(inflater)
-	in.fr = flate.NewReader(&in.src)
-	return in
-}}
-
-// inflate fills dst with the first len(dst) decompressed bytes of comp.
-// With exact set, a stream that holds more than that is an error too.
-func inflate(dst, comp []byte, exact bool) error {
-	in := inflaters.Get().(*inflater)
-	defer func() {
-		in.src.Reset(nil) // do not pin the caller's bytes from the pool
-		inflaters.Put(in)
-	}()
-	in.src.Reset(comp)
-	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
-		return err
-	}
-	if _, err := io.ReadFull(in.fr, dst); err != nil {
-		return err
-	}
-	if exact {
-		if n, _ := in.fr.Read(in.probe[:]); n != 0 {
-			return fmt.Errorf("stream continues past %d bytes", len(dst))
-		}
-	}
-	return nil
-}
-
-// loadRaw decompresses and parses one block without touching the cache.
-func (r *Reader) loadRaw(bi *BlockInfo) (*pinnedShard, error) {
+// loadRaw inflates and parses one block without touching the cache. The
+// block lands in buf when it is big enough, and the shard then aliases it.
+func (r *Reader) loadRaw(bi *BlockInfo, buf []byte) (*pinnedShard, error) {
 	comp, err := r.compressedBlock(bi)
 	if err != nil {
 		return nil, err
 	}
-	raw := make([]byte, int(bi.RawLen))
-	// Any trailing decompressed bytes mean RawLen lies.
-	if err := inflate(raw, comp, true); err != nil {
+	if cap(buf) < int(bi.RawLen) {
+		buf = make([]byte, bi.RawLen)
+	}
+	raw := buf[:bi.RawLen]
+	if err := inflate.Inflate(raw, comp); err != nil { // RawLen must be the stream's exact length
 		return nil, fmt.Errorf("segment: shard %d inflate: %v: %w", bi.Shard, err, ErrCorrupt)
 	}
 	return parseBlock(bi, raw)
@@ -413,7 +367,7 @@ func (r *Reader) pin(shard int) (*pinnedShard, error) {
 		return nil, nil
 	}
 	return r.cache.get(shard, r.metrics, func() (*pinnedShard, error) {
-		return r.loadRaw(&r.index[bi])
+		return r.loadRaw(&r.index[bi], nil)
 	})
 }
 
@@ -449,17 +403,17 @@ func (r *Reader) Lookup(key inventory.GroupKey) (*inventory.CellSummary, bool, e
 	return s, true, nil
 }
 
-// EachGroup streams every (key, summary) pair in global key order
+// eachGroup streams every (key, summary) pair in global key order
 // (ascending shard, then ascending key), stopping early if f returns
 // false. Blocks are loaded transiently — a full scan does not evict the
 // query-path LRU.
-func (r *Reader) EachGroup(f func(inventory.GroupKey, *inventory.CellSummary) bool) error {
+func (r *Reader) eachGroup(f func(inventory.GroupKey, *inventory.CellSummary) bool) error {
 	for i := range r.index {
 		bi := &r.index[i]
 		p, err := r.cache.peek(bi.Shard)
 		if err != nil || p == nil {
 			// Not pinned (or pinned-load failed): load outside the cache.
-			if p, err = r.loadRaw(bi); err != nil {
+			if p, err = r.loadRaw(bi, nil); err != nil {
 				return err
 			}
 		}
@@ -487,9 +441,9 @@ type odKey struct {
 }
 
 // keyDir is the reader-wide key directory: every key's cell membership
-// per grouping set plus the OD → cells sub-index, built once by
-// streaming all key columns (never the summary blobs) and held for the
-// reader's lifetime. It is the segment-side equivalent of the heap
+// per grouping set plus the OD → cells sub-index, built once by inflating
+// every block whole into one reused buffer, keeping only the keys, and
+// held for the reader's lifetime. It is the segment-side equivalent of the heap
 // inventory's lazily built per-shard OD index.
 type keyDir struct {
 	cells [3][]hexgrid.Cell
@@ -499,27 +453,20 @@ type keyDir struct {
 func (r *Reader) directory() (*keyDir, error) {
 	r.dirOnce.Do(func() {
 		d := &keyDir{od: make(map[odKey][]hexgrid.Cell)}
+		var most uint32
+		for i := range r.index {
+			most = max(most, r.index[i].RawLen)
+		}
+		buf := make([]byte, most) // one buffer for every block: only the keys are kept
 		for i := range r.index {
 			bi := &r.index[i]
-			comp, err := r.compressedBlock(bi)
+			p, err := r.loadRaw(bi, buf)
 			if err != nil {
 				r.dirErr = err
 				return
 			}
-			// Stream only up to the end of the key column.
-			keyEnd := 4 + int(bi.NGroups)*inventory.EncodedKeyLen
-			raw := make([]byte, keyEnd)
-			if err := inflate(raw, comp, false); err != nil {
-				r.dirErr = fmt.Errorf("segment: shard %d inflate: %v: %w", bi.Shard, err, ErrCorrupt)
-				return
-			}
-			if int(binary.LittleEndian.Uint32(raw)) != int(bi.NGroups) {
-				r.dirErr = fmt.Errorf("segment: shard %d group count: %w", bi.Shard, ErrCorrupt)
-				return
-			}
-			for g := 0; g < int(bi.NGroups); g++ {
-				kb := raw[4+g*inventory.EncodedKeyLen:]
-				k, err := inventory.DecodeKey(kb)
+			for g := 0; g < p.n; g++ {
+				k, err := inventory.DecodeKey(p.key(g))
 				if err != nil {
 					r.dirErr = fmt.Errorf("segment: shard %d key %d: %v: %w", bi.Shard, g, err, ErrCorrupt)
 					return
@@ -601,7 +548,7 @@ func (r *Reader) Cells(set inventory.GroupSet) []hexgrid.Cell {
 
 // Each calls f for every (key, summary) pair.
 func (r *Reader) Each(f func(inventory.GroupKey, *inventory.CellSummary) bool) {
-	if err := r.EachGroup(f); err != nil {
+	if err := r.eachGroup(f); err != nil {
 		r.fail(err)
 	}
 }
@@ -667,7 +614,7 @@ func LoadBytes(data []byte, name string) (*inventory.Inventory, error) {
 
 func (r *Reader) materialize() (*inventory.Inventory, error) {
 	inv := inventory.New(r.Info())
-	err := r.EachGroup(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
+	err := r.eachGroup(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
 		inv.Put(k, s)
 		return true
 	})

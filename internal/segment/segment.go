@@ -60,6 +60,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"github.com/patternsoflife/pol/internal/inflate"
 	"github.com/patternsoflife/pol/internal/inventory"
 )
 
@@ -197,8 +198,8 @@ func ParseIndex(b []byte, t Tail) ([]BlockInfo, error) {
 			return nil, fmt.Errorf("segment: block %d set counts: %w", bi.Shard, ErrCorrupt)
 		}
 		// What a reader allocates for a block is bounded by its bytes in the
-		// file: deflate expands at most 1032:1, and the columns fit in RawLen.
-		if cols := 8 + uint64(bi.NGroups)*(inventory.EncodedKeyLen+12); uint64(bi.RawLen) < cols || uint64(bi.RawLen) > 1032*uint64(bi.CompLen) {
+		// file (inflate.MaxRatio), and the columns fit in RawLen.
+		if cols := 8 + uint64(bi.NGroups)*(inventory.EncodedKeyLen+12); uint64(bi.RawLen) < cols || uint64(bi.RawLen) > inflate.MaxRatio*uint64(bi.CompLen) {
 			return nil, fmt.Errorf("segment: block %d raw length %d (%d groups, %d compressed): %w", bi.Shard, bi.RawLen, bi.NGroups, bi.CompLen, ErrCorrupt)
 		}
 		prevShard = bi.Shard

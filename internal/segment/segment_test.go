@@ -2,14 +2,17 @@ package segment
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/patternsoflife/pol/internal/inflate"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/sim"
@@ -146,7 +149,7 @@ func TestEachGroupOrderAndEquivalence(t *testing.T) {
 
 	var prev []byte
 	n := 0
-	err = r.EachGroup(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
+	err = r.eachGroup(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
 		n++
 		enc := inventory.AppendKey(nil, k)
 		if prev != nil && inventory.ShardOf(k) == shardOfEnc(t, prev) && bytes.Compare(prev, enc) >= 0 {
@@ -154,15 +157,15 @@ func TestEachGroupOrderAndEquivalence(t *testing.T) {
 		}
 		prev = enc
 		if want, ok := inv.Get(k); !ok || want.Records != s.Records {
-			t.Fatalf("EachGroup yielded unknown or mismatched group %v", k)
+			t.Fatalf("eachGroup yielded unknown or mismatched group %v", k)
 		}
 		return true
 	})
 	if err != nil {
-		t.Fatalf("EachGroup: %v", err)
+		t.Fatalf("eachGroup: %v", err)
 	}
 	if n != inv.Len() {
-		t.Fatalf("EachGroup visited %d groups, want %d", n, inv.Len())
+		t.Fatalf("eachGroup visited %d groups, want %d", n, inv.Len())
 	}
 }
 
@@ -201,11 +204,12 @@ func TestLRUCacheEviction(t *testing.T) {
 	inv := fixture(t)
 	path, _ := writeFixture(t, inv)
 	m := NewMetrics(nil)
-	r, err := Open(path, Options{MaxPinned: 2, Metrics: m})
+	r, err := Open(path, Options{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	r.cache = newShardCache(2)
 	if len(r.Blocks()) < 4 {
 		t.Fatalf("fixture has only %d blocks; need ≥ 4 for eviction", len(r.Blocks()))
 	}
@@ -220,7 +224,7 @@ func TestLRUCacheEviction(t *testing.T) {
 		return true
 	})
 	if m.Evictions.Load() == 0 {
-		t.Fatal("no evictions with MaxPinned=2")
+		t.Fatal("no evictions with 2 slots")
 	}
 	misses := m.CacheMisses.Load()
 	if misses == 0 {
@@ -245,11 +249,12 @@ func TestLRUCacheEviction(t *testing.T) {
 func TestConcurrentReaders(t *testing.T) {
 	inv := fixture(t)
 	path, _ := writeFixture(t, inv)
-	r, err := Open(path, Options{MaxPinned: 4})
+	r, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	r.cache = newShardCache(4)
 
 	var keys []inventory.GroupKey
 	inv.Each(func(k inventory.GroupKey, _ *inventory.CellSummary) bool {
@@ -281,16 +286,19 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
+// noMmap is a mapper that always fails, so openFile falls back to pread.
+func noMmap(*os.File, int64) ([]byte, error) { return nil, errors.New("no mmap here") }
+
 func TestNoMmapFallback(t *testing.T) {
 	inv := fixture(t)
 	path, _ := writeFixture(t, inv)
-	r, err := Open(path, Options{NoMmap: true})
+	r, err := openFile(path, Options{}, noMmap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	if r.Mapped() {
-		t.Fatal("NoMmap reader reports mapped")
+		t.Fatal("unmapped reader reports mapped")
 	}
 	var k inventory.GroupKey
 	inv.Each(func(key inventory.GroupKey, _ *inventory.CellSummary) bool { k = key; return false })
@@ -412,10 +420,10 @@ func TestVersion1RefusedByName(t *testing.T) {
 		t.Fatal(err)
 	}
 	const line = "POLSEG1 version 1 segments are no longer read; rebuild with polbuild"
-	for _, noMmap := range []bool{false, true} {
-		_, err := Open(path, Options{NoMmap: noMmap})
+	for name, mmap := range map[string]func(*os.File, int64) ([]byte, error){"mapped": mmapFile, "pread": noMmap} {
+		_, err := openFile(path, Options{}, mmap)
 		if !errors.Is(err, ErrOldVersion) || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), line) || !strings.Contains(err.Error(), path) {
-			t.Fatalf("Open(version 1, NoMmap=%v) = %v", noMmap, err)
+			t.Fatalf("Open(version 1, %s) = %v", name, err)
 		}
 	}
 	if _, err := Load(path); !errors.Is(err, ErrOldVersion) {
@@ -483,5 +491,64 @@ func BenchmarkSegmentWrite(b *testing.B) {
 		if err := WriteFile(inv, filepath.Join(dir, "bench.polseg")); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// refInflate is the compress/flate read the inflate kernel replaced in
+// loadRaw, kept as BenchmarkInflate's baseline: a pooled reader reset onto
+// the block, filled to RawLen, then probed for a byte past it.
+func refInflate(fr io.ReadCloser, dst, comp []byte) error {
+	if err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+		return err
+	}
+	if _, err := io.ReadFull(fr, dst); err != nil {
+		return err
+	}
+	var probe [1]byte
+	if n, _ := fr.Read(probe[:]); n != 0 {
+		return errors.New("stream continues past RawLen")
+	}
+	return nil
+}
+
+// BenchmarkInflate decodes every block of the pinned fixture (256 shards)
+// into its RawLen: the kernel against compress/flate, in MB/s of raw
+// block bytes and allocations per pass.
+func BenchmarkInflate(b *testing.B) {
+	path, _ := writeFixture(b, testutil.PinnedInventory())
+	r, err := Open(path, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	var comps [][]byte
+	var raw int64
+	for _, bi := range r.Blocks() {
+		c, err := r.BlockBytes(int(bi.Shard))
+		if err != nil {
+			b.Fatal(err)
+		}
+		comps, raw = append(comps, c), raw+int64(bi.RawLen)
+	}
+	dst := make([]byte, 0, raw)
+	fr := flate.NewReader(nil)
+	for _, tc := range []struct {
+		name string
+		run  func(dst, comp []byte) error
+	}{
+		{"kernel", inflate.Inflate},
+		{"flate", func(dst, comp []byte) error { return refInflate(fr, dst, comp) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(raw)
+			b.ReportAllocs()
+			for range b.N {
+				for i, bi := range r.Blocks() {
+					if err := tc.run(dst[:bi.RawLen], comps[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

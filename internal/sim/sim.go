@@ -37,9 +37,6 @@ type Config struct {
 	// vessel under way (default 180 — a satellite-reception-scale rate; the
 	// raw class-A rate of 2-10 s would generate the paper's billions of rows).
 	ReportInterval float64
-	// MooredInterval is the mean seconds between reports at berth (default
-	// 1080, 3× the class-A 6-minute anchor rate).
-	MooredInterval float64
 	// DropoutRate is the fraction of reports lost to reception gaps
 	// (default 0.15).
 	DropoutRate float64
@@ -60,6 +57,10 @@ type Config struct {
 	Weather *weather.Field
 }
 
+// mooredInterval is the mean seconds between reports at berth, 3× the
+// class-A 6-minute anchor rate.
+const mooredInterval = 1080
+
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.Vessels <= 0 {
@@ -73,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReportInterval <= 0 {
 		c.ReportInterval = 180
-	}
-	if c.MooredInterval <= 0 {
-		c.MooredInterval = 1080
 	}
 	if c.DropoutRate < 0 || c.DropoutRate >= 1 {
 		c.DropoutRate = 0.15
@@ -290,7 +288,7 @@ func (s *Simulator) emitDwell(rng *rand.Rand, v model.VesselInfo, portID model.P
 	// A stable berth spot inside the fence, per vessel per call.
 	berth := geo.Destination(port.Pos, rng.Float64()*360, rng.Float64()*port.FenceRadiusM()*0.4)
 	hdg := math.Floor(rng.Float64() * 360)
-	for t := float64(fromUnix); t < float64(toUnix); t += s.cfg.MooredInterval * (0.5 + rng.ExpFloat64()) {
+	for t := float64(fromUnix); t < float64(toUnix); t += mooredInterval * (0.5 + rng.ExpFloat64()) {
 		rec := model.PositionRecord{
 			MMSI:    v.MMSI,
 			Time:    int64(t),
