@@ -11,8 +11,8 @@ import (
 	"sync"
 
 	"github.com/patternsoflife/pol/internal/ais"
+	"github.com/patternsoflife/pol/internal/deflate"
 	"github.com/patternsoflife/pol/internal/geo"
-	"github.com/patternsoflife/pol/internal/inflate"
 	"github.com/patternsoflife/pol/internal/model"
 )
 
@@ -202,7 +202,7 @@ func (f *peerFrame) open(maxBytes int) (*peerPayload, error) {
 	if f.CRC != f.digest() {
 		return nil, fmt.Errorf("cluster: peer frame task %d bucket %d seq %d: CRC mismatch", f.TaskID, f.Bucket, f.Seq)
 	}
-	if f.RawLen < 0 || f.RawLen > maxBytes || f.RawLen > inflate.MaxRatio*len(f.Payload) {
+	if f.RawLen < 0 || f.RawLen > maxBytes || f.RawLen > deflate.MaxRatio*len(f.Payload) {
 		return nil, fmt.Errorf("cluster: peer frame raw length %d out of bounds (cap %d, %d compressed bytes)", f.RawLen, maxBytes, len(f.Payload))
 	}
 	buf := openBufs.Get().(*[]byte)
@@ -212,7 +212,7 @@ func (f *peerFrame) open(maxBytes int) (*peerPayload, error) {
 		}
 	}()
 	*buf = slices.Grow((*buf)[:0], f.RawLen)[:f.RawLen]
-	if err := inflate.Inflate(*buf, f.Payload); err != nil {
+	if err := deflate.Inflate(*buf, f.Payload); err != nil {
 		return nil, fmt.Errorf("cluster: peer frame inflate (raw length %d): %w", f.RawLen, err)
 	}
 	p, err := decodePayload(*buf)

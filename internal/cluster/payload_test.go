@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/patternsoflife/pol/internal/deflate"
 	"github.com/patternsoflife/pol/internal/feed"
-	"github.com/patternsoflife/pol/internal/inflate"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/ports"
 	"github.com/patternsoflife/pol/internal/sim"
@@ -113,7 +113,7 @@ func TestPayloadRefusals(t *testing.T) {
 	big.RawLen = fuzzCap + 1
 	refused("RawLen past the cap", big, "out of bounds")
 	bomb := frame(raw)
-	bomb.RawLen = inflate.MaxRatio*len(bomb.Payload) + 1
+	bomb.RawLen = deflate.MaxRatio*len(bomb.Payload) + 1
 	refused("RawLen past deflate's ratio", bomb, "out of bounds")
 	long := frame(raw)
 	long.RawLen--

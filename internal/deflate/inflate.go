@@ -1,18 +1,4 @@
-// Package inflate is the repository's one DEFLATE decoder (RFC 1951): a
-// stream held whole in memory, decoded into a buffer whose length the
-// caller already knows (a segment block's or a shuffle frame's RawLen).
-// Bits come off the source a word at a time and symbols out of two-level
-// tables; there is no io.Reader, window ring or per-byte interface call.
-//
-// Inflate(dst, src) succeeds exactly when compress/flate's reader would
-// yield len(dst) bytes equal to dst's and then end its final block without
-// error, so it refuses what that reader refuses: over-subscribed or
-// incomplete codes other than a single one-bit code, length symbols
-// 286–287, distance symbols 30–31, a distance past the output so far, a
-// stored block whose NLEN is not LEN's complement, input that ends early.
-// FuzzInflate holds it to that. Hostile input cannot make it panic, read
-// past src or write past dst, and it runs in O(len(src) + len(dst)).
-package inflate
+package deflate
 
 import (
 	"encoding/binary"
@@ -21,72 +7,12 @@ import (
 	"sync"
 )
 
-// MaxRatio bounds how far DEFLATE expands: a 258-byte match costs at
-// least two bits, so a stream inflates at most ~1032:1. A caller holds a
-// claimed length to it before allocating the destination.
-const MaxRatio = 1032
-
 var (
 	errCorrupt = errors.New("inflate: invalid deflate stream")
 	errEOF     = errors.New("inflate: stream ends early")
 	errLong    = errors.New("inflate: stream inflates past the destination's length")
 	errShort   = errors.New("inflate: stream ends short of the destination's length")
 )
-
-// A table entry holds the code length in bits 0–3 (0: no such code), a
-// flag in bits 4–7, an extra-bit count (a subtable's index width) in bits
-// 8–15 and a value in bits 16–31. An entry without a flag is refused: no
-// code, or a symbol no stream may use (lengths 286–287, distances 30–31).
-const (
-	fLit = 1 << 4 // value: a literal byte
-	fLen = 1 << 5 // value: a length or distance base
-	fEOB = 1 << 6
-	fSub = 1 << 7 // value: a subtable's offset
-
-	litBits, distBits = 10, 8
-	// Root plus subtables, with room to spare over the most a complete
-	// code can need (zlib's "enough": 1334 and 402).
-	litSize, distSize = 2048, 1024
-)
-
-var (
-	// clOrder is the order code-length code lengths are sent in; the
-	// repeat codes 16, 17 and 18 take repBits extra bits added to repBase.
-	clOrder          = [19]uint8{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
-	repBits, repBase = [3]uint8{2, 3, 7}, [3]uint32{3, 3, 11}
-
-	// Per-symbol entries, without the code length.
-	litSyms, distSyms, clSyms [288]uint32
-	fixedLit                  [litSize]uint32
-	fixedDist                 [distSize]uint32
-)
-
-func init() {
-	var lens [288]uint8
-	lbase, dbase := uint32(3), uint32(1)
-	for s := range litSyms {
-		clSyms[s] = uint32(s) << 16
-		lens[s] = 8 + uint8(s/144) - uint8(s/256)*2 + uint8(s/280)
-		switch x := uint32(max(s-261, 0) / 4); {
-		case s < 256:
-			litSyms[s] = uint32(s)<<16 | fLit
-		case s == 256:
-			litSyms[s] = fEOB
-		case s < 285:
-			litSyms[s], lbase = lbase<<16|x<<8|fLen, lbase+1<<x
-		case s == 285:
-			litSyms[s] = 258<<16 | fLen
-		}
-		if x := uint32(max(s/2-1, 0)); s < 30 {
-			distSyms[s], dbase = dbase<<16|x<<8|fLen, dbase+1<<x
-		}
-	}
-	build(fixedLit[:], lens[:], litSyms[:], litBits) // 8, 9, 7 and 8 bits
-	for s := range 32 {
-		lens[s] = 5
-	}
-	build(fixedDist[:], lens[:32], distSyms[:], distBits)
-}
 
 // build fills t with the decode table of the canonical code whose symbol
 // s has length lengths[s] (0: unused): root entries indexed by the next

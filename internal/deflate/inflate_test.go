@@ -1,4 +1,4 @@
-package inflate
+package deflate
 
 import (
 	"bytes"
@@ -49,10 +49,10 @@ func same(t *testing.T, src []byte, n int) bool {
 	return gerr == nil
 }
 
-// deflate compresses raw at level, flushing halfway so the stream has
+// flateAt compresses raw at level, flushing halfway so the stream has
 // more than one block and an empty stored one between them. Writers are
 // kept per level: a new one costs more than a fuzz input.
-func deflate(t testing.TB, raw []byte, level int) []byte {
+func flateAt(t testing.TB, raw []byte, level int) []byte {
 	var buf bytes.Buffer
 	w := writers[level+2]
 	if w == nil {
@@ -90,7 +90,7 @@ func TestMatchesFlateAtEveryLevel(t *testing.T) {
 	for _, n := range []int{0, 1, 300, 100 << 10} {
 		raw := sample(n)
 		for level := -2; level <= 9; level++ {
-			src := deflate(t, raw, level)
+			src := flateAt(t, raw, level)
 			if !same(t, src, n) || n > 0 && same(t, src, n-1) || same(t, src, n+1) {
 				t.Fatalf("level %d, %d bytes: the exact length must be the only one accepted", level, n)
 			}
@@ -103,7 +103,7 @@ func TestMatchesFlateAtEveryLevel(t *testing.T) {
 func TestTornAndFlipped(t *testing.T) {
 	raw := sample(600)
 	for _, level := range []int{flate.NoCompression, flate.HuffmanOnly, flate.BestSpeed, flate.BestCompression} {
-		src := deflate(t, raw, level)
+		src := flateAt(t, raw, level)
 		for i := range src {
 			same(t, src[:i], len(raw))
 			same(t, src[:i], refLen(src[:i], 1<<16))
@@ -117,14 +117,14 @@ func TestTornAndFlipped(t *testing.T) {
 	}
 }
 
-// bitWriter writes a stream by hand, for the codes compress/flate's
+// handWriter writes a stream by hand, for the codes compress/flate's
 // writer never emits.
-type bitWriter struct {
+type handWriter struct {
 	b []byte
 	n uint
 }
 
-func (w *bitWriter) put(v uint32, n uint) *bitWriter { // low bit first
+func (w *handWriter) put(v uint32, n uint) *handWriter { // low bit first
 	for i := range n {
 		if w.n%8 == 0 {
 			w.b = append(w.b, 0)
@@ -135,12 +135,12 @@ func (w *bitWriter) put(v uint32, n uint) *bitWriter { // low bit first
 	return w
 }
 
-func (w *bitWriter) code(c []uint32, l []uint8, sym int) *bitWriter { // Huffman codes go high bit first
+func (w *handWriter) code(c []uint32, l []uint8, sym int) *handWriter { // Huffman codes go high bit first
 	return w.put(bits.Reverse32(c[sym])>>(32-l[sym]), uint(l[sym]))
 }
 
-// canonical returns the canonical code of each symbol for lengths.
-func canonical(lengths []uint8) []uint32 {
+// refCanonical returns the canonical code of each symbol for lengths.
+func refCanonical(lengths []uint8) []uint32 {
 	var count, next [16]uint32
 	for _, l := range lengths {
 		count[l]++
@@ -160,8 +160,8 @@ func canonical(lengths []uint8) []uint32 {
 
 // dynamic starts a final dynamic block with the given literal/length and
 // distance code lengths, sent through a 4-bit code for lengths 0–15.
-func dynamic(lit, dist []uint8) *bitWriter {
-	w := new(bitWriter).put(1, 1).put(2, 2).put(uint32(len(lit)-257), 5).put(uint32(len(dist)-1), 5).put(15, 4)
+func dynamic(lit, dist []uint8) *handWriter {
+	w := new(handWriter).put(1, 1).put(2, 2).put(uint32(len(lit)-257), 5).put(uint32(len(dist)-1), 5).put(15, 4)
 	for _, s := range clOrder {
 		w.put(uint32(4*(1-s/16)), 3) // 4 for 0–15, none for the repeat codes
 	}
@@ -186,26 +186,26 @@ func TestHandBuiltCodes(t *testing.T) {
 	none := lens(1, nil)                // no distance code at all
 	for _, tc := range []struct {
 		name string
-		w    *bitWriter
+		w    *handWriter
 		n    int
 		ok   bool
 	}{
-		{"one-bit codes", dynamic(litAB, one).code(canonical(litAB), litAB, 'a').code(canonical(litAB), litAB, 256), 1, true},
-		{"empty distance tree, literals only", dynamic(lit3, none).code(canonical(lit3), lit3, 'a').code(canonical(lit3), lit3, 256), 1, true},
-		{"empty distance tree used", dynamic(lit3, none).code(canonical(lit3), lit3, 'a').code(canonical(lit3), lit3, 257), 4, false},
-		{"one distance code", dynamic(lit3, one).code(canonical(lit3), lit3, 'a').code(canonical(lit3), lit3, 257).put(0, 1).code(canonical(lit3), lit3, 256), 4, true},
-		{"the unused half of a one-bit code", dynamic(lit3, one).code(canonical(lit3), lit3, 'a').code(canonical(lit3), lit3, 257).put(1, 1), 4, false},
-		{"distance past the output", dynamic(lit3, one).code(canonical(lit3), lit3, 257).put(0, 1), 3, false},
+		{"one-bit codes", dynamic(litAB, one).code(refCanonical(litAB), litAB, 'a').code(refCanonical(litAB), litAB, 256), 1, true},
+		{"empty distance tree, literals only", dynamic(lit3, none).code(refCanonical(lit3), lit3, 'a').code(refCanonical(lit3), lit3, 256), 1, true},
+		{"empty distance tree used", dynamic(lit3, none).code(refCanonical(lit3), lit3, 'a').code(refCanonical(lit3), lit3, 257), 4, false},
+		{"one distance code", dynamic(lit3, one).code(refCanonical(lit3), lit3, 'a').code(refCanonical(lit3), lit3, 257).put(0, 1).code(refCanonical(lit3), lit3, 256), 4, true},
+		{"the unused half of a one-bit code", dynamic(lit3, one).code(refCanonical(lit3), lit3, 'a').code(refCanonical(lit3), lit3, 257).put(1, 1), 4, false},
+		{"distance past the output", dynamic(lit3, one).code(refCanonical(lit3), lit3, 257).put(0, 1), 3, false},
 		{"end of block alone", dynamic(lens(257, map[int]uint8{256: 1}), none).put(0, 1), 0, true},
 		{"over-subscribed", dynamic(lens(257, map[int]uint8{'a': 1, 'b': 1, 256: 1}), none), 0, false},
 		{"incomplete", dynamic(lens(257, map[int]uint8{'a': 1, 256: 2}), none), 0, false},
 		{"a single two-bit code", dynamic(lens(257, map[int]uint8{256: 2}), none).put(0, 2), 0, false},
-		{"fixed length 286", new(bitWriter).put(3, 3).put(bits.Reverse32(0xc6)>>24, 8), 0, false},
-		{"fixed distance 30", new(bitWriter).put(3, 3).put(bits.Reverse32(0x30+'a')>>24, 8).put(bits.Reverse32(1)>>25, 7).put(bits.Reverse32(30)>>27, 5), 4, false},
-		{"fixed distance 0", new(bitWriter).put(3, 3).put(bits.Reverse32(0x30+'a')>>24, 8).put(bits.Reverse32(1)>>25, 7).put(0, 5).put(0, 7), 4, true},
-		{"stored NLEN mismatch", new(bitWriter).put(1, 3).put(0, 5).put(1, 16).put(0xfffe^1, 16).put('a', 8), 1, false},
-		{"stored", new(bitWriter).put(1, 3).put(0, 5).put(1, 16).put(0xfffe, 16).put('a', 8), 1, true},
-		{"reserved block type", new(bitWriter).put(7, 3).put(0, 16), 0, false},
+		{"fixed length 286", new(handWriter).put(3, 3).put(bits.Reverse32(0xc6)>>24, 8), 0, false},
+		{"fixed distance 30", new(handWriter).put(3, 3).put(bits.Reverse32(0x30+'a')>>24, 8).put(bits.Reverse32(1)>>25, 7).put(bits.Reverse32(30)>>27, 5), 4, false},
+		{"fixed distance 0", new(handWriter).put(3, 3).put(bits.Reverse32(0x30+'a')>>24, 8).put(bits.Reverse32(1)>>25, 7).put(0, 5).put(0, 7), 4, true},
+		{"stored NLEN mismatch", new(handWriter).put(1, 3).put(0, 5).put(1, 16).put(0xfffe^1, 16).put('a', 8), 1, false},
+		{"stored", new(handWriter).put(1, 3).put(0, 5).put(1, 16).put(0xfffe, 16).put('a', 8), 1, true},
+		{"reserved block type", new(handWriter).put(7, 3).put(0, 16), 0, false},
 	} {
 		if got := same(t, tc.w.b, tc.n); got != tc.ok {
 			t.Errorf("%s: accepted %v, want %v", tc.name, got, tc.ok)
@@ -223,28 +223,30 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	return [][]byte{
 		text,
 		append([]byte{byte(0 + 2)}, raw[1200:1500]...),
-		deflate(t, raw[:900], flate.BestCompression),
-		deflate(t, raw, flate.HuffmanOnly),
-		deflate(t, raw[:300], flate.NoCompression),
-		deflate(t, raw[:900], flate.BestSpeed)[:200],
+		flateAt(t, raw[:900], flate.BestCompression),
+		flateAt(t, raw, flate.HuffmanOnly),
+		flateAt(t, raw[:300], flate.NoCompression),
+		flateAt(t, raw[:900], flate.BestSpeed)[:200],
 	}
 }
 
 // TestFuzzSeedsCommitted keeps testdata/fuzz populated and current (go
-// test ./internal/inflate -run FuzzSeeds -update rewrites it).
+// test ./internal/deflate -run FuzzSeeds -update rewrites it).
 func TestFuzzSeedsCommitted(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzInflate")
-	for i, seed := range fuzzSeeds(t) {
-		path, want := filepath.Join(dir, fmt.Sprintf("seed-%d", i)), fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		if *updateSeeds {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
+	for target, seeds := range map[string][][]byte{"FuzzInflate": fuzzSeeds(t), "FuzzDeflate": deflateSeeds()} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		for i, seed := range seeds {
+			path, want := filepath.Join(dir, fmt.Sprintf("seed-%d", i)), fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+			if *updateSeeds {
+				if err := os.MkdirAll(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if got, err := os.ReadFile(path); err != nil || string(got) != want {
+				t.Errorf("%s is missing or stale (run go test ./internal/deflate -run FuzzSeeds -update)", path)
 			}
-			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else if got, err := os.ReadFile(path); err != nil || string(got) != want {
-			t.Errorf("%s is missing or stale (run go test ./internal/inflate -run FuzzSeeds -update)", path)
 		}
 	}
 }
@@ -266,7 +268,7 @@ func FuzzInflate(f *testing.F) {
 		}
 		tryAll(data, refLen(data, limit))
 		if len(data) > 0 {
-			tryAll(deflate(t, data[1:], int(data[0])%12-2), len(data)-1)
+			tryAll(flateAt(t, data[1:], int(data[0])%12-2), len(data)-1)
 		}
 	})
 }

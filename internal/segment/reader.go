@@ -10,8 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/patternsoflife/pol/internal/deflate"
 	"github.com/patternsoflife/pol/internal/hexgrid"
-	"github.com/patternsoflife/pol/internal/inflate"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 )
@@ -316,7 +316,7 @@ func (r *Reader) loadRaw(bi *BlockInfo, buf []byte) (*pinnedShard, error) {
 		buf = make([]byte, bi.RawLen)
 	}
 	raw := buf[:bi.RawLen]
-	if err := inflate.Inflate(raw, comp); err != nil { // RawLen must be the stream's exact length
+	if err := deflate.Inflate(raw, comp); err != nil { // RawLen must be the stream's exact length
 		return nil, fmt.Errorf("segment: shard %d inflate: %v: %w", bi.Shard, err, ErrCorrupt)
 	}
 	return parseBlock(bi, raw)

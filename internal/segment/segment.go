@@ -13,10 +13,10 @@
 //     column (fixed 18-byte big-endian keys, binary-searchable), the
 //     record-count column, the summary offset column and the summary
 //     blob;
-//   - every block is flate-compressed and carries its CRC32C and sizes in
-//     the footer index, so a reader verifies exactly what it touches and
-//     a replica can diff two segments shard-by-shard without opening the
-//     blocks;
+//   - every block is DEFLATE-compressed (RFC 1951) and carries its CRC32C
+//     and sizes in the footer index, so a reader verifies exactly what it
+//     touches and a replica can diff two segments shard-by-shard without
+//     opening the blocks;
 //   - the footer index plus fixed tail is all that Open reads, making
 //     cold start O(index) instead of O(inventory).
 //
@@ -34,6 +34,13 @@
 //	         nCellType u32 | nCellOD u32 )
 //	tail:    indexOff u64 | indexLen u32 | indexCRC u32 | headerLen u32 |
 //	         headerCRC u32 | totalGroups u64 | magic "POLSEGE\n"
+//
+// A block is any RFC 1951 stream of its raw block: the format version
+// names the layout and the raw bytes, not the encoder. deflate.Deflate
+// writes the blocks; files whose blocks compress/flate wrote still read.
+// A new encoder moves every block's CRC32C without a version bump, so a
+// disk replica's first sync after its primary changes encoder refetches
+// every block once; shard deltas resume after that.
 //
 // The blob is the groups' CellSummary.AppendBinary encodings end to end, in
 // key order: a varint record count, then each sketch in the varint and
@@ -60,7 +67,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"github.com/patternsoflife/pol/internal/inflate"
+	"github.com/patternsoflife/pol/internal/deflate"
 	"github.com/patternsoflife/pol/internal/inventory"
 )
 
@@ -198,8 +205,8 @@ func ParseIndex(b []byte, t Tail) ([]BlockInfo, error) {
 			return nil, fmt.Errorf("segment: block %d set counts: %w", bi.Shard, ErrCorrupt)
 		}
 		// What a reader allocates for a block is bounded by its bytes in the
-		// file (inflate.MaxRatio), and the columns fit in RawLen.
-		if cols := 8 + uint64(bi.NGroups)*(inventory.EncodedKeyLen+12); uint64(bi.RawLen) < cols || uint64(bi.RawLen) > inflate.MaxRatio*uint64(bi.CompLen) {
+		// file (deflate.MaxRatio), and the columns fit in RawLen.
+		if cols := 8 + uint64(bi.NGroups)*(inventory.EncodedKeyLen+12); uint64(bi.RawLen) < cols || uint64(bi.RawLen) > deflate.MaxRatio*uint64(bi.CompLen) {
 			return nil, fmt.Errorf("segment: block %d raw length %d (%d groups, %d compressed): %w", bi.Shard, bi.RawLen, bi.NGroups, bi.CompLen, ErrCorrupt)
 		}
 		prevShard = bi.Shard

@@ -12,7 +12,7 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/patternsoflife/pol/internal/inflate"
+	"github.com/patternsoflife/pol/internal/deflate"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/sim"
@@ -511,32 +511,39 @@ func refInflate(fr io.ReadCloser, dst, comp []byte) error {
 	return nil
 }
 
-// BenchmarkInflate decodes every block of the pinned fixture (256 shards)
-// into its RawLen: the kernel against compress/flate, in MB/s of raw
-// block bytes and allocations per pass.
-func BenchmarkInflate(b *testing.B) {
-	path, _ := writeFixture(b, testutil.PinnedInventory())
+// pinnedBlocks writes the pinned fixture (256 shards) and returns the
+// open reader, its compressed blocks and their raw bytes in total.
+func pinnedBlocks(tb testing.TB) (*Reader, [][]byte, int64) {
+	path, _ := writeFixture(tb, testutil.PinnedInventory())
 	r, err := Open(path, Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer r.Close()
+	tb.Cleanup(func() { r.Close() })
 	var comps [][]byte
 	var raw int64
 	for _, bi := range r.Blocks() {
 		c, err := r.BlockBytes(int(bi.Shard))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		comps, raw = append(comps, c), raw+int64(bi.RawLen)
 	}
+	return r, comps, raw
+}
+
+// BenchmarkInflate decodes every block of the pinned fixture (256 shards)
+// into its RawLen: the kernel against compress/flate, in MB/s of raw
+// block bytes and allocations per pass.
+func BenchmarkInflate(b *testing.B) {
+	r, comps, raw := pinnedBlocks(b)
 	dst := make([]byte, 0, raw)
 	fr := flate.NewReader(nil)
 	for _, tc := range []struct {
 		name string
 		run  func(dst, comp []byte) error
 	}{
-		{"kernel", inflate.Inflate},
+		{"kernel", deflate.Inflate},
 		{"flate", func(dst, comp []byte) error { return refInflate(fr, dst, comp) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
@@ -549,6 +556,55 @@ func BenchmarkInflate(b *testing.B) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// refDeflate is the compress/flate write the deflate kernel replaced in
+// blockEncoder.encode, kept as BenchmarkDeflate's baseline and to rebuild
+// the files that write produced: a pooled level-6 writer reset onto a
+// buffer, the block written, the stream closed.
+func refDeflate(fw *flate.Writer, dst *bytes.Buffer, raw []byte) []byte {
+	dst.Reset()
+	fw.Reset(dst)
+	fw.Write(raw) // a bytes.Buffer does not fail
+	fw.Close()
+	return dst.Bytes()
+}
+
+// BenchmarkDeflate encodes every raw block of the pinned fixture (256
+// shards): the kernel against compress/flate at level 6, in MB/s of raw
+// block bytes, with the compressed bytes as a share of the raw ones.
+func BenchmarkDeflate(b *testing.B) {
+	r, comps, raw := pinnedBlocks(b)
+	raws := make([][]byte, len(comps))
+	for i, bi := range r.Blocks() {
+		raws[i] = make([]byte, bi.RawLen)
+		if err := deflate.Inflate(raws[i], comps[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fw, _ := flate.NewWriter(nil, flate.DefaultCompression) // a valid level: no error
+	var buf bytes.Buffer
+	var dst []byte
+	for _, tc := range []struct {
+		name string
+		run  func(raw []byte) []byte
+	}{
+		{"kernel", func(raw []byte) []byte { dst = deflate.Deflate(dst[:0], raw); return dst }},
+		{"flate", func(raw []byte) []byte { return refDeflate(fw, &buf, raw) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(raw)
+			b.ReportAllocs()
+			var comp int
+			for range b.N {
+				comp = 0
+				for _, rb := range raws {
+					comp += len(tc.run(rb))
+				}
+			}
+			b.ReportMetric(float64(comp)/float64(raw), "comp/raw")
 		})
 	}
 }

@@ -2,7 +2,6 @@ package segment
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -11,6 +10,7 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/patternsoflife/pol/internal/deflate"
 	"github.com/patternsoflife/pol/internal/fault"
 	"github.com/patternsoflife/pol/internal/inventory"
 )
@@ -94,21 +94,20 @@ const encodeWindowPerWorker = 2
 // belongs to block seq from dispatch until the emitter has written it, then
 // to block seq+window, so its buffer is reused for the whole write.
 type blockSlot struct {
-	comp bytes.Buffer
-	info BlockInfo  // Off is the emitter's to fill
-	done chan error // the encode's result; capacity 1, so the worker never waits
+	comp []byte
+	info BlockInfo     // Off is the emitter's to fill
+	done chan struct{} // the encode is finished; capacity 1, so the worker never waits
 }
 
 // blockEncoder is one worker's reused state: compressing a shard allocates
 // nothing once raw has grown to the largest shard seen.
 type blockEncoder struct {
-	fw  *flate.Writer
 	raw []byte
 }
 
 // encode sorts one shard's entries and writes its compressed column block
 // into slot.
-func (e *blockEncoder) encode(shard int, es []entry, slot *blockSlot) error {
+func (e *blockEncoder) encode(shard int, es []entry, slot *blockSlot) {
 	// Sorted by encoded key so the key column is binary-searchable.
 	slices.SortFunc(es, func(a, b entry) int { return bytes.Compare(a.keyEnc[:], b.keyEnc[:]) })
 
@@ -132,33 +131,25 @@ func (e *blockEncoder) encode(shard int, es []entry, slot *blockSlot) error {
 	binary.LittleEndian.PutUint32(raw[offs+4*len(es):], uint32(len(raw)-blob))
 	e.raw = raw
 
-	slot.comp.Reset()
-	e.fw.Reset(&slot.comp)
-	if _, err := e.fw.Write(raw); err != nil {
-		return fmt.Errorf("segment: compress shard %d: %w", shard, err)
-	}
-	if err := e.fw.Close(); err != nil {
-		return fmt.Errorf("segment: compress shard %d: %w", shard, err)
-	}
+	slot.comp = deflate.Deflate(slot.comp[:0], raw)
 	slot.info = BlockInfo{
 		Shard:   shard,
-		CompLen: uint32(slot.comp.Len()),
+		CompLen: uint32(len(slot.comp)),
 		RawLen:  uint32(len(raw)),
-		CRC:     CRC(slot.comp.Bytes()),
+		CRC:     CRC(slot.comp),
 		NGroups: uint32(len(es)),
 	}
 	for i := range es {
 		slot.info.NSet[inventory.GroupSet(es[i].keyEnc[0])-inventory.GSCell]++
 	}
-	return nil
 }
 
 // writeTo streams the encoded segment. Shard blocks are independent, so
 // they are sorted, columnised and compressed by up to GOMAXPROCS workers
 // while this goroutine — the only one that touches w — emits them in
 // ascending shard id. Each block's bytes are a function of its shard's
-// groups alone (flate carries no state across Reset), so the file does not
-// depend on the worker count.
+// groups alone (deflate.Deflate's output depends on its input alone), so
+// the file does not depend on the worker count.
 func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 	var st WriteStats
 
@@ -195,16 +186,9 @@ func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 	}
 
 	encs := make([]blockEncoder, min(runtime.GOMAXPROCS(0), len(ids)))
-	for i := range encs {
-		fw, err := flate.NewWriter(nil, flate.DefaultCompression)
-		if err != nil {
-			return st, fmt.Errorf("segment: flate: %w", err)
-		}
-		encs[i].fw = fw
-	}
 	slots := make([]blockSlot, len(encs)*encodeWindowPerWorker)
 	for i := range slots {
-		slots[i].done = make(chan error, 1)
+		slots[i].done = make(chan struct{}, 1)
 	}
 	// Block seq is in flight from its send on jobs until the emitter has
 	// written it, and the emitter keeps at most len(slots) in flight: so
@@ -218,7 +202,8 @@ func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 			defer wg.Done()
 			for seq := range jobs {
 				slot := &slots[seq%len(slots)]
-				slot.done <- enc.encode(ids[seq], shards[ids[seq]], slot)
+				enc.encode(ids[seq], shards[ids[seq]], slot)
+				slot.done <- struct{}{}
 			}
 		}(&encs[i])
 	}
@@ -237,12 +222,10 @@ func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 			return st, fmt.Errorf("segment: block %d: %w", si, err)
 		}
 		slot := &slots[seq%len(slots)]
-		if err := <-slot.done; err != nil {
-			return st, err
-		}
+		<-slot.done
 		bi := slot.info
 		bi.Off = w.n
-		if _, err := w.Write(slot.comp.Bytes()); err != nil {
+		if _, err := w.Write(slot.comp); err != nil {
 			return st, fmt.Errorf("segment: shard %d: %w", si, err)
 		}
 		blocks = append(blocks, bi)

@@ -37,8 +37,8 @@ type Config struct {
 	// vessel under way (default 180 — a satellite-reception-scale rate; the
 	// raw class-A rate of 2-10 s would generate the paper's billions of rows).
 	ReportInterval float64
-	// DropoutRate is the fraction of reports lost to reception gaps
-	// (default 0.15).
+	// DropoutRate is the fraction of reports lost to reception gaps. An
+	// unset rate is 0, no dropout; one outside [0, 1) becomes 0.15.
 	DropoutRate float64
 	// NoiseRate is the fraction of received reports corrupted with
 	// protocol-violating or physically infeasible values (default 0 — enable

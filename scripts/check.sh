@@ -106,18 +106,27 @@ if grep -nE 'json\.NewEncoder|SetIndent' internal/api/*.go | grep -vE '^internal
 	exit 1
 fi
 
-echo "== one inflate (no flate.NewReader in non-test Go outside internal/inflate) =="
+echo "== one inflate (no flate.NewReader in non-test Go outside internal/deflate) =="
 # Every read of flate bytes — a segment block, a shuffle frame — goes
-# through inflate.Inflate, which FuzzInflate holds to compress/flate's
+# through deflate.Inflate, which FuzzInflate holds to compress/flate's
 # reader; that reader back in program code is a second decoder.
-if grep -rn 'flate\.NewReader' --include='*.go' --exclude='*_test.go' cmd internal examples bench ./*.go | grep -v '^internal/inflate/'; then
-	echo "a second DEFLATE decoder is back outside internal/inflate"
+if grep -rn 'flate\.NewReader' --include='*.go' --exclude='*_test.go' cmd internal examples bench ./*.go | grep -v '^internal/deflate/'; then
+	echo "a second DEFLATE decoder is back outside internal/deflate"
+	exit 1
+fi
+
+echo "== one deflate (no flate.NewWriter in non-test Go outside internal/cluster/payload.go) =="
+# Every segment block — build output, checkpoint generation, snapshot — is
+# written by deflate.Deflate, which FuzzDeflate holds to both decoders; the
+# shuffle's BestSpeed frames are the one other trade, in payload.go.
+if grep -rn 'flate\.NewWriter' --include='*.go' --exclude='*_test.go' cmd internal examples bench ./*.go | grep -v '^internal/cluster/payload\.go:'; then
+	echo "a second DEFLATE encoder is back outside internal/cluster/payload.go"
 	exit 1
 fi
 
 echo "== line budget (non-test Go outside bench/, ROADMAP's measure) =="
 # Lower it when a PR deletes; raising it needs the ROADMAP's say-so.
-budget=24847
+budget=25394
 lines="$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 if [ "$lines" -gt "$budget" ]; then
 	echo "non-test Go outside bench/ is $lines lines, budget $budget"
@@ -157,7 +166,7 @@ for target in ingest/FuzzReadReplChunk ingest/FuzzOpenJournal ingest/FuzzDecodeS
 	ingest/FuzzParseManifestLine replica/FuzzTermFile \
 	cluster/FuzzReadFrame cluster/FuzzPeerFrame ais/FuzzDecoderFeed \
 	inventory/FuzzDecodeCellSummary segment/FuzzLoadBytes api/FuzzAppendJSONString \
-	obs/trace/FuzzParseTraceparent inflate/FuzzInflate; do
+	obs/trace/FuzzParseTraceparent deflate/FuzzInflate deflate/FuzzDeflate; do
 	go test -run='^$' -fuzz="^${target##*/}\$" -fuzztime=5s "./internal/${target%/*}/"
 done
 
