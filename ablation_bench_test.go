@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"github.com/patternsoflife/pol/internal/dataflow"
-	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/pipeline"
@@ -59,44 +58,35 @@ func BenchmarkAblationResolution(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMapSideCombining compares map-side combining
-// (AggregateByKeyHashed, what pipeline.Run uses: partial counts before the
-// shuffle) against shuffling every pair (RepartitionByKey) over the same
-// (cell-key, 1) pairs — the design choice that makes the paper's reduce
-// phase tractable. Shuffled record counts are reported.
+// BenchmarkAblationMapSideCombining measures what combining before the
+// merge saves — the design choice that makes the paper's reduce phase
+// tractable. Each vessel partition folds its observations into its own
+// inventory, so pipeline.Run's ordered merge moves the groups the partials
+// hold, not the observations emitted. Both are reported per partition
+// count: more partitions, more partial groups to merge.
 func BenchmarkAblationMapSideCombining(b *testing.B) {
 	f := testutil.Build(b, ablationFleet, 6)
-	pairs := func(ctx *dataflow.Context) *dataflow.Dataset[dataflow.Pair[inventory.GroupKey, int]] {
-		return dataflow.Map(records(f, ctx), "obs", func(r model.PositionRecord) dataflow.Pair[inventory.GroupKey, int] {
-			key := inventory.NewGroupKey(inventory.GSCell, hexgrid.LatLngToCell(r.Pos, 6), 0, 0, 0)
-			return dataflow.Pair[inventory.GroupKey, int]{Key: key, Value: 1}
+	idx := ports.NewIndex(f.Sim.Gazetteer(), ports.IndexResolution)
+	for _, parts := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("partitions%d", parts), func(b *testing.B) {
+			var observations, merged int64
+			for i := 0; i < b.N; i++ {
+				ctx := dataflow.NewContext(0)
+				res, err := pipeline.Run(records(f, ctx), f.Sim.Fleet().StaticIndex(), idx, pipeline.Options{Resolution: 6, Partitions: parts})
+				if err != nil {
+					b.Fatal(err)
+				}
+				observations = res.Stats.Observations
+				for _, s := range ctx.Metrics().Stages() {
+					if s.Name == "feature-extraction.merge" {
+						merged = s.RecordsIn
+					}
+				}
+			}
+			b.ReportMetric(float64(observations), "observations")
+			b.ReportMetric(float64(merged), "merged-groups")
 		})
 	}
-	sum := func(a, b int) int { return a + b }
-	b.Run("aggregateByKey", func(b *testing.B) {
-		var shuffled int64
-		for i := 0; i < b.N; i++ {
-			ctx := dataflow.NewContext(0)
-			counts := dataflow.AggregateByKeyHashed(pairs(ctx), "combine", 4, inventory.GroupKey.Hash64, func() int { return 0 }, sum, sum)
-			if _, err := dataflow.Collect(counts); err != nil {
-				b.Fatal(err)
-			}
-			shuffled = ctx.Metrics().ShuffledRecords()
-		}
-		b.ReportMetric(float64(shuffled), "shuffled-records")
-	})
-	b.Run("repartitionByKey", func(b *testing.B) {
-		var shuffled int64
-		for i := 0; i < b.N; i++ {
-			ctx := dataflow.NewContext(0)
-			rows := dataflow.RepartitionByKey(pairs(ctx), "naive", 4)
-			if _, err := dataflow.Collect(rows); err != nil {
-				b.Fatal(err)
-			}
-			shuffled = ctx.Metrics().ShuffledRecords()
-		}
-		b.ReportMetric(float64(shuffled), "shuffled-records")
-	})
 }
 
 // BenchmarkAblationTopNCapacity sweeps the Space-Saving capacity used for

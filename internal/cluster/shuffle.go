@@ -7,16 +7,15 @@ import (
 	"sync"
 	"time"
 
-	"github.com/patternsoflife/pol/internal/dataflow"
 	"github.com/patternsoflife/pol/internal/model"
+	"github.com/patternsoflife/pol/internal/pipeline"
 )
 
 // bucketOf maps an MMSI to its shuffle bucket. Senders and receivers
 // must agree on this function — it is the partitioning
-// contract that makes every bucket vessel-complete.
-func bucketOf(mmsi uint32, buckets int) int {
-	return int(dataflow.HashKey(mmsi) % uint64(buckets))
-}
+// contract that makes every bucket vessel-complete — and it is
+// pipeline.Run's vessel partitioning.
+func bucketOf(mmsi uint32, buckets int) int { return pipeline.VesselBucket(mmsi, buckets) }
 
 // contrib accumulates one scan section's frames for one bucket. total is
 // -1 until the Last frame announces how many frames the section sent;

@@ -133,6 +133,40 @@ func sealTestFrame(t testing.TB, taskID uint64, section, bucket, seq int, last b
 // TestPeerFrameRoundTrip seals, writes, reads and opens one shuffle frame,
 // pinning the codec: records and statics survive, the byte counts agree,
 // and the raw length is recorded for the compression-ratio metric.
+// TestBucketOfIsRunsVesselPartition holds the distributed build's bucketing
+// to the local build's: every MMSI goes to the bucket that pipeline.Run's
+// vessel repartition puts it in, for every width tried. That is the
+// structural reason a cluster build equals a local one.
+func TestBucketOfIsRunsVesselPartition(t *testing.T) {
+	var recs []model.PositionRecord
+	for i := uint32(0); i < 500; i++ {
+		recs = append(recs, model.PositionRecord{MMSI: 200000000 + i*7919})
+	}
+	for _, n := range []int{1, 2, 3, 8} {
+		ctx := dataflow.NewContext(2)
+		placed := dataflow.MapPartitions(pipeline.ByVessel(dataflow.Parallelize(ctx, recs, 4), n), "where",
+			func(part int, rows []model.PositionRecord) [][2]int {
+				out := make([][2]int, len(rows))
+				for i, r := range rows {
+					out[i] = [2]int{int(r.MMSI), part}
+				}
+				return out
+			})
+		got, err := dataflow.Collect(placed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(recs) {
+			t.Fatalf("n=%d: %d rows placed, want %d", n, len(got), len(recs))
+		}
+		for _, mp := range got {
+			if b := bucketOf(uint32(mp[0]), n); b != mp[1] {
+				t.Errorf("n=%d: MMSI %d in vessel partition %d, bucketOf says %d", n, mp[0], mp[1], b)
+			}
+		}
+	}
+}
+
 func TestPeerFrameRoundTrip(t *testing.T) {
 	recs := []model.PositionRecord{{MMSI: 111, Time: 5}, {MMSI: 222, Time: 9}}
 	statics := map[uint32]model.VesselInfo{111: {MMSI: 111}}

@@ -1,20 +1,22 @@
 // Package dataflow is a small in-process parallel dataset engine — the
 // from-scratch substitute for the Apache Spark substrate the paper runs on.
 //
-// A Dataset[T] is a lazy, partitioned collection. Narrow transformations
-// (Map, KeyBy, MapPartitions) fuse into their parent's per-partition
-// computation and never materialize intermediate state. Wide
-// transformations (RepartitionByKey, AggregateByKeyHashed) introduce a hash
-// shuffle: the parent is evaluated once, bucketed by key hash, and
+// A Dataset[T] is a lazy, partitioned collection. MapPartitions fuses into
+// its parent's per-partition computation and never materializes
+// intermediate state. Repartition introduces a shuffle: the parent is
+// evaluated once, every row is bucketed by a caller-given partitioner, and
 // downstream partitions read their bucket. The action, Collect, triggers
 // execution across a bounded worker pool. These are the operators the
 // methodology runs, not a catalogue: surface_test.go at the repository root
 // fails on one nothing calls.
 //
-// The engine provides exactly the execution semantics the paper's
-// methodology needs (§3.3, Figure 3): partitioning by vessel identifier for
-// the cleaning and trip-extraction phases, then re-partitioning by group
-// identifier with map-side combining for the feature-extraction reduce.
+// The engine provides the execution semantics the paper's methodology
+// needs (§3.3, Figure 3): partitioning by vessel identifier for the
+// cleaning, trip-extraction and projection phases. The feature-extraction
+// reduce is not a dataflow operator: each vessel partition folds its
+// observations into its own inventory, whose key-hash shards are the reduce
+// partitions, and the caller merges those partials in partition order
+// (internal/pipeline).
 //
 // Datasets are immutable and safe to share; all user functions must be safe
 // to call concurrently from multiple goroutines (they receive distinct
@@ -116,12 +118,6 @@ type Dataset[T any] struct {
 // Context returns the owning execution context.
 func (d *Dataset[T]) Context() *Context { return d.ctx }
 
-// Pair is a keyed record, the element type of all by-key operations.
-type Pair[K comparable, V any] struct {
-	Key   K
-	Value V
-}
-
 // Parallelize distributes items round-robin over numPartitions partitions
 // (values below 1 default to the context parallelism).
 func Parallelize[T any](ctx *Context, items []T, numPartitions int) *Dataset[T] {
@@ -168,26 +164,6 @@ func guard(stage string, err *error) {
 	}
 }
 
-// Map applies f to every element.
-func Map[T, U any](d *Dataset[T], name string, f func(T) U) *Dataset[U] {
-	out := &Dataset[U]{ctx: d.ctx, nParts: d.nParts}
-	out.compute = func(part int) (res []U, err error) {
-		defer guard(name, &err)
-		in, err := d.compute(part)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		res = make([]U, len(in))
-		for i, x := range in {
-			res[i] = f(x)
-		}
-		d.ctx.metrics.add(name, int64(len(in)), int64(len(res)), time.Since(t0))
-		return res, nil
-	}
-	return out
-}
-
 // MapPartitions applies f to each whole partition, enabling per-partition
 // state (sorting, sessionization, combining).
 func MapPartitions[T, U any](d *Dataset[T], name string, f func(part int, in []T) []U) *Dataset[U] {
@@ -200,15 +176,10 @@ func MapPartitions[T, U any](d *Dataset[T], name string, f func(part int, in []T
 		}
 		t0 := time.Now()
 		res = f(part, in)
-		d.ctx.metrics.add(name, int64(len(in)), int64(len(res)), time.Since(t0))
+		d.ctx.metrics.Record(name, int64(len(in)), int64(len(res)), time.Since(t0))
 		return res, nil
 	}
 	return out
-}
-
-// KeyBy pairs every element with the key extracted by f.
-func KeyBy[K comparable, T any](d *Dataset[T], name string, f func(T) K) *Dataset[Pair[K, T]] {
-	return Map(d, name, func(x T) Pair[K, T] { return Pair[K, T]{Key: f(x), Value: x} })
 }
 
 // runParallel executes f(0..tasks-1) over at most width goroutines and

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func intsUpTo(n int) []int {
@@ -52,23 +53,6 @@ func TestParallelizeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	ctx := NewContext(4)
-	d := Parallelize(ctx, intsUpTo(1000), 8)
-	got, err := Collect(Map(d, "square", func(x int) int { return x * x }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1000 {
-		t.Fatalf("got %d records, want 1000", len(got))
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("element %d = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
 func TestGenerate(t *testing.T) {
 	ctx := NewContext(4)
 	d := Generate(ctx, 5, func(part int) []int {
@@ -110,100 +94,37 @@ func TestMapPartitionsSeesWholePartition(t *testing.T) {
 	}
 }
 
-func TestKeyBy(t *testing.T) {
-	ctx := NewContext(2)
-	d := Parallelize(ctx, []string{"a", "bb", "ccc"}, 2)
-	keyed := KeyBy(d, "len", func(s string) int { return len(s) })
-	pairs, err := Collect(keyed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pairs {
-		if p.Key != len(p.Value) {
-			t.Errorf("pair %+v", p)
-		}
-	}
-	if len(pairs) != 3 {
-		t.Errorf("pairs %v", pairs)
-	}
-}
+// keyed is a row with a key, for the repartition tests.
+type keyed struct{ key, value int }
 
-func TestReduceByKeyMapSideCombining(t *testing.T) {
-	// With 10 distinct keys over 8 partitions, the shuffle must carry at
-	// most 8×10 pre-combined records rather than all 10000 raw ones.
-	ctx := NewContext(4)
-	var pairs []Pair[int, int]
-	for i := 0; i < 10000; i++ {
-		pairs = append(pairs, Pair[int, int]{Key: i % 10, Value: 1})
-	}
-	d := Parallelize(ctx, pairs, 8)
-	sum := func(a, b int) int { return a + b }
-	counts := AggregateByKeyHashed(d, "combtest", 4, HasherFor[int](), func() int { return 0 }, sum, sum)
-	if _, err := Collect(counts); err != nil {
-		t.Fatal(err)
-	}
-	if shuffled := ctx.Metrics().ShuffledRecords(); shuffled > 80 {
-		t.Errorf("shuffled %d records; map-side combining should cap at 80", shuffled)
-	}
-}
-
-func TestAggregateByKey(t *testing.T) {
-	ctx := NewContext(4)
-	var pairs []Pair[string, float64]
-	for i := 0; i < 300; i++ {
-		pairs = append(pairs, Pair[string, float64]{Key: []string{"x", "y", "z"}[i%3], Value: float64(i)})
-	}
-	d := Parallelize(ctx, pairs, 6)
-	type acc struct {
-		n   int
-		sum float64
-	}
-	avg := AggregateByKeyHashed(d, "avg", 3, HasherFor[string](),
-		func() acc { return acc{} },
-		func(a acc, v float64) acc { return acc{a.n + 1, a.sum + v} },
-		func(a, b acc) acc { return acc{a.n + b.n, a.sum + b.sum} },
-	)
-	got, err := Collect(avg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("want 3 keys, got %d", len(got))
-	}
-	for _, p := range got {
-		if p.Value.n != 100 {
-			t.Errorf("key %s n=%d, want 100", p.Key, p.Value.n)
-		}
-	}
-}
+// byKey buckets a keyed row by key modulo n.
+func byKey(n int) func(keyed) int { return func(r keyed) int { return r.key % n } }
 
 func TestRepartitionByKeyColocatesKeys(t *testing.T) {
 	ctx := NewContext(4)
-	var pairs []Pair[uint32, int]
+	var rows []keyed
 	for i := 0; i < 1000; i++ {
-		pairs = append(pairs, Pair[uint32, int]{Key: uint32(i % 17), Value: i})
+		rows = append(rows, keyed{key: i % 17, value: i})
 	}
-	d := Parallelize(ctx, pairs, 8)
-	re := RepartitionByKey(d, "repart", 5)
+	d := Parallelize(ctx, rows, 8)
+	re := Repartition(d, "repart", 5, byKey(5))
 	if re.nParts != 5 {
 		t.Fatalf("partitions %d", re.nParts)
 	}
-	placed, err := Collect(MapPartitions(re, "where", func(part int, rows []Pair[uint32, int]) []Pair[uint32, int] {
-		out := make([]Pair[uint32, int], len(rows))
+	placed, err := Collect(MapPartitions(re, "where", func(part int, rows []keyed) []keyed {
+		out := make([]keyed, len(rows))
 		for i, r := range rows {
-			out[i] = Pair[uint32, int]{Key: r.Key, Value: part}
+			out[i] = keyed{key: r.key, value: part}
 		}
 		return out
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyPart := make(map[uint32]int)
 	for _, p := range placed {
-		if prev, ok := keyPart[p.Key]; ok && prev != p.Value {
-			t.Fatalf("key %d in partitions %d and %d", p.Key, prev, p.Value)
+		if p.value != p.key%5 {
+			t.Fatalf("key %d in partition %d, want %d", p.key, p.value, p.key%5)
 		}
-		keyPart[p.Key] = p.Value
 	}
 	if rows, _ := Collect(re); len(rows) != 1000 {
 		t.Errorf("repartition lost records: %d", len(rows))
@@ -214,19 +135,42 @@ func TestRepartitionPreservesPerKeyOrder(t *testing.T) {
 	// Records of one key arriving from one input partition must stay in
 	// order — the property the per-vessel sort relies on.
 	ctx := NewContext(1)
-	var pairs []Pair[uint32, int]
+	var rows []keyed
 	for i := 0; i < 100; i++ {
-		pairs = append(pairs, Pair[uint32, int]{Key: 7, Value: i})
+		rows = append(rows, keyed{key: 7, value: i})
 	}
-	d := Parallelize(ctx, pairs, 1)
-	re := RepartitionByKey(d, "order", 3)
-	rows, err := Collect(re)
+	d := Parallelize(ctx, rows, 1)
+	got, err := Collect(Repartition(d, "order", 3, byKey(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Value <= rows[i-1].Value {
+	for i := 1; i < len(got); i++ {
+		if got[i].value <= got[i-1].value {
 			t.Fatalf("order broken at %d", i)
+		}
+	}
+}
+
+// TestShuffleTimesOnlyItsOwnWork pins a shuffle stage's busy time to its
+// bucketing and merge: a source that sleeps 50 ms in each of its four
+// partitions must not show up in an 8-row shuffle's time.
+func TestShuffleTimesOnlyItsOwnWork(t *testing.T) {
+	ctx := NewContext(2)
+	src := Generate(ctx, 4, func(part int) []keyed {
+		time.Sleep(50 * time.Millisecond)
+		return []keyed{{key: part, value: 0}, {key: part + 1, value: 1}}
+	})
+	t0 := time.Now()
+	rows, err := Collect(Repartition(src, "timed", 2, byKey(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 8 || time.Since(t0) < 100*time.Millisecond {
+		t.Fatalf("%d rows in %s: the source did not run as set up", len(rows), time.Since(t0))
+	}
+	for _, s := range ctx.Metrics().Stages() {
+		if s.Name == "timed" && s.Duration() >= 50*time.Millisecond {
+			t.Errorf("shuffle busy %s: it includes the stages above it", s.Duration())
 		}
 	}
 }
@@ -234,9 +178,9 @@ func TestRepartitionPreservesPerKeyOrder(t *testing.T) {
 func TestUncachedRecomputes(t *testing.T) {
 	ctx := NewContext(4)
 	var evals atomic.Int64
-	d := Map(Parallelize(ctx, intsUpTo(10), 2), "counted", func(x int) int {
-		evals.Add(1)
-		return x
+	d := MapPartitions(Parallelize(ctx, intsUpTo(10), 2), "counted", func(_ int, in []int) []int {
+		evals.Add(int64(len(in)))
+		return in
 	})
 	Collect(d)
 	Collect(d)
@@ -247,11 +191,13 @@ func TestUncachedRecomputes(t *testing.T) {
 
 func TestPanicBecomesError(t *testing.T) {
 	ctx := NewContext(4)
-	d := Map(Parallelize(ctx, intsUpTo(10), 2), "boom", func(x int) int {
-		if x == 7 {
-			panic("bad record")
+	d := MapPartitions(Parallelize(ctx, intsUpTo(10), 2), "boom", func(_ int, in []int) []int {
+		for _, x := range in {
+			if x == 7 {
+				panic("bad record")
+			}
 		}
-		return x
+		return in
 	})
 	if _, err := Collect(d); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("panic must surface as stage error, got %v", err)
@@ -260,13 +206,17 @@ func TestPanicBecomesError(t *testing.T) {
 
 func TestShuffleAfterPanicPropagates(t *testing.T) {
 	ctx := NewContext(2)
-	d := KeyBy(Map(Parallelize(ctx, intsUpTo(10), 2), "boom2", func(x int) int {
+	d := MapPartitions(Parallelize(ctx, intsUpTo(10), 2), "boom2", func(int, []int) []int {
 		panic("die")
-	}), "key", func(x int) int { return x })
-	sum := func(a, b int) int { return a + b }
-	r := AggregateByKeyHashed(d, "reduce", 2, HasherFor[int](), func() int { return 0 }, sum, sum)
-	if _, err := Collect(r); err == nil {
+	})
+	if _, err := Collect(Repartition(d, "shuffle", 2, func(x int) int { return x % 2 })); err == nil {
 		t.Error("shuffle must propagate upstream errors")
+	}
+	bad := Repartition(Parallelize(ctx, intsUpTo(10), 2), "bad-bucket", 2, func(x int) int {
+		panic("no bucket")
+	})
+	if _, err := Collect(bad); err == nil || !strings.Contains(err.Error(), "bad-bucket") {
+		t.Errorf("a panicking partitioner must surface as the shuffle's error, got %v", err)
 	}
 }
 
@@ -285,15 +235,15 @@ func TestMetrics(t *testing.T) {
 	if _, err := Collect(f); err != nil {
 		t.Fatal(err)
 	}
-	s := ctx.Metrics().Stage("keep-even")
-	if s.RecordsIn != 50 || s.RecordsOut != 25 {
+	stages := ctx.Metrics().Stages()
+	if len(stages) != 1 {
+		t.Fatalf("stages %+v, want keep-even alone", stages)
+	}
+	if s := stages[0]; s.Name != "keep-even" || s.RecordsIn != 50 || s.RecordsOut != 25 {
 		t.Errorf("stage metrics %+v", s)
 	}
 	if !strings.Contains(ctx.Metrics().String(), "keep-even") {
 		t.Error("metrics table must list the stage")
-	}
-	if len(ctx.Metrics().Stages()) == 0 {
-		t.Error("stages list empty")
 	}
 }
 
@@ -304,71 +254,22 @@ func TestContextDefaults(t *testing.T) {
 	}
 }
 
-func TestHashKeyDeterministicAndSpread(t *testing.T) {
-	if HashKey(uint64(42)) != HashKey(uint64(42)) {
-		t.Error("hash must be deterministic")
-	}
-	if HashKey("abc") != HashKey("abc") {
-		t.Error("string hash must be deterministic")
-	}
-	if HashKey(uint32(1)) == HashKey(uint32(2)) {
-		t.Error("distinct keys should hash differently")
-	}
-	// Buckets must be reasonably balanced for sequential keys.
-	const n, buckets = 10000, 16
-	var counts [buckets]int
-	for i := 0; i < n; i++ {
-		counts[HashKey(i)%buckets]++
-	}
-	for b, c := range counts {
-		if c < n/buckets/2 || c > n/buckets*2 {
-			t.Errorf("bucket %d has %d of %d", b, c, n)
-		}
-	}
-	// Struct keys fall back to formatted hashing.
-	type od struct{ a, b int }
-	if HashKey(od{1, 2}) != HashKey(od{1, 2}) {
-		t.Error("fallback hash must be deterministic")
-	}
-	if HashKey(od{1, 2}) == HashKey(od{2, 1}) {
-		t.Error("fallback hash must distinguish fields")
-	}
-}
-
 func BenchmarkMapFilterPipeline(b *testing.B) {
 	ctx := NewContext(4)
 	data := intsUpTo(100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := Parallelize(ctx, data, 8)
-		m := Map(d, "m", func(x int) int { return x * 2 })
-		f := MapPartitions(m, "f", func(_ int, in []int) []int {
+		f := MapPartitions(d, "f", func(_ int, in []int) []int {
 			out := make([]int, 0, len(in)/3+1)
 			for _, x := range in {
 				if x%3 == 0 {
-					out = append(out, x)
+					out = append(out, 2*x)
 				}
 			}
 			return out
 		})
 		if _, err := Collect(f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAggregateByKey(b *testing.B) {
-	ctx := NewContext(4)
-	sum := func(a, b int) int { return a + b }
-	pairs := make([]Pair[int, int], 100000)
-	for i := range pairs {
-		pairs[i] = Pair[int, int]{Key: i % 1000, Value: 1}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := Parallelize(ctx, pairs, 8)
-		r := AggregateByKeyHashed(d, "r", 4, HasherFor[int](), func() int { return 0 }, sum, sum)
-		if _, err := Collect(r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -408,8 +309,7 @@ func TestCancelledContextFailsAllActions(t *testing.T) {
 	if _, err := Collect(d); !errors.Is(err, context.Canceled) {
 		t.Errorf("Collect on dead context: %v", err)
 	}
-	keyed := KeyBy(d, "k", func(x int) int { return x })
-	if _, err := Collect(RepartitionByKey(keyed, "shuffle", 2)); !errors.Is(err, context.Canceled) {
+	if _, err := Collect(Repartition(d, "shuffle", 2, func(x int) int { return x % 2 })); !errors.Is(err, context.Canceled) {
 		t.Errorf("shuffle on dead context: %v", err)
 	}
 	// A nil context and NewContext behave as background: never cancelled.

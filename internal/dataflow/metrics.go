@@ -38,7 +38,11 @@ func newMetrics() *Metrics {
 	return &Metrics{stages: make(map[string]*StageMetrics)}
 }
 
-func (m *Metrics) add(stage string, in, out int64, d time.Duration) {
+// Record adds one task's record flow and busy time to a stage, creating
+// the stage on first sight. Operators record their own stages; a caller
+// that runs a step outside the graph (pipeline.Run's ordered merge of
+// partials) records it here, so it appears beside them.
+func (m *Metrics) Record(stage string, in, out int64, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s, ok := m.stages[stage]
@@ -56,17 +60,6 @@ func (m *Metrics) addShuffle(records int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.shuffledRec += records
-}
-
-// Stage returns a copy of the metrics for one stage (zero value if the
-// stage never ran).
-func (m *Metrics) Stage(name string) StageMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.stages[name]; ok {
-		return *s
-	}
-	return StageMetrics{Name: name}
 }
 
 // ShuffledRecords returns the total records moved through shuffles.

@@ -26,8 +26,8 @@ type vesselState struct {
 
 func (e *Engine) newVesselState() *vesselState {
 	return &vesselState{
-		cleaner: pipeline.NewOnlineCleaner(e.opt.MaxSpeedKnots),
-		tracker: pipeline.NewTripTracker(e.ports, e.opt.MinTripRecords),
+		cleaner: pipeline.NewOnlineCleaner(pipeline.MaxSpeedKnots),
+		tracker: pipeline.NewTripTracker(e.ports, pipeline.MinTripRecords),
 	}
 }
 

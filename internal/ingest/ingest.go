@@ -68,10 +68,6 @@ type Options struct {
 	// GroupSets selects the grouping sets to accumulate (default: all
 	// three).
 	GroupSets []inventory.GroupSet
-	// MaxSpeedKnots is the infeasible-transition threshold (default 50).
-	MaxSpeedKnots float64
-	// MinTripRecords drops trips shorter than this (default 2).
-	MinTripRecords int
 	// MergeEvery is the micro-batch tick: how often the period inventory
 	// is folded into the master and a fresh snapshot is published
 	// (default 2s).
@@ -135,8 +131,6 @@ func (o Options) withDefaults() Options {
 	if len(o.GroupSets) == 0 {
 		o.GroupSets = inventory.AllGroupSets
 	}
-	o.MaxSpeedKnots = cmp.Or(max(o.MaxSpeedKnots, 0), 50)
-	o.MinTripRecords = cmp.Or(max(o.MinTripRecords, 0), 2)
 	o.MergeEvery = cmp.Or(max(o.MergeEvery, 0), 2*time.Second)
 	o.CheckpointEvery = cmp.Or(max(o.CheckpointEvery, 0), 16)
 	o.QueueSize = cmp.Or(max(o.QueueSize, 0), 4096)

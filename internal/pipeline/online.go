@@ -73,10 +73,10 @@ type OnlineCleaner struct {
 }
 
 // NewOnlineCleaner returns a cleaner with the given feasibility threshold
-// (values ≤ 0 default to 50 knots).
+// (values ≤ 0 default to MaxSpeedKnots).
 func NewOnlineCleaner(maxSpeedKnots float64) *OnlineCleaner {
 	if maxSpeedKnots <= 0 {
-		maxSpeedKnots = 50
+		maxSpeedKnots = MaxSpeedKnots
 	}
 	return &OnlineCleaner{maxSpeedKnots: maxSpeedKnots}
 }
@@ -147,10 +147,10 @@ type TripTracker struct {
 }
 
 // NewTripTracker returns a tracker over the geofence index (minRecords ≤ 0
-// defaults to 2).
+// defaults to MinTripRecords).
 func NewTripTracker(portIdx *ports.Index, minRecords int) *TripTracker {
 	if minRecords <= 0 {
-		minRecords = 2
+		minRecords = MinTripRecords
 	}
 	return &TripTracker{portIdx: portIdx, minRecords: minRecords, lastPort: model.NoPort, visitPort: model.NoPort}
 }

@@ -4,10 +4,12 @@
 // hexagonal spatial index, and grouping-set feature extraction into the
 // global inventory.
 //
-// Each step is a transformation over dataflow datasets, partitioned by
-// vessel identifier until feature extraction re-shuffles by group
-// identifier — exactly the partitioning strategy the paper describes
-// (§3.3.1, §3.3.4).
+// The records are partitioned by vessel identifier (§3.3.1); each vessel
+// partition cleans, extracts trips, projects them and folds the
+// observations into its own inventory, and the partials merge in partition
+// order (§3.3.4's reduce). The inventory's key-hash shards are the reduce
+// partitions, so the paper's re-partitioning by group identifier lives in
+// the structure that serves the result.
 package pipeline
 
 import (
@@ -31,14 +33,9 @@ type Options struct {
 	Resolution int
 	// GroupSets selects which grouping sets to build (default: all three).
 	GroupSets []inventory.GroupSet
-	// Partitions is the shuffle width (default: context parallelism).
+	// Partitions is the number of vessel partitions (default: context
+	// parallelism).
 	Partitions int
-	// MaxSpeedKnots is the infeasible-transition threshold (§3.3.1;
-	// default 50).
-	MaxSpeedKnots float64
-	// MinTripRecords drops trips with fewer trip records than this
-	// (default 2 — a trip needs at least a departure and another fix).
-	MinTripRecords int
 	// Description is stored in the inventory build info.
 	Description string
 	// Obs, when non-nil, receives span timings for the run's macro phases
@@ -59,14 +56,16 @@ func (o Options) withDefaults() Options {
 	if len(o.GroupSets) == 0 {
 		o.GroupSets = inventory.AllGroupSets
 	}
-	if o.MaxSpeedKnots <= 0 {
-		o.MaxSpeedKnots = 50
-	}
-	if o.MinTripRecords <= 0 {
-		o.MinTripRecords = 2
-	}
 	return o
 }
+
+const (
+	// MaxSpeedKnots is the infeasible-transition threshold (§3.3.1).
+	MaxSpeedKnots = 50
+	// MinTripRecords drops trips with fewer trip records than this: a trip
+	// needs at least a departure and another fix.
+	MinTripRecords = 2
+)
 
 // Stats reports record flow through the pipeline stages — the numbers
 // behind the paper's Table 1 → Table 4 reduction.
@@ -115,58 +114,45 @@ func Run(records *dataflow.Dataset[model.PositionRecord], static map[uint32]mode
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 
-	// Step 1 (§3.3.1): partition by vessel identifier.
-	keyed := dataflow.KeyBy(records, "partition-by-vessel", func(r model.PositionRecord) uint32 { return r.MMSI })
-	byVessel := dataflow.RepartitionByKey(keyed, "shuffle-by-vessel", parts)
-
-	// Step 2: per-vessel cleaning — range validation, time ordering,
-	// deduplication, infeasible-transition filtering, commercial-fleet
-	// annotation — then trip extraction, enrichment and projection, all
-	// within the vessel partition (no further shuffle needed until the
-	// feature reduce).
+	// Step 1 (§3.3.1): partition by vessel identifier. Step 2: per-vessel
+	// cleaning, trip extraction, enrichment and projection, all within the
+	// vessel partition, which folds its observations into its own inventory
+	// (§3.3.4's map-side combine) exactly as the live engine folds a trip.
 	var counters flowCounters
-	observations := dataflow.MapPartitions(byVessel, "clean-trips-project",
-		func(_ int, rows []dataflow.Pair[uint32, model.PositionRecord]) []dataflow.Pair[inventory.GroupKey, inventory.Observation] {
-			return processPartition(rows, static, portIdx, opt, &counters)
+	partials := dataflow.MapPartitions(ByVessel(records, parts), "clean-trips-project",
+		func(_ int, rows []model.PositionRecord) []*inventory.Inventory {
+			return []*inventory.Inventory{processPartition(rows, static, portIdx, opt, &counters)}
 		})
 
-	// Step 3 (§3.3.4): grouping-set aggregation — the MapReduce phase. The
-	// shuffle hashes through the typed method expression so no group key is
-	// boxed on the per-record path.
-	aggregated := dataflow.AggregateByKeyHashed(observations, "feature-extraction", parts,
-		inventory.GroupKey.Hash64,
-		inventory.NewCellSummary,
-		func(acc *inventory.CellSummary, o inventory.Observation) *inventory.CellSummary {
-			acc.Add(o)
-			return acc
-		},
-		func(a, b *inventory.CellSummary) *inventory.CellSummary {
-			a.Merge(b)
-			return a
-		},
-	)
-
-	inv := inventory.New(inventory.BuildInfo{
-		Resolution:  opt.Resolution,
-		BuiltUnix:   time.Now().Unix(),
-		Description: opt.Description,
-	})
-	// The graph is lazy: this Collect executes cleaning, trip extraction,
-	// projection and the feature reduce in one go, so the span covers the
-	// whole §3.3 dataflow. It is the run's only action: the input is
-	// evaluated once, and the raw count is taken where the rows arrive.
+	// The graph is lazy: this Collect executes the shuffle, cleaning, trip
+	// extraction and projection in one go. It is the run's only action: the
+	// input is evaluated once, and the raw count is taken where the rows
+	// arrive.
 	_, execSpan := obs.StartSpanCtx(ctx.Std(), opt.Tracer, opt.Obs, "pipeline_execute")
-	pairs, err := dataflow.Collect(aggregated)
+	folded, err := dataflow.Collect(partials)
 	if err != nil {
 		return nil, err
 	}
 	execSpan.End()
-	for _, p := range pairs {
-		inv.Put(p.Key, p.Value)
-	}
 
-	// Derive flow stats from the engine metrics and stage counters.
+	// Step 3 (§3.3.4): the reduce. The partials merge in ascending
+	// partition order with Put's adopt-or-merge, so each group's summaries
+	// combine in one fixed order whatever the worker count. Put into an
+	// empty inventory adopts every summary, so the first partial is the
+	// result's start as it stands.
+	t0 := time.Now()
+	inv := folded[0]
+	rows := int64(inv.Len())
+	for _, p := range folded[1:] {
+		rows += int64(p.Len())
+		p.Each(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
+			inv.Put(k, s)
+			return true
+		})
+	}
 	m := ctx.Metrics()
+	m.Record("feature-extraction.merge", rows, int64(inv.Len()), time.Since(t0))
+
 	stats := Stats{
 		RawRecords:      counters.raw.Load(),
 		ValidRecords:    counters.valid.Load(),
@@ -174,37 +160,60 @@ func Run(records *dataflow.Dataset[model.PositionRecord], static map[uint32]mode
 		CommercialOnly:  counters.commercial.Load(),
 		TripRecords:     counters.tripRecords.Load(),
 		Trips:           counters.trips.Load(),
-		Observations:    m.Stage("clean-trips-project").RecordsOut,
+		Observations:    counters.observations.Load(),
 		Groups:          int64(inv.Len()),
 		Elapsed:         time.Since(start),
 	}
 
-	info := inv.Info()
-	info.RawRecords = stats.RawRecords
-	info.UsedRecords = stats.TripRecords
-	inv.SetInfo(info)
+	inv.SetInfo(inventory.BuildInfo{
+		Resolution:  opt.Resolution,
+		RawRecords:  stats.RawRecords,
+		UsedRecords: stats.TripRecords,
+		BuiltUnix:   time.Now().Unix(),
+		Description: opt.Description,
+	})
 
-	// Surface the per-stage busy times (clean/extract/shuffle/reduce) as
-	// duration metrics, not just record counts.
+	// Surface the per-stage busy times (shuffle/clean/merge) as duration
+	// metrics, not just record counts.
 	m.PublishTo(opt.Obs)
 
 	return &Result{Inventory: inv, Stats: stats}, nil
 }
 
+// ByVessel repartitions records into parts partitions by vessel, each
+// MMSI to partition VesselBucket(mmsi, parts) — the distributed build's
+// bucketing too, which is why a cluster build equals a local one.
+func ByVessel(records *dataflow.Dataset[model.PositionRecord], parts int) *dataflow.Dataset[model.PositionRecord] {
+	return dataflow.Repartition(records, "shuffle-by-vessel", parts, func(r model.PositionRecord) int {
+		return VesselBucket(r.MMSI, parts)
+	})
+}
+
+// VesselBucket maps an MMSI to one of n vessel partitions through the
+// splitmix64 finalizer, deterministically across runs and processes.
+func VesselBucket(mmsi uint32, n int) int {
+	x := uint64(mmsi) + 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return int((x ^ (x >> 31)) % uint64(n))
+}
+
 // flowCounters accumulates per-stage record counts across concurrent
 // partition tasks.
 type flowCounters struct {
-	raw         atomic.Int64 // entered the pipeline (every row of every vessel partition)
-	valid       atomic.Int64 // passed range validation and deduplication
-	feasible    atomic.Int64 // passed the 50-knot transition filter
-	commercial  atomic.Int64 // belonged to commercial vessels
-	tripRecords atomic.Int64 // annotated with trip semantics
-	trips       atomic.Int64 // complete trips
+	raw          atomic.Int64 // entered the pipeline (every row of every vessel partition)
+	valid        atomic.Int64 // passed range validation and deduplication
+	feasible     atomic.Int64 // passed the 50-knot transition filter
+	commercial   atomic.Int64 // belonged to commercial vessels
+	tripRecords  atomic.Int64 // annotated with trip semantics
+	trips        atomic.Int64 // complete trips
+	observations atomic.Int64 // grouping-set observations folded
 }
 
-// processPartition runs cleaning, trip extraction, enrichment, projection
-// and observation emission for every vessel in one partition.
-func processPartition(rows []dataflow.Pair[uint32, model.PositionRecord], static map[uint32]model.VesselInfo, portIdx *ports.Index, opt Options, counters *flowCounters) []dataflow.Pair[inventory.GroupKey, inventory.Observation] {
+// processPartition runs cleaning, trip extraction, enrichment and
+// projection for every vessel in one partition and folds the observations
+// into the partition's own inventory.
+func processPartition(rows []model.PositionRecord, static map[uint32]model.VesselInfo, portIdx *ports.Index, opt Options, counters *flowCounters) *inventory.Inventory {
 	// Group the partition's rows by vessel, then process vessels in
 	// ascending MMSI order: several summary statistics (Welford moments,
 	// circular means, t-digests) are order-sensitive in their low bits, so
@@ -212,15 +221,20 @@ func processPartition(rows []dataflow.Pair[uint32, model.PositionRecord], static
 	// differ. Sorting pins one canonical fold order per partition.
 	counters.raw.Add(int64(len(rows)))
 	perVessel := make(map[uint32][]model.PositionRecord)
-	for _, p := range rows {
-		perVessel[p.Key] = append(perVessel[p.Key], p.Value)
+	for _, r := range rows {
+		perVessel[r.MMSI] = append(perVessel[r.MMSI], r)
 	}
 	mmsis := make([]uint32, 0, len(perVessel))
 	for mmsi := range perVessel {
 		mmsis = append(mmsis, mmsi)
 	}
 	sort.Slice(mmsis, func(i, j int) bool { return mmsis[i] < mmsis[j] })
-	var out []dataflow.Pair[inventory.GroupKey, inventory.Observation]
+	inv := inventory.New(inventory.BuildInfo{Resolution: opt.Resolution})
+	var observations int64
+	observe := func(key inventory.GroupKey, o inventory.Observation) {
+		inv.Observe(key, o)
+		observations++
+	}
 	for _, mmsi := range mmsis {
 		recs := perVessel[mmsi]
 		info, ok := static[mmsi]
@@ -228,18 +242,19 @@ func processPartition(rows []dataflow.Pair[uint32, model.PositionRecord], static
 			continue // §3.3.1: only the commercial fleet
 		}
 		commercial := int64(len(recs))
-		cleaned, valid := cleanVesselCounted(recs, opt.MaxSpeedKnots)
+		cleaned, valid := cleanVesselCounted(recs, MaxSpeedKnots)
 		counters.commercial.Add(commercial)
 		counters.valid.Add(valid)
 		counters.feasible.Add(int64(len(cleaned)))
-		trips := ExtractTrips(cleaned, portIdx, opt.MinTripRecords)
+		trips := ExtractTrips(cleaned, portIdx, MinTripRecords)
 		counters.trips.Add(int64(len(trips)))
 		for _, trip := range trips {
 			counters.tripRecords.Add(int64(len(trip.Records)))
-			emitTrip(trip, info.Type, opt, &out)
+			EmitTrip(trip, info.Type, opt.Resolution, opt.GroupSets, observe)
 		}
 	}
-	return out
+	counters.observations.Add(observations)
+	return inv
 }
 
 // CleanVessel applies the paper's §3.3.1 cleaning to one vessel's reports:
@@ -348,13 +363,4 @@ func ExtractTrips(recs []model.PositionRecord, portIdx *ports.Index, minRecords 
 // time.
 func tripID(mmsi uint32, departTime int64) uint64 {
 	return uint64(mmsi)<<32 ^ uint64(departTime)
-}
-
-// emitTrip projects a trip's records onto the grid and emits one
-// observation per enabled grouping set per record, including the forward
-// cell transition (§3.3.4 "transitions" feature).
-func emitTrip(trip Trip, vt model.VesselType, opt Options, out *[]dataflow.Pair[inventory.GroupKey, inventory.Observation]) {
-	EmitTrip(trip, vt, opt.Resolution, opt.GroupSets, func(key inventory.GroupKey, obs inventory.Observation) {
-		*out = append(*out, dataflow.Pair[inventory.GroupKey, inventory.Observation]{Key: key, Value: obs})
-	})
 }

@@ -302,7 +302,7 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 // TestRunEvaluatesInputOnce pins the one-action rule: Run's only action is
-// the Collect behind the shuffle, so a generated source is produced once per
+// the Collect of the partition folds, so a generated source is produced once per
 // partition, and the raw count is what the vessel partitions received — also
 // on a Context a second run shares.
 func TestRunEvaluatesInputOnce(t *testing.T) {
