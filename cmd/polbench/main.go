@@ -92,9 +92,9 @@ func main() {
 		width   = flag.Int("width", 1600, "figure width in pixels")
 	)
 	flag.Parse()
-	// The reference run's live heap peaks near 3.5 GB (150 vessels × 30
-	// days, both resolutions live); left to GOGC alone the heap doubles
-	// past what an 8 GB box holds.
+	// The reference run's live heap peaks near 2.1 GB (150 vessels × 30
+	// days, both resolutions live) and its resident set near 3.7 GB under
+	// this limit; left to GOGC alone the heap doubles past 4 GB.
 	debug.SetMemoryLimit(4 << 30)
 	os.Exit(run(config{*exp, *vessels, *days, *seed, *outDir, *width}, experiments, os.Stdout, os.Stderr))
 }

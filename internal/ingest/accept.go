@@ -127,9 +127,11 @@ func (e *Engine) processPosition(en *JournalEntry, fs *FeedStats) {
 	if fs != nil {
 		fs.Accepted.Add(1)
 	}
+	held := vs.tracker.Held()
 	for _, trip := range vs.tracker.Push(rec) {
 		e.emitTrip(trip)
 	}
+	e.m.openTripRecords.Add(int64(vs.tracker.Held() - held))
 }
 
 func (e *Engine) reject(fs *FeedStats, counter *atomic.Int64) {
@@ -233,13 +235,16 @@ func (e *Engine) restoreState(st *engineState) {
 		c.Store(st.counters[i])
 	}
 	e.statics = st.statics
+	held := 0
 	for mmsi, vp := range st.vessels {
 		vs := e.newVesselState()
 		vs.cleaner.SetState(vp.cleaner)
 		vs.tracker.SetState(vp.tracker)
 		e.vessels[mmsi] = vs
+		held += vs.tracker.Held()
 	}
 	e.m.vessels.Store(int64(len(e.vessels)))
+	e.m.openTripRecords.Store(int64(held))
 }
 
 // captureState deep-copies the loop state for a checkpoint: the write

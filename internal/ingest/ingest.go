@@ -534,9 +534,11 @@ func (e *Engine) process(env envelope) {
 		env.reply <- e.syncJournal()
 	case envFinalize:
 		for _, vs := range e.vessels {
+			held := vs.tracker.Held()
 			for _, trip := range vs.tracker.Flush() {
 				e.emitTrip(trip)
 			}
+			e.m.openTripRecords.Add(int64(vs.tracker.Held() - held))
 		}
 		e.mergeAndPublish(time.Now())
 		env.reply <- e.syncJournal()

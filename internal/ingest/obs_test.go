@@ -1,6 +1,9 @@
 package ingest
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -154,5 +157,77 @@ func TestSnapshotAgeFreshAfterPublish(t *testing.T) {
 		if age := e.SnapshotAge(); age >= 100*time.Millisecond {
 			t.Fatalf("snapshot age %v right after a publish, want well under 100ms", age)
 		}
+	}
+}
+
+// TestOpenTripRecordsGauge: pol_ingest_open_trip_records and the status's
+// open_trip_records count the reports trackers hold until a port call. One
+// vessel's track, record by record: from the end of its origin call to the
+// port call that completes its first trip, every accepted report grows the
+// count by one — a vessel that has not reached a port holds them all — and
+// that port call drops it.
+func TestOpenTripRecordsGauge(t *testing.T) {
+	statics, stream, _ := fleetStream(t, sim.Config{Vessels: 6, Days: 12, Seed: 11}, 6)
+	type point struct{ held, accepted, trips int64 }
+	// follow feeds one vessel's reports to a fresh engine until its first
+	// trip completes.
+	follow := func(mmsi uint32) ([]point, *obs.Registry) {
+		reg := obs.NewRegistry()
+		e, err := NewEngine(Options{Resolution: 6, MergeEvery: time.Hour, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if err := e.SubmitStatic(statics[mmsi], nil); err != nil {
+			t.Fatal(err)
+		}
+		var track []point
+		for _, rec := range stream {
+			if rec.MMSI != mmsi {
+				continue
+			}
+			if err := e.SubmitPosition(rec, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			s := e.StatsSnapshot().EngineSection
+			track = append(track, point{s.OpenTripRecords, s.Accepted, s.Trips})
+			if s.Trips > 0 {
+				break
+			}
+		}
+		return track, reg
+	}
+	var track []point
+	var reg *obs.Registry
+	for _, mmsi := range slices.Sorted(maps.Keys(statics)) {
+		if track, reg = follow(mmsi); len(track) > 0 && track[len(track)-1].trips > 0 {
+			t.Logf("vessel %d: %d reports to its first trip", mmsi, len(track))
+			break
+		}
+	}
+	done := len(track) - 1
+	if done < 1 || track[done].trips != 1 {
+		t.Fatal("no vessel of the fleet completed a trip")
+	}
+	if track[done].held >= track[done-1].held {
+		t.Errorf("the port call completing the trip left %d records held, %d before", track[done].held, track[done-1].held)
+	}
+	start := done - 1 // the first report after the origin call ended
+	for start > 0 && track[start].held >= track[start-1].held {
+		start--
+	}
+	for i := start + 1; i < done; i++ {
+		if grown, accepted := track[i].held-track[i-1].held, track[i].accepted-track[i-1].accepted; grown != accepted {
+			t.Fatalf("report %d at sea: held %d → %d with %d accepted", i, track[i-1].held, track[i].held, accepted)
+		}
+	}
+	if span := track[done-1].held; span < 10 {
+		t.Errorf("the trip held %d records before its port call", span)
+	}
+	if want := fmt.Sprintf("pol_ingest_open_trip_records %d", track[done].held); !strings.Contains(reg.Expose(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want, grepLine(reg.Expose(), "pol_ingest_open_trip_records"))
 	}
 }

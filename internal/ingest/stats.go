@@ -31,6 +31,7 @@ type metrics struct {
 	observations          atomic.Int64
 	mergedObservations    atomic.Int64
 	vessels               atomic.Int64
+	openTripRecords       atomic.Int64 // records held in open trips and geofence visits
 	groups                atomic.Int64
 	merges                atomic.Int64
 	lastMergeNanos        atomic.Int64
@@ -193,6 +194,7 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	}
 	gauge := func(name string, fn func() float64) { reg.GaugeFunc(name, nil, fn) }
 	gauge("pol_ingest_vessels", func() float64 { return float64(e.m.vessels.Load()) })
+	gauge("pol_ingest_open_trip_records", func() float64 { return float64(e.m.openTripRecords.Load()) })
 	gauge("pol_ingest_groups", func() float64 { return float64(e.m.groups.Load()) })
 	gauge("pol_ingest_journal_bytes", func() float64 { return float64(e.m.journalBytes.Load()) })
 	gauge("pol_ingest_wal_segments", func() float64 { return float64(e.m.walSegments.Load()) })
@@ -293,6 +295,7 @@ type EngineSection struct {
 	// means the serving inventory reflects all completed trips.
 	MergedObservations int64 `json:"merged_observations"`
 	Vessels            int64 `json:"vessels"`
+	OpenTripRecords    int64 `json:"open_trip_records"` // reports held until a port call closes their trip
 	Merges             int64 `json:"merges"`
 	LastMergeMicros    int64 `json:"last_merge_us"`
 	AvgMergeMicros     int64 `json:"avg_merge_us"`
@@ -381,6 +384,7 @@ func (e *Engine) StatsSnapshot() Status {
 	es.Observations = e.m.observations.Load()
 	es.MergedObservations = e.m.mergedObservations.Load()
 	es.Vessels = e.m.vessels.Load()
+	es.OpenTripRecords = e.m.openTripRecords.Load()
 	es.Merges = e.m.merges.Load()
 	es.LastMergeMicros = e.m.lastMergeNanos.Load() / 1000
 	if n := es.Merges; n > 0 {

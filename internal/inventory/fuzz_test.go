@@ -70,12 +70,13 @@ func TestFuzzSeedsCommitted(t *testing.T) {
 }
 
 // What decoding len(x) bytes may allocate: a fixed multiple of the input —
-// the densest legal element is a top-N entry, three bytes for a map slot
-// and its counter — plus the summary's fixed parts, which include two
-// register files of up to 64 KiB once a sketch of the highest precision
-// passes the sparse limit.
+// the densest legal elements are a top-N entry, three one-byte varints
+// into a 24-byte entry, and a digest centroid, two into 16 bytes: 8 bytes
+// a byte, held at twice that — plus the summary's fixed parts, which
+// include two register files of up to 64 KiB once a sketch of the highest
+// precision passes the sparse limit.
 const (
-	fuzzAllocPerByte = 64
+	fuzzAllocPerByte = 16
 	fuzzAllocFixed   = 192 << 10
 )
 

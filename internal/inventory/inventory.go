@@ -152,12 +152,13 @@ func (inv *Inventory) MergeFrom(other *Inventory) error {
 		sh := inv.writeShard(i, len(os.groups))
 		for k, s := range os.groups {
 			cur, ok := sh.groups[k]
-			if !ok {
-				cur = NewCellSummary()
+			if ok {
+				cur.Merge(s)
+			} else {
+				cur = s.clone()
 				sh.add(k, cur)
 				added++
 			}
-			cur.Merge(s)
 			cur.stamp = inv.epoch
 		}
 		return added

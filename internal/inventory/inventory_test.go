@@ -156,7 +156,7 @@ func TestCellSummaryAccumulates(t *testing.T) {
 	if got := s.ETO.Mean() + s.ATA.Mean(); math.Abs(got-99000) > 1 {
 		t.Errorf("ETO+ATA mean %v, want 99000", got)
 	}
-	if binTotal(s.CourseBins) != n || binTotal(s.HeadingBins) != n {
+	if binTotal(&s.CourseBins) != n || binTotal(&s.HeadingBins) != n {
 		t.Error("angular bins must count every record")
 	}
 }
@@ -184,7 +184,7 @@ func TestCellSummaryEmptyTopsAndNaNs(t *testing.T) {
 	if s.Speed.Weight() != 0 {
 		t.Error("NaN speed must not enter the speed stats")
 	}
-	if binTotal(s.CourseBins) != 0 {
+	if binTotal(&s.CourseBins) != 0 {
 		t.Error("NaN course must not enter the bins")
 	}
 }
@@ -275,7 +275,8 @@ func TestCellSummaryBinaryRoundTrip(t *testing.T) {
 // most groups know one or two ports, so what a summary costs before it has
 // seen anything is what a decoded inventory mostly costs. With three
 // top-N tables eagerly sized for TopNCapacity it was 2 968 bytes in 25
-// allocations; grown on demand it is 1 122 in 16.
+// allocations; grown on demand, 1 122 in 16; with every sketch held by
+// value, 768 in one.
 func TestEmptySummaryFootprint(t *testing.T) {
 	enc := NewCellSummary().AppendBinary(nil)
 	for name, mk := range map[string]func() *CellSummary{
@@ -300,6 +301,33 @@ func TestEmptySummaryFootprint(t *testing.T) {
 			t.Errorf("%s: an empty summary allocates %d bytes, want ≤ 1500", name, per)
 		}
 		runtime.KeepAlive(keep)
+	}
+}
+
+// TestObserveNewGroupAllocations: a group's first observation costs the
+// summary and the first entry of each sketch that keeps a slice — two
+// distinct-count sketches, three digests, three top-N lists — and nothing
+// for map growth when the shard has room: 9 allocations, where a summary of
+// pointers to sketches cost 27. Further observations of the group cost
+// nothing but the amortised growth of its digests' buffers.
+func TestObserveNewGroupAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	inv := New(BuildInfo{Resolution: 6})
+	keys := randomKeys(rng, 4096, 6)
+	for i := range inv.shards {
+		inv.writeShard(i, 64) // room for its share of the keys: no map growth
+	}
+	o := testObservation(227000001, 5000, keys[0].Cell.LatLng())
+	o.NextCell = keys[1].Cell
+	n := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		inv.Observe(keys[n], o)
+		n++
+	}); allocs != 1+8 {
+		t.Errorf("Observe of a new group: %.1f allocations, want 9", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { inv.Observe(keys[0], o) }); allocs != 0 {
+		t.Errorf("Observe into a group with room: %.1f allocations, want 0", allocs)
 	}
 }
 

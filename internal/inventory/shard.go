@@ -88,8 +88,7 @@ func (sh *shard) publish(prev *shard, epoch uint64) *shard {
 	for k, s := range sh.groups {
 		d := old[k]
 		if d == nil || s.stamp >= epoch {
-			d = NewCellSummary()
-			d.Merge(s)
+			d = s.clone()
 		}
 		c.groups[k] = d
 	}

@@ -37,44 +37,63 @@ type Observation struct {
 //	Destination  top-N ports
 //	Transitions  top-N neighbouring cells
 //
-// Summaries are mergeable in any order; construct with NewCellSummary.
+// Summaries are mergeable in any order; construct with NewCellSummary. The
+// sketches are held by value, so a summary is one allocation plus one
+// slice for each sketch that has grown one (see BenchmarkSummaryFootprint).
 type CellSummary struct {
 	Records     uint64
-	Ships       *stats.HyperLogLog
+	Ships       stats.HyperLogLog
 	Course      stats.CircularMean
-	CourseBins  *stats.AngularHistogram
+	CourseBins  stats.AngularHistogram
 	Heading     stats.CircularMean
-	HeadingBins *stats.AngularHistogram
+	HeadingBins stats.AngularHistogram
 	Speed       stats.Welford
-	SpeedDig    *stats.TDigest
-	Trips       *stats.HyperLogLog
+	SpeedDig    stats.TDigest
+	Trips       stats.HyperLogLog
 	ETO         stats.Welford
-	ETODig      *stats.TDigest
+	ETODig      stats.TDigest
 	ATA         stats.Welford
-	ATADig      *stats.TDigest
-	Origins     *stats.TopN
-	Dests       *stats.TopN
-	Transitions *stats.TopN
+	ATADig      stats.TDigest
+	Origins     stats.TopN
+	Dests       stats.TopN
+	Transitions stats.TopN
 
 	// stamp is writer-side: the owning inventory's epoch when it last
 	// changed this summary (see Inventory.Snapshot).
 	stamp uint64
 }
 
-// NewCellSummary returns an empty summary.
+// emptySummary is what NewCellSummary copies: every sketch at the
+// inventory's parameters, none holding a slice yet.
+var emptySummary = CellSummary{
+	Ships:       *stats.NewHyperLogLog(stats.HLLPrecision),
+	CourseBins:  *stats.NewAngularHistogram(stats.DefaultAngularBins),
+	HeadingBins: *stats.NewAngularHistogram(stats.DefaultAngularBins),
+	SpeedDig:    *stats.NewTDigest(stats.DefaultCompression),
+	Trips:       *stats.NewHyperLogLog(stats.HLLPrecision),
+	ETODig:      *stats.NewTDigest(stats.DefaultCompression),
+	ATADig:      *stats.NewTDigest(stats.DefaultCompression),
+	Origins:     *stats.NewTopN(TopNCapacity),
+	Dests:       *stats.NewTopN(TopNCapacity),
+	Transitions: *stats.NewTopN(TopNCapacity),
+}
+
+// NewCellSummary returns an empty summary: one allocation.
 func NewCellSummary() *CellSummary {
-	return &CellSummary{
-		Ships:       stats.NewHyperLogLog(stats.HLLPrecision),
-		CourseBins:  stats.NewAngularHistogram(stats.DefaultAngularBins),
-		HeadingBins: stats.NewAngularHistogram(stats.DefaultAngularBins),
-		SpeedDig:    stats.NewTDigest(stats.DefaultCompression),
-		Trips:       stats.NewHyperLogLog(stats.HLLPrecision),
-		ETODig:      stats.NewTDigest(stats.DefaultCompression),
-		ATADig:      stats.NewTDigest(stats.DefaultCompression),
-		Origins:     stats.NewTopN(TopNCapacity),
-		Dests:       stats.NewTopN(TopNCapacity),
-		Transitions: stats.NewTopN(TopNCapacity),
-	}
+	s := emptySummary
+	return &s
+}
+
+// clone returns NewCellSummary merged with s, the copy publish and
+// MergeFrom make of a group: one allocation for the summary and one
+// exact-size slice for each sketch of s that holds one. Merging into an
+// empty sketch is a copy in every sketch, except where s was decoded with
+// parameters other than the inventory's: then, as with Merge, the copy
+// takes the inventory's.
+func (s *CellSummary) clone() *CellSummary {
+	d := NewCellSummary()
+	d.Merge(s)
+	return d
 }
 
 // Add folds one observation into the summary.
@@ -112,21 +131,21 @@ func (s *CellSummary) Merge(o *CellSummary) {
 		return
 	}
 	s.Records += o.Records
-	s.Ships.Merge(o.Ships)
+	s.Ships.Merge(&o.Ships)
 	s.Course.Merge(&o.Course)
-	s.CourseBins.Merge(o.CourseBins)
+	s.CourseBins.Merge(&o.CourseBins)
 	s.Heading.Merge(&o.Heading)
-	s.HeadingBins.Merge(o.HeadingBins)
+	s.HeadingBins.Merge(&o.HeadingBins)
 	s.Speed.Merge(&o.Speed)
-	s.SpeedDig.Merge(o.SpeedDig)
-	s.Trips.Merge(o.Trips)
+	s.SpeedDig.Merge(&o.SpeedDig)
+	s.Trips.Merge(&o.Trips)
 	s.ETO.Merge(&o.ETO)
-	s.ETODig.Merge(o.ETODig)
+	s.ETODig.Merge(&o.ETODig)
 	s.ATA.Merge(&o.ATA)
-	s.ATADig.Merge(o.ATADig)
-	s.Origins.Merge(o.Origins)
-	s.Dests.Merge(o.Dests)
-	s.Transitions.Merge(o.Transitions)
+	s.ATADig.Merge(&o.ATADig)
+	s.Origins.Merge(&o.Origins)
+	s.Dests.Merge(&o.Dests)
+	s.Transitions.Merge(&o.Transitions)
 }
 
 // TopDestination returns the most frequent destination port and its count,

@@ -155,6 +155,16 @@ func NewTripTracker(portIdx *ports.Index, minRecords int) *TripTracker {
 	return &TripTracker{portIdx: portIdx, minRecords: minRecords, lastPort: model.NoPort, visitPort: model.NoPort}
 }
 
+// Held returns the records the tracker holds: those of the open trip and of
+// the buffered geofence visit.
+func (t *TripTracker) Held() int {
+	n := len(t.visit)
+	if t.cur != nil {
+		n += len(t.cur.Records)
+	}
+	return n
+}
+
 // TrackerState is the complete serializable state of a TripTracker: the
 // last confirmed port call, the open trip (if any), and the buffered
 // geofence visit. Checkpoints persist it so trips that straddle a restart

@@ -444,7 +444,7 @@ func TestRunNonCommercialExcluded(t *testing.T) {
 	merged := inventory.NewCellSummary()
 	res.Inventory.Each(func(k inventory.GroupKey, cs *inventory.CellSummary) bool {
 		if k.Set == inventory.GSCell {
-			merged.Ships.Merge(cs.Ships)
+			merged.Ships.Merge(&cs.Ships)
 		}
 		return true
 	})

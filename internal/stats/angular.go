@@ -4,25 +4,22 @@ import "math"
 
 // AngularHistogram counts observations of an angle (degrees, [0,360)) into
 // fixed-width bins — the paper's 30° course and heading bins (Table 3). The
-// zero value is unusable; construct with NewAngularHistogram.
+// counts are a fixed array of DefaultAngularBins, so a histogram owns no
+// memory beyond itself; it may use fewer of them. The zero value is
+// unusable; construct with NewAngularHistogram.
 type AngularHistogram struct {
-	binWidth float64
-	counts   []uint64
+	bins   int
+	counts [DefaultAngularBins]uint64
 }
 
-// DefaultAngularBins is the bin count the paper uses: twelve 30° bins.
+// DefaultAngularBins is the bin count the paper uses: twelve 30° bins. It
+// is also the most a histogram holds.
 const DefaultAngularBins = 12
 
 // NewAngularHistogram returns a histogram with the given number of equal
-// bins over [0, 360). Bin counts below 1 are raised to 1.
+// bins over [0, 360). Bin counts are clamped to [1, DefaultAngularBins].
 func NewAngularHistogram(bins int) *AngularHistogram {
-	if bins < 1 {
-		bins = 1
-	}
-	return &AngularHistogram{
-		binWidth: 360 / float64(bins),
-		counts:   make([]uint64, bins),
-	}
+	return &AngularHistogram{bins: max(1, min(bins, DefaultAngularBins))}
 }
 
 // Add records one observation of the angle in degrees; any real value is
@@ -38,9 +35,9 @@ func (h *AngularHistogram) AddWeighted(angleDeg float64, w uint64) {
 	if a < 0 {
 		a += 360
 	}
-	idx := int(a / h.binWidth)
-	if idx >= len(h.counts) { // a == 360-ε floating edge
-		idx = len(h.counts) - 1
+	idx := int(a / (360 / float64(h.bins)))
+	if idx >= h.bins { // a == 360-ε floating edge
+		idx = h.bins - 1
 	}
 	h.counts[idx] += w
 }
@@ -48,7 +45,7 @@ func (h *AngularHistogram) AddWeighted(angleDeg float64, w uint64) {
 // Merge folds another histogram into this one. Histograms must have the same
 // bin count; mismatches are ignored.
 func (h *AngularHistogram) Merge(o *AngularHistogram) {
-	if o == nil || len(o.counts) != len(h.counts) {
+	if o == nil || o.bins != h.bins {
 		return
 	}
 	for i, c := range o.counts {
@@ -59,31 +56,30 @@ func (h *AngularHistogram) Merge(o *AngularHistogram) {
 // Bins returns a copy of the per-bin counts. Bin i covers
 // [i·width, (i+1)·width) degrees.
 func (h *AngularHistogram) Bins() []uint64 {
-	out := make([]uint64, len(h.counts))
-	copy(out, h.counts)
-	return out
+	return append([]uint64(nil), h.counts[:h.bins]...)
 }
 
 // AppendBinary appends the histogram's binary encoding to buf.
 func (h *AngularHistogram) AppendBinary(buf []byte) []byte {
-	buf = appendU32(buf, uint32(len(h.counts)))
-	for _, c := range h.counts {
+	buf = appendU32(buf, uint32(h.bins))
+	for _, c := range h.counts[:h.bins] {
 		buf = appendU64(buf, c)
 	}
 	return buf
 }
 
 // DecodeAngularHistogram decodes a histogram from the front of data and
-// returns the remaining bytes.
-func DecodeAngularHistogram(data []byte) (*AngularHistogram, []byte, error) {
+// returns the remaining bytes. More than DefaultAngularBins bins is
+// ErrCorrupt.
+func DecodeAngularHistogram(data []byte) (AngularHistogram, []byte, error) {
 	n, data, err := readU32(data)
-	if err != nil || n == 0 || n > 3600 || int(n) > len(data) {
-		return nil, nil, ErrCorrupt
+	if err != nil || n == 0 || n > DefaultAngularBins || int(n) > len(data) {
+		return AngularHistogram{}, nil, ErrCorrupt
 	}
-	h := NewAngularHistogram(int(n))
-	for i := range h.counts {
+	h := AngularHistogram{bins: int(n)}
+	for i := range h.counts[:n] {
 		if h.counts[i], data, err = readU64(data); err != nil {
-			return nil, nil, err
+			return AngularHistogram{}, nil, err
 		}
 	}
 	return h, data, nil

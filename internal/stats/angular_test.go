@@ -9,8 +9,8 @@ import (
 
 func TestAngularHistogramBinning(t *testing.T) {
 	h := NewAngularHistogram(DefaultAngularBins)
-	if h.binWidth != 30 {
-		t.Fatalf("bin width %v, want 30", h.binWidth)
+	if w := 360 / float64(h.bins); w != 30 {
+		t.Fatalf("bin width %v, want 30", w)
 	}
 	h.Add(0)     // bin 0
 	h.Add(29.99) // bin 0

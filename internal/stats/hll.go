@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -19,18 +20,22 @@ const sparseLimit = 128
 // for the paper's distinct-ship and distinct-trip statistics (Table 3).
 //
 // Most grid cells see only a handful of distinct vessels, so the sketch
-// starts in a sparse representation — a small sorted array of
-// (register, rank) pairs — and promotes itself to the dense 2^p register
-// array only past sparseLimit occupied registers. This keeps a
-// hundred-thousand-cell inventory hundreds of megabytes smaller with
-// identical estimates.
+// starts in a sparse representation — a small array of (register, rank)
+// entries sorted by register — and promotes itself to the dense 2^p
+// register array only past sparseLimit occupied registers. Both live in
+// one byte slice, so a sparse sketch costs three bytes an occupied register
+// and an inventory of a hundred thousand cells stays hundreds of megabytes
+// smaller, with identical estimates.
 //
 // Construct with NewHyperLogLog; sketches of equal precision merge by
 // register-wise maximum.
 type HyperLogLog struct {
-	p         uint8
-	registers []uint8  // dense representation; nil while sparse
-	sparse    []uint32 // packed idx<<8|rank, sorted by idx; nil when dense
+	p     uint8
+	dense bool
+	// regs holds the 2^p registers when dense; while sparse, one 3-byte
+	// entry per occupied register (index big-endian, then rank), ascending
+	// by index. Ranks are never zero.
+	regs []uint8
 }
 
 // NewHyperLogLog returns an empty sketch with 2^p registers. Precision is
@@ -48,6 +53,15 @@ func NewHyperLogLog(p uint8) *HyperLogLog {
 // numRegisters returns 2^p.
 func (h *HyperLogLog) numRegisters() int { return 1 << h.p }
 
+// sparseLen returns the number of sparse entries.
+func (h *HyperLogLog) sparseLen() int { return len(h.regs) / 3 }
+
+// sparseAt returns sparse entry i.
+func (h *HyperLogLog) sparseAt(i int) (idx uint32, rank uint8) {
+	e := h.regs[3*i : 3*i+3]
+	return uint32(e[0])<<8 | uint32(e[1]), e[2]
+}
+
 // AddHash records an already-hashed value. Use Mix64 or HashString to hash
 // raw identifiers.
 func (h *HyperLogLog) AddHash(hash uint64) {
@@ -57,42 +71,41 @@ func (h *HyperLogLog) AddHash(hash uint64) {
 }
 
 func (h *HyperLogLog) setRegister(idx uint32, rank uint8) {
-	if h.registers != nil {
-		if rank > h.registers[idx] {
-			h.registers[idx] = rank
+	if h.dense {
+		if rank > h.regs[idx] {
+			h.regs[idx] = rank
 		}
 		return
 	}
-	// Sparse: binary search the packed, idx-sorted array.
-	i := sort.Search(len(h.sparse), func(i int) bool { return h.sparse[i]>>8 >= idx })
-	if i < len(h.sparse) && h.sparse[i]>>8 == idx {
-		if rank > uint8(h.sparse[i]) {
-			h.sparse[i] = idx<<8 | uint32(rank)
+	// Sparse: binary search the index-sorted entries.
+	i := sort.Search(h.sparseLen(), func(i int) bool { at, _ := h.sparseAt(i); return at >= idx })
+	if i < h.sparseLen() {
+		if at, r := h.sparseAt(i); at == idx {
+			if rank > r {
+				h.regs[3*i+2] = rank
+			}
+			return
 		}
-		return
 	}
-	h.sparse = append(h.sparse, 0)
-	copy(h.sparse[i+1:], h.sparse[i:])
-	h.sparse[i] = idx<<8 | uint32(rank)
-	if len(h.sparse) > sparseLimit {
+	h.regs = append(h.regs, 0, 0, 0)
+	copy(h.regs[3*i+3:], h.regs[3*i:])
+	h.regs[3*i], h.regs[3*i+1], h.regs[3*i+2] = uint8(idx>>8), uint8(idx), rank
+	if h.sparseLen() > sparseLimit {
 		h.densify()
 	}
 }
 
-// densify converts the sparse array into the dense register file.
+// densify converts the sparse entries into the dense register file.
 func (h *HyperLogLog) densify() {
-	if h.registers != nil {
+	if h.dense {
 		return
 	}
-	h.registers = make([]uint8, h.numRegisters())
-	for _, packed := range h.sparse {
-		idx := packed >> 8
-		rank := uint8(packed)
-		if rank > h.registers[idx] {
-			h.registers[idx] = rank
-		}
+	regs := make([]uint8, h.numRegisters())
+	for i := range h.sparseLen() {
+		idx, rank := h.sparseAt(i)
+		regs[idx] = rank
 	}
-	h.sparse = nil
+	h.regs, h.dense = regs, true
 }
 
 // AddUint64 hashes and records an integer identifier.
@@ -100,22 +113,27 @@ func (h *HyperLogLog) AddUint64(v uint64) { h.AddHash(Mix64(v)) }
 
 // Merge folds another sketch into this one. Sketches must share precision;
 // mismatched precision merges are ignored (callers construct all sketches
-// with HLLPrecision).
+// with HLLPrecision). Into an empty sketch it is a copy, one exact-size
+// allocation.
 func (h *HyperLogLog) Merge(o *HyperLogLog) {
 	if o == nil || o.p != h.p {
 		return
 	}
-	if o.registers != nil {
+	if !h.dense && len(h.regs) == 0 {
+		h.regs, h.dense = slices.Clone(o.regs), o.dense
+		return
+	}
+	if o.dense {
 		h.densify()
-		for i, r := range o.registers {
-			if r > h.registers[i] {
-				h.registers[i] = r
+		for i, r := range o.regs {
+			if r > h.regs[i] {
+				h.regs[i] = r
 			}
 		}
 		return
 	}
-	for _, packed := range o.sparse {
-		h.setRegister(packed>>8, uint8(packed))
+	for i := range o.sparseLen() {
+		h.setRegister(o.sparseAt(i))
 	}
 }
 
@@ -124,18 +142,19 @@ func (h *HyperLogLog) Estimate() uint64 {
 	m := float64(h.numRegisters())
 	var sum float64
 	var zeros int
-	if h.registers != nil {
-		for _, r := range h.registers {
+	if h.dense {
+		for _, r := range h.regs {
 			sum += 1 / float64(uint64(1)<<r)
 			if r == 0 {
 				zeros++
 			}
 		}
 	} else {
-		zeros = h.numRegisters() - len(h.sparse)
+		zeros = h.numRegisters() - h.sparseLen()
 		sum = float64(zeros)
-		for _, packed := range h.sparse {
-			sum += 1 / float64(uint64(1)<<uint8(packed))
+		for i := range h.sparseLen() {
+			_, rank := h.sparseAt(i)
+			sum += 1 / float64(uint64(1)<<rank)
 		}
 	}
 	alpha := 0.7213 / (1 + 1.079/m)
@@ -167,17 +186,18 @@ func (h *HyperLogLog) AppendBinary(buf []byte) []byte {
 	// (sparse ranks are never zero: AddHash ranks start at 1 and decode
 	// skips zeros).
 	next := uint32(0)
-	if h.registers != nil {
-		for i, r := range h.registers {
+	if h.dense {
+		for i, r := range h.regs {
 			if r != 0 {
 				buf = append(appendU32(buf, uint32(i)-next), r)
 				next = uint32(i) + 1
 			}
 		}
 	} else {
-		for _, packed := range h.sparse {
-			buf = append(appendU32(buf, packed>>8-next), uint8(packed))
-			next = packed>>8 + 1
+		for i := range h.sparseLen() {
+			idx, rank := h.sparseAt(i)
+			buf = append(appendU32(buf, idx-next), rank)
+			next = idx + 1
 		}
 	}
 	if next < uint32(n) {
@@ -188,12 +208,13 @@ func (h *HyperLogLog) AppendBinary(buf []byte) []byte {
 		return buf
 	}
 	buf[start-1] = hllModeRaw
-	if h.registers != nil {
-		return append(buf[:start], h.registers...)
+	if h.dense {
+		return append(buf[:start], h.regs...)
 	}
 	buf = append(buf[:start], make([]byte, n)...)
-	for _, packed := range h.sparse {
-		buf[start+int(packed>>8)] = uint8(packed)
+	for i := range h.sparseLen() {
+		idx, rank := h.sparseAt(i)
+		buf[start+int(idx)] = rank
 	}
 	return buf
 }
@@ -201,48 +222,47 @@ func (h *HyperLogLog) AppendBinary(buf []byte) []byte {
 // DecodeHyperLogLog decodes a sketch from the front of data and returns the
 // remaining bytes. Sketches with few occupied registers decode into the
 // sparse representation.
-func DecodeHyperLogLog(data []byte) (*HyperLogLog, []byte, error) {
+func DecodeHyperLogLog(data []byte) (HyperLogLog, []byte, error) {
 	if len(data) < 2 {
-		return nil, nil, ErrCorrupt
+		return HyperLogLog{}, nil, ErrCorrupt
 	}
 	p := data[0]
 	if p < 4 || p > 16 {
-		return nil, nil, ErrCorrupt
+		return HyperLogLog{}, nil, ErrCorrupt
 	}
 	mode := data[1]
 	data = data[2:]
-	h := NewHyperLogLog(p)
+	h := HyperLogLog{p: p}
 	n := uint32(h.numRegisters())
 	switch mode {
 	case hllModeRaw:
 		if uint32(len(data)) < n {
-			return nil, nil, ErrCorrupt
+			return HyperLogLog{}, nil, ErrCorrupt
 		}
-		h.registers = make([]uint8, n)
-		copy(h.registers, data[:n])
+		h.regs, h.dense = slices.Clone(data[:n]), true
 		return h, data[n:], nil
 	case hllModeRLE:
 		i := uint32(0)
 		for i < n {
 			run, rest, err := readU32(data)
 			if err != nil || len(rest) < 1 {
-				return nil, nil, ErrCorrupt
+				return HyperLogLog{}, nil, ErrCorrupt
 			}
 			v := rest[0]
 			data = rest[1:]
 			if i+run > n || (v != 0 && i+run >= n) {
-				return nil, nil, ErrCorrupt
+				return HyperLogLog{}, nil, ErrCorrupt
 			}
 			i += run
 			if v != 0 {
 				h.setRegister(i, v)
 				i++
 			} else if i != n {
-				return nil, nil, ErrCorrupt
+				return HyperLogLog{}, nil, ErrCorrupt
 			}
 		}
 		return h, data, nil
 	default:
-		return nil, nil, ErrCorrupt
+		return HyperLogLog{}, nil, ErrCorrupt
 	}
 }

@@ -4,19 +4,19 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 )
 
 // register returns one register value regardless of representation.
 func (h *HyperLogLog) register(idx uint32) uint8 {
-	if h.registers != nil {
-		return h.registers[idx]
+	if h.dense {
+		return h.regs[idx]
 	}
-	i := sort.Search(len(h.sparse), func(i int) bool { return h.sparse[i]>>8 >= idx })
-	if i < len(h.sparse) && h.sparse[i]>>8 == idx {
-		return uint8(h.sparse[i])
+	for i := range h.sparseLen() {
+		if at, rank := h.sparseAt(i); at == idx {
+			return rank
+		}
 	}
 	return 0
 }
@@ -159,7 +159,7 @@ func TestHLLSparseToDensePromotion(t *testing.T) {
 	for i := uint64(0); i < 50; i++ {
 		h.AddUint64(i)
 	}
-	if h.registers != nil {
+	if h.dense {
 		t.Fatal("sketch with 50 values should still be sparse")
 	}
 	sparseEstimate := h.Estimate()
@@ -167,11 +167,11 @@ func TestHLLSparseToDensePromotion(t *testing.T) {
 	for i := uint64(50); i < 5000; i++ {
 		h.AddUint64(i)
 	}
-	if h.registers == nil {
+	if !h.dense {
 		t.Fatal("sketch with 5000 values must be dense")
 	}
-	if h.sparse != nil {
-		t.Fatal("dense sketch must drop the sparse array")
+	if len(h.regs) != h.numRegisters() {
+		t.Fatal("dense sketch must hold exactly its registers")
 	}
 	_ = sparseEstimate
 }
@@ -186,7 +186,7 @@ func TestHLLSparseAndDenseAgree(t *testing.T) {
 		sparse.AddUint64(i * 7919)
 		dense.AddUint64(i * 7919)
 	}
-	if sparse.registers != nil {
+	if sparse.dense {
 		t.Fatal("fixture assumes sparse stays sparse at 100 values")
 	}
 	if sparse.Estimate() != dense.Estimate() {
@@ -236,7 +236,7 @@ func TestHLLMergeAcrossRepresentations(t *testing.T) {
 	// sparse ← sparse staying sparse
 	c := mk(0, 30, false)
 	c.Merge(mk(30, 60, false))
-	if c.registers != nil {
+	if c.dense {
 		t.Error("small sparse merge must stay sparse")
 	}
 	if c.Occupied() == 0 {
@@ -365,7 +365,7 @@ func TestHLLEncodingMatchesRegisterWalk(t *testing.T) {
 			}
 			got, want := h.AppendBinary(nil), h.appendBinaryByRegisterWalk(nil)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("p=%d n=%d (dense=%v): encoder and register walk disagree\n got %x\nwant %x", p, n, h.registers != nil, got, want)
+				t.Fatalf("p=%d n=%d (dense=%v): encoder and register walk disagree\n got %x\nwant %x", p, n, h.dense, got, want)
 			}
 			if d := dense.AppendBinary(nil); !bytes.Equal(d, want) {
 				t.Fatalf("p=%d n=%d: dense representation encodes differently", p, n)
@@ -391,7 +391,7 @@ func TestHLLEncodeDoesNotMutate(t *testing.T) {
 		for i := uint64(0); i < 16; i++ {
 			h.AddUint64(i)
 		}
-		if h.registers != nil {
+		if h.dense {
 			t.Fatalf("p=%d: fixture must be sparse", p)
 		}
 		want, estimate, occupied := h.AppendBinary(nil), h.Estimate(), h.Occupied()
@@ -422,7 +422,7 @@ func TestHLLEncodeDoesNotMutate(t *testing.T) {
 			}
 		}()
 		wg.Wait()
-		if h.registers != nil {
+		if h.dense {
 			t.Fatalf("p=%d: encoding converted the sketch to dense", p)
 		}
 	}

@@ -54,11 +54,11 @@ func refReadF64(b []byte) (float64, []byte, error) {
 // Occupied returns the number of non-zero registers: what version 1 chose
 // its layout by, and what the tests count.
 func (h *HyperLogLog) Occupied() int {
-	if h.registers == nil {
-		return len(h.sparse)
+	if !h.dense {
+		return h.sparseLen()
 	}
 	n := 0
-	for _, r := range h.registers {
+	for _, r := range h.regs {
 		if r != 0 {
 			n++
 		}
@@ -74,29 +74,31 @@ func (h *HyperLogLog) RefAppendBinary(buf []byte) []byte {
 	// costs one byte per register.
 	if h.Occupied()*5+5 >= n {
 		buf = append(buf, hllModeRaw)
-		if h.registers != nil {
-			return append(buf, h.registers...)
+		if h.dense {
+			return append(buf, h.regs...)
 		}
 		start := len(buf)
 		buf = append(buf, make([]byte, n)...)
-		for _, packed := range h.sparse {
-			buf[start+int(packed>>8)] = uint8(packed)
+		for i := range h.sparseLen() {
+			idx, rank := h.sparseAt(i)
+			buf[start+int(idx)] = rank
 		}
 		return buf
 	}
 	buf = append(buf, hllModeRLE)
 	next := uint32(0)
-	if h.registers != nil {
-		for i, r := range h.registers {
+	if h.dense {
+		for i, r := range h.regs {
 			if r != 0 {
 				buf = append(refAppendU32(buf, uint32(i)-next), r)
 				next = uint32(i) + 1
 			}
 		}
 	} else {
-		for _, packed := range h.sparse {
-			buf = append(refAppendU32(buf, packed>>8-next), uint8(packed))
-			next = packed>>8 + 1
+		for i := range h.sparseLen() {
+			idx, rank := h.sparseAt(i)
+			buf = append(refAppendU32(buf, idx-next), rank)
+			next = idx + 1
 		}
 	}
 	if next < uint32(n) {
@@ -108,8 +110,8 @@ func (h *HyperLogLog) RefAppendBinary(buf []byte) []byte {
 
 // RefAppendBinary is version 1's AngularHistogram.AppendBinary.
 func (h *AngularHistogram) RefAppendBinary(buf []byte) []byte {
-	buf = refAppendU32(buf, uint32(len(h.counts)))
-	for _, c := range h.counts {
+	buf = refAppendU32(buf, uint32(h.bins))
+	for _, c := range h.counts[:h.bins] {
 		buf = refAppendU64(buf, c)
 	}
 	return buf

@@ -11,6 +11,14 @@
 // encoding (AppendBinary / Decode*) used for shuffles and for the inventory
 // file format.
 //
+// Every sketch is flat: a fixed array (AngularHistogram) or one slice
+// (TopN's entries, TDigest's sorted centroids plus the points buffered
+// behind them, HyperLogLog's sparse entries or dense registers) beside a
+// few scalars, with no maps and no pointers to sub-objects, so a summary
+// that holds its sketches by value is one allocation plus one slice per
+// sketch that has seen something — what the live heap of an inventory is
+// made of.
+//
 // Every encoder is built from two primitives and single bytes. An integer —
 // count, length, zero run, key — is an unsigned LEB128 varint (7 bits a byte,
 // low group first). A float64 is its IEEE-754 bits with the byte order

@@ -16,11 +16,13 @@ import (
 // tolerance. The zero value is not usable; construct with NewTDigest.
 type TDigest struct {
 	compression float64
-	centroids   []centroid // sorted by mean once processed
-	buffer      []centroid // unsorted incoming points
-	bufferedW   float64
-	totalW      float64
-	min, max    float64
+	// centroids[:sorted] is the compressed digest, ordered by mean;
+	// centroids[sorted:] the points added since, in arrival order, until
+	// process folds them in.
+	centroids []centroid
+	sorted    int
+	totalW    float64 // weight of centroids[:sorted]
+	min, max  float64
 }
 
 type centroid struct {
@@ -58,15 +60,26 @@ func (t *TDigest) AddWeighted(x, w float64) {
 	if x > t.max {
 		t.max = x
 	}
-	t.buffer = append(t.buffer, centroid{x, w})
-	t.bufferedW += w
-	if len(t.buffer) >= int(8*t.compression) {
+	t.centroids = append(t.centroids, centroid{x, w})
+	if len(t.centroids)-t.sorted >= int(8*t.compression) {
 		t.process()
+		// The points are folded in: keep the digest, not their room.
+		t.centroids = slices.Clone(t.centroids)
 	}
 }
 
+// tailWeight is the weight of the points not yet folded in, summed in
+// arrival order.
+func (t *TDigest) tailWeight() float64 {
+	var w float64
+	for _, c := range t.centroids[t.sorted:] {
+		w += c.weight
+	}
+	return w
+}
+
 // Count returns the total observed weight.
-func (t *TDigest) Count() float64 { return t.totalW + t.bufferedW }
+func (t *TDigest) Count() float64 { return t.totalW + t.tailWeight() }
 
 // Merge folds another digest into this one. Both digests are compressed to
 // their canonical centroid form first: encoding a digest (AppendBinary)
@@ -75,6 +88,7 @@ func (t *TDigest) Count() float64 { return t.totalW + t.bufferedW }
 // whether its inputs were serialized or not. process is idempotent —
 // adjacent centroids that survived one compression pass still exceed the
 // scale bound on the next — so pre-compressing never loses information.
+// With room for o's centroids in t's slice, Merge allocates nothing.
 func (t *TDigest) Merge(o *TDigest) {
 	if o == nil || o.Count() == 0 {
 		return
@@ -90,12 +104,14 @@ func (t *TDigest) Merge(o *TDigest) {
 	if t.totalW == 0 && t.compression == o.compression {
 		// A copy into an empty digest: process being idempotent, the pass
 		// below would hand o's centroids back unchanged.
-		t.centroids, t.totalW = slices.Clone(o.centroids), o.totalW
+		t.centroids = append(t.centroids[:0], o.centroids...)
+		t.sorted, t.totalW = len(t.centroids), o.totalW
 		return
 	}
-	t.buffer = append(t.buffer, o.centroids...)
-	t.bufferedW += o.totalW
-	t.process()
+	t.centroids = append(t.centroids, o.centroids...)
+	var tailW float64
+	tailW += o.totalW // as the tail's own sum starts from zero
+	t.compress(tailW)
 }
 
 // k1 scale function and its inverse: k(q) = δ/2π · asin(2q−1).
@@ -109,13 +125,45 @@ func (t *TDigest) k(q float64) float64 {
 	return t.compression / (2 * math.Pi) * math.Asin(2*q-1)
 }
 
-// process merges the buffer into the centroid list, compressing to the scale
-// bound.
-func (t *TDigest) process() {
-	if len(t.buffer) == 0 {
-		return
+// kBand is half the width, in q, of the band around the scale bound inside
+// which compress still asks k itself. Outside it the answer cannot differ:
+// k's slope is at least δ/π ≥ 6.4, so 1e-9 in q is over 6e-9 in k, against
+// rounding errors in k and in bound's inverse of 1e-10 at most.
+const kBand = 1e-9
+
+// bound returns k(q0) and the q range [lo, hi] outside which k(q)−k(q0) ≤ 1
+// is decided by q alone: every q below lo passes, every q above hi fails.
+// It inverts k once per output centroid, where asking k for every centroid
+// visited cost two arcsines each.
+func (t *TDigest) bound(q0 float64) (lo, hi, k0 float64) {
+	k0 = t.k(q0)
+	x := (k0 + 1) * 2 * math.Pi / t.compression
+	if math.IsNaN(x) {
+		return math.Inf(-1), math.Inf(1), k0
 	}
-	all := append(t.centroids, t.buffer...)
+	q := 1.0 // the bound lies past q = 1: everything below passes
+	if x < math.Pi/2 {
+		q = (math.Sin(x) + 1) / 2
+	}
+	lo, hi = q-kBand, q+kBand
+	if hi >= 1 {
+		hi = math.Inf(1) // k is flat past q = 1: there it decides itself
+	}
+	return lo, hi, k0
+}
+
+// process folds the points added since the last pass into the digest.
+func (t *TDigest) process() {
+	if t.sorted < len(t.centroids) {
+		t.compress(t.tailWeight())
+	}
+}
+
+// compress sorts the centroids, digest and tail together, in place, and
+// merges neighbours within the scale bound, writing the result over the
+// front of the same slice. tailW is the weight the tail adds to totalW.
+func (t *TDigest) compress(tailW float64) {
+	all := t.centroids
 	// sort.Slice's `<`, three-way (NaN equal to all, as there): the same
 	// pdqsort and permutation without the reflection swapper.
 	slices.SortFunc(all, func(a, b centroid) int {
@@ -127,15 +175,15 @@ func (t *TDigest) process() {
 		}
 		return 0
 	})
-	total := t.totalW + t.bufferedW
+	total := t.totalW + tailW
 
 	merged := all[:0]
 	cur := all[0]
 	var cumulative float64
+	lo, hi, k0 := t.bound(cumulative / total)
 	for _, c := range all[1:] {
-		q0 := cumulative / total
 		q2 := (cumulative + cur.weight + c.weight) / total
-		if t.k(q2)-t.k(q0) <= 1 {
+		if q2 < lo || (q2 <= hi && t.k(q2)-k0 <= 1) {
 			// Merge c into cur.
 			w := cur.weight + c.weight
 			cur.mean += (c.mean - cur.mean) * c.weight / w
@@ -144,14 +192,12 @@ func (t *TDigest) process() {
 			merged = append(merged, cur)
 			cumulative += cur.weight
 			cur = c
+			lo, hi, k0 = t.bound(cumulative / total)
 		}
 	}
 	merged = append(merged, cur)
 
-	t.centroids = merged
-	t.buffer = nil
-	t.bufferedW = 0
-	t.totalW = total
+	t.centroids, t.sorted, t.totalW = merged, len(merged), total
 }
 
 // Quantile returns the approximate value at quantile q in [0, 1]. It returns
@@ -222,30 +268,31 @@ func (t *TDigest) AppendBinary(buf []byte) []byte {
 
 // DecodeTDigest decodes a digest from the front of data and returns the
 // remaining bytes.
-func DecodeTDigest(data []byte) (*TDigest, []byte, error) {
+func DecodeTDigest(data []byte) (TDigest, []byte, error) {
 	var err error
-	t := &TDigest{}
+	var t TDigest
 	for _, f := range [...]*float64{&t.compression, &t.min, &t.max} {
 		if *f, data, err = readF64(data); err != nil {
-			return nil, nil, err
+			return TDigest{}, nil, err
 		}
 	}
 	if t.compression < 20 || t.compression > 1e6 || math.IsNaN(t.compression) {
-		return nil, nil, ErrCorrupt
+		return TDigest{}, nil, ErrCorrupt
 	}
 	var n uint32
 	if n, data, err = readU32(data); err != nil || 2*uint64(n) > uint64(len(data)) {
-		return nil, nil, ErrCorrupt
+		return TDigest{}, nil, ErrCorrupt
 	}
 	t.centroids = make([]centroid, n)
 	for i := range t.centroids {
 		if t.centroids[i].mean, data, err = readF64(data); err != nil {
-			return nil, nil, err
+			return TDigest{}, nil, err
 		}
 		if t.centroids[i].weight, data, err = readF64(data); err != nil {
-			return nil, nil, err
+			return TDigest{}, nil, err
 		}
 		t.totalW += t.centroids[i].weight
 	}
+	t.sorted = len(t.centroids)
 	return t, data, nil
 }

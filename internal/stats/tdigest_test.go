@@ -276,8 +276,8 @@ func TestTDigestMergeIntoEmptyIsRecompression(t *testing.T) {
 		// The pass the shortcut skips: src's centroids through process.
 		slow := NewTDigest(DefaultCompression)
 		slow.min, slow.max = src.min, src.max
-		slow.buffer, slow.bufferedW = slices.Clone(src.centroids), src.totalW
-		slow.process()
+		slow.centroids = slices.Clone(src.centroids)
+		slow.compress(src.totalW)
 		if !bytes.Equal(fast.AppendBinary(nil), slow.AppendBinary(nil)) || !bytes.Equal(fast.AppendBinary(nil), src.AppendBinary(nil)) {
 			t.Fatalf("n=%d: copy, recompression and source differ", n)
 		}

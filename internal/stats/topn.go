@@ -15,12 +15,7 @@ import (
 // indices. Construct with NewTopN.
 type TopN struct {
 	capacity int
-	counters map[uint64]*ssCounter
-}
-
-type ssCounter struct {
-	count uint64
-	err   uint64 // overestimation bound inherited on replacement
+	counters []TopEntry // at most capacity, keys distinct, in no order
 }
 
 // TopEntry is one ranked heavy-hitter result.
@@ -31,18 +26,25 @@ type TopEntry struct {
 }
 
 // NewTopN returns an empty sketch tracking up to capacity keys. Capacities
-// below 1 are raised to 1. The table grows with the keys actually seen:
-// most cells know one or two origins, and an inventory holds three
-// sketches per group, so a table sized for capacity up front is mostly
-// empty slots on the live heap.
+// below 1 are raised to 1. The counters are one slice, grown with the keys
+// actually seen and searched linearly: most cells know one or two origins,
+// and an inventory holds three sketches per group, so a table sized for
+// capacity up front is mostly empty slots on the live heap.
 func NewTopN(capacity int) *TopN {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &TopN{
-		capacity: capacity,
-		counters: make(map[uint64]*ssCounter),
+	return &TopN{capacity: capacity}
+}
+
+// find returns the index of key's counter, or -1.
+func (t *TopN) find(key uint64) int {
+	for i := range t.counters {
+		if t.counters[i].Key == key {
+			return i
+		}
 	}
+	return -1
 }
 
 // Add records one occurrence of key.
@@ -53,50 +55,60 @@ func (t *TopN) AddWeighted(key, w uint64) {
 	if w == 0 {
 		return
 	}
-	if c, ok := t.counters[key]; ok {
-		c.count += w
+	if i := t.find(key); i >= 0 {
+		t.counters[i].Count += w
 		return
 	}
 	if len(t.counters) < t.capacity {
-		t.counters[key] = &ssCounter{count: w}
+		t.counters = append(t.counters, TopEntry{Key: key, Count: w})
 		return
 	}
-	// Replace the minimum counter: the new key inherits its count as the
-	// error bound.
-	var minKey uint64
-	var minC *ssCounter
-	for k, c := range t.counters {
-		if minC == nil || c.count < minC.count || (c.count == minC.count && k < minKey) {
-			minKey, minC = k, c
+	// Replace the minimum counter, ties to the smallest key: the new key
+	// inherits its count as the error bound.
+	m := 0
+	for i, c := range t.counters {
+		if mc := t.counters[m]; c.Count < mc.Count || (c.Count == mc.Count && c.Key < mc.Key) {
+			m = i
 		}
 	}
-	delete(t.counters, minKey)
-	t.counters[key] = &ssCounter{count: minC.count + w, err: minC.count}
+	low := t.counters[m].Count
+	t.counters[m] = TopEntry{Key: key, Count: low + w, Error: low}
 }
 
 // Merge folds another sketch into this one. Counts for keys in both are
 // summed; the union is then re-truncated to capacity, preserving the
 // Space-Saving error semantics (the dropped minimum becomes the error bound
-// of nothing — merged results keep upper-bound counts).
+// of nothing — merged results keep upper-bound counts). The union is built
+// on the stack, ranked only when it exceeds capacity, and copied back: no
+// allocation once the counters have room for it.
 func (t *TopN) Merge(o *TopN) {
 	if o == nil {
 		return
 	}
-	for k, oc := range o.counters {
-		if c, ok := t.counters[k]; ok {
-			c.count += oc.count
-			c.err += oc.err
+	var stack [32]TopEntry
+	union := append(stack[:0], t.counters...)
+	for _, oc := range o.counters {
+		if i := t.find(oc.Key); i >= 0 {
+			union[i].Count += oc.Count
+			union[i].Error += oc.Error
 		} else {
-			t.counters[k] = &ssCounter{count: oc.count, err: oc.err}
+			union = append(union, oc)
 		}
 	}
-	if len(t.counters) <= t.capacity {
-		return
+	if len(union) > t.capacity {
+		slices.SortFunc(union, rank)
+		union = union[:t.capacity]
 	}
-	entries := t.Entries()
-	for _, e := range entries[t.capacity:] {
-		delete(t.counters, e.Key)
+	t.counters = append(t.counters[:0], union...)
+}
+
+// rank orders entries by descending count, ties by ascending key: the
+// order Entries reports and AppendBinary writes.
+func rank(a, b TopEntry) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
 	}
+	return cmp.Compare(a.Key, b.Key)
 }
 
 // Len returns the number of tracked keys.
@@ -110,15 +122,8 @@ func (t *TopN) Entries() []TopEntry {
 
 // appendEntries appends the ranked entries to dst (which must be empty).
 func (t *TopN) appendEntries(dst []TopEntry) []TopEntry {
-	for k, c := range t.counters {
-		dst = append(dst, TopEntry{Key: k, Count: c.count, Error: c.err})
-	}
-	slices.SortFunc(dst, func(a, b TopEntry) int {
-		if a.Count != b.Count {
-			return cmp.Compare(b.Count, a.Count)
-		}
-		return cmp.Compare(a.Key, b.Key)
-	})
+	dst = append(dst, t.counters...)
+	slices.SortFunc(dst, rank)
 	return dst
 }
 
@@ -148,25 +153,32 @@ func (t *TopN) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeTopN decodes a sketch from the front of data and returns the
-// remaining bytes.
-func DecodeTopN(data []byte) (*TopN, []byte, error) {
+// remaining bytes. A key listed twice is ErrCorrupt: no writer produces one,
+// and the sketch could not hold it.
+func DecodeTopN(data []byte) (TopN, []byte, error) {
 	capacity, data, err := readU32(data)
 	if err != nil || capacity == 0 || capacity > 1<<20 {
-		return nil, nil, ErrCorrupt
+		return TopN{}, nil, ErrCorrupt
 	}
 	n, data, err := readU32(data)
 	if err != nil || n > capacity || 3*uint64(n) > uint64(len(data)) {
-		return nil, nil, ErrCorrupt
+		return TopN{}, nil, ErrCorrupt
 	}
-	t := &TopN{capacity: int(capacity), counters: make(map[uint64]*ssCounter, n)}
-	for i := uint32(0); i < n; i++ {
-		var e [3]uint64 // key, count, error bound
-		for j := range e {
-			if e[j], data, err = readU64(data); err != nil {
-				return nil, nil, err
+	t := TopN{capacity: int(capacity), counters: make([]TopEntry, n)}
+	for i := range t.counters {
+		c := &t.counters[i]
+		for _, f := range [...]*uint64{&c.Key, &c.Count, &c.Error} {
+			if *f, data, err = readU64(data); err != nil {
+				return TopN{}, nil, err
 			}
 		}
-		t.counters[e[0]] = &ssCounter{count: e[1], err: e[2]}
+	}
+	// Duplicates meet in key order; the counters keep no order of their own.
+	slices.SortFunc(t.counters, func(a, b TopEntry) int { return cmp.Compare(a.Key, b.Key) })
+	for i := 1; i < len(t.counters); i++ {
+		if t.counters[i].Key == t.counters[i-1].Key {
+			return TopN{}, nil, ErrCorrupt
+		}
 	}
 	return t, data, nil
 }
