@@ -195,7 +195,7 @@ func (e *Engine) ApplyReplicated(entries []JournalEntry) error {
 
 // InstallReplicaState atomically replaces the engine's entire state with
 // a checkpoint generation downloaded from a primary: inv becomes the
-// master inventory, the POLSTAT1 state bytes restore the static map and
+// master inventory, the POLSTAT2 state bytes restore the static map and
 // every vessel's cleaner/tracker state, and the applied frontier becomes
 // seq. The swap runs in the engine loop so no submission interleaves
 // with it; a fresh snapshot is published before it returns. The caller
@@ -247,21 +247,17 @@ func (e *Engine) restoreState(st *engineState) {
 	e.m.openTripRecords.Store(int64(held))
 }
 
-// captureState deep-copies the loop state for a checkpoint: the write
-// happens in the background while the loop keeps mutating the originals.
+// captureState copies the loop state a checkpoint writes in the background
+// while the loop keeps mutating it. A tracker's state is not copied: its
+// log bytes are clipped to their length, and a tracker only appends past
+// them or starts a new log.
 func (e *Engine) captureState() *engineState {
 	st := &engineState{statics: maps.Clone(e.statics), vessels: make(map[uint32]vesselPersist, len(e.vessels))}
 	for i, c := range e.m.persisted() {
 		st.counters[i] = c.Load()
 	}
 	for mmsi, vs := range e.vessels {
-		vp := vesselPersist{cleaner: vs.cleaner.State(), tracker: vs.tracker.State()}
-		// Tracker state aliases live buffers; snapshot them.
-		if vp.tracker.HasTrip {
-			vp.tracker.Trip.Records = append([]model.PositionRecord(nil), vp.tracker.Trip.Records...)
-		}
-		vp.tracker.Visit = append([]model.PositionRecord(nil), vp.tracker.Visit...)
-		st.vessels[mmsi] = vp
+		st.vessels[mmsi] = vesselPersist{cleaner: vs.cleaner.State(), tracker: vs.tracker.State()}
 	}
 	return st
 }

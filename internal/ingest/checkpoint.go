@@ -22,7 +22,7 @@ import (
 
 // Checkpoints are the engine's fast-recovery frontier: a generation is
 // two files — the published inventory as a POLSEG1 segment (the format
-// every reader and replica takes) plus a POLSTAT1 state file carrying
+// every reader and replica takes) plus a POLSTAT2 state file carrying
 // everything replay cannot re-derive from the WAL suffix alone: the vessel
 // static map, every vessel's cleaner and trip-tracker state, and the
 // engine counters. A small text manifest (<base>.manifest) names the last
@@ -54,7 +54,12 @@ const (
 	ckptRetain        = 2
 )
 
-var stateMagic = []byte("POLSTAT1\n")
+var stateMagic = []byte("POLSTAT2\n")
+
+// errOldState refuses a state file of the format before open trips were
+// record logs. Like a segment of a retired version it is an error for the
+// operator, not a missing checkpoint: the WAL was pruned to it.
+var errOldState = errors.New("POLSTAT1 state files are no longer read (this build writes POLSTAT2)")
 
 // ckptGen is one manifest entry. Term/Node are zero on manifests written
 // before the failover epoch existed — readers treat that as term 1 under
@@ -64,7 +69,7 @@ type ckptGen struct {
 	Seg       string // POLSEG1 inventory segment; basenames, sibling to the manifest
 	SegCRC    uint32
 	SegSize   int64
-	State     string // POLSTAT1 engine state
+	State     string // POLSTAT2 engine state
 	StateCRC  uint32
 	StateSize int64
 	Term      uint64 // fencing epoch the generation was written under
@@ -127,14 +132,14 @@ func (c *checkpointer) genPath(name string) string {
 }
 
 // engineState is the replay-independent engine state captured into (and
-// restored from) a checkpoint's POLSTAT1 file.
+// restored from) a checkpoint's POLSTAT2 file.
 type engineState struct {
 	counters stateCounters
 	statics  map[uint32]model.VesselInfo
 	vessels  map[uint32]vesselPersist
 }
 
-// stateCounters holds metrics.persisted() by value, in POLSTAT1 order.
+// stateCounters holds metrics.persisted() by value, in POLSTAT2 order.
 type stateCounters [13]int64
 
 type vesselPersist struct {
@@ -231,7 +236,7 @@ func (c *checkpointer) Load(resolution int) (*inventory.Inventory, *engineState,
 		inv, st, err := c.loadGen(g, resolution)
 		if err != nil {
 			c.logf("checkpoint generation %d unusable (%v); falling back", g.Gen, err)
-			if errors.Is(err, segment.ErrOldVersion) {
+			if errors.Is(err, segment.ErrOldVersion) || errors.Is(err, errOldState) {
 				old = fmt.Errorf("ingest: checkpoint manifest %s (move the checkpoint files away to start from what the WAL still holds): %w", c.manifestPath(), err)
 			}
 			continue
@@ -375,7 +380,7 @@ func parseManifestLine(line string) (ckptGen, error) {
 	return g, nil
 }
 
-// --- POLSTAT1 encoding ---
+// --- POLSTAT2 encoding ---
 
 const (
 	stFlagHasPrev = 1 << iota
@@ -407,33 +412,24 @@ func encodeState(st *engineState) []byte {
 			flags |= stFlagHasLast
 		}
 		ts := vp.tracker
-		if ts.HasTrip {
+		if ts.TripRecords > 0 {
 			flags |= stFlagHasTrip
 		}
 		buf = append(buf, flags)
 		buf = appendPositionEntry(buf, cs.Last)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(ts.LastPort))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(ts.VisitPort))
-		if ts.HasTrip {
-			buf = binary.LittleEndian.AppendUint64(buf, ts.Trip.ID)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(ts.Trip.Origin))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(ts.Trip.Dest))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(ts.Trip.DepartTime))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(ts.Trip.ArriveTime))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ts.Trip.Records)))
-			for _, r := range ts.Trip.Records {
-				buf = appendPositionEntry(buf, r)
-			}
+		if ts.TripRecords > 0 {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(ts.Origin))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(ts.TripRecords))
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ts.Visit)))
-		for _, r := range ts.Visit {
-			buf = appendPositionEntry(buf, r)
-		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ts.Log)))
+		buf = append(buf, ts.Log...)
 	}
 	return buf
 }
 
-// stateReader is a cursor over POLSTAT1 bytes, and over the WAL entry
+// stateReader is a cursor over POLSTAT2 bytes, and over the WAL entry
 // payloads it embeds (journal.go decodes them with it). The first read
 // past the end sticks: it and every later read return zero values, and the
 // caller checks err once.
@@ -485,30 +481,17 @@ func (r *stateReader) pos() model.PositionRecord {
 	return rec
 }
 
-// positions reads a counted run of position records; the count is held
-// against the bytes left before anything is allocated.
-func (r *stateReader) positions() []model.PositionRecord {
-	n := r.u32()
-	if int(n) > len(r.p)/53 && r.err == nil {
-		r.err = fmt.Errorf("implausible record count %d", n)
-	}
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make([]model.PositionRecord, n)
-	for i := range out {
-		out[i] = r.pos()
-	}
-	return out
-}
-
 func decodeState(rd io.Reader) (*engineState, error) {
 	data, err := io.ReadAll(rd)
 	if err != nil {
 		return nil, err
 	}
 	r := &stateReader{p: data}
-	if string(r.take(len(stateMagic))) != string(stateMagic) {
+	switch magic := string(r.take(len(stateMagic))); magic {
+	case string(stateMagic):
+	case "POLSTAT1\n":
+		return nil, errOldState
+	default:
 		return nil, fmt.Errorf("bad state magic")
 	}
 	st := &engineState{
@@ -535,14 +518,20 @@ func decodeState(rd io.Reader) (*engineState, error) {
 		vp.cleaner.Last = r.pos()
 		vp.tracker.LastPort = model.PortID(r.u32())
 		vp.tracker.VisitPort = model.PortID(r.u32())
-		if vp.tracker.HasTrip = flags&stFlagHasTrip != 0; vp.tracker.HasTrip {
-			trip := &vp.tracker.Trip
-			trip.ID = r.u64()
-			trip.Origin, trip.Dest = model.PortID(r.u32()), model.PortID(r.u32())
-			trip.DepartTime, trip.ArriveTime = int64(r.u64()), int64(r.u64())
-			trip.Records = r.positions()
+		if flags&stFlagHasTrip != 0 {
+			vp.tracker.Origin = model.PortID(r.u32())
+			if vp.tracker.TripRecords = int(r.u32()); vp.tracker.TripRecords == 0 && r.err == nil {
+				r.err = fmt.Errorf("vessel %d: an open trip of no records", mmsi)
+			}
 		}
-		vp.tracker.Visit = r.positions()
+		// The log's bytes stay in data: SetState clips them to their
+		// length, so the first append after a restore copies them out.
+		vp.tracker.Log = r.take(int(r.u32()))
+		if r.err == nil {
+			if err := vp.tracker.Validate(); err != nil {
+				r.err = fmt.Errorf("vessel %d: %w", mmsi, err)
+			}
+		}
 		st.vessels[mmsi] = vp
 	}
 	if r.err == nil && len(r.p) != 0 {

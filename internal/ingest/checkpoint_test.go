@@ -5,16 +5,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/patternsoflife/pol/internal/fault"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
+	"github.com/patternsoflife/pol/internal/pipeline"
+	"github.com/patternsoflife/pol/internal/ports"
 	"github.com/patternsoflife/pol/internal/segment"
 	"github.com/patternsoflife/pol/internal/sim"
 )
@@ -639,5 +643,107 @@ func testResumeMarksItsFold(t *testing.T, tickFolds bool) {
 	if err != nil || len(entries) != 1 || entries[0].Kind != entryMerge || entries[0].Seq != ckptSeq || ckptSeq != degraded.WALSeq+1 {
 		t.Fatalf("reopened journal after seq %d starts with %+v (err %v), resume checkpoint covers seq %d; want a merge marker under that seq",
 			degraded.WALSeq, entries, err, ckptSeq)
+	}
+}
+
+// TestEngineRefusesPOLSTAT1State: a state file in the format before open
+// trips were record logs is refused by name — by the decoder, and by cold
+// start once no generation is left to fall back to, which must stop rather
+// than come up empty over a WAL pruned to that checkpoint.
+func TestEngineRefusesPOLSTAT1State(t *testing.T) {
+	// A whole POLSTAT1 file: magic, 13 counters, no statics, no vessels.
+	old := append([]byte("POLSTAT1\n"), make([]byte, 13*8+4+4)...)
+	if _, err := decodeState(bytes.NewReader(old)); !errors.Is(err, errOldState) || !strings.Contains(err.Error(), "POLSTAT1") {
+		t.Fatalf("POLSTAT1 state: %v, want the named refusal", err)
+	}
+
+	const res = 6
+	_, _, inv := fleetStream(t, sim.Config{Vessels: 6, Days: 24, Seed: 11}, res)
+	dir := t.TempDir()
+	base := filepath.Join(dir, "live.polinv")
+	c := openCheckpointer(t, base)
+	for _, seq := range []uint64{100, 200} {
+		if _, err := c.Save(inv, testState(int64(seq)), seq, 1, 0xbeef); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gens := c.generations()
+	for i := range gens {
+		if err := os.WriteFile(c.genPath(gens[i].State), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		gens[i].StateCRC, gens[i].StateSize = crc32.Checksum(old, castagnoli), int64(len(old))
+	}
+	if err := writeManifest(c.manifestPath(), gens); err != nil {
+		t.Fatal(err)
+	}
+	before := dirNames(t, dir)
+	e, err := NewEngine(Options{Resolution: res, CheckpointPath: base, JournalPath: filepath.Join(dir, "wal")})
+	if err == nil {
+		e.Close()
+		t.Fatal("engine cold-started over POLSTAT1 checkpoint generations")
+	}
+	if !errors.Is(err, errOldState) || !strings.Contains(err.Error(), base+".manifest") {
+		t.Fatalf("error %q is not the named refusal", err)
+	}
+	if after := dirNames(t, dir); !slices.Equal(after, before) {
+		t.Fatalf("refused start changed the directory: %v -> %v", before, after)
+	}
+}
+
+// TestCaptureStateWhileTracking: a checkpoint encodes the state it
+// captured in the background while the loop keeps pushing records and
+// closing trips. The captured logs are the trackers' own bytes, not
+// copies, so under -race this is where a tracker that wrote into bytes it
+// had handed out would show; and each encoded log must be the bytes the
+// tracker held at the capture.
+func TestCaptureStateWhileTracking(t *testing.T) {
+	statics, stream, _ := fleetStream(t, sim.Config{Vessels: 8, Days: 16, Seed: 3}, 6)
+	// The test plays the loop of an engine that has no other goroutine.
+	e := &Engine{ports: ports.NewIndex(ports.Default(), ports.IndexResolution),
+		statics: statics, vessels: make(map[uint32]*vesselState)}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(stream))
+	trips, captures := 0, 0
+	for i, rec := range stream {
+		vs, ok := e.vessels[rec.MMSI]
+		if !ok {
+			vs = e.newVesselState()
+			e.vessels[rec.MMSI] = vs
+		}
+		if vs.cleaner.Accept(rec) == pipeline.RejectNone {
+			trips += len(vs.tracker.Push(rec))
+		}
+		if i%1500 != 0 {
+			continue
+		}
+		st, want := e.captureState(), make(map[uint32][]byte, len(e.vessels))
+		for mmsi, vs := range e.vessels {
+			want[mmsi] = bytes.Clone(vs.tracker.State().Log)
+		}
+		captures++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := decodeState(bytes.NewReader(encodeState(st)))
+			if err != nil {
+				errs <- err
+				return
+			}
+			for mmsi, log := range want {
+				if !bytes.Equal(got.vessels[mmsi].tracker.Log, log) {
+					errs <- fmt.Errorf("vessel %d: the encoded log is not the %d bytes held at the capture", mmsi, len(log))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if trips == 0 || captures < 5 {
+		t.Fatalf("%d trips closed over %d captures: the loop must close trips between captures", trips, captures)
 	}
 }

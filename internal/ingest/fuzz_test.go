@@ -9,13 +9,16 @@ import (
 	"testing"
 	"time"
 
+	"github.com/patternsoflife/pol/internal/geo"
 	"github.com/patternsoflife/pol/internal/model"
+	"github.com/patternsoflife/pol/internal/pipeline"
+	"github.com/patternsoflife/pol/internal/ports"
 )
 
 // Fuzz targets for the bytes the lifecycle trusts from another process or
 // an earlier incarnation of this one: a /v1/repl/wal body (an applier
 // applies it), a WAL segment (cold start and every re-base replay it) and
-// a POLSTAT1 state file (cold start and replica install restore it). The
+// a POLSTAT2 state file (cold start and replica install restore it). The
 // committed corpora under testdata/fuzz come from the fixtures the unit
 // tests use (go test -run FuzzSeeds -update rewrites them).
 
@@ -61,11 +64,8 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 
 	st := testState(12)
 	st.vessels[9] = vesselPersist{}
-	vp := vesselPersist{}
+	vp := vesselPersist{tracker: openTrackerState(recs[:3])}
 	vp.cleaner.HasLast, vp.cleaner.Last = true, recs[3]
-	vp.tracker.HasTrip = true
-	vp.tracker.Trip.ID, vp.tracker.Trip.Records = 7, recs[:3]
-	vp.tracker.Visit = recs[3:5]
 	st.vessels[recs[3].MMSI] = vp
 	state := encodeState(st)
 
@@ -84,6 +84,28 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 			[]byte("gen 4 seq 900 seg live.polinv.g000004.seg crc 0a0b0c0d size 123 state live.polinv.g000004.state crc 01020304 size 456"),
 			[]byte("gen 2 seq 1 seg g crc 3 size 4 state s crc 1 size 2 term 0 node ff unknown key")),
 	}
+}
+
+// openTrackerState is a tracker's state after a stop at Rotterdam, the
+// records at sea, and two records passing through Felixstowe's fence: a
+// trip open, and a visit that is not yet a call.
+func openTrackerState(atSea []model.PositionRecord) pipeline.TrackerState {
+	gaz := ports.Default()
+	rtm, _ := gaz.ByName("Rotterdam")
+	flx, _ := gaz.ByName("Felixstowe")
+	tr := pipeline.NewTripTracker(ports.NewIndex(gaz, ports.IndexResolution), 0)
+	at := func(r model.PositionRecord, p geo.LatLng, sog float64) model.PositionRecord {
+		r.Pos, r.SOG = p, sog
+		return r
+	}
+	tr.Push(at(atSea[0], rtm.Pos, 0))
+	for _, r := range atSea {
+		tr.Push(r)
+	}
+	last := atSea[len(atSea)-1]
+	tr.Push(at(last, flx.Pos, 11.5))
+	tr.Push(at(last, flx.Pos, 12))
+	return tr.State()
 }
 
 // TestFuzzSeedsCommitted keeps testdata/fuzz populated: every target has

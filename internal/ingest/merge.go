@@ -148,8 +148,10 @@ func (e *Engine) publish(now time.Time) *inventory.Inventory {
 
 // checkpoint writes a new checkpoint generation in the background; at
 // most one checkpoint runs at a time. The snapshot is immutable and the
-// pipeline state is deep-copied in the loop before the goroutine starts,
-// so serialization races with nothing. A checkpoint failure does not
+// pipeline state is captured in the loop before the goroutine starts
+// (captureState: the trackers' logs are read where they lie, bytes their
+// trackers only append past), so serialization races with nothing. A
+// checkpoint failure does not
 // degrade the engine — the WAL is still making records durable — it is
 // counted and retried at the next cadence.
 func (e *Engine) checkpoint(snap *inventory.Inventory) {

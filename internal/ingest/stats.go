@@ -51,7 +51,7 @@ type metrics struct {
 }
 
 // persisted lists the counters a checkpoint carries (stateCounters), in
-// the order POLSTAT1 stores them.
+// the order POLSTAT2 stores them.
 func (m *metrics) persisted() [13]*atomic.Int64 {
 	return [...]*atomic.Int64{&m.positionsSeen, &m.staticsSeen, &m.accepted, &m.rejected,
 		&m.rejectedUnknown, &m.rejectedNonCommercial, &m.rejectedRange, &m.rejectedDuplicate,
