@@ -7,13 +7,14 @@
 // completed trips into micro-batch *period inventories* that are merged
 // into a running master on a configurable tick.
 //
-// Serving never blocks on ingestion: the engine owns a private sharded
-// master inventory and publishes immutable copy-on-write snapshots through
-// an atomic.Pointer on every merge, so readers (internal/api in -live
-// mode, the stats endpoint, stream monitors) always see a complete,
-// consistent inventory. Publishing re-copies only the summaries the
-// micro-batch changed (inventory.Snapshot), so publish latency tracks the
-// delta size, not the accumulated inventory size.
+// Serving never blocks on ingestion: the engine owns a sharded master
+// inventory and publishes immutable snapshots of it through an
+// atomic.Pointer on every merge, so readers (internal/api in -live mode,
+// the stats endpoint, stream monitors) always see a complete, consistent
+// inventory. A merge never writes what a snapshot holds — it copies the
+// shards the micro-batch touches and clones the summaries it changes — so
+// a snapshot shares everything with the master, publishing is
+// O(ShardCount), and the engine holds each group once.
 //
 // Durability is a length-prefixed write-ahead journal of accepted records
 // (positions that survived range validation and deduplication, plus

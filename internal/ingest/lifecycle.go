@@ -295,9 +295,10 @@ type durCfg struct {
 // that checkpoint.
 //
 // Nothing the loop owns changes before every fallible step has succeeded
-// (a pending fold is done on a copy of the master), so on error a
-// promoting applier or a degraded primary is exactly what it was; a cold
-// start that fails discards the engine.
+// (a pending fold is done on a copy of the master, which shares its shards
+// and costs O(ShardCount): MergeFrom never writes what it shares), so on
+// error a promoting applier or a degraded primary is exactly what it was;
+// a cold start that fails discards the engine.
 func (e *Engine) rebase(d durCfg, term uint64, ev event) error {
 	cold, now := ev == evReplayed, time.Now()
 	ckpt := e.ckpt.Load()

@@ -124,8 +124,9 @@ func (e *Engine) resetPeriod() {
 	e.m.mergedObservations.Store(e.m.observations.Load())
 }
 
-// publish takes a copy-on-write snapshot of the master — deep-copying only
-// the summaries changed since the last publish — and swaps it in atomically.
+// publish takes a snapshot of the master — sharing all of it, since the
+// fold before it wrote nothing the last snapshot holds — and swaps it in
+// atomically.
 func (e *Engine) publish(now time.Time) *inventory.Inventory {
 	ps := e.opt.Tracer.StartChild(e.cycle, "stage.ingest_publish")
 	t0 := time.Now()

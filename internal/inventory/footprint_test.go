@@ -48,6 +48,27 @@ func materialise(b *testing.B, seg []byte) *inventory.Inventory {
 	return master.Snapshot()
 }
 
+// heldAfterFold loads a segment image into a master, as a primary restores
+// a checkpoint, folds a period re-observing one of its groups into it and
+// publishes, returning the master and the snapshot.
+func heldAfterFold(b *testing.B, seg []byte) (master, snap *inventory.Inventory) {
+	master, err := segment.LoadBytes(seg, "footprint")
+	if err != nil {
+		b.Fatal(err)
+	}
+	period := inventory.New(master.Info())
+	master.Each(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
+		c := inventory.NewCellSummary()
+		c.Merge(s)
+		period.Put(k, c)
+		return false
+	})
+	if err := master.MergeFrom(period); err != nil {
+		b.Fatal(err)
+	}
+	return master, master.Snapshot()
+}
+
 // BenchmarkSummaryFootprint reports what a group weighs on the heap: a
 // testutil fleet (24 vessels × 12 days, sim seed 1) is written to a segment
 // and materialised from it as a heap server does (decode → Put →
@@ -56,7 +77,11 @@ func materialise(b *testing.B, seg []byte) *inventory.Inventory {
 // and per sketch field ("<field>-B/group": the field's place in the struct
 // plus what it points to, measured by zeroing that field in every group and
 // collecting). "struct-B/group" is the rest: the struct's other fields,
-// its size-class slack and its map slot.
+// its size-class slack and its map slot. "held-B/group" is what a live
+// primary or heap replica holds: the loaded master kept alive beside its
+// snapshot after one fold (MergeFrom of a one-group period, then
+// Snapshot); it reads B/group when the two share their summaries and
+// about twice that when each holds its own.
 func BenchmarkSummaryFootprint(b *testing.B) {
 	for _, res := range []int{6, 7} {
 		b.Run("res"+string(rune('0'+res)), func(b *testing.B) {
@@ -103,6 +128,12 @@ func BenchmarkSummaryFootprint(b *testing.B) {
 			}
 			b.ReportMetric(rest, "struct-B/group")
 			runtime.KeepAlive(snap)
+
+			before = liveHeap()
+			master, held := heldAfterFold(b, seg.Bytes())
+			b.ReportMetric(float64(int64(liveHeap()-before))/groups, "held-B/group")
+			runtime.KeepAlive(master)
+			runtime.KeepAlive(held)
 			runtime.KeepAlive(&seg) // live through every reading, as it was in before
 		})
 	}

@@ -2,6 +2,7 @@ package inventory
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -24,33 +25,28 @@ type BuildInfo struct {
 // Inventory is the in-memory global inventory: group identifier →
 // statistical summary, hash-sharded into ShardCount partitions.
 //
-// Concurrency contract: writes (Put, Observe, MergeFrom, SetInfo) are
-// single-writer and must not run concurrently with readers on the same
-// instance. The live-serving pattern is copy-on-write publishing: one owner
-// goroutine mutates a private master inventory and publishes Snapshot()
-// results through an atomic.Pointer[Inventory]. A snapshot re-copies only
-// the summaries changed since the previous snapshot and shares every clean
-// shard, and every clean summary of a dirty one, with it, so publish cost
-// is proportional to the micro-batch delta, not the inventory size.
-// Snapshots are frozen: their write methods panic, and any number of
-// goroutines may read one concurrently — the lazily built per-shard OD
-// index is the only internal mutation on the read path and is
+// Concurrency contract: writes (Put, Observe, MergeImage, MergeFrom,
+// SetInfo) are single-writer and must not run concurrently with readers on
+// the same instance. The live-serving pattern is persistent publishing:
+// one owner goroutine folds periods into its master with MergeFrom
+// and publishes Snapshot() results through an atomic.Pointer[Inventory].
+// From its first Snapshot or MergeFrom on, an inventory is shared: it never
+// writes a shard or a summary it holds again, so a snapshot shares all of
+// them with the master in O(ShardCount), and master and snapshots hold
+// each group once. The in-place writes Put, Observe and MergeImage panic on
+// a shared inventory, and every write panics on a snapshot. Any number of
+// goroutines may read a snapshot concurrently — the lazily built per-shard
+// OD index is the only internal mutation on the read path and is
 // mutex-guarded.
 type Inventory struct {
 	info   BuildInfo
 	shards [ShardCount]*shard // nil until a shard receives its first group
 	count  int                // total groups across all shards
 
-	// Writer-side copy-on-write state (unused on frozen snapshots):
-	// dirty marks shards mutated since the last Snapshot; pub holds the
-	// immutable copies the last Snapshot published, reused verbatim for
-	// clean shards by the next one. epoch counts the Snapshots taken and
-	// stamps every summary a write changes, so a dirty shard re-copies
-	// only those.
-	dirty  [ShardCount]bool
-	pub    []*shard
-	epoch  uint64
-	frozen bool
+	// shared: snapshots or other inventories may hold these shards and
+	// summaries, so none is written again (see MergeFrom). frozen: a
+	// snapshot, whose every write panics.
+	shared, frozen bool
 }
 
 type odKey struct {
@@ -78,37 +74,42 @@ func (inv *Inventory) Len() int { return inv.count }
 // mustWrite enforces the snapshot immutability contract.
 func (inv *Inventory) mustWrite(op string) {
 	if inv.frozen {
-		panic("inventory: " + op + " on a published snapshot (snapshots are immutable; mutate the master and re-publish)")
+		panic("inventory: " + op + " on a published snapshot (snapshots are immutable; fold into the master and re-publish)")
 	}
 }
 
-// writeShard returns shard i, creating it (sized for n groups) if needed
-// and marking it dirty for the next Snapshot.
+// mustOwn guards the in-place writes, which a shared inventory refuses.
+func (inv *Inventory) mustOwn(op string) {
+	inv.mustWrite(op)
+	if inv.shared {
+		panic("inventory: " + op + " on a shared inventory (snapshots hold its summaries; fold with MergeFrom)")
+	}
+}
+
+// writeShard returns shard i, creating it (sized for n groups) if needed.
 func (inv *Inventory) writeShard(i, n int) *shard {
-	sh := inv.shards[i]
-	if sh == nil {
-		sh = &shard{groups: make(map[GroupKey]*CellSummary, n)}
-		inv.shards[i] = sh
+	if inv.shards[i] == nil {
+		inv.shards[i] = &shard{groups: make(map[GroupKey]*CellSummary, n)}
 	}
-	inv.dirty[i] = true
-	return sh
+	return inv.shards[i]
 }
 
-// Put inserts or merges a summary under the key. Writer-side only — see
-// the type's concurrency contract.
+// Put inserts or merges a summary under the key. Writer-side only, and
+// only before the inventory is shared — see the type's concurrency
+// contract.
 func (inv *Inventory) Put(key GroupKey, s *CellSummary) {
-	inv.mustWrite("Put")
-	if inv.writeShard(shardFor(key), 0).put(key, s, inv.epoch) {
+	inv.mustOwn("Put")
+	if inv.writeShard(shardFor(key), 0).put(key, s) {
 		inv.count++
 	}
 }
 
 // Observe folds one observation into the summary of the key, creating the
 // group on first sight — the accumulation primitive of the live ingestion
-// path (one call per grouping set per accepted trip record). Writer-side
-// only.
+// path (one call per grouping set per accepted trip record, into a period
+// inventory). Writer-side only, and only before the inventory is shared.
 func (inv *Inventory) Observe(key GroupKey, o Observation) {
-	inv.mustWrite("Observe")
+	inv.mustOwn("Observe")
 	sh := inv.writeShard(shardFor(key), 0)
 	s, ok := sh.groups[key]
 	if !ok {
@@ -116,7 +117,6 @@ func (inv *Inventory) Observe(key GroupKey, o Observation) {
 		sh.add(key, s)
 		inv.count++
 	}
-	s.stamp = inv.epoch
 	s.Add(o)
 }
 
@@ -134,38 +134,78 @@ const parallelMergeThreshold = 4096
 // receiver; large merges run shard-by-shard in parallel. It returns an
 // error on resolution mismatch.
 //
+// MergeFrom never writes a shard or a summary the receiver already holds:
+// a shard it changes becomes a copy of the old map, holding a merged clone
+// of each summary it changes. Groups the receiver lacks are cloned from an
+// open other; a shared or frozen other never changes again, so its
+// summaries are shared, and a shard the receiver lacks is adopted whole.
+// What the receiver's snapshots hold therefore never moves, and
+// New(info).MergeFrom(shared) costs O(ShardCount). MergeFrom marks the
+// receiver shared (see share).
+//
 // MergeFrom is writer-side: it must not run concurrently with any other
-// method on the receiver, and other must not be mutated during the merge
-// (reading other, including a frozen snapshot, is fine). Summaries from
-// other are deep-copied, so other may be discarded or mutated afterwards.
+// method on the receiver, and an open other must not be mutated during the
+// merge; it may be discarded or mutated afterwards.
 func (inv *Inventory) MergeFrom(other *Inventory) error {
 	inv.mustWrite("MergeFrom")
 	if other.info.Resolution != inv.info.Resolution {
 		return fmt.Errorf("inventory: merge resolution %d into %d",
 			other.info.Resolution, inv.info.Resolution)
 	}
+	inv.share()
+	keep := other.shared
 	inv.eachShard(other.count, func(i int) (added int) {
-		os := other.shards[i]
+		os, old := other.shards[i], inv.shards[i]
 		if os == nil || len(os.groups) == 0 {
 			return 0
 		}
-		sh := inv.writeShard(i, len(os.groups))
-		for k, s := range os.groups {
-			cur, ok := sh.groups[k]
-			if ok {
-				cur.Merge(s)
-			} else {
-				cur = s.clone()
-				sh.add(k, cur)
-				added++
-			}
-			cur.stamp = inv.epoch
+		if old == nil && keep {
+			inv.shards[i] = os
+			return len(os.groups)
 		}
+		sh := &shard{}
+		if old != nil {
+			sh.groups, sh.sets = maps.Clone(old.groups), old.sets
+		} else {
+			sh.groups = make(map[GroupKey]*CellSummary, len(os.groups))
+		}
+		for k, s := range os.groups {
+			if cur, ok := sh.groups[k]; ok {
+				cur = cur.clone()
+				cur.Merge(s)
+				sh.groups[k] = cur
+				continue
+			}
+			if !keep {
+				s = s.clone()
+			}
+			sh.add(k, s)
+			added++
+		}
+		inv.shards[i] = sh
 		return added
 	})
 	inv.info.RawRecords += other.info.RawRecords
 	inv.info.UsedRecords += other.info.UsedRecords
 	return nil
+}
+
+// share marks the inventory shared. The first time, it replaces every
+// summary with its clone, once: until then writes were in place, and a
+// shared summary must have no points pending in its digests, because a
+// digest read (Quantile, AppendBinary) folds them in.
+func (inv *Inventory) share() {
+	if inv.shared {
+		return
+	}
+	inv.shared = true
+	for _, sh := range inv.shards {
+		if sh != nil {
+			for k, s := range sh.groups {
+				sh.groups[k] = s.clone()
+			}
+		}
+	}
 }
 
 // eachShard runs fold once per shard index — fanned out over GOMAXPROCS
@@ -194,34 +234,18 @@ func (inv *Inventory) eachShard(groups int, fold func(i int) (added int)) {
 	}
 }
 
-// Snapshot publishes the current state as a frozen inventory in O(delta):
-// in shards dirtied since the previous Snapshot the changed summaries are
-// deep-copied; clean shards, and the unchanged summaries of dirty ones, are
-// shared, pointer-for-pointer, with the previously published snapshot.
-// The result is immutable (its write methods panic) and safe for any
-// number of concurrent readers; the master may keep mutating immediately —
-// it never shares memory with its snapshots.
+// Snapshot publishes the current state as a frozen inventory that shares
+// every shard and every summary with the receiver, in O(ShardCount) (plus
+// the one clone of every summary that marks the receiver shared). The
+// result is immutable (its write methods panic) and safe for any number of
+// concurrent readers; the receiver may go on folding with MergeFrom at
+// once, which never writes what the snapshot holds.
 func (inv *Inventory) Snapshot() *Inventory {
 	if inv.frozen {
 		return inv
 	}
-	if inv.pub == nil {
-		inv.pub = make([]*shard, ShardCount)
-	}
-	snap := &Inventory{info: inv.info, count: inv.count, frozen: true}
-	for i := range inv.shards {
-		sh := inv.shards[i]
-		if sh == nil {
-			continue
-		}
-		if inv.dirty[i] || inv.pub[i] == nil {
-			inv.pub[i] = sh.publish(inv.pub[i], inv.epoch)
-			inv.dirty[i] = false
-		}
-		snap.shards[i] = inv.pub[i]
-	}
-	inv.epoch++
-	return snap
+	inv.share()
+	return &Inventory{info: inv.info, shards: inv.shards, count: inv.count, shared: true, frozen: true}
 }
 
 // Get returns the summary for an exact group identifier.
@@ -306,9 +330,9 @@ func (inv *Inventory) MostFrequentDestination(cell hexgrid.Cell) (model.PortID, 
 // ODCells returns every cell that has traffic for the (origin, destination,
 // vessel-type) key — the paper's route-forecasting retrieval ("the full set
 // of possible transition locations for the selected key"). Each shard's OD
-// sub-index builds lazily on first use and, because clean shards are shared
-// between snapshots, is reused across publishes instead of being rebuilt
-// from the whole inventory. The result is sorted for determinism.
+// sub-index builds lazily on first use and, because a shard no fold touched
+// is shared between snapshots, is reused across publishes instead of being
+// rebuilt from the whole inventory. The result is sorted for determinism.
 func (inv *Inventory) ODCells(origin, dest model.PortID, vt model.VesselType) []hexgrid.Cell {
 	k := odKey{origin: origin, dest: dest, vtype: vt}
 	var out []hexgrid.Cell

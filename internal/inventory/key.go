@@ -44,8 +44,7 @@ func (g GroupSet) String() string {
 
 // GroupKey is one group identifier (GI): the concatenation of the grouping
 // set's feature values (§3.3.4). Fields not part of the grouping set are
-// zero. GroupKey is comparable and serves directly as a dataflow shuffle
-// key and map key.
+// zero. GroupKey is comparable and serves directly as a map key.
 type GroupKey struct {
 	Set    GroupSet
 	Cell   hexgrid.Cell
@@ -69,7 +68,8 @@ func NewGroupKey(set GroupSet, cell hexgrid.Cell, vt model.VesselType, origin, d
 	return k
 }
 
-// Hash64 provides a fast deterministic hash for dataflow shuffles.
+// Hash64 provides a fast deterministic hash: its low bits pick a group's
+// hash shard, in the inventory and in a segment's blocks (ShardOf).
 func (k GroupKey) Hash64() uint64 {
 	h := uint64(k.Set)
 	h = h*0x9e3779b97f4a7c15 + uint64(k.Cell)

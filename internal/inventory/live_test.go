@@ -28,13 +28,15 @@ func testObservation(mmsi uint32, t int64, p geo.LatLng) Observation {
 
 // TestConcurrentSnapshotServing exercises the documented live-serving
 // pattern under the race detector: a single writer merges micro-batch
-// period inventories into a private master and publishes Snapshot()
-// results (copy-on-write: only dirty shards re-copied) through an atomic
-// pointer, while reader goroutines concurrently hit Get, At, Cells and
-// ODCells (the lazy per-shard index path) on whatever snapshot is
-// current. Readers must never observe a partially merged inventory: every
-// published snapshot's group count and record totals are internally
-// consistent and monotonically non-decreasing.
+// period inventories into a master and publishes Snapshot() results (which
+// share every shard and summary with it) through an atomic pointer, while
+// reader goroutines concurrently hit Get, At, Cells, ODCells (the lazy
+// per-shard index path) and the t-digest reads that fold pending points in
+// (Quantile, AppendBinary) on whatever snapshot is current — so a summary
+// that reached a snapshot with points pending is a race. Readers must
+// never observe a partially merged inventory: every published snapshot's
+// group count and record totals are internally consistent and
+// monotonically non-decreasing.
 func TestConcurrentSnapshotServing(t *testing.T) {
 	const res = 6
 	base := geo.LatLng{Lat: 35, Lng: 18}
@@ -57,8 +59,12 @@ func TestConcurrentSnapshotServing(t *testing.T) {
 				n := int64(inv.Len())
 				// Snapshots are immutable: all reads must be coherent.
 				var records uint64
+				var buf []byte
 				inv.Each(func(_ GroupKey, s *CellSummary) bool {
 					records += s.Records
+					s.SpeedDig.Quantile(0.5)
+					s.ATADig.Quantile(0.9)
+					buf = s.AppendBinary(buf[:0])
 					return true
 				})
 				if n > 0 && records == 0 {
@@ -105,8 +111,9 @@ func TestConcurrentSnapshotServing(t *testing.T) {
 	}
 }
 
-// deepCopy builds a mutable copy of inv that shares no state with it, the
-// way the engine's merge path does: a fresh inventory merged from inv.
+// deepCopy builds a copy of an open inv that shares no state with it: a
+// fresh inventory merged from inv, which clones every summary of an open
+// source (of a shared one it would share them all).
 func deepCopy(t testing.TB, inv *Inventory) *Inventory {
 	t.Helper()
 	c := New(inv.Info())

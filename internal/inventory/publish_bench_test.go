@@ -17,21 +17,25 @@ func benchInventory(n int) (*Inventory, []GroupKey) {
 	return inv, keys
 }
 
-// BenchmarkPublishDelta measures the serving-publish step in isolation: a
-// micro-batch delta of 16 keys lands on a 20k-group master, then the state
-// is published as a copy-on-write snapshot, which pays only for the few
-// dirtied shards. This is also the CI smoke benchmark (-bench=Publish
-// -benchtime=1x).
+// BenchmarkPublishDelta measures the live engine's tick in isolation: a
+// micro-batch period of 16 keys folds into a 20k-group master, which is
+// then published. The fold copies the maps of the shards it touches and
+// clones only the summaries it changes; the publish is O(ShardCount). This
+// is also the CI smoke benchmark (-bench=Publish -benchtime=1x).
 func BenchmarkPublishDelta(b *testing.B) {
 	const groups, delta = 20000, 16
 	master, keys := benchInventory(groups)
-	master.Snapshot() // prime: steady-state publishes, not the first full copy
+	master.Snapshot() // prime: steady-state ticks, not the first clone of every summary
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		period := New(BuildInfo{Resolution: 6})
 		for j := 0; j < delta; j++ {
 			k := keys[(i*delta+j)%len(keys)]
-			master.Observe(k, testObservation(uint32(210000000+j), int64(i*delta+j), k.Cell.LatLng()))
+			period.Observe(k, testObservation(uint32(210000000+j), int64(i*delta+j), k.Cell.LatLng()))
+		}
+		if err := master.MergeFrom(period); err != nil {
+			b.Fatal(err)
 		}
 		snap := master.Snapshot()
 		if snap.Len() != master.Len() {

@@ -89,10 +89,23 @@ func TestEachMatchesPlainMap(t *testing.T) {
 	}
 }
 
-// TestSnapshotCOW verifies the copy-on-write contract end to end: snapshots
-// are immutable while the master keeps mutating, clean shards are shared
-// pointer-for-pointer between consecutive snapshots, and dirty shards are
-// re-copied.
+// fold merges a period holding one observation per key into master — the
+// live engine's tick without the journal.
+func fold(t testing.TB, master *Inventory, t0 int64, keys ...GroupKey) {
+	t.Helper()
+	period := New(BuildInfo{Resolution: master.Info().Resolution})
+	for i, k := range keys {
+		period.Observe(k, testObservation(209999999, t0+int64(i), k.Cell.LatLng()))
+	}
+	if err := master.MergeFrom(period); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotCOW verifies the sharing contract end to end: a snapshot
+// holds the master's own shards, a fold touching one key replaces only that
+// key's shard and, inside it, only that key's summary, and no snapshot
+// moves under later folds.
 func TestSnapshotCOW(t *testing.T) {
 	const res = 6
 	rng := rand.New(rand.NewSource(11))
@@ -109,11 +122,14 @@ func TestSnapshotCOW(t *testing.T) {
 	if err := s1.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if s1.shards != master.shards {
+		t.Fatal("snapshot does not share the master's shards")
+	}
 
-	// Touch exactly one key: only its shard may be re-copied by the next
-	// snapshot; every other shard must be shared with s1.
+	// Fold exactly one key: only its shard may be replaced; every other
+	// shard must be shared with s1.
 	touched := keys[0]
-	master.Observe(touched, testObservation(209999999, 99999, touched.Cell.LatLng()))
+	fold(t, master, 99999, touched)
 
 	s2 := master.Snapshot()
 	touchedShard := shardFor(touched)
@@ -128,15 +144,15 @@ func TestSnapshotCOW(t *testing.T) {
 		}
 		copied++
 		if i != touchedShard {
-			t.Errorf("shard %d re-copied but only shard %d was dirtied", i, touchedShard)
+			t.Errorf("shard %d replaced but only shard %d was folded into", i, touchedShard)
 		}
 	}
 	if copied != 1 {
-		t.Fatalf("snapshot re-copied %d shards (shared %d), want exactly 1", copied, shared)
+		t.Fatalf("fold replaced %d shards (shared %d), want exactly 1", copied, shared)
 	}
 
-	// Inside the re-copied shard only the touched summary is duplicated:
-	// every other group is shared, pointer for pointer, with s1.
+	// Inside the replaced shard only the touched summary is new: every
+	// other group is shared, pointer for pointer, with s1.
 	for k, s := range s2.shards[touchedShard].groups {
 		if shared := s == s1.shards[touchedShard].groups[k]; shared == (k == touched) {
 			t.Errorf("group %v: shared with the previous snapshot = %v", k, shared)
@@ -150,14 +166,16 @@ func TestSnapshotCOW(t *testing.T) {
 		t.Fatalf("records: s1=%d s2=%d, want s2 = s1+1", old.Records, cur.Records)
 	}
 
-	// The master never shares memory with snapshots: mutating it after the
-	// publish must not move any snapshot summary.
+	// Later folds into the master move no earlier snapshot.
 	before := cur.Records
-	for i := 0; i < 10; i++ {
-		master.Observe(touched, testObservation(209999999, int64(100000+i), touched.Cell.LatLng()))
+	for i := range 10 {
+		fold(t, master, int64(100000+i), touched)
 	}
 	if cur2, _ := s2.Get(touched); cur2.Records != before {
-		t.Fatalf("snapshot summary moved under master writes: %d -> %d", before, cur2.Records)
+		t.Fatalf("snapshot summary moved under master folds: %d -> %d", before, cur2.Records)
+	}
+	if old2, _ := s1.Get(touched); old2 != old || old2.Records != before-1 {
+		t.Fatalf("first snapshot moved under master folds: %d records", old2.Records)
 	}
 
 	// Snapshot of a snapshot is itself (already frozen).
@@ -167,7 +185,8 @@ func TestSnapshotCOW(t *testing.T) {
 }
 
 // TestSnapshotFrozen verifies the immutability contract: every write method
-// on a published snapshot panics.
+// on a published snapshot panics, and so do the in-place writes on the
+// master it was published from.
 func TestSnapshotFrozen(t *testing.T) {
 	const res = 6
 	master := New(BuildInfo{Resolution: res})
@@ -176,21 +195,31 @@ func TestSnapshotFrozen(t *testing.T) {
 	key := NewGroupKey(GSCell, cell, model.VesselCargo, 1, 2)
 	master.Observe(key, testObservation(200000001, 1, pos))
 	snap := master.Snapshot()
+	image, err := Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	expectPanic := func(name string, f func()) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s on a snapshot did not panic", name)
+				t.Errorf("%s did not panic", name)
 			}
 		}()
 		f()
 	}
-	expectPanic("Observe", func() { snap.Observe(key, testObservation(200000001, 2, pos)) })
-	expectPanic("Put", func() { snap.Put(key, NewCellSummary()) })
-	expectPanic("SetInfo", func() { snap.SetInfo(BuildInfo{Resolution: res}) })
-	expectPanic("MergeFrom", func() { _ = snap.MergeFrom(master) })
+	expectPanic("Observe on a snapshot", func() { snap.Observe(key, testObservation(200000001, 2, pos)) })
+	expectPanic("Put on a snapshot", func() { snap.Put(key, NewCellSummary()) })
+	expectPanic("MergeImage on a snapshot", func() { _ = snap.MergeImage(image) })
+	expectPanic("SetInfo on a snapshot", func() { snap.SetInfo(BuildInfo{Resolution: res}) })
+	expectPanic("MergeFrom on a snapshot", func() { _ = snap.MergeFrom(master) })
+	expectPanic("Observe on a shared master", func() { master.Observe(key, testObservation(200000001, 2, pos)) })
+	expectPanic("Put on a shared master", func() { master.Put(key, NewCellSummary()) })
+	expectPanic("MergeImage on a shared master", func() { _ = master.MergeImage(image) })
 
-	// Reading a frozen snapshot stays legal, including merging FROM it.
+	// Reading a frozen snapshot stays legal, including merging FROM it,
+	// and so does folding into the master and re-stamping its info.
 	dst := New(BuildInfo{Resolution: res})
 	if err := dst.MergeFrom(snap); err != nil {
 		t.Fatal(err)
@@ -198,79 +227,133 @@ func TestSnapshotFrozen(t *testing.T) {
 	if dst.Len() != snap.Len() {
 		t.Fatalf("merge from snapshot: len %d, want %d", dst.Len(), snap.Len())
 	}
+	fold(t, master, 3, key)
+	master.SetInfo(BuildInfo{Resolution: res, Description: "re-stamped"})
+	if s, _ := snap.Get(key); s.Records != 1 {
+		t.Fatalf("snapshot moved under a master fold: %d records", s.Records)
+	}
 }
 
-// TestSnapshotODIndexSharing verifies the per-shard lazy OD index is reused
-// across snapshots when the shard is clean, and rebuilt when OD keys land in
-// the shard.
+// TestMergeIntoEmptySharesShards pins the re-base copy at O(ShardCount): a
+// fresh inventory merged from a shared master adopts every shard pointer
+// for pointer, and a fold into the copy moves neither the master nor its
+// snapshot.
+func TestMergeIntoEmptySharesShards(t *testing.T) {
+	const res = 6
+	rng := rand.New(rand.NewSource(17))
+	master := New(BuildInfo{Resolution: res})
+	keys := randomKeys(rng, 3000, res)
+	for i, k := range keys {
+		master.Observe(k, testObservation(uint32(200000000+i), int64(i), k.Cell.LatLng()))
+	}
+	snap := master.Snapshot()
+	want := fullCopy(t, snap)
+
+	c := New(master.Info())
+	if err := c.MergeFrom(master); err != nil {
+		t.Fatal(err)
+	}
+	if c.shards != master.shards || c.Len() != master.Len() {
+		t.Fatalf("copy of the master holds other shards (%d groups, master %d)", c.Len(), master.Len())
+	}
+	fold(t, c, 1, keys[:50]...)
+	if !Equal(master, want) || !Equal(snap, want) {
+		t.Fatal("a fold into the copy moved the master or its snapshot")
+	}
+	if c.shards == master.shards {
+		t.Fatal("a fold into the copy left every shard shared")
+	}
+}
+
+// TestSnapshotODIndexSharing verifies the per-shard lazy OD index survives
+// on shards a fold does not touch, and that a fold adding OD keys to a
+// shard surfaces them in the next snapshot only.
 func TestSnapshotODIndexSharing(t *testing.T) {
 	const res = 6
 	master := New(BuildInfo{Resolution: res})
 	pos := geo.LatLng{Lat: 40, Lng: -20}
 	cell := hexgrid.LatLngToCell(pos, res)
 	key := NewGroupKey(GSCellODType, cell, model.VesselCargo, 3, 4)
-	master.Observe(key, testObservation(200000001, 1, pos))
+	fold(t, master, 1, key)
 
 	s1 := master.Snapshot()
 	got := s1.ODCells(3, 4, model.VesselCargo)
 	if len(got) != 1 || got[0] != cell {
 		t.Fatalf("ODCells = %v, want [%v]", got, cell)
 	}
+	odShard := s1.shards[shardFor(key)]
 
-	// Unrelated (non-OD) write: the OD result set must not change.
-	other := geo.Destination(pos, 90, 500000)
-	master.Observe(NewGroupKey(GSCell, hexgrid.LatLngToCell(other, res), model.VesselCargo, 0, 0),
-		testObservation(200000002, 2, other))
+	// Unrelated (non-OD) fold into another shard: the OD result set must
+	// not change, and the OD shard keeps the index s1's query built.
+	var other GroupKey
+	for d := 100000.0; ; d += 100000 {
+		other = NewGroupKey(GSCell, hexgrid.LatLngToCell(geo.Destination(pos, 90, d), res), model.VesselCargo, 0, 0)
+		if shardFor(other) != shardFor(key) {
+			break
+		}
+	}
+	fold(t, master, 2, other)
 	s2 := master.Snapshot()
 	if got := s2.ODCells(3, 4, model.VesselCargo); len(got) != 1 || got[0] != cell {
-		t.Fatalf("after non-OD write: ODCells = %v, want [%v]", got, cell)
+		t.Fatalf("after non-OD fold: ODCells = %v, want [%v]", got, cell)
+	}
+	if sh := s2.shards[shardFor(key)]; sh != odShard || sh.od == nil {
+		t.Fatal("the OD index of an untouched shard did not survive the fold")
 	}
 
 	// New OD key in a fresh cell: the next snapshot must surface it, and
 	// prior snapshots must not.
 	far := geo.Destination(pos, 180, 900000)
 	farCell := hexgrid.LatLngToCell(far, res)
-	master.Observe(NewGroupKey(GSCellODType, farCell, model.VesselCargo, 3, 4),
-		testObservation(200000003, 3, far))
+	fold(t, master, 3, NewGroupKey(GSCellODType, farCell, model.VesselCargo, 3, 4))
 	s3 := master.Snapshot()
 	if got := s3.ODCells(3, 4, model.VesselCargo); len(got) != 2 {
-		t.Fatalf("after OD write: ODCells = %v, want 2 cells", got)
+		t.Fatalf("after OD fold: ODCells = %v, want 2 cells", got)
 	}
 	if got := s1.ODCells(3, 4, model.VesselCargo); len(got) != 1 {
 		t.Fatalf("old snapshot grew: ODCells = %v, want 1 cell", got)
 	}
 }
 
-// TestSnapshotMatchesFullCopy drives a master through rounds of Observe,
-// Put and MergeFrom with a Snapshot after each, and holds every snapshot —
-// the new one and all earlier ones, which share summaries with it — against
-// a from-scratch copy of the master taken at the same moment.
+// fullCopy builds a copy of inv that shares no memory with it, through its
+// wire image.
+func fullCopy(t testing.TB, inv *Inventory) *Inventory {
+	t.Helper()
+	image, err := Marshal(inv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(inv.Info())
+	if err := c.MergeImage(image); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestSnapshotMatchesFullCopy drives a master through rounds of MergeFrom
+// — open periods and frozen ones — with a Snapshot after each, and holds
+// every snapshot — the new one and all earlier ones, which share summaries
+// with it — against a copy of the master that shares no memory with it,
+// taken at the same moment.
 func TestSnapshotMatchesFullCopy(t *testing.T) {
 	const res = 6
 	rng := rand.New(rand.NewSource(5))
 	keys := randomKeys(rng, 600, res)
 	master := New(BuildInfo{Resolution: res})
 	var snaps, copies []*Inventory
-	for round := 0; round < 12; round++ {
+	for round := range 12 {
 		period := New(BuildInfo{Resolution: res})
-		for i := 0; i < 80; i++ {
+		for i := range 80 {
 			k := keys[rng.Intn(len(keys))]
-			o := testObservation(uint32(200000000+rng.Intn(500)), int64(round*1000+i), k.Cell.LatLng())
-			switch rng.Intn(3) {
-			case 0:
-				master.Observe(k, o)
-			case 1:
-				s := NewCellSummary()
-				s.Add(o)
-				master.Put(k, s)
-			default:
-				period.Observe(k, o)
-			}
+			period.Observe(k, testObservation(uint32(200000000+rng.Intn(500)), int64(round*1000+i), k.Cell.LatLng()))
+		}
+		if round%3 == 2 {
+			period = period.Snapshot()
 		}
 		if err := master.MergeFrom(period); err != nil {
 			t.Fatal(err)
 		}
-		snaps, copies = append(snaps, master.Snapshot()), append(copies, deepCopy(t, master))
+		snaps, copies = append(snaps, master.Snapshot()), append(copies, fullCopy(t, master))
 		for i := range snaps {
 			if !Equal(snaps[i], copies[i]) {
 				t.Fatalf("after round %d: snapshot of round %d differs from the full copy taken with it", round, i)

@@ -57,10 +57,6 @@ type CellSummary struct {
 	Origins     stats.TopN
 	Dests       stats.TopN
 	Transitions stats.TopN
-
-	// stamp is writer-side: the owning inventory's epoch when it last
-	// changed this summary (see Inventory.Snapshot).
-	stamp uint64
 }
 
 // emptySummary is what NewCellSummary copies: every sketch at the
@@ -84,8 +80,8 @@ func NewCellSummary() *CellSummary {
 	return &s
 }
 
-// clone returns NewCellSummary merged with s, the copy publish and
-// MergeFrom make of a group: one allocation for the summary and one
+// clone returns NewCellSummary merged with s, the copy MergeFrom makes of
+// a group it changes or adopts from an open inventory: one allocation for the summary and one
 // exact-size slice for each sketch of s that holds one. Merging into an
 // empty sketch is a copy in every sketch, except where s was decoded with
 // parameters other than the inventory's: then, as with Merge, the copy

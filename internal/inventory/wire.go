@@ -83,11 +83,11 @@ func Marshal(inv *Inventory) ([]byte, error) {
 // merges it. No intermediate inventory is built. Groups are indexed by
 // shard first, then decoded shard-parallel (a shard's groups in image
 // order), so folding images one call at a time, in a fixed order, gives
-// the same result at any GOMAXPROCS. MergeImage is writer-side, like
-// MergeFrom. On error the receiver may hold part of the image and is to
-// be discarded.
+// the same result at any GOMAXPROCS. MergeImage is writer-side and, like
+// Put, refused on a shared inventory. On error the receiver may hold part
+// of the image and is to be discarded.
 func (inv *Inventory) MergeImage(data []byte) error {
-	inv.mustWrite("MergeImage")
+	inv.mustOwn("MergeImage")
 	if len(data) < len(wireMagic)+4 || !bytes.Equal(data[:len(wireMagic)], wireMagic) {
 		return fmt.Errorf("inventory: bad magic")
 	}
@@ -144,7 +144,7 @@ func (inv *Inventory) MergeImage(data []byte) error {
 				errs[i] = fmt.Errorf("inventory: group %v: %w", g.key, err)
 				return added
 			}
-			if sh.put(g.key, s, inv.epoch) {
+			if sh.put(g.key, s) {
 				added++
 			}
 		}

@@ -7,8 +7,7 @@
 // memory:
 //
 //   - groups are partitioned into the same 256 hash shards as the
-//     in-memory inventory and the dataflow shuffle, one column block per
-//     non-empty shard;
+//     in-memory inventory, one column block per non-empty shard;
 //   - inside a block the columns are struct-of-arrays: the sorted key
 //     column (fixed 18-byte big-endian keys, binary-searchable), the
 //     record-count column, the summary offset column and the summary
