@@ -105,8 +105,9 @@ func (l *lab) ensureInv(res int) (*inventory.Inventory, error) {
 		return nil, err
 	}
 	fmt.Fprintf(l.log, "polbench: built res-%d inventory: %s\n", res, result.Stats)
-	l.invs[res] = result.Inventory
-	return result.Inventory, nil
+	inv := result.Inventory.Snapshot() // sealed: a third of the open build's heap
+	l.invs[res] = inv
+	return inv, nil
 }
 
 // completedVoyages returns voyages with ground-truth arrivals inside the

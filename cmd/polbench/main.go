@@ -4,7 +4,8 @@
 // become. The only output is markdown — EXPERIMENTS.md's paper section,
 // regenerated and never edited — and polbench exits 1 when any check fails,
 // after listing every failure on stderr. Wall-clock figures go to stderr
-// too, so the section is the same bytes on every run of one configuration.
+// too, each experiment's among them, so the section is the same bytes on
+// every run of one configuration.
 //
 // Usage:
 //
@@ -23,6 +24,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"strings"
+	"time"
 )
 
 // experiment is one row of the paper reproduction: what the paper reports,
@@ -92,9 +94,11 @@ func main() {
 		width   = flag.Int("width", 1600, "figure width in pixels")
 	)
 	flag.Parse()
-	// The reference run's live heap peaks near 2.1 GB (150 vessels × 30
-	// days, both resolutions live) and its resident set near 3.7 GB under
-	// this limit; left to GOGC alone the heap doubles past 4 GB.
+	// The reference run's live heap peaks at 1.3–1.5 GB (150 vessels × 30
+	// days) while the res-7 build's inventory is still open, before it is
+	// sealed, and its resident set at 2.5–3.2 GB. Sealed, both resolutions
+	// hold about a third of that; the limit caps what GOGC alone would
+	// let a larger run's heap double to.
 	debug.SetMemoryLimit(4 << 30)
 	os.Exit(run(config{*exp, *vessels, *days, *seed, *outDir, *width}, experiments, os.Stdout, os.Stderr))
 }
@@ -126,7 +130,9 @@ func run(cfg config, exps []experiment, stdout, stderr io.Writer) int {
 		cfg.exp, cfg.vessels, cfg.days, cfg.seed)
 	var failures []string
 	for _, e := range sel {
+		start := time.Now()
 		rep, err := e.run(l)
+		fmt.Fprintf(stderr, "polbench: %s took %s\n", e.id, time.Since(start).Round(time.Millisecond))
 		if rep == nil {
 			rep = &report{}
 		}

@@ -4,9 +4,10 @@
 //
 // Batch mode serves a prebuilt inventory file — a POLSEG1 segment, as
 // written by polbuild or a checkpoint. -inv and -seg take the same file
-// and differ only in residency: -inv materializes it into a heap
-// inventory (fastest queries, memory proportional to the inventory),
-// -seg opens it in O(index) and answers queries straight off the mapped
+// and differ only in residency: -inv inflates every block into the heap,
+// where it stays as its column block (every query decodes one summary, and
+// memory is the segment's raw size, about 350 B a group at res 6), -seg
+// opens it in O(index) and answers queries straight off the mapped
 // file without materializing the groups. Live mode (-live) is the
 // ingestion daemon, the primary of a deployment: it accepts timestamped
 // NMEA feeds over TCP on -listen, maintains a continuously updated

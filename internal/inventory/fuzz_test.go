@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/patternsoflife/pol/internal/geo"
@@ -48,23 +50,84 @@ func fuzzSeeds() [][]byte {
 	return [][]byte{empty, valid, dense.AppendBinary(nil), valid[:len(valid)-7], flipped, bomb}
 }
 
+// sealedSeeds: a block's shard id then its bytes — the fullest shard of a
+// small inventory, an empty one, and that block torn, bit-flipped, with two
+// keys swapped, two offsets swapped, a byte past its blob, filed under the
+// next shard, claiming 2^32-1 groups, and with a records column one off
+// its first summary's count.
+func sealedSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(8))
+	inv := New(BuildInfo{Resolution: 6})
+	var per [ShardCount]int
+	for i, k := range randomKeys(rng, 1200, 6) {
+		inv.Observe(k, obs(rng, k.Cell, uint32(227000000+i%11), uint64(i%5), 1, 2))
+		per[shardFor(k)]++
+	}
+	full, empty := 0, 0
+	for i, n := range per {
+		if n > per[full] {
+			full = i
+		}
+		if n == 0 {
+			empty = i
+		}
+	}
+	valid := inv.AppendShardBlock(nil, full)
+	seed := func(shard int, raw []byte) []byte { return append([]byte{byte(shard)}, raw...) }
+	b, _ := ParseSealedShard(full, valid)
+	flipped, swappedKeys, swappedOffs := bytes.Clone(valid), bytes.Clone(valid), bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 0x08
+	k0, k1 := b.key(0), b.key(1)
+	copy(swappedKeys[blockHead:], k1)
+	copy(swappedKeys[blockHead+keyBytes:], k0)
+	at := blockHead + b.n*(keyBytes+8) + 4
+	copy(swappedOffs[at:], valid[at+4:at+8])
+	copy(swappedOffs[at+4:], valid[at:at+4])
+	huge := binary.LittleEndian.AppendUint32(nil, 1<<32-1)
+	miscounted := bytes.Clone(valid)
+	binary.LittleEndian.PutUint64(miscounted[blockHead+b.n*keyBytes:], b.records(0)+1)
+	return [][]byte{
+		seed(full, valid), seed(empty, inv.AppendShardBlock(nil, empty)),
+		seed(full, valid[:len(valid)-5]), seed(full, flipped), seed(full, swappedKeys), seed(full, swappedOffs),
+		seed(full, append(bytes.Clone(valid), 0)), seed((full+1)%ShardCount, valid), seed(full, append(huge, valid[4:40]...)),
+		seed(full, miscounted),
+	}
+}
+
+// TestAdoptRefusesMiscountedBlock: a block whose records column disagrees
+// with a summary parses, since the parser reads no summary, but does not
+// adopt — a re-seal copies that column, so a wrong one would outlive it.
+func TestAdoptRefusesMiscountedBlock(t *testing.T) {
+	seeds := sealedSeeds()
+	seed := seeds[len(seeds)-1]
+	b, err := ParseSealedShard(int(seed[0]), seed[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Adopt(BuildInfo{Resolution: 6}, []*SealedShard{b}); err == nil || !strings.Contains(err.Error(), "the column says") {
+		t.Fatalf("Adopt = %v, want the records column refused", err)
+	}
+}
+
 // TestFuzzSeedsCommitted keeps testdata/fuzz populated, and current: the
 // seeds are rewritten only with -update, and a codec change that leaves the
 // committed ones behind fails here.
 func TestFuzzSeedsCommitted(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeCellSummary")
-	for i, seed := range fuzzSeeds() {
-		path, want := filepath.Join(dir, fmt.Sprintf("seed-%d", i)), fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		if *updateSeeds {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
+	for target, seeds := range map[string][][]byte{"FuzzDecodeCellSummary": fuzzSeeds(), "FuzzSealedShard": sealedSeeds()} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		for i, seed := range seeds {
+			path, want := filepath.Join(dir, fmt.Sprintf("seed-%d", i)), fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+			if *updateSeeds {
+				if err := os.MkdirAll(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if got, err := os.ReadFile(path); err != nil || (string(got) != want && runtime.GOARCH == "amd64") {
+				// (Elsewhere Go may fuse x*y+z, which moves float bits in the seeds.)
+				t.Errorf("%s is missing or stale (%v): run go test ./internal/inventory -run FuzzSeeds -update", path, err)
 			}
-			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else if got, err := os.ReadFile(path); err != nil || (string(got) != want && runtime.GOARCH == "amd64") {
-			// (Elsewhere Go may fuse x*y+z, which moves float bits in the seeds.)
-			t.Errorf("%s is missing or stale (%v): run go test ./internal/inventory -run FuzzSeeds -update", path, err)
 		}
 	}
 }
@@ -87,13 +150,24 @@ func FuzzDecodeCellSummary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		s, _, err := DecodeCellSummary(data)
+		s, rest, err := DecodeCellSummary(data)
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(fuzzAllocPerByte*len(data)+fuzzAllocFixed); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
 		}
+		// The transitions-only read skips what the whole decode builds: it
+		// must refuse what that refuses — but a key listed twice in the
+		// port lists, which a skip does not sort to see — and agree on
+		// what it accepts.
+		tr, trRest, trErr := decodeTransitions(data)
 		if err != nil {
+			if trErr == nil && !strings.Contains(err.Error(), "decode origins") && !strings.Contains(err.Error(), "decode destinations") {
+				t.Fatalf("the transitions read accepts what the decode refuses: %v", err)
+			}
 			return
+		}
+		if trErr != nil || len(trRest) != len(rest) || !slices.Equal(tr.Top(TopNCapacity), s.TopTransitions(TopNCapacity)) {
+			t.Fatalf("the transitions read differs from the decode: %v", trErr)
 		}
 		enc := s.AppendBinary(nil)
 		again, rest, err := DecodeCellSummary(enc)
@@ -102,6 +176,76 @@ func FuzzDecodeCellSummary(f *testing.F) {
 		}
 		if !bytes.Equal(again.AppendBinary(nil), enc) {
 			t.Fatal("decode∘encode is not the identity on a decoded summary")
+		}
+	})
+}
+
+// FuzzSealedShard: the block parser never panics and allocates nothing in
+// proportion to what the bytes claim (the bound is the fixed allowance
+// above: TotalAlloc counts the fuzzing engine's own allocations too); a block it accepts keeps its
+// promises (keys ascending, in their shard, found where they stand). A
+// block whose summaries all decode adopts, writes back verbatim, and takes
+// a fold — one of its groups merged again — exactly as an open copy of it
+// merges in place; the folded shard's block parses and adopts Equal.
+func FuzzSealedShard(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		shard, raw := int(data[0]), data[1:]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, err := ParseSealedShard(shard, raw)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > fuzzAllocFixed {
+			t.Fatalf("parsing %d bytes allocated %d", len(raw), got)
+		}
+		if err != nil {
+			return
+		}
+		for i := range b.Len() {
+			k := b.Key(i)
+			if shardFor(k) != shard || (i > 0 && bytes.Compare(b.key(i-1), b.key(i)) >= 0) {
+				t.Fatalf("group %d: key %v out of order or outside shard %d", i, k, shard)
+			}
+			if j, ok := b.Find(k); !ok || j != i {
+				t.Fatalf("group %d: Find = %d, %v", i, j, ok)
+			}
+		}
+		if b.Len() == 0 {
+			return
+		}
+		info := BuildInfo{Resolution: b.Key(0).Cell.Resolution()}
+		inv, err := Adopt(info, []*SealedShard{b})
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(inv.AppendShardBlock(nil, shard), raw) {
+			t.Fatal("an adopted block does not write back verbatim")
+		}
+		ref := New(info)
+		inv.Each(func(k GroupKey, s *CellSummary) bool {
+			ref.Put(k, s)
+			return true
+		})
+		k := b.Key(b.Len() / 2)
+		s, _ := inv.Get(k)
+		period := New(info)
+		period.Put(k, s.clone())
+		ref.Put(k, s.clone())
+		if err := inv.MergeFrom(period); err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(inv, ref) {
+			t.Fatal("a fold into the sealed shard differs from the in-place merge")
+		}
+		folded, err := ParseSealedShard(shard, inv.AppendShardBlock(nil, shard))
+		if err != nil {
+			t.Fatalf("the folded shard's block does not parse: %v", err)
+		}
+		again, err := Adopt(info, []*SealedShard{folded})
+		if err != nil || !Equal(again, ref) {
+			t.Fatalf("the folded shard's block does not adopt Equal: %v", err)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/patternsoflife/pol/internal/geo"
 	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/model"
+	"github.com/patternsoflife/pol/internal/stats"
 )
 
 // BuildInfo records the provenance of an inventory.
@@ -30,11 +31,14 @@ type BuildInfo struct {
 // the same instance. The live-serving pattern is persistent publishing:
 // one owner goroutine folds periods into its master with MergeFrom
 // and publishes Snapshot() results through an atomic.Pointer[Inventory].
-// From its first Snapshot or MergeFrom on, an inventory is shared: it never
-// writes a shard or a summary it holds again, so a snapshot shares all of
-// them with the master in O(ShardCount), and master and snapshots hold
-// each group once. The in-place writes Put, Observe and MergeImage panic on
-// a shared inventory, and every write panics on a snapshot. Any number of
+// From its first Snapshot or MergeFrom on, an inventory is shared: it
+// seals every shard into its column block (SealedShard) and never writes a
+// shard or a summary it holds again, so a snapshot shares all of them with
+// the master in O(ShardCount), and master and snapshots hold each group
+// once, as its bytes; a fold overlays the summaries it changes (see
+// MergeFrom). A read of a sealed group decodes it into a summary of the
+// caller's own. The in-place writes Put, Observe and MergeImage panic on a
+// shared inventory, and every write panics on a snapshot. Any number of
 // goroutines may read a snapshot concurrently — the lazily built per-shard
 // OD index is the only internal mutation on the read path and is
 // mutex-guarded.
@@ -134,14 +138,17 @@ const parallelMergeThreshold = 4096
 // receiver; large merges run shard-by-shard in parallel. It returns an
 // error on resolution mismatch.
 //
-// MergeFrom never writes a shard or a summary the receiver already holds:
-// a shard it changes becomes a copy of the old map, holding a merged clone
-// of each summary it changes. Groups the receiver lacks are cloned from an
-// open other; a shared or frozen other never changes again, so its
-// summaries are shared, and a shard the receiver lacks is adopted whole.
-// What the receiver's snapshots hold therefore never moves, and
-// New(info).MergeFrom(shared) costs O(ShardCount). MergeFrom marks the
-// receiver shared (see share).
+// MergeFrom never writes a shard or a summary the receiver already holds.
+// A shard it changes becomes a new shard on the old one's sealed block,
+// whose overlay holds a merged copy of each summary it changes — decoded
+// from the block, or cloned from the old overlay — and each group it adds;
+// once the overlay outgrows 1/resealAt of the shard's groups, the new
+// shard is sealed whole (see seal).
+// Groups the receiver lacks are cloned from an open other; a
+// shared or frozen other never changes again, so its summaries are shared,
+// and a shard the receiver lacks is adopted whole. What the receiver's
+// snapshots hold therefore never moves, and New(info).MergeFrom(shared)
+// costs O(ShardCount). MergeFrom marks the receiver shared (see share).
 //
 // MergeFrom is writer-side: it must not run concurrently with any other
 // method on the receiver, and an open other must not be mutated during the
@@ -156,31 +163,42 @@ func (inv *Inventory) MergeFrom(other *Inventory) error {
 	keep := other.shared
 	inv.eachShard(other.count, func(i int) (added int) {
 		os, old := other.shards[i], inv.shards[i]
-		if os == nil || len(os.groups) == 0 {
+		if os == nil || os.n == 0 {
 			return 0
 		}
 		if old == nil && keep {
 			inv.shards[i] = os
-			return len(os.groups)
+			return os.n
 		}
-		sh := &shard{}
+		sh := &shard{groups: make(map[GroupKey]*CellSummary, len(os.groups))}
 		if old != nil {
-			sh.groups, sh.sets = maps.Clone(old.groups), old.sets
-		} else {
-			sh.groups = make(map[GroupKey]*CellSummary, len(os.groups))
+			sh.base, sh.n, sh.sets = old.base, old.n, old.sets
+			maps.Copy(sh.groups, old.groups)
 		}
-		for k, s := range os.groups {
+		os.each(func(k GroupKey, s *CellSummary) bool {
 			if cur, ok := sh.groups[k]; ok {
 				cur = cur.clone()
 				cur.Merge(s)
 				sh.groups[k] = cur
-				continue
+				return true
 			}
-			if !keep {
+			if sh.base != nil {
+				if g, ok := sh.base.Find(k); ok {
+					cur := sh.base.mustSummary(g)
+					cur.Merge(s)
+					sh.groups[k] = cur
+					return true
+				}
+			}
+			if !keep && old != nil { // a new shard is sealed below: nothing keeps s
 				s = s.clone()
 			}
 			sh.add(k, s)
 			added++
+			return true
+		})
+		if len(sh.groups)*resealAt > sh.n {
+			sh.seal(i)
 		}
 		inv.shards[i] = sh
 		return added
@@ -190,22 +208,21 @@ func (inv *Inventory) MergeFrom(other *Inventory) error {
 	return nil
 }
 
-// share marks the inventory shared. The first time, it replaces every
-// summary with its clone, once: until then writes were in place, and a
-// shared summary must have no points pending in its digests, because a
-// digest read (Quantile, AppendBinary) folds them in.
+// share marks the inventory shared. The first time, it seals every shard,
+// once: until then writes were in place, and a shared summary must never
+// be written again. Sealing encodes a summary, which folds in the points
+// pending in its digests, and a read decodes a summary of its own.
 func (inv *Inventory) share() {
 	if inv.shared {
 		return
 	}
 	inv.shared = true
-	for _, sh := range inv.shards {
-		if sh != nil {
-			for k, s := range sh.groups {
-				sh.groups[k] = s.clone()
-			}
+	inv.eachShard(inv.count, func(i int) int {
+		if sh := inv.shards[i]; sh != nil {
+			sh.seal(i)
 		}
-	}
+		return 0
+	})
 }
 
 // eachShard runs fold once per shard index — fanned out over GOMAXPROCS
@@ -236,7 +253,7 @@ func (inv *Inventory) eachShard(groups int, fold func(i int) (added int)) {
 
 // Snapshot publishes the current state as a frozen inventory that shares
 // every shard and every summary with the receiver, in O(ShardCount) (plus
-// the one clone of every summary that marks the receiver shared). The
+// the one seal of every shard that marks the receiver shared). The
 // result is immutable (its write methods panic) and safe for any number of
 // concurrent readers; the receiver may go on folding with MergeFrom at
 // once, which never writes what the snapshot holds.
@@ -248,14 +265,15 @@ func (inv *Inventory) Snapshot() *Inventory {
 	return &Inventory{info: inv.info, shards: inv.shards, count: inv.count, shared: true, frozen: true}
 }
 
-// Get returns the summary for an exact group identifier.
+// Get returns the summary for an exact group identifier. On a shared
+// inventory the summary is decoded from its shard's block unless a fold
+// overlaid it; either way it must not be mutated.
 func (inv *Inventory) Get(key GroupKey) (*CellSummary, bool) {
 	sh := inv.shards[shardFor(key)]
 	if sh == nil {
 		return nil, false
 	}
-	s, ok := sh.groups[key]
-	return s, ok
+	return sh.get(key)
 }
 
 // Cell returns the all-traffic summary of a cell (grouping set GSCell).
@@ -292,11 +310,11 @@ func (inv *Inventory) Cells(set GroupSet) []hexgrid.Cell {
 		if sh == nil {
 			continue
 		}
-		for k := range sh.groups {
+		sh.eachKey(func(k GroupKey) {
 			if k.Set == set {
 				out = append(out, k.Cell)
 			}
-		}
+		})
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
@@ -305,13 +323,8 @@ func (inv *Inventory) Cells(set GroupSet) []hexgrid.Cell {
 // Each calls f for every (key, summary) pair, in unspecified order.
 func (inv *Inventory) Each(f func(GroupKey, *CellSummary) bool) {
 	for _, sh := range inv.shards {
-		if sh == nil {
-			continue
-		}
-		for k, s := range sh.groups {
-			if !f(k, s) {
-				return
-			}
+		if sh != nil && !sh.each(f) {
+			return
 		}
 	}
 }
@@ -351,6 +364,18 @@ func (inv *Inventory) ODCells(origin, dest model.PortID, vt model.VesselType) []
 // ODSummary returns the summary for a cell under the OD grouping set.
 func (inv *Inventory) ODSummary(cell hexgrid.Cell, origin, dest model.PortID, vt model.VesselType) (*CellSummary, bool) {
 	return inv.Get(GroupKey{Set: GSCellODType, Cell: cell, VType: vt, Origin: origin, Dest: dest})
+}
+
+// ODTransitions returns the transitions of a cell under the OD grouping
+// set, most frequent first: its ODSummary's TopTransitions(TopNCapacity),
+// decoding, on a sealed shard, that sketch alone.
+func (inv *Inventory) ODTransitions(cell hexgrid.Cell, origin, dest model.PortID, vt model.VesselType) ([]stats.TopEntry, bool) {
+	k := GroupKey{Set: GSCellODType, Cell: cell, VType: vt, Origin: origin, Dest: dest}
+	sh := inv.shards[shardFor(k)]
+	if sh == nil {
+		return nil, false
+	}
+	return sh.transitions(k)
 }
 
 // TypeSummary returns the summary for a cell under the (cell, vessel-type)
@@ -430,42 +455,20 @@ func cellsCentredIn(box geo.BBox, res int) int64 {
 	return n
 }
 
-// Validate performs internal consistency checks (used by tests and the
-// file loader): every key's set is known, cells match the resolution,
-// summaries are non-nil, keys live in the shard their hash selects, and
-// the cached group counts match the shard contents.
+// Validate performs internal consistency checks (used by tests and by
+// Adopt): every key's set is known, cells match the resolution, summaries
+// are present and a sealed block's decode, keys live in the shard their
+// hash selects, and the cached group counts match the shard contents.
 func (inv *Inventory) Validate() error {
 	total := 0
 	for i, sh := range inv.shards {
 		if sh == nil {
 			continue
 		}
-		total += len(sh.groups)
-		var sets [GSCellODType]int
-		for k, s := range sh.groups {
-			if s == nil {
-				return fmt.Errorf("inventory: nil summary for %v", k)
-			}
-			if shardFor(k) != i {
-				return fmt.Errorf("inventory: key %v in shard %d, want %d", k, i, shardFor(k))
-			}
-			switch k.Set {
-			case GSCell, GSCellType, GSCellODType:
-				sets[k.Set-GSCell]++
-			default:
-				return fmt.Errorf("inventory: unknown grouping set %d", k.Set)
-			}
-			if !k.Cell.Valid() {
-				return fmt.Errorf("inventory: invalid cell in key %v", k)
-			}
-			if k.Cell.Resolution() != inv.info.Resolution {
-				return fmt.Errorf("inventory: key %v at resolution %d, want %d",
-					k, k.Cell.Resolution(), inv.info.Resolution)
-			}
+		if err := sh.validate(i, inv.info.Resolution); err != nil {
+			return err
 		}
-		if sets != sh.sets {
-			return fmt.Errorf("inventory: shard %d counts %v groups per set, holds %v", i, sh.sets, sets)
-		}
+		total += sh.n
 	}
 	if total != inv.count {
 		return fmt.Errorf("inventory: cached count %d, shards hold %d", inv.count, total)

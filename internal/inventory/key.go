@@ -89,14 +89,8 @@ const keyBytes = 1 + 8 + 1 + 4 + 4
 // for packages that lay keys out in columns (the segment store).
 const EncodedKeyLen = keyBytes
 
-// AppendKey appends the fixed-width big-endian encoding of k; byte order of
-// the encoding equals the canonical sort order of keys.
-func AppendKey(buf []byte, k GroupKey) []byte { return appendKey(buf, k) }
-
-// DecodeKey decodes a fixed-width key encoding produced by AppendKey.
-func DecodeKey(b []byte) (GroupKey, error) { return decodeKey(b) }
-
-// appendKey appends the fixed-width encoding of k.
+// appendKey appends the fixed-width big-endian encoding of k; byte order
+// of the encoding equals the canonical sort order of keys.
 func appendKey(buf []byte, k GroupKey) []byte {
 	buf = append(buf, byte(k.Set))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(k.Cell))

@@ -1,6 +1,8 @@
 package inventory
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,17 +33,23 @@ func testObservation(mmsi uint32, t int64, p geo.LatLng) Observation {
 // period inventories into a master and publishes Snapshot() results (which
 // share every shard and summary with it) through an atomic pointer, while
 // reader goroutines concurrently hit Get, At, Cells, ODCells (the lazy
-// per-shard index path) and the t-digest reads that fold pending points in
-// (Quantile, AppendBinary) on whatever snapshot is current — so a summary
-// that reached a snapshot with points pending is a race. Readers must
-// never observe a partially merged inventory: every published snapshot's
-// group count and record totals are internally consistent and
-// monotonically non-decreasing.
+// per-shard index path) and ODSummary of what it returns, and the t-digest
+// reads that fold pending points in (Quantile, AppendBinary) on whatever
+// snapshot is current — so a summary that reached a snapshot with points
+// pending is a race. The master starts sealed, from 8 000 groups, so folds
+// overlay its blocks and re-seal some, and the readers decode from blocks
+// and read overlays at once. Readers must never observe a partially merged
+// inventory: every published snapshot's group count and record totals are
+// internally consistent and monotonically non-decreasing.
 func TestConcurrentSnapshotServing(t *testing.T) {
 	const res = 6
 	base := geo.LatLng{Lat: 35, Lng: 18}
 
 	master := New(BuildInfo{Resolution: res})
+	prefill := randomKeys(rand.New(rand.NewSource(41)), 8000, res)
+	for i, k := range prefill {
+		master.Observe(k, testObservation(uint32(200000000+i%97), int64(i), k.Cell.LatLng()))
+	}
 	var snap atomic.Pointer[Inventory]
 	snap.Store(master.Snapshot())
 
@@ -54,7 +62,7 @@ func TestConcurrentSnapshotServing(t *testing.T) {
 			// A goroutine's loads are sequential, so the group count it
 			// observes must never shrink (snapshots only grow).
 			var maxSeen int64
-			for !stop.Load() {
+			for i := 0; !stop.Load(); i++ {
 				inv := snap.Load()
 				n := int64(inv.Len())
 				// Snapshots are immutable: all reads must be coherent.
@@ -76,14 +84,34 @@ func TestConcurrentSnapshotServing(t *testing.T) {
 					return
 				}
 				maxSeen = n
-				inv.At(base)
+				s, ok := inv.Get(prefill[(g*1000+i)%len(prefill)])
+				if !ok || s.Records == 0 {
+					t.Error("a prefilled group is missing or empty")
+					return
+				}
+				s.SpeedDig.Quantile(0.1)
+				if s, ok := inv.At(base); ok {
+					s.SpeedDig.Quantile(0.9)
+				}
 				inv.Cells(GSCell)
-				inv.ODCells(model.PortID(1), model.PortID(2), model.VesselCargo)
+				for _, c := range inv.ODCells(model.PortID(1), model.PortID(2), model.VesselCargo) {
+					s, ok := inv.ODSummary(c, model.PortID(1), model.PortID(2), model.VesselCargo)
+					if !ok {
+						t.Errorf("ODCells names %v, ODSummary has no group there", c)
+						return
+					}
+					s.SpeedDig.Quantile(0.5)
+					if tr, ok := inv.ODTransitions(c, model.PortID(1), model.PortID(2), model.VesselCargo); !ok || !slices.Equal(tr, s.TopTransitions(TopNCapacity)) {
+						t.Errorf("ODTransitions(%v) differ from its summary's", c)
+						return
+					}
+				}
 			}
 		}()
 	}
 
 	// Writer: 40 micro-batch periods of 25 observations each.
+	var overlaid bool
 	for period := 0; period < 40; period++ {
 		p := New(BuildInfo{Resolution: res})
 		for i := 0; i < 25; i++ {
@@ -97,6 +125,9 @@ func TestConcurrentSnapshotServing(t *testing.T) {
 		if err := master.MergeFrom(p); err != nil {
 			t.Fatal(err)
 		}
+		for _, sh := range master.shards {
+			overlaid = overlaid || (sh != nil && sh.base != nil && len(sh.groups) > 0)
+		}
 		snap.Store(master.Snapshot())
 	}
 	stop.Store(true)
@@ -108,6 +139,9 @@ func TestConcurrentSnapshotServing(t *testing.T) {
 	}
 	if err := final.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if !overlaid {
+		t.Fatal("no fold left an overlay on a sealed block: the readers never read one")
 	}
 }
 

@@ -19,13 +19,13 @@ func benchInventory(n int) (*Inventory, []GroupKey) {
 
 // BenchmarkPublishDelta measures the live engine's tick in isolation: a
 // micro-batch period of 16 keys folds into a 20k-group master, which is
-// then published. The fold copies the maps of the shards it touches and
-// clones only the summaries it changes; the publish is O(ShardCount). This
+// then published. The fold overlays the sealed shards it touches with the
+// summaries it changes; the publish is O(ShardCount). This
 // is also the CI smoke benchmark (-bench=Publish -benchtime=1x).
 func BenchmarkPublishDelta(b *testing.B) {
 	const groups, delta = 20000, 16
 	master, keys := benchInventory(groups)
-	master.Snapshot() // prime: steady-state ticks, not the first clone of every summary
+	master.Snapshot() // prime: steady-state ticks, not the first seal of every shard
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -64,23 +64,19 @@ func (m *refMaster) Observe(key GroupKey, o Observation) {
 // MergeFrom merges in place: other's summaries are deep-copied into groups
 // the master lacks and merged into the ones it has.
 func (m *refMaster) MergeFrom(other *Inventory) {
-	for i, os := range other.shards {
-		if os == nil || len(os.groups) == 0 {
-			continue
+	other.Each(func(k GroupKey, s *CellSummary) bool {
+		g := m.writeShard(shardFor(k))
+		cur, ok := g[k]
+		if ok {
+			cur.Merge(s)
+		} else {
+			cur = s.clone()
+			g[k] = cur
+			m.count++
 		}
-		g := m.writeShard(i)
-		for k, s := range os.groups {
-			cur, ok := g[k]
-			if ok {
-				cur.Merge(s)
-			} else {
-				cur = s.clone()
-				g[k] = cur
-				m.count++
-			}
-			m.stamp[cur] = m.epoch
-		}
-	}
+		m.stamp[cur] = m.epoch
+		return true
+	})
 	m.info.RawRecords += other.info.RawRecords
 	m.info.UsedRecords += other.info.UsedRecords
 }
@@ -125,6 +121,12 @@ func (m *refMaster) publish(g map[GroupKey]*CellSummary, prev *shard) *shard {
 	return c
 }
 
+// SegmentRoundTrip writes an inventory as a POLSEG1 segment and loads it
+// back (segment.Write, then segment.LoadBytes, which adopts the blocks as
+// sealed shards). The segment package imports this one, so the external
+// test package sets it (footprint_test.go).
+var SegmentRoundTrip func(*Inventory) (*Inventory, error)
+
 // TestSharedMasterMatchesReference folds the same seeded periods into a
 // sharing master and into refMaster and holds every snapshot of the one
 // bit-exact (Equal) to the other's taken at the same moment. The masters
@@ -132,7 +134,12 @@ func (m *refMaster) publish(g map[GroupKey]*CellSummary, prev *shard) *shard {
 // grouping sets, groups new to the master and groups it has, open periods
 // and frozen ones (whose summaries the sharing master adopts), one period
 // large enough for the shard-parallel fold, and folds with no publish
-// between them. At the end every earlier snapshot is checked again: none
+// between them. The sharing master's shards are sealed from its first fold
+// on: folds overlay them, and the run must see overlays kept and overlays
+// that passed 1/resealAt of their shard re-sealed. A third of the way in
+// the master is replaced by its restore from a segment (SegmentRoundTrip),
+// as a cold start or a heap replica's bootstrap makes it, and folding goes
+// on into that. At the end every earlier snapshot is checked again: none
 // may have moved under a later fold.
 func TestSharedMasterMatchesReference(t *testing.T) {
 	const res, periods = 6, 48
@@ -165,6 +172,7 @@ func TestSharedMasterMatchesReference(t *testing.T) {
 	}
 
 	var snaps, refs []*Inventory
+	var overlaid, resealed int // folds into a sealed shard that kept its block, and that re-sealed it
 	for p := range periods {
 		period := New(BuildInfo{Resolution: res, RawRecords: int64(p), UsedRecords: 1})
 		n := 20 + rng.Intn(200)
@@ -185,10 +193,30 @@ func TestSharedMasterMatchesReference(t *testing.T) {
 		if p%5 == 4 {
 			period = period.Snapshot()
 		}
+		before := master.shards
 		if err := master.MergeFrom(period); err != nil {
 			t.Fatal(err)
 		}
 		ref.MergeFrom(period)
+		for i, sh := range master.shards {
+			if was := before[i]; was != nil && sh != was && was.base != nil {
+				if sh.base == was.base {
+					overlaid++
+				} else {
+					resealed++
+				}
+			}
+		}
+		if p == periods/3 {
+			restored, err := SegmentRoundTrip(master)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !Equal(restored, master) || restored.Info() != master.Info() {
+				t.Fatalf("period %d: the master restored from its segment differs from it", p)
+			}
+			master = restored
+		}
 		if p%4 == 3 {
 			continue // fold again before publishing
 		}
@@ -205,5 +233,9 @@ func TestSharedMasterMatchesReference(t *testing.T) {
 		if !Equal(snaps[i], refs[i]) {
 			t.Fatalf("snapshot %d moved under a later fold", i)
 		}
+	}
+	t.Logf("folds into sealed shards: %d kept their block, %d re-sealed", overlaid, resealed)
+	if overlaid == 0 || resealed == 0 {
+		t.Fatalf("folds overlaid %d sealed shards and re-sealed %d: both must happen", overlaid, resealed)
 	}
 }

@@ -1,6 +1,7 @@
 package inventory
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -151,13 +152,24 @@ func TestSnapshotCOW(t *testing.T) {
 		t.Fatalf("fold replaced %d shards (shared %d), want exactly 1", copied, shared)
 	}
 
-	// Inside the replaced shard only the touched summary is new: every
-	// other group is shared, pointer for pointer, with s1.
-	for k, s := range s2.shards[touchedShard].groups {
-		if shared := s == s1.shards[touchedShard].groups[k]; shared == (k == touched) {
-			t.Errorf("group %v: shared with the previous snapshot = %v", k, shared)
-		}
+	// Inside the replaced shard only the touched summary is new: the shard
+	// keeps s1's sealed block and overlays that one summary, or — once the
+	// overlay outgrows resealAt — is sealed again with nothing over it;
+	// either way every other group reads as it did in s1.
+	sh1, sh2 := s1.shards[touchedShard], s2.shards[touchedShard]
+	if _, ok := sh2.groups[touched]; (sh2.base == sh1.base && (!ok || len(sh2.groups) > 1)) || (sh2.base != sh1.base && len(sh2.groups) > 0) {
+		t.Errorf("the fold left %d groups over the block, want only the touched one, or none after a re-seal", len(sh2.groups))
 	}
+	if sh2.base != sh1.base && (len(sh1.groups)+1)*resealAt <= sh1.n {
+		t.Errorf("the fold re-sealed a shard whose overlay (%d of %d groups) did not outgrow 1/%d", len(sh1.groups)+1, sh1.n, resealAt)
+	}
+	sh2.each(func(k GroupKey, s *CellSummary) bool {
+		was, _ := sh1.get(k)
+		if same := bytes.Equal(s.AppendBinary(nil), was.AppendBinary(nil)); same == (k == touched) {
+			t.Errorf("group %v: reads as in the previous snapshot = %v", k, same)
+		}
+		return true
+	})
 
 	// s1 must not have seen the extra observation; s2 must.
 	old, _ := s1.Get(touched)
@@ -174,7 +186,7 @@ func TestSnapshotCOW(t *testing.T) {
 	if cur2, _ := s2.Get(touched); cur2.Records != before {
 		t.Fatalf("snapshot summary moved under master folds: %d -> %d", before, cur2.Records)
 	}
-	if old2, _ := s1.Get(touched); old2 != old || old2.Records != before-1 {
+	if old2, _ := s1.Get(touched); !bytes.Equal(old2.AppendBinary(nil), old.AppendBinary(nil)) || old2.Records != before-1 {
 		t.Fatalf("first snapshot moved under master folds: %d records", old2.Records)
 	}
 

@@ -216,6 +216,57 @@ func DecodeCellSummary(data []byte) (*CellSummary, []byte, error) {
 	return s, data, nil
 }
 
+// decodeTransitions decodes only the transitions sketch of the summary at
+// the front of data, stepping over the fields before it without building
+// them, and returns the bytes after it — what a route forecast reads, at
+// a fraction of a whole decode's cost. Wherever DecodeCellSummary accepts
+// data, the two agree on the sketch (FuzzDecodeCellSummary).
+func decodeTransitions(data []byte) (stats.TopN, []byte, error) {
+	_, n := binary.Uvarint(data)
+	if n <= 0 {
+		return stats.TopN{}, nil, fmt.Errorf("inventory: %w", stats.ErrCorrupt)
+	}
+	data = data[n:]
+	var (
+		err error
+		c   stats.CircularMean // the fixed-size fields decode without allocating
+		h   stats.AngularHistogram
+		w   stats.Welford
+		t   stats.TopN
+	)
+	skip(&err, &data, "ships", stats.SkipHyperLogLog)
+	sketch(&err, &data, "course", &c, stats.DecodeCircularMean)
+	sketch(&err, &data, "course bins", &h, stats.DecodeAngularHistogram)
+	sketch(&err, &data, "heading", &c, stats.DecodeCircularMean)
+	sketch(&err, &data, "heading bins", &h, stats.DecodeAngularHistogram)
+	sketch(&err, &data, "speed", &w, stats.DecodeWelford)
+	skip(&err, &data, "speed digest", stats.SkipTDigest)
+	skip(&err, &data, "trips", stats.SkipHyperLogLog)
+	sketch(&err, &data, "eto", &w, stats.DecodeWelford)
+	skip(&err, &data, "eto digest", stats.SkipTDigest)
+	sketch(&err, &data, "ata", &w, stats.DecodeWelford)
+	skip(&err, &data, "ata digest", stats.SkipTDigest)
+	skip(&err, &data, "origins", stats.SkipTopN)
+	skip(&err, &data, "destinations", stats.SkipTopN)
+	sketch(&err, &data, "transitions", &t, stats.DecodeTopN)
+	if err != nil {
+		return stats.TopN{}, nil, err
+	}
+	return t, data, nil
+}
+
+// skip steps over one field off the front of *data, unless an earlier
+// field has already failed.
+func skip(err *error, data *[]byte, what string, step func([]byte) ([]byte, error)) {
+	if *err != nil {
+		return
+	}
+	var e error
+	if *data, e = step(*data); e != nil {
+		*err = fmt.Errorf("inventory: decode %s: %w", what, e)
+	}
+}
+
 // sketch decodes one field off the front of *data into dst, unless an
 // earlier field has already failed.
 func sketch[T any](err *error, data *[]byte, what string, dst *T, decode func([]byte) (T, []byte, error)) {

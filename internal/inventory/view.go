@@ -3,6 +3,7 @@ package inventory
 import (
 	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/model"
+	"github.com/patternsoflife/pol/internal/stats"
 )
 
 // View is the read-only query surface of an inventory. Two implementations
@@ -34,6 +35,10 @@ type View interface {
 	ODCells(origin, dest model.PortID, vt model.VesselType) []hexgrid.Cell
 	// ODSummary returns the summary for a cell under the OD grouping set.
 	ODSummary(cell hexgrid.Cell, origin, dest model.PortID, vt model.VesselType) (*CellSummary, bool)
+	// ODTransitions returns the transitions of a cell under the OD
+	// grouping set, most frequent first — its ODSummary's
+	// TopTransitions(TopNCapacity), without decoding the rest.
+	ODTransitions(cell hexgrid.Cell, origin, dest model.PortID, vt model.VesselType) ([]stats.TopEntry, bool)
 	// TypeSummary returns the summary for a (cell, vessel-type) group.
 	TypeSummary(cell hexgrid.Cell, vt model.VesselType) (*CellSummary, bool)
 	// Compression returns the Table-4 compression metric for a set.

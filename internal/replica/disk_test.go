@@ -257,17 +257,25 @@ func TestDiskReplicaDeltaReusesBlocks(t *testing.T) {
 	}
 
 	// Second generation: the same inventory with a single group's records
-	// count bumped — exactly one shard block changes.
+	// count bumped — exactly one shard block changes. A loaded inventory is
+	// shared, so the bump is a fold: a period holding one summary of one
+	// record and empty sketches.
 	inv2, err := segment.Load(s1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dirty inventory.GroupKey
-	inv2.Each(func(k inventory.GroupKey, cs *inventory.CellSummary) bool {
+	inv2.Each(func(k inventory.GroupKey, _ *inventory.CellSummary) bool {
 		dirty = k
-		cs.Records++
 		return false
 	})
+	bump := inventory.New(inv2.Info())
+	one := inventory.NewCellSummary()
+	one.Records = 1
+	bump.Put(dirty, one)
+	if err := inv2.MergeFrom(bump); err != nil {
+		t.Fatal(err)
+	}
 	s2 := filepath.Join(dir, "gen2.polseg")
 	st2, err := segment.WriteFileSum(inv2, s2)
 	if err != nil {

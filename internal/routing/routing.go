@@ -49,13 +49,13 @@ func Build(inv inventory.View, origin, dest model.PortID, vt model.VesselType) (
 	}
 	g := &Graph{cells: make(map[hexgrid.Cell][]edge, len(cells))}
 	for _, c := range cells {
-		s, ok := inv.ODSummary(c, origin, dest, vt)
+		trs, ok := inv.ODTransitions(c, origin, dest, vt)
 		if !ok {
 			continue
 		}
 		from := c.LatLng()
 		var edges []edge
-		for _, tr := range s.TopTransitions(inventory.TopNCapacity) {
+		for _, tr := range trs {
 			to := hexgrid.Cell(tr.Key)
 			if !inSet[to] {
 				continue // transition into a cell with no data for this key

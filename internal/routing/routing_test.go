@@ -5,6 +5,7 @@ import (
 
 	"github.com/patternsoflife/pol/internal/geo"
 	"github.com/patternsoflife/pol/internal/hexgrid"
+	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/sim"
 	"github.com/patternsoflife/pol/internal/testutil"
@@ -157,6 +158,11 @@ func TestShortestPathDisconnected(t *testing.T) {
 	}
 }
 
+// BenchmarkForecast forecasts one long voyage's route over the fixture's
+// inventory as the pipeline built it (open) and over a copy folded into a
+// shared master (shared), which holds its shards sealed: Build reads the
+// OD summary of every cell the key has, so there a forecast decodes one
+// summary per cell (odcells/op).
 func BenchmarkForecast(b *testing.B) {
 	f := testutil.Build(b, sim.Config{Vessels: 15, Days: 20, Seed: 87}, 6)
 	var v sim.Voyage
@@ -171,10 +177,22 @@ func BenchmarkForecast(b *testing.B) {
 	}
 	destPort, _ := f.Sim.Gazetteer().ByID(v.Route.Dest)
 	originPort, _ := f.Sim.Gazetteer().ByID(v.Route.Origin)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Forecast(f.Inventory, v.Route.Origin, v.Route.Dest, v.VType, originPort.Pos, destPort.Pos); err != nil {
-			b.Fatal(err)
-		}
+	shared := inventory.New(f.Inventory.Info())
+	if err := shared.MergeFrom(f.Inventory); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		inv  *inventory.Inventory
+	}{{"open", f.Inventory}, {"shared", shared}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Forecast(c.inv, v.Route.Origin, v.Route.Dest, v.VType, originPort.Pos, destPort.Pos); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(c.inv.ODCells(v.Route.Origin, v.Route.Dest, v.VType))), "odcells/op")
+		})
 	}
 }

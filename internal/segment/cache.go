@@ -3,14 +3,16 @@ package segment
 import (
 	"container/list"
 	"sync"
+
+	"github.com/patternsoflife/pol/internal/inventory"
 )
 
-// shardCache is the per-reader LRU of pinned (decompressed, parsed)
-// shard blocks. Loads are single-flight: concurrent queries for the same
-// cold shard decompress it once. Eviction drops the least-recently-used
-// pinned shard from the cache; goroutines still holding the evicted
-// block keep using it safely (blocks are immutable), it just stops being
-// shared.
+// shardCache is the per-reader LRU of pinned (inflated, parsed) shard
+// blocks, the reader's memory bound. Loads are single-flight: concurrent
+// queries for the same cold shard decompress it once. Eviction drops the
+// least-recently-used pinned shard from the cache; goroutines still
+// holding the evicted block keep using it safely (blocks are immutable),
+// it just stops being shared.
 type shardCache struct {
 	mu      sync.Mutex
 	max     int
@@ -24,7 +26,7 @@ type cacheEntry struct {
 	elem  *list.Element
 
 	once sync.Once
-	ps   *pinnedShard
+	ps   *inventory.SealedShard
 	err  error
 	done bool
 }
@@ -47,7 +49,7 @@ func (c *shardCache) stats() (n int, bytes int64) {
 
 // get returns the pinned block for a shard, loading it via load on a
 // miss and evicting the LRU tail beyond the cap.
-func (c *shardCache) get(shard int, m *Metrics, load func() (*pinnedShard, error)) (*pinnedShard, error) {
+func (c *shardCache) get(shard int, m *Metrics, load func() (*inventory.SealedShard, error)) (*inventory.SealedShard, error) {
 	c.mu.Lock()
 	e, ok := c.entries[shard]
 	if ok {
@@ -74,10 +76,10 @@ func (c *shardCache) get(shard int, m *Metrics, load func() (*pinnedShard, error
 			// Failed loads don't occupy a slot; the next query retries.
 			c.remove(e)
 		} else {
-			c.memSum += e.ps.memBytes()
+			c.memSum += int64(e.ps.Size())
 			if m != nil {
 				m.Pinned.Add(1)
-				m.PinnedBytes.Add(e.ps.memBytes())
+				m.PinnedBytes.Add(int64(e.ps.Size()))
 			}
 			for len(c.entries) > c.max {
 				tail := c.lru.Back()
@@ -94,7 +96,7 @@ func (c *shardCache) get(shard int, m *Metrics, load func() (*pinnedShard, error
 				if m != nil {
 					m.Evictions.Add(1)
 					m.Pinned.Add(-1)
-					m.PinnedBytes.Add(-te.ps.memBytes())
+					m.PinnedBytes.Add(-int64(te.ps.Size()))
 				}
 			}
 		}
@@ -104,7 +106,7 @@ func (c *shardCache) get(shard int, m *Metrics, load func() (*pinnedShard, error
 }
 
 // peek returns the pinned block if (and only if) it is already loaded.
-func (c *shardCache) peek(shard int) (*pinnedShard, error) {
+func (c *shardCache) peek(shard int) (*inventory.SealedShard, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[shard]; ok && e.done {
@@ -121,6 +123,6 @@ func (c *shardCache) remove(e *cacheEntry) {
 	delete(c.entries, e.shard)
 	c.lru.Remove(e.elem)
 	if e.done && e.err == nil {
-		c.memSum -= e.ps.memBytes()
+		c.memSum -= int64(e.ps.Size())
 	}
 }

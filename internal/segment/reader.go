@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -14,6 +13,7 @@ import (
 	"github.com/patternsoflife/pol/internal/hexgrid"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
+	"github.com/patternsoflife/pol/internal/stats"
 )
 
 // maxPinned caps the decompressed shard blocks pinned in memory at once.
@@ -41,9 +41,10 @@ type Options struct {
 // Lookup is Get with the error returned: the tests that must tell "absent"
 // from "damaged" call it; no program code does.
 //
-// A Reader is safe for concurrent use. Summaries returned from queries
-// are shared and must not be mutated, matching the frozen-snapshot
-// contract of the heap path.
+// A block inflates into the heap inventory's own sealed shard type
+// (inventory.SealedShard), so both read paths find a key and decode its
+// summary the same way, each query into a summary of its own. A Reader is
+// safe for concurrent use.
 type Reader struct {
 	path string
 	f    *os.File
@@ -261,53 +262,9 @@ func (r *Reader) compressedBlock(bi *BlockInfo) ([]byte, error) {
 	return b, nil
 }
 
-// pinnedShard is one decompressed, parsed column block. Immutable after
-// load except for the lazily memoized summary decodes, which are
-// mutex-guarded.
-type pinnedShard struct {
-	n       int
-	keys    []byte   // n × EncodedKeyLen, ascending
-	records []byte   // n × u64
-	offs    []uint32 // n+1 offsets into blob
-	blob    []byte
-
-	mu   sync.Mutex
-	sums []*inventory.CellSummary // memoized decodes, nil until first Get
-}
-
-func (p *pinnedShard) memBytes() int64 {
-	return int64(len(p.keys) + len(p.records) + len(p.blob) + 4*len(p.offs))
-}
-
-func (p *pinnedShard) key(i int) []byte {
-	return p.keys[i*inventory.EncodedKeyLen : (i+1)*inventory.EncodedKeyLen]
-}
-
-// summary decodes (and memoizes) the i-th summary.
-func (p *pinnedShard) summary(i int) (*inventory.CellSummary, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.sums == nil {
-		p.sums = make([]*inventory.CellSummary, p.n)
-	}
-	if s := p.sums[i]; s != nil {
-		return s, nil
-	}
-	body := p.blob[p.offs[i]:p.offs[i+1]]
-	s, rest, err := inventory.DecodeCellSummary(body)
-	if err != nil {
-		return nil, fmt.Errorf("segment: summary %d: %v: %w", i, err, ErrCorrupt)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("segment: summary %d: %d trailing bytes: %w", i, len(rest), ErrCorrupt)
-	}
-	p.sums[i] = s
-	return s, nil
-}
-
 // loadRaw inflates and parses one block without touching the cache. The
 // block lands in buf when it is big enough, and the shard then aliases it.
-func (r *Reader) loadRaw(bi *BlockInfo, buf []byte) (*pinnedShard, error) {
+func (r *Reader) loadRaw(bi *BlockInfo, buf []byte) (*inventory.SealedShard, error) {
 	comp, err := r.compressedBlock(bi)
 	if err != nil {
 		return nil, err
@@ -319,54 +276,23 @@ func (r *Reader) loadRaw(bi *BlockInfo, buf []byte) (*pinnedShard, error) {
 	if err := deflate.Inflate(raw, comp); err != nil { // RawLen must be the stream's exact length
 		return nil, fmt.Errorf("segment: shard %d inflate: %v: %w", bi.Shard, err, ErrCorrupt)
 	}
-	return parseBlock(bi, raw)
-}
-
-func parseBlock(bi *BlockInfo, raw []byte) (*pinnedShard, error) {
-	bad := func(what string) error {
-		return fmt.Errorf("segment: shard %d %s: %w", bi.Shard, what, ErrCorrupt)
+	p, err := inventory.ParseSealedShard(bi.Shard, raw)
+	if err != nil {
+		return nil, fmt.Errorf("segment: %v: %w", err, ErrCorrupt)
 	}
-	if len(raw) < 4 {
-		return nil, bad("block header")
-	}
-	n := int(binary.LittleEndian.Uint32(raw))
-	if uint32(n) != bi.NGroups {
-		return nil, bad("group count")
-	}
-	need := 4 + n*inventory.EncodedKeyLen + n*8 + (n+1)*4
-	if n < 0 || len(raw) < need {
-		return nil, bad("column geometry")
-	}
-	p := &pinnedShard{n: n}
-	raw = raw[4:]
-	p.keys, raw = raw[:n*inventory.EncodedKeyLen], raw[n*inventory.EncodedKeyLen:]
-	p.records, raw = raw[:n*8], raw[n*8:]
-	p.offs = make([]uint32, n+1)
-	for i := range p.offs {
-		p.offs[i] = binary.LittleEndian.Uint32(raw[4*i:])
-	}
-	p.blob = raw[(n+1)*4:]
-	for i := 0; i < n; i++ {
-		if p.offs[i] > p.offs[i+1] {
-			return nil, bad("offset column order")
-		}
-		if i > 0 && bytes.Compare(p.key(i-1), p.key(i)) >= 0 {
-			return nil, bad("key column order")
-		}
-	}
-	if int(p.offs[n]) != len(p.blob) {
-		return nil, bad("blob length")
+	if uint32(p.Len()) != bi.NGroups {
+		return nil, fmt.Errorf("segment: shard %d holds %d groups, index says %d: %w", bi.Shard, p.Len(), bi.NGroups, ErrCorrupt)
 	}
 	return p, nil
 }
 
 // pin returns the decompressed block for a shard through the LRU.
-func (r *Reader) pin(shard int) (*pinnedShard, error) {
+func (r *Reader) pin(shard int) (*inventory.SealedShard, error) {
 	bi := r.byShard[shard]
 	if bi < 0 {
 		return nil, nil
 	}
-	return r.cache.get(shard, r.metrics, func() (*pinnedShard, error) {
+	return r.cache.get(shard, r.metrics, func() (*inventory.SealedShard, error) {
 		return r.loadRaw(&r.index[bi], nil)
 	})
 }
@@ -383,24 +309,29 @@ func (r *Reader) fail(err error) {
 }
 
 // Lookup returns the summary for one group identifier, reading at most
-// one block: binary search over the shard's sorted key column.
+// one block: binary search over the shard's sorted key column, then one
+// decode.
 func (r *Reader) Lookup(key inventory.GroupKey) (*inventory.CellSummary, bool, error) {
-	p, err := r.pin(inventory.ShardOf(key))
-	if err != nil || p == nil {
+	p, i, ok, err := r.find(key)
+	if !ok {
 		return nil, false, err
 	}
-	want := inventory.AppendKey(nil, key)
-	i := sort.Search(p.n, func(i int) bool {
-		return bytes.Compare(p.key(i), want) >= 0
-	})
-	if i >= p.n || !bytes.Equal(p.key(i), want) {
-		return nil, false, nil
-	}
-	s, err := p.summary(i)
+	s, err := p.Summary(i)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("segment: %v: %w", err, ErrCorrupt)
 	}
 	return s, true, nil
+}
+
+// find returns the block holding key and its position there, by binary
+// search over the block's sorted key column.
+func (r *Reader) find(key inventory.GroupKey) (*inventory.SealedShard, int, bool, error) {
+	p, err := r.pin(inventory.ShardOf(key))
+	if err != nil || p == nil {
+		return nil, 0, false, err
+	}
+	i, ok := p.Find(key)
+	return p, i, ok, nil
 }
 
 // eachGroup streams every (key, summary) pair in global key order
@@ -417,16 +348,12 @@ func (r *Reader) eachGroup(f func(inventory.GroupKey, *inventory.CellSummary) bo
 				return err
 			}
 		}
-		for g := 0; g < p.n; g++ {
-			k, err := inventory.DecodeKey(p.key(g))
+		for g := range p.Len() {
+			s, err := p.Summary(g)
 			if err != nil {
-				return fmt.Errorf("segment: shard %d key %d: %v: %w", bi.Shard, g, err, ErrCorrupt)
+				return fmt.Errorf("segment: %v: %w", err, ErrCorrupt)
 			}
-			s, err := p.summary(g)
-			if err != nil {
-				return err
-			}
-			if !f(k, s) {
+			if !f(p.Key(g), s) {
 				return nil
 			}
 		}
@@ -465,16 +392,8 @@ func (r *Reader) directory() (*keyDir, error) {
 				r.dirErr = err
 				return
 			}
-			for g := 0; g < p.n; g++ {
-				k, err := inventory.DecodeKey(p.key(g))
-				if err != nil {
-					r.dirErr = fmt.Errorf("segment: shard %d key %d: %v: %w", bi.Shard, g, err, ErrCorrupt)
-					return
-				}
-				if k.Set < inventory.GSCell || k.Set > inventory.GSCellODType {
-					r.dirErr = fmt.Errorf("segment: shard %d unknown grouping set %d: %w", bi.Shard, k.Set, ErrCorrupt)
-					return
-				}
+			for g := range p.Len() {
+				k := p.Key(g) // a known set: the block parsed
 				si := int(k.Set - inventory.GSCell)
 				d.cells[si] = append(d.cells[si], k.Cell)
 				if k.Set == inventory.GSCellODType {
@@ -568,6 +487,21 @@ func (r *Reader) ODSummary(cell hexgrid.Cell, origin, dest model.PortID, vt mode
 	return r.Get(inventory.GroupKey{Set: inventory.GSCellODType, Cell: cell, VType: vt, Origin: origin, Dest: dest})
 }
 
+// ODTransitions returns the transitions of a cell under the OD grouping
+// set, most frequent first, decoding that sketch alone.
+func (r *Reader) ODTransitions(cell hexgrid.Cell, origin, dest model.PortID, vt model.VesselType) ([]stats.TopEntry, bool) {
+	p, i, ok, err := r.find(inventory.GroupKey{Set: inventory.GSCellODType, Cell: cell, VType: vt, Origin: origin, Dest: dest})
+	if ok {
+		var t []stats.TopEntry
+		if t, err = p.Transitions(i); err == nil {
+			return t, true
+		}
+		err = fmt.Errorf("segment: %v: %w", err, ErrCorrupt)
+	}
+	r.fail(err)
+	return nil, false
+}
+
 // TypeSummary returns the summary for a (cell, vessel-type) group.
 func (r *Reader) TypeSummary(cell hexgrid.Cell, vt model.VesselType) (*inventory.CellSummary, bool) {
 	return r.Get(inventory.GroupKey{Set: inventory.GSCellType, Cell: cell, VType: vt})
@@ -590,16 +524,19 @@ func (r *Reader) Utilization() float64 {
 	return float64(r.CountGroups(inventory.GSCell)) / float64(total) // one GSCell group per cell
 }
 
-// Load materializes a whole segment file into a mutable heap inventory —
-// engine cold start, polserve -inv, and the tools and tests that need the
-// concrete type.
+// Load reads a whole segment file into a heap inventory that holds each
+// block as it inflates, as a sealed shard — engine cold start, polserve
+// -inv, and the tools and tests that need the concrete type. Every summary
+// is decoded once, to refuse a damaged one here, and none is kept. The
+// result is shared from the start: it serves reads, and a fold into it
+// (MergeFrom) overlays its blocks; Put, Observe and MergeImage panic.
 func Load(path string) (*inventory.Inventory, error) {
 	r, err := Open(path, Options{})
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	return r.materialize()
+	return r.adopt()
 }
 
 // LoadBytes is Load over a segment image held in memory; name labels
@@ -609,23 +546,26 @@ func LoadBytes(data []byte, name string) (*inventory.Inventory, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.materialize()
+	return r.adopt()
 }
 
-func (r *Reader) materialize() (*inventory.Inventory, error) {
-	inv := inventory.New(r.Info())
-	err := r.eachGroup(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
-		inv.Put(k, s)
-		return true
-	})
+// adopt inflates every block into a buffer of its own and hands them to
+// the heap.
+func (r *Reader) adopt() (*inventory.Inventory, error) {
+	blocks := make([]*inventory.SealedShard, len(r.index))
+	for i := range r.index {
+		p, err := r.loadRaw(&r.index[i], nil)
+		if err != nil {
+			return nil, err
+		}
+		blocks[i] = p
+	}
+	inv, err := inventory.Adopt(r.Info(), blocks)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("segment: %v: %w", err, ErrCorrupt)
 	}
 	if inv.Len() != r.Len() {
-		return nil, fmt.Errorf("segment: materialized %d groups, footer says %d: %w", inv.Len(), r.Len(), ErrCorrupt)
-	}
-	if err := inv.Validate(); err != nil {
-		return nil, fmt.Errorf("segment: %v: %w", err, ErrCorrupt)
+		return nil, fmt.Errorf("segment: blocks hold %d groups, footer says %d: %w", inv.Len(), r.Len(), ErrCorrupt)
 	}
 	return inv, nil
 }

@@ -41,6 +41,11 @@
 // disk replica's first sync after its primary changes encoder refetches
 // every block once; shard deltas resume after that.
 //
+// A raw block is what a heap inventory holds for a sealed shard
+// (inventory.SealedShard): the writer takes each shard's block from the
+// inventory (AppendShardBlock) and deflates it, and the reader inflates a
+// block back into that type.
+//
 // The blob is the groups' CellSummary.AppendBinary encodings end to end, in
 // key order: a varint record count, then each sketch in the varint and
 // byte-reversed-float form internal/stats documents (~340 B a group before

@@ -2,12 +2,14 @@ package segment
 
 import (
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -103,6 +105,13 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("Get(%v): summary differs", k)
 		}
 		if k.Set == inventory.GSCellODType {
+			wantTr := want.TopTransitions(inventory.TopNCapacity)
+			if got, ok := r.ODTransitions(k.Cell, k.Origin, k.Dest, k.VType); !ok || !slices.Equal(got, wantTr) {
+				t.Fatalf("ODTransitions(%v): got %v, want %v", k, got, wantTr)
+			}
+			if got, ok := inv.ODTransitions(k.Cell, k.Origin, k.Dest, k.VType); !ok || !slices.Equal(got, wantTr) {
+				t.Fatalf("heap ODTransitions(%v): got %v, want %v", k, got, wantTr)
+			}
 			id := [3]uint64{uint64(k.Origin), uint64(k.Dest), uint64(k.VType)}
 			if !odSeen[id] {
 				odSeen[id] = true
@@ -138,6 +147,100 @@ func TestLoadMaterializes(t *testing.T) {
 	}
 }
 
+// TestAdoptedColdStartMatchesMaterialised: a cold start that adopts a
+// segment's blocks (Load) holds what one that decodes every group and Puts
+// it into a fresh inventory holds (Each → Put, then Snapshot, as Load did
+// before it adopted blocks): Equal, with the same counts, cells and OD
+// index. The same fold into each, changing groups and adding some, leaves
+// Equal masters whose segments are the same bytes.
+func TestAdoptedColdStartMatchesMaterialised(t *testing.T) {
+	path, _ := writeFixture(t, fixture(t))
+	adopted, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	mat := inventory.New(r.Info())
+	r.Each(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
+		mat.Put(k, s)
+		return true
+	})
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	mat.Snapshot()
+
+	same := func(stage string) {
+		t.Helper()
+		if !inventory.Equal(adopted, mat) || adopted.Info() != mat.Info() {
+			t.Fatalf("%s: the adopted inventory differs from the materialised one", stage)
+		}
+		for _, set := range inventory.AllGroupSets {
+			if adopted.CountGroups(set) != mat.CountGroups(set) || !equalCells(adopted.Cells(set), mat.Cells(set)) {
+				t.Fatalf("%s: %v counts or cells differ", stage, set)
+			}
+		}
+		for _, inv := range []*inventory.Inventory{adopted, mat} {
+			if err := inv.Validate(); err != nil {
+				t.Fatalf("%s: %v", stage, err)
+			}
+		}
+		adopted.Each(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
+			if k.Set != inventory.GSCellODType {
+				return true
+			}
+			if !equalCells(adopted.ODCells(k.Origin, k.Dest, k.VType), mat.ODCells(k.Origin, k.Dest, k.VType)) {
+				t.Fatalf("%s: ODCells(%d, %d, %v) differ", stage, k.Origin, k.Dest, k.VType)
+			}
+			if got, ok := adopted.ODTransitions(k.Cell, k.Origin, k.Dest, k.VType); !ok || !slices.Equal(got, s.TopTransitions(inventory.TopNCapacity)) {
+				t.Fatalf("%s: ODTransitions(%v) differ from its summary's", stage, k)
+			}
+			return true
+		})
+	}
+	same("cold start")
+
+	// A period re-observing every 7th group and adding one group beside
+	// every 11th, under a vessel type no build assigns.
+	period := inventory.New(r.Info())
+	i := 0
+	adopted.Each(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
+		if i%7 == 0 {
+			c := inventory.NewCellSummary()
+			c.Merge(s)
+			period.Put(k, c)
+		}
+		if i%11 == 0 && k.Set != inventory.GSCell {
+			k.VType = 200
+			c := inventory.NewCellSummary()
+			c.Merge(s)
+			period.Put(k, c)
+		}
+		i++
+		return true
+	})
+	for _, inv := range []*inventory.Inventory{adopted, mat} {
+		if err := inv.MergeFrom(period); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("after a fold")
+	var a, m bytes.Buffer
+	if _, err := Write(adopted, &a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Write(mat, &m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), m.Bytes()) {
+		t.Fatal("the folded masters write different segments")
+	}
+}
+
 func TestEachGroupOrderAndEquivalence(t *testing.T) {
 	inv := fixture(t)
 	path, _ := writeFixture(t, inv)
@@ -147,15 +250,14 @@ func TestEachGroupOrderAndEquivalence(t *testing.T) {
 	}
 	defer r.Close()
 
-	var prev []byte
+	var prev inventory.GroupKey
 	n := 0
 	err = r.eachGroup(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
 		n++
-		enc := inventory.AppendKey(nil, k)
-		if prev != nil && inventory.ShardOf(k) == shardOfEnc(t, prev) && bytes.Compare(prev, enc) >= 0 {
+		if n > 1 && inventory.ShardOf(k) == inventory.ShardOf(prev) && compareKeys(prev, k) >= 0 {
 			t.Fatalf("keys out of order within shard at group %d", n)
 		}
-		prev = enc
+		prev = k
 		if want, ok := inv.Get(k); !ok || want.Records != s.Records {
 			t.Fatalf("eachGroup yielded unknown or mismatched group %v", k)
 		}
@@ -169,13 +271,11 @@ func TestEachGroupOrderAndEquivalence(t *testing.T) {
 	}
 }
 
-func shardOfEnc(tb testing.TB, enc []byte) int {
-	tb.Helper()
-	k, err := inventory.DecodeKey(enc)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return inventory.ShardOf(k)
+// compareKeys orders keys as their encoding does: set, cell, vessel type,
+// origin, destination.
+func compareKeys(a, b inventory.GroupKey) int {
+	return cmp.Or(cmp.Compare(a.Set, b.Set), cmp.Compare(a.Cell, b.Cell), cmp.Compare(a.VType, b.VType),
+		cmp.Compare(a.Origin, b.Origin), cmp.Compare(a.Dest, b.Dest))
 }
 
 func TestEmptyInventory(t *testing.T) {

@@ -1,13 +1,11 @@
 package segment
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"runtime"
-	"slices"
 	"sync"
 
 	"github.com/patternsoflife/pol/internal/deflate"
@@ -77,13 +75,6 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// entry is one group on its way into a block: the encoded key (whose
-// first byte is the grouping set) and the summary it indexes.
-type entry struct {
-	keyEnc  [inventory.EncodedKeyLen]byte
-	summary *inventory.CellSummary
-}
-
 // encodeWindowPerWorker bounds how far block encoding runs ahead of the
 // file: at most this many finished-or-in-flight blocks per worker are held
 // in memory. Two lets a worker start its next shard while its last block
@@ -100,74 +91,46 @@ type blockSlot struct {
 }
 
 // blockEncoder is one worker's reused state: compressing a shard allocates
-// nothing once raw has grown to the largest shard seen.
+// nothing once raw has grown to the largest block seen.
 type blockEncoder struct {
 	raw []byte
 }
 
-// encode sorts one shard's entries and writes its compressed column block
-// into slot.
-func (e *blockEncoder) encode(shard int, es []entry, slot *blockSlot) {
-	// Sorted by encoded key so the key column is binary-searchable.
-	slices.SortFunc(es, func(a, b entry) int { return bytes.Compare(a.keyEnc[:], b.keyEnc[:]) })
-
-	// Columns: keys | records | offsets | blob.
-	raw := binary.LittleEndian.AppendUint32(e.raw[:0], uint32(len(es)))
-	for i := range es {
-		raw = append(raw, es[i].keyEnc[:]...)
-	}
-	for i := range es {
-		raw = binary.LittleEndian.AppendUint64(raw, es[i].summary.Records)
-	}
-	// The offset column's size is known up front, so each summary is
-	// encoded once, straight into the blob, and its offset patched in.
-	offs := len(raw)
-	raw = append(raw, make([]byte, 4*(len(es)+1))...)
-	blob := len(raw)
-	for i := range es {
-		binary.LittleEndian.PutUint32(raw[offs+4*i:], uint32(len(raw)-blob))
-		raw = es[i].summary.AppendBinary(raw)
-	}
-	binary.LittleEndian.PutUint32(raw[offs+4*len(es):], uint32(len(raw)-blob))
+// encode writes shard's compressed column block into slot: the raw block
+// is the inventory's own (inventory.AppendShardBlock, the one encoder of
+// the layout), deflated here. An empty shard leaves a block of no groups,
+// which the emitter skips.
+func (e *blockEncoder) encode(inv *inventory.Inventory, shard int, slot *blockSlot) {
+	raw := inv.AppendShardBlock(e.raw[:0], shard)
 	e.raw = raw
-
-	slot.comp = deflate.Deflate(slot.comp[:0], raw)
-	slot.info = BlockInfo{
-		Shard:   shard,
-		CompLen: uint32(len(slot.comp)),
-		RawLen:  uint32(len(raw)),
-		CRC:     CRC(slot.comp),
-		NGroups: uint32(len(es)),
+	n := binary.LittleEndian.Uint32(raw)
+	slot.info = BlockInfo{Shard: shard, NGroups: n}
+	if n == 0 {
+		return
 	}
-	for i := range es {
-		slot.info.NSet[inventory.GroupSet(es[i].keyEnc[0])-inventory.GSCell]++
+	slot.comp = deflate.Deflate(slot.comp[:0], raw)
+	slot.info.CompLen, slot.info.RawLen, slot.info.CRC = uint32(len(slot.comp)), uint32(len(raw)), CRC(slot.comp)
+	for g := range int(n) {
+		slot.info.NSet[raw[4+g*inventory.EncodedKeyLen]-byte(inventory.GSCell)]++
 	}
 }
 
 // writeTo streams the encoded segment. Shard blocks are independent, so
-// they are sorted, columnised and compressed by up to GOMAXPROCS workers
-// while this goroutine — the only one that touches w — emits them in
-// ascending shard id. Each block's bytes are a function of its shard's
-// groups alone (deflate.Deflate's output depends on its input alone), so
-// the file does not depend on the worker count.
+// they are columnised and compressed by up to GOMAXPROCS workers while
+// this goroutine — the only one that touches w — emits them in ascending
+// shard id. Each block's bytes are a function of its shard's groups alone
+// (deflate.Deflate's output depends on its input alone), so the file does
+// not depend on the worker count. A view that is not a heap inventory is
+// copied into one first.
 func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 	var st WriteStats
-
-	// Bucket the groups into their shards.
-	var shards [inventory.ShardCount][]entry
-	v.Each(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
-		e := entry{summary: s}
-		inventory.AppendKey(e.keyEnc[:0], k)
-		si := inventory.ShardOf(k)
-		shards[si] = append(shards[si], e)
-		st.Groups++
-		return true
-	})
-	var ids []int // non-empty shards, ascending: block seq → shard id
-	for si := range shards {
-		if len(shards[si]) > 0 {
-			ids = append(ids, si)
-		}
+	inv, ok := v.(*inventory.Inventory)
+	if !ok {
+		inv = inventory.New(v.Info())
+		v.Each(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
+			inv.Put(k, s)
+			return true
+		})
 	}
 
 	info := v.Info()
@@ -185,7 +148,7 @@ func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 		return st, fmt.Errorf("segment: header: %w", err)
 	}
 
-	encs := make([]blockEncoder, min(runtime.GOMAXPROCS(0), len(ids)))
+	encs := make([]blockEncoder, min(runtime.GOMAXPROCS(0), inventory.ShardCount))
 	slots := make([]blockSlot, len(encs)*encodeWindowPerWorker)
 	for i := range slots {
 		slots[i].done = make(chan struct{}, 1)
@@ -202,7 +165,7 @@ func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 			defer wg.Done()
 			for seq := range jobs {
 				slot := &slots[seq%len(slots)]
-				enc.encode(ids[seq], shards[ids[seq]], slot)
+				enc.encode(inv, seq, slot)
 				slot.done <- struct{}{}
 			}
 		}(&encs[i])
@@ -212,24 +175,28 @@ func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 		wg.Wait()
 	}()
 
-	blocks := make([]BlockInfo, 0, len(ids))
+	var blocks []BlockInfo
 	dispatched := 0
-	for seq, si := range ids {
-		for ; dispatched < len(ids) && dispatched < seq+len(slots); dispatched++ {
+	for seq := range inventory.ShardCount {
+		for ; dispatched < inventory.ShardCount && dispatched < seq+len(slots); dispatched++ {
 			jobs <- dispatched
-		}
-		if err := fault.Hit(FPWriteBlock); err != nil {
-			return st, fmt.Errorf("segment: block %d: %w", si, err)
 		}
 		slot := &slots[seq%len(slots)]
 		<-slot.done
 		bi := slot.info
+		if bi.NGroups == 0 {
+			continue
+		}
+		if err := fault.Hit(FPWriteBlock); err != nil {
+			return st, fmt.Errorf("segment: block %d: %w", seq, err)
+		}
 		bi.Off = w.n
 		if _, err := w.Write(slot.comp); err != nil {
-			return st, fmt.Errorf("segment: shard %d: %w", si, err)
+			return st, fmt.Errorf("segment: shard %d: %w", seq, err)
 		}
 		blocks = append(blocks, bi)
 		st.Blocks++
+		st.Groups += int(bi.NGroups)
 		st.RawBytes += int64(bi.RawLen)
 	}
 

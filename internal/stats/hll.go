@@ -223,6 +223,19 @@ func (h *HyperLogLog) AppendBinary(buf []byte) []byte {
 // remaining bytes. Sketches with few occupied registers decode into the
 // sparse representation.
 func DecodeHyperLogLog(data []byte) (HyperLogLog, []byte, error) {
+	return decodeHyperLogLog(data, false)
+}
+
+// SkipHyperLogLog steps over the sketch at the front of data, refusing
+// what DecodeHyperLogLog refuses, and returns the bytes after it without
+// building the sketch.
+func SkipHyperLogLog(data []byte) ([]byte, error) {
+	_, rest, err := decodeHyperLogLog(data, true)
+	return rest, err
+}
+
+// decodeHyperLogLog decodes a sketch, or with skip only checks it.
+func decodeHyperLogLog(data []byte, skip bool) (HyperLogLog, []byte, error) {
 	if len(data) < 2 {
 		return HyperLogLog{}, nil, ErrCorrupt
 	}
@@ -239,7 +252,9 @@ func DecodeHyperLogLog(data []byte) (HyperLogLog, []byte, error) {
 		if uint32(len(data)) < n {
 			return HyperLogLog{}, nil, ErrCorrupt
 		}
-		h.regs, h.dense = slices.Clone(data[:n]), true
+		if !skip {
+			h.regs, h.dense = slices.Clone(data[:n]), true
+		}
 		return h, data[n:], nil
 	case hllModeRLE:
 		i := uint32(0)
@@ -255,7 +270,9 @@ func DecodeHyperLogLog(data []byte) (HyperLogLog, []byte, error) {
 			}
 			i += run
 			if v != 0 {
-				h.setRegister(i, v)
+				if !skip {
+					h.setRegister(i, v)
+				}
 				i++
 			} else if i != n {
 				return HyperLogLog{}, nil, ErrCorrupt

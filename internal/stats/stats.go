@@ -69,6 +69,18 @@ func readU64(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
+// skipU64s steps over n varints, refusing what n readU64 calls would.
+func skipU64s(b []byte, n uint64) ([]byte, error) {
+	for ; n > 0; n-- {
+		_, k := binary.Uvarint(b)
+		if k <= 0 {
+			return nil, ErrCorrupt
+		}
+		b = b[k:]
+	}
+	return b, nil
+}
+
 func readU32(b []byte) (uint32, []byte, error) {
 	v, rest, err := readU64(b)
 	if err != nil || v > math.MaxUint32 {

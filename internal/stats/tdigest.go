@@ -269,6 +269,19 @@ func (t *TDigest) AppendBinary(buf []byte) []byte {
 // DecodeTDigest decodes a digest from the front of data and returns the
 // remaining bytes.
 func DecodeTDigest(data []byte) (TDigest, []byte, error) {
+	return decodeTDigest(data, false)
+}
+
+// SkipTDigest steps over the digest at the front of data, refusing what
+// DecodeTDigest refuses, and returns the bytes after it without building
+// the digest.
+func SkipTDigest(data []byte) ([]byte, error) {
+	_, rest, err := decodeTDigest(data, true)
+	return rest, err
+}
+
+// decodeTDigest decodes a digest, or with skip only checks it.
+func decodeTDigest(data []byte, skip bool) (TDigest, []byte, error) {
 	var err error
 	var t TDigest
 	for _, f := range [...]*float64{&t.compression, &t.min, &t.max} {
@@ -282,6 +295,10 @@ func DecodeTDigest(data []byte) (TDigest, []byte, error) {
 	var n uint32
 	if n, data, err = readU32(data); err != nil || 2*uint64(n) > uint64(len(data)) {
 		return TDigest{}, nil, ErrCorrupt
+	}
+	if skip {
+		rest, err := skipU64s(data, 2*uint64(n))
+		return TDigest{}, rest, err
 	}
 	t.centroids = make([]centroid, n)
 	for i := range t.centroids {

@@ -156,6 +156,20 @@ func (t *TopN) AppendBinary(buf []byte) []byte {
 // remaining bytes. A key listed twice is ErrCorrupt: no writer produces one,
 // and the sketch could not hold it.
 func DecodeTopN(data []byte) (TopN, []byte, error) {
+	return decodeTopN(data, false)
+}
+
+// SkipTopN steps over the sketch at the front of data and returns the
+// bytes after it without building the sketch. It checks the framing
+// DecodeTopN checks, but not that every key is listed once: that needs the
+// keys sorted.
+func SkipTopN(data []byte) ([]byte, error) {
+	_, rest, err := decodeTopN(data, true)
+	return rest, err
+}
+
+// decodeTopN decodes a sketch, or with skip only checks its framing.
+func decodeTopN(data []byte, skip bool) (TopN, []byte, error) {
 	capacity, data, err := readU32(data)
 	if err != nil || capacity == 0 || capacity > 1<<20 {
 		return TopN{}, nil, ErrCorrupt
@@ -163,6 +177,10 @@ func DecodeTopN(data []byte) (TopN, []byte, error) {
 	n, data, err := readU32(data)
 	if err != nil || n > capacity || 3*uint64(n) > uint64(len(data)) {
 		return TopN{}, nil, ErrCorrupt
+	}
+	if skip {
+		rest, err := skipU64s(data, 3*uint64(n))
+		return TopN{}, rest, err
 	}
 	t := TopN{capacity: int(capacity), counters: make([]TopEntry, n)}
 	for i := range t.counters {

@@ -145,7 +145,7 @@ fi
 
 echo "== line budget (non-test Go outside bench/, ROADMAP's measure) =="
 # Lower it when a PR deletes; raising it needs the ROADMAP's say-so.
-budget=25627
+budget=26099
 lines="$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 if [ "$lines" -gt "$budget" ]; then
 	echo "non-test Go outside bench/ is $lines lines, budget $budget"
@@ -184,7 +184,7 @@ echo "== fuzz smoke (5 s per target; corpora under <package>/testdata/fuzz) =="
 for target in ingest/FuzzReadReplChunk ingest/FuzzOpenJournal ingest/FuzzDecodeState \
 	ingest/FuzzParseManifestLine replica/FuzzTermFile \
 	cluster/FuzzReadFrame cluster/FuzzPeerFrame ais/FuzzDecoderFeed \
-	inventory/FuzzDecodeCellSummary segment/FuzzLoadBytes api/FuzzAppendJSONString \
+	inventory/FuzzDecodeCellSummary inventory/FuzzSealedShard segment/FuzzLoadBytes api/FuzzAppendJSONString \
 	obs/trace/FuzzParseTraceparent deflate/FuzzInflate deflate/FuzzDeflate pipeline/FuzzRecordLog; do
 	go test -run='^$' -fuzz="^${target##*/}\$" -fuzztime=5s "./internal/${target%/*}/"
 done
