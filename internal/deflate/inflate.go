@@ -12,6 +12,7 @@ var (
 	errEOF     = errors.New("inflate: stream ends early")
 	errLong    = errors.New("inflate: stream inflates past the destination's length")
 	errShort   = errors.New("inflate: stream ends short of the destination's length")
+	errStop    = errors.New("inflate: the need is met") // codes' signal to run, never returned
 )
 
 // build fills t with the decode table of the canonical code whose symbol
@@ -139,38 +140,72 @@ var decoders = sync.Pool{New: func() any { return new(decoder) }}
 // ends early, or inflates to more or fewer than len(dst) bytes; dst's
 // contents are then unspecified.
 func Inflate(dst, src []byte) error {
-	d := decoders.Get().(*decoder)
-	d.r = bitReader{src: src}
-	err := d.run(dst)
-	d.r.src = nil // do not pin the caller's bytes from the pool
-	decoders.Put(d)
+	_, err := InflatePrefix(dst, src, nil)
 	return err
 }
 
-func (d *decoder) run(dst []byte) error {
-	for out, final := 0, false; !final; {
-		h := d.r.take(3)
-		var err error
-		switch final = h&1 != 0; h >> 1 {
-		case 0:
-			out, err = d.stored(dst, out)
-		case 1:
-			out, err = d.codes(dst, out, &fixedLit, &fixedDist)
-		case 2:
-			if err = d.header(); err == nil {
-				out, err = d.codes(dst, out, &d.lit, &d.dist)
+// InflatePrefix is Inflate stopped early. need, given the bytes written so
+// far (none at first), returns how many the caller needs; once they are,
+// at a symbol boundary, need is asked again, and the decode stops when it
+// asks for no more, returning the bytes written. A nil need, or a need of
+// len(dst) or more, is Inflate's: the stream must end at exactly len(dst).
+func InflatePrefix(dst, src []byte, need func(prefix []byte) int) (int, error) {
+	d := decoders.Get().(*decoder)
+	d.r = bitReader{src: src}
+	n, err := d.run(dst, need)
+	d.r.src = nil // do not pin the caller's bytes from the pool
+	decoders.Put(d)
+	return n, err
+}
+
+func (d *decoder) run(dst []byte, need func([]byte) int) (int, error) {
+	stop := len(dst)
+	if need != nil {
+		stop = 0
+	}
+	var lt *[litSize]uint32 // the tables of the block in progress, nil between blocks
+	var dt *[distSize]uint32
+	for out, final := 0, false; ; {
+		for out >= stop && out < len(dst) { // the need is met short of the end
+			if stop = min(need(dst[:out]), len(dst)); stop <= out {
+				return out, d.r.clean()
 			}
-		default:
-			err = errCorrupt
 		}
-		if err != nil {
-			return err
+		var err error
+		if lt != nil {
+			if out, err = d.codes(dst[:stop:len(dst)], out, lt, dt); err == errStop {
+				continue
+			}
+			lt = nil
+		} else {
+			h := d.r.take(3)
+			switch final = h&1 != 0; h >> 1 {
+			case 0:
+				out, err = d.stored(dst, out)
+			case 1:
+				lt, dt = &fixedLit, &fixedDist
+			case 2:
+				err = d.header()
+				lt, dt = &d.lit, &d.dist
+			default:
+				err = errCorrupt
+			}
 		}
-		if final && out != len(dst) {
-			return errShort
+		switch {
+		case err != nil:
+			return out, err
+		case !final || lt != nil:
+		case out != len(dst):
+			return out, errShort
+		default: // the final block ended
+			return out, d.r.clean()
 		}
 	}
-	if d.r.nb < 8*uint(d.r.over) { // the final block ended in bits src does not have
+}
+
+// clean fails when the bits consumed so far ran past the end of src.
+func (r *bitReader) clean() error {
+	if r.nb < 8*uint(r.over) {
 		return errEOF
 	}
 	return nil
@@ -252,9 +287,11 @@ func (d *decoder) header() error {
 }
 
 // codes decodes one Huffman-coded block through the given tables, with the
-// bit state in locals. One refill covers the longest length/distance pair
-// (15+5+15+13 bits).
-func (d *decoder) codes(dst []byte, out int, lt *[litSize]uint32, dt *[distSize]uint32) (int, error) {
+// bit state in locals: to its end, or until a symbol takes out past
+// len(win), writing on to at most cap(win), the stream's end; it then
+// returns errStop, the bit state saved to go on from. One refill covers
+// the longest length/distance pair (15+5+15+13 bits).
+func (d *decoder) codes(win []byte, out int, lt *[litSize]uint32, dt *[distSize]uint32) (int, error) {
 	r := &d.r
 	src, pos, b, nb := r.src, r.pos, r.b, r.nb
 	for {
@@ -275,10 +312,15 @@ func (d *decoder) codes(dst []byte, out int, lt *[litSize]uint32, dt *[distSize]
 		}
 		b, nb = b>>(e&15), nb-uint(e&15)
 		if e&fLit != 0 {
-			if uint(out) >= uint(len(dst)) {
-				return out, errLong
+			if uint(out) >= uint(len(win)) { // at the need, or the end
+				if out >= cap(win) {
+					return out, errLong
+				}
+				win[:out+1][out] = byte(e >> 16)
+				r.pos, r.b, r.nb = pos, b, nb
+				return out + 1, errStop
 			}
-			dst[out] = byte(e >> 16)
+			win[out] = byte(e >> 16)
 			out++
 			continue
 		}
@@ -306,13 +348,17 @@ func (d *decoder) codes(dst []byte, out int, lt *[litSize]uint32, dt *[distSize]
 		switch {
 		case dist > out:
 			return out, errCorrupt
-		case len(dst)-out < length:
+		case cap(win)-out < length:
 			return out, errLong
 		}
 		// A match no longer than its distance is one copy; a longer one
 		// repeats the last dist bytes, doubling what each copy can take.
 		for end, from := out+length, out-dist; out < end; {
-			out += copy(dst[out:end], dst[from:out])
+			out += copy(win[out:end], win[from:out])
+		}
+		if out > len(win) { // past the need
+			r.pos, r.b, r.nb = pos, b, nb
+			return out, errStop
 		}
 	}
 }

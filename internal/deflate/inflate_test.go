@@ -251,11 +251,43 @@ func TestFuzzSeedsCommitted(t *testing.T) {
 	}
 }
 
+// samePrefix holds InflatePrefix on src, into n bytes, to compress/flate:
+// stopped at need, then asked once more, for again. Where
+// compress/flate accepts the stream at n, the prefix must be accepted,
+// reach the need it was last given and be flate's bytes; wherever it is
+// accepted, its bytes must be those flate yields as far as flate goes.
+func samePrefix(t *testing.T, src []byte, n, need, again int) {
+	t.Helper()
+	want, got := make([]byte, n), make([]byte, n)
+	werr := ref(want, src)
+	asked := 0
+	m, err := InflatePrefix(got, src, func(pre []byte) int {
+		if asked++; !bytes.Equal(pre, got[:len(pre)]) {
+			t.Fatalf("need was given bytes other than dst's")
+		}
+		return [...]int{need, again, 0, 0}[min(asked-1, 2)]
+	})
+	last := need
+	if asked > 1 {
+		last = max(need, again)
+	}
+	switch {
+	case werr == nil && (err != nil || m < min(last, n) || m > n || !bytes.Equal(got[:m], want[:m])):
+		t.Fatalf("%d-byte stream into %d bytes, need %d then %d: %d bytes, %v; compress/flate accepts it", len(src), n, need, again, m, err)
+	case err == nil:
+		yielded, _ := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(src)), int64(m)))
+		if !bytes.Equal(got[:len(yielded)], yielded) {
+			t.Fatalf("%d-byte stream, need %d then %d: the prefix differs from compress/flate's bytes", len(src), need, again)
+		}
+	}
+}
+
 // FuzzInflate holds Inflate to compress/flate: the input read as a stream,
 // and deflated at level input[0]%12-2 (−2…9, stored blocks at 0); each at
 // the length compress/flate yields, one byte shorter and one longer. The
 // two must accept the same inputs with the same bytes, and Inflate must
-// not panic.
+// not panic. Each stream is also stopped early (samePrefix), at a need
+// and a further one that the input's last two bytes pick.
 func FuzzInflate(f *testing.F) {
 	const limit = 1 << 20
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -265,10 +297,27 @@ func FuzzInflate(f *testing.F) {
 					same(t, src, m)
 				}
 			}
+			if len(data) >= 2 {
+				need := n * int(data[len(data)-1]) / 255
+				samePrefix(t, src, n, need, need+(n-need)*int(data[len(data)-2])/255)
+			}
 		}
 		tryAll(data, refLen(data, limit))
 		if len(data) > 0 {
 			tryAll(flateAt(t, data[1:], int(data[0])%12-2), len(data)-1)
 		}
 	})
+}
+
+// TestPrefixAtEveryCut: every need and further need on a stream of each
+// block type, as FuzzInflate tries one.
+func TestPrefixAtEveryCut(t *testing.T) {
+	raw := sample(600)
+	for _, level := range []int{flate.NoCompression, flate.HuffmanOnly, flate.BestSpeed, flate.BestCompression} {
+		src := flateAt(t, raw, level)
+		for need := 0; need <= len(raw)+1; need += 7 {
+			samePrefix(t, src, len(raw), need, need+41)
+			samePrefix(t, src[:len(src)/2], len(raw), need, need)
+		}
+	}
 }

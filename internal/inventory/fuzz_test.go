@@ -74,7 +74,7 @@ func sealedSeeds() [][]byte {
 	}
 	valid := inv.AppendShardBlock(nil, full)
 	seed := func(shard int, raw []byte) []byte { return append([]byte{byte(shard)}, raw...) }
-	b, _ := ParseSealedShard(full, valid)
+	b, _ := ParseSealedShard(full, valid, len(valid))
 	flipped, swappedKeys, swappedOffs := bytes.Clone(valid), bytes.Clone(valid), bytes.Clone(valid)
 	flipped[len(flipped)/2] ^= 0x08
 	k0, k1 := b.key(0), b.key(1)
@@ -100,12 +100,61 @@ func sealedSeeds() [][]byte {
 func TestAdoptRefusesMiscountedBlock(t *testing.T) {
 	seeds := sealedSeeds()
 	seed := seeds[len(seeds)-1]
-	b, err := ParseSealedShard(int(seed[0]), seed[1:])
+	b, err := ParseSealedShard(int(seed[0]), seed[1:], len(seed)-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Adopt(BuildInfo{Resolution: 6}, []*SealedShard{b}); err == nil || !strings.Contains(err.Error(), "the column says") {
 		t.Fatalf("Adopt = %v, want the records column refused", err)
+	}
+}
+
+// TestSealedPrefix: a block cut anywhere past its columns parses as a
+// prefix of its whole length, and of no other; it decodes the summaries it
+// holds as the whole block does and refuses the rest; Over carries it onto
+// a longer prefix of the same block only; Adopt refuses it.
+func TestSealedPrefix(t *testing.T) {
+	raw := sealedSeeds()[0][1:]
+	shard := int(sealedSeeds()[0][0])
+	whole, err := ParseSealedShard(shard, raw, len(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := []int{len(raw)}
+	for cut := whole.blob(); cut < len(raw); cut += 97 {
+		cuts = append(cuts, cut)
+	}
+	for _, cut := range cuts {
+		p, err := ParseSealedShard(shard, raw[:cut], len(raw))
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if _, err := ParseSealedShard(shard, raw[:cut], len(raw)+1); err == nil {
+			t.Fatalf("cut %d: a prefix parsed against the wrong length", cut)
+		}
+		for i := range p.Len() {
+			got, gerr := p.Summary(i)
+			_, terr := p.Transitions(i)
+			if held := p.End(i) <= cut; held != (gerr == nil) || held != (terr == nil) {
+				t.Fatalf("cut %d, group %d ending at %d: Summary = %v", cut, i, p.End(i), gerr)
+			} else if held && !bytes.Equal(got.AppendBinary(nil), whole.mustSummary(i).AppendBinary(nil)) {
+				t.Fatalf("cut %d, group %d: not the whole block's summary", cut, i)
+			}
+		}
+		if _, err := p.Over(raw); err != nil {
+			t.Fatalf("cut %d: Over the whole block: %v", cut, err)
+		}
+		other := bytes.Clone(raw)
+		other[blockHead] ^= 1
+		if _, err := p.Over(other); err == nil {
+			t.Fatalf("cut %d: Over a block with other columns", cut)
+		}
+		if _, err := Adopt(BuildInfo{Resolution: 6}, []*SealedShard{p}); (err == nil) != (cut == len(raw)) {
+			t.Fatalf("cut %d of %d: Adopt = %v", cut, len(raw), err)
+		}
+	}
+	if _, err := ParseSealedShard(shard, raw[:whole.blob()-1], len(raw)); err == nil {
+		t.Fatal("a prefix short of the columns parsed")
 	}
 }
 
@@ -195,7 +244,7 @@ func FuzzSealedShard(f *testing.F) {
 		shard, raw := int(data[0]), data[1:]
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		b, err := ParseSealedShard(shard, raw)
+		b, err := ParseSealedShard(shard, raw, len(raw))
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > fuzzAllocFixed {
 			t.Fatalf("parsing %d bytes allocated %d", len(raw), got)
@@ -239,7 +288,8 @@ func FuzzSealedShard(f *testing.F) {
 		if !Equal(inv, ref) {
 			t.Fatal("a fold into the sealed shard differs from the in-place merge")
 		}
-		folded, err := ParseSealedShard(shard, inv.AppendShardBlock(nil, shard))
+		block := inv.AppendShardBlock(nil, shard)
+		folded, err := ParseSealedShard(shard, block, len(block))
 		if err != nil {
 			t.Fatalf("the folded shard's block does not parse: %v", err)
 		}

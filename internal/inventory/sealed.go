@@ -21,11 +21,13 @@ import (
 // about three times that as a CellSummary. A read decodes the summary it
 // asks for, every time, into a summary of its own. A SealedShard never
 // changes once built: heap snapshots, the master they came from and a
-// segment reader's cache share it.
+// segment reader's cache share it. The reader's cache may hold a prefix of
+// a block: its columns and the summaries that end within it (End).
 type SealedShard struct {
 	shard int
 	n     int
-	raw   []byte // the whole block
+	raw   []byte // the whole block, or a prefix of it that holds the columns
+	full  int    // the whole block's length
 }
 
 // blockHead is the group count in front of a block's columns, and
@@ -36,24 +38,26 @@ const (
 	groupCols = keyBytes + 8 + 4
 )
 
-// ParseSealedShard adopts raw as the block of shard, refusing a block
-// whose columns do not fit it: every length is bounded by the bytes left,
-// keys must ascend and hash to shard, offsets must start at zero and not
-// decrease, and the last must end the blob. The summaries are not decoded
-// (Adopt does that). The result aliases raw.
-func ParseSealedShard(shard int, raw []byte) (*SealedShard, error) {
+// ParseSealedShard adopts raw as the first bytes of shard's block, full
+// bytes long: the whole block when len(raw) == full, else a prefix that
+// holds at least the columns. It refuses a block whose columns do not fit
+// it: every length is bounded by the bytes left, keys must ascend and hash
+// to shard, offsets must start at zero and not decrease, and the last must
+// end the blob at full. The summaries are not decoded (Adopt does that).
+// The result aliases raw.
+func ParseSealedShard(shard int, raw []byte, full int) (*SealedShard, error) {
 	bad := func(what string) error { return fmt.Errorf("inventory: shard %d block: %s", shard, what) }
 	if shard < 0 || shard >= ShardCount {
 		return nil, bad("shard out of range")
 	}
-	if len(raw) < blockHead+4 {
-		return nil, bad("short header")
+	if len(raw) < blockHead+4 || len(raw) > full {
+		return nil, bad(fmt.Sprintf("%d bytes of %d", len(raw), full))
 	}
 	n := uint64(binary.LittleEndian.Uint32(raw))
 	if n > uint64(len(raw)-blockHead-4)/groupCols {
 		return nil, bad("column geometry")
 	}
-	b := &SealedShard{shard: shard, n: int(n), raw: raw}
+	b := &SealedShard{shard: shard, n: int(n), raw: raw, full: full}
 	if b.off(0) != 0 {
 		return nil, bad("first offset")
 	}
@@ -72,17 +76,30 @@ func ParseSealedShard(shard int, raw []byte) (*SealedShard, error) {
 			return nil, bad("offset column order")
 		}
 	}
-	if uint64(b.off(b.n)) != uint64(len(raw)-b.blob()) {
+	if uint64(b.off(b.n)) != uint64(full-b.blob()) {
 		return nil, bad("blob length")
 	}
 	return b, nil
 }
 
+// Over returns b over raw instead, a copy of what b holds or a longer
+// prefix of the same block, without parsing its columns again: they must
+// be b's, or it returns an error.
+func (b *SealedShard) Over(raw []byte) (*SealedShard, error) {
+	if cols := b.blob(); len(raw) < cols || len(raw) > b.full || !bytes.Equal(raw[:cols], b.raw[:cols]) {
+		return nil, fmt.Errorf("inventory: shard %d block: %d bytes that are not a prefix of it", b.shard, len(raw))
+	}
+	return &SealedShard{shard: b.shard, n: b.n, raw: raw, full: b.full}, nil
+}
+
 // Len returns the number of groups in the block.
 func (b *SealedShard) Len() int { return b.n }
 
-// Size returns the bytes the block holds.
+// Size returns the bytes the shard holds: the block's, or its prefix's.
 func (b *SealedShard) Size() int { return len(b.raw) }
+
+// End returns the length of the block's prefix that holds group i.
+func (b *SealedShard) End(i int) int { return b.blob() + int(b.off(i+1)) }
 
 func (b *SealedShard) key(i int) []byte {
 	return b.raw[blockHead+i*keyBytes : blockHead+(i+1)*keyBytes]
@@ -98,10 +115,13 @@ func (b *SealedShard) off(i int) uint32 {
 
 func (b *SealedShard) blob() int { return blockHead + b.n*groupCols + 4 }
 
-// body returns the encoded summary of group i.
+// body returns the encoded summary of group i, or nil, which decodes to
+// an error, when the shard holds a prefix short of it.
 func (b *SealedShard) body(i int) []byte {
-	at := b.blob()
-	return b.raw[at+int(b.off(i)) : at+int(b.off(i+1))]
+	if b.End(i) > len(b.raw) {
+		return nil
+	}
+	return b.raw[b.blob()+int(b.off(i)) : b.End(i)]
 }
 
 // Key returns the key of group i.
@@ -200,10 +220,14 @@ var sealScratch = sync.Pool{New: func() any { return new([]byte) }}
 // blocks, as segment.Load inflates them — shared from the start: a fold
 // (MergeFrom) overlays its shards instead of writing them, and Put,
 // Observe and MergeImage panic. It decodes every summary once, to refuse a
-// block that will not decode here rather than on a read, and keeps none.
+// block that will not decode here rather than on a read, and keeps none. It
+// refuses a prefix of a block.
 func Adopt(info BuildInfo, blocks []*SealedShard) (*Inventory, error) {
 	inv := &Inventory{info: info, shared: true}
 	for _, b := range blocks {
+		if len(b.raw) != b.full {
+			return nil, fmt.Errorf("inventory: shard %d: %d of %d block bytes held", b.shard, len(b.raw), b.full)
+		}
 		if inv.shards[b.shard] != nil {
 			return nil, fmt.Errorf("inventory: two blocks for shard %d", b.shard)
 		}

@@ -226,7 +226,7 @@ func (sh *shard) appendBlock(dst []byte) []byte {
 func (sh *shard) seal(i int) {
 	buf := sealScratch.Get().(*[]byte)
 	*buf = sh.appendBlock((*buf)[:0])
-	sh.base = &SealedShard{shard: i, n: sh.n, raw: bytes.Clone(*buf)}
+	sh.base = &SealedShard{shard: i, n: sh.n, raw: bytes.Clone(*buf), full: len(*buf)}
 	sh.groups = nil
 	sealScratch.Put(buf)
 }

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/patternsoflife/pol/internal/hexgrid"
@@ -55,7 +57,12 @@ func fuzzSeeds(t testing.TB) [][]byte {
 // seeds are rewritten only with -update, and a codec change that leaves the
 // committed ones behind fails here.
 func TestFuzzSeedsCommitted(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzLoadBytes")
+	for _, target := range []string{"FuzzLoadBytes", "FuzzSegmentLookup"} {
+		seedsCommitted(t, filepath.Join("testdata", "fuzz", target))
+	}
+}
+
+func seedsCommitted(t *testing.T, dir string) {
 	for i, seed := range fuzzSeeds(t) {
 		path, want := filepath.Join(dir, fmt.Sprintf("seed-%d", i)), fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
 		if *updateSeeds {
@@ -119,6 +126,76 @@ func FuzzLoadBytes(f *testing.F) {
 			again, err := LoadBytes(out.Bytes(), "rewritten")
 			if err != nil || !inventory.Equal(inv, again) {
 				t.Fatalf("a loaded image does not survive a rewrite: %v", err)
+			}
+		}
+	})
+}
+
+// FuzzSegmentLookup: a reader opened over the image, as it is and with its
+// checksums resealed, looks up every key its blocks' columns name, in a
+// seeded order, through a cache one entry smaller than the block count, so
+// entries load short, grow and evict. It never panics, and every refusal
+// wraps ErrCorrupt. Where LoadBytes accepts the image, the reader accepts
+// every lookup and serves LoadBytes's summaries, cells and OD cells.
+func FuzzSegmentLookup(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, img := range [][]byte{data, reseal(data)} {
+			want, lerr := LoadBytes(img, "fuzz")
+			r, err := openBytes(img, "fuzz")
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) || lerr == nil {
+					t.Fatalf("open: %v (LoadBytes: %v)", err, lerr)
+				}
+				continue
+			}
+			refused := func(what string, err error) {
+				if !errors.Is(err, ErrCorrupt) || lerr == nil {
+					t.Fatalf("%s: %v (LoadBytes: %v)", what, err, lerr)
+				}
+			}
+			r.cache = newShardCache(max(len(r.index)-1, 1))
+			var keys []inventory.GroupKey
+			for i := range r.index {
+				bi := &r.index[i]
+				p, err := r.inflate(bi, make([]byte, bi.RawLen), func(*inventory.SealedShard) int { return 0 })
+				if err != nil {
+					refused(fmt.Sprintf("shard %d columns", bi.Shard), err)
+					continue
+				}
+				for g := range p.Len() {
+					keys = append(keys, p.Key(g))
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(len(img))))
+			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			for _, k := range keys {
+				got, ok, err := r.Lookup(k)
+				if err != nil {
+					refused(fmt.Sprintf("Lookup(%v)", k), err)
+					continue
+				}
+				if lerr != nil {
+					continue
+				}
+				if w, wok := want.Get(k); !ok || !wok || !bytes.Equal(got.AppendBinary(nil), w.AppendBinary(nil)) {
+					t.Fatalf("Lookup(%v) = %v: not LoadBytes's summary", k, ok)
+				}
+			}
+			if lerr != nil {
+				continue
+			}
+			for _, set := range inventory.AllGroupSets {
+				if !slices.Equal(r.Cells(set), want.Cells(set)) {
+					t.Fatalf("Cells(%v) not LoadBytes's", set)
+				}
+			}
+			for _, k := range keys {
+				if k.Set == inventory.GSCellODType && !slices.Equal(r.ODCells(k.Origin, k.Dest, k.VType), want.ODCells(k.Origin, k.Dest, k.VType)) {
+					t.Fatalf("ODCells(%v) not LoadBytes's", k)
+				}
+			}
+			if err := r.Err(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -14,14 +14,18 @@ import (
 type Metrics struct {
 	// Opens counts Reader opens (pol_segment_opens_total).
 	Opens atomic.Int64
-	// CacheHits / CacheMisses / Evictions count block-LRU traffic.
+	// CacheHits / CacheMisses / Evictions count block-LRU traffic. A
+	// lookup that inflates is a miss: a new entry, or a grow (Grows) of a
+	// pinned prefix that stops short of the summary it reads.
 	CacheHits   atomic.Int64
 	CacheMisses atomic.Int64
+	Grows       atomic.Int64
 	Evictions   atomic.Int64
 	// CorruptBlocks counts corruption errors swallowed by the View
 	// methods (the typed error is retained in Reader.Err).
 	CorruptBlocks atomic.Int64
-	// Pinned / PinnedBytes track decompressed shards held by LRUs.
+	// Pinned / PinnedBytes track decompressed shards held by LRUs, each
+	// the prefix of its block that its reads have inflated.
 	Pinned      atomic.Int64
 	PinnedBytes atomic.Int64
 
@@ -53,12 +57,13 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 	counter("pol_segment_opens_total", "Segment readers opened.", &m.Opens)
 	counter("pol_segment_block_cache_hits_total", "Shard block LRU hits.", &m.CacheHits)
-	counter("pol_segment_block_cache_misses_total", "Shard block LRU misses (block decompressed).", &m.CacheMisses)
+	counter("pol_segment_block_cache_misses_total", "Shard block LRU lookups that inflated a block: a new entry, or a grow of a pinned prefix short of the summary read.", &m.CacheMisses)
+	counter("pol_segment_block_cache_grows_total", "Shard block LRU misses that re-inflated a pinned prefix further.", &m.Grows)
 	counter("pol_segment_block_cache_evictions_total", "Pinned shard blocks evicted from the LRU.", &m.Evictions)
 	counter("pol_segment_corrupt_blocks_total", "Corruption errors swallowed by View queries.", &m.CorruptBlocks)
 	gauge("pol_segment_open_readers", "Segment readers currently open.", i64(&m.openReaders))
 	gauge("pol_segment_pinned_shards", "Decompressed shard blocks pinned across open readers.", i64(&m.Pinned))
-	gauge("pol_segment_pinned_bytes", "Bytes of decompressed shard blocks pinned.", i64(&m.PinnedBytes))
+	gauge("pol_segment_pinned_bytes", "Bytes of decompressed shard blocks pinned: each entry's prefix, its columns and its summaries up to the furthest read.", i64(&m.PinnedBytes))
 	gauge("pol_segment_bytes_mapped", "Bytes of segment files memory-mapped.", i64(&m.mappedBytes))
 	gauge("pol_segment_disk_bytes", "On-disk bytes across open segments.", i64(&m.diskBytes))
 	gauge("pol_segment_compression_ratio",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"sync"
@@ -30,9 +31,9 @@ type Options struct {
 
 // Reader serves inventory queries directly from a POLSEG1 segment file.
 // Open reads only the fixed tail and the footer index — O(index), not
-// O(inventory) — and every query lazily loads, CRC-verifies and
-// inflates just the shard blocks it touches, keeping the hottest
-// maxPinned of them pinned in an LRU.
+// O(inventory) — and every query lazily loads and CRC-verifies just the
+// shard blocks it touches, inflating each only as far as the summaries
+// read from it, and keeps the hottest maxPinned pinned in an LRU.
 //
 // Reader implements inventory.View, so the api layer serves from it
 // interchangeably with the heap inventory. The View methods cannot
@@ -41,10 +42,10 @@ type Options struct {
 // Lookup is Get with the error returned: the tests that must tell "absent"
 // from "damaged" call it; no program code does.
 //
-// A block inflates into the heap inventory's own sealed shard type
-// (inventory.SealedShard), so both read paths find a key and decode its
-// summary the same way, each query into a summary of its own. A Reader is
-// safe for concurrent use.
+// A block, or its prefix, inflates into the heap inventory's own sealed
+// shard type (inventory.SealedShard), so both read paths find a key and
+// decode its summary the same way, each query into a summary of its own.
+// A Reader is safe for concurrent use.
 type Reader struct {
 	path string
 	f    *os.File
@@ -262,21 +263,16 @@ func (r *Reader) compressedBlock(bi *BlockInfo) ([]byte, error) {
 	return b, nil
 }
 
-// loadRaw inflates and parses one block without touching the cache. The
-// block lands in buf when it is big enough, and the shard then aliases it.
-func (r *Reader) loadRaw(bi *BlockInfo, buf []byte) (*inventory.SealedShard, error) {
-	comp, err := r.compressedBlock(bi)
-	if err != nil {
-		return nil, err
+// parse parses block bi's columns at the head of raw, at least
+// columnsLen(NGroups) bytes of it. Their last offset must end the block at
+// RawLen: a block the whole-stream inflate would refuse for its length is
+// refused for it here, before the columns are checked.
+func (r *Reader) parse(bi *BlockInfo, raw []byte) (*inventory.SealedShard, error) {
+	cols := columnsLen(bi.NGroups)
+	if end := cols + uint64(binary.LittleEndian.Uint32(raw[cols-4:])); end != uint64(bi.RawLen) {
+		return nil, fmt.Errorf("segment: shard %d inflate: the columns end the block at %d bytes, RawLen is %d: %w", bi.Shard, end, bi.RawLen, ErrCorrupt)
 	}
-	if cap(buf) < int(bi.RawLen) {
-		buf = make([]byte, bi.RawLen)
-	}
-	raw := buf[:bi.RawLen]
-	if err := deflate.Inflate(raw, comp); err != nil { // RawLen must be the stream's exact length
-		return nil, fmt.Errorf("segment: shard %d inflate: %v: %w", bi.Shard, err, ErrCorrupt)
-	}
-	p, err := inventory.ParseSealedShard(bi.Shard, raw)
+	p, err := inventory.ParseSealedShard(bi.Shard, raw, int(bi.RawLen))
 	if err != nil {
 		return nil, fmt.Errorf("segment: %v: %w", err, ErrCorrupt)
 	}
@@ -286,15 +282,63 @@ func (r *Reader) loadRaw(bi *BlockInfo, buf []byte) (*inventory.SealedShard, err
 	return p, nil
 }
 
-// pin returns the decompressed block for a shard through the LRU.
-func (r *Reader) pin(shard int) (*inventory.SealedShard, error) {
-	bi := r.byShard[shard]
-	if bi < 0 {
-		return nil, nil
+// inflate inflates block bi into buf, RawLen long, without touching the
+// cache: first its columns, which it parses, then as far as upTo asks of
+// them (RawLen or more: the whole block, its stream's end checked as
+// deflate.Inflate checks it). The shard it returns aliases buf.
+func (r *Reader) inflate(bi *BlockInfo, buf []byte, upTo func(*inventory.SealedShard) int) (*inventory.SealedShard, error) {
+	comp, err := r.compressedBlock(bi)
+	if err != nil {
+		return nil, err
 	}
-	return r.cache.get(shard, r.metrics, func() (*inventory.SealedShard, error) {
-		return r.loadRaw(&r.index[bi], nil)
+	var p *inventory.SealedShard
+	var perr error
+	cols := int(columnsLen(bi.NGroups))
+	n, err := deflate.InflatePrefix(buf, comp, func(pre []byte) int {
+		switch {
+		case len(pre) < cols:
+			return cols
+		case p == nil && perr == nil:
+			if p, perr = r.parse(bi, pre); perr == nil {
+				return upTo(p)
+			}
+		}
+		return 0 // the summary's end, or a refusal
 	})
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("segment: shard %d inflate: %v: %w", bi.Shard, err, ErrCorrupt)
+	case perr != nil:
+		return nil, perr
+	case p == nil: // the columns are the whole block
+		return r.parse(bi, buf[:n])
+	}
+	return p.Over(buf[:n]) // the columns p was parsed from: no error
+}
+
+// blockScratch holds the buffers a block is inflated into before the prefix
+// a read keeps is copied out at its exact size.
+var blockScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// loadFor inflates block bi as far as a read of key needs — the columns,
+// and through key's summary when the block holds key — and returns the
+// shard over a copy of that prefix.
+func (r *Reader) loadFor(bi *BlockInfo, key inventory.GroupKey) (*inventory.SealedShard, error) {
+	buf := blockScratch.Get().(*[]byte)
+	defer blockScratch.Put(buf)
+	if cap(*buf) < int(bi.RawLen) {
+		*buf = make([]byte, bi.RawLen)
+	}
+	p, err := r.inflate(bi, (*buf)[:bi.RawLen], func(p *inventory.SealedShard) int {
+		if i, ok := p.Find(key); ok {
+			return p.End(i)
+		}
+		return 0
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.Over(bytes.Clone((*buf)[:p.Size()]))
 }
 
 // fail records a swallowed error for Err() and the corruption counter.
@@ -323,30 +367,29 @@ func (r *Reader) Lookup(key inventory.GroupKey) (*inventory.CellSummary, bool, e
 	return s, true, nil
 }
 
-// find returns the block holding key and its position there, by binary
-// search over the block's sorted key column.
+// find returns the block holding key and its position there, through the
+// LRU: the pinned prefix of the block when it holds key's summary, one
+// inflated further when it does not.
 func (r *Reader) find(key inventory.GroupKey) (*inventory.SealedShard, int, bool, error) {
-	p, err := r.pin(inventory.ShardOf(key))
-	if err != nil || p == nil {
-		return nil, 0, false, err
+	shard := inventory.ShardOf(key)
+	bi := r.byShard[shard]
+	if bi < 0 {
+		return nil, 0, false, nil
 	}
-	i, ok := p.Find(key)
-	return p, i, ok, nil
+	return r.cache.get(shard, key, r.metrics, func() (*inventory.SealedShard, error) {
+		return r.loadFor(&r.index[bi], key)
+	})
 }
 
 // eachGroup streams every (key, summary) pair in global key order
 // (ascending shard, then ascending key), stopping early if f returns
-// false. Blocks are loaded transiently — a full scan does not evict the
-// query-path LRU.
+// false. Blocks are inflated whole outside the cache — a full scan does
+// not evict the query-path LRU.
 func (r *Reader) eachGroup(f func(inventory.GroupKey, *inventory.CellSummary) bool) error {
 	for i := range r.index {
-		bi := &r.index[i]
-		p, err := r.cache.peek(bi.Shard)
-		if err != nil || p == nil {
-			// Not pinned (or pinned-load failed): load outside the cache.
-			if p, err = r.loadRaw(bi, nil); err != nil {
-				return err
-			}
+		p, err := r.inflate(&r.index[i], make([]byte, r.index[i].RawLen), func(*inventory.SealedShard) int { return math.MaxInt })
+		if err != nil {
+			return err
 		}
 		for g := range p.Len() {
 			s, err := p.Summary(g)
@@ -369,9 +412,9 @@ type odKey struct {
 
 // keyDir is the reader-wide key directory: every key's cell membership
 // per grouping set plus the OD → cells sub-index, built once by inflating
-// every block whole into one reused buffer, keeping only the keys, and
-// held for the reader's lifetime. It is the segment-side equivalent of the heap
-// inventory's lazily built per-shard OD index.
+// the columns of every block into one reused buffer, keeping only the
+// keys, and held for the reader's lifetime. It is the segment-side
+// equivalent of the heap inventory's lazily built per-shard OD index.
 type keyDir struct {
 	cells [3][]hexgrid.Cell
 	od    map[odKey][]hexgrid.Cell
@@ -387,7 +430,7 @@ func (r *Reader) directory() (*keyDir, error) {
 		buf := make([]byte, most) // one buffer for every block: only the keys are kept
 		for i := range r.index {
 			bi := &r.index[i]
-			p, err := r.loadRaw(bi, buf)
+			p, err := r.inflate(bi, buf[:bi.RawLen], func(*inventory.SealedShard) int { return 0 })
 			if err != nil {
 				r.dirErr = err
 				return
@@ -554,7 +597,7 @@ func LoadBytes(data []byte, name string) (*inventory.Inventory, error) {
 func (r *Reader) adopt() (*inventory.Inventory, error) {
 	blocks := make([]*inventory.SealedShard, len(r.index))
 	for i := range r.index {
-		p, err := r.loadRaw(&r.index[i], nil)
+		p, err := r.inflate(&r.index[i], make([]byte, r.index[i].RawLen), func(*inventory.SealedShard) int { return math.MaxInt })
 		if err != nil {
 			return nil, err
 		}

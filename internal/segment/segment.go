@@ -169,6 +169,10 @@ func ParseTail(b []byte, fileSize int64) (Tail, error) {
 	return t, nil
 }
 
+// columnsLen is the length of the columns of a block of n groups, the
+// group count through the last offset: what a read inflates first.
+func columnsLen(n uint32) uint64 { return 8 + uint64(n)*(inventory.EncodedKeyLen+12) }
+
 // ParseIndex verifies the index bytes against the tail's CRC and decodes
 // the block table. Blocks come back in file order: strictly ascending
 // shard ids, contiguous offsets.
@@ -210,7 +214,7 @@ func ParseIndex(b []byte, t Tail) ([]BlockInfo, error) {
 		}
 		// What a reader allocates for a block is bounded by its bytes in the
 		// file (deflate.MaxRatio), and the columns fit in RawLen.
-		if cols := 8 + uint64(bi.NGroups)*(inventory.EncodedKeyLen+12); uint64(bi.RawLen) < cols || uint64(bi.RawLen) > deflate.MaxRatio*uint64(bi.CompLen) {
+		if uint64(bi.RawLen) < columnsLen(bi.NGroups) || uint64(bi.RawLen) > deflate.MaxRatio*uint64(bi.CompLen) {
 			return nil, fmt.Errorf("segment: block %d raw length %d (%d groups, %d compressed): %w", bi.Shard, bi.RawLen, bi.NGroups, bi.CompLen, ErrCorrupt)
 		}
 		prevShard = bi.Shard

@@ -7,12 +7,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/patternsoflife/pol/internal/deflate"
 	"github.com/patternsoflife/pol/internal/inventory"
@@ -380,9 +382,101 @@ func TestConcurrentReaders(t *testing.T) {
 			r.CountGroups(inventory.GSCellODType)
 		}(g)
 	}
+	// Growers: each walks one shard's keys in its own order, so entries
+	// pinned short of a summary are grown by several readers at once.
+	byShard := map[int][]inventory.GroupKey{}
+	inv.Each(func(k inventory.GroupKey, _ *inventory.CellSummary) bool {
+		byShard[inventory.ShardOf(k)] = append(byShard[inventory.ShardOf(k)], k)
+		return true
+	})
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for shard := g % 3; shard < inventory.ShardCount; shard += 3 {
+				ks := byShard[shard]
+				for i := range ks {
+					k := ks[(i*7+g)%len(ks)]
+					got, ok := r.Get(k)
+					if want, _ := inv.Get(k); !ok || !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+						t.Errorf("Get(%v) = %v under concurrent grows", k, ok)
+						return
+					}
+				}
+			}
+		}(g)
+	}
 	wg.Wait()
 	if err := r.Err(); err != nil {
 		t.Fatalf("concurrent reads recorded error: %v", err)
+	}
+}
+
+// TestPrefixReadsMatchLoad: every group of two fixtures, read in a seeded
+// random order through a fresh reader whose entries hold block prefixes,
+// decodes to the bytes Load's inventory holds, with 2 slots (entries evict
+// and are loaded again short) and 64 (entries grow); the directory's
+// Cells and ODCells are Load's.
+func TestPrefixReadsMatchLoad(t *testing.T) {
+	for _, fx := range []struct {
+		name string
+		inv  *inventory.Inventory
+	}{
+		{"pinned", testutil.PinnedInventory()},
+		{"fleet", testutil.Build(t, sim.Config{Vessels: 24, Days: 12, Seed: 1}, 6).Inventory},
+	} {
+		path, _ := writeFixture(t, fx.inv)
+		loaded, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []inventory.GroupKey
+		loaded.Each(func(k inventory.GroupKey, _ *inventory.CellSummary) bool { keys = append(keys, k); return true })
+		for _, slots := range []int{2, 64} {
+			m := NewMetrics(nil)
+			r, err := Open(path, Options{Metrics: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.cache = newShardCache(slots)
+			rng := rand.New(rand.NewSource(int64(slots)))
+			for _, j := range rng.Perm(len(keys)) {
+				k := keys[j]
+				got, ok, err := r.Lookup(k)
+				want, _ := loaded.Get(k)
+				if err != nil || !ok || !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+					t.Fatalf("%s, %d slots: Lookup(%v) = %v, %v: not Load's", fx.name, slots, k, ok, err)
+				}
+				if k.Set == inventory.GSCellODType {
+					gt, _ := r.ODTransitions(k.Cell, k.Origin, k.Dest, k.VType)
+					wt, _ := loaded.ODTransitions(k.Cell, k.Origin, k.Dest, k.VType)
+					if !slices.Equal(gt, wt) {
+						t.Fatalf("%s, %d slots: ODTransitions(%v) not Load's", fx.name, slots, k)
+					}
+				}
+			}
+			if m.Grows.Load() == 0 || m.PinnedBytes.Load() >= int64(r.cache.max)*int64(r.Blocks()[0].RawLen) {
+				t.Errorf("%s, %d slots: %d grows, %d bytes pinned: entries should hold prefixes and grow", fx.name, slots, m.Grows.Load(), m.PinnedBytes.Load())
+			}
+			for _, set := range inventory.AllGroupSets {
+				if !slices.Equal(r.Cells(set), loaded.Cells(set)) {
+					t.Fatalf("%s: Cells(%v) not Load's", fx.name, set)
+				}
+			}
+			od := map[inventory.GroupKey]bool{}
+			for _, k := range keys {
+				if k.Cell = 0; k.Set == inventory.GSCellODType && !od[k] {
+					od[k] = true
+					if !slices.Equal(r.ODCells(k.Origin, k.Dest, k.VType), loaded.ODCells(k.Origin, k.Dest, k.VType)) {
+						t.Fatalf("%s: ODCells(%v) not Load's", fx.name, k)
+					}
+				}
+			}
+			if err := r.Err(); err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+		}
 	}
 }
 
@@ -560,26 +654,61 @@ func BenchmarkSegmentOpen(b *testing.B) {
 	}
 }
 
+// BenchmarkSegmentLookup reads groups through a reader: warm, 1 024 keys
+// of the fixture over the default cache; cold, random (cell) keys of the
+// pinned fixture's 256 blocks over a 64-slot cache, reporting the time a
+// lookup that inflates takes, and the share of lookups that miss and grow.
 func BenchmarkSegmentLookup(b *testing.B) {
-	inv := fixture(b)
-	path, _ := writeFixture(b, inv)
-	r, err := Open(path, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	var keys []inventory.GroupKey
-	inv.Each(func(k inventory.GroupKey, _ *inventory.CellSummary) bool {
-		keys = append(keys, k)
-		return len(keys) < 1024
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := r.Get(keys[i%len(keys)]); !ok {
-			b.Fatal("missing key")
+	b.Run("warm", func(b *testing.B) {
+		inv := fixture(b)
+		path, _ := writeFixture(b, inv)
+		r, err := Open(path, Options{})
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
+		defer r.Close()
+		var keys []inventory.GroupKey
+		inv.Each(func(k inventory.GroupKey, _ *inventory.CellSummary) bool {
+			keys = append(keys, k)
+			return len(keys) < 1024
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := r.Get(keys[i%len(keys)]); !ok {
+				b.Fatal("missing key")
+			}
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		m := NewMetrics(nil)
+		path, _ := writeFixture(b, testutil.PinnedInventory())
+		r, err := Open(path, Options{Metrics: m})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer r.Close()
+		cells := r.Cells(inventory.GSCell)
+		rng := rand.New(rand.NewSource(1))
+		var missNs time.Duration
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			before := m.CacheMisses.Load()
+			t0 := time.Now()
+			if _, ok := r.Cell(cells[rng.Intn(len(cells))]); !ok {
+				b.Fatal("missing cell")
+			}
+			if m.CacheMisses.Load() > before {
+				missNs += time.Since(t0)
+			}
+		}
+		misses := m.CacheMisses.Load()
+		b.ReportMetric(float64(missNs.Microseconds())/float64(max(misses, 1)), "µs/miss")
+		b.ReportMetric(float64(misses)/float64(b.N), "miss/op")
+		b.ReportMetric(float64(m.Grows.Load())/float64(b.N), "grow/op")
+		b.ReportMetric(float64(m.PinnedBytes.Load())/float64(max(m.Pinned.Load(), 1)), "B/entry")
+	})
 }
 
 func BenchmarkSegmentWrite(b *testing.B) {
@@ -634,24 +763,36 @@ func pinnedBlocks(tb testing.TB) (*Reader, [][]byte, int64) {
 
 // BenchmarkInflate decodes every block of the pinned fixture (256 shards)
 // into its RawLen: the kernel against compress/flate, in MB/s of raw
-// block bytes and allocations per pass.
+// block bytes and allocations per pass; then the kernel stopped early, at
+// each block's columns, a quarter and half of it (ns/op against the
+// kernel's whole pass; MB/s of the whole blocks).
 func BenchmarkInflate(b *testing.B) {
 	r, comps, raw := pinnedBlocks(b)
 	dst := make([]byte, 0, raw)
 	fr := flate.NewReader(nil)
+	prefix := func(need func(*BlockInfo) int) func(*BlockInfo, []byte, []byte) error {
+		return func(bi *BlockInfo, dst, comp []byte) error {
+			_, err := deflate.InflatePrefix(dst, comp, func(pre []byte) int { return need(bi) })
+			return err
+		}
+	}
 	for _, tc := range []struct {
 		name string
-		run  func(dst, comp []byte) error
+		run  func(bi *BlockInfo, dst, comp []byte) error
 	}{
-		{"kernel", deflate.Inflate},
-		{"flate", func(dst, comp []byte) error { return refInflate(fr, dst, comp) }},
+		{"kernel", func(_ *BlockInfo, dst, comp []byte) error { return deflate.Inflate(dst, comp) }},
+		{"flate", func(_ *BlockInfo, dst, comp []byte) error { return refInflate(fr, dst, comp) }},
+		{"prefix=columns", prefix(func(bi *BlockInfo) int { return int(columnsLen(bi.NGroups)) })},
+		{"prefix=0.25", prefix(func(bi *BlockInfo) int { return int(bi.RawLen) / 4 })},
+		{"prefix=0.5", prefix(func(bi *BlockInfo) int { return int(bi.RawLen) / 2 })},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(raw)
 			b.ReportAllocs()
 			for range b.N {
-				for i, bi := range r.Blocks() {
-					if err := tc.run(dst[:bi.RawLen], comps[i]); err != nil {
+				for i := range r.Blocks() {
+					bi := &r.Blocks()[i]
+					if err := tc.run(bi, dst[:bi.RawLen], comps[i]); err != nil {
 						b.Fatal(err)
 					}
 				}

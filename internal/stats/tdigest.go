@@ -116,12 +116,7 @@ func (t *TDigest) Merge(o *TDigest) {
 
 // k1 scale function and its inverse: k(q) = δ/2π · asin(2q−1).
 func (t *TDigest) k(q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = min(max(q, 0), 1) // NaN stays NaN
 	return t.compression / (2 * math.Pi) * math.Asin(2*q-1)
 }
 
@@ -131,25 +126,24 @@ func (t *TDigest) k(q float64) float64 {
 // rounding errors in k and in bound's inverse of 1e-10 at most.
 const kBand = 1e-9
 
-// bound returns k(q0) and the q range [lo, hi] outside which k(q)−k(q0) ≤ 1
-// is decided by q alone: every q below lo passes, every q above hi fails.
-// It inverts k once per output centroid, where asking k for every centroid
-// visited cost two arcsines each.
-func (t *TDigest) bound(q0 float64) (lo, hi, k0 float64) {
-	k0 = t.k(q0)
-	x := (k0 + 1) * 2 * math.Pi / t.compression
-	if math.IsNaN(x) {
-		return math.Inf(-1), math.Inf(1), k0
+// bound returns the q range [lo, hi] outside which k(q)−k(q0) ≤ 1 is
+// decided by q alone: every q below lo passes, every q above hi fails. It
+// is (sin(asin(y0)+c)+1)/2, y0 = 2q0−1 and c = 2π/δ, expanded so that with
+// cos c and sin c from compress it takes no sine and no arcsine.
+func bound(q0, cosC, sinC float64) (lo, hi float64) {
+	y0 := 2*min(max(q0, 0), 1) - 1 // k's clamp
+	if math.IsNaN(y0) {
+		return math.Inf(-1), math.Inf(1)
 	}
 	q := 1.0 // the bound lies past q = 1: everything below passes
-	if x < math.Pi/2 {
-		q = (math.Sin(x) + 1) / 2
+	if y0 < cosC {
+		q = (y0*cosC + math.Sqrt((1-y0)*(1+y0))*sinC + 1) / 2
 	}
 	lo, hi = q-kBand, q+kBand
 	if hi >= 1 {
 		hi = math.Inf(1) // k is flat past q = 1: there it decides itself
 	}
-	return lo, hi, k0
+	return lo, hi
 }
 
 // process folds the points added since the last pass into the digest.
@@ -180,9 +174,14 @@ func (t *TDigest) compress(tailW float64) {
 	merged := all[:0]
 	cur := all[0]
 	var cumulative float64
-	lo, hi, k0 := t.bound(cumulative / total)
+	sinC, cosC := math.Sincos(2 * math.Pi / t.compression)
+	lo, hi := bound(0, cosC, sinC)
+	k0 := math.NaN() // k(cumulative/total), asked for inside the band only
 	for _, c := range all[1:] {
 		q2 := (cumulative + cur.weight + c.weight) / total
+		if q2 >= lo && q2 <= hi && math.IsNaN(k0) {
+			k0 = t.k(cumulative / total)
+		}
 		if q2 < lo || (q2 <= hi && t.k(q2)-k0 <= 1) {
 			// Merge c into cur.
 			w := cur.weight + c.weight
@@ -192,7 +191,8 @@ func (t *TDigest) compress(tailW float64) {
 			merged = append(merged, cur)
 			cumulative += cur.weight
 			cur = c
-			lo, hi, k0 = t.bound(cumulative / total)
+			lo, hi = bound(cumulative/total, cosC, sinC)
+			k0 = math.NaN()
 		}
 	}
 	merged = append(merged, cur)

@@ -108,8 +108,10 @@ fi
 
 echo "== one inflate (no flate.NewReader in non-test Go outside internal/deflate) =="
 # Every read of flate bytes — a segment block, a shuffle frame — goes
-# through deflate.Inflate, which FuzzInflate holds to compress/flate's
-# reader; that reader back in program code is a second decoder.
+# through deflate.Inflate, or deflate.InflatePrefix where a segment read
+# stops a block early: the same kernel, Inflate its whole-stream case, and
+# FuzzInflate holds both to compress/flate's reader; that reader back in
+# program code is a second decoder.
 if grep -rn 'flate\.NewReader' --include='*.go' --exclude='*_test.go' cmd internal examples bench ./*.go | grep -v '^internal/deflate/'; then
 	echo "a second DEFLATE decoder is back outside internal/deflate"
 	exit 1
@@ -145,7 +147,7 @@ fi
 
 echo "== line budget (non-test Go outside bench/, ROADMAP's measure) =="
 # Lower it when a PR deletes; raising it needs the ROADMAP's say-so.
-budget=26099
+budget=26230
 lines="$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 if [ "$lines" -gt "$budget" ]; then
 	echo "non-test Go outside bench/ is $lines lines, budget $budget"
@@ -184,7 +186,8 @@ echo "== fuzz smoke (5 s per target; corpora under <package>/testdata/fuzz) =="
 for target in ingest/FuzzReadReplChunk ingest/FuzzOpenJournal ingest/FuzzDecodeState \
 	ingest/FuzzParseManifestLine replica/FuzzTermFile \
 	cluster/FuzzReadFrame cluster/FuzzPeerFrame ais/FuzzDecoderFeed \
-	inventory/FuzzDecodeCellSummary inventory/FuzzSealedShard segment/FuzzLoadBytes api/FuzzAppendJSONString \
+	inventory/FuzzDecodeCellSummary inventory/FuzzSealedShard segment/FuzzLoadBytes segment/FuzzSegmentLookup \
+	api/FuzzAppendJSONString \
 	obs/trace/FuzzParseTraceparent deflate/FuzzInflate deflate/FuzzDeflate pipeline/FuzzRecordLog; do
 	go test -run='^$' -fuzz="^${target##*/}\$" -fuzztime=5s "./internal/${target%/*}/"
 done
