@@ -2,13 +2,11 @@
 // the "online querying" deployment the paper describes for stakeholders.
 // See internal/api for the endpoint documentation.
 //
-// Batch mode serves a prebuilt inventory file — a POLSEG1 segment, as
-// written by polbuild or a checkpoint. -inv and -seg take the same file
-// and differ only in residency: -inv inflates every block into the heap,
-// where it stays as its column block (every query decodes one summary, and
-// memory is the segment's raw size, about 350 B a group at res 6), -seg
-// opens it in O(index) and answers queries straight off the mapped
-// file without materializing the groups. Live mode (-live) is the
+// Batch mode (-inv) serves a prebuilt inventory file — a POLSEG1 segment,
+// as written by polbuild or a checkpoint: it opens the file in O(index)
+// and answers queries straight off the mapped file, through the segment
+// reader's bounded cache of inflated blocks, without materializing the
+// groups. Live mode (-live) is the
 // ingestion daemon, the primary of a deployment: it accepts timestamped
 // NMEA feeds over TCP on -listen, maintains a continuously updated
 // inventory (cleaning, trip extraction, grid statistics — the full paper
@@ -18,7 +16,7 @@
 // -checkpoint, periodic checkpoint generations (a POLSEG1 segment plus an
 // engine-state file) bound the replay, feed replicas, and keep the newest
 // segment at the -checkpoint path itself for read-only consumers
-// (polserve -inv/-seg, polquery). Replica mode (-replica <primary-url>)
+// (polserve -inv, polquery). Replica mode (-replica <primary-url>)
 // serves a read-only copy of a primary's live inventory: it bootstraps
 // from the primary's newest checkpoint generation over /v1/repl and tails
 // the primary's WAL, so N stateless replicas scale out the query tier
@@ -78,7 +76,6 @@
 // Usage:
 //
 //	polserve -inv fleet.polinv -addr :8080
-//	polserve -seg fleet.polinv -addr :8080
 //	polserve -live -listen :10110 -addr :8080 -journal live.wal -checkpoint live.polinv
 //	polserve -replica http://primary:8080 -addr :8081 -max-lag 10s
 //	polserve -replica http://primary:8080 -segdir /var/lib/pol/segs -addr :8081
@@ -114,8 +111,7 @@ import (
 
 func main() {
 	var (
-		invPath = flag.String("inv", "inventory.polinv", "inventory segment to load into the heap and serve (batch mode)")
-		segPath = flag.String("seg", "", "inventory segment to serve mapped from disk instead of -inv (batch mode, O(index) open)")
+		invPath = flag.String("inv", "inventory.polinv", "inventory segment to serve mapped from disk (batch mode, O(index) open)")
 		addr    = flag.String("addr", ":8080", "HTTP listen address")
 
 		live      = flag.Bool("live", false, "serve from a live ingestion engine instead of a file")
@@ -313,21 +309,14 @@ func main() {
 			closeLogged("feed listener", feeds)
 			closeLogged("engine", eng)
 		}
-	} else if *segPath != "" {
-		rd, err := segment.Open(*segPath, segment.Options{Metrics: segment.NewMetrics(reg)})
+	} else {
+		rd, err := segment.Open(*invPath, segment.Options{Metrics: segment.NewMetrics(reg)})
 		if err != nil {
 			fatal(logger, "segment open", err)
 		}
-		logger.Info("serving segment", "path", *segPath, "groups", rd.Len(), "mapped", rd.Mapped())
+		logger.Info("serving segment", "path", *invPath, "groups", rd.Len(), "mapped", rd.Mapped())
 		mux.Handle("/", api.NewServer(rd, gaz).WithMetrics(reg).WithTracing(tr).Handler())
 		cleanup = func() { closeLogged("segment", rd) }
-	} else {
-		inv, err := segment.Load(*invPath)
-		if err != nil {
-			fatal(logger, "inventory load", err)
-		}
-		logger.Info("serving inventory", "path", *invPath, "groups", inv.Len())
-		mux.Handle("/", api.NewServer(inv, gaz).WithMetrics(reg).WithTracing(tr).Handler())
 	}
 
 	mux.Handle("GET /metrics", reg.Handler())

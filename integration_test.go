@@ -107,7 +107,7 @@ func TestEndToEndWireFormat(t *testing.T) {
 		t.Errorf("wire-built trip records %v differ from direct %v by > 2%%", wireRecs, directRecs)
 	}
 
-	// 4. Inventory → segment file → heap (the polserve -inv step).
+	// 4. Inventory → segment file → heap (the polrender -inv step).
 	path := filepath.Join(t.TempDir(), "wire.polinv")
 	if err := segment.WriteFile(result.Inventory, path); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestEndToEndWireFormat(t *testing.T) {
 		t.Error("no location in the dataset produced an ETA estimate")
 	}
 
-	// 6. Disk random access (the polserve -seg step) agrees with the
+	// 6. Disk random access (the polserve -inv step) agrees with the
 	// in-memory map for a sample of keys.
 	reader, err := segment.Open(path, segment.Options{})
 	if err != nil {

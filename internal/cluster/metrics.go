@@ -13,13 +13,12 @@ const (
 	MetricWorkerHeartbeats = "pol_cluster_worker_heartbeats_total"
 
 	// Shuffle instrumentation: bytes moved worker to worker per
-	// direction, frame dispositions, payload compression, and the
-	// phase-overlap gauges.
+	// direction, frame dispositions, payload bytes, and the phase-overlap
+	// gauges.
 	MetricShuffleBytes   = "pol_cluster_shuffle_bytes_total"         // labels: path=peer, dir=in|out
 	MetricShuffleFrames  = "pol_cluster_shuffle_frames_total"        // labels: event=sent|received|duplicate|rejected
 	MetricShuffleErrors  = "pol_cluster_shuffle_errors_total"        // labels: kind=dial|write
-	MetricShufflePayload = "pol_cluster_shuffle_payload_bytes_total" // labels: form=raw|compressed
-	MetricShuffleRatio   = "pol_cluster_shuffle_compression_ratio"
+	MetricShufflePayload = "pol_cluster_shuffle_payload_bytes_total" // labels: form=raw|compressed, equal
 	MetricPendingBuckets = "pol_cluster_shuffle_pending_buckets"
 	MetricReduceInflight = "pol_cluster_reduce_inflight"
 	MetricOverlapReduces = "pol_cluster_overlap_reduces_total"
@@ -97,7 +96,7 @@ type workerMetrics struct {
 	peerDialErrs       *obs.Counter
 	peerWriteErrs      *obs.Counter
 
-	// Payload bytes before and after flate, exposed as a ratio gauge.
+	// Payload bytes as sealed for a socket, under both form labels.
 	shuffleRawBytes  *obs.Counter
 	shuffleCompBytes *obs.Counter
 
@@ -116,8 +115,7 @@ func newWorkerMetrics(reg *obs.Registry) *workerMetrics {
 	reg.Help(MetricShuffleBytes, "Shuffle bytes moved worker to worker, by direction.")
 	reg.Help(MetricShuffleFrames, "Peer shuffle frames by disposition.")
 	reg.Help(MetricShuffleErrors, "Peer shuffle stream errors by kind.")
-	reg.Help(MetricShufflePayload, "Shuffle payload bytes before and after compression.")
-	reg.Help(MetricShuffleRatio, "Shuffle payload compression ratio (raw/compressed).")
+	reg.Help(MetricShufflePayload, "Shuffle payload bytes sealed for a socket, as sent; payloads are not compressed, so both forms count the same bytes.")
 	reg.Help(MetricPendingBuckets, "Owned shuffle buckets not yet reduced.")
 	reg.Help(MetricReduceInflight, "Bucket reduces currently executing.")
 	m := &workerMetrics{
@@ -143,13 +141,5 @@ func newWorkerMetrics(reg *obs.Registry) *workerMetrics {
 		pendingBuckets: reg.Gauge(MetricPendingBuckets, nil),
 		reduceInflight: reg.Gauge(MetricReduceInflight, nil),
 	}
-	raw, comp := m.shuffleRawBytes, m.shuffleCompBytes
-	reg.GaugeFunc(MetricShuffleRatio, nil, func() float64 {
-		c := comp.Value()
-		if c == 0 {
-			return 0
-		}
-		return float64(raw.Value()) / float64(c)
-	})
 	return m
 }

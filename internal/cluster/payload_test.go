@@ -2,8 +2,7 @@ package cluster
 
 import (
 	"bytes"
-	"compress/flate"
-	"io"
+	"encoding/binary"
 	"net"
 	"runtime"
 	"strings"
@@ -11,11 +10,11 @@ import (
 	"testing"
 	"time"
 
-	"github.com/patternsoflife/pol/internal/deflate"
 	"github.com/patternsoflife/pol/internal/feed"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/ports"
 	"github.com/patternsoflife/pol/internal/sim"
+	"github.com/patternsoflife/pol/internal/testutil"
 )
 
 var (
@@ -25,7 +24,7 @@ var (
 )
 
 // fleetTracks is every report and static of testFleet, in vessel order —
-// real tracks, so compressed sizes are representative.
+// real tracks, so encoded sizes are representative.
 func fleetTracks(tb testing.TB) ([]model.PositionRecord, map[uint32]model.VesselInfo) {
 	tb.Helper()
 	tracksOnce.Do(func() {
@@ -43,15 +42,10 @@ func fleetTracks(tb testing.TB) ([]model.PositionRecord, map[uint32]model.Vessel
 	return tracks, trackInfo
 }
 
-// sealRaw stamps f with raw as its payload, deflated, and a fresh CRC: a
-// frame whose bytes the codec did not write.
-func sealRaw(t testing.TB, f *peerFrame, raw []byte) *peerFrame {
-	t.Helper()
-	var out bytes.Buffer
-	fw, _ := flate.NewWriter(&out, flate.BestSpeed)
-	fw.Write(raw)
-	fw.Close()
-	f.RawLen, f.Payload = len(raw), out.Bytes()
+// sealRaw stamps f with raw as its payload and a fresh CRC: a frame whose
+// bytes the codec did not write.
+func sealRaw(f *peerFrame, raw []byte) *peerFrame {
+	f.Payload = raw
 	f.CRC = f.digest()
 	return f
 }
@@ -77,66 +71,57 @@ func TestBucketFramesAreByteIdentical(t *testing.T) {
 		t.Fatalf("%d and %d frames", len(a), len(b))
 	}
 	for i := range a {
-		if !bytes.Equal(a[i].Payload, b[i].Payload) || a[i].CRC != b[i].CRC || a[i].RawLen != b[i].RawLen {
+		if !bytes.Equal(a[i].Payload, b[i].Payload) || a[i].CRC != b[i].CRC {
 			t.Fatalf("frame %d differs between two runs of the same task", i)
 		}
 	}
-	if p, err := a[len(a)-1].open(maxFrameBytes); err != nil || len(p.Statics) != len(info) {
+	if p, err := a[len(a)-1].open(); err != nil || len(p.Statics) != len(info) {
 		t.Fatalf("last frame: %v, %d statics of %d", err, len(p.Statics), len(info))
 	}
 }
 
-// TestPayloadRefusals: a payload of another codec version is refused by
-// name; a RawLen past the cap or past what deflate can expand to, a payload
-// that inflates short of or past RawLen, unsorted statics, a bad flag byte
-// and trailing bytes are refused too — each before any reduce sees it.
+// TestPayloadRefusals: a payload of another codec version — version 1,
+// fixed-width rows deflated, among them — is refused by name; unsorted
+// statics, a class-A byte above 1, a non-canonical or truncated record log
+// and a log holding other than the header's record count are refused
+// too — each before any reduce sees it.
 func TestPayloadRefusals(t *testing.T) {
 	recs, info := fleetTracks(t)
 	raw := appendPayload(nil, &peerPayload{Records: recs[:100], Statics: info})
 	frame := func(raw []byte) *peerFrame {
-		return sealRaw(t, &peerFrame{TaskID: 1, Bucket: 1, Records: 100}, raw)
+		return sealRaw(&peerFrame{TaskID: 1, Bucket: 1, Records: 100}, raw)
 	}
 	refused := func(what string, f *peerFrame, want string) {
 		t.Helper()
-		if _, err := f.open(fuzzCap); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := f.open(); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: %v, want %q", what, err, want)
 		}
 	}
-	if _, err := frame(raw).open(fuzzCap); err != nil {
+	if _, err := frame(raw).open(); err != nil {
 		t.Fatalf("valid payload: %v", err)
 	}
-	v2 := bytes.Clone(raw)
-	v2[0] = 2
-	refused("version 2", frame(v2), "shuffle payload version 2; coordinator and workers must run the same build")
+	v1 := bytes.Clone(raw)
+	v1[0] = 1
+	refused("version 1", frame(v1), "shuffle payload version 1; coordinator and workers must run the same build")
 
-	big := frame(raw)
-	big.RawLen = fuzzCap + 1
-	refused("RawLen past the cap", big, "out of bounds")
-	bomb := frame(raw)
-	bomb.RawLen = deflate.MaxRatio*len(bomb.Payload) + 1
-	refused("RawLen past deflate's ratio", bomb, "out of bounds")
-	long := frame(raw)
-	long.RawLen--
-	refused("inflates past RawLen", long, "inflates past")
-	short := frame(raw)
-	short.RawLen++
-	refused("inflates short of RawLen", short, "inflate")
-
-	// The statics start right after the rows; the first key is the
-	// smallest MMSI, the flag byte ends each static.
-	at := 1 + 4 + 100*rowBytes + 4
+	// The statics follow the count, in key order; the first key is the
+	// smallest MMSI.
 	unsorted := bytes.Clone(raw)
-	copy(unsorted[at:], []byte{0xff, 0xff, 0xff, 0xff})
+	binary.LittleEndian.PutUint32(unsorted[5:], 0xffffffff)
 	refused("unsorted statics", frame(unsorted), "out of order")
-	flag := bytes.Clone(raw)
-	flag[len(flag)-1] = 2
-	refused("flag byte 2", frame(flag), "bad flag")
-	refused("trailing byte", frame(append(bytes.Clone(raw), 0)), "trailing")
-	refused("truncated", frame(raw[:len(raw)-3]), "truncated")
+	// The first static's class-A byte: key, varints up to the design speed.
+	first := appendPayload(nil, &peerPayload{Statics: map[uint32]model.VesselInfo{1: {MMSI: 1}}})
+	flag := bytes.Clone(first)
+	flag[len(flag)-3] = 2
+	refused("class-A byte 2", sealRaw(&peerFrame{}, flag), "class-A byte above 1")
+	refused("a record more than the header says", sealRaw(&peerFrame{TaskID: 1, Bucket: 1, Records: 99}, raw), "header says 99")
+	refused("truncated log", frame(raw[:len(raw)-3]), "corrupt record log")
+	refused("truncated static", sealRaw(&peerFrame{}, first[:len(first)-2]), "truncated")
+	refused("truncated count", sealRaw(&peerFrame{}, first[:3]), "truncated")
 }
 
-// TestShufflePayloadCountersCountSocketFrames: the payload counters (and
-// the ratio gauge over them) count exactly the frames sealed for a socket,
+// TestShufflePayloadCountersCountSocketFrames: the payload counters, both
+// forms the same bytes, count exactly the frames sealed for a socket,
 // once each — not the frames a worker delivers to its own buckets, which
 // go into reassembly unsealed, and not a resend of a sealed frame.
 func TestShufflePayloadCountersCountSocketFrames(t *testing.T) {
@@ -187,10 +172,10 @@ func TestShufflePayloadCountersCountSocketFrames(t *testing.T) {
 	for range remote {
 		select {
 		case f := <-got:
-			if _, err := f.open(maxFrameBytes); err != nil {
+			if _, err := f.open(); err != nil {
 				t.Fatal(err)
 			}
-			raw, comp = raw+int64(f.RawLen), comp+int64(len(f.Payload))
+			raw, comp = raw+int64(len(f.Payload)), comp+int64(len(f.Payload))
 		case <-time.After(10 * time.Second):
 			t.Fatal("remote frames did not arrive")
 		}
@@ -241,7 +226,7 @@ func BenchmarkShuffleFrame(b *testing.B) {
 		perRecord(b, func() {
 			f := bucketFrames(Task{ID: 1}, 0, recs, nil)[0]
 			f.seal()
-			if _, err := f.open(maxFrameBytes); err != nil {
+			if _, err := f.open(); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -260,11 +245,6 @@ func BenchmarkShuffleFrame(b *testing.B) {
 			}
 		})
 	})
-}
-
-// flateRead is the test side's plain read of a sealed payload.
-func flateRead(payload []byte, limit int64) ([]byte, error) {
-	return io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(payload)), limit))
 }
 
 // TestSentResultReleasesRetainedRows: once a bucket's successful result has
@@ -289,5 +269,28 @@ func TestSentResultReleasesRetainedRows(t *testing.T) {
 	}
 	if _, ok := sh.contribs[2]; !ok {
 		t.Error("a failed reduce dropped its reassembled inputs")
+	}
+}
+
+// TestRecordCodecAcrossBoundaries: the record set internal/ingest's test of
+// the same name carries through the WAL, /v1/repl and checkpoint state
+// goes through seal → socket framing → open here, and decodes to identical
+// bits.
+func TestRecordCodecAcrossBoundaries(t *testing.T) {
+	want := testutil.CodecRecords()
+	var buf bytes.Buffer
+	if _, err := writeFrame(&buf, sealTestFrame(t, 1, 0, 0, 0, true, 1, want, nil)); err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := readFrame[peerFrame](&buf, maxFrameBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := samePayload(got, &peerPayload{Records: want}); diff != "" {
+		t.Fatal(diff)
 	}
 }

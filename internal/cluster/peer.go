@@ -33,12 +33,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // peerFrame is one unit of the worker-to-worker shuffle: a batch of one
 // scan task's records for one bucket. It is built holding its records
-// (content) and sealed — payload-encoded, flate-compressed, CRC-stamped —
-// only on its first trip across a socket (seal, payload.go).
+// (content) and sealed — payload-encoded and CRC-stamped — only on its
+// first trip across a socket (seal, payload.go).
 // (TaskID, Bucket, Seq) is the idempotency key receivers deduplicate on;
 // Last carries Frames, the total frame count for the (task, bucket) pair,
 // so the receiver knows when a section's contribution is complete. CRC is
-// CRC32C over the header fields and the compressed payload, so neither a
+// CRC32C over the header fields and the encoded payload, so neither a
 // flipped payload byte nor a corrupted header field (a frame claiming the
 // wrong bucket or sequence) can poison a reduce.
 type peerFrame struct {
@@ -49,16 +49,15 @@ type peerFrame struct {
 	Last    bool
 	Frames  int // on Last: total frames for (TaskID, Bucket)
 	Records int // records in this frame's payload
-	RawLen  int // uncompressed payload bytes (compression-ratio metric)
 	Payload []byte
 	CRC     uint32
 
-	mu      sync.Mutex   // guards the seal: content → RawLen, Payload, CRC
+	mu      sync.Mutex   // guards the seal: content → Payload, CRC
 	content *peerPayload // until sealed; nil on a frame read off a socket
 }
 
 // digest computes the frame's integrity checksum: the numeric identity
-// fields in a fixed binary layout, then the compressed payload.
+// fields in a fixed binary layout, then the encoded payload.
 func (f *peerFrame) digest() uint32 {
 	var hdr [44]byte
 	binary.LittleEndian.PutUint64(hdr[0:], f.TaskID)
@@ -211,7 +210,7 @@ func (s *peerSender) write(conn net.Conn, f *peerFrame) error {
 		return err
 	}
 	if f.seal() {
-		s.metrics.shuffleRawBytes.Add(int64(f.RawLen))
+		s.metrics.shuffleRawBytes.Add(int64(len(f.Payload)))
 		s.metrics.shuffleCompBytes.Add(int64(len(f.Payload)))
 	}
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))

@@ -179,7 +179,7 @@ func (sh *shuffleState) ingest(f *peerFrame) (err error) {
 	p := f.content
 	f.mu.Unlock()
 	if p == nil {
-		if p, err = f.open(maxFrameBytes); err != nil {
+		if p, err = f.open(); err != nil {
 			return err
 		}
 	}

@@ -130,9 +130,6 @@ func sealTestFrame(t testing.TB, taskID uint64, section, bucket, seq int, last b
 	return f
 }
 
-// TestPeerFrameRoundTrip seals, writes, reads and opens one shuffle frame,
-// pinning the codec: records and statics survive, the byte counts agree,
-// and the raw length is recorded for the compression-ratio metric.
 // TestBucketOfIsRunsVesselPartition holds the distributed build's bucketing
 // to the local build's: every MMSI goes to the bucket that pipeline.Run's
 // vessel repartition puts it in, for every width tried. That is the
@@ -167,12 +164,15 @@ func TestBucketOfIsRunsVesselPartition(t *testing.T) {
 	}
 }
 
+// TestPeerFrameRoundTrip seals, writes, reads and opens one shuffle frame,
+// pinning the codec: records and statics survive and the byte counts
+// agree.
 func TestPeerFrameRoundTrip(t *testing.T) {
 	recs := []model.PositionRecord{{MMSI: 111, Time: 5}, {MMSI: 222, Time: 9}}
 	statics := map[uint32]model.VesselInfo{111: {MMSI: 111}}
 	f := sealTestFrame(t, 3, 1, 2, 0, true, 1, recs, statics)
-	if f.RawLen <= 0 || f.Records != 2 {
-		t.Fatalf("seal: RawLen=%d Records=%d", f.RawLen, f.Records)
+	if len(f.Payload) == 0 || f.Records != 2 {
+		t.Fatalf("seal: %d payload bytes, Records=%d", len(f.Payload), f.Records)
 	}
 	var buf bytes.Buffer
 	wn, err := writeFrame(&buf, f)
@@ -186,7 +186,7 @@ func TestPeerFrameRoundTrip(t *testing.T) {
 	if wn != buf.Len() || rn != buf.Len() {
 		t.Errorf("frame sizes: wrote %d, read %d, want %d", wn, rn, buf.Len())
 	}
-	p, err := got.open(maxFrameBytes)
+	p, err := got.open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,20 +210,20 @@ func TestPeerFrameCorruption(t *testing.T) {
 	flipped := mk()
 	flipped.Payload = append([]byte(nil), flipped.Payload...)
 	flipped.Payload[len(flipped.Payload)/2] ^= 0x40
-	if _, err := flipped.open(maxFrameBytes); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if _, err := flipped.open(); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Errorf("flipped payload: %v, want CRC mismatch", err)
 	}
 
 	relabeled := mk()
 	relabeled.Bucket++ // claims a different bucket than was sealed
-	if _, err := relabeled.open(maxFrameBytes); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if _, err := relabeled.open(); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Errorf("relabeled bucket: %v, want CRC mismatch", err)
 	}
 
 	lying := mk()
 	lying.Records++
 	lying.CRC = lying.digest() // CRC consistent, payload contradicts header
-	if _, err := lying.open(maxFrameBytes); err == nil || !strings.Contains(err.Error(), "records") {
+	if _, err := lying.open(); err == nil || !strings.Contains(err.Error(), "records") {
 		t.Errorf("lying record count: %v, want record-count rejection", err)
 	}
 

@@ -12,9 +12,9 @@
 // holds it to both, and every stream it writes to both decoders below.
 //
 // Inflate(dst, src) decodes a stream into a buffer whose length the caller
-// already knows (a segment block's or a shuffle frame's RawLen). Bits come
-// off the source a word at a time and symbols out of two-level tables;
-// there is no io.Reader, window ring or per-byte interface call. It
+// already knows (a segment block's RawLen). Bits come off the source a
+// word at a time and symbols out of two-level tables; there is no
+// io.Reader, window ring or per-byte interface call. It
 // succeeds exactly when compress/flate's reader would yield len(dst) bytes
 // equal to dst's and then end its final block without error, so it refuses
 // what that reader refuses: over-subscribed or incomplete codes other than

@@ -195,7 +195,7 @@ func (e *Engine) ApplyReplicated(entries []JournalEntry) error {
 
 // InstallReplicaState atomically replaces the engine's entire state with
 // a checkpoint generation downloaded from a primary: inv becomes the
-// master inventory, the POLSTAT2 state bytes restore the static map and
+// master inventory, the POLSTAT3 state bytes restore the static map and
 // every vessel's cleaner/tracker state, and the applied frontier becomes
 // seq. The swap runs in the engine loop so no submission interleaves
 // with it; a fresh snapshot is published before it returns. The caller

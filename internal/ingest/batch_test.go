@@ -158,10 +158,10 @@ func tailInto(t testing.TB, eng *Engine, max int) *Engine {
 
 // TestBatchedPumpEqualsSingleSubmissions: one fixed stream, submitted item
 // by item and through the batched pump, with merges at the same four
-// points, leaves byte-identical WAL segment files — the ones the
+// points, leaves byte-identical WAL segment files — the entries the
 // record-at-a-time loop of e3b0b56 wrote for this stream, by this test's own
-// code — identical counters, and inventory.Equal snapshots on both
-// primaries and on an applier tailing each.
+// code, in POLWAL3 — identical counters, and inventory.Equal snapshots on
+// both primaries and on an applier tailing each.
 func TestBatchedPumpEqualsSingleSubmissions(t *testing.T) {
 	parts := nmeaFleet(t, sim.Config{Vessels: 6, Days: 24, Seed: 11}, 4)
 	run := func(name string, submit func(e *Engine, nmea []byte)) (*Engine, string) {
@@ -188,9 +188,12 @@ func TestBatchedPumpEqualsSingleSubmissions(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const parentWAL = "46 segments 26fd72188190c458"
+	// POLWAL3 moved this pin from e3b0b56's POLWAL2 "46 segments
+	// 26fd72188190c458": a position entry is a one-record log, not 53 fixed
+	// bytes, so the same stream takes 27 segments of 64 KiB.
+	const parentWAL = "27 segments b57bd0fa816ebeb3"
 	if singleWAL != parentWAL || batchedWAL != parentWAL {
-		t.Errorf("WAL files: single %q, batched %q, e3b0b56 wrote %q", singleWAL, batchedWAL, parentWAL)
+		t.Errorf("WAL files: single %q, batched %q, pinned %q", singleWAL, batchedWAL, parentWAL)
 	}
 	if s, b := counters(single), counters(batched); fmt.Sprintf("%+v", s) != fmt.Sprintf("%+v", b) {
 		t.Errorf("counters differ:\nsingle  %+v\nbatched %+v", s, b)

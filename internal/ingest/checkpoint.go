@@ -7,9 +7,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -22,7 +23,7 @@ import (
 
 // Checkpoints are the engine's fast-recovery frontier: a generation is
 // two files — the published inventory as a POLSEG1 segment (the format
-// every reader and replica takes) plus a POLSTAT2 state file carrying
+// every reader and replica takes) plus a POLSTAT3 state file carrying
 // everything replay cannot re-derive from the WAL suffix alone: the vessel
 // static map, every vessel's cleaner and trip-tracker state, and the
 // engine counters. A small text manifest (<base>.manifest) names the last
@@ -54,12 +55,14 @@ const (
 	ckptRetain        = 2
 )
 
-var stateMagic = []byte("POLSTAT2\n")
+var stateMagic = []byte("POLSTAT3\n")
 
-// errOldState refuses a state file of the format before open trips were
-// record logs. Like a segment of a retired version it is an error for the
-// operator, not a missing checkpoint: the WAL was pruned to it.
-var errOldState = errors.New("POLSTAT1 state files are no longer read (this build writes POLSTAT2)")
+// errOldState refuses a state file of a format before POLSTAT3: POLSTAT1
+// (open trips as 53-byte records) or POLSTAT2 (the last accepted record as
+// 53 fixed bytes, entries in map order). Like a segment of a retired
+// version it is an error for the operator, not a missing checkpoint: the
+// WAL was pruned to it.
+var errOldState = errors.New("state files are no longer read (this build writes POLSTAT3)")
 
 // ckptGen is one manifest entry. Term/Node are zero on manifests written
 // before the failover epoch existed — readers treat that as term 1 under
@@ -69,7 +72,7 @@ type ckptGen struct {
 	Seg       string // POLSEG1 inventory segment; basenames, sibling to the manifest
 	SegCRC    uint32
 	SegSize   int64
-	State     string // POLSTAT2 engine state
+	State     string // POLSTAT3 engine state
 	StateCRC  uint32
 	StateSize int64
 	Term      uint64 // fencing epoch the generation was written under
@@ -132,14 +135,14 @@ func (c *checkpointer) genPath(name string) string {
 }
 
 // engineState is the replay-independent engine state captured into (and
-// restored from) a checkpoint's POLSTAT2 file.
+// restored from) a checkpoint's POLSTAT3 file.
 type engineState struct {
 	counters stateCounters
 	statics  map[uint32]model.VesselInfo
 	vessels  map[uint32]vesselPersist
 }
 
-// stateCounters holds metrics.persisted() by value, in POLSTAT2 order.
+// stateCounters holds metrics.persisted() by value, in POLSTAT3 order.
 type stateCounters [13]int64
 
 type vesselPersist struct {
@@ -380,12 +383,26 @@ func parseManifestLine(line string) (ckptGen, error) {
 	return g, nil
 }
 
-// --- POLSTAT2 encoding ---
+// --- POLSTAT3 encoding ---
+//
+//	magic "POLSTAT3\n" | 13 counters u64
+//	nstatics u32 | statics in MMSI order (pipeline.AppendVesselInfo)
+//	nvessels u32 | vessels in MMSI order:
+//	  mmsi u32 | prevTime u64 | flags u8 | [last: u8 length + a one-record
+//	  log, when flags has stFlagHasLast] | lastPort u32 | visitPort u32 |
+//	  [origin u32 | tripRecords u32, when flags has stFlagHasTrip] |
+//	  log length u32 | open-trip record log
+//
+// Equal state encodes to equal bytes, and the decoder refuses what the
+// encoder would not write (keys out of order, unknown flags, an empty
+// open trip, trailing bytes): decode → encode is the identity on what it
+// accepts.
 
 const (
 	stFlagHasPrev = 1 << iota
 	stFlagHasLast
 	stFlagHasTrip
+	stFlagsKnown = 1<<iota - 1
 )
 
 func encodeState(st *engineState) []byte {
@@ -394,13 +411,12 @@ func encodeState(st *engineState) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.statics)))
-	for _, v := range st.statics {
-		payload := appendStaticEntry(nil, v)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = append(buf, payload...)
+	for _, mmsi := range slices.Sorted(maps.Keys(st.statics)) {
+		buf = pipeline.AppendVesselInfo(buf, st.statics[mmsi])
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.vessels)))
-	for mmsi, vp := range st.vessels {
+	for _, mmsi := range slices.Sorted(maps.Keys(st.vessels)) {
+		vp := st.vessels[mmsi]
 		buf = binary.LittleEndian.AppendUint32(buf, mmsi)
 		cs := vp.cleaner
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(cs.PrevTime))
@@ -416,7 +432,11 @@ func encodeState(st *engineState) []byte {
 			flags |= stFlagHasTrip
 		}
 		buf = append(buf, flags)
-		buf = appendPositionEntry(buf, cs.Last)
+		if cs.HasLast {
+			at := len(buf)
+			buf = pipeline.AppendRecordLog(append(buf, 0), cs.Last)
+			buf[at] = byte(len(buf) - at - 1) // a one-record log is at most 57 bytes
+		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(ts.LastPort))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(ts.VisitPort))
 		if ts.TripRecords > 0 {
@@ -429,10 +449,9 @@ func encodeState(st *engineState) []byte {
 	return buf
 }
 
-// stateReader is a cursor over POLSTAT2 bytes, and over the WAL entry
-// payloads it embeds (journal.go decodes them with it). The first read
-// past the end sticks: it and every later read return zero values, and the
-// caller checks err once.
+// stateReader is a cursor over POLSTAT3 bytes. The first read past the
+// end sticks: it and every later read return zero values, and the caller
+// checks err once.
 type stateReader struct {
 	p   []byte
 	err error
@@ -457,8 +476,6 @@ func (r *stateReader) u8() byte {
 	return 0
 }
 
-func (r *stateReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
 func (r *stateReader) u32() uint32 {
 	if b := r.take(4); b != nil {
 		return binary.LittleEndian.Uint32(b)
@@ -473,12 +490,11 @@ func (r *stateReader) u64() uint64 {
 	return 0
 }
 
-func (r *stateReader) pos() model.PositionRecord {
-	rec, ok := decodePositionEntry(r.take(53))
-	if !ok && r.err == nil {
-		r.err = fmt.Errorf("bad position record")
+// fail records the first error.
+func (r *stateReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
 	}
-	return rec
 }
 
 func decodeState(rd io.Reader) (*engineState, error) {
@@ -489,8 +505,8 @@ func decodeState(rd io.Reader) (*engineState, error) {
 	r := &stateReader{p: data}
 	switch magic := string(r.take(len(stateMagic))); magic {
 	case string(stateMagic):
-	case "POLSTAT1\n":
-		return nil, errOldState
+	case "POLSTAT1\n", "POLSTAT2\n":
+		return nil, fmt.Errorf("%s %w", strings.TrimSpace(magic), errOldState)
 	default:
 		return nil, fmt.Errorf("bad state magic")
 	}
@@ -501,27 +517,49 @@ func decodeState(rd io.Reader) (*engineState, error) {
 	for i := range st.counters {
 		st.counters[i] = int64(r.u64())
 	}
+	prev := int64(-1)
 	for n := r.u32(); n > 0 && r.err == nil; n-- {
-		v, ok := decodeStaticEntry(r.take(int(r.u32())))
-		if !ok && r.err == nil {
-			r.err = fmt.Errorf("bad static entry")
+		v, used, err := pipeline.DecodeVesselInfo(r.p)
+		if err != nil {
+			r.fail("static: %w", err)
+			break
 		}
+		r.take(used)
+		if int64(v.MMSI) <= prev {
+			r.fail("static %d out of MMSI order", v.MMSI)
+		}
+		prev = int64(v.MMSI)
 		st.statics[v.MMSI] = v
 	}
+	prev = -1
 	for n := r.u32(); n > 0 && r.err == nil; n-- {
 		mmsi := r.u32()
+		if int64(mmsi) <= prev {
+			r.fail("vessel %d out of MMSI order", mmsi)
+		}
+		prev = int64(mmsi)
 		var vp vesselPersist
 		vp.cleaner.PrevTime = int64(r.u64())
 		flags := r.u8()
+		if flags&^stFlagsKnown != 0 {
+			r.fail("vessel %d: unknown flags %#x", mmsi, flags)
+		}
 		vp.cleaner.HasPrev = flags&stFlagHasPrev != 0
-		vp.cleaner.HasLast = flags&stFlagHasLast != 0
-		vp.cleaner.Last = r.pos()
+		if vp.cleaner.HasLast = flags&stFlagHasLast != 0; vp.cleaner.HasLast {
+			var one [1]model.PositionRecord
+			last, err := pipeline.DecodeRecordLog(one[:0], r.take(int(r.u8())))
+			if err != nil || len(last) != 1 {
+				r.fail("vessel %d: the last accepted record is %d records (%v)", mmsi, len(last), err)
+			} else {
+				vp.cleaner.Last = last[0]
+			}
+		}
 		vp.tracker.LastPort = model.PortID(r.u32())
 		vp.tracker.VisitPort = model.PortID(r.u32())
 		if flags&stFlagHasTrip != 0 {
 			vp.tracker.Origin = model.PortID(r.u32())
-			if vp.tracker.TripRecords = int(r.u32()); vp.tracker.TripRecords == 0 && r.err == nil {
-				r.err = fmt.Errorf("vessel %d: an open trip of no records", mmsi)
+			if vp.tracker.TripRecords = int(r.u32()); vp.tracker.TripRecords == 0 {
+				r.fail("vessel %d: an open trip of no records", mmsi)
 			}
 		}
 		// The log's bytes stay in data: SetState clips them to their
@@ -529,7 +567,7 @@ func decodeState(rd io.Reader) (*engineState, error) {
 		vp.tracker.Log = r.take(int(r.u32()))
 		if r.err == nil {
 			if err := vp.tracker.Validate(); err != nil {
-				r.err = fmt.Errorf("vessel %d: %w", mmsi, err)
+				r.fail("vessel %d: %w", mmsi, err)
 			}
 		}
 		st.vessels[mmsi] = vp

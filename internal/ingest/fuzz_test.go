@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -18,7 +19,7 @@ import (
 // Fuzz targets for the bytes the lifecycle trusts from another process or
 // an earlier incarnation of this one: a /v1/repl/wal body (an applier
 // applies it), a WAL segment (cold start and every re-base replay it) and
-// a POLSTAT2 state file (cold start and replica install restore it). The
+// a POLSTAT3 state file (cold start and replica install restore it). The
 // committed corpora under testdata/fuzz come from the fixtures the unit
 // tests use (go test -run FuzzSeeds -update rewrites them).
 
@@ -150,9 +151,10 @@ func FuzzReadReplChunk(f *testing.F) {
 }
 
 // FuzzOpenJournal: whatever is in the first segment file, opening never
-// panics or fails, replays strictly contiguous sequence numbers, leaves a
-// journal that takes appends, and a second open replays exactly the same
-// records plus the one appended.
+// panics or fails — but for a POLWAL2 segment, which it refuses by name —
+// replays strictly contiguous sequence numbers, leaves a journal that takes
+// appends, and a second open replays exactly the same records plus the one
+// appended.
 func FuzzOpenJournal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		base := filepath.Join(t.TempDir(), "wal")
@@ -168,12 +170,18 @@ func FuzzOpenJournal(f *testing.F) {
 				got = append(got, e)
 				return nil
 			})
+			if errors.Is(err, errOldWAL) {
+				return nil, nil
+			}
 			if err != nil {
 				t.Fatalf("OpenJournal: %v", err)
 			}
 			return got, j
 		}
 		first, j := open()
+		if j == nil {
+			return
+		}
 		// The index the scan rebuilt changes where a read starts, never what
 		// it returns: from every surviving record on, the bytes are those a
 		// scan from the segment head finds. (TestWALReadSeeksByIndex does the
@@ -211,25 +219,17 @@ func FuzzOpenJournal(f *testing.F) {
 	})
 }
 
-// FuzzDecodeState: never panic, never allocate past the input; a state
-// that decodes survives an encode/decode round trip with the same shape.
+// FuzzDecodeState: never panic, never allocate past the input; POLSTAT3
+// is canonical, so a state that decodes encodes back to exactly the bytes
+// it came from.
 func FuzzDecodeState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeState(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		enc := encodeState(st)
-		if len(enc) > len(data) {
-			t.Fatalf("%d input bytes decoded to a state that encodes to %d", len(data), len(enc))
-		}
-		again, err := decodeState(bytes.NewReader(enc))
-		if err != nil {
-			t.Fatalf("re-encoded state does not decode: %v", err)
-		}
-		if again.counters != st.counters || len(again.statics) != len(st.statics) || len(again.vessels) != len(st.vessels) {
-			t.Fatalf("round trip changed the state: %+v / %d / %d, then %+v / %d / %d", st.counters,
-				len(st.statics), len(st.vessels), again.counters, len(again.statics), len(again.vessels))
+		if enc := encodeState(st); !bytes.Equal(enc, data) {
+			t.Fatalf("%d input bytes decoded to a state that encodes to %d other bytes", len(data), len(enc))
 		}
 	})
 }

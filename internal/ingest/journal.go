@@ -5,11 +5,11 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"maps"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -18,11 +18,10 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/patternsoflife/pol/internal/ais"
 	"github.com/patternsoflife/pol/internal/fault"
-	"github.com/patternsoflife/pol/internal/geo"
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
+	"github.com/patternsoflife/pol/internal/pipeline"
 )
 
 // Journal is the ingestion write-ahead log: an append-only sequence of
@@ -31,12 +30,15 @@ import (
 // reconstructs the exact in-memory state at the moment of the last flush,
 // so a killed daemon resumes where it stopped.
 //
-// WAL v2 segment format (little-endian):
+// WAL v3 segment format (little-endian):
 //
 //	file name: <base stripped of .wal>.NNNNNN.wal, NNNNNN monotonic
-//	header:    magic "POLWAL2\n" | firstSeq u64
-//	records:   kind u8 ('P' position | 'S' static) | len u32 | seq u64 |
-//	           payload | crc32c u32 (Castagnoli, over kind..payload)
+//	header:    magic "POLWAL3\n" | firstSeq u64
+//	records:   kind u8 ('P' position | 'S' static | 'M' merge) | len u32 |
+//	           seq u64 | payload | crc32c u32 (Castagnoli, over kind..payload)
+//	payload:   'P' a one-record log (pipeline.AppendRecordLog: deltas from
+//	           the zero record, so no entry depends on another); 'S' a
+//	           vessel static (pipeline.AppendVesselInfo); 'M' nothing
 //
 // Sequence numbers are monotonic across segments, so a checkpoint
 // manifest can name the exact durability frontier it covers and recovery
@@ -47,7 +49,9 @@ import (
 // record and the remainder is quarantined to a .corrupt sidecar so no
 // wrong state is ever reconstructed). A file at the base path itself — a
 // pre-segment POLWAL1 journal — is never read, overwritten or removed:
-// OpenJournal refuses to start beside it.
+// OpenJournal refuses to start beside it. A POLWAL2 segment (53-byte
+// fixed-width positions) stops OpenJournal too, by name, rather than being
+// quarantined as damage.
 type Journal struct {
 	base string
 	opts JournalOptions
@@ -148,8 +152,13 @@ const (
 
 var (
 	walMagicV1 = []byte("POLWAL1\n") // recognised only to be refused
-	walMagicV2 = []byte("POLWAL2\n")
+	walMagicV2 = []byte("POLWAL2\n") // recognised only to be refused
+	walMagicV3 = []byte("POLWAL3\n")
 )
+
+// errOldWAL refuses a POLWAL2 segment: its records are not replayed, and
+// quarantining them as damage would hide that from the operator.
+var errOldWAL = errors.New("a POLWAL2 segment, which is no longer replayed (this build writes POLWAL3); move the journal's segments away (their records are lost unless a checkpoint covers them)")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -302,13 +311,16 @@ func refuseBaseFile(base string) error {
 	return fmt.Errorf("ingest: %s exists but is not a journal; segments are written beside the base path, never at it", base)
 }
 
-// replaySegments scans the v2 segments in order, validating checksums and
+// replaySegments scans the segments in order, validating checksums and
 // sequence continuity, truncating torn tails and quarantining corruption.
 func (j *Journal) replaySegments(idxs []int, replay func(JournalEntry) error) error {
 	expect := j.nextSeq // seq the next segment should start at
 	for pos, idx := range idxs {
 		path := segmentPath(j.base, idx)
 		first, err := readSegmentHeader(path)
+		if errors.Is(err, errOldWAL) {
+			return fmt.Errorf("ingest: %s is %w", path, err)
+		}
 		if err != nil {
 			// Unreadable header: this segment and everything after it are
 			// unreplayable — quarantine them whole.
@@ -483,7 +495,10 @@ func readSegmentHeader(path string) (firstSeq uint64, err error) {
 	if _, err := io.ReadFull(f, head[:]); err != nil {
 		return 0, fmt.Errorf("short header: %w", err)
 	}
-	if !bytes.Equal(head[:8], walMagicV2) {
+	if bytes.Equal(head[:8], walMagicV2) {
+		return 0, errOldWAL
+	}
+	if !bytes.Equal(head[:8], walMagicV3) {
 		return 0, fmt.Errorf("bad segment magic")
 	}
 	if firstSeq = binary.LittleEndian.Uint64(head[8:]); firstSeq == 0 {
@@ -501,7 +516,7 @@ func (j *Journal) createSegment(idx int) error {
 		return fmt.Errorf("ingest: create segment %s: %w", path, err)
 	}
 	var head []byte
-	head = append(head, walMagicV2...)
+	head = append(head, walMagicV3...)
 	head = binary.LittleEndian.AppendUint64(head, j.nextSeq)
 	if _, err := f.Write(head); err != nil {
 		f.Close()
@@ -714,9 +729,9 @@ func appendRecord(buf []byte, seq uint64, e *JournalEntry) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	switch e.Kind {
 	case entryPosition:
-		buf = appendPositionEntry(buf, e.Pos)
+		buf = pipeline.AppendRecordLog(buf, e.Pos)
 	case entryStatic:
-		buf = appendStaticEntry(buf, e.Info)
+		buf = pipeline.AppendVesselInfo(buf, e.Info)
 	}
 	binary.LittleEndian.PutUint32(buf[start+1:], uint32(len(buf)-start-recHeaderLen))
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
@@ -728,10 +743,10 @@ func appendRecord(buf []byte, seq uint64, e *JournalEntry) []byte {
 // checkpoint generation instead of tailing.
 var ErrSeqPruned = fmt.Errorf("ingest: requested WAL sequence already pruned")
 
-// maxReadEntries bounds the records of one POLREPL1 chunk.
+// maxReadEntries bounds the records of one POLREPL2 chunk.
 const maxReadEntries = 8192
 
-// readChunk builds one POLREPL1 body — magic | lastSeq | count | records —
+// readChunk builds one POLREPL2 body — magic | lastSeq | count | records —
 // of up to max committed records past fromSeq, in order, as they lie on
 // disk, and returns it with its count. Under the lock it only flushes — so
 // the files hold every acknowledged record — and notes where to read; the
@@ -764,7 +779,7 @@ func (j *Journal) readChunk(fromSeq uint64, max int) ([]byte, int, error) {
 	}
 	j.mu.Unlock()
 
-	chunk := make([]byte, replHeaderLen, replHeaderLen+max*positionFrameLen) // grown only by statics
+	chunk := make([]byte, replHeaderLen, replHeaderLen+max*positionFrameLen)
 	copy(chunk, replMagic)
 	binary.LittleEndian.PutUint64(chunk[len(replMagic):], last)
 	n := 0
@@ -816,7 +831,7 @@ func readSegmentFrames(dst []byte, path string, off int64, fromSeq uint64, max, 
 }
 
 // recordReader reads framed records: the bytes of a WAL segment past its
-// header and the body of a POLREPL1 chunk are the same thing.
+// header and the body of a POLREPL2 chunk are the same thing.
 type recordReader struct {
 	r       io.Reader
 	hdr     [recHeaderLen]byte
@@ -863,60 +878,17 @@ func (rr *recordReader) entry() (JournalEntry, error) {
 	ok := len(rr.payload) == 0 // a merge marker carries nothing
 	switch e.Kind {
 	case entryPosition:
-		e.Pos, ok = decodePositionEntry(rr.payload)
+		var one [1]model.PositionRecord
+		recs, err := pipeline.DecodeRecordLog(one[:0], rr.payload)
+		if ok = err == nil && len(recs) == 1; ok {
+			e.Pos = recs[0]
+		}
 	case entryStatic:
-		e.Info, ok = decodeStaticEntry(rr.payload)
+		info, n, err := pipeline.DecodeVesselInfo(rr.payload)
+		e.Info, ok = info, err == nil && n == len(rr.payload)
 	}
 	if !ok {
 		return e, fmt.Errorf("undecodable payload at seq %d", e.Seq)
 	}
 	return e, nil
-}
-
-// appendPositionEntry encodes a position record (fixed 53 bytes).
-func appendPositionEntry(buf []byte, r model.PositionRecord) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, r.MMSI)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Time))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Pos.Lat))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Pos.Lng))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.SOG))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.COG))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Heading))
-	return append(buf, byte(r.Status))
-}
-
-func decodePositionEntry(b []byte) (model.PositionRecord, bool) {
-	r := stateReader{p: b}
-	rec := model.PositionRecord{MMSI: r.u32(), Time: int64(r.u64()), Pos: geo.LatLng{Lat: r.f64(), Lng: r.f64()},
-		SOG: r.f64(), COG: r.f64(), Heading: r.f64(), Status: ais.NavStatus(r.u8())}
-	return rec, r.err == nil && len(r.p) == 0
-}
-
-// appendStaticEntry encodes a vessel static-inventory entry.
-func appendStaticEntry(buf []byte, v model.VesselInfo) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, v.MMSI)
-	buf = binary.LittleEndian.AppendUint32(buf, v.IMO)
-	buf = append(buf, byte(v.Type))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.GRT))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.LengthM))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.BeamM))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.DesignSpeed))
-	if v.ClassA {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = append(buf, byte(len(v.Name)))
-	buf = append(buf, v.Name...)
-	buf = append(buf, byte(len(v.CallSign)))
-	return append(buf, v.CallSign...)
-}
-
-func decodeStaticEntry(b []byte) (model.VesselInfo, bool) {
-	r := stateReader{p: b}
-	v := model.VesselInfo{MMSI: r.u32(), IMO: r.u32(), Type: model.VesselType(r.u8()), GRT: int(int64(r.u64())),
-		LengthM: int(r.u32()), BeamM: int(r.u32()), DesignSpeed: r.f64(), ClassA: r.u8() == 1}
-	v.Name = string(r.take(int(r.u8())))
-	v.CallSign = string(r.take(int(r.u8())))
-	return v, r.err == nil && len(r.p) == 0
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,20 +17,27 @@ import (
 	"github.com/patternsoflife/pol/internal/model"
 )
 
-// journalRecSize is the on-disk footprint of one position record: fixed
-// 53-byte payload plus the record header and CRC trailer.
-const journalRecSize = positionFrameLen
+// journalRecSize is the on-disk footprint of each of testPositions'
+// records: a 23-byte one-record log plus the record header and CRC
+// trailer.
+const journalRecSize = recHeaderLen + 23 + recTrailerLen
 
-// testPositions builds n deterministic, distinguishable position records.
+// testPositions builds n deterministic, distinguishable position records
+// whose WAL frames are all journalRecSize bytes, so a test can name a
+// record by its offset: every field is a quantum count, of the same
+// varint length for every record up to n = 10⁶.
 func testPositions(n int) []model.PositionRecord {
 	recs := make([]model.PositionRecord, n)
 	for i := range recs {
 		recs[i] = model.PositionRecord{
 			MMSI: 200000000 + uint32(i%7),
 			Time: int64(1640995200 + 60*i),
-			Pos:  geo.LatLng{Lat: 10 + float64(i)/100, Lng: -20 - float64(i)/100},
-			SOG:  12.5 + float64(i),
-			COG:  float64(i % 360),
+			Pos:  geo.LatLng{Lat: float64(6_000_000+6*i) / 600000, Lng: -float64(12_000_000+6*i) / 600000},
+			SOG:  float64(125+10*(i%100)) / 10,
+			COG:  float64(1000+10*(i%200)) / 10,
+		}
+		if got := len(appendRecord(nil, 1, &JournalEntry{Kind: entryPosition, Pos: recs[i]})); got != journalRecSize {
+			panic(fmt.Sprintf("test position %d frames to %d bytes, want %d", i, got, journalRecSize))
 		}
 	}
 	return recs
@@ -265,7 +274,7 @@ func TestJournalRefusesV1File(t *testing.T) {
 	base := filepath.Join(dir, "legacy.wal")
 	v1 := append([]byte(nil), walMagicV1...)
 	for _, r := range testPositions(5) {
-		payload := appendPositionEntry(nil, r)
+		payload := oldPositionEntry(r)
 		v1 = append(v1, entryPosition)
 		v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(payload)))
 		v1 = append(v1, payload...)
@@ -287,6 +296,47 @@ func TestJournalRefusesV1File(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
 		t.Fatalf("refused open left %d directory entries, want only the v1 file", len(entries))
+	}
+}
+
+// oldPositionEntry is a position as POLWAL1 and POLWAL2 wrote it: 53
+// fixed-width bytes.
+func oldPositionEntry(r model.PositionRecord) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, r.MMSI)
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.Time))
+	for _, v := range [...]float64{r.Pos.Lat, r.Pos.Lng, r.SOG, r.COG, r.Heading} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return append(b, byte(r.Status))
+}
+
+// TestJournalRefusesV2Segment: a POLWAL2 segment is neither replayed nor
+// quarantined as damage — OpenJournal names it and its format and stops,
+// leaving it as it was.
+func TestJournalRefusesV2Segment(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "live.wal")
+	v2 := binary.LittleEndian.AppendUint64(append([]byte(nil), walMagicV2...), 1)
+	for i, r := range testPositions(5) {
+		v2 = refAppendRecord(v2, entryPosition, uint64(i+1), oldPositionEntry(r))
+	}
+	path := segmentPath(base, 1)
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(base, JournalOptions{}, nil)
+	if err == nil {
+		j.Close()
+		t.Fatal("OpenJournal replayed a POLWAL2 segment")
+	}
+	if !errors.Is(err, errOldWAL) || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "POLWAL2") {
+		t.Fatalf("error %q does not name the segment and its format", err)
+	}
+	if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("POLWAL2 segment touched: %v", rerr)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("refused open left %d directory entries, want only the POLWAL2 segment", len(entries))
 	}
 }
 

@@ -9,13 +9,16 @@ import (
 	"maps"
 	"os"
 	"slices"
+
+	"github.com/patternsoflife/pol/internal/pipeline"
 )
 
-// The WAL read path and the POLREPL1 encoder as they stood at e3b0b56 —
-// decode every record from the segment head, re-encode it into the framing
-// it was read from — kept as the reference the shipped-as-it-lies path is
-// held against (TestReplWALBodiesMatchReference) and as the test-side
-// encoder of the chunk codec and fuzz tests. Not called by the program.
+// The WAL read path and the /v1/repl/wal encoder as they stood at e3b0b56
+// (its payloads in today's codecs) — decode every record from the segment
+// head, re-encode it into the framing it was read from — kept as the
+// reference the shipped-as-it-lies path is held against
+// (TestReplWALBodiesMatchReference) and as the test-side encoder of the
+// chunk codec and fuzz tests. Not called by the program.
 
 // refAppendRecord appends one WAL-framed record to buf.
 func refAppendRecord(buf []byte, kind byte, seq uint64, payload []byte) []byte {
@@ -31,11 +34,11 @@ func refAppendRecord(buf []byte, kind byte, seq uint64, payload []byte) []byte {
 func refEntryPayload(e JournalEntry) []byte {
 	switch e.Kind {
 	case entryStatic:
-		return appendStaticEntry(nil, e.Info)
+		return pipeline.AppendVesselInfo(nil, e.Info)
 	case entryMerge:
 		return nil
 	}
-	return appendPositionEntry(nil, e.Pos)
+	return pipeline.AppendRecordLog(nil, e.Pos)
 }
 
 // refReplChunk encodes one /v1/repl/wal response body.

@@ -21,7 +21,7 @@ import (
 //
 //	GET /v1/repl/manifest                   checkpoint generations + WAL frontier (JSON)
 //	GET /v1/repl/checkpoint/{gen}/{file}    one generation file (segment or state), Range-capable
-//	GET /v1/repl/wal?from_seq=N[&max=M][&wait=D]  WAL suffix past seq N (POLREPL1)
+//	GET /v1/repl/wal?from_seq=N[&max=M][&wait=D]  WAL suffix past seq N (POLREPL2)
 //	GET /v1/repl/snapshot                   current published inventory (POLSEG1)
 //
 // Both replica kinds download generation files from the one checkpoint
@@ -103,14 +103,17 @@ func TermFromHeader(h http.Header) (term, node uint64) {
 }
 
 // replMagic heads every /v1/repl/wal response body:
-// magic | lastSeq u64 | count u32 | count WAL-framed records.
-var replMagic = []byte("POLREPL1")
+// magic | lastSeq u64 | count u32 | count WAL-framed records (POLWAL3's,
+// so a position is a one-record log). POLREPL1, whose positions were 53
+// fixed bytes, is refused by name.
+var replMagic = []byte("POLREPL2")
 
 const (
 	replHeaderLen = 8 + 8 + 4
-	// positionFrameLen is the framed size of a position record — all but a
-	// few records of any chunk — and sizes a chunk's buffer.
-	positionFrameLen = recHeaderLen + 53 + recTrailerLen
+	// positionFrameLen is about the framed size of a position record —
+	// all but a few records of any chunk, ~24 B of record log for an
+	// AIS-decoded report — and sizes a chunk's buffer.
+	positionFrameLen = recHeaderLen + 28 + recTrailerLen
 )
 
 const (
@@ -345,7 +348,11 @@ func ReadReplChunk(r io.Reader) ([]JournalEntry, uint64, error) {
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, 0, fmt.Errorf("ingest: repl chunk header: %w", err)
 	}
-	if string(head[:len(replMagic)]) != string(replMagic) {
+	switch string(head[:len(replMagic)]) {
+	case string(replMagic):
+	case "POLREPL1":
+		return nil, 0, fmt.Errorf("ingest: a POLREPL1 chunk, which this build no longer reads (it speaks POLREPL2): primary and replicas must run the same build")
+	default:
 		return nil, 0, fmt.Errorf("ingest: bad repl chunk magic")
 	}
 	lastSeq := binary.LittleEndian.Uint64(head[len(replMagic):])

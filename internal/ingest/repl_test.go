@@ -128,7 +128,7 @@ func TestJournalReadEntries(t *testing.T) {
 	}
 }
 
-// TestReplChunkCodec round-trips the POLREPL1 wire form and requires
+// TestReplChunkCodec round-trips the POLREPL2 wire form and requires
 // every single-byte corruption and truncation of the body to fail
 // decoding — the transit analogue of the on-disk bit-flip property.
 func TestReplChunkCodec(t *testing.T) {

@@ -264,7 +264,7 @@ func (t *TripTracker) isCall() bool {
 // decode returns the log's first n records, which take its first nbytes
 // bytes.
 func (t *TripTracker) decode(n, nbytes int) []model.PositionRecord {
-	recs, err := decodeRecordLog(make([]model.PositionRecord, 0, n), t.log.buf[:nbytes])
+	recs, err := DecodeRecordLog(make([]model.PositionRecord, 0, n), t.log.buf[:nbytes])
 	if err != nil || len(recs) != n {
 		panic(fmt.Sprintf("pipeline: trip tracker log: %d of %d records, %v", len(recs), n, err))
 	}

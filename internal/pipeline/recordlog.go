@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -28,6 +29,11 @@ import (
 // next delta stays where it was. Decoding refuses every byte string the
 // encoder would not have written, so a log that decodes re-encodes to
 // itself.
+//
+// It is the program's one position codec: the open-trip tracker holds its
+// records in one, and every record that crosses a disk or a socket — a WAL
+// entry (a one-record log), /v1/repl, checkpoint state, a shuffle frame —
+// is one (AppendRecordLog, DecodeRecordLog).
 //
 // The log only grows: a reader may hold a capacity-clipped prefix of its
 // bytes while the owner appends, and an owner that is done with the
@@ -125,16 +131,28 @@ func (l *recordLog) append(r model.PositionRecord) {
 	l.ref.mmsi, l.ref.status, l.ref.time = r.MMSI, r.Status, r.Time
 }
 
+// AppendRecordLog appends recs to dst as one record log, the first
+// record's deltas taken from the zero record.
+func AppendRecordLog(dst []byte, recs ...model.PositionRecord) []byte {
+	l := recordLog{buf: dst}
+	for i := range recs {
+		l.append(recs[i])
+	}
+	return l.buf
+}
+
 // bytes returns the log's bytes, clipped to their length so that appending
 // to them cannot reach the log's spare capacity.
 func (l *recordLog) bytes() []byte { return l.buf[:len(l.buf):len(l.buf)] }
 
-// logDecoder walks a record log one record at a time.
+// logDecoder walks a record log one record at a time; its reads also
+// decode a vessel static (DecodeVesselInfo).
 type logDecoder struct {
-	b   []byte
-	off int
-	ref logRef
-	err error
+	b    []byte
+	off  int
+	ref  logRef
+	err  error
+	what string // what the bytes are, for errors ("record log" when empty)
 }
 
 // next decodes the record at off; ok is false at the end of the log or on
@@ -184,7 +202,7 @@ func (d *logDecoder) next() (r model.PositionRecord, ok bool) {
 // check records the first failed condition as the decoder's error.
 func (d *logDecoder) check(ok bool, what string) {
 	if !ok && d.err == nil {
-		d.err = errors.New("corrupt record log: " + what)
+		d.err = errors.New("corrupt " + cmp.Or(d.what, "record log") + ": " + what)
 	}
 }
 
@@ -217,11 +235,68 @@ func (d *logDecoder) zigzag() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// decodeRecordLog appends the records of b to dst.
-func decodeRecordLog(dst []model.PositionRecord, b []byte) ([]model.PositionRecord, error) {
+// DecodeRecordLog appends the records of the log b to dst. It refuses
+// every byte string AppendRecordLog would not have written.
+func DecodeRecordLog(dst []model.PositionRecord, b []byte) ([]model.PositionRecord, error) {
 	d := logDecoder{b: b}
 	for r, ok := d.next(); ok; r, ok = d.next() {
 		dst = append(dst, r)
 	}
 	return dst, d.err
+}
+
+// A vessel static is encoded beside the record log, with its varints:
+//
+//	mmsi, imo            uvarint
+//	type                 u8
+//	grt, length, beam    zigzag uvarint
+//	design speed         8 raw little-endian bytes
+//	class A              u8, 0 or 1
+//	name, call sign      uvarint length, then the bytes
+//
+// Every field is carried whole, and decoding refuses every byte string the
+// encoder would not have written.
+
+// AppendVesselInfo appends v's encoding to dst.
+func AppendVesselInfo(dst []byte, v model.VesselInfo) []byte {
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(v.MMSI)), uint64(v.IMO))
+	dst = append(dst, byte(v.Type))
+	for _, n := range [...]int{v.GRT, v.LengthM, v.BeamM} {
+		dst = binary.AppendUvarint(dst, uint64(n<<1)^uint64(n>>63))
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.DesignSpeed))
+	classA := byte(0)
+	if v.ClassA {
+		classA = 1
+	}
+	dst = append(dst, classA)
+	dst = append(binary.AppendUvarint(dst, uint64(len(v.Name))), v.Name...)
+	return append(binary.AppendUvarint(dst, uint64(len(v.CallSign))), v.CallSign...)
+}
+
+// DecodeVesselInfo decodes the vessel static at the head of b and returns
+// it with the bytes it took.
+func DecodeVesselInfo(b []byte) (model.VesselInfo, int, error) {
+	d := logDecoder{b: b, what: "vessel static"}
+	var v model.VesselInfo
+	mmsi, imo := d.uvarint(), d.uvarint()
+	d.check(mmsi <= math.MaxUint32 && imo <= math.MaxUint32, "an MMSI or IMO past 32 bits")
+	v.MMSI, v.IMO = uint32(mmsi), uint32(imo)
+	v.Type = model.VesselType(d.raw(1)[0])
+	v.GRT, v.LengthM, v.BeamM = int(d.zigzag()), int(d.zigzag()), int(d.zigzag())
+	v.DesignSpeed = math.Float64frombits(binary.LittleEndian.Uint64(d.raw(8)))
+	classA := d.raw(1)[0]
+	d.check(classA <= 1, "a class-A byte above 1")
+	v.ClassA = classA == 1
+	v.Name, v.CallSign = d.str(), d.str()
+	if d.err != nil {
+		return model.VesselInfo{}, 0, d.err
+	}
+	return v, d.off, nil
+}
+
+// str takes a uvarint length and that many bytes.
+func (d *logDecoder) str() string {
+	n := d.uvarint()
+	return string(d.raw(int(min(n, uint64(len(d.b)+1)))))
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/patternsoflife/pol/internal/ais"
@@ -230,7 +232,7 @@ func restored(t *testing.T, idx *ports.Index, tr *TripTracker, ref *refTripTrack
 		want = append(append([]model.PositionRecord(nil), rs.Trip.Records...), rs.Visit...)
 		origin = rs.Trip.Origin
 	}
-	got, err := decodeRecordLog(nil, s.Log)
+	got, err := DecodeRecordLog(nil, s.Log)
 	if err != nil || !sameRecords(got, want) || s.TripRecords != len(rs.Trip.Records) ||
 		s.Origin != origin || s.LastPort != rs.LastPort || s.VisitPort != rs.VisitPort {
 		t.Fatalf("state: %d records (%v), %d of the trip from %d, last port %d, visit port %d; reference %d records, %d of the trip from %d, last port %d, visit port %d",
@@ -470,7 +472,7 @@ func TestRecordLogRoundTrip(t *testing.T) {
 	for _, r := range recs {
 		l.append(r)
 	}
-	got, err := decodeRecordLog(nil, l.bytes())
+	got, err := DecodeRecordLog(nil, l.bytes())
 	if err != nil || !sameRecords(got, recs) {
 		t.Fatalf("%d records decoded (%v), %d appended", len(got), err, len(recs))
 	}
@@ -489,7 +491,7 @@ const logMinRecord = 1 + 1 + logFields
 // reencodes checks that the log b, if it decodes, is what appending its
 // records writes, and that it is not too short for that many records.
 func reencodes(b []byte) error {
-	recs, err := decodeRecordLog(nil, b)
+	recs, err := DecodeRecordLog(nil, b)
 	if err != nil {
 		return nil
 	}
@@ -512,7 +514,7 @@ func TestRecordLogRefusesNonCanonical(t *testing.T) {
 	var l recordLog
 	l.append(model.PositionRecord{MMSI: 7, Time: 100, Pos: geo.LatLng{Lat: 1, Lng: 2}, SOG: 0.5, COG: 10, Heading: 11})
 	good := l.bytes()
-	if _, err := decodeRecordLog(nil, good); err != nil {
+	if _, err := DecodeRecordLog(nil, good); err != nil {
 		t.Fatal(err)
 	}
 	escaped := []byte{0x01 | logMMSI, 7, 200, 1}
@@ -528,7 +530,7 @@ func TestRecordLogRefusesNonCanonical(t *testing.T) {
 		"count past 2^53":    {0, 0, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0},
 		"varint overflowing": {0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0, 0, 0, 0, 0},
 	} {
-		if recs, err := decodeRecordLog(nil, b); err == nil {
+		if recs, err := DecodeRecordLog(nil, b); err == nil {
 			t.Errorf("%s: %x decoded to %d records", name, b, len(recs))
 		} else {
 			t.Logf("%s: %v", name, err)
@@ -621,7 +623,7 @@ func FuzzRecordLog(f *testing.F) {
 		for _, r := range recs {
 			l.append(r)
 		}
-		got, err := decodeRecordLog(nil, l.bytes())
+		got, err := DecodeRecordLog(nil, l.bytes())
 		if err != nil || !sameRecords(got, recs) {
 			t.Fatalf("%d records decoded (%v), %d appended", len(got), err, len(recs))
 		}
@@ -696,8 +698,52 @@ func BenchmarkRecordLog(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			recordSink, _ = decodeRecordLog(dst[:0], l.bytes())
+			recordSink, _ = DecodeRecordLog(dst[:0], l.bytes())
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
 	})
+}
+
+// TestVesselInfoCodec: the one static codec carries every VesselInfo bit
+// for bit — names past 255 bytes, negative and past-2³² dimensions, any
+// design-speed bits — and refuses what it would not write: a class-A byte
+// above 1, an MMSI past 32 bits, an overlong varint, truncated bytes.
+func TestVesselInfoCodec(t *testing.T) {
+	for i, v := range []model.VesselInfo{
+		{},
+		{MMSI: 227000001, IMO: 9000001, Name: strings.Repeat("N", 300), CallSign: strings.Repeat("C", 256), Type: model.VesselTanker,
+			GRT: 60000, LengthM: -1, BeamM: 1 << 40, DesignSpeed: 14.5, ClassA: true},
+		{MMSI: math.MaxUint32, IMO: math.MaxUint32, Name: "ÅLESUND 船", CallSign: "\x00\xff", Type: 255,
+			GRT: math.MinInt64, LengthM: math.MaxInt64, BeamM: -(1 << 33), DesignSpeed: math.Float64frombits(0xfff8000000000abc)},
+		{MMSI: 1, DesignSpeed: math.Copysign(0, -1)},
+	} {
+		b := AppendVesselInfo([]byte{0xee}, v)[1:]
+		got, n, err := DecodeVesselInfo(append(bytes.Clone(b), 0xee))
+		if err != nil || n != len(b) {
+			t.Fatalf("static %d: %v, %d of %d bytes", i, err, n, len(b))
+		}
+		if math.Float64bits(got.DesignSpeed) != math.Float64bits(v.DesignSpeed) {
+			t.Errorf("static %d: design speed %x, want %x", i, math.Float64bits(got.DesignSpeed), math.Float64bits(v.DesignSpeed))
+		}
+		got.DesignSpeed, v.DesignSpeed = 0, 0
+		if got != v {
+			t.Errorf("static %d: %+v, want %+v", i, got, v)
+		}
+	}
+	good := AppendVesselInfo(nil, model.VesselInfo{MMSI: 7, Name: "AB"})
+	classA := bytes.Clone(good)
+	classA[len(classA)-5] = 2 // before the name's length and bytes and the call sign's length
+	for name, b := range map[string][]byte{
+		"class-A byte 2":  classA,
+		"MMSI past 2^32":  append(binary.AppendUvarint(nil, math.MaxUint32+1), good[1:]...),
+		"overlong varint": append([]byte{7 | 0x80, 0}, good[1:]...),
+		"truncated":       good[:len(good)-1],
+		"long name":       append(bytes.Clone(good[:len(good)-4]), 9, 'A', 'B', 0),
+	} {
+		if v, n, err := DecodeVesselInfo(b); err == nil {
+			t.Errorf("%s: %x decoded to %+v (%d bytes)", name, b, v, n)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
 }

@@ -4,6 +4,7 @@
 package testutil
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -144,4 +145,18 @@ func PinnedInventory() *inventory.Inventory {
 		observe(cells[1], uint32(400000000+i))
 	}
 	return inv
+}
+
+// CodecRecords is the one record set the tests of every disk and socket
+// boundary carry (the WAL, /v1/repl, checkpoint state, the shuffle):
+// AIS-decoded values, a NaN heading, −0, a raw simulator float, a value
+// past any quantum count, and MMSI and status changes.
+func CodecRecords() []model.PositionRecord {
+	return []model.PositionRecord{
+		{MMSI: 227000001, Time: 1640995200, Pos: geo.LatLng{Lat: 51.95, Lng: 4.05}, SOG: 12.3, COG: 271.4, Heading: 271},
+		{MMSI: 227000001, Time: 1640995260, Pos: geo.LatLng{Lat: 51.9512, Lng: 4.0481}, SOG: 12.4, COG: 271.4, Heading: math.NaN()},
+		{MMSI: 227000001, Time: 1640995320, Pos: geo.LatLng{Lat: math.Copysign(0, -1), Lng: 4.03}, SOG: math.Copysign(0, -1), Heading: 511, Status: 5},
+		{MMSI: 227000002, Time: 1640995100, Pos: geo.LatLng{Lat: 51.950000123456789, Lng: 4.123456789012345}, SOG: 12.345678, COG: 1e300, Heading: math.Float64frombits(0xfff8000000000abc), Status: 5},
+		{MMSI: 227000001, Time: 1640995380, Pos: geo.LatLng{Lat: -33.86, Lng: 151.21}, SOG: 102.3, COG: 359.9, Heading: 359},
+	}
 }

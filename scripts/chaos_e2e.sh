@@ -75,8 +75,12 @@ fi
 ### Scenario 1: crash mid-checkpoint rename, recover, idempotent re-feed.
 start_daemon "$tmp/s1" "$tmp/s1.log" POL_FAILPOINTS='inventory.writefile.rename=crash@4'
 # The daemon dies mid-feed and stays dead; cap the reconnect loop so the
-# feeder gives up quickly instead of retrying to the default deadline.
-"$tmp/polfeed" -addr "$feed" -timeout 15s "$tmp/fleet.nmea" >/dev/null 2>&1 || true
+# feeder gives up quickly instead of retrying to the default deadline. The
+# feed is paced so it spans dozens of merge ticks: sent as fast as the
+# socket takes it, the whole archive can land within two or three merges,
+# one checkpoint, so the fourth rename never comes and the wait below
+# never returns.
+"$tmp/polfeed" -addr "$feed" -rate 20000 -timeout 15s "$tmp/fleet.nmea" >/dev/null 2>&1 || true
 wait "$pid" 2>/dev/null && {
 	echo "scenario 1: daemon survived a crash failpoint:"
 	cat "$tmp/s1.log"

@@ -30,6 +30,7 @@ var surfaceAllow = map[string]string{
 	"stats.TDigest.Centroids": "codec and merge tests compare digests centroid by centroid",
 	"ais.EncodeBaseStation":   "generator for the type-4 decoder, which parses outside input",
 	"ais.EncodeStaticB":       "generator for the type-24 decoder, which parses outside input",
+	"deflate.Inflate":         "InflatePrefix's whole-stream case, which FuzzInflate holds to compress/flate's reader and segment tests inflate whole blocks with",
 	// The paper reproduction with a DESIGN §3 row.
 	"baseline.DBSCAN":      "DESIGN §3 '§2 baseline' row: the density-skew failure mode of [20], reproduced in baseline's tests",
 	"baseline.NumClusters": "reads DBSCAN's labelling in that reproduction",
