@@ -20,27 +20,6 @@ type BaseStationReport struct {
 	Lat  float64   // station latitude, NaN if unavailable
 }
 
-// EncodeBaseStation encodes a type-4 base-station report.
-func EncodeBaseStation(r BaseStationReport) ([]string, error) {
-	if !ValidMMSI(r.MMSI) {
-		return nil, ErrInvalidFields
-	}
-	b := newBitBuf(168)
-	b.setUint(0, 6, TypeBaseStation)
-	b.setUint(8, 30, uint64(r.MMSI))
-	t := r.Time.UTC()
-	b.setUint(38, 14, uint64(t.Year()))
-	b.setUint(52, 4, uint64(t.Month()))
-	b.setUint(56, 5, uint64(t.Day()))
-	b.setUint(61, 5, uint64(t.Hour()))
-	b.setUint(66, 6, uint64(t.Minute()))
-	b.setUint(72, 6, uint64(t.Second()))
-	b.setInt(79, 28, coordRaw(r.Lon, 180, LonNotAvailable))
-	b.setInt(107, 27, coordRaw(r.Lat, 90, LatNotAvailable))
-	b.setUint(134, 4, 1) // EPFD: GPS
-	return EncodeSentences(b, "A", 0), nil
-}
-
 // decodeBaseStation decodes a type-4 payload.
 func decodeBaseStation(b *bitBuf) (BaseStationReport, error) {
 	if b.Len() < 134 {
@@ -75,36 +54,6 @@ type StaticBReport struct {
 	DimStern int
 	DimPort  int
 	DimStarb int
-}
-
-// EncodeStaticB encodes a type-24 part A or part B message.
-func EncodeStaticB(r StaticBReport) ([]string, error) {
-	if !ValidMMSI(r.MMSI) {
-		return nil, ErrInvalidFields
-	}
-	if r.Part != 0 && r.Part != 1 {
-		return nil, ErrInvalidFields
-	}
-	if r.Part == 0 {
-		b := newBitBuf(160)
-		b.setUint(0, 6, TypeStaticB)
-		b.setUint(8, 30, uint64(r.MMSI))
-		b.setUint(38, 2, 0)
-		b.setText(40, 20, r.Name)
-		return EncodeSentences(b, "B", 0), nil
-	}
-	b := newBitBuf(168)
-	b.setUint(0, 6, TypeStaticB)
-	b.setUint(8, 30, uint64(r.MMSI))
-	b.setUint(38, 2, 1)
-	b.setUint(40, 8, uint64(r.ShipType))
-	b.setText(48, 7, "") // vendor id, unused
-	b.setText(90, 7, r.CallSign)
-	b.setUint(132, 9, clampUint(r.DimBow, 511))
-	b.setUint(141, 9, clampUint(r.DimStern, 511))
-	b.setUint(150, 6, clampUint(r.DimPort, 63))
-	b.setUint(156, 6, clampUint(r.DimStarb, 63))
-	return EncodeSentences(b, "B", 0), nil
 }
 
 // decodeStaticB decodes a type-24 payload.

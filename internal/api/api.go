@@ -24,6 +24,7 @@ package api
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -312,12 +313,30 @@ func (s *Server) handleETA(w http.ResponseWriter, r *http.Request) {
 }
 
 // sendCells answers a cell list, each cell with its center coordinates —
-// the body of /v1/odcells and /v1/forecast.
+// the body of /v1/odcells and /v1/forecast. Each entry is one template,
+// the bytes open, cell, f64 and close would write for it. A center's
+// longitude follows from its lattice column alone and ids sort by column,
+// so a longitude with the previous entry's bits (not ==: 0 and -0 differ
+// in spelling) copies that entry's spelling.
 func sendCells(w http.ResponseWriter, cells []hexgrid.Cell) {
 	j := newBody().open("", '[')
-	for _, c := range cells {
+	lngBits, lngAt, lngEnd := uint64(0), 0, 0 // the previous longitude: bits, spelling in j.b
+	for i, c := range cells {
+		if i > 0 {
+			j.b = append(j.b, ',')
+		}
 		p := c.LatLng()
-		j.open("", '{').cell("cell", c).f64("lat", p.Lat).f64("lng", p.Lng).close('}')
+		j.b = appendCellID(append(j.b, "\n  {\n    \"cell\": "...), c)
+		j.b = appendF64(append(j.b, ",\n    \"lat\": "...), p.Lat)
+		j.b = append(j.b, ",\n    \"lng\": "...)
+		if b := math.Float64bits(p.Lng); i > 0 && b == lngBits {
+			j.b = append(j.b, j.b[lngAt:lngEnd]...)
+		} else {
+			lngBits, lngAt = b, len(j.b)
+			j.b = appendF64(j.b, p.Lng)
+			lngEnd = len(j.b)
+		}
+		j.b = append(j.b, "\n  }"...)
 	}
 	j.close(']').send(w, http.StatusOK)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -218,6 +219,45 @@ func TestTopListsMatchReference(t *testing.T) {
 	inv.Put(inventory.GroupKey{Set: inventory.GSCell, Cell: hexgrid.LatLngToCell(pos, 6)}, cs)
 	s := NewServer(inv, ports.Default())
 	compareBodies(t, s.Handler(), refHandler(s), []string{fmt.Sprintf("/v1/cell?lat=%v&lng=%v", pos.Lat, pos.Lng)})
+}
+
+// TestCellListsMatchReference holds that the fixture's OD lists reach the
+// copied longitude of sendCells (an entry whose center longitude has the
+// previous entry's bits), and covers the list lengths the fixture does not
+// reach: an empty /v1/odcells and a one-cell one.
+func TestCellListsMatchReference(t *testing.T) {
+	f, _ := setup(t)
+	repeats, entries := 0, 0
+	for _, k := range odKeys(f.Inventory) {
+		od := f.Inventory.ODCells(k.Origin, k.Dest, k.VType)
+		for i := 1; i < len(od); i++ {
+			if math.Float64bits(od[i].LatLng().Lng) == math.Float64bits(od[i-1].LatLng().Lng) {
+				repeats++
+			}
+		}
+		entries += len(od)
+	}
+	if repeats == 0 {
+		t.Fatalf("no entry of the fixture's %d OD-list entries repeats the previous longitude", entries)
+	}
+	t.Logf("%d of %d OD-list entries repeat the previous longitude", repeats, entries)
+
+	inv := inventory.New(inventory.BuildInfo{Resolution: 6})
+	cs := inventory.NewCellSummary()
+	cs.Records = 1
+	cell := hexgrid.LatLngToCell(geo.LatLng{Lat: 12.5, Lng: -38.25}, 6)
+	inv.Put(inventory.GroupKey{Set: inventory.GSCellODType, Cell: cell, Origin: 1, Dest: 2, VType: model.VesselCargo}, cs)
+	s := NewServer(inv, ports.Default())
+	one, none := "/v1/odcells?origin=1&dest=2&type=cargo", "/v1/odcells?origin=2&dest=1&type=cargo"
+	compareBodies(t, s.Handler(), refHandler(s), []string{one, none})
+	for p, want := range map[string]int{one: 1, none: 0} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
+		var got []CellPos
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || len(got) != want {
+			t.Fatalf("GET %s: %d entries (%v), want %d", p, len(got), err, want)
+		}
+	}
 }
 
 // TestConcurrentBodies: the pooled buffers are shared by every connection,

@@ -48,8 +48,10 @@ func (j *jsonBody) send(w http.ResponseWriter, status int) {
 const indent = "\n        " // a newline and two spaces a level
 
 // member starts a value: inside a container a comma (unless it was just
-// opened) and a fresh indented line, then the key inside an object. Value
-// methods return j, so related members chain on one line.
+// opened) and a fresh indented line, then the key inside an object. Keys
+// are written verbatim: every key is a program constant (a literal, or a
+// group set's name in /v1/info) with nothing to escape. Value methods
+// return j, so related members chain on one line.
 func (j *jsonBody) member(key string) {
 	if j.depth > 0 {
 		if c := j.b[len(j.b)-1]; c != '[' && c != '{' {
@@ -58,7 +60,7 @@ func (j *jsonBody) member(key string) {
 		j.b = append(j.b, indent[:1+2*j.depth]...)
 	}
 	if key != "" {
-		j.b = append(appendJSONString(j.b, key), ':', ' ')
+		j.b = append(append(append(j.b, '"'), key...), '"', ':', ' ')
 	}
 }
 
@@ -96,23 +98,30 @@ func (j *jsonBody) i64(key string, v int64) *jsonBody {
 	return j
 }
 
-// f64 writes v as encoding/json does ('e' outside [1e-6, 1e21), no leading
-// exponent zero), or null for NaN and ±Inf, which JSON cannot carry: an
-// empty accumulator (no heading, ATA or ETO sample in a cell) reports NaN.
+// f64 writes v as appendF64 spells it.
 func (j *jsonBody) f64(key string, v float64) *jsonBody {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return j.null(key)
-	}
 	j.member(key)
+	j.b = appendF64(j.b, v)
+	return j
+}
+
+// appendF64 appends v as encoding/json spells it ('e' outside [1e-6,
+// 1e21), no leading exponent zero), or null for NaN and ±Inf, which JSON
+// cannot carry: an empty accumulator (no heading, ATA or ETO sample in a
+// cell) reports NaN.
+func appendF64(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(b, "null"...)
+	}
 	format := byte('f')
 	if a := math.Abs(v); a != 0 && (a < 1e-6 || a >= 1e21) {
 		format = 'e'
 	}
-	j.b = strconv.AppendFloat(j.b, v, format, -1, 64)
-	if n := len(j.b); format == 'e' && j.b[n-4] == 'e' && j.b[n-3] == '-' && j.b[n-2] == '0' {
-		j.b = append(j.b[:n-2], j.b[n-1]) // e-07 → e-7
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b = append(b[:n-2], b[n-1]) // e-07 → e-7
 	}
-	return j
+	return b
 }
 
 func (j *jsonBody) null(key string) *jsonBody {
@@ -121,12 +130,21 @@ func (j *jsonBody) null(key string) *jsonBody {
 	return j
 }
 
-// cell writes a cell id through the append routine Cell.String uses.
+// cell writes a cell id as appendCellID spells it.
 func (j *jsonBody) cell(key string, c hexgrid.Cell) *jsonBody {
 	j.member(key)
-	var id [16]byte
-	j.b = appendJSONString(j.b, c.AppendString(id[:0]))
+	j.b = appendCellID(j.b, c)
 	return j
+}
+
+// appendCellID appends a cell id, quoted, through the append routine
+// Cell.String uses: a valid id's 16 hex digits need no escaping, and only
+// InvalidCell's spelling goes through appendJSONString.
+func appendCellID(b []byte, c hexgrid.Cell) []byte {
+	if c == hexgrid.InvalidCell {
+		return appendJSONString(b, c.String())
+	}
+	return append(c.AppendString(append(b, '"')), '"')
 }
 
 // appendJSONString appends s quoted as encoding/json quotes with HTML

@@ -11,11 +11,12 @@
 // is never longer than len(src) + len(src)/1000 + 10 bytes. FuzzDeflate
 // holds it to both, and every stream it writes to both decoders below.
 //
-// Inflate(dst, src) decodes a stream into a buffer whose length the caller
-// already knows (a segment block's RawLen). Bits come off the source a
-// word at a time and symbols out of two-level tables; there is no
-// io.Reader, window ring or per-byte interface call. It
-// succeeds exactly when compress/flate's reader would yield len(dst) bytes
+// InflatePrefix(dst, src, need) decodes a stream into a buffer whose
+// length the caller already knows (a segment block's RawLen), whole or
+// stopped once it holds the bytes need asks for. Bits come off the source
+// a word at a time and symbols out of two-level tables; there is no
+// io.Reader, window ring or per-byte interface call. Whole, it succeeds
+// exactly when compress/flate's reader would yield len(dst) bytes
 // equal to dst's and then end its final block without error, so it refuses
 // what that reader refuses: over-subscribed or incomplete codes other than
 // a single one-bit code, length symbols 286–287, distance symbols 30–31, a

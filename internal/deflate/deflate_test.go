@@ -10,7 +10,7 @@ import (
 )
 
 // roundTrip holds a Deflate stream to both decoders and to its size
-// bound: Inflate and compress/flate's reader give raw back, the reader
+// bound: InflatePrefix and compress/flate's reader give raw back, the reader
 // ends the stream on its last byte, and the stream is at most
 // len + len/1000 + 10 bytes.
 func roundTrip(t testing.TB, raw, out []byte) {
@@ -19,8 +19,8 @@ func roundTrip(t testing.TB, raw, out []byte) {
 		t.Fatalf("%d bytes deflate to %d, over the %d the stored fallback allows", len(raw), len(out), limit)
 	}
 	got := make([]byte, len(raw))
-	if err := Inflate(got, out); err != nil || !bytes.Equal(got, raw) {
-		t.Fatalf("%d bytes: Inflate does not give them back (%v)", len(raw), err)
+	if _, err := InflatePrefix(got, out, nil); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("%d bytes: InflatePrefix does not give them back (%v)", len(raw), err)
 	}
 	br := bytes.NewReader(out)
 	if got, err := io.ReadAll(flate.NewReader(br)); err != nil || !bytes.Equal(got, raw) {

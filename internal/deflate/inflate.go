@@ -123,7 +123,7 @@ func (r *bitReader) take(n uint) uint32 {
 	return v
 }
 
-// decoder is one Inflate call's state, pooled: the dynamic tables (the
+// decoder is one InflatePrefix call's state, pooled: the dynamic tables (the
 // literal/length one holds the code-length code while a header is read)
 // and the code lengths.
 type decoder struct {
@@ -135,20 +135,14 @@ type decoder struct {
 
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
-// Inflate decodes the DEFLATE stream src into dst, which must be exactly
-// as long as the stream's output. It fails when the stream is invalid,
-// ends early, or inflates to more or fewer than len(dst) bytes; dst's
-// contents are then unspecified.
-func Inflate(dst, src []byte) error {
-	_, err := InflatePrefix(dst, src, nil)
-	return err
-}
-
-// InflatePrefix is Inflate stopped early. need, given the bytes written so
-// far (none at first), returns how many the caller needs; once they are,
-// at a symbol boundary, need is asked again, and the decode stops when it
-// asks for no more, returning the bytes written. A nil need, or a need of
-// len(dst) or more, is Inflate's: the stream must end at exactly len(dst).
+// InflatePrefix decodes the DEFLATE stream src into dst as far as need
+// asks. need, given the bytes written so far (none at first), returns how
+// many the caller needs; once they are, at a symbol boundary, need is
+// asked again, and the decode stops when it asks for no more, returning
+// the bytes written. A nil need, or a need of len(dst) or more, decodes
+// the whole stream: dst must be exactly as long as its output, and the
+// call fails when the stream is invalid, ends early, or inflates to more
+// or fewer than len(dst) bytes; dst's contents are then unspecified.
 func InflatePrefix(dst, src []byte, need func(prefix []byte) int) (int, error) {
 	d := decoders.Get().(*decoder)
 	d.r = bitReader{src: src}

@@ -13,7 +13,8 @@ import (
 	"testing"
 )
 
-// ref is compress/flate's reader under Inflate's contract — exactly
+// ref is compress/flate's reader under InflatePrefix's whole-stream
+// contract — exactly
 // len(dst) bytes, then the end of the stream — the oracle the kernel is
 // held to.
 func ref(dst, src []byte) error {
@@ -34,14 +35,15 @@ func refLen(src []byte, limit int) int {
 	return int(n)
 }
 
-// same holds Inflate to ref on src at length n and reports whether both
+// same holds InflatePrefix, with no need, to ref on src at length n and reports whether both
 // accepted.
 func same(t *testing.T, src []byte, n int) bool {
 	t.Helper()
 	want, got := make([]byte, n), make([]byte, n)
-	werr, gerr := ref(want, src), Inflate(got, src)
+	_, gerr := InflatePrefix(got, src, nil)
+	werr := ref(want, src)
 	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("%d-byte stream into %d bytes: compress/flate says %v, Inflate %v", len(src), n, werr, gerr)
+		t.Fatalf("%d-byte stream into %d bytes: compress/flate says %v, InflatePrefix %v", len(src), n, werr, gerr)
 	}
 	if werr == nil && !bytes.Equal(want, got) {
 		t.Fatalf("%d-byte stream into %d bytes: output differs from compress/flate's", len(src), n)
@@ -282,11 +284,11 @@ func samePrefix(t *testing.T, src []byte, n, need, again int) {
 	}
 }
 
-// FuzzInflate holds Inflate to compress/flate: the input read as a stream,
+// FuzzInflate holds InflatePrefix to compress/flate: the input read as a stream,
 // and deflated at level input[0]%12-2 (−2…9, stored blocks at 0); each at
 // the length compress/flate yields, one byte shorter and one longer. The
-// two must accept the same inputs with the same bytes, and Inflate must
-// not panic. Each stream is also stopped early (samePrefix), at a need
+// two must accept the same inputs with the same bytes, and InflatePrefix
+// must not panic. Each stream is also stopped early (samePrefix), at a need
 // and a further one that the input's last two bytes pick.
 func FuzzInflate(f *testing.F) {
 	const limit = 1 << 20

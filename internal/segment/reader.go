@@ -285,7 +285,8 @@ func (r *Reader) parse(bi *BlockInfo, raw []byte) (*inventory.SealedShard, error
 // inflate inflates block bi into buf, RawLen long, without touching the
 // cache: first its columns, which it parses, then as far as upTo asks of
 // them (RawLen or more: the whole block, its stream's end checked as
-// deflate.Inflate checks it). The shard it returns aliases buf.
+// deflate.InflatePrefix checks it
+// without a need). The shard it returns aliases buf.
 func (r *Reader) inflate(bi *BlockInfo, buf []byte, upTo func(*inventory.SealedShard) int) (*inventory.SealedShard, error) {
 	comp, err := r.compressedBlock(bi)
 	if err != nil {

@@ -780,7 +780,10 @@ func BenchmarkInflate(b *testing.B) {
 		name string
 		run  func(bi *BlockInfo, dst, comp []byte) error
 	}{
-		{"kernel", func(_ *BlockInfo, dst, comp []byte) error { return deflate.Inflate(dst, comp) }},
+		{"kernel", func(_ *BlockInfo, dst, comp []byte) error {
+			_, err := deflate.InflatePrefix(dst, comp, nil)
+			return err
+		}},
 		{"flate", func(_ *BlockInfo, dst, comp []byte) error { return refInflate(fr, dst, comp) }},
 		{"prefix=columns", prefix(func(bi *BlockInfo) int { return int(columnsLen(bi.NGroups)) })},
 		{"prefix=0.25", prefix(func(bi *BlockInfo) int { return int(bi.RawLen) / 4 })},
@@ -821,7 +824,7 @@ func BenchmarkDeflate(b *testing.B) {
 	raws := make([][]byte, len(comps))
 	for i, bi := range r.Blocks() {
 		raws[i] = make([]byte, bi.RawLen)
-		if err := deflate.Inflate(raws[i], comps[i]); err != nil {
+		if _, err := deflate.InflatePrefix(raws[i], comps[i], nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -62,7 +62,7 @@ func logicalCRC(t testing.TB, img []byte) uint32 {
 			b = binary.LittleEndian.AppendUint32(b, n)
 		}
 		raw := make([]byte, bi.RawLen)
-		if err := deflate.Inflate(raw, img[bi.Off:bi.Off+int64(bi.CompLen)]); err != nil {
+		if _, err := deflate.InflatePrefix(raw, img[bi.Off:bi.Off+int64(bi.CompLen)], nil); err != nil {
 			t.Fatal(err)
 		}
 		sum = crc32.Update(crc32.Update(sum, crcTable, b), crcTable, raw)
@@ -162,7 +162,7 @@ func TestCompressFlateBlocksStillRead(t *testing.T) {
 	idx := binary.LittleEndian.AppendUint32(nil, uint32(len(blocks)))
 	for _, bi := range blocks {
 		raw := make([]byte, bi.RawLen)
-		if err := deflate.Inflate(raw, img[bi.Off:bi.Off+int64(bi.CompLen)]); err != nil {
+		if _, err := deflate.InflatePrefix(raw, img[bi.Off:bi.Off+int64(bi.CompLen)], nil); err != nil {
 			t.Fatal(err)
 		}
 		comp := refDeflate(fw, &buf, raw)

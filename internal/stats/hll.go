@@ -236,17 +236,12 @@ func SkipHyperLogLog(data []byte) ([]byte, error) {
 
 // decodeHyperLogLog decodes a sketch, or with skip only checks it.
 func decodeHyperLogLog(data []byte, skip bool) (HyperLogLog, []byte, error) {
-	if len(data) < 2 {
+	if len(data) < 2 || data[0] < 4 || data[0] > 16 {
 		return HyperLogLog{}, nil, ErrCorrupt
 	}
-	p := data[0]
-	if p < 4 || p > 16 {
-		return HyperLogLog{}, nil, ErrCorrupt
-	}
-	mode := data[1]
+	h := HyperLogLog{p: data[0]}
+	mode, n := data[1], uint32(h.numRegisters())
 	data = data[2:]
-	h := HyperLogLog{p: p}
-	n := uint32(h.numRegisters())
 	switch mode {
 	case hllModeRaw:
 		if uint32(len(data)) < n {
@@ -257,28 +252,46 @@ func decodeHyperLogLog(data []byte, skip bool) (HyperLogLog, []byte, error) {
 		}
 		return h, data[n:], nil
 	case hllModeRLE:
-		i := uint32(0)
-		for i < n {
-			run, rest, err := readU32(data)
-			if err != nil || len(rest) < 1 {
+		// One pass checks the runs and counts the occupied registers, a
+		// second writes them, already ascending, into their final form.
+		occupied, rest := 0, data
+		for i := uint32(0); i < n; {
+			run, r, err := readU32(rest)
+			if err != nil || len(r) < 1 {
 				return HyperLogLog{}, nil, ErrCorrupt
 			}
-			v := rest[0]
-			data = rest[1:]
-			if i+run > n || (v != 0 && i+run >= n) {
+			v := r[0]
+			rest = r[1:]
+			if run > n-i || (v != 0 && run == n-i) {
 				return HyperLogLog{}, nil, ErrCorrupt
 			}
 			i += run
 			if v != 0 {
-				if !skip {
-					h.setRegister(i, v)
-				}
+				occupied++
 				i++
 			} else if i != n {
 				return HyperLogLog{}, nil, ErrCorrupt
 			}
 		}
-		return h, data, nil
+		if skip || occupied == 0 {
+			return h, rest, nil
+		}
+		if h.dense = occupied > sparseLimit; h.dense {
+			h.regs = make([]uint8, n)
+		} else {
+			h.regs = make([]uint8, 0, 3*occupied)
+		}
+		for i := uint32(0); occupied > 0; occupied-- {
+			run, r, _ := readU32(data)
+			i, data = i+run, r[1:]
+			if h.dense {
+				h.regs[i] = r[0]
+			} else {
+				h.regs = append(h.regs, uint8(i>>8), uint8(i), r[0])
+			}
+			i++
+		}
+		return h, rest, nil
 	default:
 		return HyperLogLog{}, nil, ErrCorrupt
 	}

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -425,5 +427,117 @@ func TestHLLEncodeDoesNotMutate(t *testing.T) {
 		if h.dense {
 			t.Fatalf("p=%d: encoding converted the sketch to dense", p)
 		}
+	}
+}
+
+// decodeHLLBySetRegister is the decoder the one-pass form replaced, kept
+// as its reference: each occupied register of the run-length layout goes
+// through setRegister, which keeps the sparse entries sorted and densifies
+// past sparseLimit.
+func decodeHLLBySetRegister(data []byte) (HyperLogLog, []byte, error) {
+	if len(data) < 2 || data[0] < 4 || data[0] > 16 {
+		return HyperLogLog{}, nil, ErrCorrupt
+	}
+	h := HyperLogLog{p: data[0]}
+	mode, n := data[1], uint32(h.numRegisters())
+	data = data[2:]
+	switch mode {
+	case hllModeRaw:
+		if uint32(len(data)) < n {
+			return HyperLogLog{}, nil, ErrCorrupt
+		}
+		h.regs, h.dense = bytes.Clone(data[:n]), true
+		return h, data[n:], nil
+	case hllModeRLE:
+		i := uint32(0)
+		for i < n {
+			run, rest, err := readU32(data)
+			if err != nil || len(rest) < 1 {
+				return HyperLogLog{}, nil, ErrCorrupt
+			}
+			v := rest[0]
+			data = rest[1:]
+			if i+run > n || (v != 0 && i+run >= n) {
+				return HyperLogLog{}, nil, ErrCorrupt
+			}
+			i += run
+			if v != 0 {
+				h.setRegister(i, v)
+				i++
+			} else if i != n {
+				return HyperLogLog{}, nil, ErrCorrupt
+			}
+		}
+		return h, data, nil
+	}
+	return HyperLogLog{}, nil, ErrCorrupt
+}
+
+// TestHLLDecodeMatchesSetRegister holds the one-pass decoder to the
+// reference on sketches of exactly 127–130 occupied registers (either side
+// of the sparse limit; at p=8 they take the raw layout) and on random
+// sketches: the same dense flag, registers and remaining bytes, and the
+// same refusals of every truncation and of single-byte corruptions. A
+// sparse result holds exactly its entries.
+func TestHLLDecodeMatchesSetRegister(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	check := func(name string, data []byte) {
+		t.Helper()
+		got, gotRest, gotErr := DecodeHyperLogLog(data)
+		want, wantRest, wantErr := decodeHLLBySetRegister(data)
+		skipRest, skipErr := SkipHyperLogLog(data)
+		if (gotErr == nil) != (wantErr == nil) || (skipErr == nil) != (wantErr == nil) {
+			t.Fatalf("%s: decode %v, skip %v, reference %v", name, gotErr, skipErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if got.p != want.p || got.dense != want.dense || !bytes.Equal(got.regs, want.regs) || len(gotRest) != len(wantRest) || len(skipRest) != len(wantRest) {
+			t.Fatalf("%s: decoded dense=%v %d regs %d left, reference dense=%v %d regs %d left",
+				name, got.dense, len(got.regs), len(gotRest), want.dense, len(want.regs), len(wantRest))
+		}
+		if !got.dense && cap(got.regs) != len(got.regs) {
+			t.Fatalf("%s: sparse capacity %d for %d bytes of entries", name, cap(got.regs), len(got.regs))
+		}
+	}
+	var sketches []*HyperLogLog
+	for _, p := range []uint8{4, 8, HLLPrecision, 14} {
+		m := 1 << p
+		for k := sparseLimit - 1; k <= sparseLimit+2 && k <= m; k++ {
+			h := NewHyperLogLog(p)
+			for _, idx := range rng.Perm(m)[:k] {
+				h.setRegister(uint32(idx), uint8(1+rng.Intn(20)))
+			}
+			sketches = append(sketches, h)
+		}
+		for i := 0; i < 20; i++ {
+			h := NewHyperLogLog(p)
+			for n := rng.Intn(3 * sparseLimit); n > 0; n-- {
+				h.AddHash(rng.Uint64())
+			}
+			sketches = append(sketches, h)
+		}
+	}
+	for si, h := range sketches {
+		enc := append(h.AppendBinary(nil), 0xAA) // a trailing byte that is not the sketch's
+		check(fmt.Sprintf("sketch %d (p=%d)", si, h.p), enc)
+		for cut := 0; cut < len(enc)-1; cut++ {
+			check(fmt.Sprintf("sketch %d cut at %d", si, cut), enc[:cut])
+		}
+		for i := 0; i < 50; i++ {
+			bad := bytes.Clone(enc)
+			bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
+			check(fmt.Sprintf("sketch %d corruption %d", si, i), bad)
+		}
+	}
+	// The one input the two part on: a run that wraps the uint32 register
+	// index, which the reference accepted and the decoder refuses.
+	wrap := binary.AppendUvarint([]byte{4, hllModeRLE, 5, 1}, math.MaxUint32-2)
+	wrap = append(wrap, 1, 12, 0)
+	if _, _, err := decodeHLLBySetRegister(wrap); err != nil {
+		t.Fatalf("the reference refuses the wrapping run: %v", err)
+	}
+	if _, _, err := DecodeHyperLogLog(wrap); err == nil {
+		t.Error("a run that wraps the register index decoded")
 	}
 }

@@ -108,6 +108,10 @@ func (t *TDigest) Merge(o *TDigest) {
 		t.sorted, t.totalW = len(t.centroids), o.totalW
 		return
 	}
+	if need := len(t.centroids) + len(o.centroids); cap(t.centroids) < need {
+		// Exactly: a fold decodes its master at exact size, then merges once.
+		t.centroids = append(make([]centroid, 0, need), t.centroids...)
+	}
 	t.centroids = append(t.centroids, o.centroids...)
 	var tailW float64
 	tailW += o.totalW // as the tail's own sum starts from zero

@@ -262,6 +262,36 @@ func BenchmarkTDigestMerge(b *testing.B) {
 	}
 }
 
+// TestTDigestMergeGrowsExactly: a receiver without room for the merge
+// grows to exactly len(t)+len(o) centroids, not append's double — a fold
+// decodes a master digest at exact size and merges a period into it once —
+// and the merge gives the bits it gives into a digest with room.
+func TestTDigestMergeGrowsExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{1, 30, 5000} {
+		master, period := NewTDigest(DefaultCompression), NewTDigest(DefaultCompression)
+		for i := 0; i < n; i++ {
+			master.Add(rng.NormFloat64())
+			period.Add(rng.NormFloat64() + 1)
+		}
+		dec, _, err := DecodeTDigest(master.AppendBinary(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		need := len(dec.centroids) + period.Centroids()
+		roomy := dec
+		roomy.centroids = append(make([]centroid, 0, 4*need), dec.centroids...)
+		dec.Merge(period)
+		roomy.Merge(period)
+		if cap(dec.centroids) > need {
+			t.Errorf("n=%d: capacity %d after a merge of %d centroids", n, cap(dec.centroids), need)
+		}
+		if !bytes.Equal(dec.AppendBinary(nil), roomy.AppendBinary(nil)) {
+			t.Errorf("n=%d: the exact-grown merge differs from one with room", n)
+		}
+	}
+}
+
 // Merging into an empty digest of the same compression takes a copying
 // shortcut; it must give the bits the compression pass it skips would.
 func TestTDigestMergeIntoEmptyIsRecompression(t *testing.T) {

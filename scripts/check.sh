@@ -159,7 +159,7 @@ fi
 
 echo "== line budget (non-test Go outside bench/, ROADMAP's measure) =="
 # Lower it when a PR deletes; raising it needs the ROADMAP's say-so.
-budget=26211
+budget=26210
 lines="$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 if [ "$lines" -gt "$budget" ]; then
 	echo "non-test Go outside bench/ is $lines lines, budget $budget"
