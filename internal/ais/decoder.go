@@ -31,10 +31,9 @@ func NewDecoder() *Decoder {
 	return &Decoder{asm: NewAssembler(8)}
 }
 
-// Feed consumes one NMEA line. It returns a decoded message with ok=true
-// when the line completes a supported message; ok=false means the line was
-// consumed without completing one (fragment, error, or unsupported type) —
-// inspect the counters for the breakdown. The line is not retained.
+// Feed consumes one NMEA line. ok=false means it completed no supported
+// message (a fragment, an error or an unsupported type: the counters tell
+// which). The line is not retained.
 func (d *Decoder) Feed(line []byte) (Message, bool) {
 	d.Lines++
 	s, err := ParseSentence(line)
@@ -42,7 +41,13 @@ func (d *Decoder) Feed(line []byte) (Message, bool) {
 		d.BadSentence++
 		return Message{}, false
 	}
-	payload, fill, done := d.asm.Push(s)
+	return d.FeedSentence(&s)
+}
+
+// FeedSentence is Feed after ParseSentence. A one-sentence message leaves
+// the assembler untouched: any Decoder may decode it, in any order.
+func (d *Decoder) FeedSentence(s *Sentence) (Message, bool) {
+	payload, fill, done := d.asm.Push(*s)
 	if !done {
 		return Message{}, false
 	}

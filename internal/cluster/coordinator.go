@@ -674,7 +674,7 @@ func (c *Coordinator) schedule(ctx context.Context, job Job, jobSpan *trace.Span
 						c.metrics.taskSeconds.Observe(time.Since(ts.started).Seconds())
 						if !feedCounted[r.ID] {
 							feedCounted[r.ID] = true
-							addFeedStats(&res.Feed, r.Feed)
+							res.Feed.Add(r.Feed)
 						}
 					case r.Err != "":
 						// The reduce itself failed on the owner: rotate
@@ -711,14 +711,4 @@ func addStats(dst *pipeline.Stats, s pipeline.Stats) {
 	dst.TripRecords += s.TripRecords
 	dst.Trips += s.Trips
 	dst.Observations += s.Observations
-}
-
-// addFeedStats sums archive read statistics across scan tasks.
-func addFeedStats(dst *feed.ReadStats, s feed.ReadStats) {
-	dst.Lines += s.Lines
-	dst.BadLines += s.BadLines
-	dst.BadNMEA += s.BadNMEA
-	dst.Positions += s.Positions
-	dst.Statics += s.Statics
-	dst.Unsupported += s.Unsupported
 }

@@ -5,16 +5,21 @@
 //	1641038400\t!AIVDM,1,1,,A,15M67FC000G?ufbE`FepT@3n00Sa,0*5B
 //
 // Multi-sentence messages (type 5) occupy consecutive lines sharing a
-// timestamp. The reader reassembles and decodes messages, converting them
-// to pipeline records; lines that fail checksum or decoding are counted and
-// skipped, as a production ingest does.
+// timestamp. One line decoder with two drivers reassembles and decodes
+// messages into pipeline records, counting and skipping lines that fail
+// checksum or decoding as a production ingest does: NextItem reads a line
+// at a time, ReadAll decodes chunks of lines on every core and runs the
+// assembly once, in stream order, to the same result.
 package feed
 
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strconv"
 
 	"github.com/patternsoflife/pol/internal/ais"
@@ -100,24 +105,35 @@ type ReadStats struct {
 	Unsupported int64 // valid messages of other types
 }
 
+// Add adds the counters of another pass.
+func (s *ReadStats) Add(o ReadStats) {
+	s.Lines += o.Lines
+	s.BadLines += o.BadLines
+	s.BadNMEA += o.BadNMEA
+	s.Positions += o.Positions
+	s.Statics += o.Statics
+	s.Unsupported += o.Unsupported
+}
+
 // Reader decodes a timestamped NMEA archive.
 type Reader struct {
-	sc    *bufio.Scanner
-	dec   *ais.Decoder
-	stats ReadStats
-	// pending static info discovered in the stream.
-	statics map[uint32]ais.StaticReport
+	lineDecoder // NextItem's and the fold's
+	src         io.Reader
+	sc          *bufio.Scanner // NextItem's, made by its first call
+	dec         *ais.Decoder
+	statics     map[uint32]ais.StaticReport // static info discovered in the stream
 }
+
+// maxLine is the scanner's limit on a line before its newline; ReadAll keeps it.
+const maxLine = 1 << 20
+
+// ErrReadAllAfterNextItem refuses ReadAll on a Reader NextItem has read
+// from: its scanner holds bytes of the source that ReadAll would skip.
+var ErrReadAllAfterNextItem = errors.New("feed: ReadAll after NextItem")
 
 // NewReader wraps an io.Reader.
 func NewReader(r io.Reader) *Reader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	return &Reader{
-		sc:      sc,
-		dec:     ais.NewDecoder(),
-		statics: make(map[uint32]ais.StaticReport),
-	}
+	return &Reader{src: r, dec: ais.NewDecoder(), statics: make(map[uint32]ais.StaticReport)}
 }
 
 // ItemKind discriminates the decoded feed elements surfaced by NextItem.
@@ -147,47 +163,19 @@ type Item struct {
 // additionally collected into the Statics map, preserving the archive
 // reader behaviour.
 func (r *Reader) NextItem() (Item, error) {
+	if r.sc == nil {
+		r.sc = bufio.NewScanner(r.src)
+		r.sc.Buffer(make([]byte, 0, 1<<16), maxLine)
+	}
 	for r.sc.Scan() {
-		r.stats.Lines++
-		line := r.sc.Bytes()
-		tab := bytes.IndexByte(line, '\t')
-		if tab < 0 {
-			r.stats.BadLines++
-			continue
-		}
-		ts, err := strconv.ParseInt(string(line[:tab]), 10, 64)
-		if err != nil {
-			r.stats.BadLines++
-			continue
-		}
-		before := r.dec.BadSentence + r.dec.BadPayload
-		m, ok := r.dec.Feed(line[tab+1:])
-		if !ok {
-			if r.dec.BadSentence+r.dec.BadPayload > before {
-				r.stats.BadNMEA++
-			}
-			continue
-		}
-		switch m.Type {
-		case ais.TypeStatic:
-			r.stats.Statics++
-			r.statics[m.Static.MMSI] = *m.Static
-			return Item{Kind: ItemStatic, Time: ts, Static: *m.Static}, nil
-		case ais.TypeBaseStation, ais.TypeStaticB:
-			// Decodable but not consumed by the pipeline.
-			r.stats.Unsupported++
+		ts, ok := r.line(r.sc.Bytes())
+		switch {
+		case !ok || !r.message(r.dec):
+		case r.m.Type == ais.TypeStatic:
+			r.statics[r.m.Static.MMSI] = *r.m.Static
+			return Item{Kind: ItemStatic, Time: ts, Static: *r.m.Static}, nil
 		default:
-			p := m.Position
-			r.stats.Positions++
-			return Item{Kind: ItemPosition, Time: ts, Pos: model.PositionRecord{
-				MMSI:    p.MMSI,
-				Time:    ts,
-				Pos:     geo.LatLng{Lat: p.Lat, Lng: p.Lon},
-				SOG:     p.SOG,
-				COG:     p.COG,
-				Heading: p.Heading,
-				Status:  p.Status,
-			}}, nil
+			return Item{Kind: ItemPosition, Time: ts, Pos: record(ts, r.m.Position)}, nil
 		}
 	}
 	if err := r.sc.Err(); err != nil {
@@ -196,34 +184,183 @@ func (r *Reader) NextItem() (Item, error) {
 	return Item{}, io.EOF
 }
 
-// Next returns the next decoded position record. It returns io.EOF at end
-// of input. Static reports encountered are collected (see Statics) and do
-// not surface as records.
-func (r *Reader) Next() (model.PositionRecord, error) {
-	for {
-		it, err := r.NextItem()
-		if err != nil {
-			return model.PositionRecord{}, err
-		}
-		if it.Kind == ItemPosition {
-			return it.Pos, nil
-		}
-	}
+// lineDecoder is the line decoder both drivers run: it keeps the counters,
+// and the sentence and message of the line it decoded last.
+type lineDecoder struct {
+	s     ais.Sentence
+	m     ais.Message
+	stats ReadStats
 }
 
-// ReadAll drains the reader into a slice.
-func (r *Reader) ReadAll() ([]model.PositionRecord, error) {
-	var out []model.PositionRecord
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
+// line decodes a line up to the assembler: it counts the line and its
+// failures, parses its sentence into d.s and returns its receive timestamp.
+func (d *lineDecoder) line(line []byte) (int64, bool) {
+	d.stats.Lines++
+	tab := bytes.IndexByte(line, '\t')
+	ts, err := strconv.ParseInt(string(line[:max(tab, 0)]), 10, 64) // no tab: "" fails
+	if err != nil {
+		d.stats.BadLines++
+		return 0, false
 	}
+	if d.s, err = ais.ParseSentence(line[tab+1:]); err != nil {
+		d.stats.BadNMEA++
+	}
+	return ts, err == nil
+}
+
+// message feeds d.s through dec into d.m and counts what it completes. It
+// reports whether that is a position or static report.
+func (d *lineDecoder) message(dec *ais.Decoder) bool {
+	bad := dec.BadPayload
+	var ok bool
+	d.m, ok = dec.FeedSentence(&d.s)
+	d.stats.BadNMEA += int64(dec.BadPayload - bad)
+	switch {
+	case !ok:
+	case d.m.Type == ais.TypeStatic:
+		d.stats.Statics++
+	case d.m.Type == ais.TypeBaseStation || d.m.Type == ais.TypeStaticB:
+		d.stats.Unsupported++ // decodable but not consumed by the pipeline
+		return false
+	default:
+		d.stats.Positions++
+	}
+	return ok
+}
+
+// record is the pipeline record of a position report received at ts.
+func record(ts int64, p ais.PositionReport) model.PositionRecord {
+	return model.PositionRecord{MMSI: p.MMSI, Time: ts, Pos: geo.LatLng{Lat: p.Lat, Lng: p.Lon},
+		SOG: p.SOG, COG: p.COG, Heading: p.Heading, Status: p.Status}
+}
+
+// chunkSize is about how many bytes ReadAll decodes as one chunk: no line
+// after a chunk's first reaches 2·chunkSize ≤ maxLine.
+const chunkSize = 256 << 10
+
+// ReadAll returns the rest of the source's position records, statics,
+// counters and error as a NextItem loop would, bit for bit. Chunks of
+// whole lines decode on every core; multi-sentence fragments wait for one
+// fold that walks the chunks in stream order through the Reader's
+// assembler, the only state one line leaves for the next.
+func (r *Reader) ReadAll() ([]model.PositionRecord, error) { return r.readAll(chunkSize) }
+
+// chunk is a run of whole lines of the source and what decode made of it.
+type chunk struct {
+	lineDecoder
+	buf  []byte
+	recs []model.PositionRecord // positions of one-sentence messages
+	late []late                 // what the fold finishes, in stream order
+	done chan struct{}          // decode is done
+}
+
+// late is a line left to the fold: a fragment or a one-sentence static.
+type late struct {
+	at int // positions of the chunk before the line
+	ts int64
+	s  ais.Sentence // its payload aliases the chunk
+}
+
+func (r *Reader) readAll(size int) ([]model.PositionRecord, error) {
+	if r.sc != nil {
+		return nil, ErrReadAllAfterNextItem
+	}
+	// 2·GOMAXPROCS chunks in flight keep every core decoding while the fold
+	// waits for the oldest.
+	window := 2 * runtime.GOMAXPROCS(0)
+	var parts [][]model.PositionRecord
+	var flight []*chunk // being decoded, in stream order
+	var carry []byte
+	var err error
+	for err == nil {
+		var c *chunk
+		if len(flight) < window {
+			c = &chunk{done: make(chan struct{}, 1)}
+		} else { // the oldest, once the fold is done with it
+			c, flight = flight[0], flight[1:]
+			parts = append(parts, r.fold(c))
+		}
+		if carry, err = c.fill(r.src, size, carry); err != bufio.ErrTooLong {
+			go c.decode(ais.NewDecoder())
+			flight = append(flight, c)
+		}
+	}
+	for _, c := range flight {
+		parts = append(parts, r.fold(c))
+	}
+	if err != io.EOF {
+		return slices.Concat(parts...), fmt.Errorf("feed: scan: %w", err)
+	}
+	return slices.Concat(parts...), nil
+}
+
+// fill reads carry, the line the last chunk cut short, and the source on
+// to size bytes and a newline into c. It returns the line it cuts short
+// and what ended the source: io.EOF, a read error, or bufio.ErrTooLong
+// (leaving c unfilled) when c's first line is maxLine bytes or more.
+func (c *chunk) fill(src io.Reader, size int, carry []byte) ([]byte, error) {
+	b, nl := append(c.buf[:0], carry...), -1
+	var err error
+	for err == nil && (nl < 0 || len(b) < size) && (nl >= 0 || len(b) < maxLine) {
+		b = slices.Grow(b, size)
+		n, e := src.Read(b[len(b) : len(b)+size])
+		if i := bytes.LastIndexByte(b[len(b):len(b)+n], '\n'); i >= 0 {
+			nl = len(b) + i
+		}
+		b, err = b[:len(b)+n], e
+	}
+	if first := bytes.IndexByte(b, '\n'); first >= maxLine || first < 0 && len(b) >= maxLine {
+		return carry, bufio.ErrTooLong
+	}
+	if c.buf = b; err == nil {
+		carry, c.buf = append(carry[:0], b[nl+1:]...), b[:nl+1]
+	}
+	return carry, err
+}
+
+// decode runs the line decoder over the chunk, then signals done: it
+// decodes one-sentence positions with dec and leaves the rest to the fold.
+// (A static report is type 5, the one type whose payload starts with '5'.)
+func (c *chunk) decode(dec *ais.Decoder) {
+	c.recs = make([]model.PositionRecord, 0, bytes.Count(c.buf, []byte{'\n'})+1)
+	c.late, c.stats = c.late[:0], ReadStats{}
+	for rest := c.buf; len(rest) > 0; {
+		line, tail, _ := bytes.Cut(rest, []byte{'\n'})
+		rest = tail
+		ts, ok := c.line(line)
+		switch {
+		case !ok:
+		case c.s.Total > 1 || bytes.HasPrefix(c.s.Payload, []byte{'5'}):
+			c.late = append(c.late, late{len(c.recs), ts, c.s})
+		case c.message(dec):
+			c.recs = append(c.recs, record(ts, c.m.Position))
+		}
+	}
+	c.done <- struct{}{}
+}
+
+// fold finishes a chunk, once decoded, in stream order: it adds the
+// counters, decodes the late lines through the Reader's assembler, applies
+// statics last-wins, and returns all the chunk's positions in order.
+func (r *Reader) fold(c *chunk) []model.PositionRecord {
+	<-c.done
+	r.stats.Add(c.stats)
+	var out []model.PositionRecord
+	from := 0
+	for _, l := range c.late {
+		switch r.s = l.s; {
+		case !r.message(r.dec):
+		case r.m.Type == ais.TypeStatic:
+			r.statics[r.m.Static.MMSI] = *r.m.Static
+		default:
+			out = append(append(out, c.recs[from:l.at]...), record(l.ts, r.m.Position))
+			from = l.at
+		}
+	}
+	if out == nil {
+		return c.recs
+	}
+	return append(out, c.recs[from:]...)
 }
 
 // Stats returns the ingest counters accumulated so far.

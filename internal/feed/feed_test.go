@@ -116,7 +116,7 @@ func TestReaderSkipsGarbage(t *testing.T) {
 
 func TestReaderEOF(t *testing.T) {
 	r := NewReader(strings.NewReader(""))
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.NextItem(); err != io.EOF {
 		t.Errorf("empty input: got %v, want EOF", err)
 	}
 }
@@ -133,8 +133,14 @@ func TestStaticsUnknownCategory(t *testing.T) {
 	}
 	w.Flush()
 	r := NewReader(&buf)
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatal("static-only stream must EOF without records")
+	for {
+		it, err := r.NextItem()
+		if err == io.EOF {
+			break
+		}
+		if err != nil || it.Kind == ItemPosition {
+			t.Fatal("static-only stream must EOF without records")
+		}
 	}
 	info := r.StaticsAsVesselInfo()
 	if len(info) != 1 {

@@ -71,9 +71,6 @@ func Build(inv inventory.View, origin, dest model.PortID, vt model.VesselType) (
 	return g, nil
 }
 
-// Size returns the number of vertices.
-func (g *Graph) Size() int { return len(g.cells) }
-
 // Nearest returns the graph vertex closest to the position.
 func (g *Graph) Nearest(p geo.LatLng) (hexgrid.Cell, bool) {
 	var best hexgrid.Cell

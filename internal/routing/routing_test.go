@@ -40,8 +40,8 @@ func TestBuildGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Size() < 10 {
-		t.Fatalf("graph has only %d cells", g.Size())
+	if len(g.cells) < 10 {
+		t.Fatalf("graph has only %d cells", len(g.cells))
 	}
 	// Every vertex must carry the OD summary's resolution.
 	res := f.Inventory.Info().Resolution
