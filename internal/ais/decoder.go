@@ -11,76 +11,63 @@ type Message struct {
 	StaticB     *StaticBReport     // type 24
 }
 
-// Decoder turns a stream of NMEA lines into decoded AIS messages, handling
-// checksum verification and multi-sentence assembly. A Decoder is not safe
-// for concurrent use; create one per input stream.
+// Decoder turns parsed NMEA sentences into decoded AIS messages, handling
+// multi-sentence assembly. A Decoder is not safe for concurrent use;
+// create one per input stream.
 type Decoder struct {
 	asm  *Assembler
 	bits bitBuf // un-armored payload of the message being decoded; reused
 
 	// Counters for data-quality reporting.
-	Lines       int // lines fed
-	BadSentence int // framing/checksum failures
-	BadPayload  int // armoring/field decode failures
-	Skipped     int // valid messages of unsupported types
-	Decoded     int // successfully decoded messages
+	BadPayload int // armoring/field decode failures
+	Skipped    int // valid messages of unsupported types
+	Decoded    int // successfully decoded messages
 }
 
-// NewDecoder returns a Decoder ready to consume NMEA lines.
+// NewDecoder returns a Decoder ready to consume sentences.
 func NewDecoder() *Decoder {
 	return &Decoder{asm: NewAssembler(8)}
 }
 
-// Feed consumes one NMEA line. ok=false means it completed no supported
-// message (a fragment, an error or an unsupported type: the counters tell
-// which). The line is not retained.
-func (d *Decoder) Feed(line []byte) (Message, bool) {
-	d.Lines++
-	s, err := ParseSentence(line)
-	if err != nil {
-		d.BadSentence++
-		return Message{}, false
-	}
-	return d.FeedSentence(&s)
+// FeedSentence consumes one sentence ParseSentence filled. When it
+// completes a supported message it decodes it into m, in place, and
+// returns true; false means it completed none (a fragment, an error or an
+// unsupported type: the counters tell which) and leaves m unspecified. A
+// one-sentence message leaves the assembler untouched: any Decoder may
+// decode it, in any order.
+func (d *Decoder) FeedSentence(s *Sentence, m *Message) bool {
+	payload, fill, done := d.asm.Push(s)
+	return done && d.decodePayload(payload, fill, m)
 }
 
-// FeedSentence is Feed after ParseSentence. A one-sentence message leaves
-// the assembler untouched: any Decoder may decode it, in any order.
-func (d *Decoder) FeedSentence(s *Sentence) (Message, bool) {
-	payload, fill, done := d.asm.Push(*s)
-	if !done {
-		return Message{}, false
-	}
-	return d.decodePayload(payload, fill)
-}
-
-func (d *Decoder) decodePayload(payload []byte, fill int) (m Message, ok bool) {
+func (d *Decoder) decodePayload(payload []byte, fill int, m *Message) bool {
 	b := &d.bits
 	err := b.unarmor(payload, fill)
 	if err != nil || b.Len() < 6 {
 		d.BadPayload++
-		return Message{}, false
+		return false
 	}
-	switch m.Type = int(b.uint(0, 6)); m.Type {
+	switch t := int(b.uint(0, 6)); t {
 	case TypePositionA1, TypePositionA2, TypePositionA3, TypePositionB:
-		m.Position, err = decodePosition(b)
+		m.Type, m.Static, m.BaseStation, m.StaticB = t, nil, nil, nil
+		err = decodePosition(b, &m.Position)
 	case TypeStatic:
-		s, e := decodeStatic(b)
-		m.Static, err = &s, e
+		*m = Message{Type: t, Static: new(StaticReport)}
+		*m.Static, err = decodeStatic(b)
 	case TypeBaseStation:
-		s, e := decodeBaseStation(b)
-		m.BaseStation, err = &s, e
+		*m = Message{Type: t, BaseStation: new(BaseStationReport)}
+		*m.BaseStation, err = decodeBaseStation(b)
 	case TypeStaticB:
-		s, e := decodeStaticB(b)
-		m.StaticB, err = &s, e
+		*m = Message{Type: t, StaticB: new(StaticBReport)}
+		*m.StaticB, err = decodeStaticB(b)
 	default:
 		d.Skipped++
-		return Message{}, false
+		return false
 	}
 	if err != nil {
 		d.BadPayload++
-		return Message{}, false
+		return false
 	}
 	d.Decoded++
-	return m, true
+	return true
 }

@@ -10,7 +10,7 @@ func decodeAll(t *testing.T, lines []string) Message {
 	t.Helper()
 	d := NewDecoder()
 	for i, line := range lines {
-		m, ok := d.Feed([]byte(line))
+		m, _, ok := feedLine(d, []byte(line))
 		if ok {
 			if i != len(lines)-1 {
 				t.Fatalf("message completed early at line %d", i)
@@ -275,11 +275,16 @@ func TestValidMMSI(t *testing.T) {
 func TestDecoderCounters(t *testing.T) {
 	d := NewDecoder()
 	lines, _ := EncodePosition(PositionReport{Type: 1, MMSI: 227006560, Lon: 1, Lat: 1})
-	d.Feed([]byte(lines[0]))
-	d.Feed([]byte("garbage"))
-	d.Feed([]byte("!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*00")) // bad checksum
-	if d.Lines != 3 || d.Decoded != 1 || d.BadSentence != 2 {
-		t.Errorf("counters: %+v", d)
+	bad := 0
+	for _, line := range []string{lines[0], "garbage",
+		"!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*00", // bad checksum
+	} {
+		if _, parsed, _ := feedLine(d, []byte(line)); !parsed {
+			bad++
+		}
+	}
+	if d.Decoded != 1 || bad != 2 || d.BadPayload != 0 || d.Skipped != 0 {
+		t.Errorf("counters: %+v, %d bad sentences", d, bad)
 	}
 }
 
@@ -291,7 +296,7 @@ func TestDecoderSkipsUnsupportedTypes(t *testing.T) {
 	b.setUint(8, 30, 993669702)
 	lines := EncodeSentences(b, "A", 0)
 	d := NewDecoder()
-	_, ok := d.Feed([]byte(lines[0]))
+	_, _, ok := feedLine(d, []byte(lines[0]))
 	if ok {
 		t.Error("type 21 must not decode")
 	}
@@ -302,19 +307,19 @@ func TestDecoderSkipsUnsupportedTypes(t *testing.T) {
 
 func TestDecodePayloadDirect(t *testing.T) {
 	lines, _ := EncodePosition(PositionReport{Type: 1, MMSI: 227006560, Lon: 1, Lat: 1})
-	s, err := ParseSentence([]byte(lines[0]))
+	s, err := parse(lines[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	var d Decoder
-	m, ok := d.decodePayload(s.Payload, s.FillBits)
-	if !ok {
+	var m Message
+	if !d.decodePayload(s.Payload, s.FillBits, &m) {
 		t.Fatal("assembled payload must decode")
 	}
 	if m.Type != TypePositionA1 || m.Position.MMSI != 227006560 {
 		t.Errorf("decoded %+v", m)
 	}
-	if _, ok := d.decodePayload([]byte("~~~"), 0); ok || d.BadPayload != 1 {
+	if ok := d.decodePayload([]byte("~~~"), 0, &m); ok || d.BadPayload != 1 {
 		t.Errorf("bad payload must fail and be counted, BadPayload=%d", d.BadPayload)
 	}
 }
@@ -334,7 +339,7 @@ func BenchmarkDecodePosition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := NewDecoder()
-		if _, ok := d.Feed(line); !ok {
+		if _, _, ok := feedLine(d, line); !ok {
 			b.Fatal("decode failed")
 		}
 	}

@@ -83,25 +83,23 @@ func EncodePosition(p PositionReport) ([]string, error) {
 	return EncodeSentences(b, "A", 0), nil
 }
 
-// decodePosition decodes a position payload of type 1-3 or 18.
-func decodePosition(b *bitBuf) (PositionReport, error) {
+// decodePosition decodes a position payload of type 1-3 or 18 into p, in
+// place; on error p is unspecified.
+func decodePosition(b *bitBuf, p *PositionReport) error {
 	if b.Len() < 143 {
-		return PositionReport{}, ErrShortMessage
+		return ErrShortMessage
 	}
-	msgType := int(b.uint(0, 6))
-	p := PositionReport{
-		Type:   msgType,
-		MMSI:   uint32(b.uint(8, 30)),
-		Status: StatusNotDefined,
-	}
+	p.Type = int(b.uint(0, 6))
+	p.MMSI = uint32(b.uint(8, 30))
+	p.Status = StatusNotDefined
 	off := 0
-	switch msgType {
+	switch p.Type {
 	case TypePositionA1, TypePositionA2, TypePositionA3:
 		p.Status = NavStatus(b.uint(38, 4))
 	case TypePositionB:
 		off = classBShift
 	default:
-		return PositionReport{}, ErrWrongType
+		return ErrWrongType
 	}
 	p.SOG = scaled(int64(b.uint(50-off, 10)), SOGNotAvailable, 10)
 	p.Lon = scaled(b.int(61-off, 28), LonNotAvailable, 600000)
@@ -109,7 +107,7 @@ func decodePosition(b *bitBuf) (PositionReport, error) {
 	p.COG = scaled(int64(b.uint(116-off, 12)), COGNotAvailable, 10)
 	p.Heading = scaled(int64(b.uint(128-off, 9)), HeadingNotAvailable, 1)
 	p.Timestamp = int(b.uint(137-off, 6))
-	return p, nil
+	return nil
 }
 
 // classBShift is how many bits earlier than in a class-A report the speed,

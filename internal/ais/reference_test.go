@@ -37,7 +37,7 @@ func (d *refDecoder) Feed(line string) (Message, bool) {
 		d.BadSentence++
 		return Message{}, false
 	}
-	payload, fill, done := d.asm.Push(Sentence{
+	payload, fill, done := d.asm.Push(&Sentence{
 		Talker: s.Talker, Total: s.Total, Number: s.Number, SeqID: s.SeqID,
 		Channel: s.Channel, Payload: []byte(s.Payload), FillBits: s.FillBits,
 	})

@@ -12,6 +12,7 @@ import (
 // rejected gracefully, never panic.
 func TestDecoderNeverPanicsOnGarbage(t *testing.T) {
 	d := NewDecoder()
+	bad := 0
 	rng := rand.New(rand.NewSource(99))
 	real := "!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C"
 	for i := 0; i < 5000; i++ {
@@ -36,10 +37,12 @@ func TestDecoderNeverPanicsOnGarbage(t *testing.T) {
 			}
 			line = "!AIVDM,1,1,,A," + string(payload) + ",0*00"
 		}
-		d.Feed([]byte(line)) // must not panic
+		if _, parsed, _ := feedLine(d, []byte(line)); !parsed { // must not panic
+			bad++
+		}
 	}
-	if d.Lines != 5000 {
-		t.Errorf("lines %d", d.Lines)
+	if bad == 0 || d.Decoded == 5000 {
+		t.Errorf("garbage went through: %d bad sentences, %+v", bad, d)
 	}
 }
 
@@ -65,6 +68,7 @@ func TestDecodePayloadFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alphabet := "0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVW`abcdefghijklmnopqrstuvw"
 	var d Decoder
+	var m Message
 	for i := 0; i < 3000; i++ {
 		n := 1 + rng.Intn(90)
 		var sb strings.Builder
@@ -72,6 +76,6 @@ func TestDecodePayloadFuzz(t *testing.T) {
 			sb.WriteByte(alphabet[rng.Intn(len(alphabet))])
 		}
 		// Must never panic regardless of decoded type and field garbage.
-		_, _ = d.decodePayload([]byte(sb.String()), rng.Intn(6))
+		d.decodePayload([]byte(sb.String()), rng.Intn(6), &m)
 	}
 }

@@ -39,21 +39,22 @@ func FormatSentence(s Sentence) string {
 	return string(append(dst, '*', hex[sum>>4], hex[sum&15]))
 }
 
-// ParseSentence parses one NMEA AIVDM/AIVDO line. Leading/trailing
-// whitespace is tolerated; the checksum is verified. The returned payload
-// aliases line.
-func ParseSentence(line []byte) (Sentence, error) {
+// ParseSentence parses one NMEA AIVDM/AIVDO line into s, in place: the
+// feed drivers keep one Sentence a line and copy none. Leading/trailing
+// whitespace is tolerated; the checksum is verified. The payload aliases
+// line. On error the fields of s are unspecified.
+func ParseSentence(line []byte, s *Sentence) error {
 	line = bytes.TrimSpace(line)
 	if len(line) < 10 || line[0] != '!' {
-		return Sentence{}, ErrBadSentence
+		return ErrBadSentence
 	}
 	star := bytes.LastIndexByte(line, '*')
 	if star < 0 || star+3 > len(line) {
-		return Sentence{}, ErrBadSentence
+		return ErrBadSentence
 	}
 	var want [1]byte
 	if _, err := hex.Decode(want[:], line[star+1:star+3]); err != nil {
-		return Sentence{}, ErrBadSentence
+		return ErrBadSentence
 	}
 	// One pass over the body: the XOR checksum and the field boundaries.
 	body := line[1:star]
@@ -70,14 +71,10 @@ func ParseSentence(line []byte) (Sentence, error) {
 		}
 	}
 	if sum != want[0] {
-		return Sentence{}, ErrBadChecksum
+		return ErrBadChecksum
 	}
 	if commas != len(comma) {
-		return Sentence{}, ErrBadSentence
-	}
-	s := Sentence{
-		Channel: string(body[comma[3]+1 : comma[4]]),
-		Payload: body[comma[4]+1 : comma[5]],
+		return ErrBadSentence
 	}
 	switch string(body[:comma[0]]) {
 	case "AIVDM":
@@ -85,25 +82,27 @@ func ParseSentence(line []byte) (Sentence, error) {
 	case "AIVDO":
 		s.Talker = "AIVDO"
 	default:
-		return Sentence{}, ErrBadSentence
+		return ErrBadSentence
 	}
+	s.Channel = string(body[comma[3]+1 : comma[4]])
+	s.Payload = body[comma[4]+1 : comma[5]]
 	var ok bool
 	if s.Total, ok = countField(body[comma[0]+1 : comma[1]]); !ok || s.Total < 1 {
-		return Sentence{}, ErrBadSentence
+		return ErrBadSentence
 	}
 	if s.Number, ok = countField(body[comma[1]+1 : comma[2]]); !ok || s.Number < 1 || s.Number > s.Total {
-		return Sentence{}, ErrBadSentence
+		return ErrBadSentence
 	}
 	s.SeqID = -1
 	if seq := body[comma[2]+1 : comma[3]]; len(seq) > 0 {
 		if s.SeqID, ok = countField(seq); !ok {
-			return Sentence{}, ErrBadSentence
+			return ErrBadSentence
 		}
 	}
 	if s.FillBits, ok = countField(body[comma[5]+1:]); !ok || s.FillBits > 5 {
-		return Sentence{}, ErrBadSentence
+		return ErrBadSentence
 	}
-	return s, nil
+	return nil
 }
 
 // countField parses one of the sentence's small decimal fields, reporting
@@ -151,7 +150,7 @@ func NewAssembler(maxPending int) *Assembler {
 // done=false while a multi-sentence group is still accumulating. The
 // payload is s.Payload itself for a single-sentence message and the
 // assembler's buffer otherwise: it is valid until the next Push.
-func (a *Assembler) Push(s Sentence) (payload []byte, fillBits int, done bool) {
+func (a *Assembler) Push(s *Sentence) (payload []byte, fillBits int, done bool) {
 	if s.Total == 1 {
 		return s.Payload, s.FillBits, true
 	}

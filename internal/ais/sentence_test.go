@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// parse is ParseSentence into a fresh Sentence.
+func parse(line string) (Sentence, error) {
+	var s Sentence
+	err := ParseSentence([]byte(line), &s)
+	return s, err
+}
+
 func TestFormatParseRoundTrip(t *testing.T) {
 	s := Sentence{
 		Talker: "AIVDM", Total: 1, Number: 1, SeqID: -1,
@@ -15,7 +22,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(line, "!AIVDM,1,1,,A,") {
 		t.Errorf("wire form %q", line)
 	}
-	got, err := ParseSentence([]byte(line))
+	got, err := parse(line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +34,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 func TestParseKnownRealSentence(t *testing.T) {
 	// A canonical AIVDM example (type 1 position report).
 	line := "!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C"
-	s, err := ParseSentence([]byte(line))
+	s, err := parse(line)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -38,8 +45,8 @@ func TestParseKnownRealSentence(t *testing.T) {
 	if err := b.unarmor(s.Payload, s.FillBits); err != nil {
 		t.Fatal(err)
 	}
-	p, err := decodePosition(&b)
-	if err != nil {
+	var p PositionReport
+	if err := decodePosition(&b, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Type != 1 {
@@ -65,7 +72,7 @@ func TestParseKnownRealSentence(t *testing.T) {
 
 func TestParseRejectsBadChecksum(t *testing.T) {
 	line := "!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5D"
-	if _, err := ParseSentence([]byte(line)); err != ErrBadChecksum {
+	if _, err := parse(line); err != ErrBadChecksum {
 		t.Errorf("got %v, want ErrBadChecksum", err)
 	}
 }
@@ -83,7 +90,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"!AIVDM,1,1,,B,xx,0*GZ", // bad checksum hex
 	}
 	for _, line := range bad {
-		if _, err := ParseSentence([]byte(line)); err == nil {
+		if _, err := parse(line); err == nil {
 			t.Errorf("%q must not parse", line)
 		}
 	}
@@ -91,14 +98,14 @@ func TestParseRejectsMalformed(t *testing.T) {
 
 func TestParseToleratesWhitespace(t *testing.T) {
 	line := "  !AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C\r\n"
-	if _, err := ParseSentence([]byte(line)); err != nil {
+	if _, err := parse(line); err != nil {
 		t.Errorf("whitespace-padded line must parse: %v", err)
 	}
 }
 
 func TestAssemblerSingleSentence(t *testing.T) {
 	a := NewAssembler(4)
-	payload, fill, done := a.Push(Sentence{Total: 1, Number: 1, Payload: []byte("ABC"), FillBits: 2})
+	payload, fill, done := a.Push(&Sentence{Total: 1, Number: 1, Payload: []byte("ABC"), FillBits: 2})
 	if !done || string(payload) != "ABC" || fill != 2 {
 		t.Error("single sentence must complete immediately")
 	}
@@ -106,11 +113,11 @@ func TestAssemblerSingleSentence(t *testing.T) {
 
 func TestAssemblerTwoParts(t *testing.T) {
 	a := NewAssembler(4)
-	_, _, done := a.Push(Sentence{Total: 2, Number: 1, SeqID: 3, Payload: []byte("AAA")})
+	_, _, done := a.Push(&Sentence{Total: 2, Number: 1, SeqID: 3, Payload: []byte("AAA")})
 	if done {
 		t.Fatal("first fragment must not complete")
 	}
-	payload, fill, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 3, Payload: []byte("BBB"), FillBits: 2})
+	payload, fill, done := a.Push(&Sentence{Total: 2, Number: 2, SeqID: 3, Payload: []byte("BBB"), FillBits: 2})
 	if !done || string(payload) != "AAABBB" || fill != 2 {
 		t.Fatalf("got %q/%d/%v", payload, fill, done)
 	}
@@ -118,13 +125,13 @@ func TestAssemblerTwoParts(t *testing.T) {
 
 func TestAssemblerInterleavedGroups(t *testing.T) {
 	a := NewAssembler(4)
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 1, Payload: []byte("A1")})
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 2, Payload: []byte("B1")})
-	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 2, Payload: []byte("B2")})
+	a.Push(&Sentence{Total: 2, Number: 1, SeqID: 1, Payload: []byte("A1")})
+	a.Push(&Sentence{Total: 2, Number: 1, SeqID: 2, Payload: []byte("B1")})
+	p, _, done := a.Push(&Sentence{Total: 2, Number: 2, SeqID: 2, Payload: []byte("B2")})
 	if !done || string(p) != "B1B2" {
 		t.Errorf("group 2: %q/%v", p, done)
 	}
-	p, _, done = a.Push(Sentence{Total: 2, Number: 2, SeqID: 1, Payload: []byte("A2")})
+	p, _, done = a.Push(&Sentence{Total: 2, Number: 2, SeqID: 1, Payload: []byte("A2")})
 	if !done || string(p) != "A1A2" {
 		t.Errorf("group 1: %q/%v", p, done)
 	}
@@ -133,13 +140,13 @@ func TestAssemblerInterleavedGroups(t *testing.T) {
 func TestAssemblerDropsOutOfOrder(t *testing.T) {
 	a := NewAssembler(4)
 	// Fragment 2 with no fragment 1 → dropped.
-	_, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 5, Payload: []byte("X")})
+	_, _, done := a.Push(&Sentence{Total: 2, Number: 2, SeqID: 5, Payload: []byte("X")})
 	if done {
 		t.Error("orphan fragment must not complete")
 	}
 	// A fresh group under the same seq id must work.
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 5, Payload: []byte("Y1")})
-	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 5, Payload: []byte("Y2")})
+	a.Push(&Sentence{Total: 2, Number: 1, SeqID: 5, Payload: []byte("Y1")})
+	p, _, done := a.Push(&Sentence{Total: 2, Number: 2, SeqID: 5, Payload: []byte("Y2")})
 	if !done || string(p) != "Y1Y2" {
 		t.Error("fresh group after drop must complete")
 	}
@@ -147,10 +154,10 @@ func TestAssemblerDropsOutOfOrder(t *testing.T) {
 
 func TestAssemblerRestartReplacesStale(t *testing.T) {
 	a := NewAssembler(4)
-	a.Push(Sentence{Total: 3, Number: 1, SeqID: 7, Payload: []byte("OLD")})
+	a.Push(&Sentence{Total: 3, Number: 1, SeqID: 7, Payload: []byte("OLD")})
 	// Restart with a 2-part group under the same id.
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 7, Payload: []byte("N1")})
-	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 7, Payload: []byte("N2")})
+	a.Push(&Sentence{Total: 2, Number: 1, SeqID: 7, Payload: []byte("N1")})
+	p, _, done := a.Push(&Sentence{Total: 2, Number: 2, SeqID: 7, Payload: []byte("N2")})
 	if !done || string(p) != "N1N2" {
 		t.Errorf("restart: %q/%v", p, done)
 	}
@@ -158,14 +165,14 @@ func TestAssemblerRestartReplacesStale(t *testing.T) {
 
 func TestAssemblerEvictsBeyondCapacity(t *testing.T) {
 	a := NewAssembler(2)
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 0, Payload: []byte("G0")})
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 1, Payload: []byte("G1")})
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 2, Payload: []byte("G2")}) // evicts G0
-	_, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 0, Payload: []byte("G0B")})
+	a.Push(&Sentence{Total: 2, Number: 1, SeqID: 0, Payload: []byte("G0")})
+	a.Push(&Sentence{Total: 2, Number: 1, SeqID: 1, Payload: []byte("G1")})
+	a.Push(&Sentence{Total: 2, Number: 1, SeqID: 2, Payload: []byte("G2")}) // evicts G0
+	_, _, done := a.Push(&Sentence{Total: 2, Number: 2, SeqID: 0, Payload: []byte("G0B")})
 	if done {
 		t.Error("evicted group must not complete")
 	}
-	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 2, Payload: []byte("G2B")})
+	p, _, done := a.Push(&Sentence{Total: 2, Number: 2, SeqID: 2, Payload: []byte("G2B")})
 	if !done || string(p) != "G2G2B" {
 		t.Error("retained group must complete")
 	}
@@ -176,14 +183,14 @@ func TestAssemblerEvictsBeyondCapacity(t *testing.T) {
 // cycle through ids 0-9, so a merged feed reuses them constantly.
 func TestAssemblerReusesCompletedID(t *testing.T) {
 	a := NewAssembler(8)
-	a.Push(Sentence{Total: 2, Number: 1, SeqID: 3, Payload: []byte("OLD")})
-	if _, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 3, Payload: []byte("X")}); !done {
+	a.Push(&Sentence{Total: 2, Number: 1, SeqID: 3, Payload: []byte("OLD")})
+	if _, _, done := a.Push(&Sentence{Total: 2, Number: 2, SeqID: 3, Payload: []byte("X")}); !done {
 		t.Fatal("first group 3 must complete")
 	}
 	for _, id := range []int{3, 4, 5, 6, 7, 8, 9, 0} { // 8 pending: at capacity, not over
-		a.Push(Sentence{Total: 2, Number: 1, SeqID: id, Payload: []byte{'A' + byte(id)}})
+		a.Push(&Sentence{Total: 2, Number: 1, SeqID: id, Payload: []byte{'A' + byte(id)}})
 	}
-	p, _, done := a.Push(Sentence{Total: 2, Number: 2, SeqID: 3, Payload: []byte("Z")})
+	p, _, done := a.Push(&Sentence{Total: 2, Number: 2, SeqID: 3, Payload: []byte("Z")})
 	if !done || string(p) != "DZ" {
 		t.Errorf("group 3, the oldest of 8 live groups, was evicted by its own stale id: %q %v", p, done)
 	}
@@ -196,7 +203,7 @@ func TestEncodeSentencesSplitsLongPayloads(t *testing.T) {
 		t.Fatalf("want 2 sentences, got %d", len(lines))
 	}
 	for i, line := range lines {
-		s, err := ParseSentence([]byte(line))
+		s, err := parse(line)
 		if err != nil {
 			t.Fatalf("sentence %d: %v", i, err)
 		}
@@ -207,9 +214,10 @@ func TestEncodeSentencesSplitsLongPayloads(t *testing.T) {
 }
 
 func BenchmarkParseSentence(b *testing.B) {
-	line := "!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C"
+	line := []byte("!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C")
+	var s Sentence
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseSentence([]byte(line)); err != nil {
+		if err := ParseSentence(line, &s); err != nil {
 			b.Fatal(err)
 		}
 	}

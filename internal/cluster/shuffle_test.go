@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -132,7 +133,7 @@ func sealTestFrame(t testing.TB, taskID uint64, section, bucket, seq int, last b
 
 // TestBucketOfIsRunsVesselPartition holds the distributed build's bucketing
 // to the local build's: every MMSI goes to the bucket that pipeline.Run's
-// vessel repartition puts it in, for every width tried. That is the
+// vessel shuffle puts it in, for every width tried. That is the
 // structural reason a cluster build equals a local one.
 func TestBucketOfIsRunsVesselPartition(t *testing.T) {
 	var recs []model.PositionRecord
@@ -141,11 +142,13 @@ func TestBucketOfIsRunsVesselPartition(t *testing.T) {
 	}
 	for _, n := range []int{1, 2, 3, 8} {
 		ctx := dataflow.NewContext(2)
-		placed := dataflow.MapPartitions(pipeline.ByVessel(dataflow.Parallelize(ctx, recs, 4), n), "where",
-			func(part int, rows []model.PositionRecord) [][2]int {
-				out := make([][2]int, len(rows))
-				for i, r := range rows {
-					out[i] = [2]int{int(r.MMSI), part}
+		placed := pipeline.ByVessel(dataflow.Parallelize(ctx, recs, 4), n, "where",
+			func(part int, runs iter.Seq[[]model.PositionRecord]) [][2]int {
+				var out [][2]int
+				for run := range runs {
+					for _, r := range run {
+						out = append(out, [2]int{int(r.MMSI), part})
+					}
 				}
 				return out
 			})

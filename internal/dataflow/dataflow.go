@@ -1,14 +1,14 @@
 // Package dataflow is a small in-process parallel dataset engine — the
 // from-scratch substitute for the Apache Spark substrate the paper runs on.
 //
-// A Dataset[T] is a lazy, partitioned collection. MapPartitions fuses into
-// its parent's per-partition computation and never materializes
-// intermediate state. Repartition introduces a shuffle: the parent is
-// evaluated once, every row is bucketed by a caller-given partitioner, and
-// downstream partitions read their bucket. The action, Collect, triggers
-// execution across a bounded worker pool. These are the operators the
-// methodology runs, not a catalogue: surface_test.go at the repository root
-// fails on one nothing calls.
+// A Dataset[T] is a lazy, partitioned collection. ShuffleRuns is the one
+// operator: it evaluates its parent once, groups the rows by key into
+// partitions without a second copy of the dataset, and hands each
+// partition's work one key's run at a time, so intermediate state is never
+// materialized. The action, Collect, triggers execution across a bounded
+// worker pool. These are the operators the methodology runs, not a
+// catalogue: surface_test.go at the repository root fails on one nothing
+// calls.
 //
 // The engine provides the execution semantics the paper's methodology
 // needs (§3.3, Figure 3): partitioning by vessel identifier for the
@@ -18,10 +18,10 @@
 // partitions, and the caller merges those partials in partition order
 // (internal/pipeline).
 //
-// Datasets are immutable and safe to share; all user functions must be safe
-// to call concurrently from multiple goroutines (they receive distinct
-// partitions). Panics inside user functions are captured and returned as
-// errors from actions, like Spark task failures.
+// Datasets are immutable and safe to share. All user functions must be
+// safe to call concurrently from multiple goroutines (they receive
+// distinct partitions). Panics inside user functions are captured and
+// returned as errors from actions, like Spark task failures.
 package dataflow
 
 import (
@@ -29,49 +29,14 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Context owns execution resources and metrics for a family of datasets.
 type Context struct {
 	parallelism int
 	metrics     *Metrics
-	scratch     sync.Pool       // *shuffleScratch, reused across shuffles
 	std         context.Context // cancellation source for all actions
 }
-
-// shuffleScratch is the per-partition working memory of a shuffle's
-// count-then-fill bucketing pass: one bucket index per row and one running
-// count per bucket. Pooled on the Context so consecutive shuffles (and the
-// many partitions within one) reuse allocations instead of growing fresh
-// buckets row by row.
-type shuffleScratch struct {
-	idx    []int32
-	counts []int
-}
-
-// getScratch returns pooled scratch with idx sized for rows and counts
-// zeroed for n buckets.
-func (c *Context) getScratch(rows, n int) *shuffleScratch {
-	sc, _ := c.scratch.Get().(*shuffleScratch)
-	if sc == nil {
-		sc = &shuffleScratch{}
-	}
-	if cap(sc.idx) < rows {
-		sc.idx = make([]int32, rows)
-	}
-	sc.idx = sc.idx[:rows]
-	if cap(sc.counts) < n {
-		sc.counts = make([]int, n)
-	}
-	sc.counts = sc.counts[:n]
-	for i := range sc.counts {
-		sc.counts[i] = 0
-	}
-	return sc
-}
-
-func (c *Context) putScratch(sc *shuffleScratch) { c.scratch.Put(sc) }
 
 // NewContext returns a Context executing up to parallelism concurrent
 // partition tasks. Values below 1 default to GOMAXPROCS.
@@ -162,24 +127,6 @@ func guard(stage string, err *error) {
 	if r := recover(); r != nil {
 		*err = fmt.Errorf("dataflow: stage %s panicked: %v", stage, r)
 	}
-}
-
-// MapPartitions applies f to each whole partition, enabling per-partition
-// state (sorting, sessionization, combining).
-func MapPartitions[T, U any](d *Dataset[T], name string, f func(part int, in []T) []U) *Dataset[U] {
-	out := &Dataset[U]{ctx: d.ctx, nParts: d.nParts}
-	out.compute = func(part int) (res []U, err error) {
-		defer guard(name, &err)
-		in, err := d.compute(part)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		res = f(part, in)
-		d.ctx.metrics.Record(name, int64(len(in)), int64(len(res)), time.Since(t0))
-		return res, nil
-	}
-	return out
 }
 
 // runParallel executes f(0..tasks-1) over at most width goroutines and

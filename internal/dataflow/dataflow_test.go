@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -68,56 +70,53 @@ func TestGenerate(t *testing.T) {
 	}
 }
 
-func TestMapPartitionsSeesWholePartition(t *testing.T) {
-	ctx := NewContext(4)
-	d := Parallelize(ctx, intsUpTo(100), 4)
-	sums := MapPartitions(d, "sum", func(_ int, in []int) []int {
-		total := 0
-		for _, x := range in {
-			total += x
-		}
-		return []int{total}
-	})
-	got, err := Collect(sums)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("want 4 partition sums, got %d", len(got))
-	}
-	total := 0
-	for _, s := range got {
-		total += s
-	}
-	if total != 4950 {
-		t.Errorf("total %d, want 4950", total)
-	}
-}
-
-// keyed is a row with a key, for the repartition tests.
+// keyed is a row with a key, for the shuffle tests.
 type keyed struct{ key, value int }
 
-// byKey buckets a keyed row by key modulo n.
-func byKey(n int) func(keyed) int { return func(r keyed) int { return r.key % n } }
+// byKey shuffles keyed rows by key, key k to bucket k modulo n, and
+// flattens each partition's runs back into rows.
+func byKey(d *Dataset[keyed], name string, n int) *Dataset[keyed] {
+	return ShuffleRuns(d, name, n, func(r keyed) int { return r.key }, func(k int) int { return k % n }, "flatten", flatten[keyed])
+}
 
-func TestRepartitionByKeyColocatesKeys(t *testing.T) {
+// flatten concatenates a partition's runs.
+func flatten[T any](_ int, runs iter.Seq[[]T]) []T {
+	var out []T
+	for run := range runs {
+		out = append(out, run...)
+	}
+	return out
+}
+
+// byParity shuffles ints into two partitions by parity, or by bucket when
+// it is given, and flattens each partition's runs back into rows.
+func byParity(d *Dataset[int], name string, bucket func(int) int) *Dataset[int] {
+	if bucket == nil {
+		bucket = func(x int) int { return x % 2 }
+	}
+	return ShuffleRuns(d, name, 2, func(x int) int { return x }, bucket, "flatten", flatten[int])
+}
+
+func TestShuffleRunsColocatesKeys(t *testing.T) {
 	ctx := NewContext(4)
 	var rows []keyed
 	for i := 0; i < 1000; i++ {
 		rows = append(rows, keyed{key: i % 17, value: i})
 	}
-	d := Parallelize(ctx, rows, 8)
-	re := Repartition(d, "repart", 5, byKey(5))
+	re := ShuffleRuns(Parallelize(ctx, rows, 8), "repart", 5, func(r keyed) int { return r.key }, func(k int) int { return k % 5 },
+		"where", func(part int, runs iter.Seq[[]keyed]) []keyed {
+			var out []keyed
+			for run := range runs {
+				for _, r := range run {
+					out = append(out, keyed{key: r.key, value: part})
+				}
+			}
+			return out
+		})
 	if re.nParts != 5 {
 		t.Fatalf("partitions %d", re.nParts)
 	}
-	placed, err := Collect(MapPartitions(re, "where", func(part int, rows []keyed) []keyed {
-		out := make([]keyed, len(rows))
-		for i, r := range rows {
-			out[i] = keyed{key: r.key, value: part}
-		}
-		return out
-	}))
+	placed, err := Collect(re)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,28 +125,123 @@ func TestRepartitionByKeyColocatesKeys(t *testing.T) {
 			t.Fatalf("key %d in partition %d, want %d", p.key, p.value, p.key%5)
 		}
 	}
-	if rows, _ := Collect(re); len(rows) != 1000 {
-		t.Errorf("repartition lost records: %d", len(rows))
+	if len(placed) != 1000 {
+		t.Errorf("shuffle lost records: %d", len(placed))
+	}
+}
+
+// TestMapPartitionsSeesWholePartition pins that a shuffle's per-partition
+// function is handed all of its partition's runs in one call.
+func TestMapPartitionsSeesWholePartition(t *testing.T) {
+	ctx := NewContext(4)
+	d := Parallelize(ctx, intsUpTo(100), 4)
+	sums := ShuffleRuns(d, "by-residue", 4, func(x int) int { return x }, func(x int) int { return x % 4 },
+		"sum", func(part int, runs iter.Seq[[]int]) []int {
+			total := 0
+			for run := range runs {
+				for _, x := range run {
+					total += x
+				}
+			}
+			return []int{total}
+		})
+	got, err := Collect(sums)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 4 {
+		t.Fatalf("want 4 partition sums, got %d", len(got))
+	}
+	total := 0
+	for part, s := range got {
+		want := 0
+		for x := part; x < 100; x += 4 {
+			want += x
+		}
+		if s != want {
+			t.Errorf("partition %d sum %d, want %d", part, s, want)
+		}
+		total += s
+	}
+	if total != 4950 {
+		t.Errorf("total %d, want 4950", total)
 	}
 }
 
 func TestRepartitionPreservesPerKeyOrder(t *testing.T) {
 	// Records of one key arriving from one input partition must stay in
-	// order — the property the per-vessel sort relies on.
+	// order — the property the per-vessel clean relies on.
 	ctx := NewContext(1)
 	var rows []keyed
 	for i := 0; i < 100; i++ {
 		rows = append(rows, keyed{key: 7, value: i})
 	}
-	d := Parallelize(ctx, rows, 1)
-	got, err := Collect(Repartition(d, "order", 3, byKey(3)))
+	got, err := Collect(byKey(Parallelize(ctx, rows, 1), "order", 3))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != len(rows) {
+		t.Fatalf("shuffle kept %d of %d records", len(got), len(rows))
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].value <= got[i-1].value {
 			t.Fatalf("order broken at %d", i)
 		}
+	}
+}
+
+// TestShuffleRunsLaysOutRuns pins what f is handed: each partition's runs,
+// one per key, keys ascending, each run its key's rows in input order —
+// input partitions by index, rows as they come — whether the key's rows
+// come from one input partition or are split over several. f may write to
+// its runs; the input is left as it was.
+func TestShuffleRunsLaysOutRuns(t *testing.T) {
+	var rows []keyed
+	for i := 0; i < 500; i++ {
+		rows = append(rows, keyed{key: (i * 7919) % 23, value: i})
+	}
+	input := slices.Clone(rows)
+	for _, inParts := range []int{1, 3, 8} {
+		for _, n := range []int{1, 2, 5} {
+			ctx := NewContext(2)
+			runs := ShuffleRuns(Parallelize(ctx, rows, inParts), "runs", n,
+				func(r keyed) int { return r.key }, func(k int) int { return k % n }, "collect",
+				func(_ int, runs iter.Seq[[]keyed]) [][]keyed {
+					var out [][]keyed
+					for run := range runs {
+						out = append(out, slices.Clone(run))
+						for i := range run {
+							run[i] = keyed{-1, -1} // the run is f's to overwrite
+						}
+					}
+					return out
+				})
+			for part := 0; part < n; part++ {
+				got, err := runs.compute(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want [][]keyed
+				for k := part; k < 23; k += n {
+					var run []keyed
+					for _, r := range rows {
+						if r.key == k {
+							run = append(run, r)
+						}
+					}
+					want = append(want, run)
+				}
+				if !slices.EqualFunc(got, want, slices.Equal) {
+					t.Fatalf("%d input partitions, %d buckets: partition %d runs %v, want %v", inParts, n, part, got, want)
+				}
+			}
+			if got := ctx.Metrics().ShuffledRecords(); got != int64(len(rows)) {
+				t.Errorf("shuffled %d records, want %d", got, len(rows))
+			}
+		}
+	}
+	if !slices.Equal(rows, input) {
+		t.Error("the shuffle wrote to its input")
 	}
 }
 
@@ -161,7 +255,7 @@ func TestShuffleTimesOnlyItsOwnWork(t *testing.T) {
 		return []keyed{{key: part, value: 0}, {key: part + 1, value: 1}}
 	})
 	t0 := time.Now()
-	rows, err := Collect(Repartition(src, "timed", 2, byKey(2)))
+	rows, err := Collect(byKey(src, "timed", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +272,12 @@ func TestShuffleTimesOnlyItsOwnWork(t *testing.T) {
 func TestUncachedRecomputes(t *testing.T) {
 	ctx := NewContext(4)
 	var evals atomic.Int64
-	d := MapPartitions(Parallelize(ctx, intsUpTo(10), 2), "counted", func(_ int, in []int) []int {
-		evals.Add(int64(len(in)))
-		return in
-	})
+	d := ShuffleRuns(Parallelize(ctx, intsUpTo(10), 2), "shuffle", 2, func(x int) int { return x }, func(x int) int { return x % 2 },
+		"counted", func(part int, runs iter.Seq[[]int]) []int {
+			rows := flatten(part, runs)
+			evals.Add(int64(len(rows)))
+			return rows
+		})
 	Collect(d)
 	Collect(d)
 	if got := evals.Load(); got != 20 {
@@ -191,14 +287,15 @@ func TestUncachedRecomputes(t *testing.T) {
 
 func TestPanicBecomesError(t *testing.T) {
 	ctx := NewContext(4)
-	d := MapPartitions(Parallelize(ctx, intsUpTo(10), 2), "boom", func(_ int, in []int) []int {
-		for _, x := range in {
-			if x == 7 {
-				panic("bad record")
+	d := ShuffleRuns(Parallelize(ctx, intsUpTo(10), 2), "shuffle", 2, func(x int) int { return x }, func(x int) int { return x % 2 },
+		"boom", func(part int, runs iter.Seq[[]int]) []int {
+			for _, x := range flatten(part, runs) {
+				if x == 7 {
+					panic("bad record")
+				}
 			}
-		}
-		return in
-	})
+			return nil
+		})
 	if _, err := Collect(d); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("panic must surface as stage error, got %v", err)
 	}
@@ -206,13 +303,11 @@ func TestPanicBecomesError(t *testing.T) {
 
 func TestShuffleAfterPanicPropagates(t *testing.T) {
 	ctx := NewContext(2)
-	d := MapPartitions(Parallelize(ctx, intsUpTo(10), 2), "boom2", func(int, []int) []int {
-		panic("die")
-	})
-	if _, err := Collect(Repartition(d, "shuffle", 2, func(x int) int { return x % 2 })); err == nil {
+	d := Generate(ctx, 2, func(int) []int { panic("die") })
+	if _, err := Collect(byParity(d, "shuffle", nil)); err == nil {
 		t.Error("shuffle must propagate upstream errors")
 	}
-	bad := Repartition(Parallelize(ctx, intsUpTo(10), 2), "bad-bucket", 2, func(x int) int {
+	bad := byParity(Parallelize(ctx, intsUpTo(10), 2), "bad-bucket", func(x int) int {
 		panic("no bucket")
 	})
 	if _, err := Collect(bad); err == nil || !strings.Contains(err.Error(), "bad-bucket") {
@@ -220,27 +315,36 @@ func TestShuffleAfterPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestMetrics: a ShuffleRuns records two stages — the shuffle, every row
+// in and out, and f's, rows in and what f returned out — and the rows it
+// shuffled.
 func TestMetrics(t *testing.T) {
 	ctx := NewContext(2)
-	d := Parallelize(ctx, intsUpTo(50), 2)
-	f := MapPartitions(d, "keep-even", func(_ int, in []int) []int {
-		var out []int
-		for _, x := range in {
-			if x%2 == 0 {
-				out = append(out, x)
+	d := ShuffleRuns(Parallelize(ctx, intsUpTo(50), 2), "shuffle", 3, func(x int) int { return x }, func(x int) int { return x % 3 },
+		"keep-even", func(part int, runs iter.Seq[[]int]) []int {
+			var out []int
+			for _, x := range flatten(part, runs) {
+				if x%2 == 0 {
+					out = append(out, x)
+				}
 			}
-		}
-		return out
-	})
-	if _, err := Collect(f); err != nil {
+			return out
+		})
+	if _, err := Collect(d); err != nil {
 		t.Fatal(err)
 	}
 	stages := ctx.Metrics().Stages()
-	if len(stages) != 1 {
-		t.Fatalf("stages %+v, want keep-even alone", stages)
+	if len(stages) != 2 {
+		t.Fatalf("stages %+v, want shuffle and keep-even", stages)
 	}
-	if s := stages[0]; s.Name != "keep-even" || s.RecordsIn != 50 || s.RecordsOut != 25 {
+	if s := stages[0]; s.Name != "shuffle" || s.RecordsIn != 50 || s.RecordsOut != 50 {
+		t.Errorf("shuffle stage metrics %+v", s)
+	}
+	if s := stages[1]; s.Name != "keep-even" || s.RecordsIn != 50 || s.RecordsOut != 25 {
 		t.Errorf("stage metrics %+v", s)
+	}
+	if n := ctx.Metrics().ShuffledRecords(); n != 50 {
+		t.Errorf("shuffled %d records, want 50", n)
 	}
 	if !strings.Contains(ctx.Metrics().String(), "keep-even") {
 		t.Error("metrics table must list the stage")
@@ -254,22 +358,26 @@ func TestContextDefaults(t *testing.T) {
 	}
 }
 
-func BenchmarkMapFilterPipeline(b *testing.B) {
+// BenchmarkShuffleRuns shuffles 100 000 rows of 1 000 keys into 8
+// partitions, f only walking the runs: the counting pass and the run copies.
+func BenchmarkShuffleRuns(b *testing.B) {
 	ctx := NewContext(4)
-	data := intsUpTo(100000)
+	var rows []keyed
+	for i := 0; i < 100000; i++ {
+		rows = append(rows, keyed{key: (i * 7919) % 1000, value: i})
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := Parallelize(ctx, data, 8)
-		f := MapPartitions(d, "f", func(_ int, in []int) []int {
-			out := make([]int, 0, len(in)/3+1)
-			for _, x := range in {
-				if x%3 == 0 {
-					out = append(out, 2*x)
+		d := ShuffleRuns(Parallelize(ctx, rows, 8), "shuffle", 8, func(r keyed) int { return r.key }, func(k int) int { return k % 8 },
+			"walk", func(_ int, runs iter.Seq[[]keyed]) []int {
+				n := 0
+				for run := range runs {
+					n += len(run)
 				}
-			}
-			return out
-		})
-		if _, err := Collect(f); err != nil {
+				return []int{n}
+			})
+		if _, err := Collect(d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -309,7 +417,7 @@ func TestCancelledContextFailsAllActions(t *testing.T) {
 	if _, err := Collect(d); !errors.Is(err, context.Canceled) {
 		t.Errorf("Collect on dead context: %v", err)
 	}
-	if _, err := Collect(Repartition(d, "shuffle", 2, func(x int) int { return x % 2 })); !errors.Is(err, context.Canceled) {
+	if _, err := Collect(byParity(d, "shuffle", nil)); !errors.Is(err, context.Canceled) {
 		t.Errorf("shuffle on dead context: %v", err)
 	}
 	// A nil context and NewContext behave as background: never cancelled.

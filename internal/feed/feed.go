@@ -170,7 +170,7 @@ func (r *Reader) NextItem() (Item, error) {
 	for r.sc.Scan() {
 		ts, ok := r.line(r.sc.Bytes())
 		switch {
-		case !ok || !r.message(r.dec):
+		case !ok || !r.message(r.dec, &r.s):
 		case r.m.Type == ais.TypeStatic:
 			r.statics[r.m.Static.MMSI] = *r.m.Static
 			return Item{Kind: ItemStatic, Time: ts, Static: *r.m.Static}, nil
@@ -202,18 +202,17 @@ func (d *lineDecoder) line(line []byte) (int64, bool) {
 		d.stats.BadLines++
 		return 0, false
 	}
-	if d.s, err = ais.ParseSentence(line[tab+1:]); err != nil {
+	if err = ais.ParseSentence(line[tab+1:], &d.s); err != nil {
 		d.stats.BadNMEA++
 	}
 	return ts, err == nil
 }
 
-// message feeds d.s through dec into d.m and counts what it completes. It
+// message feeds s through dec into d.m and counts what it completes. It
 // reports whether that is a position or static report.
-func (d *lineDecoder) message(dec *ais.Decoder) bool {
+func (d *lineDecoder) message(dec *ais.Decoder, s *ais.Sentence) bool {
 	bad := dec.BadPayload
-	var ok bool
-	d.m, ok = dec.FeedSentence(&d.s)
+	ok := dec.FeedSentence(s, &d.m)
 	d.stats.BadNMEA += int64(dec.BadPayload - bad)
 	switch {
 	case !ok:
@@ -296,16 +295,23 @@ func (r *Reader) readAll(size int) ([]model.PositionRecord, error) {
 
 // fill reads carry, the line the last chunk cut short, and the source on
 // to size bytes and a newline into c. It returns the line it cuts short
-// and what ended the source: io.EOF, a read error, or bufio.ErrTooLong
-// (leaving c unfilled) when c's first line is maxLine bytes or more.
+// and what ended the source: io.EOF, a read error, io.ErrNoProgress after
+// 100 reads in a row return neither bytes nor an error (as NextItem's
+// bufio.Scanner does), or bufio.ErrTooLong (leaving c unfilled) when c's
+// first line is maxLine bytes or more.
 func (c *chunk) fill(src io.Reader, size int, carry []byte) ([]byte, error) {
-	b, nl := append(c.buf[:0], carry...), -1
+	b, nl, empty := append(c.buf[:0], carry...), -1, 0
 	var err error
 	for err == nil && (nl < 0 || len(b) < size) && (nl >= 0 || len(b) < maxLine) {
 		b = slices.Grow(b, size)
 		n, e := src.Read(b[len(b) : len(b)+size])
 		if i := bytes.LastIndexByte(b[len(b):len(b)+n], '\n'); i >= 0 {
 			nl = len(b) + i
+		}
+		if empty++; n > 0 || e != nil {
+			empty = 0
+		} else if empty == 100 {
+			e = io.ErrNoProgress
 		}
 		b, err = b[:len(b)+n], e
 	}
@@ -332,7 +338,7 @@ func (c *chunk) decode(dec *ais.Decoder) {
 		case !ok:
 		case c.s.Total > 1 || bytes.HasPrefix(c.s.Payload, []byte{'5'}):
 			c.late = append(c.late, late{len(c.recs), ts, c.s})
-		case c.message(dec):
+		case c.message(dec, &c.s):
 			c.recs = append(c.recs, record(ts, c.m.Position))
 		}
 	}
@@ -347,9 +353,9 @@ func (r *Reader) fold(c *chunk) []model.PositionRecord {
 	r.stats.Add(c.stats)
 	var out []model.PositionRecord
 	from := 0
-	for _, l := range c.late {
-		switch r.s = l.s; {
-		case !r.message(r.dec):
+	for i := range c.late {
+		switch l := &c.late[i]; {
+		case !r.message(r.dec, &l.s):
 		case r.m.Type == ais.TypeStatic:
 			r.statics[r.m.Static.MMSI] = *r.m.Static
 		default:

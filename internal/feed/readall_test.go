@@ -91,8 +91,8 @@ type readAllSeed struct {
 func fragments(t *testing.T, line string, seq int) []string {
 	t.Helper()
 	ts, sentence, _ := strings.Cut(line, "\t")
-	s, err := ais.ParseSentence([]byte(sentence))
-	if err != nil {
+	var s ais.Sentence
+	if err := ais.ParseSentence([]byte(sentence), &s); err != nil {
 		t.Fatal(err)
 	}
 	half := len(s.Payload) / 2
@@ -110,8 +110,7 @@ func whole(t *testing.T, fragments []string) string {
 	var payload []byte
 	for _, line := range fragments {
 		_, sentence, _ := strings.Cut(line, "\t")
-		var err error
-		if s, err = ais.ParseSentence([]byte(sentence)); err != nil {
+		if err := ais.ParseSentence([]byte(sentence), &s); err != nil {
 			t.Fatal(err)
 		}
 		payload = append(payload, s.Payload...)
@@ -205,6 +204,33 @@ func TestReadAllSourceFails(t *testing.T) {
 		}
 		for _, size := range []int{chunkSize, 64} {
 			samePass(t, fmt.Sprintf("failing after %d bytes, size %d", n, size), want, parallelRead(src(), size))
+		}
+	}
+}
+
+// stalled reads its bytes, then returns (0, nil) forever.
+type stalled struct{ r io.Reader }
+
+func (s stalled) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err == io.EOF {
+		err = nil
+	}
+	return n, err
+}
+
+// TestReadAllNoProgress: a source that stops returning bytes without an
+// error stops both drivers, with the same records and the same error, after
+// a bounded number of empty reads instead of spinning.
+func TestReadAllNoProgress(t *testing.T) {
+	data := interleavedArchive(t, true)
+	for _, n := range []int{0, len(data) / 3, len(data)} {
+		want := sequentialRead(stalled{bytes.NewReader(data[:n])})
+		if !errors.Is(want.err, io.ErrNoProgress) {
+			t.Fatalf("stalled after %d bytes: sequential error %v", n, want.err)
+		}
+		for _, size := range []int{chunkSize, 64} {
+			samePass(t, fmt.Sprintf("stalled after %d bytes, size %d", n, size), want, parallelRead(stalled{bytes.NewReader(data[:n])}, size))
 		}
 	}
 }

@@ -14,7 +14,9 @@ package pipeline
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -119,9 +121,9 @@ func Run(records *dataflow.Dataset[model.PositionRecord], static map[uint32]mode
 	// vessel partition, which folds its observations into its own inventory
 	// (§3.3.4's map-side combine) exactly as the live engine folds a trip.
 	var counters flowCounters
-	partials := dataflow.MapPartitions(ByVessel(records, parts), "clean-trips-project",
-		func(_ int, rows []model.PositionRecord) []*inventory.Inventory {
-			return []*inventory.Inventory{processPartition(rows, static, portIdx, opt, &counters)}
+	partials := ByVessel(records, parts, "clean-trips-project",
+		func(_ int, runs iter.Seq[[]model.PositionRecord]) []*inventory.Inventory {
+			return []*inventory.Inventory{processPartition(runs, static, portIdx, opt, &counters)}
 		})
 
 	// The graph is lazy: this Collect executes the shuffle, cleaning, trip
@@ -180,13 +182,16 @@ func Run(records *dataflow.Dataset[model.PositionRecord], static map[uint32]mode
 	return &Result{Inventory: inv, Stats: stats}, nil
 }
 
-// ByVessel repartitions records into parts partitions by vessel, each
-// MMSI to partition VesselBucket(mmsi, parts) — the distributed build's
-// bucketing too, which is why a cluster build equals a local one.
-func ByVessel(records *dataflow.Dataset[model.PositionRecord], parts int) *dataflow.Dataset[model.PositionRecord] {
-	return dataflow.Repartition(records, "shuffle-by-vessel", parts, func(r model.PositionRecord) int {
-		return VesselBucket(r.MMSI, parts)
-	})
+// ByVessel shuffles records into parts partitions by vessel, each MMSI to
+// partition VesselBucket(mmsi, parts) — the distributed build's bucketing
+// too, which is why a cluster build equals a local one — and applies f,
+// timed as stage, to each partition's vessel runs: ascending MMSI, each
+// run the vessel's reports in input order, f's to clean in place.
+func ByVessel[U any](records *dataflow.Dataset[model.PositionRecord], parts int, stage string,
+	f func(part int, runs iter.Seq[[]model.PositionRecord]) []U) *dataflow.Dataset[U] {
+	return dataflow.ShuffleRuns(records, "shuffle-by-vessel", parts,
+		func(r model.PositionRecord) uint32 { return r.MMSI },
+		func(mmsi uint32) int { return VesselBucket(mmsi, parts) }, stage, f)
 }
 
 // VesselBucket maps an MMSI to one of n vessel partitions through the
@@ -211,39 +216,26 @@ type flowCounters struct {
 }
 
 // processPartition runs cleaning, trip extraction, enrichment and
-// projection for every vessel in one partition and folds the observations
-// into the partition's own inventory.
-func processPartition(rows []model.PositionRecord, static map[uint32]model.VesselInfo, portIdx *ports.Index, opt Options, counters *flowCounters) *inventory.Inventory {
-	// Group the partition's rows by vessel, then process vessels in
-	// ascending MMSI order: several summary statistics (Welford moments,
-	// circular means, t-digests) are order-sensitive in their low bits, so
-	// a map-ordered walk would make repeated builds of the same input
-	// differ. Sorting pins one canonical fold order per partition.
-	counters.raw.Add(int64(len(rows)))
-	perVessel := make(map[uint32][]model.PositionRecord)
-	for _, r := range rows {
-		perVessel[r.MMSI] = append(perVessel[r.MMSI], r)
-	}
-	mmsis := make([]uint32, 0, len(perVessel))
-	for mmsi := range perVessel {
-		mmsis = append(mmsis, mmsi)
-	}
-	sort.Slice(mmsis, func(i, j int) bool { return mmsis[i] < mmsis[j] })
+// projection for every vessel run of one partition, cleaning each run in
+// place, and folds the observations into the partition's own inventory.
+// The runs come in ascending MMSI order, the one canonical fold order:
+// several summary statistics (Welford moments, circular means, t-digests)
+// are order-sensitive in their low bits.
+func processPartition(runs iter.Seq[[]model.PositionRecord], static map[uint32]model.VesselInfo, portIdx *ports.Index, opt Options, counters *flowCounters) *inventory.Inventory {
 	inv := inventory.New(inventory.BuildInfo{Resolution: opt.Resolution})
 	var observations int64
 	observe := func(key inventory.GroupKey, o inventory.Observation) {
 		inv.Observe(key, o)
 		observations++
 	}
-	for _, mmsi := range mmsis {
-		recs := perVessel[mmsi]
-		info, ok := static[mmsi]
+	for recs := range runs {
+		counters.raw.Add(int64(len(recs)))
+		info, ok := static[recs[0].MMSI]
 		if !ok || !info.IsCommercial() {
 			continue // §3.3.1: only the commercial fleet
 		}
-		commercial := int64(len(recs))
+		counters.commercial.Add(int64(len(recs)))
 		cleaned, valid := cleanVesselCounted(recs, MaxSpeedKnots)
-		counters.commercial.Add(commercial)
 		counters.valid.Add(valid)
 		counters.feasible.Add(int64(len(cleaned)))
 		trips := ExtractTrips(cleaned, portIdx, MinTripRecords)
@@ -259,22 +251,22 @@ func processPartition(rows []model.PositionRecord, static map[uint32]model.Vesse
 
 // CleanVessel applies the paper's §3.3.1 cleaning to one vessel's reports:
 // range validation, sorting by timestamp, duplicate-timestamp removal, and
-// the infeasible-transition (50-knot) filter. Exposed for direct use and
-// focused tests.
+// the infeasible-transition (50-knot) filter. It cleans a copy: recs is
+// left as it was. Exposed for direct use and focused tests.
 func CleanVessel(recs []model.PositionRecord, maxSpeedKnots float64) []model.PositionRecord {
-	out, _ := cleanVesselCounted(recs, maxSpeedKnots)
+	out, _ := cleanVesselCounted(slices.Clone(recs), maxSpeedKnots)
 	return out
 }
 
-// cleanVesselCounted is CleanVessel plus the count of records that survived
-// range validation and deduplication (before the speed filter).
+// cleanVesselCounted is CleanVessel in place — it reorders and overwrites
+// recs and returns a prefix of it — plus the count of records that
+// survived range validation and deduplication (before the speed filter).
 func cleanVesselCounted(recs []model.PositionRecord, maxSpeedKnots float64) (cleaned []model.PositionRecord, validCount int64) {
-	valid := make([]model.PositionRecord, 0, len(recs))
+	valid := recs[:0]
 	for _, r := range recs {
-		if !validRanges(r) {
-			continue
+		if validRanges(r) {
+			valid = append(valid, r)
 		}
-		valid = append(valid, r)
 	}
 	sort.SliceStable(valid, func(i, j int) bool { return valid[i].Time < valid[j].Time })
 

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -474,6 +475,82 @@ func TestRunUnknownVesselsExcluded(t *testing.T) {
 	}
 }
 
+// recordBits is a record's fields as bits, so NaN compares equal to
+// itself and a flipped bit shows.
+func recordBits(r model.PositionRecord) [8]uint64 {
+	return [8]uint64{uint64(r.MMSI), uint64(r.Time), math.Float64bits(r.Pos.Lat), math.Float64bits(r.Pos.Lng),
+		math.Float64bits(r.SOG), math.Float64bits(r.COG), math.Float64bits(r.Heading), uint64(r.Status)}
+}
+
+func sameBits(a, b []model.PositionRecord) bool {
+	return slices.EqualFunc(a, b, func(x, y model.PositionRecord) bool { return recordBits(x) == recordBits(y) })
+}
+
+// TestRunLeavesInputUntouched: Run cleans each vessel's reports in place in
+// memory the shuffle owns, never in its input. A commercial vessel's track
+// gets an out-of-range row, a NaN-speed row, duplicate timestamps and two
+// rows out of time order, so the in-place filter, sort and dedup all run;
+// the input is cut into 1, 2 and 7 partitions, which splits that vessel
+// across partitions, from Generate and from Parallelize. Every input row is
+// bit-identical afterwards, and CleanVessel leaves its argument so too.
+func TestRunLeavesInputUntouched(t *testing.T) {
+	gaz := ports.Default()
+	s, err := sim.New(sim.Config{Vessels: 6, Days: 10, Seed: 33}, gaz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := s.Fleet().StaticIndex()
+	idx := ports.NewIndex(gaz, ports.IndexResolution)
+	var all, noisy []model.PositionRecord
+	for i := 0; i < 6; i++ {
+		track, _ := s.VesselTrack(i)
+		if len(track) < 10 {
+			continue
+		}
+		if info := static[track[0].MMSI]; noisy == nil && info.IsCommercial() {
+			bad, nan := track[3], track[5]
+			bad.Pos.Lat = 91
+			nan.SOG = math.NaN()
+			track = append(track, bad, nan, track[7], track[8]) // two duplicate timestamps
+			track[1], track[2] = track[2], track[1]
+			noisy = track
+		}
+		all = append(all, track...)
+	}
+	if noisy == nil {
+		t.Fatal("no commercial vessel in the fleet")
+	}
+	want := slices.Clone(all)
+	for _, inParts := range []int{1, 2, 7} {
+		for _, gen := range []bool{false, true} {
+			ctx := dataflow.NewContext(2)
+			records := dataflow.Parallelize(ctx, all, inParts)
+			if gen {
+				records = dataflow.Generate(ctx, inParts, func(p int) []model.PositionRecord {
+					return all[p*len(all)/inParts : (p+1)*len(all)/inParts]
+				})
+			}
+			res, err := Run(records, static, idx, Options{Resolution: 6, Partitions: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := res.Stats; st.RawRecords != int64(len(all)) || st.ValidRecords > st.CommercialOnly-4 || st.Groups == 0 {
+				t.Fatalf("%d input partitions (generated %v): the noise was not cleaned: %s", inParts, gen, st)
+			}
+			if !sameBits(all, want) {
+				t.Fatalf("%d input partitions (generated %v): Run wrote to its input", inParts, gen)
+			}
+		}
+	}
+	track := slices.Clone(noisy)
+	if cleaned := CleanVessel(track, MaxSpeedKnots); len(cleaned) > len(noisy)-4 {
+		t.Fatalf("CleanVessel kept %d of %d rows", len(cleaned), len(noisy))
+	}
+	if !sameBits(track, noisy) {
+		t.Error("CleanVessel wrote to its argument")
+	}
+}
+
 func BenchmarkPipelineEndToEnd(b *testing.B) {
 	gaz := ports.Default()
 	s, err := sim.New(sim.Config{Vessels: 8, Days: 10, Seed: 61}, gaz)
@@ -489,6 +566,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	}
 	static := s.Fleet().StaticIndex()
 	idx := ports.NewIndex(gaz, ports.IndexResolution)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := dataflow.NewContext(4)
